@@ -17,8 +17,8 @@ Vocabulary used throughout the package:
   information -- each one could still hold the larger value by more than
   ``delta``.  Formally ``a.hi - b.lo > delta and b.hi - a.lo > delta``
   (both strict).
-* *trivial*: an interval of width at most ``delta``.  Trivial intervals are
-  never dependent on anything and never need to be queried.
+* *trivial*: an interval of width at most ``delta``.  Trivial intervals
+  never need to be queried; two of them are never dependent on each other.
 * *witness*: a one-sided proof that some single interval must be queried in
   every feasible query set (see `singleton_witness_static` /
   `singleton_witness_value`).
@@ -26,10 +26,12 @@ Vocabulary used throughout the package:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -153,10 +155,41 @@ def dependent(a: UncertainInterval, b: UncertainInterval, delta: Fraction) -> bo
 
     Each side must be able to beat the other by strictly more than ``delta``;
     with either inequality non-strict one order is already safe.  Symmetric,
-    and false whenever either interval is trivial (width <= delta) -- in
-    particular a point is never dependent on a point.
+    and false when both intervals are trivial (width <= delta), but one
+    trivial side is not enough: a point can be dependent on a wider interval.
     """
     return a.hi - b.lo > delta and b.hi - a.lo > delta
+
+
+def dependent_pairs(
+    items: Sequence[UncertainInterval], delta: Fraction
+) -> Iterator[tuple[int, int]]:
+    """Every dependent pair ``(i, j)`` with ``i < j``, in no particular order.
+
+    A sort-and-sweep: ``a`` and a later-starting ``b`` can only be dependent
+    when ``b.lo < a.hi - delta``.  So, with the items sorted by
+    ``(lo, index)``, each one is tested with `dependent` only against the
+    later items that start before that bound.
+    """
+    order = sorted(range(len(items)), key=lambda k: (items[k].lo, k))
+    los = [items[k].lo for k in order]
+    for p, i in enumerate(order):
+        a = items[i]
+        for j in order[p + 1:bisect_left(los, a.hi - delta, p + 1)]:
+            if dependent(a, items[j], delta):
+                yield (i, j) if i < j else (j, i)
+
+
+def require_independent(
+    items: Sequence[UncertainInterval], delta: Fraction
+) -> None:
+    """Raise `UnresolvedDependency` naming the smallest dependent pair, if any."""
+    pair = min(dependent_pairs(items, delta), default=None)
+    if pair is not None:
+        i, j = pair
+        raise UnresolvedDependency(
+            f"items {i} and {j} are still dependent: {items[i]} vs {items[j]}"
+        )
 
 
 def is_trivial(a: UncertainInterval, delta: Fraction) -> bool:
@@ -423,8 +456,8 @@ def valid_permutation(
     """Does the ordering respect the given values up to the threshold?
 
     True iff for every pair placed ``i`` before ``j``,
-    ``values[i] <= values[j] + delta``.  Pass ``values=None`` to check
-    against the instance's own hidden realization.
+    ``values[i] <= values[j] + delta``: a running maximum suffices.  Pass
+    ``values=None`` to check against the instance's own hidden realization.
     """
     if values is None:
         values = inst.values
@@ -438,11 +471,11 @@ def valid_permutation(
     order = tuple(pi)
     if sorted(order) != list(range(inst.n)):
         raise InvariantViolation(f"not a permutation of 0..{inst.n - 1}: {order}")
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if vals[order[a]] > vals[order[b]] + inst.delta:
-                return False
-    return True
+    ordered = [vals[k] for k in order]
+    return all(
+        peak <= v + inst.delta
+        for peak, v in zip(accumulate(ordered, max), ordered[1:])
+    )
 
 
 def build_permutation(
@@ -467,13 +500,7 @@ def build_permutation(
         items = list(state)
     n = len(items)
     delta = scalar(delta)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dependent(items[i], items[j], delta):
-                raise UnresolvedDependency(
-                    f"items {i} and {j} are still dependent: "
-                    f"{items[i]} vs {items[j]}"
-                )
+    require_independent(items, delta)
 
     def before(a: UncertainInterval, b: UncertainInterval) -> bool:
         # a certainly <= b + delta, and b possibly > a + delta.

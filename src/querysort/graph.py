@@ -21,7 +21,7 @@ from .core import (
     Instance,
     KnowledgeState,
     UncertainInterval,
-    dependent,
+    dependent_pairs,
     scalar,
 )
 from .errors import (
@@ -88,16 +88,9 @@ def build_graph(source: GraphSource, delta=None) -> DependencyGraph:
         intervals = tuple(source)
     if delta is None:
         raise InvariantViolation("a threshold is required to build the graph")
-    delta = scalar(delta)
-    n = len(intervals)
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dependent(intervals[i], intervals[j], delta):
-                edges.add((i, j))
     return DependencyGraph(
-        n=n,
-        edges=frozenset(edges),
+        n=len(intervals),
+        edges=frozenset(dependent_pairs(intervals, scalar(delta))),
         weights=tuple(itv.cost for itv in intervals),
         intervals=tuple(intervals),
     )

@@ -14,6 +14,7 @@ unclever.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Union
@@ -23,6 +24,7 @@ from .core import (
     KnowledgeState,
     UncertainInterval,
     dependent,
+    dependent_pairs,
     is_trivial,
     scalar,
     singleton_witness_value,
@@ -42,21 +44,21 @@ def forced_query_set(inst: Instance) -> frozenset[int]:
 
     Item ``j`` is forced when its interval strictly straddles some other
     item's value by more than the threshold: even after everything else is
-    known, ``j`` still blocks a safe ordering.  One pass over ordered pairs
-    suffices because the trigger values are realization constants.
+    known, ``j`` still blocks a safe ordering.  So ``j`` is forced exactly
+    when ``(lo + delta, hi - delta)`` holds a value besides its own, counted
+    by bisecting the sorted values.
     """
     if inst.values is None:
         raise MissingRealization("the forced set needs the hidden values")
+    delta = inst.delta
+    vals = sorted(inst.values)
     forced = set()
-    for j in range(inst.n):
-        for i in range(inst.n):
-            if i == j:
-                continue
-            if singleton_witness_value(
-                inst.intervals[j], inst.values[i], inst.delta
-            ) and dependent(inst.intervals[i], inst.intervals[j], inst.delta):
-                forced.add(j)
-                break
+    for j, itv in enumerate(inst.intervals):
+        inside = bisect_left(vals, itv.hi - delta) - bisect_right(vals, itv.lo + delta)
+        if singleton_witness_value(itv, inst.values[j], delta):
+            inside -= 1
+        if inside > 0:
+            forced.add(j)
     return frozenset(forced)
 
 
@@ -87,11 +89,7 @@ def feasible_query_set(inst: Instance, query_set) -> bool:
         else itv
         for i, itv in enumerate(inst.intervals)
     ]
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            if dependent(cur[i], cur[j], inst.delta):
-                return False
-    return True
+    return next(dependent_pairs(cur, inst.delta), None) is None
 
 
 def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:

@@ -25,6 +25,7 @@ feasibility guarantee is enforced, not assumed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -37,6 +38,7 @@ from .core import (
     build_permutation,
     dependent,
     isqrt_bounds,
+    require_independent,
     scalar,
     singleton_witness_static,
     singleton_witness_value,
@@ -385,22 +387,21 @@ def _flush_value_witnesses(env: Environment) -> list[int]:
     Such an interval belongs to every feasible query set, so querying it
     immediately is always safe.  Known values are the current points; each
     round picks the smallest forced index, and newly revealed values may
-    force further queries.  After this returns, every point is isolated in
-    the dependency graph.
+    force further queries.  Only the smallest known value above
+    ``lo + delta`` needs testing.  After this returns, every point is
+    isolated in the dependency graph.
     """
+    delta = env.delta
     done: list[int] = []
     while True:
-        state = env.state()
-        cur = state.current
-        known = state.known_values
+        cur = env.state().current
+        known = sorted(itv.lo for itv in cur if itv.is_point)
         candidate = None
-        for i in range(env.n):
-            if cur[i].is_point:
+        for i, itv in enumerate(cur):
+            if itv.is_point:
                 continue
-            if any(
-                j != i and singleton_witness_value(cur[i], v, env.delta)
-                for j, v in known.items()
-            ):
+            k = bisect_right(known, itv.lo + delta)
+            if k < len(known) and singleton_witness_value(itv, known[k], delta):
                 candidate = i
                 break
         if candidate is None:
@@ -409,52 +410,29 @@ def _flush_value_witnesses(env: Environment) -> list[int]:
         done.append(candidate)
 
 
-def _preprocess_witnesses(env: Environment) -> list[int]:
-    """Query every static or value witness, cascading (the optional warm-up).
+def _preprocess_witnesses(env: AnyEnvironment) -> list[int]:
+    """Query every static or value witness, cascading.
 
     A current interval that strictly contains another current interval
     padded by the threshold must be queried no matter what; since queried
     items are point intervals, the value form is subsumed by the static
-    form evaluated on the current state.
+    form evaluated on the current state.  Only intervals starting inside
+    ``(lo + delta, hi - delta)`` need testing.  In the refinement model an
+    item may be queried several times in a row while its refinements keep
+    straddling.
     """
+    delta = env.delta
     done: list[int] = []
     while True:
         cur = env.state().current
+        order = sorted(range(len(cur)), key=lambda k: cur[k].lo)
+        los = [cur[k].lo for k in order]
         candidate = None
-        for i in range(env.n):
-            if cur[i].is_point:
+        for i, a in enumerate(cur):
+            if a.is_point:
                 continue
-            if any(
-                j != i and singleton_witness_static(cur[i], cur[j], env.delta)
-                for j in range(env.n)
-            ):
-                candidate = i
-                break
-        if candidate is None:
-            return done
-        env.query(candidate)
-        done.append(candidate)
-
-
-def _flush_static_witnesses_cpcp(env: CpcpEnvironment) -> list[int]:
-    """Refinement-model flush: re-query while a strict containment witness holds.
-
-    Evaluated on current intervals; a point can never strictly contain
-    anything padded by a non-negative threshold, so only items with script
-    steps remaining are ever selected.  An item may legitimately be queried
-    several times in a row here if its refinements keep straddling.
-    """
-    done: list[int] = []
-    while True:
-        cur = env.state().current
-        candidate = None
-        for i in range(env.n):
-            if cur[i].is_point:
-                continue
-            if any(
-                j != i and singleton_witness_static(cur[i], cur[j], env.delta)
-                for j in range(env.n)
-            ):
+            inside = order[bisect_right(los, a.lo + delta):bisect_left(los, a.hi - delta)]
+            if any(singleton_witness_static(a, cur[j], delta) for j in inside):
                 candidate = i
                 break
         if candidate is None:
@@ -545,14 +523,13 @@ def simple_adaptive_stable_sort(env: Environment) -> RunReport:
         return out
 
     order = merge_sort(list(range(env.n)))
-    report = _finish(env, comparisons=comparisons)
-    # The comparator's output is itself a valid ordering; prefer it so the
-    # report reflects what the sort produced.
+    state = env.state()
+    require_independent(state.current, env.delta)
     return RunReport(
-        queried=report.queried,
-        total_cost=report.total_cost,
+        queried=state.queried,
+        total_cost=state.spent,
         permutation=Permutation(tuple(order)),
-        transcript=report.transcript,
+        transcript=tuple(env.transcript),
         comparisons=comparisons,
     )
 
@@ -798,13 +775,13 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
         zeros = [i for i in active if current_cost(i) == 0]
         if zeros:
             env.query(zeros[0])
-            _flush_static_witnesses_cpcp(env)
+            _preprocess_witnesses(env)
             continue
         i, j = min(g.edges)
         take = min(current_cost(i), current_cost(j))
         residual[(i, env.times(i))] -= take
         residual[(j, env.times(j))] -= take
-        _flush_static_witnesses_cpcp(env)
+        _preprocess_witnesses(env)
     return _finish(env)
 
 

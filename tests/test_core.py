@@ -112,6 +112,9 @@ def test_dependent_hand_cases():
     assert dependent(a, b, F(5))
     assert not dependent(a, b, F(6))  # overlap exactly 6: not strict
     assert not dependent(interval(0, 3), interval(5, 8), F(0))
+    # One trivial side is not enough; only two trivial intervals never depend.
+    assert dependent(interval(5, 5), interval(0, 10), F(1))
+    assert not dependent(interval(5, 5), interval(5, 6), F(1))
 
 
 @given(intervals_st, intervals_st, thresholds)

@@ -119,33 +119,33 @@ def components(g: DependencyGraph) -> list[list[int]]:
 
 def component_of(g: DependencyGraph, v: int) -> list[int]:
     """Sorted vertex list of the component containing ``v``."""
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
+    return next(comp for comp in components(g) if v in comp)
 
 
 # ---------------------------------------------------------------------------
 # Perfect elimination orderings and chordality
 # ---------------------------------------------------------------------------
 
-def verify_peo(g: DependencyGraph, order: Sequence[int]) -> bool:
-    """Check that each vertex's later neighbors form a clique."""
+def _non_simplicial(
+    g: DependencyGraph, order: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
+    """First ``(v, a, b)`` along ``order`` with ``a``, ``b`` later neighbors of
+    ``v`` that are not adjacent, or None when ``order`` eliminates perfectly."""
     pos = {v: k for k, v in enumerate(order)}
-    if sorted(order) != list(range(g.n)):
-        raise InvariantViolation("order is not a permutation of the vertices")
     for v in order:
         later = [u for u in g.adj[v] if pos[u] > pos[v]]
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
                 if not g.has_edge(later[a], later[b]):
-                    return False
-    return True
+                    return v, later[a], later[b]
+    return None
+
+
+def verify_peo(g: DependencyGraph, order: Sequence[int]) -> bool:
+    """Check that each vertex's later neighbors form a clique."""
+    if sorted(order) != list(range(g.n)):
+        raise InvariantViolation("order is not a permutation of the vertices")
+    return _non_simplicial(g, order) is None
 
 
 def peo_min_right(
@@ -166,16 +166,10 @@ def peo_min_right(
     if intervals is None:
         raise InvariantViolation("peo_min_right needs the underlying intervals")
     order = tuple(sorted(range(g.n), key=lambda v: (intervals[v].hi, v)))
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if not g.has_edge(later[a], later[b]):
-                    raise NotSimplicial(
-                        f"vertex {v}: later neighbors {later[a]} and "
-                        f"{later[b]} are not adjacent"
-                    )
+    bad = _non_simplicial(g, order)
+    if bad is not None:
+        v, a, b = bad
+        raise NotSimplicial(f"vertex {v}: later neighbors {a} and {b} are not adjacent")
     return order
 
 

@@ -10,6 +10,13 @@ next entry of a nested script of closed intervals ending in the value point;
 the t-th query may have its own price.  An instance without scripts embeds
 into this model as one-step scripts.
 
+Both environments keep the dependency graph of their current intervals,
+and every strategy and witness flush reads it (`QueryEnvironment.graph`).
+A query can only delete edges, and only at the queried vertex, because
+for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo`` and
+``b.hi - a.lo`` can only shrink.  So each query re-tests just that
+vertex's neighbours instead of rebuilding the graph.
+
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  Probabilities are exact rationals, except the square-root-of-three
 trial rule, which is kept symbolic (`Sqrt3Prob`) and decided by comparing
@@ -25,9 +32,9 @@ feasibility guarantee is enforced, not assumed.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -37,6 +44,7 @@ from .core import (
     UncertainInterval,
     build_permutation,
     dependent,
+    dependent_pairs,
     isqrt_bounds,
     require_independent,
     scalar,
@@ -53,7 +61,6 @@ from .errors import (
 )
 from .graph import (
     DependencyGraph,
-    build_graph,
     component_of,
     components,
     find_triangle,
@@ -207,17 +214,24 @@ SQRT3 = ProbabilityRule("sqrt3")
 # ---------------------------------------------------------------------------
 
 
-class Environment:
-    """Exact-model query oracle: one query per item reveals its value."""
+class QueryEnvironment:
+    """What both query models share: current intervals, query counts, spend,
+    transcript, and the dependency graph of the current intervals.
+
+    The graph is built on its first read (`dependent_pairs`) and then kept
+    exact: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo`` and
+    ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
+    queried vertex, and re-testing its neighbours is O(degree) work.
+    """
 
     def __init__(self, instance: Instance):
-        if instance.values is None:
-            raise MissingRealization("an environment needs the hidden values")
         self.instance = instance
         self._current = list(instance.intervals)
         self._queried = [0] * instance.n
         self._spent = Fraction(0)
-        self.transcript: list[tuple[int, Fraction, Fraction]] = []
+        self.transcript: list[tuple] = []
+        self._adj: Optional[list[set[int]]] = None
+        self._graph: Optional[DependencyGraph] = None
 
     @property
     def n(self) -> int:
@@ -229,6 +243,45 @@ class Environment:
 
     def state(self) -> KnowledgeState:
         return KnowledgeState(tuple(self._current), tuple(self._queried), self._spent)
+
+    def current(self, i: int) -> UncertainInterval:
+        """Item ``i``'s current interval (no `KnowledgeState` is built)."""
+        return self._current[i]
+
+    def graph(self) -> DependencyGraph:
+        """Dependency graph of the current intervals at the instance threshold."""
+        if self._adj is None:
+            self._adj = [set() for _ in range(self.n)]
+            for i, j in dependent_pairs(self._current, self.delta):
+                self._adj[i].add(j)
+                self._adj[j].add(i)
+        if self._graph is None:
+            cur = tuple(self._current)
+            edges = frozenset((i, j) for i, nbrs in enumerate(self._adj) for j in nbrs if i < j)
+            self._graph = DependencyGraph(self.n, edges, tuple(itv.cost for itv in cur), cur)
+        return self._graph
+
+    def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
+        """Narrow item ``i`` to ``now``, charge the query, and return ``answer``."""
+        self._queried[i] += 1
+        self._current[i] = now
+        self._spent += charge
+        self.transcript.append((i, answer, charge))
+        self._graph = None
+        if self._adj is not None:
+            for j in [j for j in self._adj[i] if not dependent(now, self._current[j], self.delta)]:
+                self._adj[i].remove(j)
+                self._adj[j].remove(i)
+        return answer
+
+
+class Environment(QueryEnvironment):
+    """Exact-model query oracle: one query per item reveals its value."""
+
+    def __init__(self, instance: Instance):
+        if instance.values is None:
+            raise MissingRealization("an environment needs the hidden values")
+        super().__init__(instance)
 
     def queried(self, i: int) -> bool:
         return self._queried[i] > 0
@@ -238,14 +291,10 @@ class Environment:
             raise RepeatQuery(f"item {i} was already queried")
         v = self.instance.values[i]
         charge = self.instance.intervals[i].cost
-        self._queried[i] = 1
-        self._current[i] = UncertainInterval(v, v, charge)
-        self._spent += charge
-        self.transcript.append((i, v, charge))
-        return v
+        return self._record(i, UncertainInterval(v, v, charge), charge, v)
 
 
-class CpcpEnvironment:
+class CpcpEnvironment(QueryEnvironment):
     """Refinement-model query oracle: each query advances an item's script.
 
     Items without a script behave as in the exact model (a one-step script
@@ -254,34 +303,16 @@ class CpcpEnvironment:
     """
 
     def __init__(self, instance: Instance):
-        self.instance = instance
-        scripts = []
-        for i in range(instance.n):
-            if instance.refinements is not None and instance.refinements[i] is not None:
-                scripts.append(instance.refinements[i])
-            else:
+        super().__init__(instance)
+        self._scripts = list(instance.refinements or (None,) * instance.n)
+        for i, script in enumerate(self._scripts):
+            if script is None:
                 if instance.values is None:
                     raise MissingRealization(
                         f"item {i} has neither a refinement script nor a value"
                     )
                 v = instance.values[i]
-                scripts.append((UncertainInterval(v, v, instance.intervals[i].cost),))
-        self._scripts = scripts
-        self._current = list(instance.intervals)
-        self._queried = [0] * instance.n
-        self._spent = Fraction(0)
-        self.transcript: list[tuple[int, UncertainInterval, Fraction]] = []
-
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
-    def delta(self) -> Fraction:
-        return self.instance.delta
-
-    def state(self) -> KnowledgeState:
-        return KnowledgeState(tuple(self._current), tuple(self._queried), self._spent)
+                self._scripts[i] = (UncertainInterval(v, v, instance.intervals[i].cost),)
 
     def times(self, i: int) -> int:
         """How many queries item ``i`` has received."""
@@ -310,19 +341,11 @@ class CpcpEnvironment:
             raise ScriptExhausted(
                 f"item {i}: script ended before the pair resolved"
             )
-        charge = self.step_cost(i, t)
         entry = self._scripts[i][t]
         # Keep the original cost on the current interval so graph weights
         # stay meaningful.
         result = UncertainInterval(entry.lo, entry.hi, self.instance.intervals[i].cost)
-        self._queried[i] = t + 1
-        self._current[i] = result
-        self._spent += charge
-        self.transcript.append((i, result, charge))
-        return result
-
-
-AnyEnvironment = Union[Environment, CpcpEnvironment]
+        return self._record(i, result, self.step_cost(i, t), result)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +386,7 @@ class RunReport:
         return tuple(i for i, c in enumerate(self.queried) if c > 0)
 
 
-def _finish(env: AnyEnvironment, rng=None, **extra) -> RunReport:
+def _finish(env: QueryEnvironment, rng=None, **extra) -> RunReport:
     state = env.state()
     permutation = build_permutation(state, env.delta)
     return RunReport(
@@ -381,64 +404,58 @@ def _finish(env: AnyEnvironment, rng=None, **extra) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _flush_value_witnesses(env: Environment) -> list[int]:
+def _flush(env: QueryEnvironment, witness: Callable[[UncertainInterval, UncertainInterval], bool]) -> list[int]:
+    """Query the smallest witness, round after round, until none is left.
+
+    Vertex ``i`` is a witness when ``witness(current i, current j)`` holds for
+    a neighbour ``j``.  Narrowing an interval keeps every containment and
+    every point neighbour, so a vertex stops being a witness only when it is
+    queried, and becomes one only at or next to a queried vertex: after one
+    full scan, each round re-tests just those.
+    """
+    def witnessed(i: int) -> bool:
+        g = env.graph()
+        return any(witness(g.intervals[i], g.intervals[j]) for j in g.adj[i])
+
+    pending = [i for i in env.graph().active_vertices() if witnessed(i)]
+    done: list[int] = []
+    while pending:
+        i = heappop(pending)
+        env.query(i)
+        done.append(i)
+        for k in {i} | env.graph().adj[i]:
+            if k not in pending and witnessed(k):
+                heappush(pending, k)
+    return done
+
+
+def _flush_value_witnesses(env: QueryEnvironment) -> list[int]:
     """Query every interval that strictly straddles a known value (cascading).
 
     Such an interval belongs to every feasible query set, so querying it
-    immediately is always safe.  Known values are the current points; each
-    round picks the smallest forced index, and newly revealed values may
-    force further queries.  Only the smallest known value above
-    ``lo + delta`` needs testing.  After this returns, every point is
-    isolated in the dependency graph.
+    immediately is always safe.  Known values are the current points, and
+    ``singleton_witness_value(a, v, delta)`` is ``dependent(a, [v, v], delta)``,
+    so a value witness is exactly a non-point vertex of the environment's
+    graph with a point neighbour.  Each round picks the smallest one, and
+    newly revealed values may force further queries.  After this returns,
+    every point is isolated in the dependency graph.
     """
-    delta = env.delta
-    done: list[int] = []
-    while True:
-        cur = env.state().current
-        known = sorted(itv.lo for itv in cur if itv.is_point)
-        candidate = None
-        for i, itv in enumerate(cur):
-            if itv.is_point:
-                continue
-            k = bisect_right(known, itv.lo + delta)
-            if k < len(known) and singleton_witness_value(itv, known[k], delta):
-                candidate = i
-                break
-        if candidate is None:
-            return done
-        env.query(candidate)
-        done.append(candidate)
+    return _flush(env, lambda a, b: b.is_point and not a.is_point)
 
 
-def _preprocess_witnesses(env: AnyEnvironment) -> list[int]:
+def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
     """Query every static or value witness, cascading.
 
     A current interval that strictly contains another current interval
     padded by the threshold must be queried no matter what; since queried
     items are point intervals, the value form is subsumed by the static
-    form evaluated on the current state.  Only intervals starting inside
-    ``(lo + delta, hi - delta)`` need testing.  In the refinement model an
-    item may be queried several times in a row while its refinements keep
-    straddling.
+    form evaluated on the current state.  Such a containment is always a
+    dependency, so only graph neighbours need testing.  In the refinement
+    model an item may be queried several times in a row while its
+    refinements keep straddling.
     """
     delta = env.delta
-    done: list[int] = []
-    while True:
-        cur = env.state().current
-        order = sorted(range(len(cur)), key=lambda k: cur[k].lo)
-        los = [cur[k].lo for k in order]
-        candidate = None
-        for i, a in enumerate(cur):
-            if a.is_point:
-                continue
-            inside = order[bisect_right(los, a.lo + delta):bisect_left(los, a.hi - delta)]
-            if any(singleton_witness_static(a, cur[j], delta) for j in inside):
-                candidate = i
-                break
-        if candidate is None:
-            return done
-        env.query(candidate)
-        done.append(candidate)
+    return _flush(env, lambda a, b: singleton_witness_static(a, b, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +485,7 @@ def simple_adaptive(env: Environment) -> RunReport:
     """
     witness_sets: list[frozenset[int]] = []
     while True:
-        g = build_graph(env.state(), env.delta)
+        g = env.graph()
         if not g.edges:
             break
         i, j = min(g.edges)
@@ -495,13 +512,11 @@ def simple_adaptive_stable_sort(env: Environment) -> RunReport:
     def goes_first(x: int, y: int) -> bool:
         nonlocal comparisons
         comparisons += 1
-        cur = env.state().current
-        if dependent(cur[x], cur[y], Fraction(0)):
+        if dependent(env.current(x), env.current(y), Fraction(0)):
             for k in (x, y):
                 if not env.queried(k):
                     env.query(k)
-            cur = env.state().current
-        return cur[x].hi <= cur[y].lo
+        return env.current(x).hi <= env.current(y).lo
 
     def merge_sort(items: list[int]) -> list[int]:
         if len(items) <= 1:
@@ -541,11 +556,9 @@ def vc_adaptive(env: Environment) -> RunReport:
     after the cover is revealed every remaining dependency pins a
     still-unqueried interval that must be queried in every solution.
     """
-    g = build_graph(env.state(), env.delta)
-    for v in min_cost_vertex_cover(g):
+    for v in min_cost_vertex_cover(env.graph()):
         env.query(v)
-    g2 = build_graph(env.state(), env.delta)
-    for v in g2.active_vertices():
+    for v in env.graph().active_vertices():
         if not env.queried(v):
             env.query(v)
     return _finish(env)
@@ -595,7 +608,7 @@ def algorithm1(
         _preprocess_witnesses(env)
     delta = env.delta
     while True:
-        g = build_graph(env.state(), delta)
+        g = env.graph()
         if not g.edges:
             break
         comps = [c for c in components(g) if len(c) >= 2]
@@ -604,8 +617,7 @@ def algorithm1(
             u, v = pairs[0]  # components arrive ordered by smallest member
             first, second = (u, v) if _flip(rng, p) else (v, u)
             revealed = env.query(first)
-            cur = env.state().current
-            if singleton_witness_value(cur[second], revealed, delta):
+            if singleton_witness_value(env.current(second), revealed, delta):
                 env.query(second)
         else:
             iv = g.intervals
@@ -624,9 +636,8 @@ def algorithm1(
                     key=lambda w: (iv[w].hi, w),
                 )
             revealed = env.query(y)
-            cur = env.state().current
-            if singleton_witness_value(cur[x], revealed, delta) or dependent(
-                cur[x], cur[z], delta
+            if singleton_witness_value(env.current(x), revealed, delta) or dependent(
+                env.current(x), env.current(z), delta
             ):
                 env.query(x)
                 env.query(z)
@@ -650,8 +661,7 @@ def residual_component_sizes(inst: Instance) -> tuple[int, ...]:
         raise DeltaNotZero("the warm-up analysis is defined at threshold zero")
     env = Environment(inst)
     _preprocess_witnesses(env)
-    g = build_graph(env.state(), inst.delta)
-    return tuple(len(c) for c in components(g) if len(c) >= 2)
+    return tuple(len(c) for c in components(env.graph()) if len(c) >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +692,10 @@ def algorithm2(env: Environment, rule: ProbabilityRule, rng=None) -> RunReport:
     """
     if rule.kind not in ("half", "sqrt3"):
         raise InvariantViolation("this strategy takes the half or sqrt3 rule")
-    delta = env.delta
-    residual = [itv.cost for itv in env.state().current]
+    residual = list(env.instance.costs)
     frozen_paths: dict[int, tuple[int, ...]] = {}
     while True:
-        g = build_graph(env.state(), delta)
+        g = env.graph()
         if not g.edges:
             break
         active = g.active_vertices()
@@ -755,7 +764,6 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
         raise InvariantViolation(
             "this strategy runs on a CpcpEnvironment (scripts or embedded values)"
         )
-    delta = env.delta
     residual: dict[tuple[int, int], Fraction] = {}
 
     def current_cost(i: int) -> Fraction:
@@ -766,7 +774,7 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
         return residual[key]
 
     while True:
-        g = build_graph(env.state(), delta)
+        g = env.graph()
         if not g.edges:
             break
         active = g.active_vertices()
@@ -850,9 +858,8 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> RunReport:
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
     known_out: set[int] = set()
-    delta = env.delta
     while True:
-        g = build_graph(env.state(), delta)
+        g = env.graph()
         if not g.edges:
             break
         triangle = find_triangle(g)
@@ -907,9 +914,8 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
     remembered; a clique containing one costs no further advice.
     """
     known_out: set[int] = set()
-    delta = env.delta
     while True:
-        g = build_graph(env.state(), delta)
+        g = env.graph()
         if not g.edges:
             break
         iv = g.intervals
@@ -973,7 +979,7 @@ def expected_cost_exact(
     inst: Instance,
     rule: ProbabilityRule,
     *,
-    env_factory: Callable[[Instance], AnyEnvironment] = Environment,
+    env_factory: Callable[[Instance], QueryEnvironment] = Environment,
     max_branches: int = 2 ** 20,
     **kwargs,
 ) -> Union[Fraction, tuple[Fraction, Fraction]]:

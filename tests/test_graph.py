@@ -8,6 +8,7 @@ import pytest
 from querysort import (
     CoTTFunctions,
     NotChordal,
+    NotSimplicial,
     NotTree,
     build_graph,
     components,
@@ -29,7 +30,7 @@ from querysort import (
     verify_peo,
 )
 from querysort.core import Instance
-from querysort.graph import component_of
+from querysort.graph import DependencyGraph, component_of
 
 SEED_MIX = [(s, 2 + s % 8, (F(0), F(1), F(3, 2))[s % 3]) for s in range(120)]
 
@@ -61,6 +62,17 @@ def test_verify_peo():
     tri = build_graph(gen_advice_triangles(1, F(1))[0])
     for order in itertools.permutations(range(3)):
         assert verify_peo(tri, order)  # a clique: every order is a PEO
+
+
+def test_peo_min_right_names_the_first_gap():
+    # A 4-cycle is not chordal: eliminating 0 first leaves 1 and 3 apart.
+    cycle = DependencyGraph(
+        4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), (F(1),) * 4,
+        tuple(interval(0, k) for k in range(4)),
+    )
+    assert not verify_peo(cycle, (0, 1, 2, 3))
+    with pytest.raises(NotSimplicial, match="vertex 0: later neighbors (1 and 3|3 and 1) are not adjacent"):
+        peo_min_right(cycle)
 
 
 def test_peo_min_right_and_mcs():

@@ -1,4 +1,5 @@
-"""Differential tests: the sort-and-sweep paths against pairwise references.
+"""Differential tests: the sort-and-sweep paths and the environments' live
+graph against pairwise references, and the proven ratios at n = 200.
 
 The references below are the plain all-pairs scans the swept code replaced.
 They live only here.  Instances reach n = 250 and mix points, trivial
@@ -9,6 +10,7 @@ and 1, so every strict-versus-non-strict boundary is exercised.
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,27 +20,27 @@ from querysort import (
     Instance,
     UncertainInterval,
     UnresolvedDependency,
+    algorithm3_cpcp,
     build_graph,
     build_permutation,
     dependent,
     feasible_query_set,
     forced_query_set,
+    optimum_query_set,
+    simple_adaptive,
     singleton_witness_static,
     singleton_witness_value,
     valid_permutation,
+    vc_adaptive,
 )
 from querysort.online import _flush_value_witnesses, _preprocess_witnesses
 
 MAX_N = 250
 
 
-@st.composite
-def instances(draw, scripted=False):
+def make_instance(seed, n, delta, span, scripted=False):
     """A seeded instance; ``span`` sets how crowded the starts are."""
-    n = draw(st.integers(0, MAX_N))
-    delta = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
-    span = draw(st.sampled_from([2, 8, 4 * n + 1]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rng = random.Random(seed)
     ivs, values, scripts = [], [], []
     for _ in range(n):
         lo = F(rng.randint(0, 2 * span), 2)
@@ -54,6 +56,15 @@ def instances(draw, scripted=False):
         steps.append(UncertainInterval(value, value, ivs[-1].cost))
         scripts.append(tuple(steps))
     return Instance(delta, tuple(ivs), tuple(values), tuple(scripts) if scripted else None)
+
+
+@st.composite
+def instances(draw, scripted=False):
+    """A drawn instance: crowded (span 2 or 8) or sparse (span 4n + 1)."""
+    n = draw(st.integers(0, MAX_N))
+    delta = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    span = draw(st.sampled_from([2, 8, 4 * n + 1]))
+    return make_instance(draw(st.integers(0, 2 ** 32)), n, delta, span, scripted)
 
 
 def ref_edges(items, delta):
@@ -186,3 +197,41 @@ def test_static_flush_matches_pairwise(inst, refine):
     env, ref = make(inst), make(inst)
     assert _preprocess_witnesses(env) == ref_flush(ref, static_witnessed(inst.delta))
     assert env.transcript == ref.transcript
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.sampled_from([(Environment, False), (CpcpEnvironment, False), (CpcpEnvironment, True)]))
+def test_live_graph_matches_rebuild(data, kind):
+    """After every query the kept graph equals a fresh build, read first after ``first_read`` queries."""
+    make, scripted = kind
+    inst = data.draw(instances(scripted=scripted))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    env = make(inst)
+    first_read = rng.randint(0, 6)
+    for step in range(24):
+        if step >= first_read:
+            g = env.graph()
+            assert g.edges == build_graph(env.state(), inst.delta).edges
+            assert g.intervals == env.state().current
+        done = env.exhausted if make is CpcpEnvironment else env.queried
+        left = [i for i in range(inst.n) if not done(i)]
+        if not left:
+            break
+        active = [i for i in left if env.graph().adj[i]] if step >= first_read else []
+        env.query(rng.choice(active if active and rng.random() < 0.8 else left))
+
+
+SCALE_N = 200
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("delta", [F(0), F(1, 2)])
+def test_proven_ratios_at_scale(seed, delta):
+    """The 2x bounds, on sparse n = 200 instances, against the polynomial optimum."""
+    inst = make_instance(seed, SCALE_N, delta, 4 * SCALE_N + 1)
+    uniform = Instance(delta, tuple(UncertainInterval(a.lo, a.hi) for a in inst.intervals), inst.values)
+    assert simple_adaptive(Environment(uniform)).total_cost <= 2 * optimum_query_set(uniform)[1]
+    _, opt = optimum_query_set(inst)
+    assert opt > 0
+    assert vc_adaptive(Environment(inst)).total_cost <= 2 * opt
+    assert algorithm3_cpcp(CpcpEnvironment(inst)).total_cost <= 2 * opt

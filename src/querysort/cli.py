@@ -150,9 +150,11 @@ def _optimum_cost(inst: Instance) -> Fraction:
 def _expected_or_run(name: str, inst: Instance, args):
     """Exact expectation for coin-driven strategies, a plain run otherwise.
 
-    Returns (low, high) cost bounds; equal for everything except the
-    irrational-bias rule, whose expectation is enclosed.
+    Returns (low, high, report): cost bounds, equal for everything except
+    the irrational-bias rule, whose expectation is enclosed; and the plain
+    run's report, None for the coin-driven strategies.
     """
+    report = None
     if name == "alg1":
         out = expected_cost_exact(algorithm1, inst, _pick_rule(args))
     elif name == "alg2":
@@ -164,8 +166,8 @@ def _expected_or_run(name: str, inst: Instance, args):
         report = _run_algorithm(name, inst, args)
         out = report.total_cost
     if isinstance(out, tuple):
-        return out
-    return out, out
+        return out + (report,)
+    return out, out, report
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,7 @@ def cmd_solve(args) -> int:
     if report.advice_bits is not None:
         print(f"advice bits: {report.advice_bits}")
     if args.expected:
-        lo, hi = _expected_or_run(args.algorithm, inst, args)
+        lo, hi, _ = _expected_or_run(args.algorithm, inst, args)
         if lo == hi:
             print(f"expected cost : {_fmt(lo)}")
         else:
@@ -422,11 +424,10 @@ def cmd_ratio(args) -> int:
     total = Fraction(0)
     exceeded = []
     for instance_id, seed, inst in rows:
-        lo, hi = _expected_or_run(args.algorithm, inst, args)
+        lo, hi, report = _expected_or_run(args.algorithm, inst, args)
         opt = _optimum_cost(inst)
         bits = ""
-        if args.algorithm in ("advice_half", "advice_lg3"):
-            report = _run_algorithm(args.algorithm, inst, args)
+        if report is not None and report.advice_bits is not None:
             bits = str(report.advice_bits)
         if opt > 0:
             ratio = hi / opt

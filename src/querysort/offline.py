@@ -7,16 +7,17 @@ feasible set (they strictly straddle some other item's value by more than
 the threshold), and what remains is a minimum-cost vertex cover on a chordal
 graph -- so the exact optimum is polynomial.
 
-`brute_force_optimum` / `cpcp_brute_force_optimum` recompute optima by plain
-enumeration.  They exist to ground-truth everything else and are deliberately
-unclever.
+`brute_force_optimum` recomputes the optimum by plain 2^n enumeration; it
+exists to ground-truth everything else and is deliberately unclever.
+`cpcp_brute_force_optimum` is the refinement-model optimum, found by a
+pruned depth-first search over script-prefix vectors; the plain scan of
+every vector is kept in the tests as its reference.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Union
 
 from .core import (
@@ -217,62 +218,54 @@ def cpcp_brute_force_optimum(
     independent.  Returns the minimum total cost and the lexicographically
     smallest minimizing vector.  Items without a script get the 1-step
     script that jumps to their value.
+
+    Searched depth first in lexicographic order.  A branch is cut when its
+    newest interval is dependent on an earlier one (no completion is
+    feasible) or its partial cost reaches the best (costs are non-negative),
+    so it finds what a full scan of every vector finds.
     """
     n = inst.n
-    scripts: list[tuple[UncertainInterval, ...]] = []
-    for i in range(n):
-        if inst.refinements is not None and inst.refinements[i] is not None:
-            scripts.append(inst.refinements[i])
-        else:
-            if inst.values is None:
-                raise MissingRealization(
-                    f"item {i} has neither a refinement script nor a value"
-                )
-            v = inst.values[i]
-            scripts.append((UncertainInterval(v, v, inst.intervals[i].cost),))
-
+    steps: list[tuple[UncertainInterval, ...]] = []  # (interval,) + script
+    prefix_cost: list[list[Fraction]] = []
     total = 1
-    for s in scripts:
-        total *= len(s) + 1
+    for i, itv in enumerate(inst.intervals):
+        if inst.refinements is not None and inst.refinements[i] is not None:
+            script = inst.refinements[i]
+        elif inst.values is None:
+            raise MissingRealization(
+                f"item {i} has neither a refinement script nor a value"
+            )
+        else:
+            v = inst.values[i]
+            script = (UncertainInterval(v, v, itv.cost),)
+        total *= len(script) + 1
         if total > CPCP_ENUMERATION_LIMIT:
             raise TooLarge(
                 f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors"
             )
-
-    def step_cost(i: int, t: int) -> Fraction:
-        if inst.time_costs is not None and inst.time_costs[i] is not None:
-            return inst.time_costs[i][t]
-        return inst.intervals[i].cost
-
-    prefix_cost: list[list[Fraction]] = []
-    for i in range(n):
+        prices = inst.time_costs[i] if inst.time_costs is not None else None
         row = [Fraction(0)]
-        for t in range(len(scripts[i])):
-            row.append(row[-1] + step_cost(i, t))
+        for price in prices or (itv.cost,) * len(script):
+            row.append(row[-1] + price)
+        steps.append((itv,) + script)
         prefix_cost.append(row)
 
+    delta = inst.delta
     best: Optional[Fraction] = None
-    best_vec: Optional[tuple[int, ...]] = None
-    for vec in product(*(range(len(s) + 1) for s in scripts)):
-        c = sum((prefix_cost[i][k] for i, k in enumerate(vec)), start=Fraction(0))
-        # product() runs in lexicographic order, so the first vector seen at
-        # any given cost is the lexicographically smallest one.
-        if best is not None and c >= best:
-            continue
-        cur = [
-            scripts[i][k - 1] if k >= 1 else inst.intervals[i]
-            for i, k in enumerate(vec)
-        ]
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dependent(cur[i], cur[j], inst.delta):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            best = c
-            best_vec = vec
-    assert best is not None and best_vec is not None  # full prefixes are feasible
+    best_vec: tuple[int, ...] = ()
+
+    def search(i: int, cost: Fraction, chosen: tuple, vec: tuple) -> None:
+        nonlocal best, best_vec
+        if i == n:
+            best, best_vec = cost, vec
+            return
+        for k, itv in enumerate(steps[i]):
+            c = cost + prefix_cost[i][k]
+            if best is not None and c >= best:
+                return  # prefix costs never fall as k grows
+            if not any(dependent(other, itv, delta) for other in chosen):
+                search(i + 1, c, chosen + (itv,), vec + (k,))
+
+    search(0, Fraction(0), (), ())
+    assert best is not None  # full prefixes are feasible
     return best, best_vec

@@ -20,8 +20,8 @@ vertex's neighbours instead of rebuilding the graph.
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  Probabilities are exact rationals, except the square-root-of-three
 trial rule, which is kept symbolic (`Sqrt3Prob`) and decided by comparing
-squares -- no floating point anywhere.  `expected_cost_exact` replays a
-strategy down every branch of its coin and returns the exact expected
+squares -- no floating point anywhere.  `expected_cost_exact` runs a
+strategy once per leaf of its coin tree and returns the exact expected
 spend (an interval enclosure when the square-root rule is involved).
 
 Every strategy returns a `RunReport` and finishes by ordering the final
@@ -127,15 +127,17 @@ class RandomCoin:
         return _accepts(p, u)
 
 
-class _NeedBranch(Exception):
-    """Internal: a replayed run wants more coin flips than were scripted."""
+#: Branch guard: a replayed strategy may not flip more coins than this.
+_MAX_COIN_DEPTH = 20
 
 
 class ReplayCoin:
     """Coin that follows a fixed outcome script, recording probabilities.
 
-    Used by `expected_cost_exact` to walk every branch of a randomized run:
-    when the script runs out, the driver forks the run on both outcomes.
+    Used by `expected_cost_exact`, which runs a strategy once per coin leaf:
+    past the end of its script the coin answers ``False`` (the run reaches
+    the leftmost leaf below the script), and a new flip at depth
+    `_MAX_COIN_DEPTH` or deeper raises `TooManyBranches`.
     """
 
     def __init__(self, script: tuple[bool, ...]):
@@ -143,9 +145,13 @@ class ReplayCoin:
         self.flips: list[tuple[bool, Probability]] = []
 
     def flip(self, p: Probability) -> bool:
-        if len(self.flips) >= len(self.script):
-            raise _NeedBranch()
-        outcome = self.script[len(self.flips)]
+        depth = len(self.flips)
+        if depth < len(self.script):
+            outcome = self.script[depth]
+        elif depth >= _MAX_COIN_DEPTH:
+            raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+        else:
+            outcome = False
         self.flips.append((outcome, p))
         return outcome
 
@@ -952,9 +958,6 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
 #: Width of the rational enclosures used for symbolic probabilities.
 _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
 
-#: Branch guard: a replayed strategy may not flip more coins than this.
-_MAX_COIN_DEPTH = 20
-
 
 def _branch_probability(
     flips: list[tuple[bool, Probability]],
@@ -985,8 +988,9 @@ def expected_cost_exact(
 ) -> Union[Fraction, tuple[Fraction, Fraction]]:
     """Exact expected total cost over every branch of the strategy's coin.
 
-    Re-runs the strategy with a scripted coin, forking at the first
-    unscripted flip, and sums probability-weighted costs over all leaves.
+    Runs the strategy once per leaf of its coin tree, ``False`` before
+    ``True``: each run queues the ``True`` side of every flip past its
+    script.  Sums probability-weighted costs over all leaves.
     Returns an exact rational when every probability is rational, and a
     rational enclosure ``(lo, hi)`` (width far below 1e-9) when the
     square-root rule is involved.
@@ -997,23 +1001,16 @@ def expected_cost_exact(
     while stack:
         script = stack.pop()
         coin = ReplayCoin(script)
-        env = env_factory(inst)
-        try:
-            report = algorithm(env, rule=rule, rng=coin, **kwargs)
-        except _NeedBranch:
-            if len(script) >= _MAX_COIN_DEPTH:
-                raise TooManyBranches(
-                    f"more than 2^{_MAX_COIN_DEPTH} coin branches"
-                )
-            stack.append(script + (True,))
-            stack.append(script + (False,))
-            continue
+        report = algorithm(env_factory(inst), rule=rule, rng=coin, **kwargs)
         leaves += 1
         if leaves > max_branches:
             raise TooManyBranches(f"more than {max_branches} branches")
         p_lo, p_hi = _branch_probability(coin.flips)
         e_lo += p_lo * report.total_cost
         e_hi += p_hi * report.total_cost
+        outcomes = tuple(outcome for outcome, _ in coin.flips)
+        for depth in range(len(script), len(outcomes)):
+            stack.append(outcomes[:depth] + (True,))
     if e_lo == e_hi:
         return e_lo
     return e_lo, e_hi

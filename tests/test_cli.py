@@ -5,7 +5,20 @@ import io
 
 import pytest
 
-from querysort import deserialize, fig1_instance, gen_lemma4_pair, serialize
+from fractions import Fraction as F
+
+from querysort import (
+    AdviceOracle,
+    Environment,
+    advice_half,
+    advice_lg3,
+    deserialize,
+    fig1_instance,
+    gen_advice_triangles,
+    gen_lemma4_pair,
+    gen_random,
+    serialize,
+)
 from querysort.cli import main
 
 
@@ -178,6 +191,34 @@ def test_ratio_csv_file(tmp_path, capsys):
     assert len(rows) == 6
     assert [r[0] for r in rows[1:]] == sorted(r[0] for r in rows[1:])
     assert "status=OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, strategy, instances",
+    [
+        (
+            ["ratio", "advice_half", "random", "--trials", "4", "--n", "6"],
+            advice_half,
+            [gen_random(s, 6, F(0)) for s in range(4)],
+        ),
+        (
+            ["ratio", "advice_lg3", "advice_triangles", "--n", "3"],
+            advice_lg3,
+            list(gen_advice_triangles(3, F(1))),
+        ),
+    ],
+)
+def test_ratio_advice_bits_column(capsys, argv, strategy, instances):
+    # one run per row gives both the cost and the bits column
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out.split("#")[0])))[1:]
+    assert len(rows) == len(instances)
+    for row, inst in zip(rows, instances):
+        report = strategy(Environment(inst), AdviceOracle(inst))
+        assert row[6] == str(report.advice_bits)
+        assert row[3] == row[4] == str(report.total_cost)
+    assert "bound=1" in out and "status=OK" in out
 
 
 def test_ratio_rejects_valueless_family(capsys):

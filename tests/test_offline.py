@@ -1,6 +1,13 @@
-"""Offline optimum: forced sets, feasibility, polynomial vs exhaustive."""
+"""Offline optimum: forced sets, feasibility, polynomial vs exhaustive.
 
+`scan_cpcp_optimum` is the plain scan of every script-prefix vector that
+the pruned search in `cpcp_brute_force_optimum` replaced; it lives only
+here, as that search's reference.
+"""
+
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -8,6 +15,7 @@ from querysort import (
     InvariantViolation,
     MissingRealization,
     TooLarge,
+    UncertainInterval,
     brute_force_optimum,
     cpcp_brute_force_optimum,
     feasible_query_set,
@@ -17,13 +25,14 @@ from querysort import (
     gen_lemma4_pair,
     gen_nested_star,
     gen_random,
+    gen_random_scripted,
     interval,
     oblivious_query_set,
     optimum_query_set,
     resolved_by,
 )
-from querysort.core import Instance
-from querysort.offline import BRUTE_FORCE_LIMIT
+from querysort.core import Instance, dependent
+from querysort.offline import BRUTE_FORCE_LIMIT, CPCP_ENUMERATION_LIMIT
 
 
 def test_forced_set_fig1():
@@ -117,18 +126,96 @@ def test_cpcp_brute_force_embeds_exact_model():
 
 
 def test_cpcp_enumeration_guard():
-    inst = gen_cpcp_adversary(4, 12)  # (13)^2 * 2^6 combinations > guard? no: keep under
-    # build something genuinely too large: many long scripts
     big = gen_cpcp_adversary(1, 2)
-    from querysort.offline import CPCP_ENUMERATION_LIMIT
-
     # (M+1)^2 must exceed the limit to trip the guard
     M = 1100
     too_big = gen_cpcp_adversary(1, M)
-    if (M + 1) ** 2 > CPCP_ENUMERATION_LIMIT:
-        with pytest.raises(TooLarge):
-            cpcp_brute_force_optimum(too_big)
+    assert (M + 1) ** 2 > CPCP_ENUMERATION_LIMIT
+    with pytest.raises(TooLarge):
+        cpcp_brute_force_optimum(too_big)
     assert cpcp_brute_force_optimum(big)[0] == 2
+
+
+def scan_cpcp_optimum(inst):
+    """Every prefix vector in lexicographic order; the first cheapest wins."""
+    n = inst.n
+    scripts = []
+    for i in range(n):
+        if inst.refinements is not None and inst.refinements[i] is not None:
+            scripts.append(inst.refinements[i])
+        else:
+            v = inst.values[i]
+            scripts.append((UncertainInterval(v, v, inst.intervals[i].cost),))
+
+    def step_cost(i, t):
+        if inst.time_costs is not None and inst.time_costs[i] is not None:
+            return inst.time_costs[i][t]
+        return inst.intervals[i].cost
+
+    prefix_cost = []
+    for i in range(n):
+        row = [F(0)]
+        for t in range(len(scripts[i])):
+            row.append(row[-1] + step_cost(i, t))
+        prefix_cost.append(row)
+
+    best = best_vec = None
+    for vec in product(*(range(len(s) + 1) for s in scripts)):
+        c = sum((prefix_cost[i][k] for i, k in enumerate(vec)), start=F(0))
+        if best is not None and c >= best:
+            continue
+        cur = [
+            scripts[i][k - 1] if k >= 1 else inst.intervals[i]
+            for i, k in enumerate(vec)
+        ]
+        if not any(
+            dependent(cur[i], cur[j], inst.delta)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
+            best, best_vec = c, vec
+    return best, best_vec
+
+
+def with_free_steps(inst, seed):
+    """The same scripts with about half the prices (flat and per step) zero."""
+    rng = random.Random(seed)
+    ivs = tuple(
+        UncertainInterval(itv.lo, itv.hi, rng.choice((F(0), itv.cost)))
+        for itv in inst.intervals
+    )
+    costs = tuple(
+        None if s is None else tuple(rng.choice((F(0), F(1))) for _ in s)
+        for s in inst.refinements
+    )
+    return Instance(inst.delta, ivs, inst.values, inst.refinements, costs)
+
+
+def test_cpcp_search_matches_scan_on_random_scripts():
+    for seed in range(300):
+        n = 2 + seed % 6
+        delta = (F(0), F(1, 2), F(1))[seed % 3]
+        inst = gen_random_scripted(seed, n, delta, max_steps=4)
+        assert cpcp_brute_force_optimum(inst) == scan_cpcp_optimum(inst), seed
+
+
+def test_cpcp_search_matches_scan_on_ties():
+    # zero prices make many vectors tie, so the lexicographic tie-break decides
+    zero_optima = 0
+    for seed in range(60):
+        n = 2 + seed % 5
+        delta = (F(0), F(1, 2), F(1))[seed % 3]
+        inst = with_free_steps(gen_random_scripted(seed, n, delta, max_steps=4), seed)
+        cost, vec = cpcp_brute_force_optimum(inst)
+        assert (cost, vec) == scan_cpcp_optimum(inst), seed
+        zero_optima += cost == 0 and any(vec)
+    assert zero_optima > 0
+
+
+def test_cpcp_search_matches_scan_on_stalling_family():
+    for n, M in [(n, M) for n in range(1, 6) for M in range(1, 5)] + [(6, 4)]:
+        inst = gen_cpcp_adversary(n, M)
+        assert cpcp_brute_force_optimum(inst) == scan_cpcp_optimum(inst), (n, M)
 
 
 def test_optimum_requires_values():

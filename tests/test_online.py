@@ -1,4 +1,9 @@
-"""Strategies: environments, coins, adaptive/randomized/advice runs."""
+"""Strategies: environments, coins, adaptive/randomized/advice runs.
+
+`replay_expected_cost` is the branch-replay driver that `expected_cost_exact`
+replaced: it restarts the strategy at every node of the coin tree.  It lives
+only here, as the reference for the one-run-per-leaf driver.
+"""
 
 from fractions import Fraction as F
 
@@ -14,6 +19,7 @@ from querysort import (
     Environment,
     InvariantViolation,
     MissingRealization,
+    QuerysortError,
     RandomCoin,
     RepeatQuery,
     ScriptExhausted,
@@ -26,6 +32,7 @@ from querysort import (
     brute_force_optimum,
     expected_cost_exact,
     fig1_instance,
+    gen_cost_path,
     gen_cpcp_adversary,
     gen_independent_pairs,
     gen_laminar,
@@ -44,7 +51,7 @@ from querysort import (
     vc_adaptive,
 )
 from querysort.core import Instance
-from querysort.online import Sqrt3Prob
+from querysort.online import _MAX_COIN_DEPTH, Sqrt3Prob, _branch_probability
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +392,105 @@ def test_expected_cost_branch_guard():
     a, _ = gen_lemma4_pair(F(0))
     with pytest.raises(TooManyBranches):
         expected_cost_exact(algorithm1, a, FIXED(F(1, 2)), max_branches=1)
+
+
+class _Unscripted(Exception):
+    pass
+
+
+class _ScriptedCoin:
+    def __init__(self, script):
+        self.script = script
+        self.flips = []
+
+    def flip(self, p):
+        if len(self.flips) >= len(self.script):
+            raise _Unscripted()
+        outcome = self.script[len(self.flips)]
+        self.flips.append((outcome, p))
+        return outcome
+
+
+def replay_expected_cost(algorithm, inst, rule, *, max_branches=2 ** 20):
+    """Fork at the first unscripted flip and rerun both sides from scratch."""
+    stack = [()]
+    leaves = 0
+    e_lo = e_hi = F(0)
+    while stack:
+        script = stack.pop()
+        coin = _ScriptedCoin(script)
+        try:
+            report = algorithm(Environment(inst), rule=rule, rng=coin)
+        except _Unscripted:
+            if len(script) >= _MAX_COIN_DEPTH:
+                raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+            stack.append(script + (True,))
+            stack.append(script + (False,))
+            continue
+        leaves += 1
+        if leaves > max_branches:
+            raise TooManyBranches(f"more than {max_branches} branches")
+        p_lo, p_hi = _branch_probability(coin.flips)
+        e_lo += p_lo * report.total_cost
+        e_hi += p_hi * report.total_cost
+    return e_lo if e_lo == e_hi else (e_lo, e_hi)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except QuerysortError as exc:
+        return repr(exc)
+
+
+class CountingRuns:
+    """Wraps a strategy; counts its runs and the ones that reach a leaf."""
+
+    def __init__(self, algorithm):
+        self.algorithm = algorithm
+        self.runs = self.leaves = 0
+
+    def __call__(self, env, **kwargs):
+        self.runs += 1
+        report = self.algorithm(env, **kwargs)
+        self.leaves += 1
+        return report
+
+
+@pytest.mark.parametrize(
+    "algorithm, rule",
+    [
+        (algorithm1, FIXED(F(1, 3))),
+        (algorithm1, FIXED(F(1, 2))),
+        (algorithm1, FIXED(F(1))),
+        (algorithm2, HALF),
+        (algorithm2, SQRT3),
+    ],
+)
+def test_expected_cost_matches_branch_replay(algorithm, rule):
+    # the cost path branches most; algorithm1 refuses its non-uniform costs
+    instances = [gen_random(seed, 6 + seed % 8, (F(0), F(1, 2))[seed % 2]) for seed in range(48)]
+    for seed, inst in enumerate(instances + [gen_cost_path(12, F(1, 1000))]):
+        new, ref = CountingRuns(algorithm), CountingRuns(algorithm)
+        got = outcome(expected_cost_exact, new, inst, rule)
+        want = outcome(replay_expected_cost, ref, inst, rule)
+        assert got == want, seed
+        if not isinstance(got, str):  # every run reached a leaf
+            assert new.runs == new.leaves == ref.leaves, seed
+        capped = outcome(expected_cost_exact, algorithm, inst, rule, max_branches=3)
+        assert capped == outcome(
+            replay_expected_cost, algorithm, inst, rule, max_branches=3
+        ), seed
+
+
+def test_expected_cost_depth_guard():
+    def flips_21_coins(env, rule, rng):
+        for _ in range(21):
+            rng.flip(F(1, 2))
+        return run_oblivious(env)
+
+    inst = gen_lemma4_pair(F(0))[0]
+    for driver in (expected_cost_exact, replay_expected_cost):
+        with pytest.raises(TooManyBranches) as err:
+            driver(flips_21_coins, inst, FIXED(F(1, 2)))
+        assert str(err.value) == "more than 2^20 coin branches"

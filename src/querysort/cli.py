@@ -1,9 +1,9 @@
 """Command-line front end: generate instances, run strategies, check
 solutions, and reproduce the worst-case ratio table.
 
-Exit codes are stable: 0 success, 2 usage error, 3 verification failure or
-bound exceedance, 4 model error (bad document, missing realization,
-infeasible strategy/instance pairing).
+Exit codes are stable: 0 success, 2 usage error (including bad family
+parameters), 3 verification failure or bound exceedance, 4 model error
+(bad document, missing realization, infeasible strategy/instance pairing).
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .core import Instance, isqrt_bounds, scalar, valid_permutation
+from .core import Instance, isqrt_bounds, valid_permutation
 from .errors import InvariantViolation, ParseError, QuerysortError
 from .offline import (
     BRUTE_FORCE_LIMIT,
@@ -30,6 +30,7 @@ from .online import (
     AdviceOracle,
     CpcpEnvironment,
     Environment,
+    ProbabilityRule,
     RandomCoin,
     RunReport,
     advice_half,
@@ -59,32 +60,7 @@ from .instances import (
     serialize,
 )
 
-_FAMILIES = (
-    "random",
-    "lemma4",
-    "lemma7",
-    "figure3",
-    "triangle_chain",
-    "laminar",
-    "nested_star",
-    "cost_path",
-    "cpcp",
-    "advice_triangles",
-    "asteroid",
-)
-_ALGORITHMS = (
-    "oblivious",
-    "simple",
-    "stable_sort",
-    "vc",
-    "alg1",
-    "alg2",
-    "alg3",
-    "advice_half",
-    "advice_lg3",
-)
 _CSV_HEADER = ("instance", "algorithm", "seed", "cost", "opt", "ratio", "bits")
-_SQRT3_SLACK = Fraction(1, 10**6)
 
 
 def _fmt(x: Fraction) -> str:
@@ -103,42 +79,6 @@ def _load_instance(path: str) -> Instance:
         return deserialize(handle.read())
 
 
-def _pick_rule(args):
-    name = getattr(args, "rule", None) or "fixed"
-    if name == "half":
-        return HALF
-    if name == "sqrt3":
-        return SQRT3
-    p = _parse_rational(getattr(args, "p", None) or "1/2", "--p")
-    return FIXED(p)
-
-
-def _run_algorithm(name: str, inst: Instance, args) -> RunReport:
-    seed = getattr(args, "seed", 0)
-    if name == "oblivious":
-        return run_oblivious(Environment(inst))
-    if name == "simple":
-        return simple_adaptive(Environment(inst))
-    if name == "stable_sort":
-        return simple_adaptive_stable_sort(Environment(inst))
-    if name == "vc":
-        return vc_adaptive(Environment(inst))
-    if name == "alg1":
-        return algorithm1(Environment(inst), _pick_rule(args), rng=RandomCoin(seed))
-    if name == "alg2":
-        rule = _pick_rule(args)
-        if rule.kind == "fixed":
-            rule = HALF
-        return algorithm2(Environment(inst), rule, rng=RandomCoin(seed))
-    if name == "alg3":
-        return algorithm3_cpcp(CpcpEnvironment(inst))
-    if name == "advice_half":
-        return advice_half(Environment(inst), AdviceOracle(inst))
-    if name == "advice_lg3":
-        return advice_lg3(Environment(inst), AdviceOracle(inst))
-    raise InvariantViolation(f"unknown algorithm {name!r}")
-
-
 def _optimum_cost(inst: Instance) -> Fraction:
     if inst.refinements is not None:
         cost, _ = cpcp_brute_force_optimum(inst)
@@ -147,27 +87,174 @@ def _optimum_cost(inst: Instance) -> Fraction:
     return cost
 
 
-def _expected_or_run(name: str, inst: Instance, args):
-    """Exact expectation for coin-driven strategies, a plain run otherwise.
+# ---------------------------------------------------------------------------
+# strategy and family tables
+#
+# Entries call the strategies and generators through this module's globals
+# when they run, never through stored function objects, so that a tracer
+# which swaps those globals sees every call.
+# ---------------------------------------------------------------------------
+
+
+def _coin_bias(args) -> Fraction:
+    return _parse_rational(args.p or "1/2", "--p")
+
+
+def _alg1_rule(args) -> ProbabilityRule:
+    return {"half": HALF, "sqrt3": SQRT3}.get(args.rule) or FIXED(_coin_bias(args))
+
+
+def _alg2_rule(args) -> ProbabilityRule:
+    return SQRT3 if args.rule == "sqrt3" else HALF
+
+
+#: proven ratio bounds with their printed labels
+_ONE = (Fraction(1), "1")
+_TWO = (Fraction(2), "2")
+_ALG1_BOUNDS = {
+    Fraction(1, 2): (Fraction(3, 2), "3/2"),
+    Fraction(0): (Fraction(5, 3), "5/3"),
+    Fraction(1): (Fraction(5, 3), "5/3"),
+}
+_ALG2_BOUND = (Fraction(57, 32), "57/32")
+_SQRT3_BOUND = (
+    1 + Fraction(4) * isqrt_bounds(3, Fraction(1, 10**12))[1] / 9 + Fraction(1, 10**6),
+    "1+4/(3*sqrt3)+1e-6",
+)
+
+
+class _Strategy(NamedTuple):
+    """One strategy: ``run(inst, args)`` gives a `RunReport`; ``expected(inst, args)`` the
+    exact expected cost of a coin-driven strategy (None for deterministic ones); and
+    ``bound(args, n)`` the proven ratio limit on an n-interval instance with its printed
+    label, either of which may be None."""
+
+    run: Callable[[Instance, argparse.Namespace], RunReport]
+    expected: Optional[Callable[[Instance, argparse.Namespace], object]]
+    bound: Callable[[argparse.Namespace, int], tuple[Optional[Fraction], Optional[str]]]
+
+
+_STRATEGIES = {
+    "oblivious": _Strategy(
+        lambda inst, args: run_oblivious(Environment(inst)),
+        None,
+        lambda args, n: (Fraction(n), None),
+    ),
+    "simple": _Strategy(
+        lambda inst, args: simple_adaptive(Environment(inst)),
+        None,
+        lambda args, n: _TWO,
+    ),
+    "stable_sort": _Strategy(
+        lambda inst, args: simple_adaptive_stable_sort(Environment(inst)),
+        None,
+        lambda args, n: (None, None),
+    ),
+    "vc": _Strategy(
+        lambda inst, args: vc_adaptive(Environment(inst)),
+        None,
+        lambda args, n: _TWO,
+    ),
+    "alg1": _Strategy(
+        lambda inst, args: algorithm1(Environment(inst), _alg1_rule(args), rng=RandomCoin(args.seed)),
+        lambda inst, args: expected_cost_exact(algorithm1, inst, _alg1_rule(args)),
+        lambda args, n: _ALG1_BOUNDS.get(_coin_bias(args), (None, None)),
+    ),
+    "alg2": _Strategy(
+        lambda inst, args: algorithm2(Environment(inst), _alg2_rule(args), rng=RandomCoin(args.seed)),
+        lambda inst, args: expected_cost_exact(algorithm2, inst, _alg2_rule(args)),
+        lambda args, n: _SQRT3_BOUND if args.rule == "sqrt3" else _ALG2_BOUND,
+    ),
+    "alg3": _Strategy(
+        lambda inst, args: algorithm3_cpcp(CpcpEnvironment(inst)),
+        None,
+        lambda args, n: _TWO,
+    ),
+    "advice_half": _Strategy(
+        lambda inst, args: advice_half(Environment(inst), AdviceOracle(inst)),
+        None,
+        lambda args, n: _ONE,
+    ),
+    "advice_lg3": _Strategy(
+        lambda inst, args: advice_lg3(Environment(inst), AdviceOracle(inst)),
+        None,
+        lambda args, n: _ONE,
+    ),
+}
+
+
+def _expected_cost(inst: Instance, args, report: Optional[RunReport] = None):
+    """Exact expectation for coin-driven strategies, one run's cost otherwise.
 
     Returns (low, high, report): cost bounds, equal for everything except
     the irrational-bias rule, whose expectation is enclosed; and the plain
-    run's report, None for the coin-driven strategies.
+    run's report (``report`` itself when given, so a strategy already run
+    is not run again), None for the coin-driven strategies.
     """
-    report = None
-    if name == "alg1":
-        out = expected_cost_exact(algorithm1, inst, _pick_rule(args))
-    elif name == "alg2":
-        rule = _pick_rule(args)
-        if rule.kind == "fixed":
-            rule = HALF
-        out = expected_cost_exact(algorithm2, inst, rule)
-    else:
-        report = _run_algorithm(name, inst, args)
-        out = report.total_cost
-    if isinstance(out, tuple):
-        return out + (report,)
-    return out, out, report
+    strategy = _STRATEGIES[args.algorithm]
+    if strategy.expected is not None:
+        out = strategy.expected(inst, args)
+        return (out if isinstance(out, tuple) else (out, out)) + (None,)
+    if report is None:
+        report = strategy.run(inst, args)
+    return report.total_cost, report.total_cost, report
+
+
+def _seeds(args) -> range:
+    return range(args.seed, args.seed + args.trials)
+
+
+def _asteroid_rows(args, delta):
+    delta = delta if delta > 0 else Fraction(1)
+    eps = _parse_rational(args.eps, "--eps") if args.eps else delta / 3
+    return [
+        (f"asteroid-{v}", v, args.seed, asteroid_realization(v, max(args.k, 2), delta, eps))
+        for v in ("fig5a", "fig5b")
+    ]
+
+
+#: family -> rows(args, delta): one (row id, variant, seed, Instance) per row.
+#: `ratio` runs every row; `gen` writes the row named by --variant, or the first.
+_FAMILIES = {
+    "random": lambda args, delta: [
+        (f"random-n{args.n}-s{s}", None, s, gen_random(s, args.n, delta)) for s in _seeds(args)
+    ],
+    "lemma4": lambda args, delta: [
+        (f"lemma4-{v}", v, args.seed, inst) for v, inst in zip("ab", gen_lemma4_pair(delta))
+    ],
+    "lemma7": lambda args, delta: [
+        (f"lemma7-{v}", v, args.seed, gen_lemma7_two_triangles(v)) for v in ("lower", "upper")
+    ],
+    "figure3": lambda args, delta: [
+        (f"figure3-k{args.k}", None, args.seed, gen_figure3_chain(args.k))
+    ],
+    "triangle_chain": lambda args, delta: [
+        (f"triangle_chain-k{args.k}-{v}", v, args.seed, gen_triangle_chain(args.k, v))
+        for v in ("lower", "upper")
+    ],
+    "laminar": lambda args, delta: [
+        (f"laminar-n{args.n}-s{s}", None, s, gen_laminar(s, args.n)) for s in _seeds(args)
+    ],
+    "nested_star": lambda args, delta: [
+        (f"nested_star-n{args.n}", None, args.seed, gen_nested_star(args.n))
+    ],
+    "cost_path": lambda args, delta: [
+        (f"cost_path-n{args.n}", None, args.seed,
+         gen_cost_path(args.n, _parse_rational(args.eps or "1/1000", "--eps")))
+    ],
+    "cpcp": lambda args, delta: [
+        (f"cpcp-n{args.n}-M{args.M}", None, args.seed, gen_cpcp_adversary(args.n, args.M))
+    ],
+    "advice_triangles": lambda args, delta: [
+        (f"advice_triangles-m{args.n}-p{v}", v, args.seed, inst)
+        for v, inst in zip("123", gen_advice_triangles(args.n, delta if delta > 0 else Fraction(1)))
+    ],
+    "asteroid": _asteroid_rows,  # interval layouts without values: `gen` only
+}
+
+
+def _family_rows(args) -> list[tuple[str, Optional[str], int, Instance]]:
+    return _FAMILIES[args.family](args, _parse_rational(args.delta, "--delta"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,58 +262,17 @@ def _expected_or_run(name: str, inst: Instance, args):
 # ---------------------------------------------------------------------------
 
 
-def _generate(args) -> Instance:
-    family = args.family
-    delta = _parse_rational(args.delta, "--delta")
-    variant = args.variant
-    if family == "random":
-        return gen_random(args.seed, args.n, delta)
-    if family == "laminar":
-        return gen_laminar(args.seed, args.n)
-    if family == "lemma4":
-        a, b = gen_lemma4_pair(delta)
-        return {None: a, "a": a, "b": b}[_check_variant(variant, ("a", "b"))]
-    if family == "lemma7":
-        return gen_lemma7_two_triangles(
-            _check_variant(variant, ("lower", "upper")) or "lower"
-        )
-    if family == "figure3":
-        return gen_figure3_chain(args.k)
-    if family == "triangle_chain":
-        return gen_triangle_chain(
-            args.k, _check_variant(variant, ("lower", "upper")) or "lower"
-        )
-    if family == "nested_star":
-        return gen_nested_star(args.n)
-    if family == "cost_path":
-        eps = _parse_rational(args.eps or "1/1000", "--eps")
-        return gen_cost_path(args.n, eps)
-    if family == "cpcp":
-        return gen_cpcp_adversary(args.n, args.M)
-    if family == "advice_triangles":
-        if delta <= 0:
-            delta = Fraction(1)
-        triple = gen_advice_triangles(args.n, delta)
-        which = _check_variant(variant, ("1", "2", "3")) or "1"
-        return triple[int(which) - 1]
-    if family == "asteroid":
-        kind = _check_variant(variant, ("fig5a", "fig5b")) or "fig5a"
-        if delta <= 0:
-            delta = Fraction(1)
-        eps = _parse_rational(args.eps, "--eps") if args.eps else delta / 3
-        return asteroid_realization(kind, max(args.k, 2), delta, eps)
-    raise InvariantViolation(f"unknown family {family!r}")
-
-
-def _check_variant(variant: Optional[str], allowed: tuple[str, ...]) -> Optional[str]:
-    if variant is not None and variant not in allowed:
-        raise InvariantViolation(f"--variant must be one of {allowed}, got {variant!r}")
-    return variant
-
-
 def cmd_gen(args) -> int:
     try:
-        inst = _generate(args)
+        rows = _family_rows(args)
+        picked = [row for row in rows if args.variant is None or row[1] == args.variant]
+        if not picked:
+            variants = tuple(row[1] for row in rows if row[1] is not None)
+            raise InvariantViolation(
+                f"--variant must be one of {variants}, got {args.variant!r}" if variants
+                else f"{args.family} has no variants, got --variant {args.variant!r}"
+            )
+        inst = picked[0][3]
     except QuerysortError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -247,7 +293,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    report = _run_algorithm(args.algorithm, inst, args)
+    report = _STRATEGIES[args.algorithm].run(inst, args)
     print(f"instance   : {args.instance} (n={inst.n}, delta={inst.delta})")
     print(f"algorithm  : {args.algorithm} (seed={args.seed})")
     queried = ", ".join(str(i) for i in report.queried_indices) or "(none)"
@@ -257,7 +303,7 @@ def cmd_solve(args) -> int:
     if report.advice_bits is not None:
         print(f"advice bits: {report.advice_bits}")
     if args.expected:
-        lo, hi, _ = _expected_or_run(args.algorithm, inst, args)
+        lo, hi, _ = _expected_cost(inst, args, report)
         if lo == hi:
             print(f"expected cost : {_fmt(lo)}")
         else:
@@ -349,82 +395,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_instances(args) -> list[tuple[str, int, Instance]]:
-    family = args.family
-    delta = _parse_rational(args.delta, "--delta")
-    seed = args.seed
-    rows: list[tuple[str, int, Instance]] = []
-    if family == "random":
-        for i in range(args.trials):
-            rows.append((f"random-n{args.n}-s{seed + i}", seed + i, gen_random(seed + i, args.n, delta)))
-    elif family == "laminar":
-        for i in range(args.trials):
-            rows.append((f"laminar-n{args.n}-s{seed + i}", seed + i, gen_laminar(seed + i, args.n)))
-    elif family == "lemma4":
-        a, b = gen_lemma4_pair(delta)
-        rows += [("lemma4-a", seed, a), ("lemma4-b", seed, b)]
-    elif family == "lemma7":
-        rows += [
-            ("lemma7-lower", seed, gen_lemma7_two_triangles("lower")),
-            ("lemma7-upper", seed, gen_lemma7_two_triangles("upper")),
-        ]
-    elif family == "figure3":
-        rows.append((f"figure3-k{args.k}", seed, gen_figure3_chain(args.k)))
-    elif family == "triangle_chain":
-        rows += [
-            (f"triangle_chain-k{args.k}-lower", seed, gen_triangle_chain(args.k, "lower")),
-            (f"triangle_chain-k{args.k}-upper", seed, gen_triangle_chain(args.k, "upper")),
-        ]
-    elif family == "nested_star":
-        rows.append((f"nested_star-n{args.n}", seed, gen_nested_star(args.n)))
-    elif family == "cost_path":
-        eps = _parse_rational(args.eps or "1/1000", "--eps")
-        rows.append((f"cost_path-n{args.n}", seed, gen_cost_path(args.n, eps)))
-    elif family == "cpcp":
-        rows.append((f"cpcp-n{args.n}-M{args.M}", seed, gen_cpcp_adversary(args.n, args.M)))
-    elif family == "advice_triangles":
-        if delta <= 0:
-            delta = Fraction(1)
-        triple = gen_advice_triangles(max(args.n, 1), delta)
-        for which, inst in zip(("1", "2", "3"), triple):
-            rows.append((f"advice_triangles-m{max(args.n, 1)}-p{which}", seed, inst))
-    else:
-        raise InvariantViolation(f"family {family!r} has no realization to run strategies on")
-    return rows
-
-
-def _bound_for(args) -> Optional[tuple[Fraction, str]]:
-    """Proven ratio bound for the algorithm/rule pairing, if pinned."""
-    name = args.algorithm
-    if name in ("simple", "vc", "alg3"):
-        return Fraction(2), "2"
-    if name in ("advice_half", "advice_lg3"):
-        return Fraction(1), "1"
-    if name == "alg1":
-        p = _parse_rational(getattr(args, "p", None) or "1/2", "--p")
-        if p == Fraction(1, 2):
-            return Fraction(3, 2), "3/2"
-        if p in (Fraction(0), Fraction(1)):
-            return Fraction(5, 3), "5/3"
-        return None
-    if name == "alg2":
-        rule = getattr(args, "rule", None) or "half"
-        if rule == "sqrt3":
-            _, hi = isqrt_bounds(3, Fraction(1, 10**12))
-            return 1 + Fraction(4) * hi / 9 + _SQRT3_SLACK, "1+4/(3*sqrt3)+1e-6"
-        return Fraction(57, 32), "57/32"
-    return None
-
-
 def cmd_ratio(args) -> int:
-    rows = _ratio_instances(args)
-    bound = _bound_for(args)
+    try:
+        rows = _family_rows(args)
+    except QuerysortError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    bound = _STRATEGIES[args.algorithm].bound
+    _, label = bound(args, 0)  # the label does not depend on the instance size
     out_rows = []
     worst: Optional[Fraction] = None
     total = Fraction(0)
     exceeded = []
-    for instance_id, seed, inst in rows:
-        lo, hi, report = _expected_or_run(args.algorithm, inst, args)
+    for instance_id, _, seed, inst in rows:
+        lo, hi, report = _expected_cost(inst, args)
         opt = _optimum_cost(inst)
         bits = ""
         if report is not None and report.advice_bits is not None:
@@ -438,9 +422,7 @@ def cmd_ratio(args) -> int:
         else:
             ratio = None
             ratio_str = "inf"
-        per_instance_bound = bound[0] if bound else None
-        if args.algorithm == "oblivious":
-            per_instance_bound = Fraction(inst.n)
+        per_instance_bound, _ = bound(args, inst.n)
         if ratio is None or (per_instance_bound is not None and ratio > per_instance_bound):
             exceeded.append((instance_id, ratio_str))
         if ratio is not None:
@@ -462,7 +444,7 @@ def cmd_ratio(args) -> int:
             handle.close()
 
     mean = total / len(out_rows) if out_rows else Fraction(0)
-    bound_note = f" bound={bound[1]}" if bound else ""
+    bound_note = f" bound={label}" if label else ""
     status = "OK" if not exceeded else "EXCEEDED"
     summary = (
         f"# rows={len(out_rows)} max_ratio={worst if worst is not None else 'n/a'}"
@@ -500,14 +482,14 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_gen = subs.add_parser("gen", help="generate an instance document")
-    p_gen.add_argument("family", choices=_FAMILIES)
+    p_gen.add_argument("family", choices=tuple(_FAMILIES))
     _add_common_params(p_gen)
     p_gen.add_argument("--variant", default=None, help="family variant (a/b, lower/upper, 1/2/3, fig5a/fig5b)")
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, trials=1)
 
     p_solve = subs.add_parser("solve", help="run a strategy on an instance document")
-    p_solve.add_argument("algorithm", choices=_ALGORITHMS)
+    p_solve.add_argument("algorithm", choices=tuple(_STRATEGIES))
     p_solve.add_argument("instance", help="instance document path")
     p_solve.add_argument("--p", default=None, help="coin bias for alg1 (rational)")
     p_solve.add_argument("--rule", choices=("fixed", "half", "sqrt3"), default=None)
@@ -527,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_ratio = subs.add_parser("ratio", help="ratio experiment over a family; CSV out")
-    p_ratio.add_argument("algorithm", choices=_ALGORITHMS)
+    p_ratio.add_argument("algorithm", choices=tuple(_STRATEGIES))
     p_ratio.add_argument("family", choices=tuple(f for f in _FAMILIES if f != "asteroid"))
     p_ratio.add_argument("--trials", type=int, default=10)
     _add_common_params(p_ratio)

@@ -12,14 +12,28 @@ from querysort import (
     Environment,
     advice_half,
     advice_lg3,
+    asteroid_realization,
     deserialize,
     fig1_instance,
     gen_advice_triangles,
+    gen_cost_path,
+    gen_cpcp_adversary,
+    gen_figure3_chain,
+    gen_laminar,
     gen_lemma4_pair,
+    gen_lemma7_two_triangles,
+    gen_nested_star,
     gen_random,
+    gen_triangle_chain,
     serialize,
 )
 from querysort.cli import main
+
+STRATEGIES = ("oblivious", "simple", "stable_sort", "vc", "alg1", "alg2", "alg3", "advice_half", "advice_lg3")
+RATIO_FAMILIES = (
+    "random", "lemma4", "lemma7", "figure3", "triangle_chain", "laminar",
+    "nested_star", "cost_path", "cpcp", "advice_triangles",
+)
 
 
 def write_doc(tmp_path, name, inst):
@@ -67,6 +81,46 @@ def test_gen_usage_errors(capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["gen", "triangle_chain", "--k", "0"]) == 2
     assert main(["gen", "unknown-family"]) == 2  # argparse rejects the choice
+    assert main(["gen", "advice_triangles", "--n", "1", "--variant", "4"]) == 2
+    capsys.readouterr()
+    assert main(["gen", "random", "--variant", "b"]) == 2  # a family without variants refuses one
+    assert capsys.readouterr().err == "usage error: random has no variants, got --variant 'b'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["random", "--n", "5", "--seed", "3", "--delta", "1/2"], gen_random(3, 5, F(1, 2))),
+        (["lemma4", "--delta", "2"], gen_lemma4_pair(2)[0]),
+        (["lemma4", "--delta", "2", "--variant", "a"], gen_lemma4_pair(2)[0]),
+        (["lemma4", "--delta", "2", "--variant", "b"], gen_lemma4_pair(2)[1]),
+        (["lemma7"], gen_lemma7_two_triangles("lower")),
+        (["lemma7", "--variant", "lower"], gen_lemma7_two_triangles("lower")),
+        (["lemma7", "--variant", "upper"], gen_lemma7_two_triangles("upper")),
+        (["figure3", "--k", "2"], gen_figure3_chain(2)),
+        (["triangle_chain", "--k", "2"], gen_triangle_chain(2, "lower")),
+        (["triangle_chain", "--k", "2", "--variant", "lower"], gen_triangle_chain(2, "lower")),
+        (["triangle_chain", "--k", "2", "--variant", "upper"], gen_triangle_chain(2, "upper")),
+        (["laminar", "--n", "7", "--seed", "4"], gen_laminar(4, 7)),
+        (["nested_star", "--n", "5"], gen_nested_star(5)),
+        (["cost_path", "--n", "6"], gen_cost_path(6, F(1, 1000))),
+        (["cost_path", "--n", "6", "--eps", "1/100"], gen_cost_path(6, F(1, 100))),
+        (["cpcp", "--n", "2", "--M", "3"], gen_cpcp_adversary(2, 3)),
+        (["advice_triangles", "--n", "2"], gen_advice_triangles(2, 1)[0]),
+        (["advice_triangles", "--n", "2", "--delta", "2", "--variant", "1"], gen_advice_triangles(2, 2)[0]),
+        (["advice_triangles", "--n", "2", "--delta", "2", "--variant", "2"], gen_advice_triangles(2, 2)[1]),
+        (["advice_triangles", "--n", "2", "--delta", "2", "--variant", "3"], gen_advice_triangles(2, 2)[2]),
+        (["asteroid", "--k", "3"], asteroid_realization("fig5a", 3, 1, F(1, 3))),
+        (["asteroid", "--k", "3", "--variant", "fig5a"], asteroid_realization("fig5a", 3, 1, F(1, 3))),
+        (["asteroid", "--k", "3", "--variant", "fig5b"], asteroid_realization("fig5b", 3, 1, F(1, 3))),
+        (["asteroid", "--delta", "3", "--eps", "1/2"], asteroid_realization("fig5a", 2, 3, F(1, 2))),
+    ],
+)
+def test_gen_matches_generator(capsys, argv, expected):
+    # every family and variant writes the instance its generator builds;
+    # without --variant, the family's first variant
+    assert main(["gen"] + argv) == 0
+    assert deserialize(capsys.readouterr().out) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +145,44 @@ def test_solve_expected_ratio(tmp_path, capsys):
     assert "expected ratio: 3/2" in out
 
 
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ([], "expected cost : 3/2 (~1.5)"),
+        (["--rule", "fixed"], "expected cost : 3/2 (~1.5)"),
+        (["--rule", "half"], "expected cost : 3/2 (~1.5)"),
+        (["--p", "2"], "expected cost : 3/2 (~1.5)"),  # the coin bias is alg1's alone
+        (["--rule", "sqrt3"], "(~1.422649731..1.422649731)"),
+    ],
+)
+def test_solve_alg2_rule(tmp_path, capsys, extra, expected):
+    doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
+    assert main(["solve", "alg2", doc, "--expected"] + extra) == 0
+    assert expected in capsys.readouterr().out
+
+
 def test_solve_advice_prints_bits(tmp_path, capsys):
     doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
     assert main(["solve", "advice_lg3", doc]) == 0
     assert "advice bits: 1" in capsys.readouterr().out
+
+
+def test_solve_expected_runs_deterministic_strategy_once(tmp_path, capsys, monkeypatch):
+    # the expectation of a deterministic strategy is the cost of the run printed above it
+    doc = write_doc(tmp_path, "pairs.json", gen_random(1, 8, F(0)))
+    built = []
+    init = AdviceOracle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdviceOracle, "__init__", counting_init)
+    assert main(["solve", "advice_half", doc, "--expected"]) == 0
+    out = capsys.readouterr().out
+    assert len(built) == 1
+    cost = out.split("cost       : ")[1].split("\n")[0]
+    assert f"expected cost : {cost}" in out
 
 
 def test_solve_missing_file(capsys):
@@ -223,6 +311,149 @@ def test_ratio_advice_bits_column(capsys, argv, strategy, instances):
 
 def test_ratio_rejects_valueless_family(capsys):
     assert main(["ratio", "simple", "asteroid"]) == 2  # not offered as a choice
+
+
+@pytest.mark.parametrize(
+    "argv, ids",
+    [
+        (["random", "--n", "5", "--trials", "2"], ["random-n5-s0", "random-n5-s1"]),
+        (["random", "--n", "5", "--trials", "2", "--seed", "7"], ["random-n5-s7", "random-n5-s8"]),
+        (["lemma4"], ["lemma4-a", "lemma4-b"]),
+        (["lemma7"], ["lemma7-lower", "lemma7-upper"]),
+        (["figure3", "--k", "1"], ["figure3-k1"]),
+        (["triangle_chain", "--k", "2"], ["triangle_chain-k2-lower", "triangle_chain-k2-upper"]),
+        (["laminar", "--n", "5", "--trials", "2"], ["laminar-n5-s0", "laminar-n5-s1"]),
+        (["nested_star", "--n", "4"], ["nested_star-n4"]),
+        (["cost_path", "--n", "4"], ["cost_path-n4"]),
+        (["cpcp", "--n", "3", "--M", "3"], ["cpcp-n3-M3"]),
+        (
+            ["advice_triangles", "--n", "3"],
+            ["advice_triangles-m3-p1", "advice_triangles-m3-p2", "advice_triangles-m3-p3"],
+        ),
+    ],
+)
+def test_ratio_row_ids(capsys, argv, ids):
+    assert main(["ratio", "simple"] + argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out.split("#")[0])))[1:]
+    assert [r[0] for r in rows] == ids
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["simple", "random"], "2"),
+        (["vc", "random"], "2"),
+        (["alg3", "random"], "2"),
+        (["advice_half", "random"], "1"),
+        (["advice_lg3", "random"], "1"),
+        (["alg1", "random", "--p", "1/2"], "3/2"),
+        (["alg1", "random"], "3/2"),
+        (["alg1", "random", "--p", "0"], "5/3"),
+        (["alg1", "random", "--p", "1"], "5/3"),
+        (["alg1", "random", "--p", "1/3"], None),
+        (["alg2", "random"], "57/32"),
+        (["alg2", "random", "--rule", "fixed"], "57/32"),
+        (["alg2", "random", "--rule", "half"], "57/32"),
+        (["alg2", "random", "--rule", "sqrt3"], "1+4/(3*sqrt3)+1e-6"),
+        (["oblivious", "random"], None),
+        (["stable_sort", "random"], None),
+    ],
+)
+def test_ratio_bound_label(capsys, argv, label):
+    assert main(["ratio"] + argv + ["--n", "4", "--trials", "2"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    if label is None:
+        assert " bound=" not in summary
+    else:
+        assert f" bound={label} status=OK" in summary
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--delta", "abc"],
+        ["random", "--n", "-1"],
+        ["cost_path", "--eps", "x"],
+        ["cost_path", "--n", "5"],  # the path needs an even length
+        ["triangle_chain", "--k", "0"],
+        ["figure3", "--k", "0"],
+        ["advice_triangles", "--n", "0"],  # no longer clamped to one triangle
+    ],
+)
+def test_ratio_bad_family_parameters_are_usage_errors(capsys, argv):
+    # the same exit code and prefix as `gen` with these parameters
+    assert main(["ratio", "simple"] + argv) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert main(["gen"] + argv) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+
+
+def test_ratio_pairing_errors_stay_model_errors(capsys):
+    assert main(["ratio", "stable_sort", "lemma4", "--delta", "2"]) == 4
+    assert capsys.readouterr().err.startswith("model error")
+    assert main(["ratio", "alg1", "lemma4", "--rule", "half"]) == 4
+    assert capsys.readouterr().err.startswith("model error")
+
+
+def test_ratio_sweep_never_raises(capsys):
+    # every strategy on every family at tiny sizes ends in a known exit code
+    # and a prefixed message, never a traceback
+    for strategy in STRATEGIES:
+        for family in RATIO_FAMILIES:
+            for delta in ("0", "1/2"):
+                argv = ["ratio", strategy, family, "--n", "2", "--trials", "1", "--M", "2", "--delta", delta]
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 3, 4), argv
+                prefixes = ("# EXCEEDED",) if code == 3 else ("usage error", "model error", "document error")
+                assert err == "" or err.startswith(prefixes), argv
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["solve", "oblivious"], "run_oblivious"),
+        (["solve", "simple"], "simple_adaptive"),
+        (["solve", "stable_sort"], "simple_adaptive_stable_sort"),
+        (["solve", "vc"], "vc_adaptive"),
+        (["solve", "alg1"], "algorithm1"),
+        (["solve", "alg1", "--expected"], "expected_cost_exact"),
+        (["solve", "alg2"], "algorithm2"),
+        (["solve", "alg2", "--expected"], "expected_cost_exact"),
+        (["solve", "alg3"], "algorithm3_cpcp"),
+        (["solve", "advice_half"], "advice_half"),
+        (["solve", "advice_lg3"], "advice_lg3"),
+        (["gen", "random"], "gen_random"),
+        (["gen", "lemma4"], "gen_lemma4_pair"),
+        (["gen", "lemma7"], "gen_lemma7_two_triangles"),
+        (["gen", "figure3"], "gen_figure3_chain"),
+        (["gen", "triangle_chain"], "gen_triangle_chain"),
+        (["gen", "laminar"], "gen_laminar"),
+        (["gen", "nested_star"], "gen_nested_star"),
+        (["gen", "cost_path"], "gen_cost_path"),
+        (["gen", "cpcp"], "gen_cpcp_adversary"),
+        (["gen", "advice_triangles"], "gen_advice_triangles"),
+        (["gen", "asteroid"], "asteroid_realization"),
+    ],
+)
+def test_tables_call_through_module_globals(tmp_path, capsys, monkeypatch, argv, name):
+    # a tracer swaps the module's globals for timing wrappers; the tables
+    # must look their functions up when they run to be seen by it
+    from querysort import cli
+
+    calls = []
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    if argv[0] == "solve":
+        argv = argv[:2] + [write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])] + argv[2:]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls
 
 
 # ---------------------------------------------------------------------------

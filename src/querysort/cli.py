@@ -79,8 +79,10 @@ def _load_instance(path: str) -> Instance:
         return deserialize(handle.read())
 
 
-def _optimum_cost(inst: Instance) -> Fraction:
-    if inst.refinements is not None:
+def _optimum_cost(inst: Instance, strategy: "_Strategy") -> Fraction:
+    """The optimum in the model the strategy runs in: the script optimum only for a
+    refinement-model strategy on a scripted instance, the exact-model one otherwise."""
+    if strategy.refinement and inst.refinements is not None:
         cost, _ = cpcp_brute_force_optimum(inst)
         return cost
     _, cost = optimum_query_set(inst)
@@ -125,13 +127,15 @@ _SQRT3_BOUND = (
 
 class _Strategy(NamedTuple):
     """One strategy: ``run(inst, args)`` gives a `RunReport`; ``expected(inst, args)`` the
-    exact expected cost of a coin-driven strategy (None for deterministic ones); and
+    exact expected cost of a coin-driven strategy (None for deterministic ones);
     ``bound(args, n)`` the proven ratio limit on an n-interval instance with its printed
-    label, either of which may be None."""
+    label, either of which may be None; and ``refinement``, whether it runs in the
+    refinement model (`CpcpEnvironment`) rather than the exact one."""
 
     run: Callable[[Instance, argparse.Namespace], RunReport]
     expected: Optional[Callable[[Instance, argparse.Namespace], object]]
     bound: Callable[[argparse.Namespace, int], tuple[Optional[Fraction], Optional[str]]]
+    refinement: bool = False
 
 
 _STRATEGIES = {
@@ -169,6 +173,7 @@ _STRATEGIES = {
         lambda inst, args: algorithm3_cpcp(CpcpEnvironment(inst)),
         None,
         lambda args, n: _TWO,
+        refinement=True,
     ),
     "advice_half": _Strategy(
         lambda inst, args: advice_half(Environment(inst), AdviceOracle(inst)),
@@ -204,8 +209,15 @@ def _seeds(args) -> range:
     return range(args.seed, args.seed + args.trials)
 
 
+def _threshold_or_one(delta: Fraction) -> Fraction:
+    """The threshold of a family drawn at a positive one: δ = 0 reads as 1, a negative δ is refused."""
+    if delta < 0:
+        raise InvariantViolation(f"negative threshold {delta}")
+    return delta or Fraction(1)
+
+
 def _asteroid_rows(args, delta):
-    delta = delta if delta > 0 else Fraction(1)
+    delta = _threshold_or_one(delta)
     eps = _parse_rational(args.eps, "--eps") if args.eps else delta / 3
     return [
         (f"asteroid-{v}", v, args.seed, asteroid_realization(v, max(args.k, 2), delta, eps))
@@ -247,7 +259,7 @@ _FAMILIES = {
     ],
     "advice_triangles": lambda args, delta: [
         (f"advice_triangles-m{args.n}-p{v}", v, args.seed, inst)
-        for v, inst in zip("123", gen_advice_triangles(args.n, delta if delta > 0 else Fraction(1)))
+        for v, inst in zip("123", gen_advice_triangles(args.n, _threshold_or_one(delta)))
     ],
     "asteroid": _asteroid_rows,  # interval layouts without values: `gen` only
 }
@@ -308,7 +320,7 @@ def cmd_solve(args) -> int:
             print(f"expected cost : {_fmt(lo)}")
         else:
             print(f"expected cost : in [{lo}, {hi}] (~{float(lo):.10g}..{float(hi):.10g})")
-        opt = _optimum_cost(inst)
+        opt = _optimum_cost(inst, _STRATEGIES[args.algorithm])
         print(f"optimum cost  : {_fmt(opt)}")
         if opt > 0:
             if lo == hi:
@@ -401,7 +413,8 @@ def cmd_ratio(args) -> int:
     except QuerysortError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    bound = _STRATEGIES[args.algorithm].bound
+    strategy = _STRATEGIES[args.algorithm]
+    bound = strategy.bound
     _, label = bound(args, 0)  # the label does not depend on the instance size
     out_rows = []
     worst: Optional[Fraction] = None
@@ -409,7 +422,9 @@ def cmd_ratio(args) -> int:
     exceeded = []
     for instance_id, _, seed, inst in rows:
         lo, hi, report = _expected_cost(inst, args)
-        opt = _optimum_cost(inst)
+        opt = _optimum_cost(inst, strategy)
+        if hi < opt:
+            raise InvariantViolation(f"{instance_id}: cost {hi} is below the optimum {opt}")
         bits = ""
         if report is not None and report.advice_bits is not None:
             bits = str(report.advice_bits)

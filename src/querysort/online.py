@@ -20,9 +20,12 @@ vertex's neighbours instead of rebuilding the graph.
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  Probabilities are exact rationals, except the square-root-of-three
 trial rule, which is kept symbolic (`Sqrt3Prob`) and decided by comparing
-squares -- no floating point anywhere.  `expected_cost_exact` runs a
-strategy once per leaf of its coin tree and returns the exact expected
-spend (an interval enclosure when the square-root rule is involved).
+squares -- no floating point anywhere.  The two coin-driven strategies
+are written as trials: a ``_start`` that validates and warms up, and a
+``_trial`` that runs deterministic steps until the next coin flip.
+`expected_cost_exact` walks their coin tree once, forking the environment
+at each real flip, and returns the exact expected spend (an interval
+enclosure when the square-root rule is involved).
 
 Every strategy returns a `RunReport` and finishes by ordering the final
 intervals, which fails loudly if any dependent pair survived -- the
@@ -31,6 +34,8 @@ feasibility guarantee is enforced, not assumed.
 
 from __future__ import annotations
 
+import copy
+import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,42 +132,25 @@ class RandomCoin:
         return _accepts(p, u)
 
 
-#: Branch guard: a replayed strategy may not flip more coins than this.
+#: Depth guard: the coin tree of `expected_cost_exact` may not be deeper than this.
 _MAX_COIN_DEPTH = 20
 
 
-class ReplayCoin:
-    """Coin that follows a fixed outcome script, recording probabilities.
-
-    Used by `expected_cost_exact`, which runs a strategy once per coin leaf:
-    past the end of its script the coin answers ``False`` (the run reaches
-    the leftmost leaf below the script), and a new flip at depth
-    `_MAX_COIN_DEPTH` or deeper raises `TooManyBranches`.
-    """
-
-    def __init__(self, script: tuple[bool, ...]):
-        self.script = script
-        self.flips: list[tuple[bool, Probability]] = []
-
-    def flip(self, p: Probability) -> bool:
-        depth = len(self.flips)
-        if depth < len(self.script):
-            outcome = self.script[depth]
-        elif depth >= _MAX_COIN_DEPTH:
-            raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
-        else:
-            outcome = False
-        self.flips.append((outcome, p))
-        return outcome
-
-
-def _flip(coin, p: Probability) -> bool:
-    """Flip with certainty short-circuit: p in {0, 1} consumes no randomness."""
+def _certain(p: Probability) -> Optional[bool]:
+    """The outcome of a flip at ``p`` when it is certain (``p`` ≥ 1 or ≤ 0), else None."""
     if isinstance(p, Fraction):
         if p >= 1:
             return True
         if p <= 0:
             return False
+    return None
+
+
+def _flip(coin, p: Probability) -> bool:
+    """Flip with certainty short-circuit: p in {0, 1} consumes no randomness."""
+    outcome = _certain(p)
+    if outcome is not None:
+        return outcome
     if coin is None:
         raise InvariantViolation(
             "this run is randomized; pass rng=RandomCoin(seed)"
@@ -266,6 +254,16 @@ class QueryEnvironment:
             edges = frozenset((i, j) for i, nbrs in enumerate(self._adj) for j in nbrs if i < j)
             self._graph = DependencyGraph(self.n, edges, tuple(itv.cost for itv in cur), cur)
         return self._graph
+
+    def _fork(self) -> "QueryEnvironment":
+        """An independent copy: querying either one leaves the other unchanged."""
+        twin = copy.copy(self)
+        twin._current = list(self._current)
+        twin._queried = list(self._queried)
+        twin.transcript = list(self.transcript)
+        if self._adj is not None:
+            twin._adj = [set(nbrs) for nbrs in self._adj]
+        return twin
 
     def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
         """Narrow item ``i`` to ``now``, charge the query, and return ``answer``."""
@@ -604,49 +602,71 @@ def algorithm1(
     """
     if rule is None:
         rule = FIXED(Fraction(1, 2))
+    state = _algorithm1_start(env, rule, preprocess=preprocess)
+    return _run_trials(env, rule, state, _algorithm1_trial, rng)
+
+
+def _algorithm1_start(env: Environment, rule: ProbabilityRule, preprocess: bool = True) -> None:
+    """Validate the rule and the costs, then run the optional warm-up."""
     if rule.kind != "fixed":
         raise InvariantViolation("this strategy takes a fixed coin bias")
     costs = env.instance.costs
     if any(c != costs[0] for c in costs):
         raise InvariantViolation("this strategy requires uniform query costs")
-    p = rule.p
     if preprocess:
         _preprocess_witnesses(env)
+
+
+def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> Optional[tuple]:
+    """Run `algorithm1`'s deterministic steps up to its next single-edge flip."""
     delta = env.delta
     while True:
         g = env.graph()
         if not g.edges:
-            break
-        comps = [c for c in components(g) if len(c) >= 2]
-        pairs = [c for c in comps if len(c) == 2]
+            return None
+        pairs = [c for c in components(g) if len(c) == 2]
         if pairs:
             u, v = pairs[0]  # components arrive ordered by smallest member
-            first, second = (u, v) if _flip(rng, p) else (v, u)
-            revealed = env.query(first)
-            if singleton_witness_value(env.current(second), revealed, delta):
-                env.query(second)
+            return rule.p, _query_pair(u, v), _query_pair(v, u)
+        iv = g.intervals
+        active = g.active_vertices()
+        x = min(active, key=lambda w: (iv[w].hi, w))
+        neighbors_x = sorted(g.adj[x])
+        y = min(neighbors_x, key=lambda w: (iv[w].hi, w))
+        if len(neighbors_x) >= 2:
+            z = min(
+                (w for w in neighbors_x if w != y),
+                key=lambda w: (iv[w].hi, w),
+            )
         else:
-            iv = g.intervals
-            active = g.active_vertices()
-            x = min(active, key=lambda w: (iv[w].hi, w))
-            neighbors_x = sorted(g.adj[x])
-            y = min(neighbors_x, key=lambda w: (iv[w].hi, w))
-            if len(neighbors_x) >= 2:
-                z = min(
-                    (w for w in neighbors_x if w != y),
-                    key=lambda w: (iv[w].hi, w),
-                )
-            else:
-                z = min(
-                    (w for w in g.adj[y] if w != x),
-                    key=lambda w: (iv[w].hi, w),
-                )
-            revealed = env.query(y)
-            if singleton_witness_value(env.current(x), revealed, delta) or dependent(
-                env.current(x), env.current(z), delta
-            ):
-                env.query(x)
-                env.query(z)
+            z = min(
+                (w for w in g.adj[y] if w != x),
+                key=lambda w: (iv[w].hi, w),
+            )
+        revealed = env.query(y)
+        if singleton_witness_value(env.current(x), revealed, delta) or dependent(
+            env.current(x), env.current(z), delta
+        ):
+            env.query(x)
+            env.query(z)
+        _flush_value_witnesses(env)
+
+
+def _query_pair(first: int, second: int) -> Callable[[QueryEnvironment], None]:
+    """Query ``first``, then ``second`` only if the revealed value forces it."""
+    def action(env: QueryEnvironment) -> None:
+        revealed = env.query(first)
+        if singleton_witness_value(env.current(second), revealed, env.delta):
+            env.query(second)
+
+    return action
+
+
+def _run_trials(env: QueryEnvironment, rule: ProbabilityRule, state, trial, rng) -> RunReport:
+    """Play ``trial`` to the end, taking the side of each coin step ``rng`` picks."""
+    while (step := trial(env, rule, state)) is not None:
+        p, heads, tails = step
+        (heads if _flip(rng, p) else tails)(env)
         _flush_value_witnesses(env)
     return _finish(env, rng=rng)
 
@@ -696,14 +716,24 @@ def algorithm2(env: Environment, rule: ProbabilityRule, rng=None) -> RunReport:
 
     Value witnesses are flushed after every query step.
     """
+    state = _algorithm2_start(env, rule)
+    return _run_trials(env, rule, state, _algorithm2_trial, rng)
+
+
+def _algorithm2_start(env: Environment, rule: ProbabilityRule) -> tuple[list[Fraction], dict]:
+    """Validate the rule; the state is the residual weights and the frozen spines."""
     if rule.kind not in ("half", "sqrt3"):
         raise InvariantViolation("this strategy takes the half or sqrt3 rule")
-    residual = list(env.instance.costs)
-    frozen_paths: dict[int, tuple[int, ...]] = {}
+    return list(env.instance.costs), {}
+
+
+def _algorithm2_trial(env: Environment, rule: ProbabilityRule, state) -> Optional[tuple]:
+    """Run `algorithm2`'s zero-weight and triangle steps up to its next path trial."""
+    residual, frozen_paths = state
     while True:
         g = env.graph()
         if not g.edges:
-            break
+            return None
         active = g.active_vertices()
         zeros = [v for v in active if residual[v] == 0]
         if zeros:
@@ -711,42 +741,44 @@ def algorithm2(env: Environment, rule: ProbabilityRule, rng=None) -> RunReport:
             _flush_value_witnesses(env)
             continue
         triangle = find_triangle(g)
-        if triangle is not None:
-            take = min(residual[v] for v in triangle)
-            for v in triangle:
-                residual[v] -= take
-            continue
-        # Forest phase: trial on the component of the smallest active vertex.
-        comp = component_of(g, active[0])
-        path = None
+        if triangle is None:
+            break
+        take = min(residual[v] for v in triangle)
+        for v in triangle:
+            residual[v] -= take
+    # Forest phase: trial on the component of the smallest active vertex.
+    comp = component_of(g, active[0])
+    path = None
+    for v in comp:
+        if v in frozen_paths:
+            path = frozen_paths[v]
+            break
+    if path is None:
+        path = longest_path_caterpillar(g, comp)
         for v in comp:
-            if v in frozen_paths:
-                path = frozen_paths[v]
-                break
-        if path is None:
-            path = longest_path_caterpillar(g, comp)
-            for v in comp:
-                frozen_paths[v] = path
-        comp_set = set(comp)
-        spine = [v for v in path if v in comp_set]
-        start = 0
-        while True:
-            window = spine[start:]
-            b = window[1] if len(window) >= 2 else window[0]
-            c = window[2] if len(window) >= 3 else None
-            targets = sorted(g.adj[b] - ({c} if c is not None else set()))
-            if targets:
-                break
-            start += 1
-        neighbor_weight = sum((residual[u] for u in targets), start=Fraction(0))
-        p = rule.trial_probability(neighbor_weight, residual[b])
-        if _flip(rng, p):
-            env.query(b)
-        else:
-            for u in targets:
-                env.query(u)
-        _flush_value_witnesses(env)
-    return _finish(env, rng=rng)
+            frozen_paths[v] = path
+    comp_set = set(comp)
+    spine = [v for v in path if v in comp_set]
+    start = 0
+    while True:
+        window = spine[start:]
+        b = window[1] if len(window) >= 2 else window[0]
+        c = window[2] if len(window) >= 3 else None
+        targets = sorted(g.adj[b] - ({c} if c is not None else set()))
+        if targets:
+            break
+        start += 1
+    neighbor_weight = sum((residual[u] for u in targets), start=Fraction(0))
+    return rule.trial_probability(neighbor_weight, residual[b]), _query_all([b]), _query_all(targets)
+
+
+def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
+    """Query ``items`` in order."""
+    def action(env: QueryEnvironment) -> None:
+        for i in items:
+            env.query(i)
+
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -952,29 +984,22 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact expectation by branch replay
+# Exact expectation by forking at each coin flip
 # ---------------------------------------------------------------------------
 
 #: Width of the rational enclosures used for symbolic probabilities.
 _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
 
+#: The coin-driven strategies, each as its (start, trial) pair.
+_TRIALS = {
+    algorithm1: (_algorithm1_start, _algorithm1_trial),
+    algorithm2: (_algorithm2_start, _algorithm2_trial),
+}
 
-def _branch_probability(
-    flips: list[tuple[bool, Probability]],
-) -> tuple[Fraction, Fraction]:
-    lo = hi = Fraction(1)
-    for outcome, p in flips:
-        if isinstance(p, Sqrt3Prob):
-            p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION)
-        else:
-            p_lo = p_hi = p
-        if outcome:
-            lo *= p_lo
-            hi *= p_hi
-        else:
-            lo *= 1 - p_hi
-            hi *= 1 - p_lo
-    return lo, hi
+
+def _copy_state(state):
+    """Fork a strategy state: None, or a tuple of containers of immutable values."""
+    return None if state is None else tuple(copy.copy(part) for part in state)
 
 
 def expected_cost_exact(
@@ -988,29 +1013,53 @@ def expected_cost_exact(
 ) -> Union[Fraction, tuple[Fraction, Fraction]]:
     """Exact expected total cost over every branch of the strategy's coin.
 
-    Runs the strategy once per leaf of its coin tree, ``False`` before
-    ``True``: each run queues the ``True`` side of every flip past its
-    script.  Sums probability-weighted costs over all leaves.
-    Returns an exact rational when every probability is rational, and a
-    rational enclosure ``(lo, hi)`` (width far below 1e-9) when the
-    square-root rule is involved.
+    ``algorithm`` is `algorithm1` or `algorithm2` (or a `functools.wraps`
+    wrapper of one); ``kwargs`` go to its warm-up.  The coin tree is walked
+    once, depth first: at each real flip the environment and the strategy
+    state are forked, the ``True`` side is kept for later, and the ``False``
+    side goes on in place -- so leaves come ``False`` before ``True``, the
+    deepest pending ``True`` side first.  Each leaf's spend is weighted by
+    its path probability.  Returns an exact rational when every probability
+    is rational, and a rational enclosure ``(lo, hi)`` (width far below
+    1e-9) when the square-root rule is involved.
     """
-    stack: list[tuple[bool, ...]] = [()]
+    start, trial = _TRIALS.get(inspect.unwrap(algorithm), (None, None))
+    if start is None:
+        raise InvariantViolation(
+            f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}"
+        )
+    if not isinstance(rule, ProbabilityRule):
+        raise InvariantViolation(f"expected_cost_exact needs a probability rule, not {rule!r}")
+    env = env_factory(inst)
+    # (environment, strategy state, side still to take, depth, path probability lo/hi);
+    # a forked side is taken only when popped, so errors surface in leaf order
+    stack = [(env, start(env, rule, **kwargs), None, 0, Fraction(1), Fraction(1))]
     leaves = 0
     e_lo = e_hi = Fraction(0)
     while stack:
-        script = stack.pop()
-        coin = ReplayCoin(script)
-        report = algorithm(env_factory(inst), rule=rule, rng=coin, **kwargs)
+        env, state, pending, depth, lo, hi = stack.pop()
+        if pending is not None:
+            pending(env)
+            _flush_value_witnesses(env)
+        while (step := trial(env, rule, state)) is not None:
+            p, heads, tails = step
+            outcome = _certain(p)
+            if outcome is None:
+                if depth >= _MAX_COIN_DEPTH:
+                    raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+                p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
+                depth += 1
+                stack.append((env._fork(), _copy_state(state), heads, depth, lo * p_lo, hi * p_hi))
+                lo, hi = lo * (1 - p_hi), hi * (1 - p_lo)
+                outcome = False
+            (heads if outcome else tails)(env)
+            _flush_value_witnesses(env)
+        require_independent(env._current, env.delta)
         leaves += 1
         if leaves > max_branches:
             raise TooManyBranches(f"more than {max_branches} branches")
-        p_lo, p_hi = _branch_probability(coin.flips)
-        e_lo += p_lo * report.total_cost
-        e_hi += p_hi * report.total_cost
-        outcomes = tuple(outcome for outcome, _ in coin.flips)
-        for depth in range(len(script), len(outcomes)):
-            stack.append(outcomes[:depth] + (True,))
+        e_lo += lo * env._spent
+        e_hi += hi * env._spent
     if e_lo == e_hi:
         return e_lo
     return e_lo, e_hi

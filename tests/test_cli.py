@@ -85,6 +85,11 @@ def test_gen_usage_errors(capsys):
     capsys.readouterr()
     assert main(["gen", "random", "--variant", "b"]) == 2  # a family without variants refuses one
     assert capsys.readouterr().err == "usage error: random has no variants, got --variant 'b'\n"
+    for family in ("advice_triangles", "asteroid"):  # δ = 0 reads as 1, a negative δ is refused
+        assert main(["gen", family, "--delta", "-1"]) == 2
+        assert capsys.readouterr().err == "usage error: negative threshold -1\n"
+    assert main(["ratio", "simple", "advice_triangles", "--delta", "-1"]) == 2
+    assert capsys.readouterr().err == "usage error: negative threshold -1\n"
 
 
 @pytest.mark.parametrize(
@@ -397,16 +402,38 @@ def test_ratio_pairing_errors_stay_model_errors(capsys):
 
 def test_ratio_sweep_never_raises(capsys):
     # every strategy on every family at tiny sizes ends in a known exit code
-    # and a prefixed message, never a traceback
+    # and a prefixed message, never a traceback, and no row costs less than
+    # its optimum
     for strategy in STRATEGIES:
         for family in RATIO_FAMILIES:
             for delta in ("0", "1/2"):
                 argv = ["ratio", strategy, family, "--n", "2", "--trials", "1", "--M", "2", "--delta", delta]
                 code = main(argv)
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 assert code in (0, 3, 4), argv
                 prefixes = ("# EXCEEDED",) if code == 3 else ("usage error", "model error", "document error")
                 assert err == "" or err.startswith(prefixes), argv
+                assert "below the optimum" not in err, argv
+                for row in csv.DictReader(line for line in out.splitlines() if not line.startswith("#")):
+                    assert F(row["cost"]) >= F(row["opt"]), (argv, row)
+
+
+@pytest.mark.parametrize(
+    "strategy, cost, opt", [("vc", "7", "7"), ("advice_half", "7", "7"), ("alg3", "10", "8")]
+)
+def test_ratio_compares_with_the_optimum_of_the_strategy_model(capsys, strategy, cost, opt):
+    # exact-model strategies ignore the scripts, so their optimum is the exact one
+    assert main(["ratio", strategy, "cpcp", "--n", "4", "--M", "2"]) == 0
+    (row,) = csv.DictReader(line for line in capsys.readouterr().out.splitlines() if not line.startswith("#"))
+    assert (row["cost"], row["opt"]) == (cost, opt)
+
+
+def test_ratio_refuses_a_cost_below_the_optimum(capsys, monkeypatch):
+    from querysort import cli
+
+    monkeypatch.setattr(cli, "optimum_query_set", lambda inst: (frozenset(), F(100)))
+    assert main(["ratio", "simple", "lemma4"]) == 4
+    assert capsys.readouterr().err == "model error: lemma4-a: cost 2 is below the optimum 100\n"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Strategies: environments, coins, adaptive/randomized/advice runs.
 
 `replay_expected_cost` is the branch-replay driver that `expected_cost_exact`
-replaced: it restarts the strategy at every node of the coin tree.  It lives
-only here, as the reference for the one-run-per-leaf driver.
+replaced: it restarts the public strategy at every node of the coin tree.
+It lives only here, as the reference for the forking evaluator.
 """
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -51,7 +52,8 @@ from querysort import (
     vc_adaptive,
 )
 from querysort.core import Instance
-from querysort.online import _MAX_COIN_DEPTH, Sqrt3Prob, _branch_probability
+from querysort.graph import build_graph
+from querysort.online import _ENCLOSURE_PRECISION, _MAX_COIN_DEPTH, QueryEnvironment, Sqrt3Prob
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +396,34 @@ def test_expected_cost_branch_guard():
         expected_cost_exact(algorithm1, a, FIXED(F(1, 2)), max_branches=1)
 
 
+def test_fork_is_independent():
+    inst = gen_random(5, 12, F(1, 2))
+    env = Environment(inst)
+    env.graph()  # the live graph exists before the fork
+    env.query(0)
+    twin = env._fork()
+    for i in (3, 7):
+        twin.query(i)
+    env.query(5)
+    assert [entry[0] for entry in env.transcript] == [0, 5]
+    assert [entry[0] for entry in twin.transcript] == [0, 3, 7]
+    assert env.state().queried == tuple(int(i in (0, 5)) for i in range(inst.n))
+    assert twin.state().queried == tuple(int(i in (0, 3, 7)) for i in range(inst.n))
+    assert env.state().spent == sum(inst.costs[i] for i in (0, 5))
+    for copy in (env, twin):
+        rebuilt = build_graph(Instance(inst.delta, copy.state().current, inst.values))
+        assert copy.graph().edges == rebuilt.edges
+
+
+def test_expected_cost_refuses_other_strategies_and_rules():
+    inst = gen_lemma4_pair(F(0))[0]
+    for other in (simple_adaptive, run_oblivious, lambda env, rule, rng: algorithm1(env, rule, rng=rng)):
+        with pytest.raises(InvariantViolation):
+            expected_cost_exact(other, inst, FIXED(F(1, 2)))
+    with pytest.raises(InvariantViolation):
+        expected_cost_exact(algorithm1, inst, None)
+
+
 class _Unscripted(Exception):
     pass
 
@@ -411,25 +441,43 @@ class _ScriptedCoin:
         return outcome
 
 
-def replay_expected_cost(algorithm, inst, rule, *, max_branches=2 ** 20):
-    """Fork at the first unscripted flip and rerun both sides from scratch."""
+def _branch_probability(flips):
+    lo = hi = F(1)
+    for outcome, p in flips:
+        p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
+        if outcome:
+            lo *= p_lo
+            hi *= p_hi
+        else:
+            lo *= 1 - p_hi
+            hi *= 1 - p_lo
+    return lo, hi
+
+
+def replay_expected_cost(algorithm, inst, rule, *, max_branches=2 ** 20, leaves=None, **kwargs):
+    """Fork at the first unscripted flip and rerun both sides from scratch.
+
+    Appends each leaf's cost to ``leaves`` when a list is given.
+    """
     stack = [()]
-    leaves = 0
+    count = 0
     e_lo = e_hi = F(0)
     while stack:
         script = stack.pop()
         coin = _ScriptedCoin(script)
         try:
-            report = algorithm(Environment(inst), rule=rule, rng=coin)
+            report = algorithm(Environment(inst), rule=rule, rng=coin, **kwargs)
         except _Unscripted:
             if len(script) >= _MAX_COIN_DEPTH:
                 raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
             stack.append(script + (True,))
             stack.append(script + (False,))
             continue
-        leaves += 1
-        if leaves > max_branches:
+        count += 1
+        if count > max_branches:
             raise TooManyBranches(f"more than {max_branches} branches")
+        if leaves is not None:
+            leaves.append(report.total_cost)
         p_lo, p_hi = _branch_probability(coin.flips)
         e_lo += p_lo * report.total_cost
         e_hi += p_hi * report.total_cost
@@ -443,54 +491,84 @@ def outcome(fn, *args, **kwargs):
         return repr(exc)
 
 
-class CountingRuns:
-    """Wraps a strategy; counts its runs and the ones that reach a leaf."""
+class ForkCounter:
+    """Counts `QueryEnvironment._fork` calls while installed."""
 
-    def __init__(self, algorithm):
-        self.algorithm = algorithm
-        self.runs = self.leaves = 0
+    def __init__(self, monkeypatch):
+        self.forks = 0
+        fork = QueryEnvironment._fork
 
-    def __call__(self, env, **kwargs):
-        self.runs += 1
-        report = self.algorithm(env, **kwargs)
-        self.leaves += 1
-        return report
+        def counting(env):
+            self.forks += 1
+            return fork(env)
+
+        monkeypatch.setattr(QueryEnvironment, "_fork", counting)
+
+
+def never_called(algorithm):
+    """A `functools.wraps` wrapper of ``algorithm`` that fails if it is called."""
+    @functools.wraps(algorithm)
+    def wrapper(*args, **kwargs):
+        raise AssertionError(f"{algorithm.__name__} was called")
+
+    return wrapper
+
+
+#: 48 random instances per threshold, n from 6 to 14, and the cost paths
+#: that branch most (algorithm1 refuses their non-uniform costs).
+DIFFERENTIAL_INSTANCES = [
+    gen_random(seed, 6 + seed % 9, delta)
+    for delta in (F(0), F(1, 2), F(1))
+    for seed in range(48)
+] + [gen_cost_path(n, F(1, 1000)) for n in (12, 16, 20)]
 
 
 @pytest.mark.parametrize(
-    "algorithm, rule",
+    "algorithm, rule, kwargs",
     [
-        (algorithm1, FIXED(F(1, 3))),
-        (algorithm1, FIXED(F(1, 2))),
-        (algorithm1, FIXED(F(1))),
-        (algorithm2, HALF),
-        (algorithm2, SQRT3),
+        pytest.param(algorithm1, FIXED(F(1, 3)), {}, id="algorithm1-rule0"),
+        pytest.param(algorithm1, FIXED(F(1, 2)), {}, id="algorithm1-rule1"),
+        pytest.param(algorithm1, FIXED(F(1)), {}, id="algorithm1-rule2"),
+        pytest.param(algorithm2, HALF, {}, id="algorithm2-rule3"),
+        pytest.param(algorithm2, SQRT3, {}, id="algorithm2-rule4"),
+        pytest.param(algorithm1, FIXED(F(0)), {}, id="algorithm1-fixed0"),
+        pytest.param(algorithm1, FIXED(F(1, 2)), {"preprocess": False}, id="algorithm1-half-no-preprocess"),
+        pytest.param(algorithm1, FIXED(F(1)), {"preprocess": False}, id="algorithm1-fixed1-no-preprocess"),
     ],
 )
-def test_expected_cost_matches_branch_replay(algorithm, rule):
-    # the cost path branches most; algorithm1 refuses its non-uniform costs
-    instances = [gen_random(seed, 6 + seed % 8, (F(0), F(1, 2))[seed % 2]) for seed in range(48)]
-    for seed, inst in enumerate(instances + [gen_cost_path(12, F(1, 1000))]):
-        new, ref = CountingRuns(algorithm), CountingRuns(algorithm)
-        got = outcome(expected_cost_exact, new, inst, rule)
-        want = outcome(replay_expected_cost, ref, inst, rule)
-        assert got == want, seed
-        if not isinstance(got, str):  # every run reached a leaf
-            assert new.runs == new.leaves == ref.leaves, seed
-        capped = outcome(expected_cost_exact, algorithm, inst, rule, max_branches=3)
-        assert capped == outcome(
-            replay_expected_cost, algorithm, inst, rule, max_branches=3
-        ), seed
+def test_expected_cost_matches_branch_replay(monkeypatch, algorithm, rule, kwargs):
+    counter = ForkCounter(monkeypatch)
+    for k, inst in enumerate(DIFFERENTIAL_INSTANCES):
+        leaves = []
+        want = outcome(replay_expected_cost, algorithm, inst, rule, leaves=leaves, **kwargs)
+        counter.forks = 0
+        got = outcome(expected_cost_exact, never_called(algorithm), inst, rule, **kwargs)
+        assert got == want, k
+        if not isinstance(got, str):  # one fork per leaf after the first
+            assert counter.forks == len(leaves) - 1, k
+        for cap in (1, 3):
+            capped = outcome(expected_cost_exact, algorithm, inst, rule, max_branches=cap, **kwargs)
+            assert capped == outcome(
+                replay_expected_cost, algorithm, inst, rule, max_branches=cap, **kwargs
+            ), (k, cap)
 
 
 def test_expected_cost_depth_guard():
-    def flips_21_coins(env, rule, rng):
-        for _ in range(21):
-            rng.flip(F(1, 2))
-        return run_oblivious(env)
-
-    inst = gen_lemma4_pair(F(0))[0]
-    for driver in (expected_cost_exact, replay_expected_cost):
+    # 21 independent single-edge components: 21 fair flips on every path
+    inst = gen_independent_pairs(21)
+    for evaluate in (expected_cost_exact, replay_expected_cost):
         with pytest.raises(TooManyBranches) as err:
-            driver(flips_21_coins, inst, FIXED(F(1, 2)))
+            evaluate(algorithm1, inst, FIXED(F(1, 2)))
         assert str(err.value) == "more than 2^20 coin branches"
+
+
+def test_algorithm2_guarantees_at_scale():
+    # the tight cost paths, far past the sizes of the acceptance criteria
+    inst = gen_cost_path(24, F(1, 1000))
+    _, opt = optimum_query_set(inst)
+    assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
+    inst = gen_cost_path(20, F(1, 1000))
+    _, opt = optimum_query_set(inst)
+    s_lo, s_hi = Sqrt3Prob(1, 1).enclosure(F(1, 10 ** 12))  # 1/sqrt(3)
+    lo, hi = expected_cost_exact(algorithm2, inst, SQRT3)
+    assert lo <= hi <= (1 + 4 * s_hi / 3) * opt

@@ -363,6 +363,20 @@ class Instance:
         return Instance(self.delta, self.intervals, None, None, None)
 
 
+def refinement_steps(inst: Instance, i: int) -> tuple[RefinementScript, tuple[Fraction, ...]]:
+    """Item ``i``'s refinement script and the price of each step.
+
+    No script means one step to the value; no time costs mean the flat cost.
+    """
+    script = inst.refinements[i] if inst.refinements is not None else None
+    if script is None:
+        if inst.values is None:
+            raise MissingRealization(f"item {i} has neither a refinement script nor a value")
+        script = (UncertainInterval(inst.values[i], inst.values[i], inst.intervals[i].cost),)
+    prices = inst.time_costs[i] if inst.time_costs is not None else None
+    return script, prices or (inst.intervals[i].cost,) * len(script)
+
+
 def shrink_delta(inst: Instance) -> Instance:
     """Rewrite a positive-threshold instance as an equivalent zero-threshold one.
 

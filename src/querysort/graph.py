@@ -13,9 +13,9 @@ index (or the documented key).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
     Instance,
@@ -32,41 +32,43 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class DependencyGraph:
-    """Undirected graph with vertex weights; edges stored as sorted pairs."""
+    """Undirected graph with vertex weights, stored only as one neighbour set per vertex.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    weights: tuple[Fraction, ...]
-    intervals: Optional[tuple[UncertainInterval, ...]] = None
-    adj: tuple[frozenset[int], ...] = field(init=False)
+    ``edges`` derives the pairs ``(i, j)``, ``i < j``, from ``adj`` on each
+    read.  A plain object: equality is identity.  An environment's graph is
+    narrowed in place by its queries (`QueryEnvironment.graph`).
+    """
 
-    def __post_init__(self):
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for (i, j) in self.edges:
-            if not (0 <= i < j < self.n):
-                raise InvariantViolation(f"bad edge ({i}, {j}) for n={self.n}")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in nbrs))
-        if len(self.weights) != self.n:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], weights: Sequence[Fraction],
+                 intervals: Optional[Sequence[UncertainInterval]] = None):
+        self.n = n
+        self.weights = weights
+        self.intervals = intervals
+        self.adj: list[set[int]] = [set() for _ in range(n)]
+        for (i, j) in edges:
+            if not (0 <= i < j < n):
+                raise InvariantViolation(f"bad edge ({i}, {j}) for n={n}")
+            self.adj[i].add(j)
+            self.adj[j].add(i)
+        if len(weights) != n:
             raise InvariantViolation("weights do not match vertex count")
-        if self.intervals is not None and len(self.intervals) != self.n:
+        if intervals is not None and len(intervals) != n:
             raise InvariantViolation("intervals do not match vertex count")
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, nbrs in enumerate(self.adj) for j in nbrs if i < j)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return v in self.adj[u]
 
     def active_vertices(self) -> tuple[int, ...]:
         """Vertices with at least one edge, ascending."""
         return tuple(v for v in range(self.n) if self.adj[v])
-
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
 
 GraphSource = Union[Instance, KnowledgeState, Sequence[UncertainInterval]]
@@ -90,7 +92,7 @@ def build_graph(source: GraphSource, delta=None) -> DependencyGraph:
         raise InvariantViolation("a threshold is required to build the graph")
     return DependencyGraph(
         n=len(intervals),
-        edges=frozenset(dependent_pairs(intervals, scalar(delta))),
+        edges=dependent_pairs(intervals, scalar(delta)),
         weights=tuple(itv.cost for itv in intervals),
         intervals=tuple(intervals),
     )

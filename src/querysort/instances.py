@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Instance, Scalar, UncertainInterval, interval, scalar
+from .core import Instance, UncertainInterval, interval, scalar
 from .errors import InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .core import (
     dependent,
     dependent_pairs,
     is_trivial,
+    refinement_steps,
     scalar,
     singleton_witness_value,
 )
@@ -229,23 +230,14 @@ def cpcp_brute_force_optimum(
     prefix_cost: list[list[Fraction]] = []
     total = 1
     for i, itv in enumerate(inst.intervals):
-        if inst.refinements is not None and inst.refinements[i] is not None:
-            script = inst.refinements[i]
-        elif inst.values is None:
-            raise MissingRealization(
-                f"item {i} has neither a refinement script nor a value"
-            )
-        else:
-            v = inst.values[i]
-            script = (UncertainInterval(v, v, itv.cost),)
+        script, prices = refinement_steps(inst, i)
         total *= len(script) + 1
         if total > CPCP_ENUMERATION_LIMIT:
             raise TooLarge(
                 f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors"
             )
-        prices = inst.time_costs[i] if inst.time_costs is not None else None
         row = [Fraction(0)]
-        for price in prices or (itv.cost,) * len(script):
+        for price in prices:
             row.append(row[-1] + price)
         steps.append((itv,) + script)
         prefix_cost.append(row)

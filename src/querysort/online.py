@@ -10,12 +10,12 @@ next entry of a nested script of closed intervals ending in the value point;
 the t-th query may have its own price.  An instance without scripts embeds
 into this model as one-step scripts.
 
-Both environments keep the dependency graph of their current intervals,
-and every strategy and witness flush reads it (`QueryEnvironment.graph`).
-A query can only delete edges, and only at the queried vertex, because
-for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo`` and
-``b.hi - a.lo`` can only shrink.  So each query re-tests just that
-vertex's neighbours instead of rebuilding the graph.
+Each environment holds one dependency graph of its current intervals,
+built on first read and then narrowed in place; every strategy and witness
+flush reads it (`QueryEnvironment.graph`).  A query can only delete edges,
+and only at the queried vertex, because for a narrowed interval
+``a' ⊆ a`` both ``a.hi - b.lo`` and ``b.hi - a.lo`` can only shrink.  So
+each query re-tests just that vertex's neighbours.
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  Probabilities are exact rationals, except the square-root-of-three
@@ -51,6 +51,7 @@ from .core import (
     dependent,
     dependent_pairs,
     isqrt_bounds,
+    refinement_steps,
     require_independent,
     scalar,
     singleton_witness_static,
@@ -212,9 +213,9 @@ class QueryEnvironment:
     """What both query models share: current intervals, query counts, spend,
     transcript, and the dependency graph of the current intervals.
 
-    The graph is built on its first read (`dependent_pairs`) and then kept
-    exact: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo`` and
-    ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
+    The one graph is built on its first read (`dependent_pairs`) and then
+    narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
+    and ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
     queried vertex, and re-testing its neighbours is O(degree) work.
     """
 
@@ -224,7 +225,6 @@ class QueryEnvironment:
         self._queried = [0] * instance.n
         self._spent = Fraction(0)
         self.transcript: list[tuple] = []
-        self._adj: Optional[list[set[int]]] = None
         self._graph: Optional[DependencyGraph] = None
 
     @property
@@ -243,16 +243,16 @@ class QueryEnvironment:
         return self._current[i]
 
     def graph(self) -> DependencyGraph:
-        """Dependency graph of the current intervals at the instance threshold."""
-        if self._adj is None:
-            self._adj = [set() for _ in range(self.n)]
-            for i, j in dependent_pairs(self._current, self.delta):
-                self._adj[i].add(j)
-                self._adj[j].add(i)
+        """Dependency graph of the current intervals at the instance threshold.
+
+        Live: every call returns the same object, each query narrows it in
+        place, and its ``intervals`` is this environment's own list.  So a
+        graph, ``adj`` set or ``intervals`` held across a query shows the
+        state after it; copy what must stay fixed (``sorted(...)``) first.
+        """
         if self._graph is None:
-            cur = tuple(self._current)
-            edges = frozenset((i, j) for i, nbrs in enumerate(self._adj) for j in nbrs if i < j)
-            self._graph = DependencyGraph(self.n, edges, tuple(itv.cost for itv in cur), cur)
+            pairs = dependent_pairs(self._current, self.delta)
+            self._graph = DependencyGraph(self.n, pairs, self.instance.costs, self._current)
         return self._graph
 
     def _fork(self) -> "QueryEnvironment":
@@ -261,8 +261,8 @@ class QueryEnvironment:
         twin._current = list(self._current)
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
-        if self._adj is not None:
-            twin._adj = [set(nbrs) for nbrs in self._adj]
+        if self._graph is not None:
+            twin._graph = DependencyGraph(self.n, self._graph.edges, self.instance.costs, twin._current)
         return twin
 
     def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
@@ -271,11 +271,11 @@ class QueryEnvironment:
         self._current[i] = now
         self._spent += charge
         self.transcript.append((i, answer, charge))
-        self._graph = None
-        if self._adj is not None:
-            for j in [j for j in self._adj[i] if not dependent(now, self._current[j], self.delta)]:
-                self._adj[i].remove(j)
-                self._adj[j].remove(i)
+        if self._graph is not None:
+            adj = self._graph.adj
+            for j in [j for j in adj[i] if not dependent(now, self._current[j], self.delta)]:
+                adj[i].remove(j)
+                adj[j].remove(i)
         return answer
 
 
@@ -308,22 +308,13 @@ class CpcpEnvironment(QueryEnvironment):
 
     def __init__(self, instance: Instance):
         super().__init__(instance)
-        self._scripts = list(instance.refinements or (None,) * instance.n)
-        for i, script in enumerate(self._scripts):
-            if script is None:
-                if instance.values is None:
-                    raise MissingRealization(
-                        f"item {i} has neither a refinement script nor a value"
-                    )
-                v = instance.values[i]
-                self._scripts[i] = (UncertainInterval(v, v, instance.intervals[i].cost),)
+        steps = [refinement_steps(instance, i) for i in range(instance.n)]
+        self._scripts = [script for script, _ in steps]
+        self._prices = [prices for _, prices in steps]
 
     def times(self, i: int) -> int:
         """How many queries item ``i`` has received."""
         return self._queried[i]
-
-    def script_length(self, i: int) -> int:
-        return len(self._scripts[i])
 
     def exhausted(self, i: int) -> bool:
         return self._queried[i] >= len(self._scripts[i])
@@ -334,10 +325,7 @@ class CpcpEnvironment(QueryEnvironment):
             raise ScriptExhausted(
                 f"item {i} has only {len(self._scripts[i])} script steps"
             )
-        tc = self.instance.time_costs
-        if tc is not None and tc[i] is not None:
-            return tc[i][t]
-        return self.instance.intervals[i].cost
+        return self._prices[i][t]
 
     def query(self, i: int) -> UncertainInterval:
         t = self._queried[i]
@@ -346,8 +334,7 @@ class CpcpEnvironment(QueryEnvironment):
                 f"item {i}: script ended before the pair resolved"
             )
         entry = self._scripts[i][t]
-        # Keep the original cost on the current interval so graph weights
-        # stay meaningful.
+        # The returned interval keeps the flat cost, as the transcript shows it.
         result = UncertainInterval(entry.lo, entry.hi, self.instance.intervals[i].cost)
         return self._record(i, result, self.step_cost(i, t), result)
 

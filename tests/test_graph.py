@@ -7,6 +7,7 @@ import pytest
 
 from querysort import (
     CoTTFunctions,
+    InvariantViolation,
     NotChordal,
     NotSimplicial,
     NotTree,
@@ -62,6 +63,17 @@ def test_verify_peo():
     tri = build_graph(gen_advice_triangles(1, F(1))[0])
     for order in itertools.permutations(range(3)):
         assert verify_peo(tri, order)  # a clique: every order is a PEO
+
+
+def test_graph_rejects_bad_shapes():
+    ones = (F(1),) * 3
+    for edge in [(1, 1), (2, 1), (-1, 0), (0, 3)]:
+        with pytest.raises(InvariantViolation, match=rf"bad edge \({edge[0]}, {edge[1]}\) for n=3"):
+            DependencyGraph(3, [(0, 1), edge], ones)
+    with pytest.raises(InvariantViolation, match="weights do not match vertex count"):
+        DependencyGraph(3, [(0, 1)], ones[:2])
+    with pytest.raises(InvariantViolation, match="intervals do not match vertex count"):
+        DependencyGraph(3, [(0, 1)], ones, [interval(0, 1)] * 4)
 
 
 def test_peo_min_right_names_the_first_gap():

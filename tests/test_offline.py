@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from querysort import (
+    CpcpEnvironment,
     InvariantViolation,
     MissingRealization,
     TooLarge,
@@ -216,6 +217,16 @@ def test_cpcp_search_matches_scan_on_stalling_family():
     for n, M in [(n, M) for n in range(1, 6) for M in range(1, 5)] + [(6, 4)]:
         inst = gen_cpcp_adversary(n, M)
         assert cpcp_brute_force_optimum(inst) == scan_cpcp_optimum(inst), (n, M)
+
+
+def test_missing_script_is_one_error_from_environment_and_optimum():
+    # 2^25 prefix vectors would trip the guard, but item 0 is refused first.
+    inst = Instance(F(0), tuple(interval(i, i + 2) for i in range(25)))
+    message = "item 0 has neither a refinement script nor a value"
+    with pytest.raises(MissingRealization, match=message):
+        CpcpEnvironment(inst)
+    with pytest.raises(MissingRealization, match=message):
+        cpcp_brute_force_optimum(inst)
 
 
 def test_optimum_requires_values():

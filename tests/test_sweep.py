@@ -15,17 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysort import (
+    HALF,
     CpcpEnvironment,
     Environment,
     Instance,
+    RandomCoin,
     UncertainInterval,
     UnresolvedDependency,
+    algorithm2,
     algorithm3_cpcp,
     build_graph,
     build_permutation,
     dependent,
+    expected_cost_exact,
     feasible_query_set,
     forced_query_set,
+    gen_cost_path,
     optimum_query_set,
     simple_adaptive,
     singleton_witness_static,
@@ -33,7 +38,8 @@ from querysort import (
     valid_permutation,
     vc_adaptive,
 )
-from querysort.online import _flush_value_witnesses, _preprocess_witnesses
+from querysort import online
+from querysort.online import QueryEnvironment, _flush_value_witnesses, _preprocess_witnesses
 
 MAX_N = 250
 
@@ -202,23 +208,79 @@ def test_static_flush_matches_pairwise(inst, refine):
 @settings(max_examples=20, deadline=None)
 @given(st.data(), st.sampled_from([(Environment, False), (CpcpEnvironment, False), (CpcpEnvironment, True)]))
 def test_live_graph_matches_rebuild(data, kind):
-    """After every query the kept graph equals a fresh build, read first after ``first_read`` queries."""
+    """The graph read first after ``first_read`` queries is the one every later
+    read returns, and after every later query it equals a fresh build."""
     make, scripted = kind
     inst = data.draw(instances(scripted=scripted))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     env = make(inst)
     first_read = rng.randint(0, 6)
+    held = None
     for step in range(24):
         if step >= first_read:
             g = env.graph()
-            assert g.edges == build_graph(env.state(), inst.delta).edges
-            assert g.intervals == env.state().current
+            if held is None:
+                held = g
+            assert g is held
+            assert held.edges == build_graph(env.state(), inst.delta).edges
+            assert tuple(held.intervals) == env.state().current
         done = env.exhausted if make is CpcpEnvironment else env.queried
         left = [i for i in range(inst.n) if not done(i)]
         if not left:
             break
         active = [i for i in left if env.graph().adj[i]] if step >= first_read else []
         env.query(rng.choice(active if active and rng.random() < 0.8 else left))
+
+
+def count_graphs(monkeypatch):
+    """Count the dependency graphs the environments build from now on."""
+    built = []
+
+    class Counted(online.DependencyGraph):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(online, "DependencyGraph", Counted)
+    return built
+
+
+def test_one_graph_per_run(monkeypatch):
+    built = count_graphs(monkeypatch)
+    inst = make_instance(7, 120, F(1, 2), 4 * 120 + 1)
+    report = algorithm2(Environment(inst), HALF, rng=RandomCoin(3))
+    assert len(report.transcript) > 10
+    assert built == [inst.n]
+
+
+def test_one_graph_per_fork(monkeypatch):
+    built = count_graphs(monkeypatch)
+    forks = []
+    fork = QueryEnvironment._fork
+    monkeypatch.setattr(QueryEnvironment, "_fork", lambda env: forks.append(1) or fork(env))
+    expected_cost_exact(algorithm2, gen_cost_path(12, F(1, 1000)), HALF)
+    assert len(forks) > 10
+    assert len(built) == 1 + len(forks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_reads_agree(seed):
+    """``has_edge``, membership in ``edges`` and `dependent` agree on every pair,
+    on a built graph and on an environment's graph after some queries."""
+    rng = random.Random(seed)
+    n = (0, 1, 37, MAX_N)[seed]
+    inst = make_instance(seed, n, (F(0), F(1, 2), F(1))[seed % 3], (8, 4 * n + 1)[seed % 2])
+    env = Environment(inst)
+    env.graph()
+    for i in rng.sample(range(n), n // 3):
+        env.query(i)
+    for g in (build_graph(inst), env.graph()):
+        edges = g.edges
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    expect = dependent(g.intervals[u], g.intervals[v], inst.delta)
+                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges) == expect
 
 
 SCALE_N = 200

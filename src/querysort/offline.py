@@ -7,7 +7,10 @@ feasible set (they strictly straddle some other item's value by more than
 the threshold), and what remains is a minimum-cost vertex cover on a chordal
 graph -- so the exact optimum is polynomial.
 
-`brute_force_optimum` recomputes the optimum by plain 2^n enumeration; it
+`canonical_optimum` finds the one optimum the advice oracle answers about,
+the smallest minimizer by sorted index tuple, greedily over the indices
+with one constrained vertex cover per step.  `brute_force_optimum`
+recomputes the optimum and every minimizer by plain 2^n enumeration; it
 exists to ground-truth everything else and is deliberately unclever.
 `cpcp_brute_force_optimum` is the refinement-model optimum, found by a
 pruned depth-first search over script-prefix vectors; the plain scan of
@@ -32,7 +35,7 @@ from .core import (
     singleton_witness_value,
 )
 from .errors import MissingRealization, TooLarge
-from .graph import DependencyGraph, build_graph, min_cost_vertex_cover
+from .graph import DependencyGraph, build_graph, components, min_cost_vertex_cover
 
 #: Guard for the 2^n subset enumeration.
 BRUTE_FORCE_LIMIT = 20
@@ -113,6 +116,59 @@ def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
         (inst.intervals[v].cost for v in chosen), start=Fraction(0)
     )
     return chosen, cost
+
+
+def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
+    """`brute_force_optimum`'s cost and first minimizer, in polynomial time.
+
+    A set is feasible exactly when it holds the forced set F and covers every
+    edge of H, the dependency graph on the unforced vertices (see
+    `optimum_query_set`).  The smallest minimizer by sorted index tuple is
+    built over v = 0, 1, ...: stop once the kept set is feasible; otherwise
+    keep v when some optimum holds the kept set and v and avoids every
+    vertex left out, else leave v out (a vertex of F is always kept).  A
+    feasible kept set is a minimizer and a proper prefix of every other
+    minimizer that agrees with it, so the stop test comes first (a zero-cost
+    v would pass the keep test).
+
+    A left-out vertex forces its H-neighbours into the cover, so the test
+    for v is one minimum-cost cover of what remains of v's component of H --
+    an induced subgraph, so still chordal.  Other components are untouched
+    by it, and each keeps its own optimum.
+    """
+    forced = forced_query_set(inst)
+    costs = inst.costs
+    pairs = dependent_pairs(inst.intervals, inst.delta)
+    h = DependencyGraph(inst.n, ((i, j) for i, j in pairs if i not in forced and j not in forced),
+                        costs, inst.intervals)
+    kept: set[int] = set()
+    left_out: set[int] = set()
+
+    def cover_cost(comp: list[int], extra: Optional[int]) -> Fraction:
+        """Cheapest cover of H on ``comp`` holding ``kept``, ``extra`` and every
+        neighbour of a left-out vertex, and avoiding the left-out ones."""
+        must = [u for u in comp if u in kept or u == extra or h.adj[u] & left_out]
+        free = [u for u in comp if u not in must and u not in left_out]
+        sub = build_graph([inst.intervals[u] for u in free], inst.delta)
+        cover = [free[k] for k in min_cost_vertex_cover(sub)]
+        return sum((costs[u] for u in must + cover), start=Fraction(0))
+
+    comps = components(h)
+    best = [cover_cost(comp, None) for comp in comps]
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    uncovered = sum(len(nbrs) for nbrs in h.adj) // 2
+    missing = len(forced)
+    for v in range(inst.n):
+        if not missing and not uncovered:
+            break
+        if v in forced:
+            missing -= 1
+        elif cover_cost(comps[comp_of[v]], v) != best[comp_of[v]]:
+            left_out.add(v)
+            continue
+        uncovered -= len(h.adj[v] - kept)
+        kept.add(v)
+    return sum((costs[v] for v in kept), start=Fraction(0)), frozenset(kept)
 
 
 def brute_force_optimum(

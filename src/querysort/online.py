@@ -73,7 +73,7 @@ from .graph import (
     longest_path_caterpillar,
     min_cost_vertex_cover,
 )
-from .offline import brute_force_optimum, oblivious_query_set
+from .offline import canonical_optimum, oblivious_query_set
 
 # ---------------------------------------------------------------------------
 # Probabilities and coins
@@ -262,7 +262,8 @@ class QueryEnvironment:
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
         if self._graph is not None:
-            twin._graph = DependencyGraph(self.n, self._graph.edges, self.instance.costs, twin._current)
+            twin._graph = DependencyGraph(self.n, (), self.instance.costs, twin._current)
+            twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
         return twin
 
     def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
@@ -477,7 +478,7 @@ def simple_adaptive(env: Environment) -> RunReport:
     witness_sets: list[frozenset[int]] = []
     while True:
         g = env.graph()
-        if not g.edges:
+        if not any(g.adj):
             break
         i, j = min(g.edges)
         batch = [k for k in (i, j) if not env.queried(k)]
@@ -594,7 +595,11 @@ def algorithm1(
 
 
 def _algorithm1_start(env: Environment, rule: ProbabilityRule, preprocess: bool = True) -> None:
-    """Validate the rule and the costs, then run the optional warm-up."""
+    """Validate the environment, the rule and the costs, then run the optional warm-up."""
+    if not isinstance(env, Environment):
+        raise InvariantViolation(
+            "this strategy runs on an Environment (each query reveals a value)"
+        )
     if rule.kind != "fixed":
         raise InvariantViolation("this strategy takes a fixed coin bias")
     costs = env.instance.costs
@@ -609,7 +614,7 @@ def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> O
     delta = env.delta
     while True:
         g = env.graph()
-        if not g.edges:
+        if not any(g.adj):
             return None
         pairs = [c for c in components(g) if len(c) == 2]
         if pairs:
@@ -719,7 +724,7 @@ def _algorithm2_trial(env: Environment, rule: ProbabilityRule, state) -> Optiona
     residual, frozen_paths = state
     while True:
         g = env.graph()
-        if not g.edges:
+        if not any(g.adj):
             return None
         active = g.active_vertices()
         zeros = [v for v in active if residual[v] == 0]
@@ -800,7 +805,7 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
 
     while True:
         g = env.graph()
-        if not g.edges:
+        if not any(g.adj):
             break
         active = g.active_vertices()
         # Post-flush, every active vertex is a genuine interval with script
@@ -832,17 +837,16 @@ def _ceil_log2(m: int) -> int:
 class AdviceOracle:
     """Answers questions about one fixed optimum query set.
 
-    The reference set is the canonical (lexicographically smallest)
-    minimizer from exhaustive enumeration, fixed for the oracle's lifetime,
-    so all answers are mutually consistent.  Question cost is information:
+    The reference set is the canonical minimizer (smallest by sorted index
+    tuple, as `brute_force_optimum` lists it first), found in polynomial
+    time by `canonical_optimum` and fixed for the oracle's lifetime, so all
+    answers are mutually consistent.  Question cost is information:
     a question with k possible answers adds log2(k); `bits_used` reports
     the exact ceiling of the running total via the product of sizes.
     """
 
     def __init__(self, instance: Instance):
-        cost, minimizers = brute_force_optimum(instance)
-        self.optimum_cost = cost
-        self.optimum_set = minimizers[0]
+        self.optimum_cost, self.optimum_set = canonical_optimum(instance)
         self.question_sizes: list[int] = []
 
     def ask_membership(self, j: int) -> bool:
@@ -885,7 +889,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> RunReport:
     known_out: set[int] = set()
     while True:
         g = env.graph()
-        if not g.edges:
+        if not any(g.adj):
             break
         triangle = find_triangle(g)
         if triangle is not None:
@@ -941,7 +945,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
     known_out: set[int] = set()
     while True:
         g = env.graph()
-        if not g.edges:
+        if not any(g.adj):
             break
         iv = g.intervals
         active = g.active_vertices()
@@ -1041,7 +1045,8 @@ def expected_cost_exact(
                 outcome = False
             (heads if outcome else tails)(env)
             _flush_value_witnesses(env)
-        require_independent(env._current, env.delta)
+        if any(env.graph().adj):
+            raise InvariantViolation("a coin-tree leaf still has a dependent pair")
         leaves += 1
         if leaves > max_branches:
             raise TooManyBranches(f"more than {max_branches} branches")

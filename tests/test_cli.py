@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from querysort import (
     gen_triangle_chain,
     serialize,
 )
+import querysort
 from querysort.cli import main
 
 STRATEGIES = ("oblivious", "simple", "stable_sort", "vc", "alg1", "alg2", "alg3", "advice_half", "advice_lg3")
@@ -314,6 +319,14 @@ def test_ratio_advice_bits_column(capsys, argv, strategy, instances):
     assert "bound=1" in out and "status=OK" in out
 
 
+@pytest.mark.parametrize("strategy", ["advice_half", "advice_lg3"])
+def test_ratio_advice_past_the_brute_force_guard(capsys, strategy):
+    # n = 22 is past brute force's 2^20 guard; the advice oracle needs no enumeration
+    assert main(["ratio", strategy, "random", "--n", "22", "--trials", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "status=OK" in out
+
+
 def test_ratio_rejects_valueless_family(capsys):
     assert main(["ratio", "simple", "asteroid"]) == 2  # not offered as a choice
 
@@ -486,6 +499,15 @@ def test_tables_call_through_module_globals(tmp_path, capsys, monkeypatch, argv,
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(querysort.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "querysort", "ratio", "simple", "lemma4"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("instance,algorithm,") and "status=OK" in done.stdout
 
 
 def test_help_exits_cleanly(capsys):

@@ -18,11 +18,14 @@ from querysort import (
     TooLarge,
     UncertainInterval,
     brute_force_optimum,
+    canonical_optimum,
     cpcp_brute_force_optimum,
     feasible_query_set,
     fig1_instance,
     forced_query_set,
+    gen_advice_triangles,
     gen_cpcp_adversary,
+    gen_independent_pairs,
     gen_lemma4_pair,
     gen_nested_star,
     gen_random,
@@ -90,6 +93,42 @@ def test_optimum_equals_brute_force():
         assert keys[0] == min(keys)
         for m in minimizers:
             assert feasible_query_set(inst, m)
+
+
+def with_costs(inst, rng):
+    """``inst`` with each cost kept, zeroed, or redrawn as a multiple of 1/3."""
+    ivs = tuple(
+        UncertainInterval(itv.lo, itv.hi, rng.choice((F(0), itv.cost, F(rng.randint(1, 6), 3))))
+        for itv in inst.intervals
+    )
+    return Instance(inst.delta, ivs, inst.values)
+
+
+def test_canonical_optimum_matches_brute_force():
+    """Cost and first minimizer, exactly, on 630 seeded instances and two
+    structured families; a third of the random ones have zero costs."""
+    rng = random.Random(9)
+    cases = []
+    for s in range(630):
+        inst = gen_random(s, 1 + s % 14, (F(0), F(1, 2), F(1))[s % 3],
+                          cost_model=("uniform", "rational-range")[s % 2],
+                          value_model=("uniform-in-interval", "endpoint-biased")[s // 2 % 2])
+        cases.append(with_costs(inst, rng) if s // 3 % 3 == 0 else inst)
+    for m in range(1, 7):
+        cases += [gen_independent_pairs(m), gen_independent_pairs(m, F(1, 2))]
+    for m in range(1, 5):
+        cases += gen_advice_triangles(m, F(1))
+    for k, inst in enumerate(cases):
+        cost, minimizers = brute_force_optimum(inst)
+        assert canonical_optimum(inst) == (cost, minimizers[0]), k
+
+
+def test_canonical_optimum_past_the_brute_force_guard():
+    inst = gen_independent_pairs(BRUTE_FORCE_LIMIT)
+    cost, chosen = canonical_optimum(inst)
+    assert cost == optimum_query_set(inst)[1] == BRUTE_FORCE_LIMIT
+    assert feasible_query_set(inst, chosen)
+    assert canonical_optimum(Instance(F(0), (), ())) == (0, frozenset())
 
 
 def test_brute_force_guard():

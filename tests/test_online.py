@@ -51,6 +51,7 @@ from querysort import (
     valid_permutation,
     vc_adaptive,
 )
+from querysort import offline, online
 from querysort.core import Instance
 from querysort.graph import build_graph
 from querysort.online import _ENCLOSURE_PRECISION, _MAX_COIN_DEPTH, QueryEnvironment, Sqrt3Prob
@@ -226,6 +227,16 @@ def test_algorithm1_rejects_weight_rules():
         algorithm1(Environment(fig1_instance("a")), HALF, rng=RandomCoin(0))
 
 
+def test_algorithm1_refuses_a_refinement_environment():
+    """Its steps read a query's answer as a value, which only `Environment` returns."""
+    for s in range(4):
+        inst = gen_random(s, 6, F(0))
+        with pytest.raises(InvariantViolation, match="runs on an Environment"):
+            algorithm1(CpcpEnvironment(inst), FIXED(F(1, 2)), rng=RandomCoin(0))
+        with pytest.raises(InvariantViolation, match="runs on an Environment"):
+            expected_cost_exact(algorithm1, inst, FIXED(F(1, 2)), env_factory=CpcpEnvironment)
+
+
 def test_algorithm1_expected_lemma4():
     for d in (F(0), F(2), F(5)):
         a, b = gen_lemma4_pair(d)
@@ -378,6 +389,20 @@ def test_advice_lg3_single_edge_one_bit():
     assert rep.total_cost == 1
 
 
+def test_advice_oracle_never_enumerates(monkeypatch):
+    """The oracle's optimum comes from `canonical_optimum`, not the 2^n scan."""
+    def refuse(inst):
+        raise AssertionError("brute_force_optimum called")
+
+    monkeypatch.setattr(offline, "brute_force_optimum", refuse)
+    assert not hasattr(online, "brute_force_optimum")
+    for s in range(30):
+        inst = gen_random(s, 2 + s % 8, F(0), value_model="generic")
+        opt = optimum_query_set(inst)[1]
+        for strategy in (advice_half, advice_lg3):
+            assert strategy(Environment(inst), AdviceOracle(inst)).total_cost == opt, s
+
+
 # ---------------------------------------------------------------------------
 # Expected-cost evaluator
 # ---------------------------------------------------------------------------
@@ -413,6 +438,7 @@ def test_fork_is_independent():
     for copy in (env, twin):
         rebuilt = build_graph(Instance(inst.delta, copy.state().current, inst.values))
         assert copy.graph().edges == rebuilt.edges
+        assert copy.graph().intervals is copy._current
 
 
 def test_expected_cost_refuses_other_strategies_and_rules():

@@ -1,5 +1,6 @@
 """Differential tests: the sort-and-sweep paths and the environments' live
-graph against pairwise references, and the proven ratios at n = 200.
+graph against pairwise references, and the proven ratios and advice
+budgets at n = 200.
 
 The references below are the plain all-pairs scans the swept code replaced.
 They live only here.  Instances reach n = 250 and mix points, trivial
@@ -16,12 +17,15 @@ from hypothesis import strategies as st
 
 from querysort import (
     HALF,
+    AdviceOracle,
     CpcpEnvironment,
     Environment,
     Instance,
     RandomCoin,
     UncertainInterval,
     UnresolvedDependency,
+    advice_half,
+    advice_lg3,
     algorithm2,
     algorithm3_cpcp,
     build_graph,
@@ -39,6 +43,7 @@ from querysort import (
     vc_adaptive,
 )
 from querysort import online
+from querysort.instances import _generic_position_ok
 from querysort.online import QueryEnvironment, _flush_value_witnesses, _preprocess_witnesses
 
 MAX_N = 250
@@ -297,3 +302,32 @@ def test_proven_ratios_at_scale(seed, delta):
     assert opt > 0
     assert vc_adaptive(Environment(inst)).total_cost <= 2 * opt
     assert algorithm3_cpcp(CpcpEnvironment(inst)).total_cost <= 2 * opt
+
+
+def generic_shift(inst):
+    """``inst`` with item ``i``'s interval and value moved right by ``i / 10^5``.
+
+    `make_instance` puts values on a 1/8 grid and endpoints on a 1/2 grid,
+    and no two shifts differ by 1/8 at n <= 250, so afterwards no value
+    equals another item's value or endpoint: generic position at threshold 0.
+    """
+    shift = [F(i, 10 ** 5) for i in range(inst.n)]
+    ivs = tuple(UncertainInterval(a.lo + d, a.hi + d, a.cost) for a, d in zip(inst.intervals, shift))
+    return Instance(inst.delta, ivs, tuple(v + d for v, d in zip(inst.values, shift)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_advice_at_scale(seed):
+    """Both advice strategies spend exactly the optimum at n = 200, within their bit budgets."""
+    half = generic_shift(make_instance(seed, SCALE_N, F(0), 4 * SCALE_N + 1))
+    assert _generic_position_ok(half.values, half.intervals, F(0))
+    report = advice_half(Environment(half), AdviceOracle(half))
+    assert report.total_cost == optimum_query_set(half)[1]
+    assert report.advice_bits <= SCALE_N // 2
+    inst = make_instance(seed, SCALE_N, (F(0), F(1, 2), F(1))[seed], 4 * SCALE_N + 1)
+    report = advice_lg3(Environment(inst), AdviceOracle(inst))
+    assert report.total_cost == optimum_query_set(inst)[1] > 0
+    budget = 0  # ceil(n lg 3 / 3): the smallest b with 8^b >= 3^n
+    while 8 ** budget < 3 ** SCALE_N:
+        budget += 1
+    assert report.advice_bits <= budget

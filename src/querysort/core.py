@@ -9,7 +9,11 @@ queries should cost as little as possible.
 All numbers are exact rationals (`fractions.Fraction`).  Floats are rejected
 at the boundary: binary floating point silently misrepresents values such as
 0.1, and the comparisons below (strict versus non-strict by exactly zero
-margin) are meaningful only under exact arithmetic.
+margin) are meaningful only under exact arithmetic.  Pair tests run on an
+integer grid: each instance scales its threshold, endpoints, values and
+script entries by the lcm of their denominators once (`Instance.grid`), which
+keeps every comparison exact, and `sweep_pairs` compares those ints.  Costs,
+spend and transcripts stay `Fraction`.
 
 Vocabulary used throughout the package:
 
@@ -29,9 +33,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from math import lcm
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -161,23 +167,68 @@ def dependent(a: UncertainInterval, b: UncertainInterval, delta: Fraction) -> bo
     return a.hi - b.lo > delta and b.hi - a.lo > delta
 
 
+def on_grid(x: Fraction, scale: int) -> int:
+    """``x * scale`` as an int.  Raises `InvariantViolation` unless ``scale`` is a
+    multiple of ``x``'s denominator: rounding could flip a comparison."""
+    steps, rest = divmod(scale, x.denominator)
+    if rest:
+        raise InvariantViolation(f"{x} is not on the integer grid of step 1/{scale}")
+    return x.numerator * steps
+
+
+class Grid(NamedTuple):
+    """Numbers as ints: each one is the rational times ``scale``, the lcm of
+    their denominators, so every comparison between them is exact."""
+
+    scale: int
+    delta: int
+    los: tuple[int, ...]
+    his: tuple[int, ...]
+    values: Optional[tuple[int, ...]]
+
+
+def to_grid(delta: Fraction, intervals: Sequence[UncertainInterval],
+            values: Optional[Sequence[Fraction]] = None, extra: Iterable[UncertainInterval] = ()) -> Grid:
+    """``delta``, the endpoints and the values on one grid, whose scale also
+    covers the endpoints of the ``extra`` intervals."""
+    scale = lcm(delta.denominator, *{x.denominator for itv in (*intervals, *extra) for x in (itv.lo, itv.hi)},
+                *{v.denominator for v in values or ()})
+    return Grid(scale, on_grid(delta, scale), tuple(on_grid(itv.lo, scale) for itv in intervals),
+                tuple(on_grid(itv.hi, scale) for itv in intervals),
+                None if values is None else tuple(on_grid(v, scale) for v in values))
+
+
+def sweep_pairs(
+    los: Sequence[int], his: Sequence[int], d: int, vertices: Optional[Iterable[int]] = None
+) -> Iterator[tuple[int, int]]:
+    """Every dependent pair ``(i, j)``, ``i < j``, among ``vertices`` (all by default),
+    in no particular order, from endpoints and threshold on one integer grid.
+
+    A sort-and-sweep by ``(lo, index)``: a later ``b`` can only be dependent on
+    ``a`` when ``b.lo < a.hi - d``, which makes ``a.hi - b.lo > d``; so each
+    vertex meets only the later ones that start before that bound, and only
+    ``b.hi - a.lo > d`` is left to test.
+    """
+    order = sorted(range(len(los)) if vertices is None else sorted(vertices), key=los.__getitem__)
+    starts = [los[k] for k in order]
+    for p, i in enumerate(order):
+        reach = los[i] + d
+        for j in order[p + 1:bisect_left(starts, his[i] - d, p + 1)]:
+            if his[j] > reach:
+                yield (i, j) if i < j else (j, i)
+
+
 def dependent_pairs(
     items: Sequence[UncertainInterval], delta: Fraction
 ) -> Iterator[tuple[int, int]]:
     """Every dependent pair ``(i, j)`` with ``i < j``, in no particular order.
 
-    A sort-and-sweep: ``a`` and a later-starting ``b`` can only be dependent
-    when ``b.lo < a.hi - delta``.  So, with the items sorted by
-    ``(lo, index)``, each one is tested with `dependent` only against the
-    later items that start before that bound.
+    Puts ``items`` and ``delta`` on their own integer grid and runs
+    `sweep_pairs`; `Instance.grid` keeps that grid for an instance's own
+    intervals.
     """
-    order = sorted(range(len(items)), key=lambda k: (items[k].lo, k))
-    los = [items[k].lo for k in order]
-    for p, i in enumerate(order):
-        a = items[i]
-        for j in order[p + 1:bisect_left(los, a.hi - delta, p + 1)]:
-            if dependent(a, items[j], delta):
-                yield (i, j) if i < j else (j, i)
+    grid = to_grid(scalar(delta), items)
+    return sweep_pairs(grid.los, grid.his, grid.delta)
 
 
 def require_independent(
@@ -344,6 +395,16 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.intervals)
+
+    @cached_property
+    def grid(self) -> Grid:
+        """This instance on its integer grid, computed on first read and kept.
+
+        The scale covers the threshold, every endpoint, every value and every
+        refinement-script entry; costs stay `Fraction` and take no part.
+        """
+        scripted = [entry for script in self.refinements or () if script for entry in script]
+        return to_grid(self.delta, self.intervals, self.values, scripted)
 
     @property
     def costs(self) -> tuple[Fraction, ...]:

@@ -158,7 +158,7 @@ def gen_random_scripted(seed: int, n: int, delta, max_steps: int = 4) -> Instanc
     time_costs: list[Optional[tuple[Fraction, ...]]] = []
     any_script = False
     for i, itv in enumerate(ivs):
-        if rng.random() < 0.3:
+        if rng.random() < Fraction(3, 10):
             refinements.append(None)
             time_costs.append(None)
             continue
@@ -172,7 +172,7 @@ def gen_random_scripted(seed: int, n: int, delta, max_steps: int = 4) -> Instanc
             entries.append(UncertainInterval(lo, hi, itv.cost))
         entries.append(UncertainInterval(values[i], values[i], itv.cost))
         refinements.append(tuple(entries))
-        if rng.random() < 0.5:
+        if rng.random() < Fraction(1, 2):
             time_costs.append(tuple(Fraction(rng.randint(0, 8), 2) for _ in entries))
         else:
             time_costs.append(None)

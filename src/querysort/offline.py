@@ -28,11 +28,11 @@ from .core import (
     KnowledgeState,
     UncertainInterval,
     dependent,
-    dependent_pairs,
     is_trivial,
     refinement_steps,
     scalar,
     singleton_witness_value,
+    sweep_pairs,
 )
 from .errors import MissingRealization, TooLarge
 from .graph import DependencyGraph, build_graph, components, min_cost_vertex_cover
@@ -51,16 +51,18 @@ def forced_query_set(inst: Instance) -> frozenset[int]:
     item's value by more than the threshold: even after everything else is
     known, ``j`` still blocks a safe ordering.  So ``j`` is forced exactly
     when ``(lo + delta, hi - delta)`` holds a value besides its own, counted
-    by bisecting the sorted values.
+    by bisecting the sorted values.  All of it reads the instance's integer
+    grid (`Instance.grid`).
     """
     if inst.values is None:
         raise MissingRealization("the forced set needs the hidden values")
-    delta = inst.delta
-    vals = sorted(inst.values)
+    grid = inst.grid
+    d = grid.delta
+    vals = sorted(grid.values)
     forced = set()
-    for j, itv in enumerate(inst.intervals):
-        inside = bisect_left(vals, itv.hi - delta) - bisect_right(vals, itv.lo + delta)
-        if singleton_witness_value(itv, inst.values[j], delta):
+    for j, (lo, hi, v) in enumerate(zip(grid.los, grid.his, grid.values)):
+        inside = bisect_left(vals, hi - d) - bisect_right(vals, lo + d)
+        if lo + d < v < hi - d:
             inside -= 1
         if inside > 0:
             forced.add(j)
@@ -88,13 +90,10 @@ def feasible_query_set(inst: Instance, query_set) -> bool:
     if inst.values is None:
         raise MissingRealization("feasibility needs the hidden values")
     chosen = set(query_set)
-    cur = [
-        UncertainInterval(inst.values[i], inst.values[i], itv.cost)
-        if i in chosen
-        else itv
-        for i, itv in enumerate(inst.intervals)
-    ]
-    return next(dependent_pairs(cur, inst.delta), None) is None
+    grid = inst.grid
+    los = [grid.values[i] if i in chosen else lo for i, lo in enumerate(grid.los)]
+    his = [grid.values[i] if i in chosen else hi for i, hi in enumerate(grid.his)]
+    return next(sweep_pairs(los, his, grid.delta), None) is None
 
 
 def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
@@ -107,15 +106,19 @@ def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
     vertex cover of the dependency graph induced on the unforced vertices.
     """
     forced = forced_query_set(inst)
-    rest = [v for v in range(inst.n) if v not in forced]
-    sub_intervals = tuple(inst.intervals[v] for v in rest)
-    sub = build_graph(sub_intervals, inst.delta)
-    cover = min_cost_vertex_cover(sub)
-    chosen = frozenset(forced | {rest[k] for k in cover})
+    chosen = forced | frozenset(min_cost_vertex_cover(_unforced_graph(inst, forced)))
     cost = sum(
         (inst.intervals[v].cost for v in chosen), start=Fraction(0)
     )
     return chosen, cost
+
+
+def _unforced_graph(inst: Instance, forced: frozenset[int]) -> DependencyGraph:
+    """The dependency graph on the unforced vertices; forced ones stay, isolated."""
+    grid = inst.grid
+    rest = (v for v in range(inst.n) if v not in forced)
+    return DependencyGraph(inst.n, sweep_pairs(grid.los, grid.his, grid.delta, rest),
+                           inst.costs, inst.intervals)
 
 
 def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
@@ -138,9 +141,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
     """
     forced = forced_query_set(inst)
     costs = inst.costs
-    pairs = dependent_pairs(inst.intervals, inst.delta)
-    h = DependencyGraph(inst.n, ((i, j) for i, j in pairs if i not in forced and j not in forced),
-                        costs, inst.intervals)
+    h = _unforced_graph(inst, forced)
     kept: set[int] = set()
     left_out: set[int] = set()
 

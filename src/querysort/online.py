@@ -15,7 +15,9 @@ built on first read and then narrowed in place; every strategy and witness
 flush reads it (`QueryEnvironment.graph`).  A query can only delete edges,
 and only at the queried vertex, because for a narrowed interval
 ``a' ⊆ a`` both ``a.hi - b.lo`` and ``b.hi - a.lo`` can only shrink.  So
-each query re-tests just that vertex's neighbours.
+each query re-tests just that vertex's neighbours.  Those tests, and the
+witness tests of the flushes, compare the current endpoints on the
+instance's integer grid (`Instance.grid`).
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  Probabilities are exact rationals, except the square-root-of-three
@@ -49,13 +51,12 @@ from .core import (
     UncertainInterval,
     build_permutation,
     dependent,
-    dependent_pairs,
     isqrt_bounds,
+    on_grid,
     refinement_steps,
     require_independent,
     scalar,
-    singleton_witness_static,
-    singleton_witness_value,
+    sweep_pairs,
 )
 from .errors import (
     DeltaNotZero,
@@ -213,7 +214,11 @@ class QueryEnvironment:
     """What both query models share: current intervals, query counts, spend,
     transcript, and the dependency graph of the current intervals.
 
-    The one graph is built on its first read (`dependent_pairs`) and then
+    ``_lo`` and ``_hi`` hold the current endpoints on the instance's integer
+    grid, beside the `Fraction` intervals in ``_current``; every pair and
+    witness test reads them.  Spend and transcript stay `Fraction`.
+
+    The one graph is built on its first read (`sweep_pairs`) and then
     narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
     and ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
     queried vertex, and re-testing its neighbours is O(degree) work.
@@ -221,7 +226,10 @@ class QueryEnvironment:
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        self._grid = instance.grid
         self._current = list(instance.intervals)
+        self._lo = list(self._grid.los)
+        self._hi = list(self._grid.his)
         self._queried = [0] * instance.n
         self._spent = Fraction(0)
         self.transcript: list[tuple] = []
@@ -251,7 +259,7 @@ class QueryEnvironment:
         state after it; copy what must stay fixed (``sorted(...)``) first.
         """
         if self._graph is None:
-            pairs = dependent_pairs(self._current, self.delta)
+            pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
             self._graph = DependencyGraph(self.n, pairs, self.instance.costs, self._current)
         return self._graph
 
@@ -259,6 +267,8 @@ class QueryEnvironment:
         """An independent copy: querying either one leaves the other unchanged."""
         twin = copy.copy(self)
         twin._current = list(self._current)
+        twin._lo = list(self._lo)
+        twin._hi = list(self._hi)
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
         if self._graph is not None:
@@ -268,13 +278,16 @@ class QueryEnvironment:
 
     def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
         """Narrow item ``i`` to ``now``, charge the query, and return ``answer``."""
+        scale, d = self._grid.scale, self._grid.delta
+        lo, hi = on_grid(now.lo, scale), on_grid(now.hi, scale)
         self._queried[i] += 1
         self._current[i] = now
+        self._lo[i], self._hi[i] = lo, hi
         self._spent += charge
         self.transcript.append((i, answer, charge))
         if self._graph is not None:
             adj = self._graph.adj
-            for j in [j for j in adj[i] if not dependent(now, self._current[j], self.delta)]:
+            for j in [j for j in adj[i] if not (hi - self._lo[j] > d and self._hi[j] - lo > d)]:
                 adj[i].remove(j)
                 adj[j].remove(i)
         return answer
@@ -396,18 +409,17 @@ def _finish(env: QueryEnvironment, rng=None, **extra) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _flush(env: QueryEnvironment, witness: Callable[[UncertainInterval, UncertainInterval], bool]) -> list[int]:
+def _flush(env: QueryEnvironment, witness: Callable[[int, int], bool]) -> list[int]:
     """Query the smallest witness, round after round, until none is left.
 
-    Vertex ``i`` is a witness when ``witness(current i, current j)`` holds for
-    a neighbour ``j``.  Narrowing an interval keeps every containment and
-    every point neighbour, so a vertex stops being a witness only when it is
-    queried, and becomes one only at or next to a queried vertex: after one
-    full scan, each round re-tests just those.
+    Vertex ``i`` is a witness when ``witness(i, j)``, a test on the grid
+    endpoints, holds for a neighbour ``j``.  Narrowing an interval keeps every
+    containment and every point neighbour, so a vertex stops being a witness
+    only when it is queried, and becomes one only at or next to a queried
+    vertex: after one full scan, each round re-tests just those.
     """
     def witnessed(i: int) -> bool:
-        g = env.graph()
-        return any(witness(g.intervals[i], g.intervals[j]) for j in g.adj[i])
+        return any(witness(i, j) for j in env.graph().adj[i])
 
     pending = [i for i in env.graph().active_vertices() if witnessed(i)]
     done: list[int] = []
@@ -427,12 +439,13 @@ def _flush_value_witnesses(env: QueryEnvironment) -> list[int]:
     Such an interval belongs to every feasible query set, so querying it
     immediately is always safe.  Known values are the current points, and
     ``singleton_witness_value(a, v, delta)`` is ``dependent(a, [v, v], delta)``,
-    so a value witness is exactly a non-point vertex of the environment's
-    graph with a point neighbour.  Each round picks the smallest one, and
-    newly revealed values may force further queries.  After this returns,
-    every point is isolated in the dependency graph.
+    so a value witness is exactly a vertex of the environment's graph with a
+    point neighbour (two points are never dependent).  Each round picks the
+    smallest one, and newly revealed values may force further queries.
+    After this returns, every point is isolated in the dependency graph.
     """
-    return _flush(env, lambda a, b: b.is_point and not a.is_point)
+    lo, hi = env._lo, env._hi
+    return _flush(env, lambda i, j: lo[j] == hi[j])
 
 
 def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
@@ -446,8 +459,8 @@ def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
     model an item may be queried several times in a row while its
     refinements keep straddling.
     """
-    delta = env.delta
-    return _flush(env, lambda a, b: singleton_witness_static(a, b, delta))
+    lo, hi, d = env._lo, env._hi, env._grid.delta
+    return _flush(env, lambda i, j: lo[i] + d < lo[j] and hi[i] > hi[j] + d)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +624,6 @@ def _algorithm1_start(env: Environment, rule: ProbabilityRule, preprocess: bool 
 
 def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> Optional[tuple]:
     """Run `algorithm1`'s deterministic steps up to its next single-edge flip."""
-    delta = env.delta
     while True:
         g = env.graph()
         if not any(g.adj):
@@ -635,10 +647,9 @@ def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> O
                 (w for w in g.adj[y] if w != x),
                 key=lambda w: (iv[w].hi, w),
             )
-        revealed = env.query(y)
-        if singleton_witness_value(env.current(x), revealed, delta) or dependent(
-            env.current(x), env.current(z), delta
-        ):
+        env.query(y)
+        # the live graph keeps x-y exactly when x straddles y's revealed value
+        if g.has_edge(x, y) or g.has_edge(x, z):
             env.query(x)
             env.query(z)
         _flush_value_witnesses(env)
@@ -647,8 +658,8 @@ def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> O
 def _query_pair(first: int, second: int) -> Callable[[QueryEnvironment], None]:
     """Query ``first``, then ``second`` only if the revealed value forces it."""
     def action(env: QueryEnvironment) -> None:
-        revealed = env.query(first)
-        if singleton_witness_value(env.current(second), revealed, env.delta):
+        env.query(first)
+        if env.graph().has_edge(first, second):
             env.query(second)
 
     return action

@@ -27,6 +27,7 @@ from querysort import (
     singleton_witness_value,
     valid_permutation,
 )
+from querysort.core import on_grid
 
 # Small exact rationals for property tests.
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -207,6 +208,30 @@ def test_instance_script_validation():
             refinements=((UncertainInterval(F(4), F(4)),),),
             time_costs=((F(1), F(1)),),
         )
+
+
+def test_instance_grid():
+    """One scale for the threshold, the endpoints, the values and the script
+    entries; costs take no part in it."""
+    inst = Instance(
+        F(1, 3),
+        (interval(0, "5/2", "1/11"), interval("1/7", 4)),
+        (F(1), F(2)),
+        refinements=(None, (interval("1/5", 3), interval(2, 2))),
+    )
+    grid = inst.grid
+    assert grid.scale == 3 * 2 * 7 * 5
+    assert grid.delta == 70
+    assert grid.los == (0, 30) and grid.his == (525, 840) and grid.values == (210, 420)
+    assert inst.grid is grid
+    assert inst.without_values().grid.values is None
+
+
+def test_on_grid_never_rounds():
+    assert on_grid(F(5, 6), 12) == 10
+    assert on_grid(F(-3), 7) == -21
+    with pytest.raises(InvariantViolation, match="not on the integer grid"):
+        on_grid(F(1, 7), 12)
 
 
 def test_instance_helpers():

@@ -1,8 +1,12 @@
-"""Source hygiene checks that need no linter: every import in a module is used.
+"""Source hygiene checks that need no linter.
 
-``__init__.py`` is left out (its imports are the package's re-exports), and
-so is ``from __future__``.  A name counts as used when it appears as a
-name anywhere in the module.
+Every import in a module is used: ``__init__.py`` is left out (its imports
+are the package's re-exports), and so is ``from __future__``.  A name counts
+as used when it appears as a name anywhere in the module.
+
+No float enters the library: no module but ``cli.py``, which prints ``~``
+approximations next to exact results, holds a ``float(...)`` call or a
+float literal.
 """
 
 import ast
@@ -45,3 +49,28 @@ def test_the_check_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def float_sites(source):
+    """``(line, what)`` for every ``float(...)`` call and float literal."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            sites.append((node.lineno, "float()"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            sites.append((node.lineno, repr(node.value)))
+    return sorted(sites)
+
+
+def test_the_check_flags_floats():
+    source = (
+        "def f(x):\n"
+        "    return float(x) < 0.3 or x < 1e3 or isinstance(x, float) or x < 3\n"
+    )
+    assert float_sites(source) == [(2, "0.3"), (2, "1000.0"), (2, "float()")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_sites(path.read_text()) == []

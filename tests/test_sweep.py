@@ -2,12 +2,16 @@
 graph against pairwise references, and the proven ratios and advice
 budgets at n = 200.
 
-The references below are the plain all-pairs scans the swept code replaced.
-They live only here.  Instances reach n = 250 and mix points, trivial
-intervals and endpoints tied on a half-integer grid, at thresholds 0, 1/2
-and 1, so every strict-versus-non-strict boundary is exercised.
+The references below are the plain all-pairs scans, on `Fraction`s, that the
+integer-grid sweeps replaced.  They live only here.  Instances reach n = 250
+and mix points, trivial intervals and endpoints tied on a half-integer grid,
+at thresholds 0, 1/2 and 1, so every strict-versus-non-strict boundary is
+exercised.  `wide_instances` goes past that grid: its numbers mix
+denominators 3, 7 and 10^9 + 7, and its threshold has a denominator of its
+own, so the common grid is a large integer.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -42,7 +46,7 @@ from querysort import (
     valid_permutation,
     vc_adaptive,
 )
-from querysort import online
+from querysort import cli, core, online
 from querysort.instances import _generic_position_ok
 from querysort.online import QueryEnvironment, _flush_value_witnesses, _preprocess_witnesses
 
@@ -78,12 +82,67 @@ def instances(draw, scripted=False):
     return make_instance(draw(st.integers(0, 2 ** 32)), n, delta, span, scripted)
 
 
+WIDE_DENOMINATORS = (3, 7, 10 ** 9 + 7)
+
+
+def make_wide_instance(seed, n, delta, span, scripted=False):
+    """A seeded instance over mixed denominators.
+
+    About a third of the intervals start exactly ``delta`` before an earlier
+    interval's end, and values sit at an endpoint two times in three, so
+    exact ties at the threshold stay common.
+    """
+    rng = random.Random(seed)
+
+    def between(a, b):
+        den = rng.choice(WIDE_DENOMINATORS)
+        return a + (b - a) * F(rng.randint(0, den), den)
+
+    ivs, values, scripts = [], [], []
+    for _ in range(n):
+        lo = rng.choice(ivs).hi - delta if ivs and rng.randrange(3) == 0 else between(0, span)
+        width = rng.choice([F(0), delta, 2 * delta, between(0, 12)])
+        value = rng.choice([lo, lo + width, between(lo, lo + width)])
+        ivs.append(UncertainInterval(lo, lo + width, F(rng.randint(1, 6), rng.choice((1, 7)))))
+        values.append(value)
+        steps, a, b = [], lo, lo + width
+        for _ in range(rng.randint(0, 3) if scripted else 0):
+            a, b = between(a, value), between(value, b)
+            steps.append(UncertainInterval(a, b, ivs[-1].cost))
+        steps.append(UncertainInterval(value, value, ivs[-1].cost))
+        scripts.append(tuple(steps))
+    return Instance(delta, tuple(ivs), tuple(values), tuple(scripts) if scripted else None)
+
+
+@st.composite
+def wide_instances(draw, scripted=False):
+    """A drawn mixed-denominator instance: crowded (span 3) or sparse (span 4n + 1)."""
+    n = draw(st.integers(0, MAX_N))
+    delta = draw(st.sampled_from([F(0), F(2, 5), F(3, 11), F(1, 10 ** 9 + 9)]))
+    span = draw(st.sampled_from([3, 4 * n + 1]))
+    return make_wide_instance(draw(st.integers(0, 2 ** 32)), n, delta, span, scripted)
+
+
 def ref_edges(items, delta):
     return {
         (i, j)
         for i in range(len(items))
         for j in range(i + 1, len(items))
         if dependent(items[i], items[j], delta)
+    }
+
+
+def ref_edges_after(edges, old, new, delta):
+    """``ref_edges(new, delta)``, given ``edges == ref_edges(old, delta)`` (or
+    None): only the pairs of items whose interval changed are tested again."""
+    if edges is None:
+        return ref_edges(new, delta)
+    changed = {i for i in range(len(new)) if new[i] != old[i]}
+    return {e for e in edges if not changed & set(e)} | {
+        (min(i, j), max(i, j))
+        for i in changed
+        for j in range(len(new))
+        if j != i and dependent(new[i], new[j], delta)
     }
 
 
@@ -149,11 +208,9 @@ def static_witnessed(delta):
     return witnessed
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances())
-def test_build_graph_matches_pairwise(inst):
+def check_build_graph(inst):
     edges = ref_edges(inst.intervals, inst.delta)
-    assert build_graph(inst).edges == edges
+    assert build_graph(inst).edges == build_graph(inst.intervals, inst.delta).edges == edges
     if edges:
         i, j = min(edges)
         try:
@@ -164,13 +221,35 @@ def test_build_graph_matches_pairwise(inst):
             raise AssertionError("a dependent pair went unreported")
 
 
-@settings(max_examples=25, deadline=None)
-@given(instances(), st.integers(0, 2 ** 32))
-def test_offline_checks_match_pairwise(inst, seed):
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_build_graph_matches_pairwise(inst):
+    check_build_graph(inst)
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_instances())
+def test_build_graph_matches_pairwise_off_the_half_grid(inst):
+    check_build_graph(inst)
+
+
+def check_offline(inst, seed):
     assert forced_query_set(inst) == ref_forced(inst)
     rng = random.Random(seed)
     for chosen in (set(), set(range(inst.n)), {i for i in range(inst.n) if rng.random() < 0.7}):
         assert feasible_query_set(inst, chosen) == ref_feasible(inst, chosen)
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances(), st.integers(0, 2 ** 32))
+def test_offline_checks_match_pairwise(inst, seed):
+    check_offline(inst, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_instances(), st.integers(0, 2 ** 32))
+def test_offline_checks_match_pairwise_off_the_half_grid(inst, seed):
+    check_offline(inst, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,9 +267,7 @@ def test_valid_permutation_matches_pairwise(inst, seed):
         assert valid_permutation(inst, None, order) == ref_valid(inst, order)
 
 
-@settings(max_examples=15, deadline=None)
-@given(instances(), st.integers(0, 2 ** 32))
-def test_value_flush_matches_pairwise(inst, seed):
+def check_value_flush(inst, seed):
     rng = random.Random(seed)
     pre = [i for i in range(inst.n) if rng.random() < 0.3]
     env, ref = Environment(inst), Environment(inst)
@@ -201,40 +278,78 @@ def test_value_flush_matches_pairwise(inst, seed):
     assert env.transcript == ref.transcript
 
 
+@settings(max_examples=15, deadline=None)
+@given(instances(), st.integers(0, 2 ** 32))
+def test_value_flush_matches_pairwise(inst, seed):
+    check_value_flush(inst, seed)
+
+
 @settings(max_examples=10, deadline=None)
-@given(instances(scripted=True), st.booleans())
-def test_static_flush_matches_pairwise(inst, refine):
+@given(wide_instances(), st.integers(0, 2 ** 32))
+def test_value_flush_matches_pairwise_off_the_half_grid(inst, seed):
+    check_value_flush(inst, seed)
+
+
+def check_static_flush(inst, refine):
     make = CpcpEnvironment if refine else Environment
     env, ref = make(inst), make(inst)
     assert _preprocess_witnesses(env) == ref_flush(ref, static_witnessed(inst.delta))
     assert env.transcript == ref.transcript
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.data(), st.sampled_from([(Environment, False), (CpcpEnvironment, False), (CpcpEnvironment, True)]))
-def test_live_graph_matches_rebuild(data, kind):
+@settings(max_examples=10, deadline=None)
+@given(instances(scripted=True), st.booleans())
+def test_static_flush_matches_pairwise(inst, refine):
+    check_static_flush(inst, refine)
+
+
+@settings(max_examples=8, deadline=None)
+@given(wide_instances(scripted=True), st.booleans())
+def test_static_flush_matches_pairwise_off_the_half_grid(inst, refine):
+    check_static_flush(inst, refine)
+
+
+ENVIRONMENT_KINDS = [(Environment, False), (CpcpEnvironment, False), (CpcpEnvironment, True)]
+
+
+def check_live_graph(inst, make, rng):
     """The graph read first after ``first_read`` queries is the one every later
-    read returns, and after every later query it equals a fresh build."""
-    make, scripted = kind
-    inst = data.draw(instances(scripted=scripted))
-    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    read returns, and after every later query its edges are the pairwise ones."""
     env = make(inst)
     first_read = rng.randint(0, 6)
-    held = None
+    held = ref = seen = None
     for step in range(24):
         if step >= first_read:
             g = env.graph()
             if held is None:
                 held = g
             assert g is held
-            assert held.edges == build_graph(env.state(), inst.delta).edges
-            assert tuple(held.intervals) == env.state().current
+            current = env.state().current
+            ref, seen = ref_edges_after(ref, seen, current, inst.delta), current
+            assert held.edges == ref
+            assert tuple(held.intervals) == current
         done = env.exhausted if make is CpcpEnvironment else env.queried
         left = [i for i in range(inst.n) if not done(i)]
         if not left:
             break
         active = [i for i in left if env.graph().adj[i]] if step >= first_read else []
         env.query(rng.choice(active if active and rng.random() < 0.8 else left))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.sampled_from(ENVIRONMENT_KINDS))
+def test_live_graph_matches_rebuild(data, kind):
+    make, scripted = kind
+    inst = data.draw(instances(scripted=scripted))
+    check_live_graph(inst, make, random.Random(data.draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data(), st.sampled_from(ENVIRONMENT_KINDS))
+def test_live_graph_matches_pairwise_off_the_half_grid(data, kind):
+    make, scripted = kind
+    inst = data.draw(wide_instances(scripted=scripted))
+    check_live_graph(inst, make, random.Random(data.draw(st.integers(0, 2 ** 32))))
 
 
 def count_graphs(monkeypatch):
@@ -266,6 +381,31 @@ def test_one_graph_per_fork(monkeypatch):
     expected_cost_exact(algorithm2, gen_cost_path(12, F(1, 1000)), HALF)
     assert len(forks) > 10
     assert len(built) == 1 + len(forks)
+
+
+def count_grids(monkeypatch):
+    """Count the instance grids computed from now on."""
+    built = []
+    grid = core.Instance.grid.func
+    counted = functools.cached_property(lambda inst: built.append(inst.n) or grid(inst))
+    counted.__set_name__(core.Instance, "grid")
+    monkeypatch.setattr(core.Instance, "grid", counted)
+    return built
+
+
+def test_one_grid_per_instance(monkeypatch, capsys):
+    """A `ratio` row scales its instance once: its environment and every fork,
+    `forced_query_set`, `optimum_query_set` and `AdviceOracle` share the grid."""
+    built = count_grids(monkeypatch)
+    forks = []
+    fork = QueryEnvironment._fork
+    monkeypatch.setattr(QueryEnvironment, "_fork", lambda env: forks.append(1) or fork(env))
+    assert cli.main(["ratio", "alg2", "cost_path", "--n", "10"]) == 0
+    assert len(forks) > 10
+    assert len(built) == 1
+    assert cli.main(["ratio", "advice_lg3", "random", "--n", "10", "--trials", "3", "--delta", "1"]) == 0
+    assert len(built) == 1 + 3
+    assert capsys.readouterr().out.count("status=OK") == 2
 
 
 @pytest.mark.parametrize("seed", range(4))

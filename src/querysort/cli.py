@@ -76,7 +76,11 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 def _load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
-        return deserialize(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})") from None
+    return deserialize(text)
 
 
 def _optimum_cost(inst: Instance, strategy: "_Strategy") -> Fraction:
@@ -381,11 +385,12 @@ def cmd_verify(args) -> int:
     try:
         queries = _parse_index_list(args.queries, "--queries")
         order = _parse_index_list(args.permutation, "--permutation")
+        feasible = feasible_query_set(inst, queries)
     except InvariantViolation as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     ok = True
-    if feasible_query_set(inst, frozenset(queries)):
+    if feasible:
         print("query set  : FEASIBLE")
     else:
         print("query set  : INFEASIBLE")

@@ -5,6 +5,10 @@ the instance threshold.  These graphs are never arbitrary: an interval graph
 restricted by the threshold rule stays chordal, which is what makes an exact
 minimum-cost vertex cover tractable here.
 
+Every routine reads the adjacency sets of the graph it is handed, so a
+caller that holds a graph never rebuilds one; components, component lookup
+and the longest-path sweeps share one breadth-first search.
+
 Determinism matters throughout -- algorithms and tests rely on reproducible
 tie-breaking, so every routine that picks among equals picks the smallest
 index (or the documented key).
@@ -98,30 +102,40 @@ def build_graph(source: GraphSource, delta=None) -> DependencyGraph:
     )
 
 
+def _bfs(
+    g: DependencyGraph, start: int, allowed: Optional[frozenset[int]] = None
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Distances and parents of a BFS from ``start``, inside ``allowed`` when
+    given, taking each vertex's neighbours in ascending order."""
+    dist = {start: 0}
+    parent: dict[int, int] = {}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in sorted(g.adj[v]):
+            if u not in dist and (allowed is None or u in allowed):
+                dist[u] = dist[v] + 1
+                parent[u] = v
+                queue.append(u)
+    return dist, parent
+
+
 def components(g: DependencyGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * g.n
+    seen: set[int] = set()
     out: list[list[int]] = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in sorted(g.adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        out.append(sorted(comp))
+        if start not in seen:
+            out.append(sorted(_bfs(g, start)[0]))
+            seen.update(out[-1])
     return out
 
 
 def component_of(g: DependencyGraph, v: int) -> list[int]:
     """Sorted vertex list of the component containing ``v``."""
-    return next(comp for comp in components(g) if v in comp)
+    if not 0 <= v < g.n:
+        raise InvariantViolation(f"no vertex {v} in a graph on {g.n} vertices")
+    return sorted(_bfs(g, v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +274,6 @@ def find_triangle(g: DependencyGraph) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _bfs_farthest(
-    g: DependencyGraph, start: int, allowed: frozenset[int]
-) -> tuple[int, dict[int, int]]:
-    """Farthest vertex from ``start`` (smallest index on ties) and parents."""
-    dist = {start: 0}
-    parent: dict[int, int] = {}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in sorted(g.adj[v]):
-            if u in allowed and u not in dist:
-                dist[u] = dist[v] + 1
-                parent[u] = v
-                queue.append(u)
-    best = min((v for v in dist), key=lambda v: (-dist[v], v))
-    return best, parent
-
-
 def longest_path_caterpillar(
     g: DependencyGraph, vertices: Optional[Sequence[int]] = None
 ) -> tuple[int, ...]:
@@ -296,26 +292,17 @@ def longest_path_caterpillar(
     vs = frozenset(vertices)
     if not vs:
         raise InvariantViolation("empty vertex set")
-    inside_edges = sum(
-        1 for (i, j) in g.edges if i in vs and j in vs
-    )
     root = min(vs)
-    reach = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u in vs and u not in reach:
-                reach.add(u)
-                queue.append(u)
-    if reach != vs:
+    dist, _ = _bfs(g, root, vs)
+    if len(dist) != len(vs):
         raise NotTree(f"vertex set {sorted(vs)} is not connected")
-    if inside_edges != len(vs) - 1:
+    if sum(len(g.adj[v] & vs) for v in vs) != 2 * (len(vs) - 1):
         raise NotTree(f"vertex set {sorted(vs)} contains a cycle")
     if len(vs) == 1:
         return (root,)
-    end_a, _ = _bfs_farthest(g, root, vs)
-    end_b, parent = _bfs_farthest(g, end_a, vs)
+    end_a = min(dist, key=lambda v: (-dist[v], v))
+    dist, parent = _bfs(g, end_a, vs)
+    end_b = min(dist, key=lambda v: (-dist[v], v))
     path = [end_b]
     while path[-1] != end_a:
         path.append(parent[path[-1]])

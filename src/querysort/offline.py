@@ -9,7 +9,8 @@ graph -- so the exact optimum is polynomial.
 
 `canonical_optimum` finds the one optimum the advice oracle answers about,
 the smallest minimizer by sorted index tuple, greedily over the indices
-with one constrained vertex cover per step.  `brute_force_optimum`
+with one constrained vertex cover per step, each on an induced subgraph of
+the one graph it builds.  `brute_force_optimum`
 recomputes the optimum and every minimizer by plain 2^n enumeration; it
 exists to ground-truth everything else and is deliberately unclever.
 `cpcp_brute_force_optimum` is the refinement-model optimum, found by a
@@ -34,7 +35,7 @@ from .core import (
     singleton_witness_value,
     sweep_pairs,
 )
-from .errors import MissingRealization, TooLarge
+from .errors import InvariantViolation, MissingRealization, TooLarge
 from .graph import DependencyGraph, build_graph, components, min_cost_vertex_cover
 
 #: Guard for the 2^n subset enumeration.
@@ -86,10 +87,15 @@ def resolved_by(
 
 
 def feasible_query_set(inst: Instance, query_set) -> bool:
-    """Does revealing exactly these items leave no dependent pair?"""
+    """Does revealing exactly these items leave no dependent pair?  The first
+    index that names no item raises `InvariantViolation`."""
     if inst.values is None:
         raise MissingRealization("feasibility needs the hidden values")
-    chosen = set(query_set)
+    chosen = set()
+    for i in query_set:
+        if not 0 <= i < inst.n:
+            raise InvariantViolation(f"query index {i} names no item (n = {inst.n})")
+        chosen.add(i)
     grid = inst.grid
     los = [grid.values[i] if i in chosen else lo for i, lo in enumerate(grid.los)]
     his = [grid.values[i] if i in chosen else hi for i, hi in enumerate(grid.his)]
@@ -136,8 +142,9 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
 
     A left-out vertex forces its H-neighbours into the cover, so the test
     for v is one minimum-cost cover of what remains of v's component of H --
-    an induced subgraph, so still chordal.  Other components are untouched
-    by it, and each keeps its own optimum.
+    an induced subgraph, so still chordal, taken from H's adjacency sets and
+    not rebuilt from intervals.  Other components are untouched by it, and
+    each keeps its own optimum.
     """
     forced = forced_query_set(inst)
     costs = inst.costs
@@ -150,7 +157,10 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
         neighbour of a left-out vertex, and avoiding the left-out ones."""
         must = [u for u in comp if u in kept or u == extra or h.adj[u] & left_out]
         free = [u for u in comp if u not in must and u not in left_out]
-        sub = build_graph([inst.intervals[u] for u in free], inst.delta)
+        index = {u: k for k, u in enumerate(free)}
+        pairs = ((k, index[w]) for k, u in enumerate(free) for w in h.adj[u] if index.get(w, -1) > k)
+        sub = DependencyGraph(len(free), pairs, [costs[u] for u in free],
+                              [inst.intervals[u] for u in free])
         cover = [free[k] for k in min_cost_vertex_cover(sub)]
         return sum((costs[u] for u in must + cover), start=Fraction(0))
 
@@ -254,12 +264,7 @@ def oblivious_query_set(
         g = source
     else:
         g = build_graph(source, delta)
-    if isinstance(source, Instance) and delta is None:
-        d: Optional[Fraction] = source.delta
-    elif delta is not None:
-        d = scalar(delta)
-    else:
-        d = None
+    d = scalar(delta) if delta is not None else getattr(source, "delta", None)
     active = g.active_vertices()
     if d is None or g.intervals is None:
         return frozenset(active)

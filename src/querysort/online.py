@@ -50,7 +50,6 @@ from .core import (
     Permutation,
     UncertainInterval,
     build_permutation,
-    dependent,
     isqrt_bounds,
     on_grid,
     refinement_steps,
@@ -474,7 +473,7 @@ def run_oblivious(env: Environment) -> RunReport:
     The best answer-blind strategy: every non-trivial interval with at
     least one dependency.
     """
-    for i in sorted(oblivious_query_set(env.state(), env.delta)):
+    for i in sorted(oblivious_query_set(env.graph(), env.delta)):
         env.query(i)
     return _finish(env)
 
@@ -517,7 +516,7 @@ def simple_adaptive_stable_sort(env: Environment) -> RunReport:
     def goes_first(x: int, y: int) -> bool:
         nonlocal comparisons
         comparisons += 1
-        if dependent(env.current(x), env.current(y), Fraction(0)):
+        if env.graph().has_edge(x, y):
             for k in (x, y):
                 if not env.queried(k):
                     env.query(k)
@@ -1009,7 +1008,6 @@ def expected_cost_exact(
     inst: Instance,
     rule: ProbabilityRule,
     *,
-    env_factory: Callable[[Instance], QueryEnvironment] = Environment,
     max_branches: int = 2 ** 20,
     **kwargs,
 ) -> Union[Fraction, tuple[Fraction, Fraction]]:
@@ -1032,7 +1030,7 @@ def expected_cost_exact(
         )
     if not isinstance(rule, ProbabilityRule):
         raise InvariantViolation(f"expected_cost_exact needs a probability rule, not {rule!r}")
-    env = env_factory(inst)
+    env = Environment(inst)
     # (environment, strategy state, side still to take, depth, path probability lo/hi);
     # a forked side is taken only when popped, so errors surface in leaf order
     stack = [(env, start(env, rule, **kwargs), None, 0, Fraction(1), Fraction(1))]

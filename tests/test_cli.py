@@ -1,19 +1,26 @@
 """Command-line interface: subcommands, documents, exit codes."""
 
+import contextlib
+import copy
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction as F
 
 from querysort import (
     AdviceOracle,
     Environment,
+    QuerysortError,
     advice_half,
     advice_lg3,
     asteroid_realization,
@@ -28,6 +35,7 @@ from querysort import (
     gen_lemma7_two_triangles,
     gen_nested_star,
     gen_random,
+    gen_random_scripted,
     gen_triangle_chain,
     serialize,
 )
@@ -247,6 +255,25 @@ def test_verify_accepts_and_rejects(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "INFEASIBLE" in out and "INVALID" in out
     assert main(["verify", doc, "--queries", "a,b", "--permutation", "0"]) == 2
+
+
+def test_verify_refuses_an_index_that_names_no_item(tmp_path, capsys):
+    assert main(["gen", "nested_star", "--n", "4", "--out", str(tmp_path / "star.json")]) == 0
+    capsys.readouterr()
+    argv = ["verify", str(tmp_path / "star.json"), "--queries", "3,99,-7", "--permutation", "3,0,1,2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: query index 99 names no item")
+
+
+def test_non_utf8_document_is_a_document_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + serialize(fig1_instance("a")).encode("utf-16-le"))
+    for argv in (["opt", str(path)], ["solve", "simple", str(path)],
+                 ["verify", str(path), "--queries", "", "--permutation", "0"]):
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("document error: not UTF-8 text")
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +521,116 @@ def test_tables_call_through_module_globals(tmp_path, capsys, monkeypatch, argv,
     assert main(argv) == 0
     capsys.readouterr()
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# mutated documents
+# ---------------------------------------------------------------------------
+
+BASE_DOCS = tuple(serialize(inst) for inst in (
+    fig1_instance("a"),
+    *(gen_random(s, 4, d) for s, d in ((0, F(0)), (1, F(1, 2)), (2, F(1)))),
+    *(gen_random_scripted(s, 3, F(0)) for s in range(3)),
+))
+JUNK = (None, True, 3, 1.5, "x", "", "1/0", "1/", " 1/2 ", "3/-4", "0x10", "1e3", [], {}, ["1"], {"lo": "1"})
+
+
+def slots(node, out):
+    """Every ``(container, key)`` slot inside a parsed document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append((node, key))
+        slots(child, out)
+    return out
+
+
+@st.composite
+def structurally_mutated(draw):
+    """A valid document with keys dropped, values swapped for other types or
+    broken rationals, unknown fields added, or the root replaced."""
+    doc = json.loads(draw(st.sampled_from(BASE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        places = slots(doc, [])
+        kind = draw(st.sampled_from(("drop", "swap", "rational", "add", "root")))
+        if kind == "root" or not places:
+            doc = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        elif kind == "add":
+            dicts = [d for d in [doc] + [c[k] for c, k in places] if isinstance(d, dict)]
+            if dicts:
+                draw(st.sampled_from(dicts))[draw(st.sampled_from(("extra", "Lo", "schema2")))] = "1"
+        else:
+            if kind == "rational":
+                places = [(c, k) for c, k in places if isinstance(c[k], str)] or places
+            container, key = draw(st.sampled_from(places))
+            if kind == "drop":
+                del container[key]
+            elif kind == "swap":
+                container[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+            else:
+                container[key] = draw(st.sampled_from(("1/0", "1//2", "2/", "/3", "1.5.", "--1", "")
+                                                      + (container[key] + "x", container[key][:-1])))
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def byte_corrupted(draw):
+    """A valid document with bytes overwritten, inserted or deleted, or a
+    byte-order mark put in front."""
+    data = bytearray(draw(st.sampled_from(BASE_DOCS)).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(("set", "insert", "delete", "prefix")))
+        if kind == "set":
+            data[pos] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[pos:pos] = bytes([draw(st.integers(0, 255))])
+        elif kind == "delete" and len(data) > 1:
+            del data[pos]
+        elif kind == "prefix":
+            data[:0] = draw(st.sampled_from((b"\xff\xfe", b"\xfe\xff", b"\xef\xbb\xbf", b"\x00")))
+    return bytes(data)
+
+
+def check_mutated_document(data: bytes):
+    """``deserialize`` fails only with a `QuerysortError`; ``solve``, ``opt``
+    and ``verify`` return an exit code, 4 when the document does not load."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError:
+            loads = False
+        else:
+            try:
+                deserialize(text)
+                loads = True
+            except QuerysortError:
+                loads = False
+        for argv in (["solve", "simple", path], ["opt", path],
+                     ["verify", path, "--queries", "0", "--permutation", "0"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if loads:
+                assert code in (0, 2, 3, 4), (argv, code)
+            else:
+                assert code == 4, (argv, code, err.getvalue())
+                assert err.getvalue().startswith(("document error", "model error")), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(structurally_mutated())
+def test_structurally_mutated_documents_fail_cleanly(data):
+    check_mutated_document(data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(byte_corrupted())
+def test_byte_corrupted_documents_fail_cleanly(data):
+    check_mutated_document(data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Dependency graphs: structure, elimination orders, covers, representations."""
 
 import itertools
+import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysort import (
     CoTTFunctions,
@@ -174,6 +178,133 @@ def test_longest_path_rejects_cycles():
     tri = build_graph(gen_advice_triangles(1, F(1))[0])
     with pytest.raises(NotTree):
         longest_path_caterpillar(tri)
+
+
+# ---------------------------------------------------------------------------
+# The BFS routines against the earlier versions, kept here as the reference
+# ---------------------------------------------------------------------------
+
+
+def ref_components(g):
+    seen = [False] * g.n
+    out = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comp = []
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for u in sorted(g.adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        out.append(sorted(comp))
+    return out
+
+
+def ref_component_of(g, v):
+    return next(comp for comp in ref_components(g) if v in comp)
+
+
+def ref_bfs_farthest(g, start, allowed):
+    dist = {start: 0}
+    parent = {}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in sorted(g.adj[v]):
+            if u in allowed and u not in dist:
+                dist[u] = dist[v] + 1
+                parent[u] = v
+                queue.append(u)
+    return min(dist, key=lambda v: (-dist[v], v)), parent
+
+
+def ref_longest_path_caterpillar(g, vertices=None):
+    if vertices is None:
+        vertices = range(g.n)
+    vs = frozenset(vertices)
+    if not vs:
+        raise InvariantViolation("empty vertex set")
+    inside_edges = sum(1 for (i, j) in g.edges if i in vs and j in vs)
+    root = min(vs)
+    reach = {root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in g.adj[v]:
+            if u in vs and u not in reach:
+                reach.add(u)
+                queue.append(u)
+    if reach != vs:
+        raise NotTree(f"vertex set {sorted(vs)} is not connected")
+    if inside_edges != len(vs) - 1:
+        raise NotTree(f"vertex set {sorted(vs)} contains a cycle")
+    if len(vs) == 1:
+        return (root,)
+    end_a, _ = ref_bfs_farthest(g, root, vs)
+    end_b, parent = ref_bfs_farthest(g, end_a, vs)
+    path = [end_b]
+    while path[-1] != end_a:
+        path.append(parent[path[-1]])
+    first, last = path[0], path[-1]
+    key = (lambda v: (g.intervals[v].lo, v)) if g.intervals is not None else (lambda v: v)
+    if key(last) < key(first):
+        path.reverse()
+    return tuple(path)
+
+
+@st.composite
+def graphs_with_vertex_sets(draw):
+    """A random forest, or a forest with extra edges closing cycles, on up to
+    300 relabelled vertices, with or without intervals, and vertex sets to ask
+    about: every component, a single vertex, random subsets, the whole graph."""
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    attach = draw(st.sampled_from([1.0, 0.97, 0.7]))  # below 1: a forest of several trees
+    extra = draw(st.sampled_from([0, 0, 1, 5, n // 4]))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {tuple(sorted((label[rng.randrange(v)], label[v])))
+             for v in range(1, n) if rng.random() < attach}
+    for _ in range(extra if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        edges.add((min(i, j), max(i, j)))
+    intervals = None
+    if draw(st.booleans()):
+        intervals = tuple(interval(lo, lo + 1) for lo in (rng.randrange(4) for _ in range(n)))
+    g = DependencyGraph(n, edges, tuple(F(1) for _ in range(n)), intervals)
+    sets = [None, [rng.randrange(n)]] + ref_components(g)
+    sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
+    return g, sets
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (InvariantViolation, NotTree) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_vertex_sets())
+def test_bfs_routines_match_the_reference(case):
+    g, sets = case
+    assert components(g) == ref_components(g)
+    for v in range(0, g.n, max(1, g.n // 20)):
+        assert component_of(g, v) == ref_component_of(g, v)
+    for vs in sets:
+        assert outcome(longest_path_caterpillar, g, vs) == outcome(ref_longest_path_caterpillar, g, vs)
+
+
+def test_component_of_refuses_a_vertex_outside_the_graph():
+    g = DependencyGraph(2, [(0, 1)], (F(1), F(1)))
+    for v in (-1, 2):
+        with pytest.raises(InvariantViolation, match=f"no vertex {v}"):
+            component_of(g, v)
 
 
 def test_cott_round_trip_adjacency():

@@ -7,6 +7,9 @@ as used when it appears as a name anywhere in the module.
 No float enters the library: no module but ``cli.py``, which prints ``~``
 approximations next to exact results, holds a ``float(...)`` call or a
 float literal.
+
+No Fraction pair predicate inside a run: ``online.py`` names none of them, so
+every pair question a strategy asks goes to the environment's live graph.
 """
 
 import ast
@@ -74,3 +77,32 @@ def test_the_check_flags_floats():
                          ids=lambda p: p.name)
 def test_no_floats(path):
     assert float_sites(path.read_text()) == []
+
+
+PAIR_PREDICATES = {"dependent", "dependent_pairs", "singleton_witness_static", "singleton_witness_value"}
+
+
+def pair_predicate_sites(source):
+    """``(line, name)`` for every name, attribute or import of a pair predicate."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in PAIR_PREDICATES:
+            sites.append((node.lineno, name))
+    return sorted(sites)
+
+
+def test_the_check_flags_pair_predicates():
+    source = (
+        "from .core import dependent as dep, scalar\n"
+        "from . import core\n"
+        "def f(a, b):\n"
+        "    return dep(a, b, 0) or core.singleton_witness_value(a, 1, 0) or dependent_pairs\n"
+    )
+    assert pair_predicate_sites(source) == [(1, "dependent"), (4, "dependent_pairs"),
+                                            (4, "singleton_witness_value")]
+
+
+def test_online_asks_the_live_graph():
+    assert pair_predicate_sites((SRC / "online.py").read_text()) == []

@@ -72,6 +72,14 @@ def test_feasible_query_set_basics():
         feasible_query_set(inst.without_values(), frozenset())
 
 
+def test_feasible_query_set_refuses_an_index_that_names_no_item():
+    inst = gen_nested_star(4)
+    assert inst.n == 4
+    for query_set, first in (({3, 99}, 99), ([3, -7, 99], -7), ((4,), 4)):
+        with pytest.raises(InvariantViolation, match=f"query index {first} names no item"):
+            feasible_query_set(inst, query_set)
+
+
 def test_optimum_contains_forced_and_is_feasible():
     for s in range(80):
         inst = gen_random(s, 2 + s % 8, (F(0), F(1))[s % 2], cost_model="rational-range")

@@ -246,8 +246,6 @@ def test_algorithm1_refuses_a_refinement_environment():
         inst = gen_random(s, 6, F(0))
         with pytest.raises(InvariantViolation, match="runs on an Environment"):
             algorithm1(CpcpEnvironment(inst), FIXED(F(1, 2)), rng=RandomCoin(0))
-        with pytest.raises(InvariantViolation, match="runs on an Environment"):
-            expected_cost_exact(algorithm1, inst, FIXED(F(1, 2)), env_factory=CpcpEnvironment)
 
 
 def test_algorithm1_expected_lemma4():

@@ -40,13 +40,14 @@ from querysort import (
     forced_query_set,
     gen_cost_path,
     optimum_query_set,
+    run_oblivious,
     simple_adaptive,
     singleton_witness_static,
     singleton_witness_value,
     valid_permutation,
     vc_adaptive,
 )
-from querysort import cli, core, online
+from querysort import cli, core, graph, offline, online
 from querysort.instances import _generic_position_ok
 from querysort.online import QueryEnvironment, _flush_value_witnesses, _preprocess_witnesses
 
@@ -454,6 +455,31 @@ def generic_shift(inst):
     shift = [F(i, 10 ** 5) for i in range(inst.n)]
     ivs = tuple(UncertainInterval(a.lo + d, a.hi + d, a.cost) for a, d in zip(inst.intervals, shift))
     return Instance(inst.delta, ivs, tuple(v + d for v, d in zip(inst.values, shift)))
+
+
+def test_oracle_and_oblivious_read_the_graph_they_hold(monkeypatch):
+    """Once the instance grid exists, `AdviceOracle` covers subgraphs of H
+    without rebuilding a graph or putting intervals on a fresh grid, and
+    `run_oblivious` reads the environment's graph."""
+    inst = make_instance(0, SCALE_N, F(0), 4 * SCALE_N + 1)
+    inst.grid
+    calls = []
+    for home, name in ((core, "to_grid"), (graph, "build_graph")):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (core, graph, offline, online):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    AdviceOracle(inst)
+    assert calls == []
+    run_oblivious(Environment(inst))
+    assert calls == ["to_grid"]  # `build_permutation`'s check of the final intervals
+    graph.build_graph(inst)  # the counters see a rebuild
+    assert calls == ["to_grid", "build_graph", "to_grid"]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -30,7 +30,6 @@ from .online import (
     AdviceOracle,
     CpcpEnvironment,
     Environment,
-    ProbabilityRule,
     RandomCoin,
     RunReport,
     advice_half,
@@ -106,11 +105,11 @@ def _coin_bias(args) -> Fraction:
     return _parse_rational(args.p or "1/2", "--p")
 
 
-def _alg1_rule(args) -> ProbabilityRule:
+def _alg1_rule(args) -> Fraction | Callable:
     return {"half": HALF, "sqrt3": SQRT3}.get(args.rule) or FIXED(_coin_bias(args))
 
 
-def _alg2_rule(args) -> ProbabilityRule:
+def _alg2_rule(args) -> Callable:
     return SQRT3 if args.rule == "sqrt3" else HALF
 
 
@@ -270,6 +269,8 @@ _FAMILIES = {
 
 
 def _family_rows(args) -> list[tuple[str, Optional[str], int, Instance]]:
+    if args.trials < 1:
+        raise InvariantViolation(f"--trials must be at least 1, got {args.trials}")
     return _FAMILIES[args.family](args, _parse_rational(args.delta, "--delta"))
 
 

@@ -637,6 +637,15 @@ def _number_guard(text: str):
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvariantViolation(f"repeated field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_scalar(raw, where: str) -> Fraction:
     if not isinstance(raw, str):
         raise InvariantViolation(f"{where} must be a rational string, got {raw!r}")
@@ -683,11 +692,12 @@ def deserialize(text: str) -> Instance:
     """Parse a canonical document, rejecting anything nonconforming.
 
     Malformed JSON raises `ParseError` with line/column; structurally valid
-    JSON with bad content (bare numbers, unknown fields, violated interval
-    rules) raises `InvariantViolation`.
+    JSON with bad content (bare numbers, unknown or repeated fields, violated
+    interval rules) raises `InvariantViolation`.
     """
     try:
-        doc = json.loads(text, parse_int=_number_guard, parse_float=_number_guard)
+        doc = json.loads(text, parse_int=_number_guard, parse_float=_number_guard,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     if not isinstance(doc, dict):

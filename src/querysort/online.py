@@ -11,23 +11,21 @@ the t-th query may have its own price.  An instance without scripts embeds
 into this model as one-step scripts.
 
 Each environment holds one dependency graph of its current intervals,
-built on first read and then narrowed in place; every strategy and witness
-flush reads it (`QueryEnvironment.graph`).  A query can only delete edges,
-and only at the queried vertex, because for a narrowed interval
-``a' ⊆ a`` both ``a.hi - b.lo`` and ``b.hi - a.lo`` can only shrink.  So
-each query re-tests just that vertex's neighbours.  Those tests, and the
-witness tests of the flushes, compare the current endpoints on the
-instance's integer grid (`Instance.grid`).
+narrowed in place by each query (`QueryEnvironment`); every strategy and
+witness flush reads it, and every pair and witness test compares endpoints
+on the instance's integer grid (`Instance.grid`).
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
-runs).  Probabilities are exact rationals, except the square-root-of-three
-trial rule, which is kept symbolic (`Sqrt3Prob`) and decided by comparing
-squares -- no floating point anywhere.  The two coin-driven strategies
-are written as trials: a ``_start`` that validates and warms up, and a
-``_trial`` that runs deterministic steps until the next coin flip.
-`expected_cost_exact` walks their coin tree once, forking the environment
-at each real flip, and returns the exact expected spend (an interval
-enclosure when the square-root rule is involved).
+runs).  The uniform-cost strategy flips a constant bias, a `Fraction` in
+[0, 1] (`FIXED` checks one); the arbitrary-cost strategy derives each bias
+from a weight ratio by the rule `HALF` or `SQRT3`.  Probabilities are exact
+rationals, except `SQRT3`'s, which is kept symbolic (`Sqrt3Prob`) and
+decided by comparing squares -- no floating point anywhere.  The two
+coin-driven strategies are written as trials: a ``_start`` that validates
+and warms up, and a ``_trial`` that runs deterministic steps until the next
+coin flip.  `expected_cost_exact` walks their coin tree once, forking the
+environment at each real flip, and returns the exact expected spend (an
+interval enclosure when the square-root rule is involved).
 
 Every strategy returns a `RunReport` and finishes by ordering the final
 intervals, which fails loudly if any dependent pair survived -- the
@@ -115,14 +113,9 @@ class Sqrt3Prob:
 Probability = Union[Fraction, Sqrt3Prob]
 
 
-def _accepts(p: Probability, u: Fraction) -> bool:
-    if isinstance(p, Sqrt3Prob):
-        return p.accepts(u)
-    return u < p
-
-
 class RandomCoin:
-    """Seeded biased-coin stream; identical seed means identical run."""
+    """Seeded biased-coin stream; identical seed means identical run.  A flip
+    is heads when a 64-bit rational draw in [0, 1) is below the bias."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -130,7 +123,7 @@ class RandomCoin:
 
     def flip(self, p: Probability) -> bool:
         u = Fraction(self._rng.getrandbits(64), 2 ** 64)
-        return _accepts(p, u)
+        return p.accepts(u) if isinstance(p, Sqrt3Prob) else u < p
 
 
 #: Depth guard: the coin tree of `expected_cost_exact` may not be deeper than this.
@@ -147,61 +140,26 @@ def _certain(p: Probability) -> Optional[bool]:
     return None
 
 
-def _flip(coin, p: Probability) -> bool:
-    """Flip with certainty short-circuit: p in {0, 1} consumes no randomness."""
-    outcome = _certain(p)
-    if outcome is not None:
-        return outcome
-    if coin is None:
-        raise InvariantViolation(
-            "this run is randomized; pass rng=RandomCoin(seed)"
-        )
-    return coin.flip(p)
+def FIXED(p) -> Fraction:
+    """The uniform-cost strategy's constant coin bias ``p``, checked to lie in [0, 1]."""
+    p = scalar(p)
+    if not 0 <= p <= 1:
+        raise InvariantViolation(f"probability {p} outside [0, 1]")
+    return p
 
 
-@dataclass(frozen=True)
-class ProbabilityRule:
-    """How a strategy turns a local weight situation into a coin bias.
-
-    ``fixed(p)``: always the constant ``p`` (the uniform-cost strategy).
-    ``HALF``: ``min(1, W / (2 w_b))`` where ``W`` is the neighbor weight sum
-    and ``w_b`` the trial center's weight.
-    ``SQRT3``: ``min(1, W / (w_b sqrt(3)))`` -- same shape, better constant,
-    kept exact via `Sqrt3Prob`.
-    """
-
-    kind: str
-    p: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "half", "sqrt3"):
-            raise InvariantViolation(f"unknown probability rule {self.kind!r}")
-        if self.kind == "fixed":
-            if self.p is None:
-                raise InvariantViolation("fixed rule needs a probability")
-            object.__setattr__(self, "p", scalar(self.p))
-            if not (0 <= self.p <= 1):
-                raise InvariantViolation(f"probability {self.p} outside [0, 1]")
-        elif self.p is not None:
-            raise InvariantViolation(f"{self.kind} rule takes no parameter")
-
-    def trial_probability(self, neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
-        if self.kind == "half":
-            return min(Fraction(1), neighbor_weight / (2 * center_weight))
-        if self.kind == "sqrt3":
-            if neighbor_weight ** 2 >= 3 * center_weight ** 2:
-                return Fraction(1)
-            return Sqrt3Prob(neighbor_weight, center_weight)
-        raise InvariantViolation("the fixed rule has no weight-based trial")
+def HALF(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
+    """``min(1, W / (2 w_b))``: ``W`` is the trial's neighbor weight sum, ``w_b``
+    the trial center's weight."""
+    return min(Fraction(1), neighbor_weight / (2 * center_weight))
 
 
-def FIXED(p) -> ProbabilityRule:
-    """Constant-bias rule (the uniform-cost strategy's coin)."""
-    return ProbabilityRule("fixed", scalar(p))
-
-
-HALF = ProbabilityRule("half")
-SQRT3 = ProbabilityRule("sqrt3")
+def SQRT3(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
+    """``min(1, W / (w_b sqrt(3)))`` -- `HALF`'s shape with a better constant,
+    kept exact via `Sqrt3Prob`."""
+    if neighbor_weight ** 2 >= 3 * center_weight ** 2:
+        return Fraction(1)
+    return Sqrt3Prob(neighbor_weight, center_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +334,6 @@ class RunReport:
     advice_question_sizes: Optional[tuple[int, ...]] = None
     witness_sets: Optional[tuple[frozenset[int], ...]] = None
     comparisons: Optional[int] = None
-    rng_seed: Optional[int] = None
 
     def __post_init__(self):
         charged = sum((entry[2] for entry in self.transcript), start=Fraction(0))
@@ -390,7 +347,7 @@ class RunReport:
         return tuple(i for i, c in enumerate(self.queried) if c > 0)
 
 
-def _finish(env: QueryEnvironment, rng=None, **extra) -> RunReport:
+def _finish(env: QueryEnvironment, **extra) -> RunReport:
     state = env.state()
     permutation = build_permutation(state, env.delta)
     return RunReport(
@@ -398,7 +355,6 @@ def _finish(env: QueryEnvironment, rng=None, **extra) -> RunReport:
         total_cost=state.spent,
         permutation=permutation,
         transcript=tuple(env.transcript),
-        rng_seed=getattr(rng, "seed", None),
         **extra,
     )
 
@@ -573,15 +529,12 @@ def vc_adaptive(env: Environment) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def algorithm1(
-    env: Environment,
-    rule: ProbabilityRule = None,
-    preprocess: bool = True,
-    rng=None,
-) -> RunReport:
+def algorithm1(env: Environment, rule: Optional[Fraction] = None, rng=None) -> RunReport:
     """Adaptive strategy tuned for uniform costs, with a biased coin.
 
-    Optional warm-up: query all static/value witnesses (cascading).  Main
+    ``rule`` is the coin bias ``p``, a `Fraction` in [0, 1] (default 1/2);
+    ``FIXED(p)`` checks one.  A warm-up always runs first, as in the
+    paper's algorithm: query all static/value witnesses (cascading).  Main
     loop, while any dependency remains:
 
     * If some component is a single edge ``{u, v}`` (smallest first), flip
@@ -601,27 +554,27 @@ def algorithm1(
     smaller index.
     """
     if rule is None:
-        rule = FIXED(Fraction(1, 2))
-    state = _algorithm1_start(env, rule, preprocess=preprocess)
+        rule = Fraction(1, 2)
+    state = _algorithm1_start(env, rule)
     return _run_trials(env, rule, state, _algorithm1_trial, rng)
 
 
-def _algorithm1_start(env: Environment, rule: ProbabilityRule, preprocess: bool = True) -> None:
-    """Validate the environment, the rule and the costs, then run the optional warm-up."""
+def _algorithm1_start(env: Environment, p: Fraction) -> None:
+    """Validate the environment, the bias and the costs, then run the warm-up."""
     if not isinstance(env, Environment):
         raise InvariantViolation(
             "this strategy runs on an Environment (each query reveals a value)"
         )
-    if rule.kind != "fixed":
+    if not isinstance(p, Fraction):
         raise InvariantViolation("this strategy takes a fixed coin bias")
+    FIXED(p)  # refuses a bias outside [0, 1]
     costs = env.instance.costs
     if any(c != costs[0] for c in costs):
         raise InvariantViolation("this strategy requires uniform query costs")
-    if preprocess:
-        _preprocess_witnesses(env)
+    _preprocess_witnesses(env)
 
 
-def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> Optional[tuple]:
+def _algorithm1_trial(env: Environment, p: Fraction, state: None) -> Optional[tuple]:
     """Run `algorithm1`'s deterministic steps up to its next single-edge flip."""
     while True:
         g = env.graph()
@@ -630,7 +583,7 @@ def _algorithm1_trial(env: Environment, rule: ProbabilityRule, state: None) -> O
         pairs = [c for c in components(g) if len(c) == 2]
         if pairs:
             u, v = pairs[0]  # components arrive ordered by smallest member
-            return rule.p, _query_pair(u, v), _query_pair(v, u)
+            return p, _query_pair(u, v), _query_pair(v, u)
         iv = g.intervals
         active = g.active_vertices()
         x = min(active, key=lambda w: (iv[w].hi, w))
@@ -664,13 +617,19 @@ def _query_pair(first: int, second: int) -> Callable[[QueryEnvironment], None]:
     return action
 
 
-def _run_trials(env: QueryEnvironment, rule: ProbabilityRule, state, trial, rng) -> RunReport:
-    """Play ``trial`` to the end, taking the side of each coin step ``rng`` picks."""
+def _run_trials(env: QueryEnvironment, rule, state, trial, rng) -> RunReport:
+    """Play ``trial`` to the end, taking the side of each coin step ``rng`` picks;
+    a certain step (p ≤ 0 or ≥ 1) consumes no randomness."""
     while (step := trial(env, rule, state)) is not None:
         p, heads, tails = step
-        (heads if _flip(rng, p) else tails)(env)
+        outcome = _certain(p)
+        if outcome is None:
+            if rng is None:
+                raise InvariantViolation("this run is randomized; pass rng=RandomCoin(seed)")
+            outcome = rng.flip(p)
+        (heads if outcome else tails)(env)
         _flush_value_witnesses(env)
-    return _finish(env, rng=rng)
+    return _finish(env)
 
 
 def no_2component_after_preprocess(inst: Instance) -> bool:
@@ -697,8 +656,10 @@ def residual_component_sizes(inst: Instance) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def algorithm2(env: Environment, rule: ProbabilityRule, rng=None) -> RunReport:
+def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> RunReport:
     """Adaptive strategy for arbitrary costs: local-ratio plus path trials.
+
+    ``rule`` is `HALF` (ratio at most 57/32) or `SQRT3` (1 + 4/(3 sqrt 3)).
 
     Keeps a residual copy of the weights for analysis-style bookkeeping
     (the environment always charges original costs):
@@ -722,14 +683,14 @@ def algorithm2(env: Environment, rule: ProbabilityRule, rng=None) -> RunReport:
     return _run_trials(env, rule, state, _algorithm2_trial, rng)
 
 
-def _algorithm2_start(env: Environment, rule: ProbabilityRule) -> tuple[list[Fraction], dict]:
+def _algorithm2_start(env: Environment, rule) -> tuple[list[Fraction], dict]:
     """Validate the rule; the state is the residual weights and the frozen spines."""
-    if rule.kind not in ("half", "sqrt3"):
+    if rule is not HALF and rule is not SQRT3:
         raise InvariantViolation("this strategy takes the half or sqrt3 rule")
     return list(env.instance.costs), {}
 
 
-def _algorithm2_trial(env: Environment, rule: ProbabilityRule, state) -> Optional[tuple]:
+def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
     """Run `algorithm2`'s zero-weight and triangle steps up to its next path trial."""
     residual, frozen_paths = state
     while True:
@@ -771,7 +732,7 @@ def _algorithm2_trial(env: Environment, rule: ProbabilityRule, state) -> Optiona
             break
         start += 1
     neighbor_weight = sum((residual[u] for u in targets), start=Fraction(0))
-    return rule.trial_probability(neighbor_weight, residual[b]), _query_all([b]), _query_all(targets)
+    return rule(neighbor_weight, residual[b]), _query_all([b]), _query_all(targets)
 
 
 def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
@@ -1004,37 +965,32 @@ def _copy_state(state):
 
 
 def expected_cost_exact(
-    algorithm: Callable[..., RunReport],
-    inst: Instance,
-    rule: ProbabilityRule,
-    *,
-    max_branches: int = 2 ** 20,
-    **kwargs,
+    algorithm: Callable[..., RunReport], inst: Instance, rule
 ) -> Union[Fraction, tuple[Fraction, Fraction]]:
     """Exact expected total cost over every branch of the strategy's coin.
 
     ``algorithm`` is `algorithm1` or `algorithm2` (or a `functools.wraps`
-    wrapper of one); ``kwargs`` go to its warm-up.  The coin tree is walked
+    wrapper of one), and ``rule`` what it takes: a bias, or `HALF` or
+    `SQRT3`; its start refuses anything else.  The coin tree is walked
     once, depth first: at each real flip the environment and the strategy
     state are forked, the ``True`` side is kept for later, and the ``False``
     side goes on in place -- so leaves come ``False`` before ``True``, the
-    deepest pending ``True`` side first.  Each leaf's spend is weighted by
-    its path probability.  Returns an exact rational when every probability
-    is rational, and a rational enclosure ``(lo, hi)`` (width far below
-    1e-9) when the square-root rule is involved.
+    deepest pending ``True`` side first.  A path holding more than 20 real
+    flips raises `TooManyBranches`, so the walk has at most 2^20 leaves.
+    Each leaf's spend is weighted by its path probability.  Returns an exact
+    rational when every probability is rational, and a rational enclosure
+    ``(lo, hi)`` (width far below 1e-9) when the square-root rule is
+    involved.
     """
     start, trial = _TRIALS.get(inspect.unwrap(algorithm), (None, None))
     if start is None:
         raise InvariantViolation(
             f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}"
         )
-    if not isinstance(rule, ProbabilityRule):
-        raise InvariantViolation(f"expected_cost_exact needs a probability rule, not {rule!r}")
     env = Environment(inst)
     # (environment, strategy state, side still to take, depth, path probability lo/hi);
     # a forked side is taken only when popped, so errors surface in leaf order
-    stack = [(env, start(env, rule, **kwargs), None, 0, Fraction(1), Fraction(1))]
-    leaves = 0
+    stack = [(env, start(env, rule), None, 0, Fraction(1), Fraction(1))]
     e_lo = e_hi = Fraction(0)
     while stack:
         env, state, pending, depth, lo, hi = stack.pop()
@@ -1056,9 +1012,6 @@ def expected_cost_exact(
             _flush_value_witnesses(env)
         if any(env.graph().adj):
             raise InvariantViolation("a coin-tree leaf still has a dependent pair")
-        leaves += 1
-        if leaves > max_branches:
-            raise TooManyBranches(f"more than {max_branches} branches")
         e_lo += lo * env._spent
         e_hi += hi * env._spent
     if e_lo == e_hi:

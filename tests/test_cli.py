@@ -276,6 +276,20 @@ def test_non_utf8_document_is_a_document_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("document error: not UTF-8 text")
 
 
+def test_repeated_field_is_a_model_error(tmp_path, capsys):
+    # read "last one wins", delta = 3 would make the optimum cost 0, not 1
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"schema": "1", "delta": "0", "intervals": [{"lo": "0", "hi": "4", "cost": "1"}, '
+        '{"lo": "2", "hi": "6", "cost": "1"}], "values": ["1", "5"], "delta": "3"}',
+        encoding="utf-8",
+    )
+    assert main(["opt", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "model error: repeated field 'delta'\n"
+
+
 # ---------------------------------------------------------------------------
 # ratio
 # ---------------------------------------------------------------------------
@@ -433,6 +447,14 @@ def test_ratio_bad_family_parameters_are_usage_errors(capsys, argv):
     assert capsys.readouterr().err.startswith("usage error")
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_ratio_needs_at_least_one_trial(capsys, trials):
+    assert main(["ratio", "simple", "random", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --trials must be at least 1, got {trials}\n"
+
+
 def test_ratio_pairing_errors_stay_model_errors(capsys):
     assert main(["ratio", "stable_sort", "lemma4", "--delta", "2"]) == 4
     assert capsys.readouterr().err.startswith("model error")
@@ -532,6 +554,7 @@ BASE_DOCS = tuple(serialize(inst) for inst in (
     *(gen_random(s, 4, d) for s, d in ((0, F(0)), (1, F(1, 2)), (2, F(1)))),
     *(gen_random_scripted(s, 3, F(0)) for s in range(3)),
 ))
+REPEAT = "\x01"
 JUNK = (None, True, 3, 1.5, "x", "", "1/0", "1/", " 1/2 ", "3/-4", "0x10", "1e3", [], {}, ["1"], {"lo": "1"})
 
 
@@ -547,17 +570,22 @@ def slots(node, out):
 @st.composite
 def structurally_mutated(draw):
     """A valid document with keys dropped, values swapped for other types or
-    broken rationals, unknown fields added, or the root replaced."""
+    broken rationals, unknown or repeated fields added, or the root replaced."""
     doc = json.loads(draw(st.sampled_from(BASE_DOCS)))
     for _ in range(draw(st.integers(1, 3))):
         places = slots(doc, [])
-        kind = draw(st.sampled_from(("drop", "swap", "rational", "add", "root")))
+        kind = draw(st.sampled_from(("drop", "swap", "rational", "add", "repeat", "root")))
         if kind == "root" or not places:
             doc = copy.deepcopy(draw(st.sampled_from(JUNK)))
         elif kind == "add":
             dicts = [d for d in [doc] + [c[k] for c, k in places] if isinstance(d, dict)]
             if dicts:
                 draw(st.sampled_from(dicts))[draw(st.sampled_from(("extra", "Lo", "schema2")))] = "1"
+        elif kind == "repeat":
+            dicts = [c for c, k in places if isinstance(c, dict)]
+            if dicts:  # REPEAT + key dumps to a second copy of that key
+                target = draw(st.sampled_from(dicts))
+                target[REPEAT + draw(st.sampled_from(sorted(target)))] = "1"
         else:
             if kind == "rational":
                 places = [(c, k) for c, k in places if isinstance(c[k], str)] or places
@@ -569,7 +597,7 @@ def structurally_mutated(draw):
             else:
                 container[key] = draw(st.sampled_from(("1/0", "1//2", "2/", "/3", "1.5.", "--1", "")
                                                       + (container[key] + "x", container[key][:-1])))
-    return json.dumps(doc).encode()
+    return json.dumps(doc).replace(json.dumps(REPEAT)[:-1], '"').encode()
 
 
 @st.composite

@@ -10,12 +10,18 @@ float literal.
 
 No Fraction pair predicate inside a run: ``online.py`` names none of them, so
 every pair question a strategy asks goes to the environment's live graph.
+
+The package re-exports exactly what it imports: the names ``__init__.py``
+imports equal its ``__all__``, and each one resolves on the package, so a
+half-removed export fails here.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import querysort
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -106,3 +112,27 @@ def test_the_check_flags_pair_predicates():
 
 def test_online_asks_the_live_graph():
     assert pair_predicate_sites((SRC / "online.py").read_text()) == []
+
+
+def reexport_mismatch(source):
+    """``(imported but not in __all__, in __all__ but not imported)``, each sorted."""
+    tree = ast.parse(source)
+    imported = {name for name, _ in imported_names(tree)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported - exported), sorted(exported - imported)
+
+
+def test_the_check_flags_a_half_removed_export():
+    source = (
+        "from .online import HALF, ProbabilityRule\n"
+        "__all__ = ['HALF', 'SQRT3']\n"
+    )
+    assert reexport_mismatch(source) == (["ProbabilityRule"], ["SQRT3"])
+
+
+def test_init_reexports_what_it_imports():
+    assert reexport_mismatch((SRC / "__init__.py").read_text()) == ([], [])
+    assert [name for name in querysort.__all__ if not hasattr(querysort, name)] == []

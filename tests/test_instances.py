@@ -349,3 +349,14 @@ def test_deserialize_rejections():
     )
     with pytest.raises(InvariantViolation):
         deserialize(bad)
+
+
+def test_deserialize_refuses_repeated_fields():
+    pair = '"intervals": [{"lo": "0", "hi": "4", "cost": "1"}, {"lo": "2", "hi": "6", "cost": "1"}]'
+    once = '{"schema": "1", "delta": "0", %s, "values": ["1", "5"]}' % pair
+    assert deserialize(once).delta == 0
+    # "last one wins" would read delta = 3: an instance with nothing to query
+    with pytest.raises(InvariantViolation, match="repeated field 'delta'"):
+        deserialize(once[:-1] + ', "delta": "3"}')
+    with pytest.raises(InvariantViolation, match="repeated field 'lo'"):
+        deserialize(once.replace('"hi": "4"', '"hi": "4", "lo": "3"'))

@@ -63,14 +63,37 @@ from querysort.online import _ENCLOSURE_PRECISION, _MAX_COIN_DEPTH, QueryEnviron
 
 
 def test_probability_rules():
-    assert HALF.trial_probability(F(1), F(4, 3)) == F(3, 8)
-    assert HALF.trial_probability(F(10), F(1)) == F(1)
-    p = SQRT3.trial_probability(F(1), F(1))
+    assert HALF(F(1), F(4, 3)) == F(3, 8)
+    assert HALF(F(10), F(1)) == F(1)
+    p = SQRT3(F(1), F(1))
     assert isinstance(p, Sqrt3Prob)
-    assert SQRT3.trial_probability(F(10), F(1)) == F(1)
-    assert FIXED(F(1, 3)).p == F(1, 3)
+    assert SQRT3(F(10), F(1)) == F(1)
+    assert FIXED(F(1, 3)) == F(1, 3)
+    assert FIXED("1/3") == F(1, 3)
     with pytest.raises(InvariantViolation):
         FIXED(F(3, 2))
+
+
+def test_coin_strategies_refuse_the_other_kind_of_rule():
+    """`algorithm1` takes a bias, `algorithm2` a weight rule; everything else is refused
+    with a `QuerysortError`, by the strategy and by the expectation walk alike."""
+    inst = gen_lemma4_pair(F(0))[0]
+    assert algorithm1(Environment(inst), F(1, 2), rng=RandomCoin(0)).total_cost >= 1
+    bias = "this strategy takes a fixed coin bias"
+    cases = [
+        (algorithm1, HALF, bias),
+        (algorithm1, SQRT3, bias),
+        (algorithm1, "1/2", bias),
+        (algorithm1, F(3, 2), r"probability 3/2 outside \[0, 1\]"),
+        (algorithm2, FIXED(F(1, 2)), "this strategy takes the half or sqrt3 rule"),
+        (algorithm2, "half", "this strategy takes the half or sqrt3 rule"),
+        (algorithm2, lambda w, w_b: F(1, 2), "this strategy takes the half or sqrt3 rule"),
+    ]
+    for algorithm, rule, message in cases:
+        with pytest.raises(QuerysortError, match=message):
+            algorithm(Environment(inst), rule, rng=RandomCoin(0))
+        with pytest.raises(QuerysortError, match=message):
+            expected_cost_exact(algorithm, inst, rule)
 
 
 def test_sqrt3_prob_exact_comparison():
@@ -266,16 +289,6 @@ def test_algorithm1_deterministic_ends_consume_no_coin():
         assert e == rep.total_cost
 
 
-def test_algorithm1_preprocess_toggle():
-    inst = gen_laminar(3, 8)
-    on = algorithm1(Environment(inst), FIXED(F(1, 2)), rng=RandomCoin(1))
-    off = algorithm1(Environment(inst), FIXED(F(1, 2)), preprocess=False, rng=RandomCoin(1))
-    assert valid_permutation(inst, None, on.permutation)
-    assert valid_permutation(inst, None, off.permutation)
-    _, opt = optimum_query_set(inst)
-    assert on.total_cost == opt  # strictly nested family: warm-up does it all
-
-
 def test_no_2component_predicate():
     assert no_2component_after_preprocess(gen_lemma7_two_triangles())
     assert not no_2component_after_preprocess(gen_lemma4_pair(F(0))[0])
@@ -426,12 +439,6 @@ def test_expected_cost_deterministic_equals_run():
     assert e == rep.total_cost
 
 
-def test_expected_cost_branch_guard():
-    a, _ = gen_lemma4_pair(F(0))
-    with pytest.raises(TooManyBranches):
-        expected_cost_exact(algorithm1, a, FIXED(F(1, 2)), max_branches=1)
-
-
 def test_fork_is_independent():
     inst = gen_random(5, 12, F(1, 2))
     env = Environment(inst)
@@ -491,28 +498,24 @@ def _branch_probability(flips):
     return lo, hi
 
 
-def replay_expected_cost(algorithm, inst, rule, *, max_branches=2 ** 20, leaves=None, **kwargs):
+def replay_expected_cost(algorithm, inst, rule, *, leaves=None):
     """Fork at the first unscripted flip and rerun both sides from scratch.
 
     Appends each leaf's cost to ``leaves`` when a list is given.
     """
     stack = [()]
-    count = 0
     e_lo = e_hi = F(0)
     while stack:
         script = stack.pop()
         coin = _ScriptedCoin(script)
         try:
-            report = algorithm(Environment(inst), rule=rule, rng=coin, **kwargs)
+            report = algorithm(Environment(inst), rule=rule, rng=coin)
         except _Unscripted:
             if len(script) >= _MAX_COIN_DEPTH:
                 raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
             stack.append(script + (True,))
             stack.append(script + (False,))
             continue
-        count += 1
-        if count > max_branches:
-            raise TooManyBranches(f"more than {max_branches} branches")
         if leaves is not None:
             leaves.append(report.total_cost)
         p_lo, p_hi = _branch_probability(coin.flips)
@@ -561,33 +564,26 @@ DIFFERENTIAL_INSTANCES = [
 
 
 @pytest.mark.parametrize(
-    "algorithm, rule, kwargs",
+    "algorithm, rule",
     [
-        pytest.param(algorithm1, FIXED(F(1, 3)), {}, id="algorithm1-rule0"),
-        pytest.param(algorithm1, FIXED(F(1, 2)), {}, id="algorithm1-rule1"),
-        pytest.param(algorithm1, FIXED(F(1)), {}, id="algorithm1-rule2"),
-        pytest.param(algorithm2, HALF, {}, id="algorithm2-rule3"),
-        pytest.param(algorithm2, SQRT3, {}, id="algorithm2-rule4"),
-        pytest.param(algorithm1, FIXED(F(0)), {}, id="algorithm1-fixed0"),
-        pytest.param(algorithm1, FIXED(F(1, 2)), {"preprocess": False}, id="algorithm1-half-no-preprocess"),
-        pytest.param(algorithm1, FIXED(F(1)), {"preprocess": False}, id="algorithm1-fixed1-no-preprocess"),
+        pytest.param(algorithm1, FIXED(F(1, 3)), id="algorithm1-rule0"),
+        pytest.param(algorithm1, FIXED(F(1, 2)), id="algorithm1-rule1"),
+        pytest.param(algorithm1, FIXED(F(1)), id="algorithm1-rule2"),
+        pytest.param(algorithm2, HALF, id="algorithm2-rule3"),
+        pytest.param(algorithm2, SQRT3, id="algorithm2-rule4"),
+        pytest.param(algorithm1, FIXED(F(0)), id="algorithm1-fixed0"),
     ],
 )
-def test_expected_cost_matches_branch_replay(monkeypatch, algorithm, rule, kwargs):
+def test_expected_cost_matches_branch_replay(monkeypatch, algorithm, rule):
     counter = ForkCounter(monkeypatch)
     for k, inst in enumerate(DIFFERENTIAL_INSTANCES):
         leaves = []
-        want = outcome(replay_expected_cost, algorithm, inst, rule, leaves=leaves, **kwargs)
+        want = outcome(replay_expected_cost, algorithm, inst, rule, leaves=leaves)
         counter.forks = 0
-        got = outcome(expected_cost_exact, never_called(algorithm), inst, rule, **kwargs)
+        got = outcome(expected_cost_exact, never_called(algorithm), inst, rule)
         assert got == want, k
         if not isinstance(got, str):  # one fork per leaf after the first
             assert counter.forks == len(leaves) - 1, k
-        for cap in (1, 3):
-            capped = outcome(expected_cost_exact, algorithm, inst, rule, max_branches=cap, **kwargs)
-            assert capped == outcome(
-                replay_expected_cost, algorithm, inst, rule, max_branches=cap, **kwargs
-            ), (k, cap)
 
 
 def test_expected_cost_depth_guard():

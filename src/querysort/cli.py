@@ -467,12 +467,9 @@ def cmd_ratio(args) -> int:
     mean = total / len(out_rows) if out_rows else Fraction(0)
     bound_note = f" bound={label}" if label else ""
     status = "OK" if not exceeded else "EXCEEDED"
-    summary = (
-        f"# rows={len(out_rows)} max_ratio={worst if worst is not None else 'n/a'}"
-        f" (~{float(worst):.10g})" if worst is not None else
-        f"# rows={len(out_rows)} max_ratio=n/a"
-    )
-    summary += f" mean_ratio={mean} (~{float(mean):.10g}){bound_note} status={status}"
+    max_ratio = f"{worst} (~{float(worst):.10g})" if worst is not None else "n/a"
+    summary = (f"# rows={len(out_rows)} max_ratio={max_ratio}"
+               f" mean_ratio={mean} (~{float(mean):.10g}){bound_note} status={status}")
     print(summary if not args.out else summary.lstrip("# "))
     if exceeded:
         for instance_id, ratio_str in exceeded:

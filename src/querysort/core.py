@@ -75,11 +75,6 @@ def scalar(x: ScalarLike) -> Fraction:
     raise InvariantViolation(f"cannot interpret {type(x).__name__} as a scalar")
 
 
-def scalar_str(x: Fraction) -> str:
-    """Canonical string form: ``"7"`` for integers, ``"25/2"`` otherwise."""
-    return str(x)
-
-
 def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(m) <= hi`` with ``hi - lo <= precision``.
 
@@ -513,9 +508,6 @@ class Permutation:
                 f"not a permutation of 0..{len(self.order) - 1}: {self.order}"
             )
 
-    def position(self, i: int) -> int:
-        return self.order.index(i)
-
     def __iter__(self):
         return iter(self.order)
 
@@ -553,13 +545,11 @@ def valid_permutation(
     )
 
 
-def build_permutation(
-    state: Union[KnowledgeState, Sequence[UncertainInterval]],
-    delta: Fraction,
-) -> Permutation:
+def build_permutation(items: Sequence[UncertainInterval], delta: Fraction) -> Permutation:
     """Order pairwise-independent intervals into a guaranteed-valid sequence.
 
-    Precondition: no two intervals are dependent (raises
+    ``items`` is a sequence of intervals, such as a run's final current
+    intervals.  Precondition: no two of them are dependent (raises
     `UnresolvedDependency` otherwise).  Item ``i`` is forced before ``j``
     when ``i`` certainly cannot exceed ``j`` by more than the threshold while
     the reverse is not certain; ties -- neither direction forced -- are
@@ -569,10 +559,6 @@ def build_permutation(
     The forced relation on an independent family cannot contain 2- or
     3-cycles; `CycleDetected` guards against anything longer.
     """
-    if isinstance(state, KnowledgeState):
-        items = list(state.current)
-    else:
-        items = list(state)
     n = len(items)
     delta = scalar(delta)
     require_independent(items, delta)

@@ -164,11 +164,8 @@ def verify_peo(g: DependencyGraph, order: Sequence[int]) -> bool:
     return _non_simplicial(g, order) is None
 
 
-def peo_min_right(
-    g: DependencyGraph,
-    intervals: Optional[Sequence[UncertainInterval]] = None,
-) -> tuple[int, ...]:
-    """Perfect elimination ordering by nondecreasing right endpoint.
+def peo_min_right(g: DependencyGraph) -> tuple[int, ...]:
+    """Perfect elimination ordering by nondecreasing right endpoint of ``g.intervals``.
 
     Sorting the vertices by ``(hi, index)`` eliminates, at each step, an
     interval whose remaining neighbors all run past its right endpoint and
@@ -177,11 +174,9 @@ def peo_min_right(
     (it always does for graphs built from intervals under the threshold
     rule).
     """
-    if intervals is None:
-        intervals = g.intervals
-    if intervals is None:
+    if g.intervals is None:
         raise InvariantViolation("peo_min_right needs the underlying intervals")
-    order = tuple(sorted(range(g.n), key=lambda v: (intervals[v].hi, v)))
+    order = tuple(sorted(range(g.n), key=lambda v: (g.intervals[v].hi, v)))
     bad = _non_simplicial(g, order)
     if bad is not None:
         v, a, b = bad

@@ -27,14 +27,8 @@ from .errors import InvariantViolation, ParseError
 # Random corpora
 # ---------------------------------------------------------------------------
 
-_COST_MODELS = {"uniform": "uniform", "rational-range": "rational", "rational": "rational"}
-_VALUE_MODELS = {
-    "uniform-in-interval": "uniform",
-    "uniform": "uniform",
-    "endpoint-biased": "endpoint",
-    "endpoint": "endpoint",
-    "generic": "generic",
-}
+_COST_MODELS = ("uniform", "rational-range")
+_VALUE_MODELS = ("uniform-in-interval", "endpoint-biased", "generic")
 
 
 def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[UncertainInterval]:
@@ -81,15 +75,13 @@ def gen_random(
     """
     if n < 1:
         raise InvariantViolation("need at least one interval")
-    try:
-        cost_kind = _COST_MODELS[cost_model]
-        value_kind = _VALUE_MODELS[value_model]
-    except KeyError as exc:
-        raise InvariantViolation(f"unknown model {exc.args[0]!r}") from None
+    for model, known in ((cost_model, _COST_MODELS), (value_model, _VALUE_MODELS)):
+        if model not in known:
+            raise InvariantViolation(f"unknown model {model!r}")
     delta = scalar(delta)
     rng = random.Random(seed)
-    ivs = _draw_intervals(rng, n, cost_kind)
-    if value_kind == "generic":
+    ivs = _draw_intervals(rng, n, cost_model)
+    if value_model == "generic":
         # A zero-width interval pins its value, which can make generic
         # position unreachable; give every member room to move.
         ivs = [
@@ -102,7 +94,7 @@ def gen_random(
     def draw_values(denominator: int) -> list[Fraction]:
         out = []
         for itv in ivs:
-            if value_kind == "endpoint":
+            if value_model == "endpoint-biased":
                 kind = rng.randint(1, 4)
                 if kind == 1:
                     out.append(itv.lo)
@@ -110,7 +102,7 @@ def gen_random(
                 if kind == 2:
                     out.append(itv.hi)
                     continue
-            if value_kind == "generic":
+            if value_model == "generic":
                 # strictly interior, so a value never sits on its own edge
                 out.append(
                     itv.lo
@@ -120,7 +112,7 @@ def gen_random(
             out.append(itv.lo + itv.width * Fraction(rng.randint(0, denominator), denominator))
         return out
 
-    if value_kind == "generic":
+    if value_model == "generic":
         denominator = 16
         while True:
             values = draw_values(denominator)
@@ -577,9 +569,7 @@ def asteroid_expected_edges(kind: str, k: int) -> frozenset[tuple[int, int]]:
     add(dv, spine0 + k - 1)
     for h in hubs:
         add(h, ev)
-    if kind == "fig5a":
-        pass
-    else:
+    if kind == "fig5b":
         add(0, c)
         add(1, dv)
     return frozenset(edges)

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     Instance,
-    KnowledgeState,
     UncertainInterval,
     dependent,
     is_trivial,
@@ -36,7 +35,7 @@ from .core import (
     sweep_pairs,
 )
 from .errors import InvariantViolation, MissingRealization, TooLarge
-from .graph import DependencyGraph, build_graph, components, min_cost_vertex_cover
+from .graph import DependencyGraph, components, min_cost_vertex_cover
 
 #: Guard for the 2^n subset enumeration.
 BRUTE_FORCE_LIMIT = 20
@@ -68,22 +67,6 @@ def forced_query_set(inst: Instance) -> frozenset[int]:
         if inside > 0:
             forced.add(j)
     return frozenset(forced)
-
-
-def resolved_by(
-    a: UncertainInterval,
-    b: UncertainInterval,
-    va: Optional[Fraction],
-    vb: Optional[Fraction],
-    delta: Fraction,
-) -> bool:
-    """Is the pair independent once the chosen members are revealed?
-
-    ``va`` / ``vb`` are the revealed values (None = not queried).
-    """
-    ca = a if va is None else UncertainInterval(va, va, a.cost)
-    cb = b if vb is None else UncertainInterval(vb, vb, b.cost)
-    return not dependent(ca, cb, delta)
 
 
 def feasible_query_set(inst: Instance, query_set) -> bool:
@@ -248,27 +231,22 @@ def brute_force_optimum(
     return best, tuple(minimizers)
 
 
-def oblivious_query_set(
-    source: Union[Instance, KnowledgeState, DependencyGraph], delta=None
-) -> frozenset[int]:
-    """Every non-trivial interval with at least one dependency.
+def oblivious_query_set(g: DependencyGraph, delta) -> frozenset[int]:
+    """Every non-trivial interval with at least one dependency in ``g``.
 
-    The best a strategy that never looks at answers can do: any non-trivial
-    interval with a dependency might be needed, and an adversary can make
-    each one needed.  Trivial intervals are skipped even when dependent: a
-    revealed point can never be dependent on a trivial interval (that would
-    force its width above twice the threshold), so querying the non-trivial
-    side of each edge always suffices.
+    ``g`` is a dependency graph that holds its intervals (`build_graph`, or
+    an environment's graph) and ``delta`` its threshold.  This is the best a
+    strategy that never looks at answers can do: any non-trivial interval
+    with a dependency might be needed, and an adversary can make each one
+    needed.  Trivial intervals are skipped even when dependent: a revealed
+    point can never be dependent on a trivial interval (that would force its
+    width above twice the threshold), so querying the non-trivial side of
+    each edge always suffices.
     """
-    if isinstance(source, DependencyGraph):
-        g = source
-    else:
-        g = build_graph(source, delta)
-    d = scalar(delta) if delta is not None else getattr(source, "delta", None)
-    active = g.active_vertices()
-    if d is None or g.intervals is None:
-        return frozenset(active)
-    return frozenset(v for v in active if not is_trivial(g.intervals[v], d))
+    if not isinstance(g, DependencyGraph) or g.intervals is None:
+        raise InvariantViolation("oblivious_query_set takes a dependency graph with intervals")
+    d = scalar(delta)
+    return frozenset(v for v in g.active_vertices() if not is_trivial(g.intervals[v], d))
 
 
 def cpcp_brute_force_optimum(

@@ -10,10 +10,11 @@ next entry of a nested script of closed intervals ending in the value point;
 the t-th query may have its own price.  An instance without scripts embeds
 into this model as one-step scripts.
 
-Each environment holds one dependency graph of its current intervals,
-narrowed in place by each query (`QueryEnvironment`); every strategy and
-witness flush reads it, and every pair and witness test compares endpoints
-on the instance's integer grid (`Instance.grid`).
+Each environment holds one dependency graph of its current intervals, built
+with the environment and narrowed in place by each query
+(`QueryEnvironment`); every strategy and witness flush reads it, and every
+pair and witness test compares endpoints on the instance's integer grid
+(`Instance.grid`).
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  The uniform-cost strategy flips a constant bias, a `Fraction` in
@@ -27,9 +28,10 @@ coin flip.  `expected_cost_exact` walks their coin tree once, forking the
 environment at each real flip, and returns the exact expected spend (an
 interval enclosure when the square-root rule is involved).
 
-Every strategy returns a `RunReport` and finishes by ordering the final
-intervals, which fails loudly if any dependent pair survived -- the
-feasibility guarantee is enforced, not assumed.
+Every strategy returns a `RunReport` built by `_finish`, which orders the
+final intervals (or checks an ordering the strategy made) and fails loudly
+if any dependent pair survived -- the feasibility guarantee is enforced, not
+assumed.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class QueryEnvironment:
     grid, beside the `Fraction` intervals in ``_current``; every pair and
     witness test reads them.  Spend and transcript stay `Fraction`.
 
-    The one graph is built on its first read (`sweep_pairs`) and then
+    The one graph is built with the environment (`sweep_pairs`) and then
     narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
     and ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
     queried vertex, and re-testing its neighbours is O(degree) work.
@@ -190,7 +192,8 @@ class QueryEnvironment:
         self._queried = [0] * instance.n
         self._spent = Fraction(0)
         self.transcript: list[tuple] = []
-        self._graph: Optional[DependencyGraph] = None
+        pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
+        self._graph = DependencyGraph(instance.n, pairs, instance.costs, self._current)
 
     @property
     def n(self) -> int:
@@ -210,14 +213,12 @@ class QueryEnvironment:
     def graph(self) -> DependencyGraph:
         """Dependency graph of the current intervals at the instance threshold.
 
-        Live: every call returns the same object, each query narrows it in
-        place, and its ``intervals`` is this environment's own list.  So a
-        graph, ``adj`` set or ``intervals`` held across a query shows the
-        state after it; copy what must stay fixed (``sorted(...)``) first.
+        Built with the environment and live: every call returns the same
+        object, each query narrows it in place, and its ``intervals`` is this
+        environment's own list.  So a graph, ``adj`` set or ``intervals`` held
+        across a query shows the state after it; copy what must stay fixed
+        (``sorted(...)``) first.
         """
-        if self._graph is None:
-            pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
-            self._graph = DependencyGraph(self.n, pairs, self.instance.costs, self._current)
         return self._graph
 
     def _fork(self) -> "QueryEnvironment":
@@ -228,9 +229,8 @@ class QueryEnvironment:
         twin._hi = list(self._hi)
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
-        if self._graph is not None:
-            twin._graph = DependencyGraph(self.n, (), self.instance.costs, twin._current)
-            twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
+        twin._graph = DependencyGraph(self.n, (), self.instance.costs, twin._current)
+        twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
         return twin
 
     def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
@@ -242,11 +242,10 @@ class QueryEnvironment:
         self._lo[i], self._hi[i] = lo, hi
         self._spent += charge
         self.transcript.append((i, answer, charge))
-        if self._graph is not None:
-            adj = self._graph.adj
-            for j in [j for j in adj[i] if not (hi - self._lo[j] > d and self._hi[j] - lo > d)]:
-                adj[i].remove(j)
-                adj[j].remove(i)
+        adj = self._graph.adj
+        for j in [j for j in adj[i] if not (hi - self._lo[j] > d and self._hi[j] - lo > d)]:
+            adj[i].remove(j)
+            adj[j].remove(i)
         return answer
 
 
@@ -347,9 +346,15 @@ class RunReport:
         return tuple(i for i, c in enumerate(self.queried) if c > 0)
 
 
-def _finish(env: QueryEnvironment, **extra) -> RunReport:
+def _finish(env: QueryEnvironment, permutation: Optional[Permutation] = None,
+            **extra) -> RunReport:
+    """The run's report, ordering its final intervals; a strategy that made its
+    own ``permutation`` passes it, and no dependent pair may be left either way."""
     state = env.state()
-    permutation = build_permutation(state, env.delta)
+    if permutation is None:
+        permutation = build_permutation(state.current, env.delta)
+    else:
+        require_independent(state.current, env.delta)
     return RunReport(
         queried=state.queried,
         total_cost=state.spent,
@@ -498,15 +503,7 @@ def simple_adaptive_stable_sort(env: Environment) -> RunReport:
         return out
 
     order = merge_sort(list(range(env.n)))
-    state = env.state()
-    require_independent(state.current, env.delta)
-    return RunReport(
-        queried=state.queried,
-        total_cost=state.spent,
-        permutation=Permutation(tuple(order)),
-        transcript=tuple(env.transcript),
-        comparisons=comparisons,
-    )
+    return _finish(env, Permutation(order), comparisons=comparisons)
 
 
 def vc_adaptive(env: Environment) -> RunReport:

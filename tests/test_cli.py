@@ -619,9 +619,32 @@ def byte_corrupted(draw):
     return bytes(data)
 
 
+def canonical(node, key=None):
+    """A parsed document with every rational string in its canonical form."""
+    if isinstance(node, dict):
+        return {k: canonical(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [canonical(v) for v in node]
+    return str(F(node)) if isinstance(node, str) and key != "schema" else node
+
+
+def check_read_as_written(text: str, inst):
+    """A document that loads repeats no key in any object, and says what
+    `serialize` writes back for the instance it loads as."""
+    objects = []
+    parsed = json.loads(text, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
+    for pairs in objects:
+        keys = [key for key, _ in pairs]
+        assert len(keys) == len(set(keys)), keys
+    for row in parsed["intervals"]:
+        row.setdefault("cost", "1")
+    assert canonical(json.loads(serialize(inst))) == canonical(parsed)
+
+
 def check_mutated_document(data: bytes):
-    """``deserialize`` fails only with a `QuerysortError`; ``solve``, ``opt``
-    and ``verify`` return an exit code, 4 when the document does not load."""
+    """``deserialize`` fails only with a `QuerysortError`, and a document it
+    loads is read as written; ``solve``, ``opt`` and ``verify`` return an
+    exit code, 4 when the document does not load."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as handle:
@@ -633,10 +656,12 @@ def check_mutated_document(data: bytes):
             loads = False
         else:
             try:
-                deserialize(text)
-                loads = True
+                inst = deserialize(text)
             except QuerysortError:
                 loads = False
+            else:
+                loads = True
+                check_read_as_written(text, inst)
         for argv in (["solve", "simple", path], ["opt", path],
                      ["verify", path, "--queries", "0", "--permutation", "0"]):
             err = io.StringIO()

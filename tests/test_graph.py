@@ -95,7 +95,7 @@ def test_peo_min_right_and_mcs():
     for seed, n, d in SEED_MIX[:60]:
         inst = gen_random(seed, n, d)
         g = build_graph(inst)
-        order = peo_min_right(g, inst.intervals)
+        order = peo_min_right(g)
         assert sorted(order) == list(range(n))
         assert verify_peo(g, order)
         order2 = mcs_peo(g)

@@ -49,16 +49,13 @@ def test_gen_random_deterministic():
 
 
 def test_gen_random_model_aliases_and_rejection():
-    assert serialize(gen_random(5, 4, 0, cost_model="rational")) == serialize(
-        gen_random(5, 4, 0, cost_model="rational-range")
-    )
-    assert serialize(gen_random(5, 4, 0, value_model="uniform")) == serialize(
-        gen_random(5, 4, 0, value_model="uniform-in-interval")
-    )
-    with pytest.raises(InvariantViolation):
-        gen_random(5, 4, 0, cost_model="gaussian")
-    with pytest.raises(InvariantViolation):
-        gen_random(5, 4, 0, value_model="worst-case")
+    # only the documented names: the short aliases are refused like any unknown model
+    for cost_model in ("rational", "gaussian"):
+        with pytest.raises(InvariantViolation, match=f"unknown model '{cost_model}'"):
+            gen_random(5, 4, 0, cost_model=cost_model)
+    for value_model in ("uniform", "endpoint", "worst-case"):
+        with pytest.raises(InvariantViolation, match=f"unknown model '{value_model}'"):
+            gen_random(5, 4, 0, value_model=value_model)
     with pytest.raises(InvariantViolation):
         gen_random(5, 0, 0)
 

@@ -33,9 +33,9 @@ from querysort import (
     interval,
     oblivious_query_set,
     optimum_query_set,
-    resolved_by,
 )
 from querysort.core import Instance, dependent
+from querysort.graph import DependencyGraph, build_graph
 from querysort.offline import BRUTE_FORCE_LIMIT, CPCP_ENUMERATION_LIMIT
 
 
@@ -50,14 +50,15 @@ def test_forced_set_lemma4():
     assert forced_query_set(b) == frozenset({0})
 
 
-def test_resolved_by():
+def test_dependent_once_values_are_revealed():
     a, b = interval(2, 7), interval(0, 4)
-    assert not resolved_by(a, b, None, None, F(0))
+    a_at, b_at = interval(F(11, 2), F(11, 2)), interval(3, 3)
+    assert dependent(a, b, F(0))
     # revealing b at 3 leaves the pair dependent (3 sits inside a)
-    assert not resolved_by(a, b, None, F(3), F(0))
+    assert dependent(a, b_at, F(0))
     # revealing a at 5.5 resolves it (5.5 is above b entirely)
-    assert resolved_by(a, b, F(11, 2), None, F(0))
-    assert resolved_by(a, b, F(11, 2), F(3), F(0))
+    assert not dependent(a_at, b, F(0))
+    assert not dependent(a_at, b_at, F(0))
 
 
 def test_feasible_query_set_basics():
@@ -148,12 +149,21 @@ def test_brute_force_guard():
 
 def test_oblivious_query_set():
     star = gen_nested_star(6)
-    assert oblivious_query_set(star) == frozenset(range(6))
+    assert oblivious_query_set(build_graph(star), star.delta) == frozenset(range(6))
     edgeless = Instance(F(0), (interval(0, 1), interval(5, 6)), (F(0), F(5)))
-    assert oblivious_query_set(edgeless) == frozenset()
+    assert oblivious_query_set(build_graph(edgeless), edgeless.delta) == frozenset()
     # trivial intervals are never queried obliviously, even when dependent
-    inst = Instance(F(2), (interval(0, 1), interval(-5, 6)), (F(0), F(-5)))
-    assert oblivious_query_set(inst) == frozenset({1})
+    for inst in (Instance(F(2), (interval(0, 1), interval(-5, 6)), (F(0), F(-5))),
+                 Instance(F(1), (interval(4, 5), interval(0, 10)), (F(4), F(9)))):
+        assert oblivious_query_set(build_graph(inst), inst.delta) == frozenset({1})
+    # only a dependency graph that holds its intervals, with its threshold
+    with pytest.raises(InvariantViolation):
+        oblivious_query_set(star, star.delta)
+    bare = DependencyGraph(2, [(0, 1)], (F(1), F(1)))
+    with pytest.raises(InvariantViolation):
+        oblivious_query_set(bare, F(0))
+    with pytest.raises(InvariantViolation):
+        oblivious_query_set(build_graph(star), None)
 
 
 def test_cpcp_brute_force_hand_case():

@@ -442,7 +442,6 @@ def test_expected_cost_deterministic_equals_run():
 def test_fork_is_independent():
     inst = gen_random(5, 12, F(1, 2))
     env = Environment(inst)
-    env.graph()  # the live graph exists before the fork
     env.query(0)
     twin = env._fork()
     for i in (3, 7):
@@ -457,6 +456,19 @@ def test_fork_is_independent():
         rebuilt = build_graph(Instance(inst.delta, copy.state().current, inst.values))
         assert copy.graph().edges == rebuilt.edges
         assert copy.graph().intervals is copy._current
+
+
+def test_fork_before_any_graph_read():
+    inst = gen_random(5, 12, F(1, 2))
+    start = build_graph(inst)
+    env = Environment(inst)
+    twin = env._fork()
+    for i in start.active_vertices()[:3]:
+        twin.query(i)
+    assert env.graph().edges == start.edges
+    assert twin.graph().edges != start.edges
+    rebuilt = build_graph(Instance(inst.delta, twin.state().current, inst.values))
+    assert twin.graph().edges == rebuilt.edges
 
 
 def test_expected_cost_refuses_other_strategies_and_rules():

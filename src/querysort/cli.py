@@ -12,6 +12,7 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from .core import Instance, isqrt_bounds, valid_permutation
@@ -32,6 +33,7 @@ from .online import (
     Environment,
     RandomCoin,
     RunReport,
+    _spend,
     advice_half,
     advice_lg3,
     algorithm1,
@@ -129,13 +131,14 @@ _SQRT3_BOUND = (
 
 
 class _Strategy(NamedTuple):
-    """One strategy: ``run(inst, args)`` gives a `RunReport`; ``expected(inst, args)`` the
+    """One strategy: ``call(inst, args)`` gives the strategy function and the arguments
+    of one run on ``inst``, its environment first; ``expected(inst, args)`` the
     exact expected cost of a coin-driven strategy (None for deterministic ones);
     ``bound(args, n)`` the proven ratio limit on an n-interval instance with its printed
     label, either of which may be None; and ``refinement``, whether it runs in the
     refinement model (`CpcpEnvironment`) rather than the exact one."""
 
-    run: Callable[[Instance, argparse.Namespace], RunReport]
+    call: Callable[[Instance, argparse.Namespace], tuple]
     expected: Optional[Callable[[Instance, argparse.Namespace], object]]
     bound: Callable[[argparse.Namespace, int], tuple[Optional[Fraction], Optional[str]]]
     refinement: bool = False
@@ -143,48 +146,48 @@ class _Strategy(NamedTuple):
 
 _STRATEGIES = {
     "oblivious": _Strategy(
-        lambda inst, args: run_oblivious(Environment(inst)),
+        lambda inst, args: (run_oblivious, Environment(inst)),
         None,
         lambda args, n: (Fraction(n), None),
     ),
     "simple": _Strategy(
-        lambda inst, args: simple_adaptive(Environment(inst)),
+        lambda inst, args: (simple_adaptive, Environment(inst)),
         None,
         lambda args, n: _TWO,
     ),
     "stable_sort": _Strategy(
-        lambda inst, args: simple_adaptive_stable_sort(Environment(inst)),
+        lambda inst, args: (simple_adaptive_stable_sort, Environment(inst)),
         None,
         lambda args, n: (None, None),
     ),
     "vc": _Strategy(
-        lambda inst, args: vc_adaptive(Environment(inst)),
+        lambda inst, args: (vc_adaptive, Environment(inst)),
         None,
         lambda args, n: _TWO,
     ),
     "alg1": _Strategy(
-        lambda inst, args: algorithm1(Environment(inst), _alg1_rule(args), rng=RandomCoin(args.seed)),
+        lambda inst, args: (algorithm1, Environment(inst), _alg1_rule(args), RandomCoin(args.seed)),
         lambda inst, args: expected_cost_exact(algorithm1, inst, _alg1_rule(args)),
         lambda args, n: _ALG1_BOUNDS.get(_coin_bias(args), (None, None)),
     ),
     "alg2": _Strategy(
-        lambda inst, args: algorithm2(Environment(inst), _alg2_rule(args), rng=RandomCoin(args.seed)),
+        lambda inst, args: (algorithm2, Environment(inst), _alg2_rule(args), RandomCoin(args.seed)),
         lambda inst, args: expected_cost_exact(algorithm2, inst, _alg2_rule(args)),
         lambda args, n: _SQRT3_BOUND if args.rule == "sqrt3" else _ALG2_BOUND,
     ),
     "alg3": _Strategy(
-        lambda inst, args: algorithm3_cpcp(CpcpEnvironment(inst)),
+        lambda inst, args: (algorithm3_cpcp, CpcpEnvironment(inst)),
         None,
         lambda args, n: _TWO,
         refinement=True,
     ),
     "advice_half": _Strategy(
-        lambda inst, args: advice_half(Environment(inst), AdviceOracle(inst)),
+        lambda inst, args: (advice_half, Environment(inst), AdviceOracle(inst)),
         None,
         lambda args, n: _ONE,
     ),
     "advice_lg3": _Strategy(
-        lambda inst, args: advice_lg3(Environment(inst), AdviceOracle(inst)),
+        lambda inst, args: (advice_lg3, Environment(inst), AdviceOracle(inst)),
         None,
         lambda args, n: _ONE,
     ),
@@ -194,18 +197,21 @@ _STRATEGIES = {
 def _expected_cost(inst: Instance, args, report: Optional[RunReport] = None):
     """Exact expectation for coin-driven strategies, one run's cost otherwise.
 
-    Returns (low, high, report): cost bounds, equal for everything except
-    the irrational-bias rule, whose expectation is enclosed; and the plain
-    run's report (``report`` itself when given, so a strategy already run
-    is not run again), None for the coin-driven strategies.
+    Returns (low, high, oracle): cost bounds, equal for everything except
+    the irrational-bias rule, whose expectation is enclosed; and the run's
+    `AdviceOracle`, if any.  A deterministic cost is ``report``'s when given,
+    so a strategy already run is not run again, and else the spend of a run
+    left unordered (`_spend`).
     """
     strategy = _STRATEGIES[args.algorithm]
     if strategy.expected is not None:
         out = strategy.expected(inst, args)
         return (out if isinstance(out, tuple) else (out, out)) + (None,)
-    if report is None:
-        report = strategy.run(inst, args)
-    return report.total_cost, report.total_cost, report
+    if report is not None:
+        return report.total_cost, report.total_cost, None
+    run, env, *rest = strategy.call(inst, args)
+    cost = _spend(run, env, *rest)
+    return cost, cost, (rest[0] if rest else None)  # only advice strategies take one: the oracle
 
 
 def _seeds(args) -> range:
@@ -310,7 +316,8 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    report = _STRATEGIES[args.algorithm].run(inst, args)
+    run, *call_args = _STRATEGIES[args.algorithm].call(inst, args)
+    report = run(*call_args)
     print(f"instance   : {args.instance} (n={inst.n}, delta={inst.delta})")
     print(f"algorithm  : {args.algorithm} (seed={args.seed})")
     queried = ", ".join(str(i) for i in report.queried_indices) or "(none)"
@@ -427,13 +434,11 @@ def cmd_ratio(args) -> int:
     total = Fraction(0)
     exceeded = []
     for instance_id, _, seed, inst in rows:
-        lo, hi, report = _expected_cost(inst, args)
-        opt = _optimum_cost(inst, strategy)
+        _, hi, oracle = _expected_cost(inst, args)
+        opt = _optimum_cost(inst, strategy) if oracle is None else oracle.optimum_cost
         if hi < opt:
             raise InvariantViolation(f"{instance_id}: cost {hi} is below the optimum {opt}")
-        bits = ""
-        if report is not None and report.advice_bits is not None:
-            bits = str(report.advice_bits)
+        bits = "" if oracle is None else str(oracle.bits_used)
         if opt > 0:
             ratio = hi / opt
             ratio_str = str(ratio)
@@ -492,6 +497,7 @@ def _add_common_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="querysort",

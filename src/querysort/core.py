@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import lcm
@@ -75,13 +75,14 @@ def scalar(x: ScalarLike) -> Fraction:
     raise InvariantViolation(f"cannot interpret {type(x).__name__} as a scalar")
 
 
+@lru_cache(maxsize=64)
 def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(m) <= hi`` with ``hi - lo <= precision``.
 
     Newton iteration from an integer seed; every iterate stays an upper
     bound, and ``m / upper`` is a matching lower bound.  Used where an
     irrational constant (``sqrt(3)``) must enter an otherwise exact
-    computation as a certified interval.
+    computation as a certified interval.  Pure, so memoized.
     """
     if m < 0:
         raise InvariantViolation("square root of a negative number requested")

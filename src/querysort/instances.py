@@ -31,16 +31,17 @@ _COST_MODELS = ("uniform", "rational-range")
 _VALUE_MODELS = ("uniform-in-interval", "endpoint-biased", "generic")
 
 
-def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[UncertainInterval]:
+def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[int, int, Fraction]]:
+    """``(2 lo, 2 hi, cost)`` of each drawn interval: the endpoints in half-units."""
     out = []
     for _ in range(n):
-        lo = Fraction(rng.randint(0, 80), 2)
-        width = Fraction(rng.randint(0, 24), 2)
+        lo = rng.randint(0, 80)
+        hi = lo + rng.randint(0, 24)
         if cost_model == "uniform":
             cost = Fraction(1)
         else:
             cost = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
-        out.append(UncertainInterval(lo, lo + width, cost))
+        out.append((lo, hi, cost))
     return out
 
 
@@ -80,20 +81,17 @@ def gen_random(
             raise InvariantViolation(f"unknown model {model!r}")
     delta = scalar(delta)
     rng = random.Random(seed)
-    ivs = _draw_intervals(rng, n, cost_model)
+    drawn = _draw_intervals(rng, n, cost_model)
     if value_model == "generic":
         # A zero-width interval pins its value, which can make generic
         # position unreachable; give every member room to move.
-        ivs = [
-            UncertainInterval(itv.lo, itv.hi + Fraction(1, 2), itv.cost)
-            if itv.is_point
-            else itv
-            for itv in ivs
-        ]
+        drawn = [(lo, hi + (lo == hi), cost) for lo, hi, cost in drawn]
+    ivs = [UncertainInterval(Fraction(lo, 2), Fraction(hi, 2), cost) for lo, hi, cost in drawn]
 
     def draw_values(denominator: int) -> list[Fraction]:
+        """Each value ``lo + (hi - lo) k / denominator`` for a drawn grid step ``k``."""
         out = []
-        for itv in ivs:
+        for (lo, hi, _), itv in zip(drawn, ivs):
             if value_model == "endpoint-biased":
                 kind = rng.randint(1, 4)
                 if kind == 1:
@@ -102,14 +100,10 @@ def gen_random(
                 if kind == 2:
                     out.append(itv.hi)
                     continue
-            if value_model == "generic":
-                # strictly interior, so a value never sits on its own edge
-                out.append(
-                    itv.lo
-                    + itv.width * Fraction(rng.randint(1, denominator - 1), denominator)
-                )
-                continue
-            out.append(itv.lo + itv.width * Fraction(rng.randint(0, denominator), denominator))
+            # a generic value is strictly interior, so it never sits on its own edge
+            inset = 1 if value_model == "generic" else 0
+            k = rng.randint(inset, denominator - inset)
+            out.append(Fraction(lo * denominator + (hi - lo) * k, 2 * denominator))
         return out
 
     if value_model == "generic":

@@ -31,12 +31,15 @@ interval enclosure when the square-root rule is involved).
 Every strategy returns a `RunReport` built by `_finish`, which orders the
 final intervals (or checks an ordering the strategy made) and fails loudly
 if any dependent pair survived -- the feasibility guarantee is enforced, not
-assumed.
+assumed.  A deterministic strategy is `_finish` around its *play*, the
+queries alone (`_played`); for the cost alone, `_spend` runs just the play
+and checks the live graph as `expected_cost_exact` does at each leaf.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 import random
 from dataclasses import dataclass
@@ -364,6 +367,32 @@ def _finish(env: QueryEnvironment, permutation: Optional[Permutation] = None,
     )
 
 
+def _played(play: Callable[..., dict]) -> Callable[..., RunReport]:
+    """``play`` as a strategy: the play queries until no dependent pair is left
+    and returns the report's extras, then `_finish` builds the report.  The
+    play stays reachable through `inspect.unwrap` for `_spend`, also past a
+    tracer's `functools.wraps` wrapper."""
+    @functools.wraps(play)
+    def strategy(env, *args, **kwargs):
+        return _finish(env, **play(env, *args, **kwargs))
+
+    strategy.__signature__ = inspect.signature(play).replace(return_annotation="RunReport")
+    return strategy
+
+
+def _edgeless_spend(env: QueryEnvironment, where: str) -> Fraction:
+    """``env``'s spend; raises, naming ``where``, while its live graph has an edge."""
+    if any(env.graph().adj):
+        raise InvariantViolation(f"{where} still has a dependent pair")
+    return env._spent
+
+
+def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> Fraction:
+    """The spend of a deterministic ``strategy``'s run on ``env``, left unordered."""
+    inspect.unwrap(strategy)(env, *args)
+    return _edgeless_spend(env, "the run's end")
+
+
 # ---------------------------------------------------------------------------
 # Witness flushing
 # ---------------------------------------------------------------------------
@@ -428,7 +457,8 @@ def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def run_oblivious(env: Environment) -> RunReport:
+@_played
+def run_oblivious(env: Environment) -> dict:
     """Query everything that could possibly matter, then order.
 
     The best answer-blind strategy: every non-trivial interval with at
@@ -436,10 +466,11 @@ def run_oblivious(env: Environment) -> RunReport:
     """
     for i in sorted(oblivious_query_set(env.graph(), env.delta)):
         env.query(i)
-    return _finish(env)
+    return {}
 
 
-def simple_adaptive(env: Environment) -> RunReport:
+@_played
+def simple_adaptive(env: Environment) -> dict:
     """Repeatedly query both sides of the first dependent pair.
 
     Pairs are scanned in index order.  Each step's batch (the pair members
@@ -458,10 +489,11 @@ def simple_adaptive(env: Environment) -> RunReport:
         for k in batch:
             env.query(k)
         witness_sets.append(frozenset(batch))
-    return _finish(env, witness_sets=tuple(witness_sets))
+    return dict(witness_sets=tuple(witness_sets))
 
 
-def simple_adaptive_stable_sort(env: Environment) -> RunReport:
+@_played
+def simple_adaptive_stable_sort(env: Environment) -> dict:
     """Merge sort whose comparator queries a dependent pair before comparing.
 
     Zero-threshold only.  After resolving (at most one query per side), the
@@ -503,10 +535,11 @@ def simple_adaptive_stable_sort(env: Environment) -> RunReport:
         return out
 
     order = merge_sort(list(range(env.n)))
-    return _finish(env, Permutation(order), comparisons=comparisons)
+    return dict(permutation=Permutation(order), comparisons=comparisons)
 
 
-def vc_adaptive(env: Environment) -> RunReport:
+@_played
+def vc_adaptive(env: Environment) -> dict:
     """Query a minimum-cost vertex cover, then whatever is still dependent.
 
     Two passes always suffice: querying can only remove dependencies, and
@@ -518,7 +551,7 @@ def vc_adaptive(env: Environment) -> RunReport:
     for v in env.graph().active_vertices():
         if not env.queried(v):
             env.query(v)
-    return _finish(env)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +779,8 @@ def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
 # ---------------------------------------------------------------------------
 
 
-def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
+@_played
+def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
     """Local-ratio strategy for queries that return refined intervals.
 
     Works on the time-expanded cost vector: each potential query step of
@@ -788,7 +822,7 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
         residual[(i, env.times(i))] -= take
         residual[(j, env.times(j))] -= take
         _preprocess_witnesses(env)
-    return _finish(env)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +874,8 @@ class AdviceOracle:
         return _ceil_log2(product) if product > 1 else 0
 
 
-def advice_half(env: Environment, oracle: AdviceOracle) -> RunReport:
+@_played
+def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     """Optimal-cost strategy using at most one bit per two items (threshold 0).
 
     In a triangle, the asked-about interval is the 'middle' one (neither
@@ -894,14 +929,11 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> RunReport:
             for u in sorted(g.adj[j]):
                 env.query(u)
         _flush_value_witnesses(env)
-    return _finish(
-        env,
-        advice_bits=oracle.bits_used,
-        advice_question_sizes=tuple(oracle.question_sizes),
-    )
+    return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
 
 
-def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
+@_played
+def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     """Optimal-cost strategy spending about 0.53 bits per item (any threshold).
 
     The first-ending active interval and its neighbors always form a
@@ -935,11 +967,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
         for u in sorted(group - {y}):
             env.query(u)
         _flush_value_witnesses(env)
-    return _finish(
-        env,
-        advice_bits=oracle.bits_used,
-        advice_question_sizes=tuple(oracle.question_sizes),
-    )
+    return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,10 +1035,9 @@ def expected_cost_exact(
                 outcome = False
             (heads if outcome else tails)(env)
             _flush_value_witnesses(env)
-        if any(env.graph().adj):
-            raise InvariantViolation("a coin-tree leaf still has a dependent pair")
-        e_lo += lo * env._spent
-        e_hi += hi * env._spent
+        spent = _edgeless_spend(env, "a coin-tree leaf")
+        e_lo += lo * spent
+        e_hi += hi * spent
     if e_lo == e_hi:
         return e_lo
     return e_lo, e_hi

@@ -498,6 +498,44 @@ def test_ratio_refuses_a_cost_below_the_optimum(capsys, monkeypatch):
     assert capsys.readouterr().err == "model error: lemma4-a: cost 2 is below the optimum 100\n"
 
 
+def test_ratio_refuses_a_run_that_stops_with_a_dependent_pair(capsys, monkeypatch):
+    from querysort import cli, online
+
+    monkeypatch.setattr(cli, "simple_adaptive", online._played(lambda env: {}))
+    assert main(["ratio", "simple", "lemma4"]) == 4
+    assert capsys.readouterr() == ("", "model error: the run's end still has a dependent pair\n")
+
+
+@pytest.mark.parametrize(
+    "algorithm, family",
+    [
+        ("oblivious", "nested_star"),
+        ("simple", "random"),
+        ("stable_sort", "random"),
+        ("vc", "laminar"),
+        ("alg3", "cpcp"),
+        ("advice_half", "random"),
+        ("advice_lg3", "advice_triangles"),
+    ],
+)
+def test_ratio_orders_no_run_and_solve_orders_one(tmp_path, capsys, monkeypatch, algorithm, family):
+    # `ratio` prints costs only, so its deterministic rows stop before the final
+    # ordering; `solve` prints the ordering, and --expected does not run again
+    from querysort import online
+
+    orderings = []
+    for name in ("build_permutation", "require_independent"):
+        original = getattr(online, name)
+        monkeypatch.setattr(online, name, lambda *a, _f=original: orderings.append(1) or _f(*a))
+    assert main(["ratio", algorithm, family, "--trials", "3"]) == 0
+    assert "status=OK" in capsys.readouterr().out
+    assert orderings == []
+    doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
+    assert main(["solve", algorithm, doc, "--expected"]) == 0
+    capsys.readouterr()
+    assert orderings == [1]
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

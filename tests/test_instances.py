@@ -1,5 +1,6 @@
 """Instance families, generators, and the canonical document format."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,8 @@ from querysort import (
     serialize,
     simple_adaptive,
 )
+from querysort.core import Instance, UncertainInterval
+from querysort.instances import _generic_position_ok
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +79,52 @@ def test_gen_random_generic_position():
             for j, w in enumerate(inst.values):
                 if i != j:
                     assert abs(v - w) != d, (s, i, j)
+
+
+def fraction_gen_random(seed, n, delta, cost_model, value_model):
+    """`gen_random` as first written, drawing on `Fraction`s: the reference
+    for its integer draws, which must consume the RNG in the same order."""
+    rng = random.Random(seed)
+    ivs = []
+    for _ in range(n):
+        lo = F(rng.randint(0, 80), 2)
+        width = F(rng.randint(0, 24), 2)
+        cost = F(1) if cost_model == "uniform" else F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+        ivs.append(UncertainInterval(lo, lo + width, cost))
+    if value_model == "generic":
+        ivs = [UncertainInterval(a.lo, a.hi + F(1, 2), a.cost) if a.is_point else a for a in ivs]
+
+    def draw_values(denominator):
+        out = []
+        for itv in ivs:
+            if value_model == "endpoint-biased":
+                kind = rng.randint(1, 4)
+                if kind <= 2:
+                    out.append(itv.lo if kind == 1 else itv.hi)
+                    continue
+            if value_model == "generic":
+                out.append(itv.lo + itv.width * F(rng.randint(1, denominator - 1), denominator))
+            else:
+                out.append(itv.lo + itv.width * F(rng.randint(0, denominator), denominator))
+        return out
+
+    denominator = 16
+    values = draw_values(denominator)
+    while value_model == "generic" and not _generic_position_ok(values, ivs, delta):
+        denominator *= 2
+        values = draw_values(denominator)
+    return Instance(delta, tuple(ivs), tuple(values))
+
+
+@pytest.mark.parametrize("cost_model", ["uniform", "rational-range"])
+@pytest.mark.parametrize("value_model", ["uniform-in-interval", "endpoint-biased", "generic"])
+def test_gen_random_matches_fraction_draws(cost_model, value_model):
+    for seed in range(40):
+        for n in (1, 5, 10, 12):
+            for delta in (F(0), F(1, 2), F(1)):
+                want = fraction_gen_random(seed, n, delta, cost_model, value_model)
+                got = gen_random(seed, n, delta, cost_model, value_model)
+                assert serialize(got) == serialize(want), (seed, n, delta)
 
 
 def test_gen_random_scripted_structure():

@@ -42,6 +42,7 @@ from querysort import (
     optimum_query_set,
     run_oblivious,
     simple_adaptive,
+    simple_adaptive_stable_sort,
     singleton_witness_static,
     singleton_witness_value,
     valid_permutation,
@@ -443,6 +444,35 @@ def test_proven_ratios_at_scale(seed, delta):
     assert opt > 0
     assert vc_adaptive(Environment(inst)).total_cost <= 2 * opt
     assert algorithm3_cpcp(CpcpEnvironment(inst)).total_cost <= 2 * opt
+
+
+@pytest.mark.parametrize(
+    "strategy, make_env, zero_threshold",
+    [
+        (run_oblivious, Environment, False),
+        (simple_adaptive, Environment, False),
+        (simple_adaptive_stable_sort, Environment, True),
+        (vc_adaptive, Environment, False),
+        (algorithm3_cpcp, CpcpEnvironment, False),
+        (advice_half, Environment, True),
+        (advice_lg3, Environment, False),
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_spend_is_the_ordered_runs_cost(strategy, make_env, zero_threshold, seed):
+    """`online._spend` runs the play alone: it spends what the public strategy
+    reports, query for query, and leaves no dependent pair, on crowded and
+    sparse scripted instances up to n = 200."""
+    n = (7, 40, 120, SCALE_N)[seed]
+    delta = F(0) if zero_threshold else (F(0), F(1, 2), F(1))[seed % 3]
+    inst = make_instance(seed, n, delta, (8, 4 * n + 1)[seed % 2], scripted=True)
+    extra = (lambda: (AdviceOracle(inst),)) if strategy in (advice_half, advice_lg3) else tuple
+    env = make_env(inst)
+    spent = online._spend(strategy, env, *extra())
+    report = strategy(make_env(inst), *extra())
+    assert spent == report.total_cost
+    assert tuple(env.transcript) == report.transcript
+    core.require_independent(env.state().current, delta)
 
 
 def generic_shift(inst):

@@ -57,7 +57,8 @@ class TooLarge(QuerysortError):
 
 
 class TooManyBranches(QuerysortError):
-    """Exact expectation would need more coin branches than the guard allows."""
+    """Some coin path of an exact expectation holds more real flips than the guard
+    allows; it bounds the flips on one path, not the branches walked."""
 
 
 class DeltaNotZero(QuerysortError):

@@ -25,8 +25,9 @@ decided by comparing squares -- no floating point anywhere.  The two
 coin-driven strategies are written as trials: a ``_start`` that validates
 and warms up, and a ``_trial`` that runs deterministic steps until the next
 coin flip.  `expected_cost_exact` walks their coin tree once, forking the
-environment at each real flip, and returns the exact expected spend (an
-interval enclosure when the square-root rule is involved).
+environment at each real flip and then walking each dependent component
+once, and returns the exact expected spend (an interval enclosure when the
+square-root rule is involved).
 
 Every strategy returns a `RunReport` built by `_finish`, which orders the
 final intervals (or checks an ordering the strategy made) and fails loudly
@@ -977,16 +978,37 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
 #: Width of the rational enclosures used for symbolic probabilities.
 _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
 
-#: The coin-driven strategies, each as its (start, trial) pair.
+
+def _algorithm2_key(state, comp: list[int]) -> tuple:
+    """A component's vertices, residual weights and frozen spine (None before its
+    first trial; a component's vertices are frozen together or not at all)."""
+    residual, frozen_paths = state
+    path, inside = frozen_paths.get(comp[0]), set(comp)
+    spine = None if path is None else tuple(v for v in path if v in inside)
+    return tuple(comp), tuple(residual[v] for v in comp), spine
+
+
+#: The coin-driven strategies, each as its (start, trial, key) triple.  Just after a
+#: flush, a dependent component's key fixes the rest of its walk.
 _TRIALS = {
-    algorithm1: (_algorithm1_start, _algorithm1_trial),
-    algorithm2: (_algorithm2_start, _algorithm2_trial),
+    algorithm1: (_algorithm1_start, _algorithm1_trial, lambda state, comp: tuple(comp)),
+    algorithm2: (_algorithm2_start, _algorithm2_trial, _algorithm2_key),
 }
 
 
 def _copy_state(state):
     """Fork a strategy state: None, or a tuple of containers of immutable values."""
     return None if state is None else tuple(copy.copy(part) for part in state)
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """Two independent parts as one, each an (expected spend, mass) pair."""
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _mix(x: Fraction, a: tuple, y: Fraction, b: tuple) -> tuple:
+    """The (expected spend, mass) pair of side ``a`` weighted ``x`` and side ``b`` ``y``."""
+    return x * a[0] + y * b[0], x * a[1] + y * b[1]
 
 
 def expected_cost_exact(
@@ -996,48 +1018,73 @@ def expected_cost_exact(
 
     ``algorithm`` is `algorithm1` or `algorithm2` (or a `functools.wraps`
     wrapper of one), and ``rule`` what it takes: a bias, or `HALF` or
-    `SQRT3`; its start refuses anything else.  The coin tree is walked
-    once, depth first: at each real flip the environment and the strategy
-    state are forked, the ``True`` side is kept for later, and the ``False``
-    side goes on in place -- so leaves come ``False`` before ``True``, the
-    deepest pending ``True`` side first.  A path holding more than 20 real
-    flips raises `TooManyBranches`, so the walk has at most 2^20 leaves.
-    Each leaf's spend is weighted by its path probability.  Returns an exact
-    rational when every probability is rational, and a rational enclosure
-    ``(lo, hi)`` (width far below 1e-9) when the square-root rule is
-    involved.
+    `SQRT3`; its start refuses anything else.  The coin tree is walked once,
+    ``False`` side first, forking the environment and the strategy state at
+    each real flip.  After a side has run and flushed its value witnesses,
+    each dependent component left is walked once, in place with the others'
+    edges set aside, unless its key (`_TRIALS`) was walked before.  This is
+    exact: a query deletes edges only at its own vertex, both flushes test
+    only neighbours, and every trial step chooses within one component, so
+    components run as they would alone, on independent coins.  Parts join by
+    mass: ``e = Σ_C e_C Π_{D≠C} m_D`` and ``m = Π_C m_C``, where ``e`` sums
+    path factor × spend over a part's leaves and ``m`` sums path factors.
+    The root is not split: before `algorithm2`'s first flush, a value witness
+    pending in one component is flushed at another component's first step.
+
+    A coin path holding more than 20 real flips raises `TooManyBranches`.
+    Returns an exact rational when every probability is rational, and a
+    rational enclosure ``(lo, hi)`` (width far below 1e-9) when the
+    square-root rule is involved.
     """
-    start, trial = _TRIALS.get(inspect.unwrap(algorithm), (None, None))
+    start, trial, key = _TRIALS.get(inspect.unwrap(algorithm), (None, None, None))
     if start is None:
         raise InvariantViolation(
             f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}"
         )
-    env = Environment(inst)
-    # (environment, strategy state, side still to take, depth, path probability lo/hi);
-    # a forked side is taken only when popped, so errors surface in leaf order
-    stack = [(env, start(env, rule), None, 0, Fraction(1), Fraction(1))]
-    e_lo = e_hi = Fraction(0)
-    while stack:
-        env, state, pending, depth, lo, hi = stack.pop()
-        if pending is not None:
-            pending(env)
-            _flush_value_witnesses(env)
+    memo: dict = {}  # component key -> its subtree
+
+    def walk(env: Environment, state, above: int, base: Fraction) -> tuple:
+        """The subtree at ``env``: (most real flips on a path, lo, hi), each end an (expected
+        spend since ``base``, mass) pair; ``above`` counts flips on its path outside it."""
         while (step := trial(env, rule, state)) is not None:
             p, heads, tails = step
             outcome = _certain(p)
             if outcome is None:
-                if depth >= _MAX_COIN_DEPTH:
-                    raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
-                p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
-                depth += 1
-                stack.append((env._fork(), _copy_state(state), heads, depth, lo * p_lo, hi * p_hi))
-                lo, hi = lo * (1 - p_hi), hi * (1 - p_lo)
-                outcome = False
+                break
             (heads if outcome else tails)(env)
             _flush_value_witnesses(env)
-        spent = _edgeless_spend(env, "a coin-tree leaf")
-        e_lo += lo * spent
-        e_hi += hi * spent
-    if e_lo == e_hi:
-        return e_lo
-    return e_lo, e_hi
+        else:
+            spent = _edgeless_spend(env, "a coin-tree leaf") - base
+            return 0, (spent, Fraction(1)), (spent, Fraction(1))
+        if above >= _MAX_COIN_DEPTH:
+            raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+        p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
+        twin, twin_state = env._fork(), _copy_state(state)
+        t = split(env, state, tails, above + 1, base)
+        h = split(twin, twin_state, heads, above + 1, base)
+        return 1 + max(h[0], t[0]), _mix(p_lo, h[1], 1 - p_hi, t[1]), _mix(p_hi, h[2], 1 - p_lo, t[2])
+
+    def split(env: Environment, state, side, above: int, base: Fraction) -> tuple:
+        """`walk`'s subtree after taking ``side``: each dependent component left is
+        walked once, in place, on a graph whose other edges are set aside."""
+        side(env)
+        _flush_value_witnesses(env)
+        graph, adj, at = env.graph(), env.graph().adj, env._spent
+        parts = [(set(comp), key(state, comp)) for comp in components(graph) if len(comp) > 1]
+        flips = above + sum(memo[k][0] for _, k in parts if k in memo)
+        for inside, k in parts:
+            if k not in memo:
+                graph.adj = [nbrs if v in inside else set() for v, nbrs in enumerate(adj)]
+                memo[k] = walk(env, state, flips, env._spent)
+                graph.adj = adj
+                flips += memo[k][0]
+        if flips > _MAX_COIN_DEPTH:
+            raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+        lo = hi = (at - base, Fraction(1))
+        for _, k in parts:
+            lo, hi = _join(lo, memo[k][1]), _join(hi, memo[k][2])
+        return flips - above, lo, hi
+
+    env = Environment(inst)
+    _, (e_lo, _), (e_hi, _) = walk(env, start(env, rule), 0, Fraction(0))
+    return e_lo if e_lo == e_hi else (e_lo, e_hi)

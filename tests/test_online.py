@@ -1,8 +1,10 @@
 """Strategies: environments, coins, adaptive/randomized/advice runs.
 
-`replay_expected_cost` is the branch-replay driver that `expected_cost_exact`
-replaced: it restarts the public strategy at every node of the coin tree.
-It lives only here, as the reference for the forking evaluator.
+`expected_cost_exact` has two references that live only here.
+`replay_expected_cost` restarts the public strategy at every node of the coin
+tree.  `stack_expected_cost` forks the whole environment at every real flip
+and keeps the ``True`` sides on a stack, splitting nothing: it visits every
+leaf once, so it serves the larger differential cases.
 """
 
 import functools
@@ -536,6 +538,37 @@ def replay_expected_cost(algorithm, inst, rule, *, leaves=None):
     return e_lo if e_lo == e_hi else (e_lo, e_hi)
 
 
+def stack_expected_cost(algorithm, inst, rule):
+    """Walk the whole coin tree once: fork at each real flip, keep the ``True`` side
+    on a stack and go on with the ``False`` side in place."""
+    start, trial, _ = online._TRIALS[algorithm]
+    env = Environment(inst)
+    stack = [(env, start(env, rule), None, 0, F(1), F(1))]
+    e_lo = e_hi = F(0)
+    while stack:
+        env, state, pending, depth, lo, hi = stack.pop()
+        if pending is not None:
+            pending(env)
+            online._flush_value_witnesses(env)
+        while (step := trial(env, rule, state)) is not None:
+            p, heads, tails = step
+            outcome = online._certain(p)
+            if outcome is None:
+                if depth >= _MAX_COIN_DEPTH:
+                    raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+                p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
+                depth += 1
+                stack.append((env._fork(), online._copy_state(state), heads, depth, lo * p_lo, hi * p_hi))
+                lo, hi = lo * (1 - p_hi), hi * (1 - p_lo)
+                outcome = False
+            (heads if outcome else tails)(env)
+            online._flush_value_witnesses(env)
+        spent = online._edgeless_spend(env, "a coin-tree leaf")
+        e_lo += lo * spent
+        e_hi += hi * spent
+    return e_lo if e_lo == e_hi else (e_lo, e_hi)
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -566,13 +599,15 @@ def never_called(algorithm):
     return wrapper
 
 
-#: 48 random instances per threshold, n from 6 to 14, and the cost paths
-#: that branch most (algorithm1 refuses their non-uniform costs).
+#: The cost paths that branch most (algorithm1 refuses their non-uniform costs).
+COST_PATHS = [gen_cost_path(n, F(1, 1000)) for n in (12, 16, 20)]
+
+#: 48 random instances per threshold, n from 6 to 14, and the cost paths.
 DIFFERENTIAL_INSTANCES = [
     gen_random(seed, 6 + seed % 9, delta)
     for delta in (F(0), F(1, 2), F(1))
     for seed in range(48)
-] + [gen_cost_path(n, F(1, 1000)) for n in (12, 16, 20)]
+] + COST_PATHS
 
 
 @pytest.mark.parametrize(
@@ -591,11 +626,66 @@ def test_expected_cost_matches_branch_replay(monkeypatch, algorithm, rule):
     for k, inst in enumerate(DIFFERENTIAL_INSTANCES):
         leaves = []
         want = outcome(replay_expected_cost, algorithm, inst, rule, leaves=leaves)
+        assert outcome(stack_expected_cost, algorithm, inst, rule) == want, k
         counter.forks = 0
         got = outcome(expected_cost_exact, never_called(algorithm), inst, rule)
         assert got == want, k
-        if not isinstance(got, str):  # one fork per leaf after the first
-            assert counter.forks == len(leaves) - 1, k
+        if not isinstance(got, str):  # at most one fork per leaf after the first
+            assert counter.forks <= len(leaves) - 1, k
+            if inst in COST_PATHS:
+                assert counter.forks <= inst.n, k
+
+
+#: Crowded rational-cost instances: n from 10 to 14 on `gen_random`'s fixed span,
+#: at both thresholds and under both value models that draw endpoint ties.
+CROWDED_INSTANCES = [
+    gen_random(seed, 10 + seed % 5, delta, cost_model="rational-range", value_model=model)
+    for model in ("uniform-in-interval", "endpoint-biased")
+    for delta in (F(0), F(1, 2))
+    for seed in range(40)
+]
+
+
+@pytest.mark.parametrize("rule", [HALF, SQRT3], ids=["half", "sqrt3"])
+def test_expected_cost_matches_stack_walk_on_crowded_instances(monkeypatch, rule):
+    """Both ends of every enclosure agree exactly, and the split walk forks no more
+    often than the walk that forks once per leaf after the first."""
+    counter = ForkCounter(monkeypatch)
+    for k, inst in enumerate(CROWDED_INSTANCES):
+        counter.forks = 0
+        want = outcome(stack_expected_cost, algorithm2, inst, rule)
+        stack_forks, counter.forks = counter.forks, 0
+        got = outcome(expected_cost_exact, algorithm2, inst, rule)
+        assert got == want, k
+        assert counter.forks <= stack_forks, k
+
+
+def test_expected_cost_does_not_split_the_root():
+    """Before `algorithm2`'s first flush, a value witness pending in one component
+    is flushed at another component's first step, so the root stays whole."""
+    inst = gen_random(2, 12, F(0), cost_model="rational-range")
+    assert replay_expected_cost(algorithm2, inst, HALF) == F(337, 12)
+    for rule in (HALF, SQRT3):
+        assert expected_cost_exact(algorithm2, inst, rule) == replay_expected_cost(algorithm2, inst, rule)
+
+
+def test_algorithm2_key_fixes_the_next_trial():
+    """Equal keys must mean equal component walks: two states of one component
+    that differ only in a residual weight flip different coins and get different
+    keys.  (Inside one walk residuals stop changing at the first real flip.)"""
+    start, trial, key = online._TRIALS[algorithm2]
+    env = Environment(gen_cost_path(6, F(1, 100)))
+    state = start(env, HALF)
+    lighter = online._copy_state(state)
+    lighter[0][0] /= 2
+    biases = [trial(env._fork(), HALF, online._copy_state(s))[0] for s in (state, lighter)]
+    assert biases == [F(1, 2), F(1, 4)]
+    assert key(state, list(range(6))) != key(lighter, list(range(6)))
+
+
+def test_expected_cost_on_independent_components():
+    # 2^20 leaves, each pair walked once: a fair coin pays 3/2 per punishing pair
+    assert expected_cost_exact(algorithm1, gen_independent_pairs(20), FIXED(F(1, 2))) == 30
 
 
 def test_expected_cost_depth_guard():
@@ -609,11 +699,13 @@ def test_expected_cost_depth_guard():
 
 def test_algorithm2_guarantees_at_scale():
     # the tight cost paths, far past the sizes of the acceptance criteria
-    inst = gen_cost_path(24, F(1, 1000))
-    _, opt = optimum_query_set(inst)
-    assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
-    inst = gen_cost_path(20, F(1, 1000))
-    _, opt = optimum_query_set(inst)
     s_lo, s_hi = Sqrt3Prob(1, 1).enclosure(F(1, 10 ** 12))  # 1/sqrt(3)
-    lo, hi = expected_cost_exact(algorithm2, inst, SQRT3)
-    assert lo <= hi <= (1 + 4 * s_hi / 3) * opt
+    for n in (24, 40):
+        inst = gen_cost_path(n, F(1, 1000))
+        _, opt = optimum_query_set(inst)
+        assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
+    for n in (20, 40):
+        inst = gen_cost_path(n, F(1, 1000))
+        _, opt = optimum_query_set(inst)
+        lo, hi = expected_cost_exact(algorithm2, inst, SQRT3)
+        assert lo <= hi <= (1 + 4 * s_hi / 3) * opt

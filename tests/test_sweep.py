@@ -380,7 +380,7 @@ def test_one_graph_per_fork(monkeypatch):
     forks = []
     fork = QueryEnvironment._fork
     monkeypatch.setattr(QueryEnvironment, "_fork", lambda env: forks.append(1) or fork(env))
-    expected_cost_exact(algorithm2, gen_cost_path(12, F(1, 1000)), HALF)
+    expected_cost_exact(algorithm2, gen_cost_path(40, F(1, 1000)), HALF)
     assert len(forks) > 10
     assert len(built) == 1 + len(forks)
 
@@ -402,7 +402,7 @@ def test_one_grid_per_instance(monkeypatch, capsys):
     forks = []
     fork = QueryEnvironment._fork
     monkeypatch.setattr(QueryEnvironment, "_fork", lambda env: forks.append(1) or fork(env))
-    assert cli.main(["ratio", "alg2", "cost_path", "--n", "10"]) == 0
+    assert cli.main(["ratio", "alg2", "cost_path", "--n", "40"]) == 0
     assert len(forks) > 10
     assert len(built) == 1
     assert cli.main(["ratio", "advice_lg3", "random", "--n", "10", "--trials", "3", "--delta", "1"]) == 0

@@ -9,11 +9,14 @@ queries should cost as little as possible.
 All numbers are exact rationals (`fractions.Fraction`).  Floats are rejected
 at the boundary: binary floating point silently misrepresents values such as
 0.1, and the comparisons below (strict versus non-strict by exactly zero
-margin) are meaningful only under exact arithmetic.  Pair tests run on an
+margin) are meaningful only under exact arithmetic.  Decisions run on an
 integer grid: each instance scales its threshold, endpoints, values and
 script entries by the lcm of their denominators once (`Instance.grid`), which
-keeps every comparison exact, and `sweep_pairs` compares those ints.  Costs,
-spend and transcripts stay `Fraction`.
+keeps every comparison exact.  `sweep_pairs` compares those ints, and so do
+the dependency graph's orderings and the strategies' picks, through the
+graph's ``los`` and ``his``; the checks on new intervals and instances
+cross-multiply numerators.
+Costs, spend and transcripts stay `Fraction`.
 
 Vocabulary used throughout the package:
 
@@ -75,6 +78,12 @@ def scalar(x: ScalarLike) -> Fraction:
     raise InvariantViolation(f"cannot interpret {type(x).__name__} as a scalar")
 
 
+def _le(a: Fraction, b: Fraction) -> bool:
+    """``a <= b`` by cross-multiplying, which a `Fraction`'s positive denominator
+    allows, without `Fraction`'s own comparison and type checks."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
+
+
 @lru_cache(maxsize=64)
 def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(m) <= hi`` with ``hi - lo <= precision``.
@@ -110,15 +119,16 @@ class UncertainInterval:
     cost: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", scalar(self.lo))
-        object.__setattr__(self, "hi", scalar(self.hi))
-        object.__setattr__(self, "cost", scalar(self.cost))
-        if self.lo > self.hi:
-            raise InvariantViolation(
-                f"empty interval: lo={self.lo} > hi={self.hi}"
-            )
-        if self.cost < 0:
-            raise InvariantViolation(f"negative query cost {self.cost}")
+        lo, hi, cost = self.lo, self.hi, self.cost
+        if not type(lo) is type(hi) is type(cost) is Fraction:
+            lo, hi, cost = scalar(lo), scalar(hi), scalar(cost)
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
+            object.__setattr__(self, "cost", cost)
+        if not _le(lo, hi):
+            raise InvariantViolation(f"empty interval: lo={lo} > hi={hi}")
+        if cost.numerator < 0:
+            raise InvariantViolation(f"negative query cost {cost}")
 
     @property
     def width(self) -> Fraction:
@@ -299,7 +309,7 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "delta", scalar(self.delta))
         object.__setattr__(self, "intervals", tuple(self.intervals))
-        if self.delta < 0:
+        if self.delta.numerator < 0:
             raise InvariantViolation(f"negative threshold {self.delta}")
         for item in self.intervals:
             if not isinstance(item, UncertainInterval):
@@ -308,14 +318,14 @@ class Instance:
                 )
         n = len(self.intervals)
         if self.values is not None:
-            values = tuple(scalar(v) for v in self.values)
+            values = tuple(v if type(v) is Fraction else scalar(v) for v in self.values)
             object.__setattr__(self, "values", values)
             if len(values) != n:
                 raise InvariantViolation(
                     f"{len(values)} values for {n} intervals"
                 )
             for i, (itv, v) in enumerate(zip(self.intervals, values)):
-                if not itv.contains(v):
+                if not (_le(itv.lo, v) and _le(v, itv.hi)):
                     raise InvariantViolation(
                         f"value {v} of item {i} lies outside {itv}"
                     )
@@ -357,7 +367,7 @@ class Instance:
                         f"{len(self.refinements[i])}-step script"
                     )
                 for c in row:
-                    if c < 0:
+                    if c.numerator < 0:
                         raise InvariantViolation(f"negative time cost {c}")
 
     def _check_script(self, i: int, script: RefinementScript) -> None:
@@ -369,7 +379,7 @@ class Instance:
                 raise InvariantViolation(
                     f"item {i} step {step}: script entries must be intervals"
                 )
-            if nxt.lo < prev.lo or nxt.hi > prev.hi:
+            if not (_le(prev.lo, nxt.lo) and _le(nxt.hi, prev.hi)):
                 raise InvariantViolation(
                     f"item {i} step {step}: {nxt} is not nested in {prev}"
                 )

@@ -25,8 +25,9 @@ from .core import (
     Instance,
     KnowledgeState,
     UncertainInterval,
-    dependent_pairs,
     scalar,
+    sweep_pairs,
+    to_grid,
 )
 from .errors import (
     InvariantViolation,
@@ -42,10 +43,16 @@ class DependencyGraph:
     ``edges`` derives the pairs ``(i, j)``, ``i < j``, from ``adj`` on each
     read.  A plain object: equality is identity.  An environment's graph is
     narrowed in place by its queries (`QueryEnvironment.graph`).
+
+    ``los`` and ``his`` are the vertices' endpoints as ints on one grid; the
+    orderings in this module and the strategies' picks compare them, never
+    ``intervals``.  A caller that holds a grid passes it; given ``intervals``
+    alone, they are put on their own grid here.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], weights: Sequence[Fraction],
-                 intervals: Optional[Sequence[UncertainInterval]] = None):
+                 intervals: Optional[Sequence[UncertainInterval]] = None,
+                 los: Optional[Sequence[int]] = None, his: Optional[Sequence[int]] = None):
         self.n = n
         self.weights = weights
         self.intervals = intervals
@@ -59,6 +66,10 @@ class DependencyGraph:
             raise InvariantViolation("weights do not match vertex count")
         if intervals is not None and len(intervals) != n:
             raise InvariantViolation("intervals do not match vertex count")
+        if intervals is not None and los is None:
+            grid = to_grid(Fraction(0), intervals)
+            los, his = grid.los, grid.his
+        self.los, self.his = los, his
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -94,12 +105,9 @@ def build_graph(source: GraphSource, delta=None) -> DependencyGraph:
         intervals = tuple(source)
     if delta is None:
         raise InvariantViolation("a threshold is required to build the graph")
-    return DependencyGraph(
-        n=len(intervals),
-        edges=dependent_pairs(intervals, scalar(delta)),
-        weights=tuple(itv.cost for itv in intervals),
-        intervals=tuple(intervals),
-    )
+    grid = to_grid(scalar(delta), intervals)
+    return DependencyGraph(len(intervals), sweep_pairs(grid.los, grid.his, grid.delta),
+                           tuple(itv.cost for itv in intervals), tuple(intervals), grid.los, grid.his)
 
 
 def _bfs(
@@ -165,7 +173,7 @@ def verify_peo(g: DependencyGraph, order: Sequence[int]) -> bool:
 
 
 def peo_min_right(g: DependencyGraph) -> tuple[int, ...]:
-    """Perfect elimination ordering by nondecreasing right endpoint of ``g.intervals``.
+    """Perfect elimination ordering by nondecreasing right endpoint (``g.his``).
 
     Sorting the vertices by ``(hi, index)`` eliminates, at each step, an
     interval whose remaining neighbors all run past its right endpoint and
@@ -174,9 +182,9 @@ def peo_min_right(g: DependencyGraph) -> tuple[int, ...]:
     (it always does for graphs built from intervals under the threshold
     rule).
     """
-    if g.intervals is None:
+    if g.his is None:
         raise InvariantViolation("peo_min_right needs the underlying intervals")
-    order = tuple(sorted(range(g.n), key=lambda v: (g.intervals[v].hi, v)))
+    order = tuple(sorted(range(g.n), key=g.his.__getitem__))  # stable: ties keep index order
     bad = _non_simplicial(g, order)
     if bad is not None:
         v, a, b = bad
@@ -225,7 +233,7 @@ def max_weight_independent_set(g: DependencyGraph) -> tuple[int, ...]:
     already-kept neighbor.  Exact on chordal graphs; `NotChordal` if no
     elimination ordering exists.
     """
-    if g.intervals is not None:
+    if g.his is not None:
         order = peo_min_right(g)
     else:
         order = mcs_peo(g)
@@ -279,7 +287,7 @@ def longest_path_caterpillar(
     from an arbitrary start is one end of a longest path, and a farthest
     vertex from *that* is the other end.  All ties break to the smallest
     index.  The returned path runs from whichever endpoint has the smaller
-    ``(lo, index)`` key when intervals are attached (smaller index
+    ``(lo, index)`` key when endpoints are attached (smaller index
     otherwise), so callers see a stable orientation.
     """
     if vertices is None:
@@ -303,8 +311,8 @@ def longest_path_caterpillar(
         path.append(parent[path[-1]])
     # path currently runs end_b -> end_a; orient deterministically.
     first, last = path[0], path[-1]
-    if g.intervals is not None:
-        key = lambda v: (g.intervals[v].lo, v)
+    if g.los is not None:
+        key = lambda v: (g.los[v], v)
     else:
         key = lambda v: v
     if key(last) < key(first):

@@ -107,7 +107,7 @@ def _unforced_graph(inst: Instance, forced: frozenset[int]) -> DependencyGraph:
     grid = inst.grid
     rest = (v for v in range(inst.n) if v not in forced)
     return DependencyGraph(inst.n, sweep_pairs(grid.los, grid.his, grid.delta, rest),
-                           inst.costs, inst.intervals)
+                           inst.costs, inst.intervals, grid.los, grid.his)
 
 
 def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
@@ -130,7 +130,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
     each keeps its own optimum.
     """
     forced = forced_query_set(inst)
-    costs = inst.costs
+    costs, grid = inst.costs, inst.grid
     h = _unforced_graph(inst, forced)
     kept: set[int] = set()
     left_out: set[int] = set()
@@ -142,8 +142,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
         free = [u for u in comp if u not in must and u not in left_out]
         index = {u: k for k, u in enumerate(free)}
         pairs = ((k, index[w]) for k, u in enumerate(free) for w in h.adj[u] if index.get(w, -1) > k)
-        sub = DependencyGraph(len(free), pairs, [costs[u] for u in free],
-                              [inst.intervals[u] for u in free])
+        sub = DependencyGraph(len(free), pairs, [costs[u] for u in free], his=[grid.his[u] for u in free])
         cover = [free[k] for k in min_cost_vertex_cover(sub)]
         return sum((costs[u] for u in must + cover), start=Fraction(0))
 

@@ -13,8 +13,8 @@ into this model as one-step scripts.
 Each environment holds one dependency graph of its current intervals, built
 with the environment and narrowed in place by each query
 (`QueryEnvironment`); every strategy and witness flush reads it, and every
-pair and witness test compares endpoints on the instance's integer grid
-(`Instance.grid`).
+pair test, witness test and pick compares endpoints on the instance's
+integer grid (`Instance.grid`).
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  The uniform-cost strategy flips a constant bias, a `Fraction` in
@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .core import (
     Instance,
@@ -57,7 +57,6 @@ from .core import (
     isqrt_bounds,
     on_grid,
     refinement_steps,
-    require_independent,
     scalar,
     sweep_pairs,
 )
@@ -68,6 +67,7 @@ from .errors import (
     RepeatQuery,
     ScriptExhausted,
     TooManyBranches,
+    UnresolvedDependency,
 )
 from .graph import (
     DependencyGraph,
@@ -178,8 +178,9 @@ class QueryEnvironment:
     transcript, and the dependency graph of the current intervals.
 
     ``_lo`` and ``_hi`` hold the current endpoints on the instance's integer
-    grid, beside the `Fraction` intervals in ``_current``; every pair and
-    witness test reads them.  Spend and transcript stay `Fraction`.
+    grid, beside the `Fraction` intervals in ``_current``; they are the
+    graph's ``los`` and ``his``, and every pair test, witness test and
+    ordering key reads them.  Spend and transcript stay `Fraction`.
 
     The one graph is built with the environment (`sweep_pairs`) and then
     narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
@@ -197,7 +198,7 @@ class QueryEnvironment:
         self._spent = Fraction(0)
         self.transcript: list[tuple] = []
         pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
-        self._graph = DependencyGraph(instance.n, pairs, instance.costs, self._current)
+        self._graph = DependencyGraph(instance.n, pairs, instance.costs, self._current, self._lo, self._hi)
 
     @property
     def n(self) -> int:
@@ -209,10 +210,6 @@ class QueryEnvironment:
 
     def state(self) -> KnowledgeState:
         return KnowledgeState(tuple(self._current), tuple(self._queried), self._spent)
-
-    def current(self, i: int) -> UncertainInterval:
-        """Item ``i``'s current interval (no `KnowledgeState` is built)."""
-        return self._current[i]
 
     def graph(self) -> DependencyGraph:
         """Dependency graph of the current intervals at the instance threshold.
@@ -233,14 +230,13 @@ class QueryEnvironment:
         twin._hi = list(self._hi)
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
-        twin._graph = DependencyGraph(self.n, (), self.instance.costs, twin._current)
+        twin._graph = DependencyGraph(self.n, (), self.instance.costs, twin._current, twin._lo, twin._hi)
         twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
         return twin
 
-    def _record(self, i: int, now: UncertainInterval, charge: Fraction, answer):
-        """Narrow item ``i`` to ``now``, charge the query, and return ``answer``."""
-        scale, d = self._grid.scale, self._grid.delta
-        lo, hi = on_grid(now.lo, scale), on_grid(now.hi, scale)
+    def _record(self, i: int, now: UncertainInterval, lo: int, hi: int, charge: Fraction, answer):
+        """Narrow item ``i`` to ``now`` (``lo``, ``hi`` on the grid), charge the query, return ``answer``."""
+        d = self._grid.delta
         self._queried[i] += 1
         self._current[i] = now
         self._lo[i], self._hi[i] = lo, hi
@@ -267,9 +263,9 @@ class Environment(QueryEnvironment):
     def query(self, i: int) -> Fraction:
         if self._queried[i]:
             raise RepeatQuery(f"item {i} was already queried")
-        v = self.instance.values[i]
+        v, at = self.instance.values[i], self._grid.values[i]
         charge = self.instance.intervals[i].cost
-        return self._record(i, UncertainInterval(v, v, charge), charge, v)
+        return self._record(i, UncertainInterval(v, v, charge), at, at, charge, v)
 
 
 class CpcpEnvironment(QueryEnvironment):
@@ -283,7 +279,14 @@ class CpcpEnvironment(QueryEnvironment):
     def __init__(self, instance: Instance):
         super().__init__(instance)
         steps = [refinement_steps(instance, i) for i in range(instance.n)]
-        self._scripts = [script for script, _ in steps]
+        scale = self._grid.scale
+        # What each step's query returns: the entry with the item's flat cost, as the
+        # transcript shows it, and its endpoints on the grid (`Instance.grid` covers them).
+        self._scripts = [
+            tuple((UncertainInterval(e.lo, e.hi, itv.cost), on_grid(e.lo, scale), on_grid(e.hi, scale))
+                  for e in script)
+            for (script, _), itv in zip(steps, instance.intervals)
+        ]
         self._prices = [prices for _, prices in steps]
 
     def times(self, i: int) -> int:
@@ -307,10 +310,8 @@ class CpcpEnvironment(QueryEnvironment):
             raise ScriptExhausted(
                 f"item {i}: script ended before the pair resolved"
             )
-        entry = self._scripts[i][t]
-        # The returned interval keeps the flat cost, as the transcript shows it.
-        result = UncertainInterval(entry.lo, entry.hi, self.instance.intervals[i].cost)
-        return self._record(i, result, self.step_cost(i, t), result)
+        result, lo, hi = self._scripts[i][t]
+        return self._record(i, result, lo, hi, self.step_cost(i, t), result)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +354,16 @@ class RunReport:
 def _finish(env: QueryEnvironment, permutation: Optional[Permutation] = None,
             **extra) -> RunReport:
     """The run's report, ordering its final intervals; a strategy that made its
-    own ``permutation`` passes it, and no dependent pair may be left either way."""
+    own ``permutation`` passes it, and no dependent pair may be left either way
+    (for an own ordering, the live graph must be edgeless)."""
     state = env.state()
     if permutation is None:
         permutation = build_permutation(state.current, env.delta)
-    else:
-        require_independent(state.current, env.delta)
+    elif (pair := next(_first_edges(env), None)) is not None:
+        i, j = pair
+        raise UnresolvedDependency(
+            f"items {i} and {j} are still dependent: {state.current[i]} vs {state.current[j]}"
+        )
     return RunReport(
         queried=state.queried,
         total_cost=state.spent,
@@ -379,6 +384,19 @@ def _played(play: Callable[..., dict]) -> Callable[..., RunReport]:
 
     strategy.__signature__ = inspect.signature(play).replace(return_annotation="RunReport")
     return strategy
+
+
+def _first_edges(env: QueryEnvironment) -> Iterator[tuple[int, int]]:
+    """The smallest edge of ``env``'s live graph, read again at each step, until
+    none is left.  It starts at the smallest vertex with an edge, which never
+    decreases (queries only delete edges), so one pointer walks the graph once."""
+    adj, v = env.graph().adj, 0
+    while True:
+        while v < len(adj) and not adj[v]:
+            v += 1
+        if v == len(adj):
+            return
+        yield v, min(adj[v])  # v is the smallest vertex with an edge: its neighbours are larger
 
 
 def _edgeless_spend(env: QueryEnvironment, where: str) -> Fraction:
@@ -481,11 +499,7 @@ def simple_adaptive(env: Environment) -> dict:
     twice the optimum under uniform costs.
     """
     witness_sets: list[frozenset[int]] = []
-    while True:
-        g = env.graph()
-        if not any(g.adj):
-            break
-        i, j = min(g.edges)
+    for i, j in _first_edges(env):
         batch = [k for k in (i, j) if not env.queried(k)]
         for k in batch:
             env.query(k)
@@ -506,15 +520,16 @@ def simple_adaptive_stable_sort(env: Environment) -> dict:
     if env.delta != 0:
         raise DeltaNotZero("the sorting comparator needs threshold zero")
     comparisons = 0
+    g = env.graph()
 
     def goes_first(x: int, y: int) -> bool:
         nonlocal comparisons
         comparisons += 1
-        if env.graph().has_edge(x, y):
+        if g.has_edge(x, y):
             for k in (x, y):
                 if not env.queried(k):
                     env.query(k)
-        return env.current(x).hi <= env.current(y).lo
+        return g.his[x] <= g.los[y]
 
     def merge_sort(items: list[int]) -> list[int]:
         if len(items) <= 1:
@@ -615,21 +630,14 @@ def _algorithm1_trial(env: Environment, p: Fraction, state: None) -> Optional[tu
         if pairs:
             u, v = pairs[0]  # components arrive ordered by smallest member
             return p, _query_pair(u, v), _query_pair(v, u)
-        iv = g.intervals
-        active = g.active_vertices()
-        x = min(active, key=lambda w: (iv[w].hi, w))
+        first_ending = lambda w: (g.his[w], w)
+        x = min(g.active_vertices(), key=first_ending)
         neighbors_x = sorted(g.adj[x])
-        y = min(neighbors_x, key=lambda w: (iv[w].hi, w))
+        y = min(neighbors_x, key=first_ending)
         if len(neighbors_x) >= 2:
-            z = min(
-                (w for w in neighbors_x if w != y),
-                key=lambda w: (iv[w].hi, w),
-            )
+            z = min((w for w in neighbors_x if w != y), key=first_ending)
         else:
-            z = min(
-                (w for w in g.adj[y] if w != x),
-                key=lambda w: (iv[w].hi, w),
-            )
+            z = min((w for w in g.adj[y] if w != x), key=first_ending)
         env.query(y)
         # the live graph keeps x-y exactly when x straddles y's revealed value
         if g.has_edge(x, y) or g.has_edge(x, z):
@@ -806,19 +814,14 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
             residual[key] = env.step_cost(i, t)
         return residual[key]
 
-    while True:
-        g = env.graph()
-        if not any(g.adj):
-            break
-        active = g.active_vertices()
+    for i, j in _first_edges(env):
         # Post-flush, every active vertex is a genuine interval with script
         # steps remaining (a point cannot be straddling-dependent here).
-        zeros = [i for i in active if current_cost(i) == 0]
+        zeros = [k for k in env.graph().active_vertices() if current_cost(k) == 0]
         if zeros:
             env.query(zeros[0])
             _preprocess_witnesses(env)
             continue
-        i, j = min(g.edges)
         take = min(current_cost(i), current_cost(j))
         residual[(i, env.times(i))] -= take
         residual[(j, env.times(j))] -= take
@@ -905,9 +908,8 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
                     env.query(u)
                 _flush_value_witnesses(env)
                 continue
-            iv = g.intervals
-            i = min(group, key=lambda w: (iv[w].lo, w))
-            k = min(group - {i}, key=lambda w: (-iv[w].hi, w))
+            i = min(group, key=lambda w: (g.los[w], w))
+            k = min(group - {i}, key=lambda w: (-g.his[w], w))
             (j,) = group - {i, k}
         else:
             leaves = [v for v in g.active_vertices() if g.degree(v) == 1]
@@ -948,9 +950,8 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
         g = env.graph()
         if not any(g.adj):
             break
-        iv = g.intervals
         active = g.active_vertices()
-        x = min(active, key=lambda w: (iv[w].hi, w))
+        x = min(active, key=lambda w: (g.his[w], w))
         group = frozenset({x} | g.adj[x])
         for u in group:
             for w in group:

@@ -519,21 +519,22 @@ def test_ratio_refuses_a_run_that_stops_with_a_dependent_pair(capsys, monkeypatc
     ],
 )
 def test_ratio_orders_no_run_and_solve_orders_one(tmp_path, capsys, monkeypatch, algorithm, family):
-    # `ratio` prints costs only, so its deterministic rows stop before the final
-    # ordering; `solve` prints the ordering, and --expected does not run again
+    # `ratio` prints costs only, so its deterministic rows stop before `_finish`
+    # and the final ordering; `solve` prints the ordering, and --expected does not
+    # run again.  The stable sort orders inside its play, so `_finish` only checks it.
     from querysort import online
 
     orderings = []
-    for name in ("build_permutation", "require_independent"):
+    for name in ("build_permutation", "_finish"):
         original = getattr(online, name)
-        monkeypatch.setattr(online, name, lambda *a, _f=original: orderings.append(1) or _f(*a))
+        monkeypatch.setattr(online, name, lambda *a, _f=original, _n=name, **k: orderings.append(_n) or _f(*a, **k))
     assert main(["ratio", algorithm, family, "--trials", "3"]) == 0
     assert "status=OK" in capsys.readouterr().out
     assert orderings == []
     doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
     assert main(["solve", algorithm, doc, "--expected"]) == 0
     capsys.readouterr()
-    assert orderings == [1]
+    assert orderings == ["_finish"] + (["build_permutation"] if algorithm != "stable_sort" else [])
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,82 @@ def test_instance_validation_rejects_bad_values():
         Instance(F(0), (interval(0, 2), interval(3, 4)), (F(1),))
 
 
+BIG = 10 ** 9 + 7  # a large prime denominator
+
+
+@pytest.mark.parametrize(
+    "args, expect",
+    [
+        ((1, "5/2", 3), (F(1), F(5, 2), F(3))),
+        (("-7/3", -2, "0"), (F(-7, 3), F(-2), F(0))),
+        ((F(-1, BIG), " 1/1000000009 ", F(1, 3)), (F(-1, BIG), F(1, BIG + 2), F(1, 3))),
+        ((F(2, BIG), F(2, BIG), 0), (F(2, BIG), F(2, BIG), F(0))),
+    ],
+)
+def test_interval_coerces_exact_inputs(args, expect):
+    itv = UncertainInterval(*args)
+    assert (itv.lo, itv.hi, itv.cost) == expect
+    assert all(type(x) is F for x in (itv.lo, itv.hi, itv.cost))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.5, 1), "floats are not allowed as scalars (got 0.5); pass an int, Fraction, or string like '5/2'"),
+        ((0, 1.0), "floats are not allowed as scalars (got 1.0); pass an int, Fraction, or string like '5/2'"),
+        ((0, 1, True), "floats are not allowed as scalars (got True); pass an int, Fraction, or string like '5/2'"),
+        ((False, 1), "floats are not allowed as scalars (got False); pass an int, Fraction, or string like '5/2'"),
+        ((0, "x"), "not a rational number: 'x'"),
+        ((2, 1), "empty interval: lo=2 > hi=1"),
+        (("-1/3", "-1/2"), "empty interval: lo=-1/3 > hi=-1/2"),
+        ((F(1, BIG), F(1, BIG + 2)), "empty interval: lo=1/1000000007 > hi=1/1000000009"),
+        ((0, 1, -1), "negative query cost -1"),
+        ((-5, -5, F(-1, BIG)), "negative query cost -1/1000000007"),
+    ],
+)
+def test_interval_refuses_bad_inputs(args, message):
+    with pytest.raises(InvariantViolation) as exc:
+        UncertainInterval(*args)
+    assert str(exc.value) == message
+
+
+def test_instance_coerces_exact_inputs():
+    inst = Instance("1/2", (interval(-3, -1), interval(F(1, BIG), F(3, BIG))), (-1, "2/1000000007"))
+    assert inst.delta == F(1, 2) and inst.values == (F(-1), F(2, BIG))
+    assert all(type(x) is F for x in (inst.delta, *inst.values))
+    assert Instance(0, (interval(0, 2),), (0,)).values == (F(0),)  # a value may sit on an endpoint
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.5, (interval(0, 2),), (1,)),
+         "floats are not allowed as scalars (got 0.5); pass an int, Fraction, or string like '5/2'"),
+        ((0, (interval(0, 2),), (True,)),
+         "floats are not allowed as scalars (got True); pass an int, Fraction, or string like '5/2'"),
+        ((0, (interval(0, 2),), (1.5,)),
+         "floats are not allowed as scalars (got 1.5); pass an int, Fraction, or string like '5/2'"),
+        ((-1, (interval(0, 2),), (1,)), "negative threshold -1"),
+        ((F(-1, BIG), (interval(0, 2),)), "negative threshold -1/1000000007"),
+        ((0, (interval(0, 2),), (5,)), "value 5 of item 0 lies outside [0, 2]"),
+        ((0, (interval(0, 2), interval(-3, -1)), (1, -4)), "value -4 of item 1 lies outside [-3, -1]"),
+        ((0, (interval(F(1, BIG), F(1, BIG - 1)),), (F(1, BIG + 1),)),
+         "value 1/1000000008 of item 0 lies outside [1/1000000007, 1/1000000006]"),
+        ((0, (interval(-4, -2),), (-2,), ((interval("-7/2", "-3/2"), interval(-2, -2)),)),
+         "item 0 step 0: [-7/2, -3/2] is not nested in [-4, -2]"),
+        ((0, (interval(F(1, BIG), 1),), (F(1, BIG),), ((interval(F(1, BIG + 2), 1), interval(F(1, BIG), F(1, BIG))),)),
+         "item 0 step 0: [1/1000000009, 1] is not nested in [1/1000000007, 1]"),
+        ((0, (interval(0, 1),), (F(1, BIG),), ((interval(F(1, BIG + 2), 1), interval(0, 0)),)),
+         "item 0 step 1: [0, 0] is not nested in [1/1000000009, 1]"),
+        ((0, (interval(0, 2),), (1,), ((interval(1, 1),),), ((-1,),)), "negative time cost -1"),
+    ],
+)
+def test_instance_refuses_bad_inputs(args, message):
+    with pytest.raises(InvariantViolation) as exc:
+        Instance(*args)
+    assert str(exc.value) == message
+
+
 def test_instance_script_validation():
     itv = interval(0, 10)
     good = Instance(

@@ -11,6 +11,12 @@ float literal.
 No Fraction pair predicate inside a run: ``online.py`` names none of them, so
 every pair question a strategy asks goes to the environment's live graph.
 
+No Fraction endpoint in a decision: ``online.py`` reads ``.lo``/``.hi`` only
+in ``CpcpEnvironment.__init__``, which builds the intervals its queries
+return and puts them on the grid, and `peo_min_right` and
+`longest_path_caterpillar` read no ``intervals``; every ordering key and
+pick compares grid ints.
+
 The package re-exports exactly what it imports: the names ``__init__.py``
 imports equal its ``__all__``, and each one resolves on the package, so a
 half-removed export fails here.
@@ -112,6 +118,48 @@ def test_the_check_flags_pair_predicates():
 
 def test_online_asks_the_live_graph():
     assert pair_predicate_sites((SRC / "online.py").read_text()) == []
+
+
+def attribute_reads(source, attrs):
+    """``(enclosing function, line, attribute)`` for every read of one of ``attrs``;
+    the function is named with its class, as ``Class.method``."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
+                sites.append((where, child.lineno, child.attr))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(sites)
+
+
+def test_the_check_flags_endpoint_reads():
+    source = (
+        "class Env:\n"
+        "    def query(self, i):\n"
+        "        return self.script[i].lo\n"
+        "def pick(g):\n"
+        "    key = lambda w: (g.intervals[w].hi, w)\n"
+        "    return g.his, g.intervals\n"
+    )
+    assert attribute_reads(source, {"lo", "hi", "intervals"}) == [
+        ("Env.query", 3, "lo"), ("pick", 5, "hi"), ("pick", 5, "intervals"), ("pick", 6, "intervals"),
+    ]
+
+
+def test_online_decides_on_grid_endpoints():
+    reads = attribute_reads((SRC / "online.py").read_text(), {"lo", "hi"})
+    assert {where for where, _, _ in reads} == {"CpcpEnvironment.__init__"}
+
+
+def test_orderings_read_no_intervals():
+    reads = attribute_reads((SRC / "graph.py").read_text(), {"intervals"})
+    assert [site for site in reads if site[0] in ("peo_min_right", "longest_path_caterpillar")] == []
 
 
 def reexport_mismatch(source):

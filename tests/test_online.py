@@ -148,16 +148,14 @@ def test_cpcp_environment_scripts():
 
 
 def test_environment_refuses_a_number_off_the_grid():
-    """A script entry whose denominator the instance grid lacks raises rather
-    than being rounded, and the environment is left as it was."""
+    """A script entry whose denominator the instance grid lacks raises, rather
+    than being rounded, when the environment puts its scripts on the grid."""
     inst = Instance(F(0), (interval(0, 2), interval(1, 3)), (F(1), F(2)),
                     refinements=((interval("1/2", "3/2"), interval(1, 1)), None))
-    env = CpcpEnvironment(inst)
-    env.graph()
-    env._scripts[0] = (interval("1/7", "13/7"), interval(1, 1))
+    inst.grid
+    object.__setattr__(inst, "refinements", ((interval("1/7", "13/7"), interval(1, 1)), None))
     with pytest.raises(InvariantViolation, match="not on the integer grid"):
-        env.query(0)
-    assert env.times(0) == 0 and env.transcript == [] and env.graph().has_edge(0, 1)
+        CpcpEnvironment(inst)
 
 
 def test_cpcp_time_costs():

@@ -16,7 +16,8 @@ keeps every comparison exact.  `sweep_pairs` compares those ints, and so do
 the dependency graph's orderings and the strategies' picks, through the
 graph's ``los`` and ``his``; the checks on new intervals and instances
 cross-multiply numerators.
-Costs, spend and transcripts stay `Fraction`.
+Costs, spend and transcripts stay `Fraction`; the cover and the optimum decide
+and sum their weights as ints on the weights' own lcm grid (`grid_ints`).
 
 Vocabulary used throughout the package:
 
@@ -106,7 +107,7 @@ def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
         upper = (upper + lower) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertainInterval:
     """A closed interval ``[lo, hi]`` with a non-negative query cost.
 
@@ -199,9 +200,17 @@ def to_grid(delta: Fraction, intervals: Sequence[UncertainInterval],
     covers the endpoints of the ``extra`` intervals."""
     scale = lcm(delta.denominator, *{x.denominator for itv in (*intervals, *extra) for x in (itv.lo, itv.hi)},
                 *{v.denominator for v in values or ()})
-    return Grid(scale, on_grid(delta, scale), tuple(on_grid(itv.lo, scale) for itv in intervals),
-                tuple(on_grid(itv.hi, scale) for itv in intervals),
-                None if values is None else tuple(on_grid(v, scale) for v in values))
+    # scale is a multiple of every denominator here, so `on_grid`'s check cannot fire
+    return Grid(scale, delta.numerator * (scale // delta.denominator),
+                tuple([itv.lo.numerator * (scale // itv.lo.denominator) for itv in intervals]),
+                tuple([itv.hi.numerator * (scale // itv.hi.denominator) for itv in intervals]),
+                None if values is None else tuple([v.numerator * (scale // v.denominator) for v in values]))
+
+
+def grid_ints(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm ``scale`` of the denominators of ``xs``, and each ``x * scale`` as an int."""
+    scale = lcm(*{x.denominator for x in xs})
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def sweep_pairs(
@@ -412,7 +421,7 @@ class Instance:
         scripted = [entry for script in self.refinements or () if script for entry in script]
         return to_grid(self.delta, self.intervals, self.values, scripted)
 
-    @property
+    @cached_property
     def costs(self) -> tuple[Fraction, ...]:
         return tuple(itv.cost for itv in self.intervals)
 

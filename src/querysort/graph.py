@@ -25,6 +25,7 @@ from .core import (
     Instance,
     KnowledgeState,
     UncertainInterval,
+    grid_ints,
     scalar,
     sweep_pairs,
     to_grid,
@@ -231,7 +232,8 @@ def max_weight_independent_set(g: DependencyGraph) -> tuple[int, ...]:
     weight, mark it and charge that amount against its later neighbors.
     A backward pass keeps the marked vertices that are not blocked by an
     already-kept neighbor.  Exact on chordal graphs; `NotChordal` if no
-    elimination ordering exists.
+    elimination ordering exists.  The residuals are ints on the lcm grid of
+    the weights (`grid_ints`), which keeps every decision exact.
     """
     if g.his is not None:
         order = peo_min_right(g)
@@ -240,7 +242,7 @@ def max_weight_independent_set(g: DependencyGraph) -> tuple[int, ...]:
         if not verify_peo(g, order):
             raise NotChordal("graph has no perfect elimination ordering")
     pos = {v: k for k, v in enumerate(order)}
-    residual = list(g.weights)
+    _, residual = grid_ints(g.weights)
     marked = [False] * g.n
     for v in order:
         if residual[v] > 0:
@@ -248,7 +250,7 @@ def max_weight_independent_set(g: DependencyGraph) -> tuple[int, ...]:
             take = residual[v]
             for u in g.adj[v]:
                 if pos[u] > pos[v]:
-                    residual[u] = max(Fraction(0), residual[u] - take)
+                    residual[u] = max(0, residual[u] - take)
     chosen: set[int] = set()
     for v in reversed(order):
         if marked[v] and not (g.adj[v] & chosen):

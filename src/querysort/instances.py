@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,10 @@ from .errors import InvariantViolation, ParseError
 _COST_MODELS = ("uniform", "rational-range")
 _VALUE_MODELS = ("uniform-in-interval", "endpoint-biased", "generic")
 
+#: The unit cost and `gen_random`'s endpoints ``k/2`` (``k <= 105``), built once and shared.
+_ONE = Fraction(1)
+_HALVES = tuple(Fraction(k, 2) for k in range(106))
+
 
 def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[int, int, Fraction]]:
     """``(2 lo, 2 hi, cost)`` of each drawn interval: the endpoints in half-units."""
@@ -38,7 +43,7 @@ def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[i
         lo = rng.randint(0, 80)
         hi = lo + rng.randint(0, 24)
         if cost_model == "uniform":
-            cost = Fraction(1)
+            cost = _ONE
         else:
             cost = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
         out.append((lo, hi, cost))
@@ -46,16 +51,16 @@ def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[i
 
 
 def _generic_position_ok(values: Sequence[Fraction], ivs: Sequence[UncertainInterval], delta: Fraction) -> bool:
-    for i, v in enumerate(values):
-        for j, other in enumerate(ivs):
-            if i == j:
-                continue
-            if v in (other.lo - delta, other.lo + delta, other.hi - delta, other.hi + delta):
-                return False
-        for j, w in enumerate(values):
-            if j != i and abs(v - w) == delta:
-                return False
-    return True
+    """No value sits on another interval's endpoint plus or minus ``delta``, and no
+    two values lie exactly ``delta`` apart; counted, not compared pair by pair."""
+    marks = [{itv.lo - delta, itv.lo + delta, itv.hi - delta, itv.hi + delta} for itv in ivs]
+    hits = Counter(x for own in marks for x in own)
+    if any(hits[v] > (v in own) for v, own in zip(values, marks)):
+        return False
+    present = set(values)
+    if delta == 0:
+        return len(present) == len(values)
+    return not any(v + delta in present for v in values)
 
 
 def gen_random(
@@ -86,7 +91,7 @@ def gen_random(
         # A zero-width interval pins its value, which can make generic
         # position unreachable; give every member room to move.
         drawn = [(lo, hi + (lo == hi), cost) for lo, hi, cost in drawn]
-    ivs = [UncertainInterval(Fraction(lo, 2), Fraction(hi, 2), cost) for lo, hi, cost in drawn]
+    ivs = [UncertainInterval(_HALVES[lo], _HALVES[hi], cost) for lo, hi, cost in drawn]
 
     def draw_values(denominator: int) -> list[Fraction]:
         """Each value ``lo + (hi - lo) k / denominator`` for a drawn grid step ``k``."""
@@ -370,34 +375,27 @@ def gen_laminar(seed: int, n: int, depth: int = 3) -> Instance:
     if depth < 0:
         raise InvariantViolation("depth must be non-negative")
     rng = random.Random(seed)
-    ivs: list[UncertainInterval] = []
-    # (lo, hi, remaining depth) regions still allowed to receive children.
-    frontier: list[tuple[Fraction, Fraction, int]] = []
-    root_cursor = Fraction(0)
-
-    def add(lo: Fraction, hi: Fraction, level: int) -> None:
-        ivs.append(UncertainInterval(lo, hi, Fraction(1)))
-        if level > 0:
-            frontier.append((lo, hi, level))
-
-    while len(ivs) < n:
+    # Intervals as (lo, hi, denominator, depth left): integer numerators over a
+    # denominator, which a child takes from its parent times the slot count.
+    spans: list[tuple[int, int, int, int]] = []
+    frontier: list[tuple[int, int, int, int]] = []  # regions still allowed to receive children
+    root_cursor = 0
+    while len(spans) < n:
         if frontier:
-            lo, hi, level = frontier.pop(rng.randrange(len(frontier)))
-            width = hi - lo
-            children = min(rng.randint(1, 3), n - len(ivs))
+            lo, hi, den, level = frontier.pop(rng.randrange(len(frontier)))
+            children = min(rng.randint(1, 3), n - len(spans))
             # Carve strictly interior, mutually gapped child slots.
             slots = 2 * children + 1
-            for c in range(children):
-                c_lo = lo + width * Fraction(2 * c + 1, slots)
-                c_hi = lo + width * Fraction(2 * c + 2, slots)
-                add(c_lo, c_hi, level - 1)
+            new = [(lo * slots + (hi - lo) * (2 * c + 1), lo * slots + (hi - lo) * (2 * c + 2), den * slots, level - 1)
+                   for c in range(children)]
         else:
-            width = Fraction(rng.randint(8, 24))
-            add(root_cursor, root_cursor + width, depth)
+            width = rng.randint(8, 24)
+            new = [(root_cursor, root_cursor + width, 1, depth)]
             root_cursor += width + rng.randint(1, 5)
-    values = tuple(
-        itv.lo + itv.width * Fraction(rng.randint(0, 16), 16) for itv in ivs
-    )
+        spans += new
+        frontier += [span for span in new if span[3] > 0]
+    ivs = [UncertainInterval(Fraction(lo, den), Fraction(hi, den), _ONE) for lo, hi, den, _ in spans]
+    values = tuple(Fraction(16 * lo + (hi - lo) * rng.randint(0, 16), 16 * den) for lo, hi, den, _ in spans)
     return Instance(Fraction(0), tuple(ivs), values)
 
 

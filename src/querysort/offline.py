@@ -28,6 +28,7 @@ from .core import (
     Instance,
     UncertainInterval,
     dependent,
+    grid_ints,
     is_trivial,
     refinement_steps,
     scalar,
@@ -96,10 +97,8 @@ def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
     """
     forced = forced_query_set(inst)
     chosen = forced | frozenset(min_cost_vertex_cover(_unforced_graph(inst, forced)))
-    cost = sum(
-        (inst.intervals[v].cost for v in chosen), start=Fraction(0)
-    )
-    return chosen, cost
+    scale, costs = grid_ints([inst.costs[v] for v in chosen])
+    return chosen, Fraction(sum(costs), scale)
 
 
 def _unforced_graph(inst: Instance, forced: frozenset[int]) -> DependencyGraph:
@@ -130,21 +129,21 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
     each keeps its own optimum.
     """
     forced = forced_query_set(inst)
-    costs, grid = inst.costs, inst.grid
+    (scale, costs), grid = grid_ints(inst.costs), inst.grid
     h = _unforced_graph(inst, forced)
     kept: set[int] = set()
     left_out: set[int] = set()
 
-    def cover_cost(comp: list[int], extra: Optional[int]) -> Fraction:
-        """Cheapest cover of H on ``comp`` holding ``kept``, ``extra`` and every
-        neighbour of a left-out vertex, and avoiding the left-out ones."""
+    def cover_cost(comp: list[int], extra: Optional[int]) -> int:
+        """Grid cost of the cheapest cover of H on ``comp`` holding ``kept``, ``extra``
+        and every neighbour of a left-out vertex, and avoiding the left-out ones."""
         must = [u for u in comp if u in kept or u == extra or h.adj[u] & left_out]
         free = [u for u in comp if u not in must and u not in left_out]
         index = {u: k for k, u in enumerate(free)}
         pairs = ((k, index[w]) for k, u in enumerate(free) for w in h.adj[u] if index.get(w, -1) > k)
         sub = DependencyGraph(len(free), pairs, [costs[u] for u in free], his=[grid.his[u] for u in free])
         cover = [free[k] for k in min_cost_vertex_cover(sub)]
-        return sum((costs[u] for u in must + cover), start=Fraction(0))
+        return sum(costs[u] for u in must + cover)
 
     comps = components(h)
     best = [cover_cost(comp, None) for comp in comps]
@@ -161,7 +160,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
             continue
         uncovered -= len(h.adj[v] - kept)
         kept.add(v)
-    return sum((costs[v] for v in kept), start=Fraction(0)), frozenset(kept)
+    return Fraction(sum(costs[v] for v in kept), scale), frozenset(kept)
 
 
 def brute_force_optimum(

@@ -800,6 +800,9 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
     any item whose current interval strictly contains another current
     interval padded by the threshold -- in this model that containment rule
     covers revealed values too, since values are just point intervals.
+    Zero-price items wait in a lazy min-heap: a price changes only by a
+    subtraction or a query, which push their items again; a popped item gone
+    inactive (for good: edges are only deleted) or priced is dropped.
     """
     if not isinstance(env, CpcpEnvironment):
         raise InvariantViolation(
@@ -814,18 +817,23 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
             residual[key] = env.step_cost(i, t)
         return residual[key]
 
+    adj = env.graph().adj
+    zeros = [k for k in env.graph().active_vertices() if current_cost(k) == 0]  # ascending: a heap
     for i, j in _first_edges(env):
         # Post-flush, every active vertex is a genuine interval with script
         # steps remaining (a point cannot be straddling-dependent here).
-        zeros = [k for k in env.graph().active_vertices() if current_cost(k) == 0]
+        while zeros and not (adj[zeros[0]] and current_cost(zeros[0]) == 0):
+            heappop(zeros)
         if zeros:
-            env.query(zeros[0])
-            _preprocess_witnesses(env)
-            continue
-        take = min(current_cost(i), current_cost(j))
-        residual[(i, env.times(i))] -= take
-        residual[(j, env.times(j))] -= take
-        _preprocess_witnesses(env)
+            changed = [heappop(zeros)]
+            env.query(changed[0])
+        else:
+            take = min(current_cost(i), current_cost(j))
+            residual[(i, env.times(i))] -= take
+            residual[(j, env.times(j))] -= take
+            changed = [i, j]
+        for k in changed + _preprocess_witnesses(env):
+            heappush(zeros, k)
     return {}
 
 
@@ -1055,15 +1063,17 @@ def expected_cost_exact(
             (heads if outcome else tails)(env)
             _flush_value_witnesses(env)
         else:
-            spent = _edgeless_spend(env, "a coin-tree leaf") - base
-            return 0, (spent, Fraction(1)), (spent, Fraction(1))
+            leaf = (_edgeless_spend(env, "a coin-tree leaf") - base, Fraction(1))
+            return 0, leaf, leaf
         if above >= _MAX_COIN_DEPTH:
             raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
         p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
         twin, twin_state = env._fork(), _copy_state(state)
         t = split(env, state, tails, above + 1, base)
         h = split(twin, twin_state, heads, above + 1, base)
-        return 1 + max(h[0], t[0]), _mix(p_lo, h[1], 1 - p_hi, t[1]), _mix(p_hi, h[2], 1 - p_lo, t[2])
+        lo = _mix(p_lo, h[1], 1 - p_hi, t[1])  # and hi, unless an end differs: computed once
+        hi = lo if p_lo is p_hi and h[1] is h[2] and t[1] is t[2] else _mix(p_hi, h[2], 1 - p_lo, t[2])
+        return 1 + max(h[0], t[0]), lo, hi
 
     def split(env: Environment, state, side, above: int, base: Fraction) -> tuple:
         """`walk`'s subtree after taking ``side``: each dependent component left is
@@ -1083,7 +1093,9 @@ def expected_cost_exact(
             raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
         lo = hi = (at - base, Fraction(1))
         for _, k in parts:
-            lo, hi = _join(lo, memo[k][1]), _join(hi, memo[k][2])
+            _, part_lo, part_hi = memo[k]
+            joined = _join(lo, part_lo)  # and hi, unless an end differs: computed once
+            lo, hi = joined, joined if lo is hi and part_lo is part_hi else _join(hi, part_hi)
         return flips - above, lo, hi
 
     env = Environment(inst)

@@ -7,7 +7,9 @@ pick by grid keys.  Each is checked against the earlier version, keyed on
 ``g.intervals`` or the environment's current intervals, on graphs and runs
 up to n = 250, half of them over mixed denominators (`wide_instances`).  The
 first-edge pointer of `simple_adaptive` and `algorithm3_cpcp` is checked
-against ``min(g.edges)`` at every step, up to n = 2 000.
+against ``min(g.edges)`` at every step, up to n = 2 000, and
+`algorithm3_cpcp`'s heap of zero-price items against the scan of every
+active vertex it replaced, by whole transcripts up to n = 2 000.
 """
 
 import inspect
@@ -227,6 +229,40 @@ def test_algorithm1_matches_the_fraction_keyed_reference(inst, p, seed):
     assert runs[0] == runs[1]
 
 
+def ref_algorithm3_cpcp(env, zero_picks=None):
+    """`online.algorithm3_cpcp`'s play, scanning every active vertex for a
+    zero-price step at every step; counts its zero-price picks in ``zero_picks``."""
+    residual = {}
+
+    def current_cost(i):
+        key = (i, env.times(i))
+        if key not in residual:
+            residual[key] = env.step_cost(*key)
+        return residual[key]
+
+    for i, j in online._first_edges(env):
+        zeros = [k for k in env.graph().active_vertices() if current_cost(k) == 0]
+        if zeros:
+            env.query(zeros[0])
+            online._preprocess_witnesses(env)
+            if zero_picks is not None:
+                zero_picks.append(zeros[0])
+            continue
+        take = min(current_cost(i), current_cost(j))
+        residual[(i, env.times(i))] -= take
+        residual[(j, env.times(j))] -= take
+        online._preprocess_witnesses(env)
+    return {}
+
+
+def with_zero_prices(inst, seed):
+    """``inst`` with a price on every script step, about two in five of them zero."""
+    rng = random.Random(seed)
+    rows = tuple(tuple(F(rng.choice([0, 0, 1, 2, 3]), rng.choice((1, 2))) for _ in script)
+                 for script in inst.refinements)
+    return Instance(inst.delta, inst.intervals, inst.values, inst.refinements, rows)
+
+
 def play(strategy, env, *args):
     """A strategy's play alone (no final ordering): its transcript and extras."""
     extras = strategy(env, *args)
@@ -289,3 +325,41 @@ def test_an_own_ordering_is_checked_on_the_live_graph(inst, seed):
         assert str(got.value) == str(exc)
     else:
         assert online._finish(env, Permutation(range(inst.n))).permutation.order == tuple(range(inst.n))
+
+
+def cpcp_play(inst):
+    """`algorithm3_cpcp`'s play on ``inst``, stopped with an `AssertionError` past the
+    most steps a play can take: a step that prices no item zero is followed by
+    one that queries, so there are at most two per script step, plus one."""
+    first_edges, steps = online._first_edges, 2 * sum(map(len, inst.refinements)) + 1
+
+    def bounded(env):
+        for count, edge in enumerate(first_edges(env)):
+            assert count < steps, "the play does not end"
+            yield edge
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(online, "_first_edges", bounded)
+        return outcome(play, inspect.unwrap(algorithm3_cpcp), CpcpEnvironment(inst))
+
+
+@pytest.mark.parametrize("n, delta", [(60, F(1)), (500, F(1, 2)), (2000, F(0))])
+@pytest.mark.parametrize("zero_prices", [False, True], ids=["flat", "zero-prices"])
+def test_zero_price_heap_picks_what_the_scan_picks(n, delta, zero_prices):
+    """Whole `algorithm3_cpcp` plays on sparse scripted instances: the transcript,
+    and so every pick, is the one the full scan of active vertices makes."""
+    inst = make_instance(n, n, delta, 4 * n + 1, scripted=True)
+    if zero_prices:
+        inst = with_zero_prices(inst, n)
+    zero_picks = []
+    want = play(ref_algorithm3_cpcp, CpcpEnvironment(inst), zero_picks)
+    assert repr(cpcp_play(inst)) == repr(want)
+    assert len(zero_picks) >= n // 40  # the zero-price branch is taken
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(instances(scripted=True), wide_instances(scripted=True)), st.booleans(), st.integers(0, 2 ** 32))
+def test_zero_price_heap_on_crowded_instances(inst, zero_prices, seed):
+    if zero_prices and inst.n:
+        inst = with_zero_prices(inst, seed)
+    assert repr(cpcp_play(inst)) == repr(outcome(play, ref_algorithm3_cpcp, CpcpEnvironment(inst)))

@@ -1,0 +1,319 @@
+"""Generators, intervals and the optimum against the versions they replaced,
+which live only here.
+
+`gen_random` takes its endpoints and unit cost from shared `Fraction`s,
+`gen_laminar` carves on integer numerators, and `_generic_position_ok`
+counts instead of comparing pairs: each draws byte-identical documents for
+seeds 0-199.  `max_weight_independent_set` decides on int residuals, and
+`optimum_query_set` and `canonical_optimum` sum costs as ints: each is
+checked against the `Fraction` version on chordal graphs and instances up
+to n = 300.  `UncertainInterval` keeps its value semantics with slots, and
+`expected_cost_exact` mixes one pair once wherever both ends are the same.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from querysort import (
+    FIXED,
+    HALF,
+    SQRT3,
+    Instance,
+    UncertainInterval,
+    algorithm1,
+    algorithm2,
+    build_graph,
+    canonical_optimum,
+    expected_cost_exact,
+    gen_cost_path,
+    gen_independent_pairs,
+    gen_laminar,
+    gen_random,
+    max_weight_independent_set,
+    min_cost_vertex_cover,
+    optimum_query_set,
+    serialize,
+    verify_peo,
+)
+from querysort import core, instances, online
+from querysort.graph import DependencyGraph, mcs_peo, peo_min_right
+from test_online import stack_expected_cost
+from test_sweep import instances as crowded_instances
+from test_sweep import make_instance, wide_instances
+
+# ---------------------------------------------------------------------------
+# The Fraction-built references
+# ---------------------------------------------------------------------------
+
+
+def ref_generic_position_ok(values, ivs, delta):
+    for i, v in enumerate(values):
+        for j, other in enumerate(ivs):
+            if i == j:
+                continue
+            if v in (other.lo - delta, other.lo + delta, other.hi - delta, other.hi + delta):
+                return False
+        for j, w in enumerate(values):
+            if j != i and abs(v - w) == delta:
+                return False
+    return True
+
+
+def ref_gen_random(seed, n, delta, cost_model="uniform", value_model="uniform-in-interval"):
+    """`gen_random`, normalizing a new `Fraction` for every endpoint and cost.  It
+    shares the generic-position test, which has its own reference."""
+    delta = core.scalar(delta)
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(n):
+        lo = rng.randint(0, 80)
+        hi = lo + rng.randint(0, 24)
+        if cost_model == "uniform":
+            cost = F(1)
+        else:
+            cost = F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+        drawn.append((lo, hi, cost))
+    if value_model == "generic":
+        drawn = [(lo, hi + (lo == hi), cost) for lo, hi, cost in drawn]
+    ivs = [UncertainInterval(F(lo, 2), F(hi, 2), cost) for lo, hi, cost in drawn]
+
+    def draw_values(denominator):
+        out = []
+        for (lo, hi, _), itv in zip(drawn, ivs):
+            if value_model == "endpoint-biased":
+                kind = rng.randint(1, 4)
+                if kind == 1:
+                    out.append(itv.lo)
+                    continue
+                if kind == 2:
+                    out.append(itv.hi)
+                    continue
+            inset = 1 if value_model == "generic" else 0
+            k = rng.randint(inset, denominator - inset)
+            out.append(F(lo * denominator + (hi - lo) * k, 2 * denominator))
+        return out
+
+    if value_model == "generic":
+        denominator = 16
+        while True:
+            values = draw_values(denominator)
+            if instances._generic_position_ok(values, ivs, delta):  # checked on its own below
+                break
+            denominator *= 2
+    else:
+        values = draw_values(16)
+    return Instance(delta, tuple(ivs), tuple(values))
+
+
+def ref_gen_laminar(seed, n, depth=3):
+    """`gen_laminar`, carving every child with `Fraction` arithmetic."""
+    rng = random.Random(seed)
+    ivs = []
+    frontier = []
+    root_cursor = F(0)
+
+    def add(lo, hi, level):
+        ivs.append(UncertainInterval(lo, hi, F(1)))
+        if level > 0:
+            frontier.append((lo, hi, level))
+
+    while len(ivs) < n:
+        if frontier:
+            lo, hi, level = frontier.pop(rng.randrange(len(frontier)))
+            width = hi - lo
+            children = min(rng.randint(1, 3), n - len(ivs))
+            slots = 2 * children + 1
+            for c in range(children):
+                add(lo + width * F(2 * c + 1, slots), lo + width * F(2 * c + 2, slots), level - 1)
+        else:
+            width = F(rng.randint(8, 24))
+            add(root_cursor, root_cursor + width, depth)
+            root_cursor += width + rng.randint(1, 5)
+    values = tuple(itv.lo + itv.width * F(rng.randint(0, 16), 16) for itv in ivs)
+    return Instance(F(0), tuple(ivs), values)
+
+
+def ref_max_weight_independent_set(g):
+    """`max_weight_independent_set` on `Fraction` residual weights."""
+    if g.his is not None:
+        order = peo_min_right(g)
+    else:
+        order = mcs_peo(g)
+        assert verify_peo(g, order)
+    pos = {v: k for k, v in enumerate(order)}
+    residual = list(g.weights)
+    marked = [False] * g.n
+    for v in order:
+        if residual[v] > 0:
+            marked[v] = True
+            take = residual[v]
+            for u in g.adj[v]:
+                if pos[u] > pos[v]:
+                    residual[u] = max(F(0), residual[u] - take)
+    chosen = set()
+    for v in reversed(order):
+        if marked[v] and not (g.adj[v] & chosen):
+            chosen.add(v)
+    return tuple(sorted(chosen))
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [F(0), F(1, 2), F(1)], ids=["0", "1/2", "1"])
+@pytest.mark.parametrize("n", [1, 10, 40])
+@pytest.mark.parametrize("value_model", instances._VALUE_MODELS)
+@pytest.mark.parametrize("cost_model", instances._COST_MODELS)
+def test_gen_random_draws_the_same_documents(cost_model, value_model, n, delta):
+    for seed in range(200):
+        want = serialize(ref_gen_random(seed, n, delta, cost_model, value_model))
+        assert serialize(gen_random(seed, n, delta, cost_model, value_model)) == want, seed
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 5])
+@pytest.mark.parametrize("n", [1, 10, 40])
+def test_gen_laminar_draws_the_same_documents(n, depth):
+    for seed in range(200):
+        assert serialize(gen_laminar(seed, n, depth)) == serialize(ref_gen_laminar(seed, n, depth)), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([F(0), F(1, 2), F(1), F(3, 7)]),
+       st.lists(st.integers(0, 6), min_size=3, max_size=3), st.integers(0, 2 ** 32))
+def test_generic_position_counts_what_the_pair_scan_finds(n, delta, grid, seed):
+    """Endpoints and values on a small grid, so that values often sit on another
+    interval's boundary or exactly ``delta`` from each other."""
+    rng = random.Random(seed)
+    step = F(1, 1 + grid[0])
+    ivs, values = [], []
+    for _ in range(n):
+        lo = step * rng.randint(0, 4 + grid[1])
+        hi = lo + step * rng.randint(0, 2 + grid[2])
+        ivs.append(UncertainInterval(lo, hi))
+        values.append(rng.choice([lo, hi, lo + (hi - lo) / 2, lo + delta]))
+    assert instances._generic_position_ok(values, ivs, delta) == ref_generic_position_ok(values, ivs, delta)
+
+
+# ---------------------------------------------------------------------------
+# The optimum on ints
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 7, 10 ** 9 + 7)
+
+
+def mixed_weights(rng, n):
+    """Weights over mixed denominators, about one in four of them zero."""
+    return [F(0) if rng.random() < 0.25 else F(rng.randint(1, 40), rng.choice(DENOMINATORS))
+            for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(crowded_instances(), wide_instances()), st.integers(0, 300), st.integers(0, 2 ** 32))
+def test_independent_set_on_ints_matches_fractions(inst, extra, seed):
+    """On the interval graph of a drawn instance (n up to 250) or of a sparse one
+    up to n = 300, with mixed-denominator weights, by either elimination order."""
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        inst = make_instance(seed, extra, F(1, 2), 4 * extra + 1)
+    g = build_graph(inst)
+    weights = mixed_weights(rng, inst.n)
+    for graph in (DependencyGraph(inst.n, g.edges, weights, his=g.his),
+                  DependencyGraph(inst.n, g.edges, weights)):
+        assert max_weight_independent_set(graph) == ref_max_weight_independent_set(graph)
+        cover = min_cost_vertex_cover(graph)
+        assert set(cover).isdisjoint(max_weight_independent_set(graph))
+
+
+def test_independent_set_takes_int_weights():
+    g = DependencyGraph(3, [(0, 1), (1, 2)], [2, 3, 2], his=[1, 2, 3])
+    assert max_weight_independent_set(g) == (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(crowded_instances(), wide_instances()), st.integers(0, 2 ** 32))
+def test_optimum_costs_sum_on_ints(inst, seed):
+    """Rational costs over mixed denominators: the optimum's cost is the `Fraction`
+    sum of its set, and the canonical optimum costs the same."""
+    rng = random.Random(seed)
+    costs = mixed_weights(rng, inst.n)
+    inst = Instance(inst.delta, tuple(UncertainInterval(itv.lo, itv.hi, c)
+                                      for itv, c in zip(inst.intervals, costs)), inst.values)
+    chosen, cost = optimum_query_set(inst)
+    assert type(cost) is F
+    assert cost == sum((costs[v] for v in chosen), start=F(0))
+    canonical_cost, canonical = canonical_optimum(inst)
+    assert type(canonical_cost) is F
+    assert canonical_cost == cost == sum((costs[v] for v in canonical), start=F(0))
+
+
+def test_instance_costs_are_read_once():
+    inst = gen_random(1, 8, F(1, 2), cost_model="rational-range")
+    assert inst.costs is inst.costs
+    assert inst.costs == tuple(itv.cost for itv in inst.intervals)
+
+
+# ---------------------------------------------------------------------------
+# Intervals with slots
+# ---------------------------------------------------------------------------
+
+
+def test_interval_is_a_frozen_value_with_slots():
+    a = UncertainInterval(F(1, 2), F(7, 3), F(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.lo = F(0)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):  # no slot for it, and no __dict__ to hold it
+        object.__setattr__(a, "extra", 1)
+    b = UncertainInterval(F(1, 2), F(7, 3), F(2))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != UncertainInterval(F(1, 2), F(7, 3), F(3))
+    assert len({a, b, UncertainInterval(F(0), F(1))}) == 2
+    assert UncertainInterval(F(0), F(1)).cost == 1
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a)
+        assert (twin.lo, twin.hi, twin.cost) == (F(1, 2), F(7, 3), F(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.hi = F(9)
+
+
+# ---------------------------------------------------------------------------
+# One pair, mixed once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm, rule, per_flip", [
+    (algorithm1, FIXED(F(1, 2)), 1),
+    (algorithm2, HALF, 1),
+    (algorithm2, SQRT3, 2),
+])
+def test_both_ends_are_mixed_once_under_a_rational_rule(monkeypatch, algorithm, rule, per_flip):
+    """Every real flip mixes its two sides once when both ends of each side are one
+    pair (every rational rule), and twice only for a square-root enclosure."""
+    calls = {"mix": 0, "fork": 0}
+    mix, fork = online._mix, online.QueryEnvironment._fork
+
+    def counting_mix(*args):
+        calls["mix"] += 1
+        return mix(*args)
+
+    def counting_fork(env):
+        calls["fork"] += 1
+        return fork(env)
+
+    monkeypatch.setattr(online, "_mix", counting_mix)
+    monkeypatch.setattr(online.QueryEnvironment, "_fork", counting_fork)
+    inst = gen_cost_path(8, F(1, 100)) if algorithm is algorithm2 else gen_independent_pairs(5)
+    got = expected_cost_exact(algorithm, inst, rule)
+    assert calls["fork"] > 0
+    assert calls["mix"] == per_flip * calls["fork"]
+    assert isinstance(got, tuple) == (rule is SQRT3)
+    assert got == stack_expected_cost(algorithm, inst, rule)

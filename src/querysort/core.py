@@ -333,11 +333,6 @@ class Instance:
                 raise InvariantViolation(
                     f"{len(values)} values for {n} intervals"
                 )
-            for i, (itv, v) in enumerate(zip(self.intervals, values)):
-                if not (_le(itv.lo, v) and _le(v, itv.hi)):
-                    raise InvariantViolation(
-                        f"value {v} of item {i} lies outside {itv}"
-                    )
         if self.refinements is not None:
             object.__setattr__(
                 self, "refinements", tuple(
@@ -353,6 +348,11 @@ class Instance:
                 if script is None:
                     continue
                 self._check_script(i, script)
+        if self.values is not None:  # on the grid every row reads
+            for i, (lo, v, hi) in enumerate(zip(self.grid.los, self.grid.values, self.grid.his)):
+                if not lo <= v <= hi:
+                    raise InvariantViolation(
+                        f"value {self.values[i]} of item {i} lies outside {self.intervals[i]}")
         if self.time_costs is not None:
             costs = tuple(
                 tuple(scalar(c) for c in row) if row is not None else None

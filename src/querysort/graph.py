@@ -6,8 +6,8 @@ restricted by the threshold rule stays chordal, which is what makes an exact
 minimum-cost vertex cover tractable here.
 
 Every routine reads the adjacency sets of the graph it is handed, so a
-caller that holds a graph never rebuilds one; components, component lookup
-and the longest-path sweeps share one breadth-first search.
+caller that holds a graph never rebuilds one.  Components and component
+lookup share one walk; the longest-path sweeps share one breadth-first search.
 
 Determinism matters throughout -- algorithms and tests rely on reproducible
 tie-breaking, so every routine that picks among equals picks the smallest
@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -129,22 +130,28 @@ def _bfs(
     return dist, parent
 
 
+def _reach(g: DependencyGraph, start: int, seen: set[int]) -> list[int]:
+    """Sorted vertices of ``start``'s component, each added to ``seen`` as it is reached."""
+    seen.add(start)
+    out = [start]
+    for v in out:  # walks the vertices appended below too
+        new = g.adj[v] - seen
+        seen |= new
+        out += new
+    return sorted(out)
+
+
 def components(g: DependencyGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for start in range(g.n):
-        if start not in seen:
-            out.append(sorted(_bfs(g, start)[0]))
-            seen.update(out[-1])
-    return out
+    seen: set[int] = set()  # an isolated vertex needs no mark: no walk reaches it
+    return [_reach(g, start, seen) if g.adj[start] else [start] for start in range(g.n) if start not in seen]
 
 
 def component_of(g: DependencyGraph, v: int) -> list[int]:
     """Sorted vertex list of the component containing ``v``."""
     if not 0 <= v < g.n:
         raise InvariantViolation(f"no vertex {v} in a graph on {g.n} vertices")
-    return sorted(_bfs(g, v)[0])
+    return _reach(g, v, set())
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +165,9 @@ def _non_simplicial(
     ``v`` that are not adjacent, or None when ``order`` eliminates perfectly."""
     pos = {v: k for k, v in enumerate(order)}
     for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if not g.has_edge(later[a], later[b]):
-                    return v, later[a], later[b]
+        for a, b in combinations([u for u in g.adj[v] if pos[u] > pos[v]], 2):
+            if not g.has_edge(a, b):
+                return v, a, b
     return None
 
 
@@ -268,14 +273,12 @@ def min_cost_vertex_cover(g: DependencyGraph) -> tuple[int, ...]:
 # Triangles and caterpillar paths
 # ---------------------------------------------------------------------------
 
-def find_triangle(g: DependencyGraph) -> Optional[tuple[int, int, int]]:
-    """Lexicographically smallest triangle, or None."""
-    for i in range(g.n):
-        ni = sorted(u for u in g.adj[i] if u > i)
-        for a in range(len(ni)):
-            for b in range(a + 1, len(ni)):
-                if g.has_edge(ni[a], ni[b]):
-                    return (i, ni[a], ni[b])
+def find_triangle(g: DependencyGraph, start: int = 0) -> Optional[tuple[int, int, int]]:
+    """Lexicographically smallest triangle whose first vertex is at least ``start``, or None."""
+    for i in range(start, g.n):
+        for a, b in combinations(sorted(u for u in g.adj[i] if u > i), 2):
+            if g.has_edge(a, b):
+                return (i, a, b)
     return None
 
 

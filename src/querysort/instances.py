@@ -31,9 +31,10 @@ from .errors import InvariantViolation, ParseError
 _COST_MODELS = ("uniform", "rational-range")
 _VALUE_MODELS = ("uniform-in-interval", "endpoint-biased", "generic")
 
-#: The unit cost and `gen_random`'s endpoints ``k/2`` (``k <= 105``), built once and shared.
+#: The unit cost, and `gen_random`'s endpoints ``k/2`` and values ``m/32`` on its first grid, built once.
 _ONE = Fraction(1)
 _HALVES = tuple(Fraction(k, 2) for k in range(106))
+_THIRTY_SECONDS = tuple(Fraction(m, 32) for m in range(16 * 105 + 1))
 
 
 def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[int, int, Fraction]]:
@@ -107,8 +108,8 @@ def gen_random(
                     continue
             # a generic value is strictly interior, so it never sits on its own edge
             inset = 1 if value_model == "generic" else 0
-            k = rng.randint(inset, denominator - inset)
-            out.append(Fraction(lo * denominator + (hi - lo) * k, 2 * denominator))
+            m = lo * denominator + (hi - lo) * rng.randint(inset, denominator - inset)
+            out.append(_THIRTY_SECONDS[m] if denominator == 16 else Fraction(m, 2 * denominator))
         return out
 
     if value_model == "generic":

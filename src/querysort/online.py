@@ -185,7 +185,9 @@ class QueryEnvironment:
     The one graph is built with the environment (`sweep_pairs`) and then
     narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
     and ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
-    queried vertex, and re-testing its neighbours is O(degree) work.
+    queried vertex, and re-testing its neighbours is O(degree) work.  So a
+    flush (``_flushed`` holds where the last of each kind ended) and a
+    strategy's pick start from the vertices queried since, not from a scan.
     """
 
     def __init__(self, instance: Instance):
@@ -197,6 +199,7 @@ class QueryEnvironment:
         self._queried = [0] * instance.n
         self._spent = Fraction(0)
         self.transcript: list[tuple] = []
+        self._flushed: tuple = (None, None)  # transcript lengths at the last value and static flushes
         pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
         self._graph = DependencyGraph(instance.n, pairs, instance.costs, self._current, self._lo, self._hi)
 
@@ -417,27 +420,35 @@ def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> 
 # ---------------------------------------------------------------------------
 
 
-def _flush(env: QueryEnvironment, witness: Callable[[int, int], bool]) -> list[int]:
+def _flush(env: QueryEnvironment, witness: Callable[[int, int], bool], static: bool) -> list[int]:
     """Query the smallest witness, round after round, until none is left.
 
     Vertex ``i`` is a witness when ``witness(i, j)``, a test on the grid
     endpoints, holds for a neighbour ``j``.  Narrowing an interval keeps every
     containment and every point neighbour, so a vertex stops being a witness
     only when it is queried, and becomes one only at or next to a queried
-    vertex: after one full scan, each round re-tests just those.
+    vertex.  So a flush tests the vertices queried since the last flush of its
+    kind and their neighbours (a run's first one scans every active vertex),
+    and each round re-tests just the queried vertex and its neighbours.  A
+    value witness is a static witness of a point: a static flush also ends
+    the value witnesses, but not the other way round.
     """
-    def witnessed(i: int) -> bool:
-        return any(witness(i, j) for j in env.graph().adj[i])
-
-    pending = [i for i in env.graph().active_vertices() if witnessed(i)]
+    adj = env.graph().adj
+    witnessed = lambda i: any(witness(i, j) for j in adj[i])
+    mark = env._flushed[static]
+    seeds = env.graph().active_vertices() if mark is None else {
+        k for i, _, _ in env.transcript[mark:] for k in (i, *adj[i])}
+    pending = sorted(k for k in seeds if witnessed(k))
     done: list[int] = []
     while pending:
         i = heappop(pending)
         env.query(i)
         done.append(i)
-        for k in {i} | env.graph().adj[i]:
+        for k in {i} | adj[i]:
             if k not in pending and witnessed(k):
                 heappush(pending, k)
+    now = len(env.transcript)
+    env._flushed = (now, now if static else env._flushed[1])
     return done
 
 
@@ -453,7 +464,7 @@ def _flush_value_witnesses(env: QueryEnvironment) -> list[int]:
     After this returns, every point is isolated in the dependency graph.
     """
     lo, hi = env._lo, env._hi
-    return _flush(env, lambda i, j: lo[j] == hi[j])
+    return _flush(env, lambda i, j: lo[j] == hi[j], False)
 
 
 def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
@@ -468,7 +479,7 @@ def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
     refinements keep straddling.
     """
     lo, hi, d = env._lo, env._hi, env._grid.delta
-    return _flush(env, lambda i, j: lo[i] + d < lo[j] and hi[i] > hi[j] + d)
+    return _flush(env, lambda i, j: lo[i] + d < lo[j] and hi[i] > hi[j] + d, True)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +608,8 @@ def algorithm1(env: Environment, rule: Optional[Fraction] = None, rng=None) -> R
     expected spend stays within 3/2 of the optimum; as a deterministic rule
     (p = 0 or 1) it stays within 5/3 on zero-threshold instances whose
     warmed-up graph has no single-edge component.  All ties break to the
-    smaller index.
+    smaller index.  Both picks come from lazy heaps, not from scans of the
+    whole graph (`_algorithm1_start`).
     """
     if rule is None:
         rule = Fraction(1, 2)
@@ -605,33 +617,54 @@ def algorithm1(env: Environment, rule: Optional[Fraction] = None, rng=None) -> R
     return _run_trials(env, rule, state, _algorithm1_trial, rng)
 
 
-def _algorithm1_start(env: Environment, p: Fraction) -> None:
-    """Validate the environment, the bias and the costs, then run the warm-up."""
-    if not isinstance(env, Environment):
-        raise InvariantViolation(
-            "this strategy runs on an Environment (each query reveals a value)"
-        )
-    if not isinstance(p, Fraction):
-        raise InvariantViolation("this strategy takes a fixed coin bias")
-    FIXED(p)  # refuses a bias outside [0, 1]
-    costs = env.instance.costs
-    if any(c != costs[0] for c in costs):
-        raise InvariantViolation("this strategy requires uniform query costs")
-    _preprocess_witnesses(env)
+def _algorithm1_start(env: Environment, p: Fraction, state: Optional[tuple] = None, vertices=None) -> tuple:
+    """Start a walk: at the root, check the environment, bias and costs and run
+    the warm-up.  The state is the neighbour sets at the warm-up's end, and
+    picks among ``vertices`` (ascending; all at the root): a heap of the smaller
+    ends of single-edge components, a heap of ``(hi, v)`` per active vertex,
+    and the transcript length the heaps are current to."""
+    if state is None:
+        if not isinstance(env, Environment):
+            raise InvariantViolation("this strategy runs on an Environment (each query reveals a value)")
+        if not isinstance(p, Fraction):
+            raise InvariantViolation("this strategy takes a fixed coin bias")
+        FIXED(p)  # refuses a bias outside [0, 1]
+        costs = env.instance.costs
+        if any(c != costs[0] for c in costs):
+            raise InvariantViolation("this strategy requires uniform query costs")
+        _preprocess_witnesses(env)
+        state, vertices = (tuple(map(tuple, env.graph().adj)),), range(env.n)
+    adj, his = env.graph().adj, env.graph().his
+    pairs = [v for v in vertices if len(adj[v]) == 1 and v < (k := min(adj[v])) and len(adj[k]) == 1]
+    return state[0], pairs, sorted((his[v], v) for v in vertices if adj[v]), [len(env.transcript)]
 
 
-def _algorithm1_trial(env: Environment, p: Fraction, state: None) -> Optional[tuple]:
+def _first_ending(adj: list[set[int]], ends: list[tuple[int, int]]) -> Optional[int]:
+    """The first-ending active vertex (or None) from the lazy heap ``ends`` of ``(hi, v)``, read before
+    any query or after a value flush: points are isolated then, so an active vertex's entry is current."""
+    while ends and not adj[ends[0][1]]:
+        heappop(ends)  # inactive for good: edges are only deleted
+    return ends[0][1] if ends else None
+
+
+def _algorithm1_trial(env: Environment, p: Fraction, state: tuple) -> Optional[tuple]:
     """Run `algorithm1`'s deterministic steps up to its next single-edge flip."""
+    nbrs, pairs, ends, seen = state
+    g = env.graph()
     while True:
-        g = env.graph()
-        if not any(g.adj):
-            return None
-        pairs = [c for c in components(g) if len(c) == 2]
+        # a query deletes edges only at its vertex: only former neighbours form new single edges
+        for j in {j for i, _, _ in env.transcript[seen[0]:] for j in nbrs[i]}:
+            if len(g.adj[j]) == 1 and len(g.adj[k := min(g.adj[j])]) == 1:
+                heappush(pairs, min(j, k))
+        seen[0] = len(env.transcript)
+        while pairs and not g.adj[pairs[0]]:
+            heappop(pairs)  # a single edge stays one until a query deletes it
         if pairs:
-            u, v = pairs[0]  # components arrive ordered by smallest member
+            u, (v,) = pairs[0], g.adj[pairs[0]]
             return p, _query_pair(u, v), _query_pair(v, u)
+        if (x := _first_ending(g.adj, ends)) is None:
+            return None
         first_ending = lambda w: (g.his[w], w)
-        x = min(g.active_vertices(), key=first_ending)
         neighbors_x = sorted(g.adj[x])
         y = min(neighbors_x, key=first_ending)
         if len(neighbors_x) >= 2:
@@ -716,49 +749,56 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
       those neighbors.  If ``b``'s only neighbor is ``c``, the window
       slides forward until the trial is meaningful.
 
-    Value witnesses are flushed after every query step.
+    Value witnesses are flushed after every query step.  Zeros, triangles and
+    the smallest active vertex come from a heap and pointers, not from scans
+    of the whole graph (`_algorithm2_start`).
     """
     state = _algorithm2_start(env, rule)
     return _run_trials(env, rule, state, _algorithm2_trial, rng)
 
 
-def _algorithm2_start(env: Environment, rule) -> tuple[list[Fraction], dict]:
-    """Validate the rule; the state is the residual weights and the frozen spines."""
-    if rule is not HALF and rule is not SQRT3:
-        raise InvariantViolation("this strategy takes the half or sqrt3 rule")
-    return list(env.instance.costs), {}
+def _algorithm2_start(env: Environment, rule, state: Optional[tuple] = None, vertices=None) -> tuple:
+    """Start a walk: the residual weights and frozen spines (fresh at the root, after
+    checking the rule), and picks among ``vertices`` (ascending; all at the root):
+    a lazy heap of zero-residual vertices, and pointers at the smallest active
+    vertex and the smallest triangle's first vertex, which never decrease."""
+    if state is None:
+        if rule is not HALF and rule is not SQRT3:
+            raise InvariantViolation("this strategy takes the half or sqrt3 rule")
+        state, vertices = (list(env.instance.costs), {}), range(env.n)
+    return *state[:2], [v for v in vertices if state[0][v] == 0], [vertices[0] if vertices else 0] * 2
 
 
 def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
     """Run `algorithm2`'s zero-weight and triangle steps up to its next path trial."""
-    residual, frozen_paths = state
+    residual, frozen_paths, zeros, at = state
+    g = env.graph()
     while True:
-        g = env.graph()
-        if not any(g.adj):
+        while at[0] < g.n and not g.adj[at[0]]:
+            at[0] += 1
+        if at[0] == g.n:
             return None
-        active = g.active_vertices()
-        zeros = [v for v in active if residual[v] == 0]
+        while zeros and not g.adj[zeros[0]]:
+            heappop(zeros)  # inactive for good; a residual, once zero, stays zero
         if zeros:
             env.query(zeros[0])
             _flush_value_witnesses(env)
             continue
-        triangle = find_triangle(g)
+        triangle = find_triangle(g, at[1])
+        at[1] = triangle[0] if triangle else g.n
         if triangle is None:
             break
         take = min(residual[v] for v in triangle)
         for v in triangle:
             residual[v] -= take
+            if residual[v] == 0:
+                heappush(zeros, v)
     # Forest phase: trial on the component of the smallest active vertex.
-    comp = component_of(g, active[0])
-    path = None
-    for v in comp:
-        if v in frozen_paths:
-            path = frozen_paths[v]
-            break
+    comp = component_of(g, at[0])
+    path = frozen_paths.get(comp[0])  # a component's vertices are frozen together or not at all
     if path is None:
         path = longest_path_caterpillar(g, comp)
-        for v in comp:
-            frozen_paths[v] = path
+        frozen_paths.update(dict.fromkeys(comp, path))
     comp_set = set(comp)
     spine = [v for v in path if v in comp_set]
     start = 0
@@ -954,19 +994,12 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     remembered; a clique containing one costs no further advice.
     """
     known_out: set[int] = set()
-    while True:
-        g = env.graph()
-        if not any(g.adj):
-            break
-        active = g.active_vertices()
-        x = min(active, key=lambda w: (g.his[w], w))
+    g = env.graph()
+    ends = sorted((g.his[v], v) for v in range(env.n) if g.adj[v])
+    while (x := _first_ending(g.adj, ends)) is not None:
         group = frozenset({x} | g.adj[x])
-        for u in group:
-            for w in group:
-                if u < w and not g.has_edge(u, w):
-                    raise InvariantViolation(
-                        f"neighborhood of first-ending vertex {x} is not a clique"
-                    )
+        if any(u < w and not g.has_edge(u, w) for u in group for w in group):
+            raise InvariantViolation(f"neighborhood of first-ending vertex {x} is not a clique")
         remembered = sorted(group & known_out)
         if remembered:
             y = remembered[0]
@@ -991,7 +1024,7 @@ _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
 def _algorithm2_key(state, comp: list[int]) -> tuple:
     """A component's vertices, residual weights and frozen spine (None before its
     first trial; a component's vertices are frozen together or not at all)."""
-    residual, frozen_paths = state
+    residual, frozen_paths = state[:2]
     path, inside = frozen_paths.get(comp[0]), set(comp)
     spine = None if path is None else tuple(v for v in path if v in inside)
     return tuple(comp), tuple(residual[v] for v in comp), spine
@@ -1006,8 +1039,8 @@ _TRIALS = {
 
 
 def _copy_state(state):
-    """Fork a strategy state: None, or a tuple of containers of immutable values."""
-    return None if state is None else tuple(copy.copy(part) for part in state)
+    """Fork a strategy state: a tuple of containers of immutable values."""
+    return tuple(copy.copy(part) for part in state)
 
 
 def _join(a: tuple, b: tuple) -> tuple:
@@ -1039,6 +1072,8 @@ def expected_cost_exact(
     path factor × spend over a part's leaves and ``m`` sums path factors.
     The root is not split: before `algorithm2`'s first flush, a value witness
     pending in one component is flushed at another component's first step.
+    Each component's walk starts its own picks (heaps and pointers) over its
+    vertices in O(|C|); residuals and frozen spines stay shared.
 
     A coin path holding more than 20 real flips raises `TooManyBranches`.
     Returns an exact rational when every probability is rational, and a
@@ -1081,12 +1116,13 @@ def expected_cost_exact(
         side(env)
         _flush_value_witnesses(env)
         graph, adj, at = env.graph(), env.graph().adj, env._spent
-        parts = [(set(comp), key(state, comp)) for comp in components(graph) if len(comp) > 1]
+        parts = [(comp, key(state, comp)) for comp in components(graph) if len(comp) > 1]
         flips = above + sum(memo[k][0] for _, k in parts if k in memo)
-        for inside, k in parts:
+        for comp, k in parts:
             if k not in memo:
+                inside = set(comp)
                 graph.adj = [nbrs if v in inside else set() for v, nbrs in enumerate(adj)]
-                memo[k] = walk(env, state, flips, env._spent)
+                memo[k] = walk(env, start(env, rule, state, comp), flips, env._spent)
                 graph.adj = adj
                 flips += memo[k][0]
         if flips > _MAX_COIN_DEPTH:

@@ -1,10 +1,11 @@
 """Generators, intervals and the optimum against the versions they replaced,
 which live only here.
 
-`gen_random` takes its endpoints and unit cost from shared `Fraction`s,
-`gen_laminar` carves on integer numerators, and `_generic_position_ok`
-counts instead of comparing pairs: each draws byte-identical documents for
-seeds 0-199.  `max_weight_independent_set` decides on int residuals, and
+`gen_random` takes its endpoints, unit cost and first-grid values from
+shared `Fraction`s, `gen_laminar` carves on integer numerators, and
+`_generic_position_ok` counts instead of comparing pairs: each draws
+byte-identical documents for seeds 0-199.  `Instance` checks its values on
+its grid ints, refusing what the `Fraction` check refused with its message.  `max_weight_independent_set` decides on int residuals, and
 `optimum_query_set` and `canonical_optimum` sum costs as ints: each is
 checked against the `Fraction` version on chordal graphs and instances up
 to n = 300.  `UncertainInterval` keeps its value semantics with slots, and
@@ -26,6 +27,7 @@ from querysort import (
     HALF,
     SQRT3,
     Instance,
+    InvariantViolation,
     UncertainInterval,
     algorithm1,
     algorithm2,
@@ -177,6 +179,40 @@ def test_gen_random_draws_the_same_documents(cost_model, value_model, n, delta):
     for seed in range(200):
         want = serialize(ref_gen_random(seed, n, delta, cost_model, value_model))
         assert serialize(gen_random(seed, n, delta, cost_model, value_model)) == want, seed
+
+
+@pytest.mark.parametrize("value_model", ["uniform-in-interval", "endpoint-biased"])
+def test_gen_random_values_are_shared(value_model):
+    """Every value is an endpoint or a ``m/32`` from the shared table, which reaches
+    the largest endpoint a draw can make, so no value is a fresh `Fraction`."""
+    shared = {id(x) for x in instances._HALVES + instances._THIRTY_SECONDS}
+    assert instances._THIRTY_SECONDS[-1] == instances._HALVES[-1]
+    for seed in range(200):
+        inst = gen_random(seed, 40, F(1, 2), "rational-range", value_model)
+        assert all(id(v) in shared for v in inst.values), seed
+
+
+def ref_value_error(intervals, values):
+    """The message of the `Fraction` check that `Instance` made on each value."""
+    for i, (itv, v) in enumerate(zip(intervals, values)):
+        if not itv.lo <= v <= itv.hi:
+            return f"value {v} of item {i} lies outside {itv}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-4, 4)] * 3, *[st.sampled_from([1, 2, 3, 7])] * 3),
+                min_size=1, max_size=6), st.sampled_from([F(0), F(1, 3)]))
+def test_values_are_checked_on_the_grid(rows, delta):
+    """Values inside, on and just past the ends of intervals over mixed denominators."""
+    intervals = tuple(UncertainInterval(F(a, p), F(a, p) + F(abs(b), q), F(1)) for a, b, _, p, q, _ in rows)
+    values = tuple(itv.lo + F(c, r) for itv, (_, _, c, _, _, r) in zip(intervals, rows))
+    try:
+        Instance(delta, intervals, values)
+        got = None
+    except InvariantViolation as exc:
+        got = str(exc)
+    assert got == ref_value_error(intervals, values)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3, 5])

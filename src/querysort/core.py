@@ -16,8 +16,9 @@ keeps every comparison exact.  `sweep_pairs` compares those ints, and so do
 the dependency graph's orderings and the strategies' picks, through the
 graph's ``los`` and ``his``; the checks on new intervals and instances
 cross-multiply numerators.
-Costs, spend and transcripts stay `Fraction`; the cover and the optimum decide
-and sum their weights as ints on the weights' own lcm grid (`grid_ints`).
+Costs have their own grid (`Instance.cost_grid`), whose units a run's spend,
+residual weights and coin-tree walk add; the cover decides on the lcm grid of
+its weights (`grid_ints`).
 
 Vocabulary used throughout the package:
 
@@ -307,6 +308,7 @@ class Instance:
     nested in its predecessor and the final entry is the point holding the
     value.  ``time_costs`` (optional, same shape) price each script step;
     without them every step of an interval costs its flat ``cost``.
+    The integer grids `grid` and `cost_grid` are computed on first read.
     """
 
     delta: Fraction
@@ -416,7 +418,7 @@ class Instance:
         """This instance on its integer grid, computed on first read and kept.
 
         The scale covers the threshold, every endpoint, every value and every
-        refinement-script entry; costs stay `Fraction` and take no part.
+        refinement-script entry; costs have their own grid (`cost_grid`).
         """
         scripted = [entry for script in self.refinements or () if script for entry in script]
         return to_grid(self.delta, self.intervals, self.values, scripted)
@@ -424,6 +426,14 @@ class Instance:
     @cached_property
     def costs(self) -> tuple[Fraction, ...]:
         return tuple(itv.cost for itv in self.intervals)
+
+    @cached_property
+    def cost_grid(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, units)``: the lcm of the denominators of every item and time cost, and
+        each item's cost times it, so spends and residual weights add as ints."""
+        times = [c for row in self.time_costs or () if row for c in row]
+        scale, units = grid_ints([*self.costs, *times])
+        return scale, tuple(units[:self.n])
 
     def with_values(self, values: Iterable[ScalarLike]) -> "Instance":
         """A copy of this instance with the given hidden realization."""

@@ -28,7 +28,6 @@ from .core import (
     Instance,
     UncertainInterval,
     dependent,
-    grid_ints,
     is_trivial,
     refinement_steps,
     scalar,
@@ -97,8 +96,8 @@ def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
     """
     forced = forced_query_set(inst)
     chosen = forced | frozenset(min_cost_vertex_cover(_unforced_graph(inst, forced)))
-    scale, costs = grid_ints([inst.costs[v] for v in chosen])
-    return chosen, Fraction(sum(costs), scale)
+    scale, units = inst.cost_grid
+    return chosen, Fraction(sum(units[v] for v in chosen), scale)
 
 
 def _unforced_graph(inst: Instance, forced: frozenset[int]) -> DependencyGraph:
@@ -129,7 +128,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
     each keeps its own optimum.
     """
     forced = forced_query_set(inst)
-    (scale, costs), grid = grid_ints(inst.costs), inst.grid
+    (scale, costs), grid = inst.cost_grid, inst.grid
     h = _unforced_graph(inst, forced)
     kept: set[int] = set()
     left_out: set[int] = set()

@@ -14,7 +14,8 @@ Each environment holds one dependency graph of its current intervals, built
 with the environment and narrowed in place by each query
 (`QueryEnvironment`); every strategy and witness flush reads it, and every
 pair test, witness test and pick compares endpoints on the instance's
-integer grid (`Instance.grid`).
+integer grid (`Instance.grid`).  Spend, residual weights and the coin-tree
+walk count cost units (`Instance.cost_grid`), as `Fraction` only on the way out.
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  The uniform-cost strategy flips a constant bias, a `Fraction` in
@@ -180,7 +181,8 @@ class QueryEnvironment:
     ``_lo`` and ``_hi`` hold the current endpoints on the instance's integer
     grid, beside the `Fraction` intervals in ``_current``; they are the
     graph's ``los`` and ``his``, and every pair test, witness test and
-    ordering key reads them.  Spend and transcript stay `Fraction`.
+    ordering key reads them.  The ledger ``_paid`` adds cost units (step
+    ``1/_scale``); transcript entries keep the instance's cost `Fraction`s.
 
     The one graph is built with the environment (`sweep_pairs`) and then
     narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
@@ -197,7 +199,8 @@ class QueryEnvironment:
         self._lo = list(self._grid.los)
         self._hi = list(self._grid.his)
         self._queried = [0] * instance.n
-        self._spent = Fraction(0)
+        self._scale, self._units = instance.cost_grid
+        self._paid = 0
         self.transcript: list[tuple] = []
         self._flushed: tuple = (None, None)  # transcript lengths at the last value and static flushes
         pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
@@ -212,7 +215,7 @@ class QueryEnvironment:
         return self.instance.delta
 
     def state(self) -> KnowledgeState:
-        return KnowledgeState(tuple(self._current), tuple(self._queried), self._spent)
+        return KnowledgeState(tuple(self._current), tuple(self._queried), Fraction(self._paid, self._scale))
 
     def graph(self) -> DependencyGraph:
         """Dependency graph of the current intervals at the instance threshold.
@@ -237,16 +240,16 @@ class QueryEnvironment:
         twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
         return twin
 
-    def _record(self, i: int, now: UncertainInterval, lo: int, hi: int, charge: Fraction, answer):
-        """Narrow item ``i`` to ``now`` (``lo``, ``hi`` on the grid), charge the query, return ``answer``."""
-        d = self._grid.delta
+    def _record(self, i: int, now: UncertainInterval, lo: int, hi: int, charge: Fraction, units: int, answer):
+        """Narrow item ``i`` to ``now`` (``lo``, ``hi`` on the grid), charge ``charge``
+        (``units`` on the cost grid), return ``answer``."""
+        d, los, his, adj = self._grid.delta, self._lo, self._hi, self._graph.adj
         self._queried[i] += 1
         self._current[i] = now
-        self._lo[i], self._hi[i] = lo, hi
-        self._spent += charge
+        los[i], his[i] = lo, hi
+        self._paid += units
         self.transcript.append((i, answer, charge))
-        adj = self._graph.adj
-        for j in [j for j in adj[i] if not (hi - self._lo[j] > d and self._hi[j] - lo > d)]:
+        for j in [j for j in adj[i] if hi - los[j] <= d or his[j] - lo <= d]:
             adj[i].remove(j)
             adj[j].remove(i)
         return answer
@@ -266,9 +269,8 @@ class Environment(QueryEnvironment):
     def query(self, i: int) -> Fraction:
         if self._queried[i]:
             raise RepeatQuery(f"item {i} was already queried")
-        v, at = self.instance.values[i], self._grid.values[i]
-        charge = self.instance.intervals[i].cost
-        return self._record(i, UncertainInterval(v, v, charge), at, at, charge, v)
+        v, at, charge = self.instance.values[i], self._grid.values[i], self.instance.costs[i]
+        return self._record(i, UncertainInterval(v, v, charge), at, at, charge, self._units[i], v)
 
 
 class CpcpEnvironment(QueryEnvironment):
@@ -281,16 +283,15 @@ class CpcpEnvironment(QueryEnvironment):
 
     def __init__(self, instance: Instance):
         super().__init__(instance)
-        steps = [refinement_steps(instance, i) for i in range(instance.n)]
-        scale = self._grid.scale
-        # What each step's query returns: the entry with the item's flat cost, as the
-        # transcript shows it, and its endpoints on the grid (`Instance.grid` covers them).
+        scale, cost_scale = self._grid.scale, self._scale
+        # Each step's reply (the entry, with the item's flat cost as the transcript shows it), its
+        # endpoints on the grid, and its price, also in cost units: both grids cover every entry.
         self._scripts = [
-            tuple((UncertainInterval(e.lo, e.hi, itv.cost), on_grid(e.lo, scale), on_grid(e.hi, scale))
-                  for e in script)
-            for (script, _), itv in zip(steps, instance.intervals)
+            tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
+                   on_grid(e.lo, scale), on_grid(e.hi, scale), price, on_grid(price, cost_scale))
+                  for e, price in zip(*refinement_steps(instance, i)))
+            for i, itv in enumerate(instance.intervals)
         ]
-        self._prices = [prices for _, prices in steps]
 
     def times(self, i: int) -> int:
         """How many queries item ``i`` has received."""
@@ -305,7 +306,7 @@ class CpcpEnvironment(QueryEnvironment):
             raise ScriptExhausted(
                 f"item {i} has only {len(self._scripts[i])} script steps"
             )
-        return self._prices[i][t]
+        return self._scripts[i][t][3]
 
     def query(self, i: int) -> UncertainInterval:
         t = self._queried[i]
@@ -313,8 +314,8 @@ class CpcpEnvironment(QueryEnvironment):
             raise ScriptExhausted(
                 f"item {i}: script ended before the pair resolved"
             )
-        result, lo, hi = self._scripts[i][t]
-        return self._record(i, result, lo, hi, self.step_cost(i, t), result)
+        result, lo, hi, price, units = self._scripts[i][t]
+        return self._record(i, result, lo, hi, price, units, result)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +403,16 @@ def _first_edges(env: QueryEnvironment) -> Iterator[tuple[int, int]]:
         yield v, min(adj[v])  # v is the smallest vertex with an edge: its neighbours are larger
 
 
-def _edgeless_spend(env: QueryEnvironment, where: str) -> Fraction:
-    """``env``'s spend; raises, naming ``where``, while its live graph has an edge."""
+def _edgeless_paid(env: QueryEnvironment, where: str) -> int:
+    """``env``'s spend in cost units; raises, naming ``where``, while its live graph has an edge."""
     if any(env.graph().adj):
         raise InvariantViolation(f"{where} still has a dependent pair")
-    return env._spent
+    return env._paid
+
+
+def _edgeless_spend(env: QueryEnvironment, where: str) -> Fraction:
+    """`_edgeless_paid` as a `Fraction`."""
+    return Fraction(_edgeless_paid(env, where), env._scale)
 
 
 def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> Fraction:
@@ -420,11 +426,13 @@ def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> 
 # ---------------------------------------------------------------------------
 
 
-def _flush(env: QueryEnvironment, witness: Callable[[int, int], bool], static: bool) -> list[int]:
+def _flush(env: QueryEnvironment, witnessed: Callable[[int], bool], static: bool) -> list[int]:
     """Query the smallest witness, round after round, until none is left.
 
-    Vertex ``i`` is a witness when ``witness(i, j)``, a test on the grid
-    endpoints, holds for a neighbour ``j``.  Narrowing an interval keeps every
+    Vertex ``i`` is a witness when ``witnessed(i)``, a loop testing grid
+    endpoints over its neighbours in the live graph's ``adj``; each kind's
+    loop is built when its flush is called, from ``adj`` as it is then
+    (`split` swaps in a component's view).  Narrowing an interval keeps every
     containment and every point neighbour, so a vertex stops being a witness
     only when it is queried, and becomes one only at or next to a queried
     vertex.  So a flush tests the vertices queried since the last flush of its
@@ -434,11 +442,10 @@ def _flush(env: QueryEnvironment, witness: Callable[[int, int], bool], static: b
     the value witnesses, but not the other way round.
     """
     adj = env.graph().adj
-    witnessed = lambda i: any(witness(i, j) for j in adj[i])
     mark = env._flushed[static]
     seeds = env.graph().active_vertices() if mark is None else {
         k for i, _, _ in env.transcript[mark:] for k in (i, *adj[i])}
-    pending = sorted(k for k in seeds if witnessed(k))
+    pending = sorted([k for k in seeds if witnessed(k)])
     done: list[int] = []
     while pending:
         i = heappop(pending)
@@ -463,8 +470,14 @@ def _flush_value_witnesses(env: QueryEnvironment) -> list[int]:
     smallest one, and newly revealed values may force further queries.
     After this returns, every point is isolated in the dependency graph.
     """
-    lo, hi = env._lo, env._hi
-    return _flush(env, lambda i, j: lo[j] == hi[j], False)
+    adj, lo, hi = env.graph().adj, env._lo, env._hi
+
+    def witnessed(i: int) -> bool:
+        for j in adj[i]:
+            if lo[j] == hi[j]:
+                return True
+        return False
+    return _flush(env, witnessed, False)
 
 
 def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
@@ -478,8 +491,15 @@ def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
     model an item may be queried several times in a row while its
     refinements keep straddling.
     """
-    lo, hi, d = env._lo, env._hi, env._grid.delta
-    return _flush(env, lambda i, j: lo[i] + d < lo[j] and hi[i] > hi[j] + d, True)
+    adj, lo, hi, d = env.graph().adj, env._lo, env._hi, env._grid.delta
+
+    def witnessed(i: int) -> bool:
+        inner_lo, inner_hi = lo[i] + d, hi[i] - d
+        for j in adj[i]:
+            if inner_lo < lo[j] and hi[j] < inner_hi:
+                return True
+        return False
+    return _flush(env, witnessed, True)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +649,8 @@ def _algorithm1_start(env: Environment, p: Fraction, state: Optional[tuple] = No
         if not isinstance(p, Fraction):
             raise InvariantViolation("this strategy takes a fixed coin bias")
         FIXED(p)  # refuses a bias outside [0, 1]
-        costs = env.instance.costs
-        if any(c != costs[0] for c in costs):
+        units = env._units
+        if any(u != units[0] for u in units):
             raise InvariantViolation("this strategy requires uniform query costs")
         _preprocess_witnesses(env)
         state, vertices = (tuple(map(tuple, env.graph().adj)),), range(env.n)
@@ -733,8 +753,8 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
 
     ``rule`` is `HALF` (ratio at most 57/32) or `SQRT3` (1 + 4/(3 sqrt 3)).
 
-    Keeps a residual copy of the weights for analysis-style bookkeeping
-    (the environment always charges original costs):
+    Keeps a residual copy of the weights, in cost units, for analysis-style
+    bookkeeping (the environment always charges original costs):
 
     * any dependency-active vertex with zero residual weight is queried
       outright;
@@ -765,7 +785,7 @@ def _algorithm2_start(env: Environment, rule, state: Optional[tuple] = None, ver
     if state is None:
         if rule is not HALF and rule is not SQRT3:
             raise InvariantViolation("this strategy takes the half or sqrt3 rule")
-        state, vertices = (list(env.instance.costs), {}), range(env.n)
+        state, vertices = (list(env._units), {}), range(env.n)
     return *state[:2], [v for v in vertices if state[0][v] == 0], [vertices[0] if vertices else 0] * 2
 
 
@@ -810,8 +830,8 @@ def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
         if targets:
             break
         start += 1
-    neighbor_weight = sum((residual[u] for u in targets), start=Fraction(0))
-    return rule(neighbor_weight, residual[b]), _query_all([b]), _query_all(targets)
+    neighbor_weight = sum([residual[u] for u in targets])  # in units: both rules are scale-free
+    return rule(Fraction(neighbor_weight), Fraction(residual[b])), _query_all([b]), _query_all(targets)
 
 
 def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
@@ -832,9 +852,10 @@ def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
 def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
     """Local-ratio strategy for queries that return refined intervals.
 
-    Works on the time-expanded cost vector: each potential query step of
-    each item is its own coordinate.  While dependencies remain: query any
-    active item whose *current step* has zero residual price (smallest
+    Works on the time-expanded cost vector, in cost units: each potential
+    query step of each item is its own coordinate.  While dependencies
+    remain: query any active item whose *current step* has zero residual
+    price (smallest
     index first); otherwise subtract the smaller current-step residual from
     both sides of the first dependent pair.  After every query, re-query
     any item whose current interval strictly contains another current
@@ -848,14 +869,11 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
         raise InvariantViolation(
             "this strategy runs on a CpcpEnvironment (scripts or embedded values)"
         )
-    residual: dict[tuple[int, int], Fraction] = {}
+    residual: dict[tuple[int, int], int] = {}  # in cost units; an active item has a step left (see below)
 
-    def current_cost(i: int) -> Fraction:
+    def current_cost(i: int) -> int:
         t = env.times(i)
-        key = (i, t)
-        if key not in residual:
-            residual[key] = env.step_cost(i, t)
-        return residual[key]
+        return residual.setdefault((i, t), env._scripts[i][t][4])
 
     adj = env.graph().adj
     zeros = [k for k in env.graph().active_vertices() if current_cost(k) == 0]  # ascending: a heap
@@ -937,16 +955,19 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     one of its current neighbors is (an unqueried dependency must be
     resolved from the other side): query them all.  'No' answers are
     remembered, and any group known to contain an excluded member is
-    handled without spending another bit.
+    handled without spending another bit.  Triangles only disappear, so
+    `find_triangle` resumes from the last one; leaves wait in a lazy heap,
+    fed from the former neighbours of the vertices queried since.
     """
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
     known_out: set[int] = set()
+    g = env.graph()
+    nbrs = tuple(map(tuple, g.adj))  # edges are only deleted: these hold every former neighbour
+    leaves, at, seen = [v for v in range(env.n) if len(g.adj[v]) == 1], 0, 0
     while True:
-        g = env.graph()
-        if not any(g.adj):
-            break
-        triangle = find_triangle(g)
+        triangle = find_triangle(g, at)
+        at = triangle[0] if triangle else g.n
         if triangle is not None:
             group = set(triangle)
             remembered = sorted(group & known_out)
@@ -960,8 +981,15 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
             k = min(group - {i}, key=lambda w: (-g.his[w], w))
             (j,) = group - {i, k}
         else:
-            leaves = [v for v in g.active_vertices() if g.degree(v) == 1]
-            i = min(leaves)
+            for v in {v for i, _, _ in env.transcript[seen:] for v in nbrs[i]}:
+                if len(g.adj[v]) == 1:
+                    heappush(leaves, v)
+            seen = len(env.transcript)
+            while leaves and not g.adj[leaves[0]]:
+                heappop(leaves)  # a leaf stays one until it loses its edge, and then is inactive for good
+            if not leaves:  # a forest without a leaf has no edge
+                break
+            i = leaves[0]
             (j,) = g.adj[i]
             if j in known_out:
                 for u in sorted(g.adj[j]):
@@ -1070,7 +1098,8 @@ def expected_cost_exact(
     components run as they would alone, on independent coins.  Parts join by
     mass: ``e = Σ_C e_C Π_{D≠C} m_D`` and ``m = Π_C m_C``, where ``e`` sums
     path factor × spend over a part's leaves and ``m`` sums path factors.
-    The root is not split: before `algorithm2`'s first flush, a value witness
+    Spends are cost units, divided by the scale once at the end (both are
+    linear in spend).  The root is not split: before `algorithm2`'s first flush, a value witness
     pending in one component is flushed at another component's first step.
     Each component's walk starts its own picks (heaps and pointers) over its
     vertices in O(|C|); residuals and frozen spines stay shared.
@@ -1087,9 +1116,9 @@ def expected_cost_exact(
         )
     memo: dict = {}  # component key -> its subtree
 
-    def walk(env: Environment, state, above: int, base: Fraction) -> tuple:
+    def walk(env: Environment, state, above: int, base: int) -> tuple:
         """The subtree at ``env``: (most real flips on a path, lo, hi), each end an (expected
-        spend since ``base``, mass) pair; ``above`` counts flips on its path outside it."""
+        spend in cost units since ``base``, mass) pair; ``above`` counts flips on its path outside it."""
         while (step := trial(env, rule, state)) is not None:
             p, heads, tails = step
             outcome = _certain(p)
@@ -1098,7 +1127,7 @@ def expected_cost_exact(
             (heads if outcome else tails)(env)
             _flush_value_witnesses(env)
         else:
-            leaf = (_edgeless_spend(env, "a coin-tree leaf") - base, Fraction(1))
+            leaf = (_edgeless_paid(env, "a coin-tree leaf") - base, Fraction(1))
             return 0, leaf, leaf
         if above >= _MAX_COIN_DEPTH:
             raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
@@ -1110,19 +1139,19 @@ def expected_cost_exact(
         hi = lo if p_lo is p_hi and h[1] is h[2] and t[1] is t[2] else _mix(p_hi, h[2], 1 - p_lo, t[2])
         return 1 + max(h[0], t[0]), lo, hi
 
-    def split(env: Environment, state, side, above: int, base: Fraction) -> tuple:
+    def split(env: Environment, state, side, above: int, base: int) -> tuple:
         """`walk`'s subtree after taking ``side``: each dependent component left is
         walked once, in place, on a graph whose other edges are set aside."""
         side(env)
         _flush_value_witnesses(env)
-        graph, adj, at = env.graph(), env.graph().adj, env._spent
+        graph, adj, at = env.graph(), env.graph().adj, env._paid
         parts = [(comp, key(state, comp)) for comp in components(graph) if len(comp) > 1]
         flips = above + sum(memo[k][0] for _, k in parts if k in memo)
         for comp, k in parts:
             if k not in memo:
                 inside = set(comp)
                 graph.adj = [nbrs if v in inside else set() for v, nbrs in enumerate(adj)]
-                memo[k] = walk(env, start(env, rule, state, comp), flips, env._spent)
+                memo[k] = walk(env, start(env, rule, state, comp), flips, env._paid)
                 graph.adj = adj
                 flips += memo[k][0]
         if flips > _MAX_COIN_DEPTH:
@@ -1135,5 +1164,6 @@ def expected_cost_exact(
         return flips - above, lo, hi
 
     env = Environment(inst)
-    _, (e_lo, _), (e_hi, _) = walk(env, start(env, rule), 0, Fraction(0))
+    _, (e_lo, _), (e_hi, _) = walk(env, start(env, rule), 0, 0)
+    e_lo, e_hi = Fraction(e_lo, env._scale), Fraction(e_hi, env._scale)
     return e_lo if e_lo == e_hi else (e_lo, e_hi)

@@ -17,6 +17,11 @@ return and puts them on the grid, and `peo_min_right` and
 `longest_path_caterpillar` read no ``intervals``; every ordering key and
 pick compares grid ints.
 
+No `Fraction` money in the per-query path: the ledger, the queries, the
+flushes and each play's step loop build no ``Fraction(...)`` and read no
+``.cost`` or ``.step_cost``; they add cost units, and only a probability
+rule's arguments are made exact there.
+
 The package re-exports exactly what it imports: the names ``__init__.py``
 imports equal its ``__all__``, and each one resolves on the package, so a
 half-removed export fails here.
@@ -120,9 +125,10 @@ def test_online_asks_the_live_graph():
     assert pair_predicate_sites((SRC / "online.py").read_text()) == []
 
 
-def attribute_reads(source, attrs):
-    """``(enclosing function, line, attribute)`` for every read of one of ``attrs``;
-    the function is named with its class, as ``Class.method``."""
+def sites_by_function(tree, label):
+    """``(enclosing function, line, label(node))`` for every node of ``tree`` that ``label``
+    names (not None); the function is named with its class or enclosing function, as
+    ``Class.method``."""
     sites = []
 
     def visit(node, where):
@@ -130,12 +136,18 @@ def attribute_reads(source, attrs):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr in attrs:
-                sites.append((where, child.lineno, child.attr))
+            if (what := label(child)) is not None:
+                sites.append((where, child.lineno, what))
             visit(child, where)
 
-    visit(ast.parse(source), "")
+    visit(tree, "")
     return sorted(sites)
+
+
+def attribute_reads(source, attrs):
+    """``(enclosing function, line, attribute)`` for every read of one of ``attrs``."""
+    return sites_by_function(ast.parse(source), lambda node: node.attr if isinstance(node, ast.Attribute)
+                             and node.attr in attrs else None)
 
 
 def test_the_check_flags_endpoint_reads():
@@ -160,6 +172,69 @@ def test_online_decides_on_grid_endpoints():
 def test_orderings_read_no_intervals():
     reads = attribute_reads((SRC / "graph.py").read_text(), {"intervals"})
     assert [site for site in reads if site[0] in ("peo_min_right", "longest_path_caterpillar")] == []
+
+
+#: The per-query path: the ledger, the queries, the flushes and their witness loops,
+#: and each play's step loop.  Money there is cost units (`Instance.cost_grid`).
+PER_QUERY = {
+    "QueryEnvironment._record", "Environment.query", "CpcpEnvironment.query", "_flush",
+    "_flush_value_witnesses.witnessed", "_preprocess_witnesses.witnessed",
+    "_algorithm1_trial", "_algorithm2_trial", "algorithm3_cpcp", "algorithm3_cpcp.current_cost",
+}
+
+
+def money_sites(source):
+    """``(enclosing function, line, what)`` for every ``Fraction(...)`` call and every
+    ``.cost`` or ``.step_cost`` read, except a ``Fraction(...)`` passed straight to
+    ``rule(...)``: a probability rule takes exact weights, and the per-query path may
+    build them for it."""
+    tree = ast.parse(source)
+    rule_args = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "rule" for arg in node.args}
+
+    def label(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+                and id(node) not in rule_args):
+            return "Fraction()"
+        return f".{node.attr}" if isinstance(node, ast.Attribute) and node.attr in ("cost", "step_cost") else None
+
+    return sites_by_function(tree, label)
+
+
+def defined_functions(source):
+    """Every function in ``source`` that holds a statement besides nested definitions,
+    named as `sites_by_function` names them, and each class or module body that does."""
+    statements = sites_by_function(ast.parse(source), lambda node: isinstance(node, ast.stmt) or None)
+    return {where for where, _, _ in statements}
+
+
+def test_the_check_flags_money_in_the_per_query_path():
+    source = (
+        "class Env:\n"
+        "    def _record(self, i, charge):\n"
+        "        self._spent += Fraction(charge)\n"
+        "def _algorithm2_trial(env, rule, state):\n"
+        "    w = env.instance.intervals[0].cost\n"
+        "    return rule(Fraction(w), Fraction(1)), Fraction(w)\n"
+        "def state(env):\n"
+        "    return Fraction(env._paid, env._scale)\n"
+        "def algorithm3_cpcp(env):\n"
+        "    def current_cost(i):\n"
+        "        return env.step_cost(i, 0)\n"
+        "    return current_cost(0)\n"
+    )
+    assert money_sites(source) == [
+        ("Env._record", 3, "Fraction()"), ("_algorithm2_trial", 5, ".cost"), ("_algorithm2_trial", 6, "Fraction()"),
+        ("algorithm3_cpcp.current_cost", 11, ".step_cost"), ("state", 8, "Fraction()"),
+    ]
+    assert defined_functions(source) == {"Env._record", "_algorithm2_trial", "state", "algorithm3_cpcp",
+                                         "algorithm3_cpcp.current_cost"}
+
+
+def test_queries_and_plays_spend_cost_units():
+    source = (SRC / "online.py").read_text()
+    assert PER_QUERY <= defined_functions(source)
+    assert [site for site in money_sites(source) if site[0] in PER_QUERY] == []
 
 
 def reexport_mismatch(source):

@@ -10,6 +10,12 @@ its grid ints, refusing what the `Fraction` check refused with its message.  `ma
 checked against the `Fraction` version on chordal graphs and instances up
 to n = 300.  `UncertainInterval` keeps its value semantics with slots, and
 `expected_cost_exact` mixes one pair once wherever both ends are the same.
+
+A run's money is cost units on `Instance.cost_grid`: each strategy's spend
+is checked against the `Fraction` sum of its transcript, `algorithm2` with
+unit residuals against the same trials on `Fraction` residuals, the
+expectation against the stack walk, which sums `Fraction` spends, and the
+two rules on unit weights against the same rules on `Fraction` weights.
 """
 
 import copy
@@ -26,11 +32,19 @@ from querysort import (
     FIXED,
     HALF,
     SQRT3,
+    AdviceOracle,
+    CpcpEnvironment,
+    Environment,
     Instance,
     InvariantViolation,
+    RandomCoin,
+    Sqrt3Prob,
     UncertainInterval,
+    advice_half,
+    advice_lg3,
     algorithm1,
     algorithm2,
+    algorithm3_cpcp,
     build_graph,
     canonical_optimum,
     expected_cost_exact,
@@ -38,10 +52,15 @@ from querysort import (
     gen_independent_pairs,
     gen_laminar,
     gen_random,
+    gen_random_scripted,
     max_weight_independent_set,
     min_cost_vertex_cover,
     optimum_query_set,
+    run_oblivious,
     serialize,
+    simple_adaptive,
+    simple_adaptive_stable_sort,
+    vc_adaptive,
     verify_peo,
 )
 from querysort import core, instances, online
@@ -353,3 +372,156 @@ def test_both_ends_are_mixed_once_under_a_rational_rule(monkeypatch, algorithm, 
     assert calls["mix"] == per_flip * calls["fork"]
     assert isinstance(got, tuple) == (rule is SQRT3)
     assert got == stack_expected_cost(algorithm, inst, rule)
+
+
+# ---------------------------------------------------------------------------
+# Money in cost units
+# ---------------------------------------------------------------------------
+
+
+def ref_spend(transcript):
+    """The `Fraction` ledger: the sum of every charge in the transcript."""
+    return sum((charge for _, _, charge in transcript), start=F(0))
+
+
+def with_costs(inst, costs):
+    """``inst`` with item ``i`` charging ``costs[i]`` (its scripts keep their entries)."""
+    return Instance(inst.delta, tuple(UncertainInterval(itv.lo, itv.hi, c) for itv, c in zip(inst.intervals, costs)),
+                    inst.values, inst.refinements, inst.time_costs)
+
+
+#: Every strategy as ``(run(env, inst), needs threshold zero)``; `algorithm1` runs on
+#: the instance with every cost set to 5/3, so its ledger keeps a scale above 1.
+STRATEGIES = {
+    "run_oblivious": (lambda env, inst: run_oblivious(env), False),
+    "simple_adaptive": (lambda env, inst: simple_adaptive(env), False),
+    "simple_adaptive_stable_sort": (lambda env, inst: simple_adaptive_stable_sort(env), True),
+    "vc_adaptive": (lambda env, inst: vc_adaptive(env), False),
+    "algorithm1": (lambda env, inst: algorithm1(env, F(1, 2), RandomCoin(inst.n)), False),
+    "algorithm2": (lambda env, inst: algorithm2(env, SQRT3 if inst.n % 2 else HALF, RandomCoin(inst.n)), False),
+    "algorithm3_cpcp": (lambda env, inst: algorithm3_cpcp(env), False),
+    "advice_half": (lambda env, inst: advice_half(env, AdviceOracle(inst)), True),
+    "advice_lg3": (lambda env, inst: advice_lg3(env, AdviceOracle(inst)), False),
+}
+
+#: Instance families as ``make(n, delta)``; the scripted one's time costs are halves
+#: while its item costs are whole, so its cost grid's scale comes from the time costs.
+FAMILIES = {
+    "random-uniform": lambda n, delta: gen_random(n, n, delta, cost_model="uniform"),
+    "random-rational": lambda n, delta: gen_random(n, n, delta, cost_model="rational-range"),
+    "cost_path": lambda n, delta: gen_cost_path(n, F(1, 1000)),
+    "scripted": lambda n, delta: gen_random_scripted(n, n, delta),
+}
+
+
+@pytest.mark.parametrize("n", [4, 40, 300])
+@pytest.mark.parametrize("family, delta", [(family, delta) for family in sorted(FAMILIES) for delta in (F(0), F(1, 2))
+                                           if not (family == "cost_path" and delta)],  # its threshold is 0
+                         ids=lambda x: str(x))
+def test_every_ledger_is_the_transcript_sum(family, delta, n):
+    """For all nine strategies: the report's total, the state's spend and the edgeless
+    spend are the `Fraction` sum of the transcript, and the ledger holds it in units."""
+    inst = FAMILIES[family](n, delta)
+    if family == "scripted":
+        assert any(c.denominator == 2 for row in inst.time_costs if row for c in row)
+        assert all(c.denominator == 1 for c in inst.costs)
+    for name, (run, needs_zero) in STRATEGIES.items():
+        if needs_zero and inst.delta != 0:
+            continue
+        case = with_costs(inst, [F(5, 3)] * inst.n) if name == "algorithm1" else inst
+        env = (CpcpEnvironment if name == "algorithm3_cpcp" else Environment)(case)
+        report = run(env, case)
+        want = ref_spend(env.transcript)
+        assert report.total_cost == env.state().spent == online._edgeless_spend(env, "the end") == want, name
+        assert type(report.total_cost) is type(env.state().spent) is F
+        assert env._paid == want * env._scale
+        assert all(charge is case.costs[i] for i, _, charge in env.transcript if name != "algorithm3_cpcp")
+
+
+def test_cost_grid_covers_every_cost():
+    inst = gen_random_scripted(5, 12, F(1, 2))
+    scale, units = inst.cost_grid
+    prices = [c for row in inst.time_costs if row for c in row]
+    assert inst.cost_grid is inst.cost_grid
+    assert all((c * scale).denominator == 1 for c in (*inst.costs, *prices))
+    assert list(units) == [c * scale for c in inst.costs] and all(type(u) is int for u in units)
+    assert scale == 2  # whole item costs, half time costs
+    assert Instance(F(0), ()).cost_grid == (1, ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(crowded_instances(), wide_instances()), st.integers(0, 2 ** 32))
+def test_algorithm2_on_unit_residuals_plays_as_on_fractions(inst, seed):
+    """The same trials, started once on unit residuals and once on `Fraction` ones over
+    mixed denominators, query the same items and end with the same residuals."""
+    inst = with_costs(inst, mixed_weights(random.Random(seed), inst.n))
+    scale = inst.cost_grid[0]
+    for rule in (HALF, SQRT3):
+        env, ref = Environment(inst), Environment(inst)
+        state = online._algorithm2_start(env, rule)
+        ref_state = online._algorithm2_start(ref, rule, (list(inst.costs), {}), range(inst.n))
+        report = online._run_trials(env, rule, state, online._algorithm2_trial, RandomCoin(seed))
+        want = online._run_trials(ref, rule, ref_state, online._algorithm2_trial, RandomCoin(seed))
+        assert report.transcript == want.transcript and report.total_cost == want.total_cost
+        assert state[0] == [r * scale for r in ref_state[0]]
+
+
+def rational_costs(inst, rng, uniform):
+    """``inst`` with rational costs over {2, 3, 7}: one shared cost, or one per item."""
+    draw = lambda: F(rng.randint(1, 12), rng.choice((2, 3, 7)))
+    shared = draw()
+    return with_costs(inst, [shared if uniform else draw() for _ in range(inst.n)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(crowded_instances(), st.integers(0, 2 ** 32))
+def test_expectation_in_units_matches_the_fraction_stack_walk(inst, seed):
+    """Crowded instances with rational costs, at most 10 items so that every coin tree
+    stays within the depth guard: each rule's expectation equals the stack walk's."""
+    inst = Instance(inst.delta, inst.intervals[:10], inst.values[:10])
+    rng = random.Random(seed)
+    for algorithm, rule, uniform in ((algorithm1, FIXED(F(1, 2)), True), (algorithm1, FIXED(1), True),
+                                     (algorithm2, HALF, False), (algorithm2, SQRT3, False)):
+        case = rational_costs(inst, rng, uniform)
+        got = expected_cost_exact(algorithm, case, rule)
+        assert got == stack_expected_cost(algorithm, case, rule)
+        assert all(type(end) is F for end in (got if isinstance(got, tuple) else (got,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.sampled_from(DENOMINATORS), st.sampled_from(DENOMINATORS),
+       st.sampled_from([1, 6, 21, 10 ** 9 + 7]))
+def test_rules_take_units_or_fractions_alike(w, wb, den_w, den_b, extra):
+    """Positive weights (a trial's are: zero residuals are queried first) as `Fraction`s,
+    and the same weights in units (times a common multiple of their denominators), give
+    the same probability: equal `Fraction`s, or `Sqrt3Prob`s of the same value, with the
+    same enclosure and the same verdict on a draw."""
+    weight, center = F(w, den_w), F(wb, den_b)
+    scale = den_w * den_b * extra
+    units = F(int(weight * scale)), F(int(center * scale))
+    assert HALF(*units) == HALF(weight, center) and type(HALF(*units)) is F
+    got, want = SQRT3(*units), SQRT3(weight, center)
+    assert type(got) is type(want)
+    if isinstance(want, Sqrt3Prob):
+        assert got.num / got.den == want.num / want.den
+        assert got.enclosure(F(1, 10 ** 24)) == want.enclosure(F(1, 10 ** 24))
+        for u in (F(0), F(1, 3), want.enclosure(F(1, 10 ** 6))[0], want.enclosure(F(1, 10 ** 6))[1], F(99, 100)):
+            assert got.accepts(u) == want.accepts(u)
+    else:
+        assert got == want
+
+
+def test_refinement_replies_reuse_entries_with_the_flat_cost():
+    """A script entry priced at its item's flat cost is the step's reply itself; one
+    with another cost is replied with the flat cost, as the transcript always shows."""
+    a = UncertainInterval(F(0), F(4), F(3, 2))
+    own, other = UncertainInterval(F(1), F(3), F(3, 2)), UncertainInterval(F(2), F(2), F(7))
+    inst = Instance(F(0), (a, UncertainInterval(F(2), F(5), F(1))), (F(2), F(3)), ((own, other), None),
+                    ((F(1, 3), F(0)), None))
+    env = CpcpEnvironment(inst)
+    assert env.query(0) is own
+    reply = env.query(0)
+    assert reply == UncertainInterval(F(2), F(2), F(3, 2)) and reply is not other
+    assert env.query(1) == UncertainInterval(F(3), F(3), F(1))
+    assert [charge for _, _, charge in env.transcript] == [F(1, 3), F(0), F(1)]
+    assert env.state().spent == F(4, 3) and (env._paid, env._scale) == (8, 6)  # the item cost 3/2 is on the grid too

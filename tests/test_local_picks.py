@@ -5,7 +5,8 @@ A flush tests only the vertices queried since the last flush of its kind and
 their neighbours (`online._flush`).  `algorithm2` keeps its zero-residual
 vertices in a heap, and its smallest active vertex and smallest triangle
 behind pointers; `algorithm1` keeps heaps of single-edge components and of
-first-ending vertices, and `advice_lg3` shares the second.  `components` and
+first-ending vertices, and `advice_lg3` shares the second; `advice_half`
+resumes its triangle search and keeps its leaves in a heap.  `components` and
 `component_of` walk a stack.  Each is checked against the scan it replaced
 at every step of whole runs up to n = 2 000 and on Hypothesis instances, and
 `expected_cost_exact`, whose component walks start their picks afresh,
@@ -32,6 +33,7 @@ from querysort import (
     Instance,
     RandomCoin,
     UncertainInterval,
+    advice_half,
     advice_lg3,
     algorithm1,
     algorithm2,
@@ -157,6 +159,48 @@ def ref_algorithm2_trial(env, rule, state):
         online._query_all([b]), online._query_all(targets)
 
 
+def ref_advice_half(env, oracle):
+    """`online.advice_half`'s play as it was: `find_triangle` from vertex 0 and the
+    smallest leaf from a scan of every active vertex, at every step."""
+    known_out = set()
+    while True:
+        g = env.graph()
+        if not any(g.adj):
+            break
+        triangle = online.find_triangle(g)
+        if triangle is not None:
+            group = set(triangle)
+            remembered = sorted(group & known_out)
+            if remembered:
+                for u in sorted(group - {remembered[0]}):
+                    env.query(u)
+                online._flush_value_witnesses(env)
+                continue
+            i = min(group, key=lambda w: (g.los[w], w))
+            k = min(group - {i}, key=lambda w: (-g.his[w], w))
+            (j,) = group - {i, k}
+        else:
+            i = min(v for v in g.active_vertices() if g.degree(v) == 1)
+            (j,) = g.adj[i]
+            if j in known_out:
+                for u in sorted(g.adj[j]):
+                    env.query(u)
+                online._flush_value_witnesses(env)
+                continue
+            if i in known_out:
+                env.query(j)
+                online._flush_value_witnesses(env)
+                continue
+        if oracle.ask_membership(j):
+            env.query(j)
+        else:
+            known_out.add(j)
+            for u in sorted(g.adj[j]):
+                env.query(u)
+        online._flush_value_witnesses(env)
+    return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
+
+
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
@@ -235,6 +279,7 @@ PLAYS = {
     "algorithm2": lambda env, inst: algorithm2(env, HALF, RandomCoin(0)),
     "algorithm3_cpcp": lambda env, inst: inspect.unwrap(algorithm3_cpcp)(env),
     "advice_lg3": lambda env, inst: inspect.unwrap(advice_lg3)(env, AdviceOracle(inst)),
+    "advice_half": lambda env, inst: inspect.unwrap(advice_half)(env, AdviceOracle(inst)),
 }
 
 
@@ -338,6 +383,34 @@ def test_advice_lg3_first_ending_pick_at_scale(n, delta):
     ours = play(inspect.unwrap(advice_lg3), Environment(inst), AdviceOracle(inst))
     assert ours == play(ref_advice_lg3, Environment(inst), AdviceOracle(inst))
     assert len(ours[0]) >= n // 4
+
+
+@pytest.mark.parametrize("n", [n for n, _ in SIZES])
+def test_advice_half_picks_match_the_scans_at_every_step(monkeypatch, n):
+    """Every `find_triangle` call of the play returns the whole-graph search's triangle,
+    and every step (each ends with a value flush) queries what the scanning play's step
+    queries, with the same questions and answers."""
+    inst = at_zero(sparse(n, F(0)))
+    ends, triangles, find_triangle, flush = {}, [], online.find_triangle, online._flush_value_witnesses
+
+    def checked(g, start=0):
+        found = find_triangle(g, start)
+        assert found == find_triangle(g)
+        triangles.append(found)
+        return found
+
+    def recorded(env):
+        ends.setdefault(id(env), []).append(len(env.transcript))
+        return flush(env)
+
+    monkeypatch.setattr(online, "find_triangle", checked)
+    monkeypatch.setattr(online, "_flush_value_witnesses", recorded)
+    env, ref = Environment(inst), Environment(inst)
+    ours = inspect.unwrap(advice_half)(env, AdviceOracle(inst))
+    assert ours == ref_advice_half(ref, AdviceOracle(inst))
+    assert env.transcript == ref.transcript
+    assert ends[id(env)] == ends[id(ref)] and len(ends[id(env)]) >= n // 10
+    assert any(triangles) and None in triangles  # both kinds of step ran
 
 
 # ---------------------------------------------------------------------------

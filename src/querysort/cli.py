@@ -2,8 +2,9 @@
 solutions, and reproduce the worst-case ratio table.
 
 Exit codes are stable: 0 success, 2 usage error (including bad family
-parameters), 3 verification failure or bound exceedance, 4 model error
-(bad document, missing realization, infeasible strategy/instance pairing).
+parameters and alg1's ``--p``), 3 verification failure or bound exceedance,
+4 model error (bad document, missing realization, infeasible
+strategy/instance pairing).
 """
 
 from __future__ import annotations
@@ -103,12 +104,8 @@ def _optimum_cost(inst: Instance, strategy: "_Strategy") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _coin_bias(args) -> Fraction:
-    return _parse_rational(args.p or "1/2", "--p")
-
-
 def _alg1_rule(args) -> Fraction | Callable:
-    return {"half": HALF, "sqrt3": SQRT3}.get(args.rule) or FIXED(_coin_bias(args))
+    return {"half": HALF, "sqrt3": SQRT3}.get(args.rule) or args.bias
 
 
 def _alg2_rule(args) -> Callable:
@@ -168,7 +165,7 @@ _STRATEGIES = {
     "alg1": _Strategy(
         lambda inst, args: (algorithm1, Environment(inst), _alg1_rule(args), RandomCoin(args.seed)),
         lambda inst, args: expected_cost_exact(algorithm1, inst, _alg1_rule(args)),
-        lambda args, n: _ALG1_BOUNDS.get(_coin_bias(args), (None, None)),
+        lambda args, n: _ALG1_BOUNDS.get(args.bias, (None, None)),
     ),
     "alg2": _Strategy(
         lambda inst, args: (algorithm2, Environment(inst), _alg2_rule(args), RandomCoin(args.seed)),
@@ -551,6 +548,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    try:  # alg1's coin bias, read once per command; the other strategies ignore --p
+        alg1 = getattr(args, "algorithm", None) == "alg1"
+        args.bias = FIXED(_parse_rational(args.p or "1/2", "--p")) if alg1 else None
+    except InvariantViolation as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ParseError as exc:

@@ -114,6 +114,8 @@ class UncertainInterval:
 
     ``lo == hi`` is allowed and models an already-known value ("point").
     Instances are immutable; refining an interval produces a new one.
+    `_checked_already` skips the checks, for the few internal rebuilds from
+    numbers that passed them before; every constructor from outside checks.
     """
 
     lo: Fraction
@@ -149,10 +151,23 @@ class UncertainInterval:
             raise InvariantViolation(
                 f"value {v} lies outside [{self.lo}, {self.hi}]"
             )
-        return UncertainInterval(v, v, self.cost)
+        v = scalar(v)  # inside [lo, hi] and now a Fraction; the cost is this interval's checked one
+        return _checked_already(v, v, self.cost)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+# each slot's own setter: a frozen dataclass guards only `__setattr__`
+_set_lo, _set_hi, _set_cost = (UncertainInterval.__dict__[name].__set__ for name in ("lo", "hi", "cost"))
+
+
+def _checked_already(lo: Fraction, hi: Fraction, cost: Fraction) -> UncertainInterval:
+    """``UncertainInterval(lo, hi, cost)`` without `__post_init__`, for a caller that knows the
+    three are `Fraction`s with ``lo <= hi`` and ``cost >= 0``: each call says how it knows."""
+    itv = object.__new__(UncertainInterval)
+    _set_lo(itv, lo), _set_hi(itv, hi), _set_cost(itv, cost)
+    return itv
 
 
 def interval(lo: ScalarLike, hi: ScalarLike, cost: ScalarLike = 1) -> UncertainInterval:
@@ -199,13 +214,14 @@ def to_grid(delta: Fraction, intervals: Sequence[UncertainInterval],
             values: Optional[Sequence[Fraction]] = None, extra: Iterable[UncertainInterval] = ()) -> Grid:
     """``delta``, the endpoints and the values on one grid, whose scale also
     covers the endpoints of the ``extra`` intervals."""
-    scale = lcm(delta.denominator, *{x.denominator for itv in (*intervals, *extra) for x in (itv.lo, itv.hi)},
-                *{v.denominator for v in values or ()})
+    rows = [[x.lo.as_integer_ratio() for x in intervals], [x.hi.as_integer_ratio() for x in intervals],
+            None if values is None else [v.as_integer_ratio() for v in values]]  # each Fraction read once
+    d, den = delta.as_integer_ratio()
+    scale = lcm(den, *{q for row in rows for _, q in row or ()},
+                *{x.denominator for itv in extra for x in (itv.lo, itv.hi)})
     # scale is a multiple of every denominator here, so `on_grid`'s check cannot fire
-    return Grid(scale, delta.numerator * (scale // delta.denominator),
-                tuple([itv.lo.numerator * (scale // itv.lo.denominator) for itv in intervals]),
-                tuple([itv.hi.numerator * (scale // itv.hi.denominator) for itv in intervals]),
-                None if values is None else tuple([v.numerator * (scale // v.denominator) for v in values]))
+    return Grid(scale, d * (scale // den), *(None if row is None else tuple([p * (scale // q) for p, q in row])
+                                             for row in rows))
 
 
 def grid_ints(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -458,7 +474,8 @@ def refinement_steps(inst: Instance, i: int) -> tuple[RefinementScript, tuple[Fr
     if script is None:
         if inst.values is None:
             raise MissingRealization(f"item {i} has neither a refinement script nor a value")
-        script = (UncertainInterval(inst.values[i], inst.values[i], inst.intervals[i].cost),)
+        # a value the instance checked against its interval, at that interval's checked cost
+        script = (_checked_already(inst.values[i], inst.values[i], inst.intervals[i].cost),)
     prices = inst.time_costs[i] if inst.time_costs is not None else None
     return script, prices or (inst.intervals[i].cost,) * len(script)
 

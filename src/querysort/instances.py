@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Instance, UncertainInterval, interval, scalar
+from .core import Instance, UncertainInterval, _checked_already, interval, scalar
 from .errors import InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------
@@ -41,12 +41,9 @@ def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[i
     """``(2 lo, 2 hi, cost)`` of each drawn interval: the endpoints in half-units."""
     out = []
     for _ in range(n):
-        lo = rng.randint(0, 80)
-        hi = lo + rng.randint(0, 24)
-        if cost_model == "uniform":
-            cost = _ONE
-        else:
-            cost = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+        lo = rng.randrange(81)  # `randrange(k)` draws what `randint(0, k - 1)` does, faster
+        hi = lo + rng.randrange(25)
+        cost = _ONE if cost_model == "uniform" else Fraction(1 + rng.randrange(12), rng.choice((1, 2, 3, 4)))
         out.append((lo, hi, cost))
     return out
 
@@ -92,23 +89,19 @@ def gen_random(
         # A zero-width interval pins its value, which can make generic
         # position unreachable; give every member room to move.
         drawn = [(lo, hi + (lo == hi), cost) for lo, hi, cost in drawn]
-    ivs = [UncertainInterval(_HALVES[lo], _HALVES[hi], cost) for lo, hi, cost in drawn]
+    # drawn lo <= hi indices into `_HALVES`, at cost `_ONE` or a positive Fraction: nothing to check
+    ivs = [_checked_already(_HALVES[lo], _HALVES[hi], cost) for lo, hi, cost in drawn]
 
     def draw_values(denominator: int) -> list[Fraction]:
         """Each value ``lo + (hi - lo) k / denominator`` for a drawn grid step ``k``."""
         out = []
         for (lo, hi, _), itv in zip(drawn, ivs):
-            if value_model == "endpoint-biased":
-                kind = rng.randint(1, 4)
-                if kind == 1:
-                    out.append(itv.lo)
-                    continue
-                if kind == 2:
-                    out.append(itv.hi)
-                    continue
+            if value_model == "endpoint-biased" and (side := rng.randrange(4)) < 2:  # an endpoint, at odds 1/2
+                out.append(itv.hi if side else itv.lo)
+                continue
             # a generic value is strictly interior, so it never sits on its own edge
             inset = 1 if value_model == "generic" else 0
-            m = lo * denominator + (hi - lo) * rng.randint(inset, denominator - inset)
+            m = lo * denominator + (hi - lo) * (inset + rng.randrange(denominator + 1 - 2 * inset))
             out.append(_THIRTY_SECONDS[m] if denominator == 16 else Fraction(m, 2 * denominator))
         return out
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -273,11 +274,8 @@ def cpcp_brute_force_optimum(
             raise TooLarge(
                 f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors"
             )
-        row = [Fraction(0)]
-        for price in prices:
-            row.append(row[-1] + price)
         steps.append((itv,) + script)
-        prefix_cost.append(row)
+        prefix_cost.append([Fraction(0), *accumulate(prices)])
 
     delta = inst.delta
     best: Optional[Fraction] = None

@@ -44,7 +44,7 @@ import copy
 import functools
 import inspect
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional, Union
@@ -54,6 +54,7 @@ from .core import (
     KnowledgeState,
     Permutation,
     UncertainInterval,
+    _checked_already,
     build_permutation,
     isqrt_bounds,
     on_grid,
@@ -91,11 +92,13 @@ class Sqrt3Prob:
 
     Only constructed for genuinely random trials (value strictly between
     0 and 1).  Decisions against a rational draw are made exactly by
-    squaring; numeric reporting goes through a rational enclosure.
+    squaring; numeric reporting goes through a rational enclosure.  Two
+    compare and hash equal when their values are equal (``num / den``).
     """
 
-    num: Fraction
-    den: Fraction
+    num: Fraction = field(compare=False)
+    den: Fraction = field(compare=False)
+    ratio: Fraction = field(init=False, repr=False)  # num / den: the one field compared and hashed
 
     def __post_init__(self):
         object.__setattr__(self, "num", scalar(self.num))
@@ -104,6 +107,7 @@ class Sqrt3Prob:
             raise InvariantViolation("Sqrt3Prob needs positive parts")
         if self.num * self.num >= 3 * self.den * self.den:
             raise InvariantViolation("Sqrt3Prob must be < 1; use Fraction(1)")
+        object.__setattr__(self, "ratio", self.num / self.den)
 
     def accepts(self, u: Fraction) -> bool:
         """Exact test ``u < num/(den*sqrt(3))`` for a rational draw ``u >= 0``."""
@@ -270,7 +274,8 @@ class Environment(QueryEnvironment):
         if self._queried[i]:
             raise RepeatQuery(f"item {i} was already queried")
         v, at, charge = self.instance.values[i], self._grid.values[i], self.instance.costs[i]
-        return self._record(i, UncertainInterval(v, v, charge), at, at, charge, self._units[i], v)
+        # `Instance` checked the value against its interval, and the cost is that interval's
+        return self._record(i, _checked_already(v, v, charge), at, at, charge, self._units[i], v)
 
 
 class CpcpEnvironment(QueryEnvironment):
@@ -283,13 +288,17 @@ class CpcpEnvironment(QueryEnvironment):
 
     def __init__(self, instance: Instance):
         super().__init__(instance)
-        scale, cost_scale = self._grid.scale, self._scale
+        scale, cost_scale, values = self._grid.scale, self._scale, self._grid.values
+        scripts = instance.refinements or (None,) * instance.n
         # Each step's reply (the entry, with the item's flat cost as the transcript shows it), its
         # endpoints on the grid, and its price, also in cost units: both grids cover every entry.
+        # An unscripted item's one step to its checked value comes from the grids (no values: raise).
         self._scripts = [
             tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
                    on_grid(e.lo, scale), on_grid(e.hi, scale), price, on_grid(price, cost_scale))
-                  for e, price in zip(*refinement_steps(instance, i)))
+                  for e, price in zip(*refinement_steps(instance, i))) if scripts[i] or values is None
+            else ((_checked_already(instance.values[i], instance.values[i], itv.cost), values[i], values[i],
+                   itv.cost, self._units[i]),)
             for i, itv in enumerate(instance.intervals)
         ]
 

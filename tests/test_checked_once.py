@@ -1,0 +1,166 @@
+"""Each number is checked once: what is built without re-checking against the
+checked versions, which live only here.
+
+`core._checked_already` builds an `UncertainInterval` without
+`__post_init__` for numbers that passed its checks before: `gen_random`'s
+draws, each query's revealed point, `collapse`, and the one-step scripts of
+`refinement_steps` and `CpcpEnvironment`.  Every such interval must equal
+the checked constructor's, field for field and type for type, at sizes up
+to n = 300.  `to_grid` reads each `Fraction` once through
+``as_integer_ratio()``; the ``.numerator``/``.denominator`` version it
+replaced is the oracle.  `CpcpEnvironment` builds an unscripted item's
+step from the instance grid; the `refinement_steps` table is the oracle.
+"""
+
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from querysort import (
+    CpcpEnvironment,
+    Environment,
+    InvariantViolation,
+    MissingRealization,
+    UncertainInterval,
+    gen_random,
+    gen_random_scripted,
+    instances,
+    interval,
+)
+from querysort.core import Grid, on_grid, refinement_steps, to_grid
+from test_int_paths import FAMILIES, STRATEGIES, with_costs
+
+
+def assert_checked(itv):
+    """``itv`` is what the checked constructor builds from its fields, all `Fraction`s."""
+    assert all(type(x) is F for x in (itv.lo, itv.hi, itv.cost)), itv
+    again = UncertainInterval(itv.lo, itv.hi, itv.cost)  # raises on an unchecked flaw
+    assert again == itv and hash(again) == hash(itv)
+
+
+# ---------------------------------------------------------------------------
+# Intervals built without checks
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 300), st.sampled_from(instances._VALUE_MODELS),
+       st.sampled_from(instances._COST_MODELS), st.sampled_from([F(0), F(1, 2), F(1)]))
+def test_gen_random_draws_checked_intervals(seed, n, value_model, cost_model, delta):
+    inst = gen_random(seed, n, delta, cost_model, value_model)
+    for itv in inst.intervals:
+        assert_checked(itv)
+        assert itv.cost > 0 and itv.lo.denominator in (1, 2) and itv.hi.denominator in (1, 2)
+
+
+def test_collapse_builds_the_checked_point():
+    a = interval(1, 4, "3/2")
+    for v in (1, F(5, 2), 4):
+        point = a.collapse(v)
+        assert_checked(point)
+        assert point == UncertainInterval(F(v), F(v), F(3, 2))
+    for bad in (0, F(9, 2)):
+        with pytest.raises(InvariantViolation, match=f"value {bad} lies outside"):
+            a.collapse(bad)
+
+
+@pytest.mark.parametrize("n", [12, 120])
+@pytest.mark.parametrize("family, delta", [(family, delta) for family in ("random-uniform", "random-rational", "scripted")
+                                           for delta in (F(0), F(1, 2))], ids=str)
+def test_every_transcript_point_is_checked(family, delta, n):
+    """For all nine strategies: every current interval and every reply of a run equals the
+    checked constructor's, and an exact-model query leaves exactly the checked point of its
+    value at its cost."""
+    inst = FAMILIES[family](n, delta)
+    for name, (run, needs_zero) in STRATEGIES.items():
+        if needs_zero and inst.delta != 0:
+            continue
+        case = with_costs(inst, [F(5, 3)] * inst.n) if name == "algorithm1" else inst
+        cpcp = name == "algorithm3_cpcp"
+        env = (CpcpEnvironment if cpcp else Environment)(case)
+        run(env, case)
+        assert env.transcript, name
+        for itv in env.state().current:
+            assert_checked(itv)
+        for i, answer, _ in env.transcript:
+            if cpcp:
+                assert_checked(answer)
+            else:
+                assert env.state().current[i] == UncertainInterval(answer, answer, case.intervals[i].cost), name
+
+
+# ---------------------------------------------------------------------------
+# Grid reads
+# ---------------------------------------------------------------------------
+
+
+def ref_to_grid(delta, intervals, values=None, extra=()):
+    """`to_grid` as it read each `Fraction`'s ``numerator`` and ``denominator`` properties."""
+    scale = lcm(delta.denominator, *{x.denominator for itv in (*intervals, *extra) for x in (itv.lo, itv.hi)},
+                *{v.denominator for v in values or ()})
+    return Grid(scale, delta.numerator * (scale // delta.denominator),
+                tuple([itv.lo.numerator * (scale // itv.lo.denominator) for itv in intervals]),
+                tuple([itv.hi.numerator * (scale // itv.hi.denominator) for itv in intervals]),
+                None if values is None else tuple([v.numerator * (scale // v.denominator) for v in values]))
+
+
+#: Rationals of either sign and zero, with small and large denominators mixed.
+rationals = st.one_of(st.just(F(0)), st.integers(-50, 50).map(F),
+                      st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12))
+spans = st.tuples(rationals, rationals, st.fractions(min_value=0, max_value=100, max_denominator=97)).map(
+    lambda t: UncertainInterval(min(t[:2]), max(t[:2]), t[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=0, max_value=50, max_denominator=10 ** 6), st.lists(spans, max_size=30),
+       st.booleans(), st.lists(rationals, max_size=30), st.lists(spans, max_size=5))
+def test_to_grid_matches_the_property_reads(delta, intervals, with_values, values, extra):
+    values = values[:len(intervals)] + [F(0)] * (len(intervals) - len(values)) if with_values else None
+    got = to_grid(delta, intervals, values, extra)
+    assert got == ref_to_grid(delta, intervals, values, extra)
+    assert all(type(x) is int for row in (got.los, got.his, got.values or ()) for x in row)
+    assert all(type(row) is tuple for row in (got.los, got.his, got.values or ()))
+
+
+# ---------------------------------------------------------------------------
+# One-step refinement scripts
+# ---------------------------------------------------------------------------
+
+
+def ref_scripts(inst):
+    """`CpcpEnvironment`'s table as built for every item through `refinement_steps`, with the
+    one-step script to the value made by the checked constructor."""
+    scale, cost_scale = inst.grid.scale, inst.cost_grid[0]
+    table = []
+    for i, itv in enumerate(inst.intervals):
+        script = inst.refinements[i] if inst.refinements and inst.refinements[i] else None
+        if script is None:
+            script = (UncertainInterval(inst.values[i], inst.values[i], itv.cost),)
+        prices = (inst.time_costs[i] if inst.time_costs else None) or (itv.cost,) * len(script)
+        assert refinement_steps(inst, i) == (script, prices)
+        table.append(tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
+                            on_grid(e.lo, scale), on_grid(e.hi, scale), price, on_grid(price, cost_scale))
+                           for e, price in zip(script, prices)))
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 300), st.booleans(), st.sampled_from(instances._COST_MODELS),
+       st.sampled_from([F(0), F(1, 2), F(1)]))
+def test_one_step_scripts_match_refinement_steps(seed, n, scripted, cost_model, delta):
+    inst = gen_random_scripted(seed, n, delta) if scripted else gen_random(seed, n, delta, cost_model)
+    table = CpcpEnvironment(inst)._scripts
+    assert table == ref_scripts(inst)
+    for steps in table:
+        for reply, lo, hi, price, units in steps:
+            assert_checked(reply)
+            assert type(lo) is type(hi) is type(units) is int and type(price) is F
+
+
+def test_value_less_instance_still_raises_missing_realization():
+    inst = gen_random(3, 8, F(1, 2)).without_values()
+    with pytest.raises(MissingRealization, match="item 0 has neither a refinement script nor a value"):
+        CpcpEnvironment(inst)

@@ -40,6 +40,7 @@ from querysort import (
     serialize,
 )
 import querysort
+from querysort import cli
 from querysort.cli import main
 
 STRATEGIES = ("oblivious", "simple", "stable_sort", "vc", "alg1", "alg2", "alg3", "advice_half", "advice_lg3")
@@ -177,6 +178,33 @@ def test_solve_alg2_rule(tmp_path, capsys, extra, expected):
     doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
     assert main(["solve", "alg2", doc, "--expected"] + extra) == 0
     assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0/0", "--p must be a rational like 3/2, got '0/0'"),
+    ("1/0", "--p must be a rational like 3/2, got '1/0'"),
+    ("x", "--p must be a rational like 3/2, got 'x'"),
+    ("3/2", "probability 3/2 outside [0, 1]"),
+    ("-1", "probability -1 outside [0, 1]"),
+])
+def test_bad_coin_bias_is_a_usage_error(tmp_path, capsys, p, message):
+    doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
+    for argv in (["ratio", "alg1", "random", "--p", p], ["solve", "alg1", doc, "--p", p],
+                 ["solve", "alg1", doc, "--p", p, "--expected"], ["ratio", "alg1", "lemma4", "--p", p, "--rule", "half"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"usage error: {message}\n"), argv
+    # every other strategy ignores --p
+    assert main(["ratio", "vc", "random", "--p", p, "--trials", "2"]) == 0
+    assert main(["solve", "alg2", doc, "--p", p]) == 0
+
+
+def test_coin_bias_is_read_once_per_command(tmp_path, monkeypatch, capsys):
+    read = []
+    real = cli._parse_rational
+    monkeypatch.setattr(cli, "_parse_rational", lambda text, what: read.append(what) or real(text, what))
+    assert main(["ratio", "alg1", "random", "--trials", "6", "--p", "1/3"]) == 0
+    assert main(["solve", "alg1", write_doc(tmp_path, "a.json", gen_lemma4_pair(0)[0]), "--expected"]) == 0
+    assert read.count("--p") == 2
 
 
 def test_solve_advice_prints_bits(tmp_path, capsys):

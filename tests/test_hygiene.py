@@ -22,6 +22,10 @@ flushes and each play's step loop build no ``Fraction(...)`` and read no
 ``.cost`` or ``.step_cost``; they add cost units, and only a probability
 rule's arguments are made exact there.
 
+Each number is checked once, and only once: `core._checked_already`, which
+builds an interval without its checks, is named only inside an allow-list of
+functions whose inputs already passed them (`UNCHECKED_CALLERS`).
+
 The package re-exports exactly what it imports: the names ``__init__.py``
 imports equal its ``__all__``, and each one resolves on the package, so a
 half-removed export fails here.
@@ -235,6 +239,46 @@ def test_queries_and_plays_spend_cost_units():
     source = (SRC / "online.py").read_text()
     assert PER_QUERY <= defined_functions(source)
     assert [site for site in money_sites(source) if site[0] in PER_QUERY] == []
+
+
+#: Each function that may build an interval without its checks, and why its fields passed them.
+UNCHECKED_CALLERS = {
+    ("core.py", "UncertainInterval.collapse"),  # after its own `contains` check
+    ("core.py", "refinement_steps"),  # the instance's checked value, at its interval's cost
+    ("online.py", "Environment.query"),  # the same, for the revealed point
+    ("online.py", "CpcpEnvironment.__init__"),  # the same, for an unscripted item's one step
+    ("instances.py", "gen_random"),  # lo <= hi half-grid indices, at a positive cost
+}
+
+
+def unchecked_sites(source):
+    """``(enclosing function, line, name)`` for every use of `_checked_already` but its
+    definition and imports: a call, or a name that could alias it."""
+    return sites_by_function(ast.parse(source), lambda node: "_checked_already" if (
+        isinstance(node, ast.Name) and node.id == "_checked_already"
+        or isinstance(node, ast.Attribute) and node.attr == "_checked_already") else None)
+
+
+def test_the_check_flags_a_new_unchecked_caller():
+    source = (
+        "from .core import _checked_already\n"
+        "from . import core\n"
+        "class Env:\n"
+        "    def query(self, v):\n"
+        "        return _checked_already(v, v, 1)\n"
+        "def gen(x):\n"
+        "    make = core._checked_already\n"
+        "    return make(x, x, 1)\n"
+        "def _checked_already(lo, hi, cost):\n"
+        "    return lo\n"
+    )
+    assert unchecked_sites(source) == [("Env.query", 5, "_checked_already"), ("gen", 7, "_checked_already")]
+
+
+def test_unchecked_intervals_come_from_the_allow_list():
+    found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where, _, _ in unchecked_sites(path.read_text())}
+    assert found == UNCHECKED_CALLERS
 
 
 def reexport_mismatch(source):

@@ -54,7 +54,7 @@ from querysort import (
     vc_adaptive,
 )
 from querysort import offline, online
-from querysort.core import Instance
+from querysort.core import Instance, isqrt_bounds
 from querysort.graph import build_graph
 from querysort.online import _ENCLOSURE_PRECISION, _MAX_COIN_DEPTH, QueryEnvironment, Sqrt3Prob
 
@@ -106,6 +106,17 @@ def test_sqrt3_prob_exact_comparison():
     lo, hi = pr.enclosure(F(1, 10**12))
     assert lo < hi and hi - lo <= F(1, 10**12)
     assert lo * lo * 3 <= 1 <= hi * hi * 3
+
+
+def test_sqrt3_prob_compares_and_hashes_by_value():
+    a, b = SQRT3(F(3), F(4)), SQRT3(F(6), F(8))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.num, a.den, b.num, b.den) == (3, 4, 6, 8)  # the parts stay as given
+    assert a != SQRT3(F(3), F(5)) and a != F(3, 4) and F(3, 4) != a
+    s_lo, s_hi = isqrt_bounds(3, _ENCLOSURE_PRECISION)
+    for p in (a, b):  # the enclosure and verdicts of 3 / (4 sqrt 3) ≈ 0.433, from either pair of parts
+        assert p.enclosure(_ENCLOSURE_PRECISION) == (F(3) * s_lo / 12, F(3) * s_hi / 12)
+        assert [p.accepts(F(k, 100)) for k in (0, 43, 44, 60)] == [True, True, False, False]
 
 
 def test_random_coin_deterministic():

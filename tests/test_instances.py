@@ -1,5 +1,6 @@
 """Instance families, generators, and the canonical document format."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from querysort import (
     Environment,
     InvariantViolation,
     ParseError,
+    QuerysortError,
     adversarial_search,
     asteroid_expected_edges,
     asteroid_realization,
@@ -406,3 +408,88 @@ def test_deserialize_refuses_repeated_fields():
         deserialize(once[:-1] + ', "delta": "3"}')
     with pytest.raises(InvariantViolation, match="repeated field 'lo'"):
         deserialize(once.replace('"hi": "4"', '"hi": "4", "lo": "3"'))
+
+
+#: A scripted two-item document that loads; each case below breaks one thing in it.
+GOOD_DOCUMENT = {
+    "schema": "1",
+    "delta": "0",
+    "intervals": [{"lo": "0", "hi": "4", "cost": "1"}, {"lo": "2", "hi": "6", "cost": "1"}],
+    "values": ["1", "5"],
+    "refinements": [None, [{"lo": "4", "hi": "6"}, {"lo": "5", "hi": "5"}]],
+    "time_costs": [None, ["1", "1/2"]],
+}
+
+_STEP = {"lo": "4", "hi": "6"}
+
+#: ``(fields replaced in GOOD_DOCUMENT, or the whole text; exception; its exact message)``.
+#: A field set to ``...`` is left out.  Cases with two faults pin the order of the checks.
+DOCUMENT_REFUSALS = [
+    ("{oops", ParseError, "Expecting property name enclosed in double quotes (line 1, column 2)"),
+    ('["not", "an", "object"]', InvariantViolation, "document root must be an object"),
+    ({"delta": 0}, InvariantViolation, "bare JSON number '0': all numbers must be exact-rational strings"),
+    ('{"schema": "1", "schema": "1"}', InvariantViolation, "repeated field 'schema'"),
+    ({"extra": "1"}, InvariantViolation, "unknown field(s) in document: ['extra']"),
+    ({"schema": "2"}, InvariantViolation, "unsupported schema '2'"),
+    ({"schema": ...}, InvariantViolation, "unsupported schema None"),
+    ({"delta": ...}, InvariantViolation, "document needs 'delta' and 'intervals'"),
+    ({"intervals": ...}, InvariantViolation, "document needs 'delta' and 'intervals'"),
+    ({"delta": None}, InvariantViolation, "delta must be a rational string, got None"),
+    ({"delta": "1/0"}, InvariantViolation, "delta is not a valid rational: '1/0'"),
+    ({"intervals": []}, InvariantViolation, "'intervals' must be a non-empty array"),
+    ({"intervals": {"lo": "0"}}, InvariantViolation, "'intervals' must be a non-empty array"),
+    ({"intervals": ["0"]}, InvariantViolation, "interval 0 must be an object"),
+    ({"intervals": [{"lo": "0", "hi": "1", "w": "1"}]}, InvariantViolation,
+     "unknown field(s) in interval 0: ['w']"),
+    ({"intervals": [{"lo": "0"}]}, InvariantViolation, "interval 0 needs 'lo' and 'hi'"),
+    ({"intervals": [{"lo": "a", "hi": "1"}]}, InvariantViolation, "interval 0 lo is not a valid rational: 'a'"),
+    ({"intervals": [{"lo": "0", "hi": None}]}, InvariantViolation, "interval 0 hi must be a rational string, got None"),
+    ({"intervals": [{"lo": "0", "hi": "1", "cost": "x"}]}, InvariantViolation,
+     "interval 0 cost is not a valid rational: 'x'"),
+    ({"intervals": [{"lo": "3", "hi": "1"}], "values": "x"}, InvariantViolation, "empty interval: lo=3 > hi=1"),
+    ({"values": "1"}, InvariantViolation, "'values' must list one value per interval"),
+    ({"values": ["1"]}, InvariantViolation, "'values' must list one value per interval"),
+    ({"values": ["1", None]}, InvariantViolation, "value 1 must be a rational string, got None"),
+    ({"values": ["1", "5/0"]}, InvariantViolation, "value 1 is not a valid rational: '5/0'"),
+    ({"values": ["x"], "refinements": "x"}, InvariantViolation, "'values' must list one value per interval"),
+    ({"refinements": {}}, InvariantViolation, "'refinements' must list one entry per interval"),
+    ({"refinements": [None, None, None]}, InvariantViolation, "'refinements' must list one entry per interval"),
+    ({"refinements": [None, []]}, InvariantViolation, "refinement script 1 must be a non-empty array"),
+    ({"refinements": [_STEP, None]}, InvariantViolation, "refinement script 0 must be a non-empty array"),
+    ({"refinements": [None, [_STEP, "x"]]}, InvariantViolation, "refinement 1[1] must be an object"),
+    ({"refinements": [None, [{"lo": "4", "hi": "6", "cost": "1"}]]}, InvariantViolation,
+     "unknown field(s) in refinement 1[0]: ['cost']"),
+    ({"refinements": [None, [{"hi": "6"}]]}, InvariantViolation, "refinement 1[0] needs 'lo' and 'hi'"),
+    ({"refinements": [None, [{"lo": "y", "hi": "6"}]]}, InvariantViolation,
+     "refinement 1[0] lo is not a valid rational: 'y'"),
+    ({"refinements": [None, [{"lo": "4", "hi": ["6"]}]]}, InvariantViolation,
+     "refinement 1[0] hi must be a rational string, got ['6']"),
+    ({"refinements": [[], "x"], "time_costs": "x"}, InvariantViolation, "refinement script 0 must be a non-empty array"),
+    ({"time_costs": "1"}, InvariantViolation, "'time_costs' must list one entry per interval"),
+    ({"time_costs": [None]}, InvariantViolation, "'time_costs' must list one entry per interval"),
+    ({"time_costs": [None, "1"]}, InvariantViolation, "time_costs 1 must be an array or null"),
+    ({"time_costs": [None, ["1", None]]}, InvariantViolation, "time_costs 1[1] must be a rational string, got None"),
+    ({"time_costs": [None, ["1", "1/2/3"]]}, InvariantViolation, "time_costs 1[1] is not a valid rational: '1/2/3'"),
+    ({"time_costs": [[], None]}, InvariantViolation, "item 0 has time costs but no refinement script"),
+]
+
+
+def malformed_document(change):
+    if isinstance(change, str):
+        return change
+    doc = {**GOOD_DOCUMENT, **change}
+    return json.dumps({key: value for key, value in doc.items() if value is not ...})
+
+
+def test_the_good_document_loads():
+    inst = deserialize(json.dumps(GOOD_DOCUMENT))
+    assert inst.n == 2 and inst.time_costs == (None, (F(1), F(1, 2)))
+
+
+@pytest.mark.parametrize("change, error, message", DOCUMENT_REFUSALS,
+                         ids=[str(k) for k in range(len(DOCUMENT_REFUSALS))])
+def test_deserialize_refusal_messages(change, error, message):
+    with pytest.raises(QuerysortError) as exc:
+        deserialize(malformed_document(change))
+    assert type(exc.value) is error
+    assert str(exc.value) == message

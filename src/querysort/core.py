@@ -480,28 +480,6 @@ def refinement_steps(inst: Instance, i: int) -> tuple[RefinementScript, tuple[Fr
     return script, prices or (inst.intervals[i].cost,) * len(script)
 
 
-def shrink_delta(inst: Instance) -> Instance:
-    """Rewrite a positive-threshold instance as an equivalent zero-threshold one.
-
-    Pulling both endpoints of every interval inward by ``delta/2`` maps each
-    dependency at threshold ``delta`` to a dependency at threshold zero and
-    vice versa, so the query-set structure carries over unchanged.  Requires
-    every interval to be non-trivial (a trivial interval would turn inside
-    out).  Values are dropped: a shrunken interval need not contain them.
-    """
-    if inst.delta == 0:
-        return inst.without_values() if inst.values is not None else inst
-    half = inst.delta / 2
-    shrunk = []
-    for i, itv in enumerate(inst.intervals):
-        if is_trivial(itv, inst.delta):
-            raise InvariantViolation(
-                f"cannot shrink: item {i} ({itv}) has width <= threshold"
-            )
-        shrunk.append(UncertainInterval(itv.lo + half, itv.hi - half, itv.cost))
-    return Instance(Fraction(0), tuple(shrunk))
-
-
 # ---------------------------------------------------------------------------
 # Knowledge states
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from .errors import (
 
 
 class DependencyGraph:
-    """Undirected graph with vertex weights, stored only as one neighbour set per vertex.
+    """Undirected graph with vertex weights (non-negative ints or `Fraction`s, checked
+    here), stored only as one neighbour set per vertex.
 
     ``edges`` derives the pairs ``(i, j)``, ``i < j``, from ``adj`` on each
     read.  A plain object: equality is identity.  An environment's graph is
@@ -66,6 +67,9 @@ class DependencyGraph:
             self.adj[j].add(i)
         if len(weights) != n:
             raise InvariantViolation("weights do not match vertex count")
+        for v, w in enumerate(weights):  # the rule a query cost follows; `type` also refuses a bool
+            if type(w) not in (int, Fraction) or w.numerator < 0:
+                raise InvariantViolation(f"vertex {v}: weight must be a non-negative int or Fraction, got {w!r}")
         if intervals is not None and len(intervals) != n:
             raise InvariantViolation("intervals do not match vertex count")
         if intervals is not None and los is None:
@@ -88,26 +92,16 @@ class DependencyGraph:
         return tuple(v for v in range(self.n) if self.adj[v])
 
 
-GraphSource = Union[Instance, KnowledgeState, Sequence[UncertainInterval]]
-
-
-def build_graph(source: GraphSource, delta=None) -> DependencyGraph:
-    """Dependency graph of an instance, knowledge state, or interval list.
-
-    ``delta`` is taken from the instance when one is given and must be
-    supplied otherwise.
-    """
-    if isinstance(source, Instance):
-        if delta is None:
-            delta = source.delta
-        intervals = source.intervals
-    elif isinstance(source, KnowledgeState):
-        intervals = source.current
+def build_graph(source: Union[Instance, KnowledgeState], delta=None) -> DependencyGraph:
+    """Dependency graph of an instance at its own threshold, or of a knowledge
+    state's current intervals at the threshold ``delta``."""
+    if isinstance(source, Instance) and delta is None:
+        delta, intervals = source.delta, source.intervals
+    elif isinstance(source, KnowledgeState) and delta is not None:
+        delta, intervals = scalar(delta), source.current
     else:
-        intervals = tuple(source)
-    if delta is None:
-        raise InvariantViolation("a threshold is required to build the graph")
-    grid = to_grid(scalar(delta), intervals)
+        raise InvariantViolation("build_graph takes an Instance, or a KnowledgeState and a threshold")
+    grid = to_grid(delta, intervals)
     return DependencyGraph(len(intervals), sweep_pairs(grid.los, grid.his, grid.delta),
                            tuple(itv.cost for itv in intervals), tuple(intervals), grid.los, grid.his)
 
@@ -147,10 +141,14 @@ def components(g: DependencyGraph) -> list[list[int]]:
     return [_reach(g, start, seen) if g.adj[start] else [start] for start in range(g.n) if start not in seen]
 
 
-def component_of(g: DependencyGraph, v: int) -> list[int]:
-    """Sorted vertex list of the component containing ``v``."""
+def _check_vertex(g: DependencyGraph, v: int) -> None:
     if not 0 <= v < g.n:
         raise InvariantViolation(f"no vertex {v} in a graph on {g.n} vertices")
+
+
+def component_of(g: DependencyGraph, v: int) -> list[int]:
+    """Sorted vertex list of the component containing ``v``."""
+    _check_vertex(g, v)
     return _reach(g, v, set())
 
 
@@ -275,6 +273,8 @@ def min_cost_vertex_cover(g: DependencyGraph) -> tuple[int, ...]:
 
 def find_triangle(g: DependencyGraph, start: int = 0) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest triangle whose first vertex is at least ``start``, or None."""
+    if not 0 <= start <= g.n:
+        raise InvariantViolation(f"triangle search start {start} outside [0, {g.n}]")
     for i in range(start, g.n):
         for a, b in combinations(sorted(u for u in g.adj[i] if u > i), 2):
             if g.has_edge(a, b):
@@ -301,6 +301,7 @@ def longest_path_caterpillar(
     if not vs:
         raise InvariantViolation("empty vertex set")
     root = min(vs)
+    _check_vertex(g, root), _check_vertex(g, max(vs))
     dist, _ = _bfs(g, root, vs)
     if len(dist) != len(vs):
         raise NotTree(f"vertex set {sorted(vs)} is not connected")

@@ -14,7 +14,6 @@ produce identical documents.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from collections import Counter
@@ -493,6 +492,14 @@ def fig1_instance(which: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 
+def _check_asteroid(kind: str, k: int) -> None:
+    """Refuse an asteroid ``kind`` other than fig5a and fig5b, or a spine shorter than two."""
+    if kind not in ("fig5a", "fig5b"):
+        raise InvariantViolation("kind must be 'fig5a' or 'fig5b'")
+    if k < 2:
+        raise InvariantViolation("need a spine of at least two")
+
+
 def asteroid_realization(kind: str, k: int, delta, eps) -> Instance:
     """Interval layout realizing the path-with-satellites graph families.
 
@@ -502,10 +509,7 @@ def asteroid_realization(kind: str, k: int, delta, eps) -> Instance:
     threshold away from both, so it depends on the hub(s) only.  No hidden
     values: this family is about which graphs are realizable at all.
     """
-    if kind not in ("fig5a", "fig5b"):
-        raise InvariantViolation("kind must be 'fig5a' or 'fig5b'")
-    if k < 2:
-        raise InvariantViolation("need a spine of at least two")
+    _check_asteroid(kind, k)
     d = scalar(delta)
     e = scalar(eps)
     if not (0 < e < d):
@@ -532,10 +536,7 @@ def asteroid_expected_edges(kind: str, k: int) -> frozenset[tuple[int, int]]:
     fig5a: hub=0, spine=1..k, c=k+1, d=k+2, e=k+3.  fig5b: hubs 0 and 1,
     spine=2..k+1, c=k+2, d=k+3, e=k+4.
     """
-    if kind not in ("fig5a", "fig5b"):
-        raise InvariantViolation("kind must be 'fig5a' or 'fig5b'")
-    if k < 2:
-        raise InvariantViolation("need a spine of at least two")
+    _check_asteroid(kind, k)
     edges: set[tuple[int, int]] = set()
 
     def add(u: int, v: int) -> None:
@@ -559,45 +560,6 @@ def asteroid_expected_edges(kind: str, k: int) -> frozenset[tuple[int, int]]:
         add(0, c)
         add(1, dv)
     return frozenset(edges)
-
-
-# ---------------------------------------------------------------------------
-# Adversarial search support
-# ---------------------------------------------------------------------------
-
-
-def adversarial_search(
-    intervals: Sequence[UncertainInterval],
-    delta,
-    value_grids: Sequence[Sequence],
-    score: Callable[[Instance], Fraction],
-    limit: int = 200_000,
-) -> tuple[Fraction, Optional[Instance]]:
-    """Grid search for the value assignment maximizing a score.
-
-    Tries every combination from ``value_grids`` (one candidate list per
-    interval), skipping assignments that fall outside their intervals, and
-    returns the best score with a witnessing instance.  Test support for
-    confirming that a family's pinned realization is the worst case on its
-    natural grid.
-    """
-    total = 1
-    for g in value_grids:
-        total *= max(1, len(g))
-    if total > limit:
-        raise InvariantViolation(f"value grid too large ({total} > {limit})")
-    d = scalar(delta)
-    best: Fraction = Fraction(-1)
-    best_inst: Optional[Instance] = None
-    for combo in itertools.product(*value_grids):
-        values = tuple(scalar(v) for v in combo)
-        if any(not itv.contains(v) for itv, v in zip(intervals, values)):
-            continue
-        inst = Instance(d, tuple(intervals), values)
-        s = score(inst)
-        if s > best:
-            best, best_inst = s, inst
-    return best, best_inst
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +597,27 @@ def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise InvariantViolation(f"unknown field(s) in {where}: {sorted(unknown)}")
+
+
+def _endpoints(row, where: str, allowed: set[str]) -> tuple[Fraction, Fraction]:
+    """The ``lo`` and ``hi`` of the object ``row``, whose fields must be among ``allowed``."""
+    if not isinstance(row, dict):
+        raise InvariantViolation(f"{where} must be an object")
+    _expect_keys(row, allowed, where)
+    if "lo" not in row or "hi" not in row:
+        raise InvariantViolation(f"{where} needs 'lo' and 'hi'")
+    return _parse_scalar(row["lo"], f"{where} lo"), _parse_scalar(row["hi"], f"{where} hi")
+
+
+def _per_item(doc: dict, key: str, what: str, n: int, parse: Callable[[int, object], object]) -> Optional[tuple]:
+    """``doc[key]`` parsed entry by entry (``parse(i, raw)``), or None when the key is absent;
+    refused unless it is a list of one ``what`` per interval."""
+    if key not in doc:
+        return None
+    raw = doc[key]
+    if not isinstance(raw, list) or len(raw) != n:
+        raise InvariantViolation(f"{key!r} must list one {what} per interval")
+    return tuple(parse(i, entry) for i, entry in enumerate(raw))
 
 
 def serialize(inst: Instance) -> str:
@@ -693,70 +676,27 @@ def deserialize(text: str) -> Instance:
         raise InvariantViolation("'intervals' must be a non-empty array")
     ivs = []
     for idx, row in enumerate(raw_intervals):
-        if not isinstance(row, dict):
-            raise InvariantViolation(f"interval {idx} must be an object")
-        _expect_keys(row, {"lo", "hi", "cost"}, f"interval {idx}")
-        if "lo" not in row or "hi" not in row:
-            raise InvariantViolation(f"interval {idx} needs 'lo' and 'hi'")
-        lo = _parse_scalar(row["lo"], f"interval {idx} lo")
-        hi = _parse_scalar(row["hi"], f"interval {idx} hi")
+        lo, hi = _endpoints(row, f"interval {idx}", {"lo", "hi", "cost"})
         cost = _parse_scalar(row.get("cost", "1"), f"interval {idx} cost")
         ivs.append(UncertainInterval(lo, hi, cost))
     n = len(ivs)
 
-    values = None
-    if "values" in doc:
-        raw_values = doc["values"]
-        if not isinstance(raw_values, list) or len(raw_values) != n:
-            raise InvariantViolation("'values' must list one value per interval")
-        values = tuple(
-            _parse_scalar(v, f"value {i}") for i, v in enumerate(raw_values)
-        )
+    def script(i: int, raw) -> Optional[tuple[UncertainInterval, ...]]:
+        if raw is None:
+            return None
+        if not isinstance(raw, list) or not raw:
+            raise InvariantViolation(f"refinement script {i} must be a non-empty array")
+        return tuple(UncertainInterval(*_endpoints(entry, f"refinement {i}[{t}]", {"lo", "hi"}), ivs[i].cost)
+                     for t, entry in enumerate(raw))
 
-    refinements = None
-    if "refinements" in doc:
-        raw_ref = doc["refinements"]
-        if not isinstance(raw_ref, list) or len(raw_ref) != n:
-            raise InvariantViolation("'refinements' must list one entry per interval")
-        scripts = []
-        for i, script in enumerate(raw_ref):
-            if script is None:
-                scripts.append(None)
-                continue
-            if not isinstance(script, list) or not script:
-                raise InvariantViolation(f"refinement script {i} must be a non-empty array")
-            entries = []
-            for t, entry in enumerate(script):
-                if not isinstance(entry, dict):
-                    raise InvariantViolation(f"refinement {i}[{t}] must be an object")
-                _expect_keys(entry, {"lo", "hi"}, f"refinement {i}[{t}]")
-                if "lo" not in entry or "hi" not in entry:
-                    raise InvariantViolation(f"refinement {i}[{t}] needs 'lo' and 'hi'")
-                entries.append(
-                    UncertainInterval(
-                        _parse_scalar(entry["lo"], f"refinement {i}[{t}] lo"),
-                        _parse_scalar(entry["hi"], f"refinement {i}[{t}] hi"),
-                        ivs[i].cost,
-                    )
-                )
-            scripts.append(tuple(entries))
-        refinements = tuple(scripts)
+    def time_cost_row(i: int, row) -> Optional[tuple[Fraction, ...]]:
+        if row is None:
+            return None
+        if not isinstance(row, list):
+            raise InvariantViolation(f"time_costs {i} must be an array or null")
+        return tuple(_parse_scalar(c, f"time_costs {i}[{t}]") for t, c in enumerate(row))
 
-    time_costs = None
-    if "time_costs" in doc:
-        raw_tc = doc["time_costs"]
-        if not isinstance(raw_tc, list) or len(raw_tc) != n:
-            raise InvariantViolation("'time_costs' must list one entry per interval")
-        rows = []
-        for i, row in enumerate(raw_tc):
-            if row is None:
-                rows.append(None)
-                continue
-            if not isinstance(row, list):
-                raise InvariantViolation(f"time_costs {i} must be an array or null")
-            rows.append(
-                tuple(_parse_scalar(c, f"time_costs {i}[{t}]") for t, c in enumerate(row))
-            )
-        time_costs = tuple(rows)
-
+    values = _per_item(doc, "values", "value", n, lambda i, v: _parse_scalar(v, f"value {i}"))
+    refinements = _per_item(doc, "refinements", "entry", n, script)
+    time_costs = _per_item(doc, "time_costs", "entry", n, time_cost_row)
     return Instance(delta, tuple(ivs), values, refinements=refinements, time_costs=time_costs)

@@ -162,7 +162,9 @@ def FIXED(p) -> Fraction:
 def HALF(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
     """``min(1, W / (2 w_b))``: ``W`` is the trial's neighbor weight sum, ``w_b``
     the trial center's weight."""
-    return min(Fraction(1), neighbor_weight / (2 * center_weight))
+    if neighbor_weight >= 2 * center_weight:  # also when w_b = 0, as in `SQRT3`
+        return Fraction(1)
+    return neighbor_weight / (2 * center_weight)
 
 
 def SQRT3(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
@@ -430,6 +432,13 @@ def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> 
     return _edgeless_spend(env, "the run's end")
 
 
+def _exact_model(env: QueryEnvironment) -> None:
+    """Refuse an environment that is not an `Environment`: the exact-model strategies' picks,
+    guarantees and optimum hold only where each query reveals a value."""
+    if not isinstance(env, Environment):
+        raise InvariantViolation("this strategy runs on an Environment (each query reveals a value)")
+
+
 # ---------------------------------------------------------------------------
 # Witness flushing
 # ---------------------------------------------------------------------------
@@ -523,6 +532,7 @@ def run_oblivious(env: Environment) -> dict:
     The best answer-blind strategy: every non-trivial interval with at
     least one dependency.
     """
+    _exact_model(env)
     for i in sorted(oblivious_query_set(env.graph(), env.delta)):
         env.query(i)
     return {}
@@ -538,6 +548,7 @@ def simple_adaptive(env: Environment) -> dict:
     disjoint -- which is exactly why this strategy never pays more than
     twice the optimum under uniform costs.
     """
+    _exact_model(env)
     witness_sets: list[frozenset[int]] = []
     for i, j in _first_edges(env):
         batch = [k for k in (i, j) if not env.queried(k)]
@@ -557,6 +568,7 @@ def simple_adaptive_stable_sort(env: Environment) -> dict:
     order -- a stable sort.  Comparison count is the usual merge-sort
     O(n log n).
     """
+    _exact_model(env)
     if env.delta != 0:
         raise DeltaNotZero("the sorting comparator needs threshold zero")
     comparisons = 0
@@ -602,6 +614,7 @@ def vc_adaptive(env: Environment) -> dict:
     after the cover is revealed every remaining dependency pins a
     still-unqueried interval that must be queried in every solution.
     """
+    _exact_model(env)
     for v in min_cost_vertex_cover(env.graph()):
         env.query(v)
     for v in env.graph().active_vertices():
@@ -653,8 +666,7 @@ def _algorithm1_start(env: Environment, p: Fraction, state: Optional[tuple] = No
     ends of single-edge components, a heap of ``(hi, v)`` per active vertex,
     and the transcript length the heaps are current to."""
     if state is None:
-        if not isinstance(env, Environment):
-            raise InvariantViolation("this strategy runs on an Environment (each query reveals a value)")
+        _exact_model(env)
         if not isinstance(p, Fraction):
             raise InvariantViolation("this strategy takes a fixed coin bias")
         FIXED(p)  # refuses a bias outside [0, 1]
@@ -788,10 +800,11 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
 
 def _algorithm2_start(env: Environment, rule, state: Optional[tuple] = None, vertices=None) -> tuple:
     """Start a walk: the residual weights and frozen spines (fresh at the root, after
-    checking the rule), and picks among ``vertices`` (ascending; all at the root):
-    a lazy heap of zero-residual vertices, and pointers at the smallest active
-    vertex and the smallest triangle's first vertex, which never decrease."""
+    checking the environment and the rule), and picks among ``vertices`` (ascending;
+    all at the root): a lazy heap of zero-residual vertices, and pointers at the smallest
+    active vertex and the smallest triangle's first vertex, which never decrease."""
     if state is None:
+        _exact_model(env)
         if rule is not HALF and rule is not SQRT3:
             raise InvariantViolation("this strategy takes the half or sqrt3 rule")
         state, vertices = (list(env._units), {}), range(env.n)
@@ -968,6 +981,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     `find_triangle` resumes from the last one; leaves wait in a lazy heap,
     fed from the former neighbours of the vertices queried since.
     """
+    _exact_model(env)
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
     known_out: set[int] = set()
@@ -1030,6 +1044,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     is none) and queries the rest of the clique.  Named members are
     remembered; a clique containing one costs no further advice.
     """
+    _exact_model(env)
     known_out: set[int] = set()
     g = env.graph()
     ends = sorted((g.his[v], v) for v in range(env.n) if g.adj[v])

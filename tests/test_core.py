@@ -21,7 +21,6 @@ from querysort import (
     is_trivial,
     isqrt_bounds,
     scalar,
-    shrink_delta,
     singleton_witness_static,
     singleton_witness_value,
     valid_permutation,
@@ -311,6 +310,28 @@ def test_instance_helpers():
     assert inst.without_values().values is None
     re = inst.without_values().with_values((F(2), F(3)))
     assert re.values == (F(2), F(3))
+
+
+def shrink_delta(inst):
+    """Rewrite a positive-threshold instance as an equivalent zero-threshold one.
+
+    Pulling both endpoints of every interval inward by ``delta/2`` maps each
+    dependency at threshold ``delta`` to a dependency at threshold zero and
+    vice versa, so the query-set structure carries over unchanged.  Requires
+    every interval to be non-trivial (a trivial interval would turn inside
+    out).  Values are dropped: a shrunken interval need not contain them.
+    """
+    if inst.delta == 0:
+        return inst.without_values() if inst.values is not None else inst
+    half = inst.delta / 2
+    shrunk = []
+    for i, itv in enumerate(inst.intervals):
+        if is_trivial(itv, inst.delta):
+            raise InvariantViolation(
+                f"cannot shrink: item {i} ({itv}) has width <= threshold"
+            )
+        shrunk.append(UncertainInterval(itv.lo + half, itv.hi - half, itv.cost))
+    return Instance(F(0), tuple(shrunk))
 
 
 def test_shrink_delta_preserves_dependencies():

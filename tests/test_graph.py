@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import deque
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from querysort import (
     CoTTFunctions,
     InvariantViolation,
+    KnowledgeState,
     NotChordal,
     NotSimplicial,
     NotTree,
@@ -78,6 +80,33 @@ def test_graph_rejects_bad_shapes():
         DependencyGraph(3, [(0, 1)], ones[:2])
     with pytest.raises(InvariantViolation, match="intervals do not match vertex count"):
         DependencyGraph(3, [(0, 1)], ones, [interval(0, 1)] * 4)
+
+
+def test_build_graph_takes_an_instance_or_a_state_with_a_threshold():
+    inst = fig1_instance("a")
+    state = KnowledgeState(inst.intervals, (0,) * inst.n, F(0))
+    assert build_graph(state, inst.delta).edges == build_graph(state, "0").edges == build_graph(inst).edges
+    message = "build_graph takes an Instance, or a KnowledgeState and a threshold"
+    for args in [(inst.intervals, inst.delta), (list(inst.intervals), F(0)), (inst.intervals,), (inst, inst.delta),
+                 (inst, F(1)), (state,), (None, F(0))]:
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            build_graph(*args)
+
+
+def test_graph_weights_follow_the_cost_rule():
+    edges = [(0, 1), (1, 2)]
+    g = DependencyGraph(3, edges, (1, F(1, 2), 3))
+    assert min_cost_vertex_cover(g) == (1,)
+    for bad in (0.5, "1", True, None, -1, F(-1, 2)):
+        with pytest.raises(InvariantViolation, match=rf"^vertex 1: weight must be a non-negative int or Fraction, "
+                                                     rf"got {re.escape(repr(bad))}$"):
+            DependencyGraph(3, edges, (F(1), bad, F(1)))
+    with pytest.raises(InvariantViolation, match="^vertex 0: weight must be"):
+        min_cost_vertex_cover(DependencyGraph(3, edges, (0.5, 1.5, 0.1)))
+    rep = instance_to_cott(fig1_instance("a"))
+    assert min_cost_vertex_cover(cott_graph(rep, [F(1, 2), 1, 1])) == (0,)
+    with pytest.raises(InvariantViolation, match="^vertex 0: weight must be"):
+        cott_graph(rep, [0.5, 1, 1])
 
 
 def test_peo_min_right_names_the_first_gap():
@@ -172,6 +201,20 @@ def test_longest_path_caterpillar_with_legs():
     path = longest_path_caterpillar(g)
     assert len(path) == 3
     assert path[1] == 1  # middle of the spine
+
+
+def test_path_and_triangle_helpers_refuse_vertices_outside_the_graph():
+    path = build_graph(Instance(F(0), tuple(interval(3 * j, 3 * j + 4) for j in range(5))))
+    for vertices, v in (([99], 99), ([-1, 0], -1), ([0, 1, 5], 5)):
+        with pytest.raises(InvariantViolation, match=f"^no vertex {v} in a graph on 5 vertices$"):
+            longest_path_caterpillar(path, vertices)
+    for n in (1, 2):
+        tri = build_graph(gen_advice_triangles(n, F(1))[0])
+        assert find_triangle(tri, tri.n) is None
+        assert find_triangle(tri, 0) == (0, 1, 2)
+        for start in (-3, -1, tri.n + 1):
+            with pytest.raises(InvariantViolation, match=rf"^triangle search start {start} outside \[0, {tri.n}\]$"):
+                find_triangle(tri, start)
 
 
 def test_longest_path_rejects_cycles():

@@ -29,16 +29,23 @@ functions whose inputs already passed them (`UNCHECKED_CALLERS`).
 The package re-exports exactly what it imports: the names ``__init__.py``
 imports equal its ``__all__``, and each one resolves on the package, so a
 half-removed export fails here.
+
+The package ships only what is used: every name in ``__all__`` is read by
+the code of another module (a docstring does not count), imported by the
+acceptance tests, or named in a code span of ``README.md``.  Test-only
+helpers live in the tests that use them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import querysort
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "querysort"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -303,3 +310,58 @@ def test_the_check_flags_a_half_removed_export():
 def test_init_reexports_what_it_imports():
     assert reexport_mismatch((SRC / "__init__.py").read_text()) == ([], [])
     assert [name for name in querysort.__all__ if not hasattr(querysort, name)] == []
+
+
+def names_in_code(source):
+    """Every name the code of ``source`` reads, as a name or an attribute, outside the
+    top-level function or class that defines that same name."""
+    names = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and name != owner and isinstance(node.ctx, ast.Load):
+                names.add(name)
+    return names
+
+
+def package_imports(source):
+    """The names ``source`` imports from the package."""
+    return {alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "querysort" for alias in node.names}
+
+
+def code_span_names(markdown):
+    """Every identifier inside a code span or fenced block of ``markdown``."""
+    return {word for span in re.findall(r"```.*?```|`[^`]+`", markdown, re.S) for word in re.findall(r"\w+", span)}
+
+
+def unused_exports(exports, sources, acceptance, readme):
+    """The names of ``exports`` that no module of ``sources`` reads in its code, that
+    ``acceptance`` does not import, and that ``readme`` does not name in code."""
+    used = set().union(*map(names_in_code, sources)) | package_imports(acceptance) | code_span_names(readme)
+    return sorted(set(exports) - used)
+
+
+def test_the_check_flags_an_unused_export():
+    sources = [
+        "from .core import dependent\n"
+        "def shrink(inst):\n"
+        "    'Like dependent_pairs, but smaller.'\n"
+        "    return shrink(inst)\n"
+        "Scalar = Fraction\n"
+        "def pairs(items):\n"
+        "    return [dependent(a, b) for a, b in items], core.sweep\n",
+    ]
+    acceptance = "from querysort import search\nfrom querysort.graph import walk\n"
+    readme = "The `build` step, then `cover(g)`; shrink and order\n```python\nfrom querysort import order\n```\n"
+    exports = ["Scalar", "build", "cover", "dependent", "dependent_pairs", "order", "pairs", "search", "shrink",
+               "sweep", "walk"]
+    assert unused_exports(exports, sources, acceptance, readme) == ["Scalar", "dependent_pairs", "pairs", "shrink"]
+
+
+def test_every_export_is_used_or_documented():
+    sources = [path.read_text() for path in MODULES]
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    readme = (ROOT / "README.md").read_text()
+    assert unused_exports(querysort.__all__, sources, acceptance, readme) == []

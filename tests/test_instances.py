@@ -1,5 +1,6 @@
 """Instance families, generators, and the canonical document format."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -11,7 +12,6 @@ from querysort import (
     InvariantViolation,
     ParseError,
     QuerysortError,
-    adversarial_search,
     asteroid_expected_edges,
     asteroid_realization,
     brute_force_optimum,
@@ -33,6 +33,7 @@ from querysort import (
     interval,
     is_chordal,
     optimum_query_set,
+    scalar,
     serialize,
     simple_adaptive,
 )
@@ -316,6 +317,33 @@ def test_asteroid_realizations():
 # ---------------------------------------------------------------------------
 # Adversarial grid search
 # ---------------------------------------------------------------------------
+
+
+def adversarial_search(intervals, delta, value_grids, score, limit=200_000):
+    """Grid search for the value assignment maximizing a score.
+
+    Tries every combination from ``value_grids`` (one candidate list per
+    interval), skipping assignments that fall outside their intervals, and
+    returns the best score with a witnessing instance.  It confirms that a
+    family's pinned realization is the worst case on its natural grid.
+    """
+    total = 1
+    for g in value_grids:
+        total *= max(1, len(g))
+    if total > limit:
+        raise InvariantViolation(f"value grid too large ({total} > {limit})")
+    d = scalar(delta)
+    best = F(-1)
+    best_inst = None
+    for combo in itertools.product(*value_grids):
+        values = tuple(scalar(v) for v in combo)
+        if any(not itv.contains(v) for itv, v in zip(intervals, values)):
+            continue
+        inst = Instance(d, tuple(intervals), values)
+        s = score(inst)
+        if s > best:
+            best, best_inst = s, inst
+    return best, best_inst
 
 
 def test_adversarial_search_recovers_worst_case():

@@ -76,6 +76,16 @@ def test_probability_rules():
         FIXED(F(3, 2))
 
 
+def test_half_rule_with_a_zero_center_weight():
+    """`HALF` returns 1 once ``W >= 2 w_b``, also at ``w_b = 0``, as `SQRT3` does."""
+    for w in (F(0), F(1, 3), F(5)):
+        assert HALF(w, F(0)) == SQRT3(w, F(0)) == 1
+        assert type(HALF(w, F(0))) is F
+    for w in (F(0), F(1, 3), F(1), F(2), F(5)):
+        for w_b in (F(1, 4), F(1), F(3, 2)):
+            assert HALF(w, w_b) == min(F(1), w / (2 * w_b))
+
+
 def test_coin_strategies_refuse_the_other_kind_of_rule():
     """`algorithm1` takes a bias, `algorithm2` a weight rule; everything else is refused
     with a `QuerysortError`, by the strategy and by the expectation walk alike."""
@@ -280,6 +290,36 @@ def test_algorithm1_refuses_a_refinement_environment():
         inst = gen_random(s, 6, F(0))
         with pytest.raises(InvariantViolation, match="runs on an Environment"):
             algorithm1(CpcpEnvironment(inst), FIXED(F(1, 2)), rng=RandomCoin(0))
+
+
+#: Every exact-model strategy, as ``run(env, inst)``.
+EXACT_MODEL = {
+    "run_oblivious": lambda env, inst: run_oblivious(env),
+    "simple_adaptive": lambda env, inst: simple_adaptive(env),
+    "simple_adaptive_stable_sort": lambda env, inst: simple_adaptive_stable_sort(env),
+    "vc_adaptive": lambda env, inst: vc_adaptive(env),
+    "algorithm1": lambda env, inst: algorithm1(env, FIXED(F(1, 2)), rng=RandomCoin(0)),
+    "algorithm2": lambda env, inst: algorithm2(env, HALF, rng=RandomCoin(0)),
+    "advice_half": lambda env, inst: advice_half(env, AdviceOracle(inst)),
+    "advice_lg3": lambda env, inst: advice_lg3(env, AdviceOracle(inst)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_MODEL))
+def test_exact_model_strategies_refuse_a_refinement_environment(name):
+    """Before any query, also through `online._spend`, which runs a play without its wrapper."""
+    inst = gen_random_scripted(3, 8, F(0))
+    message = r"^this strategy runs on an Environment \(each query reveals a value\)$"
+    env = CpcpEnvironment(inst)
+    with pytest.raises(InvariantViolation, match=message):
+        EXACT_MODEL[name](env, inst)
+    assert env.transcript == []
+    if name not in ("algorithm1", "algorithm2"):  # the coin-driven ones have no play to unwrap
+        env = CpcpEnvironment(inst)
+        extra = (AdviceOracle(inst),) if name.startswith("advice") else ()
+        with pytest.raises(InvariantViolation, match=message):
+            online._spend(getattr(online, name), env, *extra)
+        assert env.transcript == []
 
 
 def test_algorithm1_expected_lemma4():

@@ -25,6 +25,7 @@ from querysort import (
     CpcpEnvironment,
     Environment,
     Instance,
+    KnowledgeState,
     RandomCoin,
     UncertainInterval,
     UnresolvedDependency,
@@ -212,7 +213,8 @@ def static_witnessed(delta):
 
 def check_build_graph(inst):
     edges = ref_edges(inst.intervals, inst.delta)
-    assert build_graph(inst).edges == build_graph(inst.intervals, inst.delta).edges == edges
+    state = KnowledgeState(inst.intervals, (0,) * inst.n, F(0))
+    assert build_graph(inst).edges == build_graph(state, inst.delta).edges == edges
     if edges:
         i, j = min(edges)
         try:

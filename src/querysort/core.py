@@ -86,15 +86,18 @@ def _le(a: Fraction, b: Fraction) -> bool:
     return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a float precision equal to a cached one is still refused
 def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(m) <= hi`` with ``hi - lo <= precision``.
 
     Newton iteration from an integer seed; every iterate stays an upper
     bound, and ``m / upper`` is a matching lower bound.  Used where an
     irrational constant (``sqrt(3)``) must enter an otherwise exact
-    computation as a certified interval.  Pure, so memoized.
+    computation as a certified interval.  Pure, so memoized.  The precision
+    must be a positive scalar: at zero or below the iteration never ends.
     """
+    if (precision := scalar(precision)) <= 0:
+        raise InvariantViolation(f"square root precision must be positive, got {precision}")
     if m < 0:
         raise InvariantViolation("square root of a negative number requested")
     m = Fraction(m)

@@ -188,7 +188,12 @@ def peo_min_right(g: DependencyGraph) -> tuple[int, ...]:
     """
     if g.his is None:
         raise InvariantViolation("peo_min_right needs the underlying intervals")
-    order = tuple(sorted(range(g.n), key=g.his.__getitem__))  # stable: ties keep index order
+    return _by_right_end(g, range(g.n))
+
+
+def _by_right_end(g: DependencyGraph, vertices: Sequence[int]) -> tuple[int, ...]:
+    """`peo_min_right` on ``vertices`` (ascending), which hold every neighbour of each one."""
+    order = tuple(sorted(vertices, key=g.his.__getitem__))  # stable: ties keep index order
     bad = _non_simplicial(g, order)
     if bad is not None:
         v, a, b = bad
@@ -203,19 +208,18 @@ def mcs_peo(g: DependencyGraph) -> tuple[int, ...]:
     smallest index) and returns the reverse visiting order.  On a chordal
     graph the result is always a valid elimination ordering.
     """
-    visited = [False] * g.n
-    score = [0] * g.n
-    visit_order = []
-    for _ in range(g.n):
-        v = max(
-            (v for v in range(g.n) if not visited[v]),
-            key=lambda v: (score[v], -v),
-        )
-        visited[v] = True
+    return _mcs(g, range(g.n))
+
+
+def _mcs(g: DependencyGraph, vertices: Sequence[int]) -> tuple[int, ...]:
+    """`mcs_peo` on ``vertices``, which hold each one's neighbours: an isolated vertex moves no score."""
+    score, visit_order = dict.fromkeys(vertices, 0), []
+    while score:
+        v = max(score, key=lambda v: (score[v], -v))
+        del score[v]
         visit_order.append(v)
-        for u in g.adj[v]:
-            if not visited[u]:
-                score[u] += 1
+        for u in g.adj[v] & score.keys():
+            score[u] += 1
     return tuple(reversed(visit_order))
 
 
@@ -235,28 +239,29 @@ def max_weight_independent_set(g: DependencyGraph) -> tuple[int, ...]:
     weight, mark it and charge that amount against its later neighbors.
     A backward pass keeps the marked vertices that are not blocked by an
     already-kept neighbor.  Exact on chordal graphs; `NotChordal` if no
-    elimination ordering exists.  The residuals are ints on the lcm grid of
-    the weights (`grid_ints`), which keeps every decision exact.
+    elimination ordering exists.  Only vertices with an edge are walked, as
+    ints on the lcm grid of their weights (`grid_ints`), which keeps every
+    decision exact; an isolated vertex is kept exactly when its weight is positive.
     """
+    active = [v for v in range(g.n) if g.adj[v]]
     if g.his is not None:
-        order = peo_min_right(g)
+        order = _by_right_end(g, active)
     else:
-        order = mcs_peo(g)
-        if not verify_peo(g, order):
+        order = _mcs(g, active)
+        if _non_simplicial(g, order) is not None:
             raise NotChordal("graph has no perfect elimination ordering")
     pos = {v: k for k, v in enumerate(order)}
-    _, residual = grid_ints(g.weights)
-    marked = [False] * g.n
+    residual = dict(zip(active, grid_ints([g.weights[v] for v in active])[1]))
+    marked = []
     for v in order:
-        if residual[v] > 0:
-            marked[v] = True
-            take = residual[v]
+        if (take := residual[v]) > 0:
+            marked.append(v)
             for u in g.adj[v]:
                 if pos[u] > pos[v]:
                     residual[u] = max(0, residual[u] - take)
-    chosen: set[int] = set()
-    for v in reversed(order):
-        if marked[v] and not (g.adj[v] & chosen):
+    chosen = {v for v in range(g.n) if not g.adj[v] and g.weights[v] > 0}
+    for v in reversed(marked):
+        if not (g.adj[v] & chosen):
             chosen.add(v)
     return tuple(sorted(chosen))
 

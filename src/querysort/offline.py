@@ -71,14 +71,14 @@ def forced_query_set(inst: Instance) -> frozenset[int]:
 
 
 def feasible_query_set(inst: Instance, query_set) -> bool:
-    """Does revealing exactly these items leave no dependent pair?  The first
-    index that names no item raises `InvariantViolation`."""
+    """Does revealing exactly these items leave no dependent pair?  The first entry
+    that is not an int in ``[0, n)`` (a bool is refused) raises `InvariantViolation`."""
     if inst.values is None:
         raise MissingRealization("feasibility needs the hidden values")
     chosen = set()
     for i in query_set:
-        if not 0 <= i < inst.n:
-            raise InvariantViolation(f"query index {i} names no item (n = {inst.n})")
+        if type(i) is not int or not 0 <= i < inst.n:
+            raise InvariantViolation(f"query index {i!r} names no item (n = {inst.n})")
         chosen.add(i)
     grid = inst.grid
     los = [grid.values[i] if i in chosen else lo for i, lo in enumerate(grid.los)]
@@ -102,11 +102,11 @@ def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
 
 
 def _unforced_graph(inst: Instance, forced: frozenset[int]) -> DependencyGraph:
-    """The dependency graph on the unforced vertices; forced ones stay, isolated."""
+    """The dependency graph on the unforced vertices, weighted in cost units; forced ones stay, isolated."""
     grid = inst.grid
     rest = (v for v in range(inst.n) if v not in forced)
     return DependencyGraph(inst.n, sweep_pairs(grid.los, grid.his, grid.delta, rest),
-                           inst.costs, inst.intervals, grid.los, grid.his)
+                           inst.cost_grid[1], inst.intervals, grid.los, grid.his)
 
 
 def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:

@@ -47,6 +47,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, prod
 from typing import Callable, Iterator, Optional, Union
 
 from .core import (
@@ -159,9 +160,17 @@ def FIXED(p) -> Fraction:
     return p
 
 
+def _rule_weights(*weights) -> list[Fraction]:
+    """A probability rule's weights as scalars, each refused when negative."""
+    if min(weights := [scalar(w) for w in weights]) < 0:
+        raise InvariantViolation(f"rule weights must be non-negative, got {', '.join(map(str, weights))}")
+    return weights
+
+
 def HALF(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
     """``min(1, W / (2 w_b))``: ``W`` is the trial's neighbor weight sum, ``w_b``
     the trial center's weight."""
+    neighbor_weight, center_weight = _rule_weights(neighbor_weight, center_weight)
     if neighbor_weight >= 2 * center_weight:  # also when w_b = 0, as in `SQRT3`
         return Fraction(1)
     return neighbor_weight / (2 * center_weight)
@@ -170,6 +179,7 @@ def HALF(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
 def SQRT3(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
     """``min(1, W / (w_b sqrt(3)))`` -- `HALF`'s shape with a better constant,
     kept exact via `Sqrt3Prob`."""
+    neighbor_weight, center_weight = _rule_weights(neighbor_weight, center_weight)
     if neighbor_weight ** 2 >= 3 * center_weight ** 2:
         return Fraction(1)
     return Sqrt3Prob(neighbor_weight, center_weight)
@@ -210,7 +220,7 @@ class QueryEnvironment:
         self.transcript: list[tuple] = []
         self._flushed: tuple = (None, None)  # transcript lengths at the last value and static flushes
         pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
-        self._graph = DependencyGraph(instance.n, pairs, instance.costs, self._current, self._lo, self._hi)
+        self._graph = DependencyGraph(instance.n, pairs, self._units, self._current, self._lo, self._hi)
 
     @property
     def n(self) -> int:
@@ -230,7 +240,7 @@ class QueryEnvironment:
         object, each query narrows it in place, and its ``intervals`` is this
         environment's own list.  So a graph, ``adj`` set or ``intervals`` held
         across a query shows the state after it; copy what must stay fixed
-        (``sorted(...)``) first.
+        (``sorted(...)``) first.  Its ``weights`` are the items' cost units.
         """
         return self._graph
 
@@ -242,7 +252,7 @@ class QueryEnvironment:
         twin._hi = list(self._hi)
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
-        twin._graph = DependencyGraph(self.n, (), self.instance.costs, twin._current, twin._lo, twin._hi)
+        twin._graph = DependencyGraph(self.n, (), self._units, twin._current, twin._lo, twin._hi)
         twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
         return twin
 
@@ -853,7 +863,7 @@ def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
             break
         start += 1
     neighbor_weight = sum([residual[u] for u in targets])  # in units: both rules are scale-free
-    return rule(Fraction(neighbor_weight), Fraction(residual[b])), _query_all([b]), _query_all(targets)
+    return rule(neighbor_weight, residual[b]), _query_all([b]), _query_all(targets)
 
 
 def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
@@ -922,12 +932,6 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _ceil_log2(m: int) -> int:
-    if m < 1:
-        raise InvariantViolation("ceil_log2 of a non-positive number")
-    return (m - 1).bit_length()
-
-
 class AdviceOracle:
     """Answers questions about one fixed optimum query set.
 
@@ -960,10 +964,8 @@ class AdviceOracle:
 
     @property
     def bits_used(self) -> int:
-        product = 1
-        for size in self.question_sizes:
-            product *= size
-        return _ceil_log2(product) if product > 1 else 0
+        """ceil(log2) of the product of the question sizes, or 0 when it is at most 1."""
+        return max(prod(self.question_sizes) - 1, 0).bit_length()
 
 
 @_played
@@ -996,8 +998,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
             remembered = sorted(group & known_out)
             if remembered:
                 # Everything else in a clique must be in the optimum.
-                for u in sorted(group - {remembered[0]}):
-                    env.query(u)
+                _query_all(sorted(group - {remembered[0]}))(env)
                 _flush_value_witnesses(env)
                 continue
             i = min(group, key=lambda w: (g.los[w], w))
@@ -1015,8 +1016,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
             i = leaves[0]
             (j,) = g.adj[i]
             if j in known_out:
-                for u in sorted(g.adj[j]):
-                    env.query(u)
+                _query_all(sorted(g.adj[j]))(env)
                 _flush_value_witnesses(env)
                 continue
             if i in known_out:
@@ -1028,8 +1028,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
             env.query(j)
         else:
             known_out.add(j)
-            for u in sorted(g.adj[j]):
-                env.query(u)
+            _query_all(sorted(g.adj[j]))(env)
         _flush_value_witnesses(env)
     return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
 
@@ -1059,8 +1058,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
             y = oracle.ask_excluded(group, x)
             if y != x:
                 known_out.add(y)
-        for u in sorted(group - {y}):
-            env.query(u)
+        _query_all(sorted(group - {y}))(env)
         _flush_value_witnesses(env)
     return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
 
@@ -1095,14 +1093,20 @@ def _copy_state(state):
     return tuple(copy.copy(part) for part in state)
 
 
+def _lowest(e: int, m: int, d: int) -> tuple:
+    g = gcd(e, m, d)  # without it, d grows with the size of the tree, not its depth
+    return e // g, m // g, d // g
+
+
 def _join(a: tuple, b: tuple) -> tuple:
-    """Two independent parts as one, each an (expected spend, mass) pair."""
-    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+    """Two independent parts as one, each an (expected spend, mass, denominator) int triple."""
+    return _lowest(a[0] * b[1] + b[0] * a[1], a[1] * b[1], a[2] * b[2])
 
 
-def _mix(x: Fraction, a: tuple, y: Fraction, b: tuple) -> tuple:
-    """The (expected spend, mass) pair of side ``a`` weighted ``x`` and side ``b`` ``y``."""
-    return x * a[0] + y * b[0], x * a[1] + y * b[1]
+def _mix(x: tuple, a: tuple, y: tuple, b: tuple) -> tuple:
+    """The triple of side ``a`` weighted ``x`` and side ``b`` ``y``, each an int pair (num, den)."""
+    u, w = x[0] * y[1] * b[2], y[0] * x[1] * a[2]
+    return _lowest(u * a[0] + w * b[0], u * a[1] + w * b[1], x[1] * y[1] * a[2] * b[2])
 
 
 def expected_cost_exact(
@@ -1122,8 +1126,8 @@ def expected_cost_exact(
     components run as they would alone, on independent coins.  Parts join by
     mass: ``e = Σ_C e_C Π_{D≠C} m_D`` and ``m = Π_C m_C``, where ``e`` sums
     path factor × spend over a part's leaves and ``m`` sums path factors.
-    Spends are cost units, divided by the scale once at the end (both are
-    linear in spend).  The root is not split: before `algorithm2`'s first flush, a value witness
+    Both are int triples over a shared denominator (`_mix`, `_join`), with
+    spends in cost units, divided by the scale once at the end.  The root is not split: before `algorithm2`'s first flush, a value witness
     pending in one component is flushed at another component's first step.
     Each component's walk starts its own picks (heaps and pointers) over its
     vertices in O(|C|); residuals and frozen spines stay shared.
@@ -1141,8 +1145,8 @@ def expected_cost_exact(
     memo: dict = {}  # component key -> its subtree
 
     def walk(env: Environment, state, above: int, base: int) -> tuple:
-        """The subtree at ``env``: (most real flips on a path, lo, hi), each end an (expected
-        spend in cost units since ``base``, mass) pair; ``above`` counts flips on its path outside it."""
+        """The subtree at ``env``: (most real flips on a path, lo, hi), each end an (expected spend in cost
+        units since ``base``, mass, denominator) triple; ``above`` counts flips on its path outside it."""
         while (step := trial(env, rule, state)) is not None:
             p, heads, tails = step
             outcome = _certain(p)
@@ -1151,16 +1155,17 @@ def expected_cost_exact(
             (heads if outcome else tails)(env)
             _flush_value_witnesses(env)
         else:
-            leaf = (_edgeless_paid(env, "a coin-tree leaf") - base, Fraction(1))
+            leaf = (_edgeless_paid(env, "a coin-tree leaf") - base, 1, 1)
             return 0, leaf, leaf
         if above >= _MAX_COIN_DEPTH:
             raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
         p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
+        (ln, ld), (hn, hd) = (p_lo.numerator, p_lo.denominator), (p_hi.numerator, p_hi.denominator)
         twin, twin_state = env._fork(), _copy_state(state)
         t = split(env, state, tails, above + 1, base)
         h = split(twin, twin_state, heads, above + 1, base)
-        lo = _mix(p_lo, h[1], 1 - p_hi, t[1])  # and hi, unless an end differs: computed once
-        hi = lo if p_lo is p_hi and h[1] is h[2] and t[1] is t[2] else _mix(p_hi, h[2], 1 - p_lo, t[2])
+        lo = _mix((ln, ld), h[1], (hd - hn, hd), t[1])  # and hi, unless an end differs: computed once
+        hi = lo if p_lo is p_hi and h[1] is h[2] and t[1] is t[2] else _mix((hn, hd), h[2], (ld - ln, ld), t[2])
         return 1 + max(h[0], t[0]), lo, hi
 
     def split(env: Environment, state, side, above: int, base: int) -> tuple:
@@ -1180,7 +1185,7 @@ def expected_cost_exact(
                 flips += memo[k][0]
         if flips > _MAX_COIN_DEPTH:
             raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
-        lo = hi = (at - base, Fraction(1))
+        lo = hi = (at - base, 1, 1)
         for _, k in parts:
             _, part_lo, part_hi = memo[k]
             joined = _join(lo, part_lo)  # and hi, unless an end differs: computed once
@@ -1188,6 +1193,6 @@ def expected_cost_exact(
         return flips - above, lo, hi
 
     env = Environment(inst)
-    _, (e_lo, _), (e_hi, _) = walk(env, start(env, rule), 0, 0)
-    e_lo, e_hi = Fraction(e_lo, env._scale), Fraction(e_hi, env._scale)
+    _, (e_lo, _, d_lo), (e_hi, _, d_hi) = walk(env, start(env, rule), 0, 0)
+    e_lo, e_hi = Fraction(e_lo, d_lo * env._scale), Fraction(e_hi, d_hi * env._scale)
     return e_lo if e_lo == e_hi else (e_lo, e_hi)

@@ -1,6 +1,10 @@
 """Interval arithmetic, predicates, instance validation, permutations."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +74,46 @@ def test_isqrt_bounds_exact_square():
     lo, hi = isqrt_bounds(4, F(1, 1000))
     assert lo <= 2 <= hi
     assert hi - lo <= F(1, 1000)
+
+
+#: Each refused precision, run in a child process so that a regression to the endless
+#: iteration fails on the timeout instead of hanging the suite.  ``0.5`` follows a call at
+#: ``F(1, 2)``, whose cached answer it must not get; the last two go through `Sqrt3Prob`.
+PRECISION_SCRIPT = """
+from fractions import Fraction as F
+from querysort import InvariantViolation, Sqrt3Prob, isqrt_bounds
+isqrt_bounds(3, F(1, 2))
+for call in (lambda: isqrt_bounds(4, F(0)), lambda: isqrt_bounds(3, F(-1)), lambda: isqrt_bounds(0, F(0)),
+             lambda: isqrt_bounds(3, "x"), lambda: isqrt_bounds(3, 0.5), lambda: isqrt_bounds(3, True),
+             lambda: Sqrt3Prob(1, 1).enclosure(F(0)), lambda: Sqrt3Prob(1, 1).enclosure(0.25)):
+    try:
+        print("returned", call())
+    except InvariantViolation as exc:
+        print(exc)
+"""
+
+
+def test_isqrt_bounds_refuses_a_precision_that_is_not_positive():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", PRECISION_SCRIPT], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr
+    floats = "floats are not allowed as scalars (got {}); pass an int, Fraction, or string like '5/2'"
+    assert done.stdout.splitlines() == [
+        "square root precision must be positive, got 0",
+        "square root precision must be positive, got -1",
+        "square root precision must be positive, got 0",
+        "not a rational number: 'x'",
+        floats.format("0.5"),
+        floats.format("True"),
+        "square root precision must be positive, got 0",
+        floats.format("0.25"),
+    ]
+
+
+def test_isqrt_bounds_reads_its_precision_as_a_scalar():
+    assert isqrt_bounds(3, "1/1000") == isqrt_bounds(3, F(1, 1000))
+    assert isqrt_bounds(4, 1) == isqrt_bounds(4, F(1))
 
 
 # ---------------------------------------------------------------------------

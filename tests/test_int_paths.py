@@ -20,6 +20,7 @@ two rules on unit weights against the same rules on `Fraction` weights.
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -293,6 +294,29 @@ def test_independent_set_takes_int_weights():
     assert max_weight_independent_set(g) == (0, 2)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_cover_skips_isolated_vertices_as_the_reference_walks_them(seed):
+    """On sparse interval graphs (n from 20 to 78) holding isolated vertices of weight
+    zero and of positive weight, with int and with `Fraction` weights, by either
+    elimination order: the independent set equals the reference's, which walks every
+    vertex, an isolated vertex is in it exactly when its weight is positive, and the
+    cover is its complement."""
+    rng = random.Random(seed)
+    n = 20 + 2 * seed
+    g = build_graph(make_instance(seed, n, F(1, 2), 4 * n + 1))
+    isolated = [v for v in range(n) if not g.adj[v]]
+    assert len(isolated) >= 2 and g.edges
+    units = [rng.choice((0, rng.randint(1, 40))) for _ in range(n)]
+    units[isolated[0]], units[isolated[-1]] = 0, rng.randint(1, 40)
+    den = rng.choice(DENOMINATORS)
+    for weights in (units, [F(u, den) for u in units], mixed_weights(rng, n)):
+        for graph in (DependencyGraph(n, g.edges, weights, his=g.his), DependencyGraph(n, g.edges, weights)):
+            kept = max_weight_independent_set(graph)
+            assert kept == ref_max_weight_independent_set(graph)
+            assert [v for v in isolated if v in kept] == [v for v in isolated if weights[v] > 0]
+            assert min_cost_vertex_cover(graph) == tuple(v for v in range(n) if v not in kept)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(crowded_instances(), wide_instances()), st.integers(0, 2 ** 32))
 def test_optimum_costs_sum_on_ints(inst, seed):
@@ -525,3 +549,44 @@ def test_refinement_replies_reuse_entries_with_the_flat_cost():
     assert env.query(1) == UncertainInterval(F(3), F(3), F(1))
     assert [charge for _, _, charge in env.transcript] == [F(1, 3), F(0), F(1)]
     assert env.state().spent == F(4, 3) and (env._paid, env._scale) == (8, 6)  # the item cost 3/2 is on the grid too
+
+
+# ---------------------------------------------------------------------------
+# The coin-tree walk on ints
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+@pytest.mark.parametrize("rule", [HALF, SQRT3], ids=["half", "sqrt3"])
+def test_int_walk_matches_the_stack_walk_on_long_cost_paths(n, rule):
+    """Past n = 10, on the cost paths that branch most: both ends of the square-root
+    enclosure, and the one value under `HALF`, equal the `Fraction` stack walk's."""
+    inst = gen_cost_path(n, F(1, 1000))
+    got = expected_cost_exact(algorithm2, inst, rule)
+    assert isinstance(got, tuple) == (rule is SQRT3)
+    assert got == stack_expected_cost(algorithm2, inst, rule)
+
+
+@pytest.mark.parametrize("algorithm, rule, inst", [
+    (algorithm1, FIXED(F(1, 3)), gen_independent_pairs(6)),
+    (algorithm1, FIXED(F(1, 2)), with_costs(gen_independent_pairs(5), [F(5, 3)] * 10)),
+    (algorithm2, HALF, gen_cost_path(12, F(1, 1000))),
+    (algorithm2, SQRT3, gen_cost_path(12, F(1, 1000))),
+    (algorithm2, SQRT3, with_costs(gen_independent_pairs(4), [F(k + 1, 7) for k in range(8)])),
+], ids=["alg1-third", "alg1-rational-costs", "half", "sqrt3", "sqrt3-pairs"])
+def test_the_walk_mixes_and_joins_only_ints(monkeypatch, algorithm, rule, inst):
+    """`_mix` and `_join` take int pairs and triples and return an int triple in lowest
+    terms, so no `Fraction` arithmetic creeps back into the walk and its denominators
+    stay bounded by the depth of the tree."""
+    calls = {"_mix": 0, "_join": 0}
+    for name in calls:
+        def checked(*args, inner=getattr(online, name), name=name):
+            calls[name] += 1
+            out = inner(*args)
+            assert all(type(x) is int for part in (*args, out) for x in part), (name, args, out)
+            assert len(out) == 3 and math.gcd(*out) == 1, (name, out)
+            return out
+        monkeypatch.setattr(online, name, checked)
+    want = stack_expected_cost(algorithm, inst, rule)
+    assert expected_cost_exact(algorithm, inst, rule) == want
+    assert calls["_mix"] > 0 and calls["_join"] > 0, calls

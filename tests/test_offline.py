@@ -6,6 +6,7 @@ here, as that search's reference.
 """
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -130,6 +131,32 @@ def test_canonical_optimum_matches_brute_force():
     for k, inst in enumerate(cases):
         cost, minimizers = brute_force_optimum(inst)
         assert canonical_optimum(inst) == (cost, minimizers[0]), k
+
+
+def test_optimum_with_zero_cost_items_matches_brute_force():
+    """Zero-cost items, isolated in the unforced graph or on one of its edges: the
+    polynomial optimum is one of brute force's minimizers, at the same cost.  An
+    isolated zero-cost item stays in the cover, as a free and harmless query."""
+    rng, isolated_free, dependent_free = random.Random(23), 0, 0
+    for s in range(240):
+        inst = with_costs(gen_random(s, 2 + s % 12, (F(0), F(1, 2), F(1))[s % 3], cost_model="rational-range"), rng)
+        chosen, cost = optimum_query_set(inst)
+        best, minimizers = brute_force_optimum(inst)
+        assert cost == best and chosen in minimizers, s
+        graph = build_graph(inst)
+        free = [v for v in range(inst.n) if inst.intervals[v].cost == 0 and v not in forced_query_set(inst)]
+        assert all(v in chosen for v in free if not graph.adj[v]), s
+        isolated_free += sum(1 for v in free if not graph.adj[v])
+        dependent_free += sum(1 for v in free if graph.adj[v])
+    assert isolated_free > 50 and dependent_free > 50, (isolated_free, dependent_free)
+
+
+def test_feasible_query_set_refuses_an_entry_that_is_not_an_int():
+    inst = gen_nested_star(4)
+    for query_set, shown in ((["a"], "'a'"), ([True], "True"), ([0, False], "False"), ([1.0], "1.0"),
+                             ([F(1)], "Fraction(1, 1)")):
+        with pytest.raises(InvariantViolation, match=re.escape(f"query index {shown} names no item (n = 4)")):
+            feasible_query_set(inst, query_set)
 
 
 def test_canonical_optimum_past_the_brute_force_guard():

@@ -8,6 +8,7 @@ leaf once, so it serves the larger differential cases.
 """
 
 import functools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -84,6 +85,27 @@ def test_half_rule_with_a_zero_center_weight():
     for w in (F(0), F(1, 3), F(1), F(2), F(5)):
         for w_b in (F(1, 4), F(1), F(3, 2)):
             assert HALF(w, w_b) == min(F(1), w / (2 * w_b))
+
+
+@pytest.mark.parametrize("rule", [HALF, SQRT3], ids=["half", "sqrt3"])
+def test_rules_check_their_weights(rule):
+    """Both rules read each weight as a scalar and refuse a negative one, on either side;
+    ints, strings and `Fraction`s of the same value give the same probability."""
+    floats = "floats are not allowed as scalars"
+    cases = [
+        ((0.5, 1), floats), ((1, 0.5), floats), ((True, 1), floats), ((1, False), floats),
+        (("x", 1), "not a rational number: 'x'"), ((None, 1), "cannot interpret NoneType as a scalar"),
+        ((F(-1), F(1)), "rule weights must be non-negative, got -1, 1"),
+        ((F(-2), F(1)), "rule weights must be non-negative, got -2, 1"),
+        ((F(1), F(-1, 3)), "rule weights must be non-negative, got 1, -1/3"),
+        ((-1, 1), "rule weights must be non-negative, got -1, 1"),
+        ((0, -5), "rule weights must be non-negative, got 0, -5"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            rule(*weights)
+    for w, w_b in ((1, 4), (3, 4), (7, 2), (5, 0), (0, 0)):
+        assert rule(w, w_b) == rule(F(w), F(w_b)) == rule(str(w), str(w_b))
 
 
 def test_coin_strategies_refuse_the_other_kind_of_rule():
@@ -726,7 +748,7 @@ def test_algorithm2_key_fixes_the_next_trial():
     env = Environment(gen_cost_path(6, F(1, 100)))
     state = start(env, HALF)
     lighter = online._copy_state(state)
-    lighter[0][0] /= 2
+    lighter[0][0] //= 2  # residuals are cost units
     biases = [trial(env._fork(), HALF, online._copy_state(s))[0] for s in (state, lighter)]
     assert biases == [F(1, 2), F(1, 4)]
     assert key(state, list(range(6))) != key(lighter, list(range(6)))

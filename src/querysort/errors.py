@@ -57,8 +57,8 @@ class TooLarge(QuerysortError):
 
 
 class TooManyBranches(QuerysortError):
-    """Some coin path of an exact expectation holds more real flips than the guard
-    allows; it bounds the flips on one path, not the branches walked."""
+    """An exact expectation's coin tree is too big to walk: more real flips than the
+    walk's node budget, or a coin path nested past the interpreter's recursion limit."""
 
 
 class DeltaNotZero(QuerysortError):

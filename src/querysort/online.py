@@ -138,10 +138,6 @@ class RandomCoin:
         return p.accepts(u) if isinstance(p, Sqrt3Prob) else u < p
 
 
-#: Depth guard: the coin tree of `expected_cost_exact` may not be deeper than this.
-_MAX_COIN_DEPTH = 20
-
-
 def _certain(p: Probability) -> Optional[bool]:
     """The outcome of a flip at ``p`` when it is certain (``p`` ≥ 1 or ≤ 0), else None."""
     if isinstance(p, Fraction):
@@ -182,7 +178,7 @@ def SQRT3(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
     neighbor_weight, center_weight = _rule_weights(neighbor_weight, center_weight)
     if neighbor_weight ** 2 >= 3 * center_weight ** 2:
         return Fraction(1)
-    return Sqrt3Prob(neighbor_weight, center_weight)
+    return Sqrt3Prob(neighbor_weight, center_weight) if neighbor_weight else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +427,10 @@ def _edgeless_paid(env: QueryEnvironment, where: str) -> int:
     return env._paid
 
 
-def _edgeless_spend(env: QueryEnvironment, where: str) -> Fraction:
-    """`_edgeless_paid` as a `Fraction`."""
-    return Fraction(_edgeless_paid(env, where), env._scale)
-
-
 def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> Fraction:
     """The spend of a deterministic ``strategy``'s run on ``env``, left unordered."""
     inspect.unwrap(strategy)(env, *args)
-    return _edgeless_spend(env, "the run's end")
+    return Fraction(_edgeless_paid(env, "the run's end"), env._scale)
 
 
 def _exact_model(env: QueryEnvironment) -> None:
@@ -740,17 +731,26 @@ def _query_pair(first: int, second: int) -> Callable[[QueryEnvironment], None]:
     return action
 
 
-def _run_trials(env: QueryEnvironment, rule, state, trial, rng) -> RunReport:
-    """Play ``trial`` to the end, taking the side of each coin step ``rng`` picks;
-    a certain step (p ≤ 0 or ≥ 1) consumes no randomness."""
+def _next_flip(env: QueryEnvironment, rule, state, trial) -> Optional[tuple]:
+    """Play ``trial``, taking each certain coin step (p ≤ 0 or ≥ 1) and flushing value
+    witnesses after it, up to the next real flip: its step, or None at the run's end."""
     while (step := trial(env, rule, state)) is not None:
         p, heads, tails = step
-        outcome = _certain(p)
-        if outcome is None:
-            if rng is None:
-                raise InvariantViolation("this run is randomized; pass rng=RandomCoin(seed)")
-            outcome = rng.flip(p)
+        if (outcome := _certain(p)) is None:
+            return step
         (heads if outcome else tails)(env)
+        _flush_value_witnesses(env)
+    return None
+
+
+def _run_trials(env: QueryEnvironment, rule, state, trial, rng) -> RunReport:
+    """Play ``trial`` to the end, taking the side of each real flip ``rng`` picks;
+    a certain step consumes no randomness."""
+    while (step := _next_flip(env, rule, state, trial)) is not None:
+        if rng is None:
+            raise InvariantViolation("this run is randomized; pass rng=RandomCoin(seed)")
+        p, heads, tails = step
+        (heads if rng.flip(p) else tails)(env)
         _flush_value_witnesses(env)
     return _finish(env)
 
@@ -1069,6 +1069,8 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
 
 #: Width of the rational enclosures used for symbolic probabilities.
 _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
+#: Node budget: one `expected_cost_exact` call walks at most this many real flips.
+_MAX_FLIPS_WALKED = 2 ** 16
 
 
 def _algorithm2_key(state, comp: list[int]) -> tuple:
@@ -1127,12 +1129,14 @@ def expected_cost_exact(
     mass: ``e = Σ_C e_C Π_{D≠C} m_D`` and ``m = Π_C m_C``, where ``e`` sums
     path factor × spend over a part's leaves and ``m`` sums path factors.
     Both are int triples over a shared denominator (`_mix`, `_join`), with
-    spends in cost units, divided by the scale once at the end.  The root is not split: before `algorithm2`'s first flush, a value witness
-    pending in one component is flushed at another component's first step.
-    Each component's walk starts its own picks (heaps and pointers) over its
+    spends in cost units, divided by the scale once at the end.  The root is
+    not split: before `algorithm2`'s first flush, a value witness pending in
+    one component is flushed at another component's first step.  Each
+    component's walk starts its own picks (heaps and pointers) over its
     vertices in O(|C|); residuals and frozen spines stay shared.
 
-    A coin path holding more than 20 real flips raises `TooManyBranches`.
+    Raises `TooManyBranches` past 2^16 real flips walked (a memo hit walks
+    none), or past the interpreter's recursion limit (about 490 on one path).
     Returns an exact rational when every probability is rational, and a
     rational enclosure ``(lo, hi)`` (width far below 1e-9) when the
     square-root rule is involved.
@@ -1143,56 +1147,51 @@ def expected_cost_exact(
             f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}"
         )
     memo: dict = {}  # component key -> its subtree
+    walked = 0  # real flips walked in this call; a memo hit walks none
 
-    def walk(env: Environment, state, above: int, base: int) -> tuple:
-        """The subtree at ``env``: (most real flips on a path, lo, hi), each end an (expected spend in cost
-        units since ``base``, mass, denominator) triple; ``above`` counts flips on its path outside it."""
-        while (step := trial(env, rule, state)) is not None:
-            p, heads, tails = step
-            outcome = _certain(p)
-            if outcome is None:
-                break
-            (heads if outcome else tails)(env)
-            _flush_value_witnesses(env)
-        else:
+    def walk(env: Environment, state, base: int) -> tuple:
+        """The subtree at ``env``: (lo, hi), each an (expected spend in cost units
+        since ``base``, mass, denominator) triple."""
+        nonlocal walked
+        if (step := _next_flip(env, rule, state, trial)) is None:
             leaf = (_edgeless_paid(env, "a coin-tree leaf") - base, 1, 1)
-            return 0, leaf, leaf
-        if above >= _MAX_COIN_DEPTH:
-            raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+            return leaf, leaf
+        if (walked := walked + 1) > _MAX_FLIPS_WALKED:
+            raise TooManyBranches(f"the coin tree has more than {_MAX_FLIPS_WALKED} real flips to walk")
+        p, heads, tails = step
         p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
         (ln, ld), (hn, hd) = (p_lo.numerator, p_lo.denominator), (p_hi.numerator, p_hi.denominator)
         twin, twin_state = env._fork(), _copy_state(state)
-        t = split(env, state, tails, above + 1, base)
-        h = split(twin, twin_state, heads, above + 1, base)
-        lo = _mix((ln, ld), h[1], (hd - hn, hd), t[1])  # and hi, unless an end differs: computed once
-        hi = lo if p_lo is p_hi and h[1] is h[2] and t[1] is t[2] else _mix((hn, hd), h[2], (ld - ln, ld), t[2])
-        return 1 + max(h[0], t[0]), lo, hi
+        t_lo, t_hi = split(env, state, tails, base)
+        h_lo, h_hi = split(twin, twin_state, heads, base)
+        lo = _mix((ln, ld), h_lo, (hd - hn, hd), t_lo)  # and hi, unless an end differs: computed once
+        hi = lo if p_lo is p_hi and h_lo is h_hi and t_lo is t_hi else _mix((hn, hd), h_hi, (ld - ln, ld), t_hi)
+        return lo, hi
 
-    def split(env: Environment, state, side, above: int, base: int) -> tuple:
+    def split(env: Environment, state, side, base: int) -> tuple:
         """`walk`'s subtree after taking ``side``: each dependent component left is
         walked once, in place, on a graph whose other edges are set aside."""
         side(env)
         _flush_value_witnesses(env)
         graph, adj, at = env.graph(), env.graph().adj, env._paid
         parts = [(comp, key(state, comp)) for comp in components(graph) if len(comp) > 1]
-        flips = above + sum(memo[k][0] for _, k in parts if k in memo)
         for comp, k in parts:
             if k not in memo:
                 inside = set(comp)
                 graph.adj = [nbrs if v in inside else set() for v, nbrs in enumerate(adj)]
-                memo[k] = walk(env, start(env, rule, state, comp), flips, env._paid)
+                memo[k] = walk(env, start(env, rule, state, comp), env._paid)
                 graph.adj = adj
-                flips += memo[k][0]
-        if flips > _MAX_COIN_DEPTH:
-            raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
         lo = hi = (at - base, 1, 1)
         for _, k in parts:
-            _, part_lo, part_hi = memo[k]
+            part_lo, part_hi = memo[k]
             joined = _join(lo, part_lo)  # and hi, unless an end differs: computed once
             lo, hi = joined, joined if lo is hi and part_lo is part_hi else _join(hi, part_hi)
-        return flips - above, lo, hi
+        return lo, hi
 
     env = Environment(inst)
-    _, (e_lo, _, d_lo), (e_hi, _, d_hi) = walk(env, start(env, rule), 0, 0)
+    try:
+        (e_lo, _, d_lo), (e_hi, _, d_hi) = walk(env, start(env, rule), 0)
+    except RecursionError:  # each real flip on a path nests one `walk` and one `split`
+        raise TooManyBranches("the coin tree has a path too deep for the interpreter's recursion limit") from None
     e_lo, e_hi = Fraction(e_lo, d_lo * env._scale), Fraction(e_hi, d_hi * env._scale)
     return e_lo if e_lo == e_hi else (e_lo, e_hi)

@@ -1,0 +1,78 @@
+"""The randomized guarantees, checked exactly on sparse draws far past the
+acceptance criteria's n ≤ 10.
+
+`expected_cost_exact` walks each dependent component once under a node budget
+(real flips walked, memo hits excluded), so a sparse draw at n = 2 000 takes a
+few hundred flips, not a coin path per leaf.  Each expectation is compared
+with `optimum_query_set`, the exact polynomial optimum.  The draws are
+`test_local_picks.sparse`: starts on the half-integer grid over [0, 4n],
+widths up to 12, so the mean degree stays near 1.5 at every n.
+"""
+
+import inspect
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from querysort import (
+    FIXED,
+    HALF,
+    SQRT3,
+    TooManyBranches,
+    algorithm1,
+    algorithm2,
+    expected_cost_exact,
+    gen_cost_path,
+    optimum_query_set,
+)
+from querysort import online
+from test_grid_keys import at_zero, uniform
+from test_local_picks import sparse
+
+
+def below_sqrt3_bound(cost, opt):
+    """Exactly ``cost ≤ (1 + 4/(3√3)) · opt``: with ``r = cost/opt − 1``, ``r ≤ 0`` or ``27 r² ≤ 16``."""
+    r = cost / opt - 1
+    return r <= 0 or 27 * r * r <= 16
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+def test_fair_coin_is_within_three_halves(n):
+    """`algorithm1` with a fair coin, at threshold 0 and unit costs."""
+    inst = uniform(at_zero(sparse(n, F(0))))
+    _, opt = optimum_query_set(inst)
+    assert expected_cost_exact(algorithm1, inst, FIXED(F(1, 2))) <= F(3, 2) * opt
+
+
+def test_algorithm2_is_within_its_bounds():
+    """`algorithm2` at n = 400, threshold 1/2, rational costs: within 57/32 under
+    `HALF`, and the upper end of the `SQRT3` enclosure within 1 + 4/(3√3)."""
+    inst = sparse(400, F(1, 2))
+    _, opt = optimum_query_set(inst)
+    assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
+    lo, hi = expected_cost_exact(algorithm2, inst, SQRT3)
+    assert lo <= hi and below_sqrt3_bound(hi, opt)
+
+
+def test_the_bounds_check_is_exact():
+    s_lo, s_hi = online.Sqrt3Prob(1, 1).enclosure(F(1, 10 ** 30))  # around 1/√3
+    assert below_sqrt3_bound(1 + 4 * s_lo / 3, F(1)) and not below_sqrt3_bound(1 + 4 * s_hi / 3, F(1))
+    assert below_sqrt3_bound(F(1, 2), F(1))
+
+
+def test_a_path_past_the_recursion_limit_is_refused():
+    """A cost path does not split: each real flip on its spine nests one `walk` and
+    one `split`.  Past the interpreter's recursion limit the walk is refused with
+    `TooManyBranches`, not a bare `RecursionError`; under the default limit the
+    same path is walked."""
+    inst = gen_cost_path(200, F(1, 10 ** 6))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 120)
+    try:
+        with pytest.raises(TooManyBranches, match="recursion limit"):
+            expected_cost_exact(algorithm2, inst, HALF)
+    finally:
+        sys.setrecursionlimit(limit)
+    _, opt = optimum_query_set(inst)
+    assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt

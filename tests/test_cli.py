@@ -30,6 +30,7 @@ from querysort import (
     gen_cost_path,
     gen_cpcp_adversary,
     gen_figure3_chain,
+    gen_independent_pairs,
     gen_laminar,
     gen_lemma4_pair,
     gen_lemma7_two_triangles,
@@ -40,7 +41,7 @@ from querysort import (
     serialize,
 )
 import querysort
-from querysort import cli
+from querysort import cli, online
 from querysort.cli import main
 
 STRATEGIES = ("oblivious", "simple", "stable_sort", "vc", "alg1", "alg2", "alg3", "advice_half", "advice_lg3")
@@ -205,6 +206,17 @@ def test_coin_bias_is_read_once_per_command(tmp_path, monkeypatch, capsys):
     assert main(["ratio", "alg1", "random", "--trials", "6", "--p", "1/3"]) == 0
     assert main(["solve", "alg1", write_doc(tmp_path, "a.json", gen_lemma4_pair(0)[0]), "--expected"]) == 0
     assert read.count("--p") == 2
+
+
+def test_solve_expected_walks_each_independent_pair_once(tmp_path, capsys, monkeypatch):
+    """21 independent pairs put 21 real flips on every coin path, but the walk takes
+    each pair's flip once; only a walk past the node budget is a model error."""
+    doc = write_doc(tmp_path, "pairs.json", gen_independent_pairs(21))
+    assert main(["solve", "alg1", doc, "--expected"]) == 0
+    assert "expected cost : 63/2 (~31.5)" in capsys.readouterr().out
+    monkeypatch.setattr(online, "_MAX_FLIPS_WALKED", 20)
+    assert main(["solve", "alg1", doc, "--expected"]) == 4
+    assert capsys.readouterr().err == "model error: the coin tree has more than 20 real flips to walk\n"
 
 
 def test_solve_advice_prints_bits(tmp_path, capsys):
@@ -550,8 +562,6 @@ def test_ratio_orders_no_run_and_solve_orders_one(tmp_path, capsys, monkeypatch,
     # `ratio` prints costs only, so its deterministic rows stop before `_finish`
     # and the final ordering; `solve` prints the ordering, and --expected does not
     # run again.  The stable sort orders inside its play, so `_finish` only checks it.
-    from querysort import online
-
     orderings = []
     for name in ("build_permutation", "_finish"):
         original = getattr(online, name)

@@ -456,7 +456,7 @@ def test_every_ledger_is_the_transcript_sum(family, delta, n):
         env = (CpcpEnvironment if name == "algorithm3_cpcp" else Environment)(case)
         report = run(env, case)
         want = ref_spend(env.transcript)
-        assert report.total_cost == env.state().spent == online._edgeless_spend(env, "the end") == want, name
+        assert report.total_cost == env.state().spent == F(online._edgeless_paid(env, "the end"), env._scale) == want, name
         assert type(report.total_cost) is type(env.state().spent) is F
         assert env._paid == want * env._scale
         assert all(charge is case.costs[i] for i, _, charge in env.transcript if name != "algorithm3_cpcp")
@@ -500,8 +500,9 @@ def rational_costs(inst, rng, uniform):
 @settings(max_examples=30, deadline=None)
 @given(crowded_instances(), st.integers(0, 2 ** 32))
 def test_expectation_in_units_matches_the_fraction_stack_walk(inst, seed):
-    """Crowded instances with rational costs, at most 10 items so that every coin tree
-    stays within the depth guard: each rule's expectation equals the stack walk's."""
+    """Crowded instances with rational costs, at most 10 items so that every coin
+    tree stays within the stack walk's depth guard: each rule's expectation
+    equals the stack walk's."""
     inst = Instance(inst.delta, inst.intervals[:10], inst.values[:10])
     rng = random.Random(seed)
     for algorithm, rule, uniform in ((algorithm1, FIXED(F(1, 2)), True), (algorithm1, FIXED(1), True),

@@ -57,7 +57,7 @@ from querysort import (
 from querysort import offline, online
 from querysort.core import Instance, isqrt_bounds
 from querysort.graph import build_graph
-from querysort.online import _ENCLOSURE_PRECISION, _MAX_COIN_DEPTH, QueryEnvironment, Sqrt3Prob
+from querysort.online import _ENCLOSURE_PRECISION, QueryEnvironment, Sqrt3Prob
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,9 @@ def test_rules_check_their_weights(rule):
     for weights, message in cases:
         with pytest.raises(InvariantViolation, match=re.escape(message)):
             rule(*weights)
-    for w, w_b in ((1, 4), (3, 4), (7, 2), (5, 0), (0, 0)):
+    for w, w_b in ((1, 4), (3, 4), (7, 2), (5, 0), (0, 0), (0, 4)):
         assert rule(w, w_b) == rule(F(w), F(w_b)) == rule(str(w), str(w_b))
+    assert rule(0, 4) == 0 and type(rule(0, 4)) is F  # no neighbour weight: never query the center
 
 
 def test_coin_strategies_refuse_the_other_kind_of_rule():
@@ -553,6 +554,10 @@ def test_expected_cost_refuses_other_strategies_and_rules():
         expected_cost_exact(algorithm1, inst, None)
 
 
+#: The oracles' own depth guard: neither walks a coin path with more real flips.
+MAX_ORACLE_DEPTH = 20
+
+
 class _Unscripted(Exception):
     pass
 
@@ -596,8 +601,8 @@ def replay_expected_cost(algorithm, inst, rule, *, leaves=None):
         try:
             report = algorithm(Environment(inst), rule=rule, rng=coin)
         except _Unscripted:
-            if len(script) >= _MAX_COIN_DEPTH:
-                raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+            if len(script) >= MAX_ORACLE_DEPTH:
+                raise TooManyBranches(f"more than 2^{MAX_ORACLE_DEPTH} coin branches")
             stack.append(script + (True,))
             stack.append(script + (False,))
             continue
@@ -625,8 +630,8 @@ def stack_expected_cost(algorithm, inst, rule):
             p, heads, tails = step
             outcome = online._certain(p)
             if outcome is None:
-                if depth >= _MAX_COIN_DEPTH:
-                    raise TooManyBranches(f"more than 2^{_MAX_COIN_DEPTH} coin branches")
+                if depth >= MAX_ORACLE_DEPTH:
+                    raise TooManyBranches(f"more than 2^{MAX_ORACLE_DEPTH} coin branches")
                 p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
                 depth += 1
                 stack.append((env._fork(), online._copy_state(state), heads, depth, lo * p_lo, hi * p_hi))
@@ -634,7 +639,7 @@ def stack_expected_cost(algorithm, inst, rule):
                 outcome = False
             (heads if outcome else tails)(env)
             online._flush_value_witnesses(env)
-        spent = online._edgeless_spend(env, "a coin-tree leaf")
+        spent = F(online._edgeless_paid(env, "a coin-tree leaf"), env._scale)
         e_lo += lo * spent
         e_hi += hi * spent
     return e_lo if e_lo == e_hi else (e_lo, e_hi)
@@ -759,13 +764,22 @@ def test_expected_cost_on_independent_components():
     assert expected_cost_exact(algorithm1, gen_independent_pairs(20), FIXED(F(1, 2))) == 30
 
 
-def test_expected_cost_depth_guard():
-    # 21 independent single-edge components: 21 fair flips on every path
-    inst = gen_independent_pairs(21)
-    for evaluate in (expected_cost_exact, replay_expected_cost):
-        with pytest.raises(TooManyBranches) as err:
-            evaluate(algorithm1, inst, FIXED(F(1, 2)))
-        assert str(err.value) == "more than 2^20 coin branches"
+def test_expected_cost_node_budget(monkeypatch):
+    """21 independent single-edge components put 21 fair flips on every coin path.
+    The replay oracle keeps its depth guard and refuses them; the split walk takes
+    each pair's flip once, 21 flips in all, and pays 3/2 per pair.  Only a walk
+    past the node budget is refused."""
+    inst, fair = gen_independent_pairs(21), FIXED(F(1, 2))
+    with pytest.raises(TooManyBranches) as err:
+        replay_expected_cost(algorithm1, inst, fair)
+    assert str(err.value) == "more than 2^20 coin branches"
+    assert expected_cost_exact(algorithm1, inst, fair) == F(63, 2)
+    monkeypatch.setattr(online, "_MAX_FLIPS_WALKED", 21)
+    assert expected_cost_exact(algorithm1, inst, fair) == F(63, 2)
+    monkeypatch.setattr(online, "_MAX_FLIPS_WALKED", 20)
+    with pytest.raises(TooManyBranches) as err:
+        expected_cost_exact(algorithm1, inst, fair)
+    assert str(err.value) == "the coin tree has more than 20 real flips to walk"
 
 
 def test_algorithm2_guarantees_at_scale():

@@ -401,8 +401,8 @@ def gen_nested_star(n: int) -> Instance:
     """
     if n < 2:
         raise InvariantViolation("need at least two intervals")
-    ivs = [interval(2 * i, 2 * i + 1) for i in range(n - 1)]
-    values = [scalar(2 * i) + Fraction(1, 2) for i in range(n - 1)]
+    ivs = [UncertainInterval(Fraction(2 * i), Fraction(2 * i + 1), _ONE) for i in range(n - 1)]
+    values = [Fraction(4 * i + 1, 2) for i in range(n - 1)]
     ivs.append(interval(-1, 2 * (n - 1)))
     values.append(scalar(-1))
     return Instance(Fraction(0), tuple(ivs), tuple(values))

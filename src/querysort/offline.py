@@ -9,13 +9,13 @@ graph -- so the exact optimum is polynomial.
 
 `canonical_optimum` finds the one optimum the advice oracle answers about,
 the smallest minimizer by sorted index tuple, greedily over the indices
-with one constrained vertex cover per step, each on an induced subgraph of
-the one graph it builds.  `brute_force_optimum`
+with one constrained vertex cover per vertex that has an edge, each on an
+induced subgraph of the one graph it builds.  `brute_force_optimum`
 recomputes the optimum and every minimizer by plain 2^n enumeration; it
 exists to ground-truth everything else and is deliberately unclever.
 `cpcp_brute_force_optimum` is the refinement-model optimum, found by a
-pruned depth-first search over script-prefix vectors; the plain scan of
-every vector is kept in the tests as its reference.
+pruned depth-first search over script-prefix vectors on grid ints; the tests
+keep the plain scan and the `Fraction` search as its references.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Optional
 
 from .core import (
     Instance,
-    UncertainInterval,
     dependent,
     is_trivial,
+    on_grid,
     refinement_steps,
     scalar,
     singleton_witness_value,
@@ -125,8 +125,8 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
     A left-out vertex forces its H-neighbours into the cover, so the test
     for v is one minimum-cost cover of what remains of v's component of H --
     an induced subgraph, so still chordal, taken from H's adjacency sets and
-    not rebuilt from intervals.  Other components are untouched by it, and
-    each keeps its own optimum.
+    not rebuilt from intervals; other components keep their own optimum.  An
+    isolated unforced v needs no cover: it is kept exactly when it is free.
     """
     forced = forced_query_set(inst)
     (scale, costs), grid = inst.cost_grid, inst.grid
@@ -145,7 +145,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
         cover = [free[k] for k in min_cost_vertex_cover(sub)]
         return sum(costs[u] for u in must + cover)
 
-    comps = components(h)
+    comps = [comp for comp in components(h) if len(comp) > 1]
     best = [cover_cost(comp, None) for comp in comps]
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
     uncovered = sum(len(nbrs) for nbrs in h.adj) // 2
@@ -155,7 +155,7 @@ def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:
             break
         if v in forced:
             missing -= 1
-        elif cover_cost(comps[comp_of[v]], v) != best[comp_of[v]]:
+        elif (cover_cost(comps[comp_of[v]], v) != best[comp_of[v]]) if v in comp_of else costs[v]:
             left_out.add(v)
             continue
         uncovered -= len(h.adj[v] - kept)
@@ -258,41 +258,41 @@ def cpcp_brute_force_optimum(
     smallest minimizing vector.  Items without a script get the 1-step
     script that jumps to their value.
 
-    Searched depth first in lexicographic order.  A branch is cut when its
-    newest interval is dependent on an earlier one (no completion is
-    feasible) or its partial cost reaches the best (costs are non-negative),
-    so it finds what a full scan of every vector finds.
+    Searched depth first in lexicographic order on `Instance.grid` endpoints
+    and `Instance.cost_grid` prices, which cover every script entry and step.
+    A branch is cut when its newest interval is dependent on an earlier one
+    (no completion is feasible) or its partial cost reaches the best (costs
+    are non-negative), so it finds what a full scan of every vector finds.
     """
     n = inst.n
-    steps: list[tuple[UncertainInterval, ...]] = []  # (interval,) + script
-    prefix_cost: list[list[Fraction]] = []
+    grid, scale, cost_scale = inst.grid, inst.grid.scale, inst.cost_grid[0]
+    steps: list[tuple[tuple[int, int], ...]] = []  # (lo, hi) of the interval, then of each script entry
+    prefix_cost: list[list[int]] = []  # in cost units
     total = 1
-    for i, itv in enumerate(inst.intervals):
+    for i in range(n):
         script, prices = refinement_steps(inst, i)
         total *= len(script) + 1
         if total > CPCP_ENUMERATION_LIMIT:
-            raise TooLarge(
-                f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors"
-            )
-        steps.append((itv,) + script)
-        prefix_cost.append([Fraction(0), *accumulate(prices)])
+            raise TooLarge(f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors")
+        steps.append(((grid.los[i], grid.his[i]), *((on_grid(e.lo, scale), on_grid(e.hi, scale)) for e in script)))
+        prefix_cost.append([0, *accumulate(on_grid(p, cost_scale) for p in prices)])
 
-    delta = inst.delta
-    best: Optional[Fraction] = None
+    d = grid.delta
+    best: Optional[int] = None
     best_vec: tuple[int, ...] = ()
 
-    def search(i: int, cost: Fraction, chosen: tuple, vec: tuple) -> None:
+    def search(i: int, cost: int, chosen: tuple, vec: tuple) -> None:
         nonlocal best, best_vec
         if i == n:
             best, best_vec = cost, vec
             return
-        for k, itv in enumerate(steps[i]):
+        for k, (lo, hi) in enumerate(steps[i]):
             c = cost + prefix_cost[i][k]
             if best is not None and c >= best:
                 return  # prefix costs never fall as k grows
-            if not any(dependent(other, itv, delta) for other in chosen):
-                search(i + 1, c, chosen + (itv,), vec + (k,))
+            if not any(b - lo > d and hi - a > d for a, b in chosen):
+                search(i + 1, c, chosen + ((lo, hi),), vec + (k,))
 
-    search(0, Fraction(0), (), ())
+    search(0, 0, (), ())
     assert best is not None  # full prefixes are feasible
-    return best, best_vec
+    return Fraction(best, cost_scale), best_vec

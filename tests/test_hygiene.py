@@ -10,6 +10,8 @@ float literal.
 
 No Fraction pair predicate inside a run: ``online.py`` names none of them, so
 every pair question a strategy asks goes to the environment's live graph.
+Offline, only the 2^n oracle `brute_force_optimum` names one: every other
+exact optimum decides on the instance's grid ints.
 
 No Fraction endpoint in a decision: ``online.py`` reads ``.lo``/``.hi`` only
 in ``CpcpEnvironment.__init__``, which builds the intervals its queries
@@ -110,15 +112,16 @@ def test_no_floats(path):
 PAIR_PREDICATES = {"dependent", "dependent_pairs", "singleton_witness_static", "singleton_witness_value"}
 
 
+def pair_predicate(node):
+    """The pair predicate a name, attribute or import names, or None."""
+    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+    return name if name in PAIR_PREDICATES else None
+
+
 def pair_predicate_sites(source):
     """``(line, name)`` for every name, attribute or import of a pair predicate."""
-    sites = []
-    for node in ast.walk(ast.parse(source)):
-        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias) else None)
-        if name in PAIR_PREDICATES:
-            sites.append((node.lineno, name))
-    return sorted(sites)
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source)) if (name := pair_predicate(node)))
 
 
 def test_the_check_flags_pair_predicates():
@@ -134,6 +137,33 @@ def test_the_check_flags_pair_predicates():
 
 def test_online_asks_the_live_graph():
     assert pair_predicate_sites((SRC / "online.py").read_text()) == []
+
+
+def pair_predicate_uses(source):
+    """``(enclosing function, line, name)`` for every use of a pair predicate: a name or
+    attribute anywhere, or an import that renames one (its uses then go by another name)."""
+    return sites_by_function(ast.parse(source), lambda node: pair_predicate(node) if (
+        not isinstance(node, ast.alias) or node.asname) else None)
+
+
+def test_the_check_flags_a_new_offline_pair_predicate():
+    source = (
+        "from .core import dependent, singleton_witness_value as witness\n"
+        "from . import core\n"
+        "def brute_force_optimum(inst):\n"
+        "    return dependent(1, 2, 0) and witness(1, 2, 0)\n"
+        "def canonical_optimum(inst):\n"
+        "    return core.dependent_pairs(inst.intervals, inst.delta)\n"
+    )
+    assert pair_predicate_uses(source) == [
+        ("", 1, "singleton_witness_value"), ("brute_force_optimum", 4, "dependent"),
+        ("canonical_optimum", 6, "dependent_pairs"),
+    ]
+
+
+def test_offline_leaves_pair_predicates_to_the_brute_force_oracle():
+    uses = pair_predicate_uses((SRC / "offline.py").read_text())
+    assert {where for where, _, _ in uses} == {"brute_force_optimum"}
 
 
 def sites_by_function(tree, label):

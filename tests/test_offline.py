@@ -1,14 +1,16 @@
 """Offline optimum: forced sets, feasibility, polynomial vs exhaustive.
 
 `scan_cpcp_optimum` is the plain scan of every script-prefix vector that
-the pruned search in `cpcp_brute_force_optimum` replaced; it lives only
-here, as that search's reference.
+the pruned search in `cpcp_brute_force_optimum` replaced, and
+`fraction_cpcp_optimum` is that pruned search deciding on `Fraction`s, before
+it moved to the instance's grid ints; both live only here, as references.
 """
 
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -35,9 +37,10 @@ from querysort import (
     oblivious_query_set,
     optimum_query_set,
 )
-from querysort.core import Instance, dependent
+from querysort.core import Instance, dependent, refinement_steps
 from querysort.graph import DependencyGraph, build_graph
 from querysort.offline import BRUTE_FORCE_LIMIT, CPCP_ENUMERATION_LIMIT
+from test_local_picks import sparse
 
 
 def test_forced_set_fig1():
@@ -167,6 +170,30 @@ def test_canonical_optimum_past_the_brute_force_guard():
     assert canonical_optimum(Instance(F(0), (), ())) == (0, frozenset())
 
 
+@pytest.mark.parametrize("n, delta", [(300, F(1)), (2000, F(1, 2))])
+def test_canonical_optimum_at_scale(n, delta):
+    """Far past brute force: a sparse draw with a third of its costs zero (`with_costs`),
+    then ``n // 10`` free intervals past its right end, each on its own.  The cost is
+    `optimum_query_set`'s, the set is feasible, and an isolated unforced vertex is kept
+    exactly when it is free and comes before the index where the scan stops, the first
+    at which the kept prefix is feasible."""
+    draw = with_costs(sparse(n, delta), random.Random(n))
+    top = max(itv.hi for itv in draw.intervals)
+    tail = [UncertainInterval(top + 2 * k, top + 2 * k + 1, F(0)) for k in range(n // 10)]
+    inst = Instance(delta, draw.intervals + tuple(tail), draw.values + tuple(itv.lo for itv in tail))
+    cost, chosen = canonical_optimum(inst)
+    assert cost == optimum_query_set(inst)[1]
+    assert feasible_query_set(inst, chosen)
+    # a prefix stays feasible as it grows, so bisect for the first feasible one
+    stop = bisect_left(range(inst.n + 1), True, key=lambda s: feasible_query_set(inst, [v for v in chosen if v < s]))
+    forced, graph = forced_query_set(inst), build_graph(inst)
+    isolated = [v for v in range(inst.n) if v not in forced and graph.adj[v] <= forced]
+    for v in isolated:
+        assert (v in chosen) == (inst.intervals[v].cost == 0 and v < stop), v
+    free = [v for v in isolated if inst.intervals[v].cost == 0]
+    assert min(free) < stop <= max(free) and len(free) < len(isolated)
+
+
 def test_brute_force_guard():
     inst = Instance(F(0), tuple(interval(i, i + 2) for i in range(BRUTE_FORCE_LIMIT + 1)),
                     tuple(F(i) + 1 for i in range(BRUTE_FORCE_LIMIT + 1)))
@@ -262,6 +289,31 @@ def scan_cpcp_optimum(inst):
     return best, best_vec
 
 
+def fraction_cpcp_optimum(inst):
+    """The pruned depth-first search of `cpcp_brute_force_optimum`, on `Fraction`
+    endpoints and prices: the same order, cuts and tie-break."""
+    n = inst.n
+    rows = [refinement_steps(inst, i) for i in range(n)]
+    steps = [(itv,) + script for itv, (script, _) in zip(inst.intervals, rows)]
+    prefix_cost = [[F(0), *accumulate(prices)] for _, prices in rows]
+    best, best_vec = None, ()
+
+    def search(i, cost, chosen, vec):
+        nonlocal best, best_vec
+        if i == n:
+            best, best_vec = cost, vec
+            return
+        for k, itv in enumerate(steps[i]):
+            c = cost + prefix_cost[i][k]
+            if best is not None and c >= best:
+                return
+            if not any(dependent(other, itv, inst.delta) for other in chosen):
+                search(i + 1, c, chosen + (itv,), vec + (k,))
+
+    search(0, F(0), (), ())
+    return best, best_vec
+
+
 def with_free_steps(inst, seed):
     """The same scripts with about half the prices (flat and per step) zero."""
     rng = random.Random(seed)
@@ -301,6 +353,22 @@ def test_cpcp_search_matches_scan_on_stalling_family():
     for n, M in [(n, M) for n in range(1, 6) for M in range(1, 5)] + [(6, 4)]:
         inst = gen_cpcp_adversary(n, M)
         assert cpcp_brute_force_optimum(inst) == scan_cpcp_optimum(inst), (n, M)
+
+
+def test_cpcp_int_search_matches_the_fraction_search_past_the_scan():
+    """Scripted draws at n = 8-12, too many vectors for the full scan but under the
+    guard, with and without zero prices; the free ones make ties that the
+    lexicographic tie-break decides."""
+    zero_optima = 0
+    for seed in range(40):
+        n = 8 + seed % 5
+        inst = gen_random_scripted(seed, n, (F(0), F(1, 2), F(1))[seed % 3], max_steps=2)
+        assert cpcp_brute_force_optimum(inst) == fraction_cpcp_optimum(inst), seed
+        free = with_free_steps(inst, seed)
+        cost, vec = cpcp_brute_force_optimum(free)
+        assert (cost, vec) == fraction_cpcp_optimum(free), seed
+        zero_optima += cost == 0 and any(vec)
+    assert zero_optima > 0
 
 
 def test_missing_script_is_one_error_from_environment_and_optimum():

@@ -45,7 +45,6 @@ from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
-    CycleDetected,
     InvariantViolation,
     MissingRealization,
     UnresolvedDependency,
@@ -531,6 +530,9 @@ class Permutation:
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
+        for k in self.order:  # `type` also refuses a bool, and a float equal to an int
+            if type(k) is not int:
+                raise InvariantViolation(f"order entry {k!r} is not an int")
         if sorted(self.order) != list(range(len(self.order))):
             raise InvariantViolation(
                 f"not a permutation of 0..{len(self.order) - 1}: {self.order}"
@@ -553,6 +555,7 @@ def valid_permutation(
     True iff for every pair placed ``i`` before ``j``,
     ``values[i] <= values[j] + delta``: a running maximum suffices.  Pass
     ``values=None`` to check against the instance's own hidden realization.
+    ``pi`` must be a `Permutation` of the items, or ints that make one.
     """
     if values is None:
         values = inst.values
@@ -563,8 +566,8 @@ def valid_permutation(
     vals = tuple(scalar(v) for v in values)
     if len(vals) != inst.n:
         raise InvariantViolation(f"{len(vals)} values for {inst.n} items")
-    order = tuple(pi)
-    if sorted(order) != list(range(inst.n)):
+    order = Permutation(pi).order
+    if len(order) != inst.n:
         raise InvariantViolation(f"not a permutation of 0..{inst.n - 1}: {order}")
     ordered = [vals[k] for k in order]
     return all(
@@ -584,8 +587,8 @@ def build_permutation(items: Sequence[UncertainInterval], delta: Fraction) -> Pe
     broken by scheduling greedily among available items, smallest
     ``(lo, index)`` first, which keeps the output deterministic.
 
-    The forced relation on an independent family cannot contain 2- or
-    3-cycles; `CycleDetected` guards against anything longer.
+    The forced relation is acyclic, so the schedule always takes every
+    item: ``before(a, b)`` implies ``a.lo + a.hi < b.lo + b.hi``.
     """
     n = len(items)
     delta = scalar(delta)
@@ -615,7 +618,4 @@ def build_permutation(items: Sequence[UncertainInterval], delta: Fraction) -> Pe
             indeg[j] -= 1
             if indeg[j] == 0:
                 heappush(ready, (items[j].lo, j))
-    if len(out) != n:
-        stuck = sorted(set(range(n)) - set(out))
-        raise CycleDetected(f"precedence cycle among items {stuck}")
     return Permutation(tuple(out))

@@ -32,14 +32,6 @@ class UnresolvedDependency(QuerysortError):
     """Asked to order intervals that still contain a dependent pair."""
 
 
-class CycleDetected(QuerysortError):
-    """The forced-precedence relation contains a directed cycle.
-
-    Provably impossible for 2- and 3-cycles; raised so longer cycles can
-    be investigated instead of silently producing a bad order.
-    """
-
-
 class NotSimplicial(QuerysortError):
     """A vertex expected to have a clique neighborhood does not."""
 

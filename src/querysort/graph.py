@@ -49,8 +49,9 @@ class DependencyGraph:
 
     ``los`` and ``his`` are the vertices' endpoints as ints on one grid; the
     orderings in this module and the strategies' picks compare them, never
-    ``intervals``.  A caller that holds a grid passes it; given ``intervals``
-    alone, they are put on their own grid here.
+    ``intervals``.  Callers pass the grid they hold.  Without one,
+    `peo_min_right` refuses the graph, the cover falls back to a maximum
+    cardinality search, and `longest_path_caterpillar` orients by index.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], weights: Sequence[Fraction],
@@ -72,9 +73,6 @@ class DependencyGraph:
                 raise InvariantViolation(f"vertex {v}: weight must be a non-negative int or Fraction, got {w!r}")
         if intervals is not None and len(intervals) != n:
             raise InvariantViolation("intervals do not match vertex count")
-        if intervals is not None and los is None:
-            grid = to_grid(Fraction(0), intervals)
-            los, his = grid.los, grid.his
         self.los, self.his = los, his
 
     @property

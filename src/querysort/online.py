@@ -797,8 +797,10 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
       spine), take the first three still-active spine vertices ``a, b, c``;
       with probability ``rule(W, w_b)`` -- ``W`` being the residual weight
       of ``b``'s neighbors other than ``c`` -- query ``b``, else query all
-      those neighbors.  If ``b``'s only neighbor is ``c``, the window
-      slides forward until the trial is meaningful.
+      those neighbors.  Queries delete edges only at the queried vertex, so
+      the component is a subtree of the one whose path was frozen and meets
+      that path in a contiguous run: ``a``, when there is one, is such a
+      neighbor, so every trial has something to query.
 
     Value witnesses are flushed after every query step.  Zeros, triangles and
     the smallest active vertex come from a heap and pointers, not from scans
@@ -853,15 +855,9 @@ def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
         frozen_paths.update(dict.fromkeys(comp, path))
     comp_set = set(comp)
     spine = [v for v in path if v in comp_set]
-    start = 0
-    while True:
-        window = spine[start:]
-        b = window[1] if len(window) >= 2 else window[0]
-        c = window[2] if len(window) >= 3 else None
-        targets = sorted(g.adj[b] - ({c} if c is not None else set()))
-        if targets:
-            break
-        start += 1
+    b = spine[1] if len(spine) >= 2 else spine[0]
+    c = spine[2] if len(spine) >= 3 else None
+    targets = sorted(g.adj[b] - {c})
     neighbor_weight = sum([residual[u] for u in targets])  # in units: both rules are scale-free
     return rule(neighbor_weight, residual[b]), _query_all([b]), _query_all(targets)
 
@@ -977,16 +973,16 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     forest, it is the neighbor of the smallest-index leaf.  A 'yes' means
     the interval is in the reference optimum: query it.  A 'no' means every
     one of its current neighbors is (an unqueried dependency must be
-    resolved from the other side): query them all.  'No' answers are
-    remembered, and any group known to contain an excluded member is
-    handled without spending another bit.  Triangles only disappear, so
-    `find_triangle` resumes from the last one; leaves wait in a lazy heap,
-    fed from the former neighbours of the vertices queried since.
+    resolved from the other side): query them all.  No answer is
+    remembered: after a 'no' on ``j`` its neighbours are queried and
+    flushed, and at threshold zero a point ``j`` still straddles makes it a
+    value witness, so ``j`` is inactive for good.  Triangles only disappear,
+    so `find_triangle` resumes from the last one; leaves wait in a lazy
+    heap, fed from the former neighbours of the vertices queried since.
     """
     _exact_model(env)
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
-    known_out: set[int] = set()
     g = env.graph()
     nbrs = tuple(map(tuple, g.adj))  # edges are only deleted: these hold every former neighbour
     leaves, at, seen = [v for v in range(env.n) if len(g.adj[v]) == 1], 0, 0
@@ -995,12 +991,6 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
         at = triangle[0] if triangle else g.n
         if triangle is not None:
             group = set(triangle)
-            remembered = sorted(group & known_out)
-            if remembered:
-                # Everything else in a clique must be in the optimum.
-                _query_all(sorted(group - {remembered[0]}))(env)
-                _flush_value_witnesses(env)
-                continue
             i = min(group, key=lambda w: (g.los[w], w))
             k = min(group - {i}, key=lambda w: (-g.his[w], w))
             (j,) = group - {i, k}
@@ -1013,21 +1003,10 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
                 heappop(leaves)  # a leaf stays one until it loses its edge, and then is inactive for good
             if not leaves:  # a forest without a leaf has no edge
                 break
-            i = leaves[0]
-            (j,) = g.adj[i]
-            if j in known_out:
-                _query_all(sorted(g.adj[j]))(env)
-                _flush_value_witnesses(env)
-                continue
-            if i in known_out:
-                # The edge {i, j} must be covered by the optimum.
-                env.query(j)
-                _flush_value_witnesses(env)
-                continue
+            (j,) = g.adj[leaves[0]]
         if oracle.ask_membership(j):
             env.query(j)
         else:
-            known_out.add(j)
             _query_all(sorted(g.adj[j]))(env)
         _flush_value_witnesses(env)
     return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))

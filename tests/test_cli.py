@@ -277,6 +277,14 @@ def test_opt_brute_match(tmp_path, capsys):
     assert "brute check      : MATCH" in out
 
 
+def test_opt_brute_past_the_guard_is_skipped(tmp_path, capsys):
+    doc = write_doc(tmp_path, "pairs.json", gen_independent_pairs(11))
+    assert main(["opt", doc, "--brute"]) == 4
+    captured = capsys.readouterr()
+    assert "optimum cost     : 11" in captured.out and "brute check" not in captured.out
+    assert captured.err == "brute check      : skipped (n=22 too large)\n"
+
+
 def test_opt_scripted_document(tmp_path, capsys):
     assert main(["gen", "cpcp", "--n", "1", "--M", "2", "--out", str(tmp_path / "c.json")]) == 0
     capsys.readouterr()
@@ -349,6 +357,16 @@ def test_ratio_oblivious_nested_star(capsys):
     assert main(["ratio", "oblivious", "nested_star", "--n", "6"]) == 0
     out = capsys.readouterr().out
     assert "max_ratio=6" in out and "status=OK" in out
+
+
+def test_ratio_with_a_zero_optimum_reads_one(capsys):
+    # one interval has no dependency: nothing is queried, and 0/0 is reported as ratio 1
+    assert main(["ratio", "simple", "random", "--n", "1", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out.split("#")[0])))
+    assert [(r[0], r[3], r[4], r[5]) for r in rows[1:]] == [("random-n1-s0", "0", "0", "1"),
+                                                              ("random-n1-s1", "0", "0", "1")]
+    assert "max_ratio=1 (~1)" in out and "status=OK" in out
 
 
 def test_ratio_exceeded_reports_and_exits_3(capsys):

@@ -1,6 +1,7 @@
 """Interval arithmetic, predicates, instance validation, permutations."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysort import (
-    CycleDetected,
     Instance,
     InvariantViolation,
     KnowledgeState,
@@ -446,6 +446,17 @@ def test_valid_permutation_hand_cases():
         valid_permutation(inst.without_values(), None, (0, 1))
     with pytest.raises(InvariantViolation):
         valid_permutation(inst, None, (0, 0))
+
+
+def test_orders_take_only_ints():
+    """A float, a bool or a `Fraction` equal to an index names no item, in
+    `Permutation` and in `valid_permutation` alike; the first such entry is named."""
+    inst = Instance(F(0), (interval(0, 1), interval(1, 2), interval(2, 3)), (F(0), F(1), F(2)))
+    for order, bad in (([0.0, 1.0, 2.0], "0.0"), ([True, False, 2], "True"), ([0, 1, F(2)], "Fraction(2, 1)")):
+        for check in (Permutation, lambda pi: valid_permutation(inst, None, pi)):
+            with pytest.raises(InvariantViolation, match=re.escape(f"order entry {bad} is not an int")):
+                check(order)
+    assert valid_permutation(inst, None, [0, 1, 2]) and Permutation([2, 1, 0]).order == (2, 1, 0)
 
 
 def test_build_permutation_orders_points():

@@ -36,7 +36,7 @@ from querysort import (
     peo_min_right,
     verify_peo,
 )
-from querysort.core import Instance
+from querysort.core import Instance, to_grid
 from querysort.graph import DependencyGraph, component_of
 
 SEED_MIX = [(s, 2 + s % 8, (F(0), F(1), F(3, 2))[s % 3]) for s in range(120)]
@@ -111,9 +111,10 @@ def test_graph_weights_follow_the_cost_rule():
 
 def test_peo_min_right_names_the_first_gap():
     # A 4-cycle is not chordal: eliminating 0 first leaves 1 and 3 apart.
+    intervals = tuple(interval(0, k) for k in range(4))
+    grid = to_grid(F(0), intervals)
     cycle = DependencyGraph(
-        4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), (F(1),) * 4,
-        tuple(interval(0, k) for k in range(4)),
+        4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), (F(1),) * 4, intervals, grid.los, grid.his,
     )
     assert not verify_peo(cycle, (0, 1, 2, 3))
     with pytest.raises(NotSimplicial, match="vertex 0: later neighbors (1 and 3|3 and 1) are not adjacent"):
@@ -316,10 +317,12 @@ def graphs_with_vertex_sets(draw):
     for _ in range(extra if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         edges.add((min(i, j), max(i, j)))
-    intervals = None
+    intervals = los = his = None
     if draw(st.booleans()):
         intervals = tuple(interval(lo, lo + 1) for lo in (rng.randrange(4) for _ in range(n)))
-    g = DependencyGraph(n, edges, tuple(F(1) for _ in range(n)), intervals)
+        grid = to_grid(F(0), intervals)
+        los, his = grid.los, grid.his
+    g = DependencyGraph(n, edges, tuple(F(1) for _ in range(n)), intervals, los, his)
     sets = [None, [rng.randrange(n)]] + ref_components(g)
     sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
     return g, sets

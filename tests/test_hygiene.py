@@ -32,6 +32,9 @@ The package re-exports exactly what it imports: the names ``__init__.py``
 imports equal its ``__all__``, and each one resolves on the package, so a
 half-removed export fails here.
 
+Every error is raised: each `QuerysortError` subclass in ``errors.py`` has a
+``raise`` site in the package, so no public error outlives its last use.
+
 The package ships only what is used: every name in ``__all__`` is read by
 the code of another module (a docstring does not count), imported by the
 acceptance tests, or named in a code span of ``README.md``.  Test-only
@@ -395,3 +398,52 @@ def test_every_export_is_used_or_documented():
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
     readme = (ROOT / "README.md").read_text()
     assert unused_exports(querysort.__all__, sources, acceptance, readme) == []
+
+
+def error_classes(source):
+    """The classes ``source`` defines that derive from `QuerysortError`, directly or
+    through another class it defines; the base itself is left out."""
+    errors = {"QuerysortError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) in errors for base in node.bases):
+            errors.add(node.name)
+    return errors - {"QuerysortError"}
+
+
+def raised_names(source):
+    """The name of every exception a ``raise`` statement names, called or not."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names
+
+
+def never_raised(errors, sources):
+    """The error classes of ``errors`` that no module of ``sources`` raises, sorted."""
+    return sorted(error_classes(errors) - set().union(*map(raised_names, sources)))
+
+
+def test_the_check_flags_an_error_never_raised():
+    errors = (
+        "class QuerysortError(Exception):\n    pass\n"
+        "class Bad(QuerysortError):\n    pass\n"
+        "class Worse(Bad):\n    pass\n"
+        "class Unused(QuerysortError):\n    pass\n"
+        "class Other(Exception):\n    pass\n"
+    )
+    sources = [
+        "from .errors import Bad, Unused\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise Bad(f'bad {x}')\n"
+        "    raise errors.Worse from None\n"
+        "def g():\n"
+        "    return Unused('made, never raised')\n",
+    ]
+    assert never_raised(errors, sources) == ["Unused"]
+
+
+def test_every_error_is_raised():
+    assert never_raised((SRC / "errors.py").read_text(), [path.read_text() for path in MODULES]) == []

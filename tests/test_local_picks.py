@@ -119,9 +119,11 @@ def ref_algorithm1_trial(env, p, state):
         online._flush_value_witnesses(env)
 
 
-def ref_algorithm2_trial(env, rule, state):
+def ref_algorithm2_trial(env, rule, state, slides=None):
     """`online._algorithm2_trial` as it was: zeros, triangles and the smallest
-    active vertex scanned from vertex 0 at every step."""
+    active vertex scanned from vertex 0 at every step, and the trial window slid
+    down the spine past a ``b`` whose only neighbour is ``c`` (each slide is
+    added to ``slides`` when given)."""
     residual, frozen_paths = state
     while True:
         g = env.graph()
@@ -155,6 +157,8 @@ def ref_algorithm2_trial(env, rule, state):
         if targets:
             break
         start += 1
+        if slides is not None:
+            slides.append((b, c))
     return rule(sum((residual[u] for u in targets), start=F(0)), residual[b]), \
         online._query_all([b]), online._query_all(targets)
 

@@ -355,6 +355,14 @@ def test_algorithm1_expected_lemma4():
             assert opt == 1
 
 
+def test_algorithm1_default_bias_is_a_fair_coin():
+    for s in range(12):
+        inst = gen_random(s, 12, F(0))
+        for seed in range(3):
+            default = algorithm1(Environment(inst), rng=RandomCoin(seed))
+            assert default == algorithm1(Environment(inst), FIXED(F(1, 2)), rng=RandomCoin(seed)), (s, seed)
+
+
 def test_algorithm1_deterministic_ends_consume_no_coin():
     a, _ = gen_lemma4_pair(F(0))
     for p in (F(0), F(1)):

@@ -1,0 +1,213 @@
+"""The premises behind branches the program does not have, checked at scale.
+
+Each section names a branch that no input can take, so the program leaves it
+out, and checks the fact that rules it out on runs and families well past
+n = 10:
+
+* `advice_half` remembers no 'no' answer: an item answered 'no' is inactive
+  at every later question, so a memory of them would never be read.  Its
+  play equals `ref_advice_half`, which keeps that memory.
+* `_algorithm2_trial` takes its trial window at the start of the spine:
+  `ref_algorithm2_trial`, which slides the window past a ``b`` with no
+  neighbour but ``c``, never slides, and its runs and exact expectations
+  equal the program's.
+* `build_permutation` has no cycle guard: its forced relation orders items
+  by ``lo + hi``, so it is acyclic and the schedule takes every item.
+* `gen_advice_triangles` checks no layout: its block is the threshold times
+  a constant block whose inequalities hold.
+"""
+
+import inspect
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from querysort import (
+    HALF,
+    SQRT3,
+    AdviceOracle,
+    Environment,
+    RandomCoin,
+    advice_half,
+    algorithm2,
+    build_permutation,
+    expected_cost_exact,
+    gen_advice_triangles,
+    gen_cost_path,
+    gen_figure3_chain,
+    gen_independent_pairs,
+    gen_laminar,
+    gen_nested_star,
+    gen_random,
+    gen_triangle_chain,
+    interval,
+    optimum_query_set,
+)
+from querysort import online
+from test_grid_keys import at_zero, play, ref_advice_half
+from test_local_picks import ref_algorithm2_trial, sparse
+from test_sweep import instances, wide_instances
+
+# ---------------------------------------------------------------------------
+# advice_half: an item answered 'no' is inactive for good
+# ---------------------------------------------------------------------------
+
+
+class WatchedOracle(AdviceOracle):
+    """An oracle that checks, at every question, that each item it has answered
+    'no' about has no edge left in ``env``'s graph."""
+
+    def __init__(self, inst, env):
+        super().__init__(inst)
+        self.env, self.refused = env, []
+
+    def ask_membership(self, j):
+        g = self.env.graph()
+        assert [u for u in self.refused if g.adj[u]] == []
+        if super().ask_membership(j):
+            return True
+        self.refused.append(j)
+        return False
+
+
+def zero_threshold_cases():
+    """Threshold-zero draws and the families the advice bounds are stated on."""
+    yield "sparse-100", at_zero(sparse(100, F(0)))
+    yield "sparse-300", at_zero(sparse(300, F(0)))
+    for seed in range(4):
+        yield f"random-{seed}", gen_random(seed, 60 + 40 * seed, 0, value_model="generic")
+    yield "independent_pairs", gen_independent_pairs(150)
+    yield "triangle_chain-lower", gen_triangle_chain(60)
+    yield "triangle_chain-upper", gen_triangle_chain(60, "upper")
+    yield "figure3_chain", gen_figure3_chain(30)
+    yield "laminar", at_zero(gen_laminar(7, 200))
+    yield "nested_star", at_zero(gen_nested_star(200))
+
+
+@pytest.mark.parametrize("name, inst", list(zero_threshold_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_advice_half_needs_no_memory(name, inst):
+    env = Environment(inst)
+    oracle = WatchedOracle(inst, env)
+    transcript, extras = play(inspect.unwrap(advice_half), env, oracle)
+    assert [u for u in oracle.refused if env.graph().adj[u]] == []
+    assert (transcript, extras) == play(ref_advice_half, Environment(inst), AdviceOracle(inst))
+    assert env.graph().edges == frozenset()
+
+
+def test_the_watch_sees_an_active_refused_item():
+    """Self-test: an item answered 'no' and left active fails the watch."""
+    inst = gen_independent_pairs(2)
+    env = Environment(inst)
+    oracle = WatchedOracle(inst, env)
+    j = next(v for v in range(inst.n) if v not in oracle.optimum_set)
+    assert not oracle.ask_membership(j)
+    with pytest.raises(AssertionError):
+        oracle.ask_membership(j ^ 1)
+
+
+# ---------------------------------------------------------------------------
+# algorithm2: the trial window never slides
+# ---------------------------------------------------------------------------
+
+
+def with_trial(monkeypatch, trial):
+    """Make `algorithm2` and `expected_cost_exact` take their trials from ``trial``."""
+    start, _, key = online._TRIALS[algorithm2]
+    monkeypatch.setattr(online, "_algorithm2_trial", trial)
+    monkeypatch.setitem(online._TRIALS, algorithm2, (start, trial, key))
+
+
+ALGORITHM2_CASES = [
+    ("sparse-400", sparse(400, F(1, 2)), (HALF, SQRT3)),
+    ("sparse-200", sparse(200, F(1)), (HALF, SQRT3)),
+    ("cost_path-150", gen_cost_path(150, F(1, 1000)), (HALF,)),
+    ("random-40", gen_random(5, 40, F(1, 2), cost_model="rational-range"), (HALF, SQRT3)),
+]
+
+
+@pytest.mark.parametrize("name, inst, rules", ALGORITHM2_CASES, ids=[c[0] for c in ALGORITHM2_CASES])
+def test_algorithm2_window_never_slides(monkeypatch, name, inst, rules):
+    """Plays of three seeds (the transcript fixes the ordering, so none is ordered)
+    and the exact expectation, per rule, with and without the slide."""
+    monkeypatch.setattr(online, "_finish", lambda env: tuple(env.transcript))
+
+    def runs(rule):
+        return [algorithm2(Environment(inst), rule, RandomCoin(seed)) for seed in range(3)]
+
+    ours = {rule: (runs(rule), expected_cost_exact(algorithm2, inst, rule)) for rule in rules}
+    slides = []
+    with monkeypatch.context() as patch:
+        with_trial(patch, lambda env, rule, state: ref_algorithm2_trial(env, rule, state[:2], slides))
+        sliding = {rule: (runs(rule), expected_cost_exact(algorithm2, inst, rule)) for rule in rules}
+    assert slides == []
+    assert ours == sliding
+
+
+def test_the_sliding_reference_is_the_one_run(monkeypatch):
+    """Self-test: with the reference patched in, every trial comes from it."""
+    calls = []
+    with_trial(monkeypatch, lambda env, rule, state: calls.append(1) or ref_algorithm2_trial(env, rule, state[:2]))
+    inst = gen_cost_path(8, F(1, 100))
+    algorithm2(Environment(inst), HALF, RandomCoin(0))
+    ran = len(calls)
+    expected_cost_exact(algorithm2, inst, HALF)
+    assert ran > 0 and len(calls) > ran
+
+
+# ---------------------------------------------------------------------------
+# build_permutation: the forced relation is acyclic
+# ---------------------------------------------------------------------------
+
+
+def before(a, b, delta):
+    """`build_permutation`'s forced relation: ``a`` certainly <= ``b`` + delta, and
+    ``b`` possibly > ``a`` + delta."""
+    return a.hi - b.lo <= delta and not (b.hi - a.lo <= delta)
+
+
+def independent_family(inst):
+    """The instance's intervals with its optimum revealed: no two are dependent."""
+    chosen, _ = optimum_query_set(inst)
+    return [interval(inst.values[i], inst.values[i]) if i in chosen else itv for i, itv in enumerate(inst.intervals)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(instances(), wide_instances()))
+def test_forced_order_follows_midpoints(inst):
+    items, delta = independent_family(inst), inst.delta
+    sums = [a.lo + a.hi for a in items]
+    by_sum = sorted(range(len(items)), key=sums.__getitem__)
+    for x, i in enumerate(by_sum):  # only a pair in ascending sum order may be forced forward
+        for j in by_sum[:x + 1]:
+            assert not before(items[i], items[j], delta) or sums[i] < sums[j]
+    assert sorted(build_permutation(items, delta)) == list(range(len(items)))
+
+
+def test_the_midpoint_check_sees_a_forced_pair():
+    a, b = interval(0, 1), interval(3, 4)
+    assert before(a, b, F(1)) and not before(b, a, F(1))
+
+
+# ---------------------------------------------------------------------------
+# gen_advice_triangles: the layout holds at every positive threshold
+# ---------------------------------------------------------------------------
+
+
+def test_advice_triangle_layout():
+    """The block at ``d = 1``, where the layout inequalities hold; at any other
+    ``d`` every endpoint and value is ``d`` times the one at 1.  All three
+    realizations share the block."""
+    unit = gen_advice_triangles(2, 1)
+    assert unit[0].intervals == unit[1].intervals == unit[2].intervals
+    (l1, r1), (l2, r2), (l3, r3) = [(a.lo, a.hi) for a in unit[0].intervals[:3]]
+    d = 1
+    assert l1 < l2 and l2 < l3 - d and r1 + d < r2 and r2 < r3
+    assert l2 <= l1 + d and r2 >= r3 - d and r1 - l3 > 2 * d
+    for scale in (F(1, 7), F(3, 2), F(40)):
+        for ours, at_one in zip(gen_advice_triangles(2, scale), unit):
+            assert ours.delta == scale * at_one.delta
+            assert [(a.lo, a.hi) for a in ours.intervals] == [(scale * a.lo, scale * a.hi) for a in at_one.intervals]
+            assert ours.values == tuple(scale * v for v in at_one.values)
+

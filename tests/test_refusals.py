@@ -1,0 +1,113 @@
+"""Refusals that no other test reaches, each pinned by its type and exact message.
+
+Every case calls one public entry with one fault.  The table keeps them in
+module order: ``core``, ``graph``, ``offline``, ``online``, ``instances``.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from querysort import (
+    HALF,
+    CoTTFunctions,
+    CpcpEnvironment,
+    Environment,
+    Instance,
+    InvariantViolation,
+    KnowledgeState,
+    MissingRealization,
+    NotChordal,
+    Permutation,
+    QuerysortError,
+    RunReport,
+    ScriptExhausted,
+    Sqrt3Prob,
+    UncertainInterval,
+    algorithm2,
+    brute_force_optimum,
+    gen_cost_path,
+    gen_laminar,
+    gen_lemma4_pair,
+    gen_random_scripted,
+    gen_triangle_chain,
+    interval,
+    isqrt_bounds,
+    longest_path_caterpillar,
+    min_cost_vertex_cover,
+    peo_min_right,
+    valid_permutation,
+    verify_peo,
+)
+from querysort.graph import DependencyGraph
+
+ONE = (interval(0, 2),)
+PAIR = Instance(F(0), (interval(0, 4), interval(0, 6)), (F(3), F(1)))
+EDGE = DependencyGraph(2, [(0, 1)], (1, 1))
+#: A 4-cycle with no endpoints: the cover falls back to a maximum cardinality search.
+SQUARE = DependencyGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1,) * 4)
+
+#: ``(call, exception, its exact message)``.
+REFUSALS = [
+    # core
+    (lambda: isqrt_bounds(-1, F(1, 10)), InvariantViolation, "square root of a negative number requested"),
+    (lambda: Instance(F(0), (interval(0, 1), (0, 1))), InvariantViolation,
+     "intervals must be UncertainInterval, got tuple"),
+    (lambda: Instance(F(0), ONE, (F(1),), (None, None)), InvariantViolation, "2 refinement scripts for 1 intervals"),
+    (lambda: Instance(F(0), ONE, (F(1),), ((interval(1, 1),),), (None, None)), InvariantViolation,
+     "2 time-cost rows for 1 intervals"),
+    (lambda: Instance(F(0), ONE, (F(1),), ((),)), InvariantViolation, "item 0 has an empty refinement script"),
+    (lambda: Instance(F(0), ONE, (F(1),), ((F(1),),)), InvariantViolation,
+     "item 0 step 0: script entries must be intervals"),
+    (lambda: Instance(F(0), ONE, None, ((interval(1, 1),),)), InvariantViolation,
+     "item 0 has a refinement script but the instance has no values"),
+    (lambda: Instance(F(0), ONE, (F(2),), ((interval(1, 1),),)), InvariantViolation,
+     "item 0: script ends at 1 but the value is 2"),
+    (lambda: KnowledgeState(ONE, (0, 0), 0), InvariantViolation, "queried counts do not match intervals"),
+    (lambda: KnowledgeState(ONE, (-1,), 0), InvariantViolation, "negative query count"),
+    (lambda: valid_permutation(PAIR, (F(1),), (0, 1)), InvariantViolation, "1 values for 2 items"),
+    (lambda: Permutation((0.0, 1)), InvariantViolation, "order entry 0.0 is not an int"),
+    (lambda: valid_permutation(PAIR, None, (True, 0)), InvariantViolation, "order entry True is not an int"),
+    (lambda: valid_permutation(PAIR, None, (0, 1, 2)), InvariantViolation, "not a permutation of 0..1: (0, 1, 2)"),
+    # graph
+    (lambda: verify_peo(EDGE, (0, 0)), InvariantViolation, "order is not a permutation of the vertices"),
+    (lambda: peo_min_right(EDGE), InvariantViolation, "peo_min_right needs the underlying intervals"),
+    (lambda: min_cost_vertex_cover(SQUARE), NotChordal, "graph has no perfect elimination ordering"),
+    (lambda: longest_path_caterpillar(EDGE, []), InvariantViolation, "empty vertex set"),
+    (lambda: CoTTFunctions((F(0),), (F(1), F(2))), InvariantViolation, "threshold/tolerance lists differ in length"),
+    # offline
+    (lambda: brute_force_optimum(PAIR.without_values()), MissingRealization, "brute force needs the hidden values"),
+    # online
+    (lambda: Sqrt3Prob(0, 1), InvariantViolation, "Sqrt3Prob needs positive parts"),
+    (lambda: Sqrt3Prob(2, 1), InvariantViolation, "Sqrt3Prob must be < 1; use Fraction(1)"),
+    (lambda: CpcpEnvironment(PAIR).step_cost(0, 1), ScriptExhausted, "item 0 has only 1 script steps"),
+    (lambda: RunReport((1,), F(1), Permutation((0,)), ()), InvariantViolation,
+     "total cost 1 does not match transcript sum 0"),
+    (lambda: algorithm2(Environment(gen_cost_path(4, F(1, 100))), HALF), InvariantViolation,
+     "this run is randomized; pass rng=RandomCoin(seed)"),
+    # instances
+    (lambda: gen_random_scripted(0, 0, 0), InvariantViolation, "need at least one interval"),
+    (lambda: gen_lemma4_pair(-1), InvariantViolation, "threshold must be non-negative"),
+    (lambda: gen_triangle_chain(1, "middle"), InvariantViolation, "punish must be 'lower' or 'upper'"),
+    (lambda: gen_laminar(0, 0), InvariantViolation, "need at least one interval"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS, ids=[str(k) for k in range(len(REFUSALS))])
+def test_refusal_messages(call, error, message):
+    with pytest.raises(QuerysortError) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_the_good_calls_pass():
+    """Each fault above is the only one: the same calls without it succeed."""
+    assert Instance(F(0), ONE, (F(1),), ((interval(1, 1),),), ((F(1),),)).n == 1
+    assert KnowledgeState(ONE, (0,), 0).n == 1
+    assert valid_permutation(PAIR, None, (1, 0)) and Permutation((1, 0)).order == (1, 0)
+    assert verify_peo(EDGE, (0, 1)) and longest_path_caterpillar(EDGE, [0, 1]) == (0, 1)
+    assert min_cost_vertex_cover(DependencyGraph(3, [(0, 1), (1, 2)], (1,) * 3)) == (1,)
+    assert CpcpEnvironment(PAIR).step_cost(0, 0) == 1
+    assert RunReport((1,), F(1), Permutation((0,)), ((0, UncertainInterval(F(1), F(1)), F(1)),)).total_cost == 1
+    assert Sqrt3Prob(1, 1).ratio == 1

@@ -232,18 +232,16 @@ def grid_ints(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def sweep_pairs(
-    los: Sequence[int], his: Sequence[int], d: int, vertices: Optional[Iterable[int]] = None
-) -> Iterator[tuple[int, int]]:
-    """Every dependent pair ``(i, j)``, ``i < j``, among ``vertices`` (all by default),
-    in no particular order, from endpoints and threshold on one integer grid.
+def sweep_pairs(los: Sequence[int], his: Sequence[int], d: int) -> Iterator[tuple[int, int]]:
+    """Every dependent pair ``(i, j)``, ``i < j``, in no particular order, from
+    endpoints and threshold on one integer grid.
 
     A sort-and-sweep by ``(lo, index)``: a later ``b`` can only be dependent on
     ``a`` when ``b.lo < a.hi - d``, which makes ``a.hi - b.lo > d``; so each
     vertex meets only the later ones that start before that bound, and only
     ``b.hi - a.lo > d`` is left to test.
     """
-    order = sorted(range(len(los)) if vertices is None else sorted(vertices), key=los.__getitem__)
+    order = sorted(range(len(los)), key=los.__getitem__)
     starts = [los[k] for k in order]
     for p, i in enumerate(order):
         reach = los[i] + d
@@ -252,24 +250,11 @@ def sweep_pairs(
                 yield (i, j) if i < j else (j, i)
 
 
-def dependent_pairs(
-    items: Sequence[UncertainInterval], delta: Fraction
-) -> Iterator[tuple[int, int]]:
-    """Every dependent pair ``(i, j)`` with ``i < j``, in no particular order.
-
-    Puts ``items`` and ``delta`` on their own integer grid and runs
-    `sweep_pairs`; `Instance.grid` keeps that grid for an instance's own
-    intervals.
-    """
+def require_independent(items: Sequence[UncertainInterval], delta: Fraction) -> None:
+    """Raise `UnresolvedDependency` naming the smallest dependent pair, if any,
+    swept on the integer grid of ``items`` and ``delta``."""
     grid = to_grid(scalar(delta), items)
-    return sweep_pairs(grid.los, grid.his, grid.delta)
-
-
-def require_independent(
-    items: Sequence[UncertainInterval], delta: Fraction
-) -> None:
-    """Raise `UnresolvedDependency` naming the smallest dependent pair, if any."""
-    pair = min(dependent_pairs(items, delta), default=None)
+    pair = min(sweep_pairs(grid.los, grid.his, grid.delta), default=None)
     if pair is not None:
         i, j = pair
         raise UnresolvedDependency(
@@ -326,7 +311,8 @@ class Instance:
     nested in its predecessor and the final entry is the point holding the
     value.  ``time_costs`` (optional, same shape) price each script step;
     without them every step of an interval costs its flat ``cost``.
-    The integer grids `grid` and `cost_grid` are computed on first read.
+    The integer grids `grid` and `cost_grid`, and the dependent ``pairs``
+    swept on `grid`, are computed on first read and kept.
     """
 
     delta: Fraction
@@ -440,6 +426,11 @@ class Instance:
         """
         scripted = [entry for script in self.refinements or () if script for entry in script]
         return to_grid(self.delta, self.intervals, self.values, scripted)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every dependent pair ``(i, j)``, ``i < j``, from one `sweep_pairs` over `grid`."""
+        return tuple(sweep_pairs(self.grid.los, self.grid.his, self.grid.delta))
 
     @cached_property
     def costs(self) -> tuple[Fraction, ...]:

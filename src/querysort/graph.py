@@ -91,17 +91,19 @@ class DependencyGraph:
 
 
 def build_graph(source: Union[Instance, KnowledgeState], delta=None) -> DependencyGraph:
-    """Dependency graph of an instance at its own threshold, or of a knowledge
-    state's current intervals at the threshold ``delta``."""
+    """Dependency graph of an instance at its own threshold, read from its
+    `Instance.grid` and `Instance.pairs`, or of a knowledge state's current
+    intervals at the threshold ``delta``, swept on their own grid."""
     if isinstance(source, Instance) and delta is None:
-        delta, intervals = source.delta, source.intervals
+        grid, pairs, intervals = source.grid, source.pairs, source.intervals
     elif isinstance(source, KnowledgeState) and delta is not None:
-        delta, intervals = scalar(delta), source.current
+        intervals = source.current
+        grid = to_grid(scalar(delta), intervals)
+        pairs = sweep_pairs(grid.los, grid.his, grid.delta)
     else:
         raise InvariantViolation("build_graph takes an Instance, or a KnowledgeState and a threshold")
-    grid = to_grid(delta, intervals)
-    return DependencyGraph(len(intervals), sweep_pairs(grid.los, grid.his, grid.delta),
-                           tuple(itv.cost for itv in intervals), tuple(intervals), grid.los, grid.his)
+    return DependencyGraph(len(intervals), pairs, tuple(itv.cost for itv in intervals), tuple(intervals),
+                           grid.los, grid.his)
 
 
 def _bfs(
@@ -169,6 +171,9 @@ def _non_simplicial(
 
 def verify_peo(g: DependencyGraph, order: Sequence[int]) -> bool:
     """Check that each vertex's later neighbors form a clique."""
+    for v in order:  # `type` also refuses a bool, and a float equal to an int
+        if type(v) is not int:
+            raise InvariantViolation(f"order entry {v!r} is not an int")
     if sorted(order) != list(range(g.n)):
         raise InvariantViolation("order is not a permutation of the vertices")
     return _non_simplicial(g, order) is None
@@ -381,6 +386,8 @@ def cott_to_instance(rep: CoTTFunctions, costs=None) -> Instance:
     delta = max([Fraction(0)] + deficits)
     if costs is None:
         costs = [Fraction(1)] * rep.n
+    elif len(costs) != rep.n:
+        raise InvariantViolation(f"{len(costs)} costs for {rep.n} CoTT vertices")
     iv = tuple(
         UncertainInterval(rep.a[v], rep.b[v] + delta, scalar(costs[v]))
         for v in range(rep.n)

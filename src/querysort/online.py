@@ -61,7 +61,6 @@ from .core import (
     on_grid,
     refinement_steps,
     scalar,
-    sweep_pairs,
 )
 from .errors import (
     DeltaNotZero,
@@ -196,7 +195,7 @@ class QueryEnvironment:
     ordering key reads them.  The ledger ``_paid`` adds cost units (step
     ``1/_scale``); transcript entries keep the instance's cost `Fraction`s.
 
-    The one graph is built with the environment (`sweep_pairs`) and then
+    The one graph is built with the environment (`Instance.pairs`) and then
     narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
     and ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
     queried vertex, and re-testing its neighbours is O(degree) work.  So a
@@ -215,8 +214,7 @@ class QueryEnvironment:
         self._paid = 0
         self.transcript: list[tuple] = []
         self._flushed: tuple = (None, None)  # transcript lengths at the last value and static flushes
-        pairs = sweep_pairs(self._lo, self._hi, self._grid.delta)
-        self._graph = DependencyGraph(instance.n, pairs, self._units, self._current, self._lo, self._hi)
+        self._graph = DependencyGraph(instance.n, instance.pairs, self._units, self._current, self._lo, self._hi)
 
     @property
     def n(self) -> int:

@@ -682,9 +682,10 @@ def structurally_mutated(draw):
                 target = draw(st.sampled_from(dicts))
                 target[REPEAT + draw(st.sampled_from(sorted(target)))] = "1"
         else:
-            if kind == "rational":
-                places = [(c, k) for c, k in places if isinstance(c[k], str)] or places
-            container, key = draw(st.sampled_from(places))
+            strings = [(c, k) for c, k in places if isinstance(c[k], str)]
+            if kind == "rational" and not strings:  # a broken rational needs a string to break
+                kind = "swap"
+            container, key = draw(st.sampled_from(strings if kind == "rational" else places))
             if kind == "drop":
                 del container[key]
             elif kind == "swap":

@@ -116,6 +116,8 @@ def ref_stable_sort(env):
 
 
 def ref_advice_half(env, oracle):
+    """`online.advice_half`'s play as it was, on `Fraction` endpoints: `find_triangle`
+    from vertex 0 and the smallest leaf from a scan of every active vertex, at every step."""
     known_out = set()
     while True:
         g = env.graph()

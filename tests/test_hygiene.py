@@ -28,6 +28,10 @@ Each number is checked once, and only once: `core._checked_already`, which
 builds an interval without its checks, is named only inside an allow-list of
 functions whose inputs already passed them (`UNCHECKED_CALLERS`).
 
+Each instance is swept once: `core.sweep_pairs` is called only from the
+functions in `SWEEP_CALLERS`, once in each.  The environment, the offline
+optimum and `build_graph` read `Instance.pairs` instead.
+
 The package re-exports exactly what it imports: the names ``__init__.py``
 imports equal its ``__all__``, and each one resolves on the package, so a
 half-removed export fails here.
@@ -291,12 +295,12 @@ UNCHECKED_CALLERS = {
 }
 
 
-def unchecked_sites(source):
-    """``(enclosing function, line, name)`` for every use of `_checked_already` but its
+def name_uses(source, name):
+    """``(enclosing function, line, name)`` for every use of ``name`` but its
     definition and imports: a call, or a name that could alias it."""
-    return sites_by_function(ast.parse(source), lambda node: "_checked_already" if (
-        isinstance(node, ast.Name) and node.id == "_checked_already"
-        or isinstance(node, ast.Attribute) and node.attr == "_checked_already") else None)
+    return sites_by_function(ast.parse(source), lambda node: name if (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name) else None)
 
 
 def test_the_check_flags_a_new_unchecked_caller():
@@ -312,13 +316,46 @@ def test_the_check_flags_a_new_unchecked_caller():
         "def _checked_already(lo, hi, cost):\n"
         "    return lo\n"
     )
-    assert unchecked_sites(source) == [("Env.query", 5, "_checked_already"), ("gen", 7, "_checked_already")]
+    assert name_uses(source, "_checked_already") == [("Env.query", 5, "_checked_already"),
+                                                     ("gen", 7, "_checked_already")]
 
 
 def test_unchecked_intervals_come_from_the_allow_list():
     found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
-             for where, _, _ in unchecked_sites(path.read_text())}
+             for where, _, _ in name_uses(path.read_text(), "_checked_already")}
     assert found == UNCHECKED_CALLERS
+
+
+#: Each sweep for dependent pairs, one line per call, and what it sweeps.  An instance's own
+#: intervals are swept once, in `Instance.pairs`, and every graph of them reads that.
+SWEEP_CALLERS = [
+    ("core.py", "Instance.pairs"),  # the instance's own intervals, kept
+    ("core.py", "require_independent"),  # any items, on their own grid
+    ("graph.py", "build_graph"),  # a knowledge state's current intervals
+    ("offline.py", "feasible_query_set"),  # the intervals left once a set is revealed
+]
+
+
+def test_the_check_flags_a_new_sweep():
+    source = (
+        "from .core import sweep_pairs\n"
+        "from . import core\n"
+        "class QueryEnvironment:\n"
+        "    def __init__(self, inst):\n"
+        "        self.pairs = sweep_pairs(inst.grid.los, inst.grid.his, inst.grid.delta)\n"
+        "def _unforced_graph(inst, forced):\n"
+        "    return core.sweep_pairs(inst.grid.los, inst.grid.his, inst.grid.delta)\n"
+        "def sweep_pairs(los, his, d):\n"
+        "    return iter(())\n"
+    )
+    assert name_uses(source, "sweep_pairs") == [("QueryEnvironment.__init__", 5, "sweep_pairs"),
+                                                ("_unforced_graph", 7, "sweep_pairs")]
+
+
+def test_an_instance_is_swept_once():
+    found = sorted((path.name, where) for path in sorted(SRC.glob("*.py"))
+                   for where, _, _ in name_uses(path.read_text(), "sweep_pairs"))
+    assert found == SWEEP_CALLERS
 
 
 def reexport_mismatch(source):

@@ -51,7 +51,7 @@ from querysort import (
 )
 from querysort import graph, online
 from querysort.graph import DependencyGraph, component_of
-from test_grid_keys import at_zero, play, ref_advice_lg3, uniform
+from test_grid_keys import at_zero, play, ref_advice_half, ref_advice_lg3, uniform
 from test_online import outcome, stack_expected_cost
 from test_sweep import instances, make_instance, wide_instances
 
@@ -161,48 +161,6 @@ def ref_algorithm2_trial(env, rule, state, slides=None):
             slides.append((b, c))
     return rule(sum((residual[u] for u in targets), start=F(0)), residual[b]), \
         online._query_all([b]), online._query_all(targets)
-
-
-def ref_advice_half(env, oracle):
-    """`online.advice_half`'s play as it was: `find_triangle` from vertex 0 and the
-    smallest leaf from a scan of every active vertex, at every step."""
-    known_out = set()
-    while True:
-        g = env.graph()
-        if not any(g.adj):
-            break
-        triangle = online.find_triangle(g)
-        if triangle is not None:
-            group = set(triangle)
-            remembered = sorted(group & known_out)
-            if remembered:
-                for u in sorted(group - {remembered[0]}):
-                    env.query(u)
-                online._flush_value_witnesses(env)
-                continue
-            i = min(group, key=lambda w: (g.los[w], w))
-            k = min(group - {i}, key=lambda w: (-g.his[w], w))
-            (j,) = group - {i, k}
-        else:
-            i = min(v for v in g.active_vertices() if g.degree(v) == 1)
-            (j,) = g.adj[i]
-            if j in known_out:
-                for u in sorted(g.adj[j]):
-                    env.query(u)
-                online._flush_value_witnesses(env)
-                continue
-            if i in known_out:
-                env.query(j)
-                online._flush_value_witnesses(env)
-                continue
-        if oracle.ask_membership(j):
-            env.query(j)
-        else:
-            known_out.add(j)
-            for u in sorted(g.adj[j]):
-                env.query(u)
-        online._flush_value_witnesses(env)
-    return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from querysort import (
     UncertainInterval,
     algorithm2,
     brute_force_optimum,
+    cott_to_instance,
     gen_cost_path,
     gen_laminar,
     gen_lemma4_pair,
@@ -44,6 +45,8 @@ from querysort.graph import DependencyGraph
 ONE = (interval(0, 2),)
 PAIR = Instance(F(0), (interval(0, 4), interval(0, 6)), (F(3), F(1)))
 EDGE = DependencyGraph(2, [(0, 1)], (1, 1))
+PATH = DependencyGraph(3, [(0, 1), (1, 2)], (1,) * 3)
+COTT = CoTTFunctions((F(0), F(1), F(2)), (F(2), F(3), F(4)))
 #: A 4-cycle with no endpoints: the cover falls back to a maximum cardinality search.
 SQUARE = DependencyGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1,) * 4)
 
@@ -71,10 +74,15 @@ REFUSALS = [
     (lambda: valid_permutation(PAIR, None, (0, 1, 2)), InvariantViolation, "not a permutation of 0..1: (0, 1, 2)"),
     # graph
     (lambda: verify_peo(EDGE, (0, 0)), InvariantViolation, "order is not a permutation of the vertices"),
+    (lambda: verify_peo(PATH, [0, True, 2]), InvariantViolation, "order entry True is not an int"),
+    (lambda: verify_peo(PATH, [0, 1.0, 2]), InvariantViolation, "order entry 1.0 is not an int"),
+    (lambda: verify_peo(PATH, [0, 1, "a"]), InvariantViolation, "order entry 'a' is not an int"),
     (lambda: peo_min_right(EDGE), InvariantViolation, "peo_min_right needs the underlying intervals"),
     (lambda: min_cost_vertex_cover(SQUARE), NotChordal, "graph has no perfect elimination ordering"),
     (lambda: longest_path_caterpillar(EDGE, []), InvariantViolation, "empty vertex set"),
     (lambda: CoTTFunctions((F(0),), (F(1), F(2))), InvariantViolation, "threshold/tolerance lists differ in length"),
+    (lambda: cott_to_instance(COTT, [1]), InvariantViolation, "1 costs for 3 CoTT vertices"),
+    (lambda: cott_to_instance(COTT, [1, 2, 3, 4]), InvariantViolation, "4 costs for 3 CoTT vertices"),
     # offline
     (lambda: brute_force_optimum(PAIR.without_values()), MissingRealization, "brute force needs the hidden values"),
     # online
@@ -107,7 +115,8 @@ def test_the_good_calls_pass():
     assert KnowledgeState(ONE, (0,), 0).n == 1
     assert valid_permutation(PAIR, None, (1, 0)) and Permutation((1, 0)).order == (1, 0)
     assert verify_peo(EDGE, (0, 1)) and longest_path_caterpillar(EDGE, [0, 1]) == (0, 1)
-    assert min_cost_vertex_cover(DependencyGraph(3, [(0, 1), (1, 2)], (1,) * 3)) == (1,)
+    assert verify_peo(PATH, [0, 1, 2]) and min_cost_vertex_cover(PATH) == (1,)
+    assert cott_to_instance(COTT, [1, 2, 3]).costs == (1, 2, 3)
     assert CpcpEnvironment(PAIR).step_cost(0, 0) == 1
     assert RunReport((1,), F(1), Permutation((0,)), ((0, UncertainInterval(F(1), F(1)), F(1)),)).total_cost == 1
     assert Sqrt3Prob(1, 1).ratio == 1

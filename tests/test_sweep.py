@@ -491,8 +491,9 @@ def generic_shift(inst):
 
 def test_oracle_and_oblivious_read_the_graph_they_hold(monkeypatch):
     """Once the instance grid exists, `AdviceOracle` covers subgraphs of H
-    without rebuilding a graph or putting intervals on a fresh grid, and
-    `run_oblivious` reads the environment's graph."""
+    without rebuilding a graph or putting intervals on a fresh grid,
+    `run_oblivious` reads the environment's graph, and `build_graph(inst)`
+    reads the instance's grid and pairs."""
     inst = make_instance(0, SCALE_N, F(0), 4 * SCALE_N + 1)
     inst.grid
     calls = []
@@ -510,8 +511,10 @@ def test_oracle_and_oblivious_read_the_graph_they_hold(monkeypatch):
     assert calls == []
     run_oblivious(Environment(inst))
     assert calls == ["to_grid"]  # `build_permutation`'s check of the final intervals
-    graph.build_graph(inst)  # the counters see a rebuild
-    assert calls == ["to_grid", "build_graph", "to_grid"]
+    graph.build_graph(inst)
+    assert calls == ["to_grid", "build_graph"]
+    graph.build_graph(KnowledgeState(inst.intervals, (0,) * inst.n, F(0)), inst.delta)  # the counters see a rebuild
+    assert calls == ["to_grid", "build_graph", "build_graph", "to_grid"]
 
 
 @pytest.mark.parametrize("seed", range(3))

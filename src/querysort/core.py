@@ -311,8 +311,9 @@ class Instance:
     nested in its predecessor and the final entry is the point holding the
     value.  ``time_costs`` (optional, same shape) price each script step;
     without them every step of an interval costs its flat ``cost``.
-    The integer grids `grid` and `cost_grid`, and the dependent ``pairs``
-    swept on `grid`, are computed on first read and kept.
+    The integer grids `grid` and `cost_grid`, the dependent ``pairs`` swept
+    on `grid`, and the refinement model's ``steps`` are computed on first
+    read and kept.
     """
 
     delta: Fraction
@@ -444,6 +445,26 @@ class Instance:
         scale, units = grid_ints([*self.costs, *times])
         return scale, tuple(units[:self.n])
 
+    @cached_property
+    def steps(self) -> tuple[tuple[tuple[UncertainInterval, int, int, Fraction, int], ...], ...]:
+        """Per item, each refinement step's ``(reply, lo, hi, price, units)``: the reply at the
+        item's flat cost, its ends on `grid`, its price as a `Fraction` and on `cost_grid`.
+        No script means one step to the value; no time costs mean the flat cost."""
+        grid, (cost_scale, units) = self.grid, self.cost_grid
+        scripts, times = self.refinements or (None,) * self.n, self.time_costs or (None,) * self.n
+        table = []
+        for i, itv in enumerate(self.intervals):
+            if scripts[i] is not None:
+                table.append(tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
+                                    on_grid(e.lo, grid.scale), on_grid(e.hi, grid.scale), p, on_grid(p, cost_scale))
+                                   for e, p in zip(scripts[i], times[i] or (itv.cost,) * len(scripts[i]))))
+            elif self.values is None:
+                raise MissingRealization(f"item {i} has neither a refinement script nor a value")
+            else:  # the value this instance checked against its interval, at that interval's checked cost
+                v, at = self.values[i], grid.values[i]
+                table.append(((_checked_already(v, v, itv.cost), at, at, itv.cost, units[i]),))
+        return tuple(table)
+
     def with_values(self, values: Iterable[ScalarLike]) -> "Instance":
         """A copy of this instance with the given hidden realization."""
         return Instance(
@@ -456,21 +477,6 @@ class Instance:
 
     def without_values(self) -> "Instance":
         return Instance(self.delta, self.intervals, None, None, None)
-
-
-def refinement_steps(inst: Instance, i: int) -> tuple[RefinementScript, tuple[Fraction, ...]]:
-    """Item ``i``'s refinement script and the price of each step.
-
-    No script means one step to the value; no time costs mean the flat cost.
-    """
-    script = inst.refinements[i] if inst.refinements is not None else None
-    if script is None:
-        if inst.values is None:
-            raise MissingRealization(f"item {i} has neither a refinement script nor a value")
-        # a value the instance checked against its interval, at that interval's checked cost
-        script = (_checked_already(inst.values[i], inst.values[i], inst.intervals[i].cost),)
-    prices = inst.time_costs[i] if inst.time_costs is not None else None
-    return script, prices or (inst.intervals[i].cost,) * len(script)
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,14 @@ class DependencyGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], weights: Sequence[Fraction],
                  intervals: Optional[Sequence[UncertainInterval]] = None,
                  los: Optional[Sequence[int]] = None, his: Optional[Sequence[int]] = None):
+        _require_ints("vertex count", n)
         self.n = n
         self.weights = weights
         self.intervals = intervals
         self.adj: list[set[int]] = [set() for _ in range(n)]
         for (i, j) in edges:
-            if not (0 <= i < j < n):
+            if not (type(i) is type(j) is int and 0 <= i < j < n):
+                _require_ints("edge entry", i, j)
                 raise InvariantViolation(f"bad edge ({i}, {j}) for n={n}")
             self.adj[i].add(j)
             self.adj[j].add(i)
@@ -141,7 +143,15 @@ def components(g: DependencyGraph) -> list[list[int]]:
     return [_reach(g, start, seen) if g.adj[start] else [start] for start in range(g.n) if start not in seen]
 
 
+def _require_ints(what: str, *xs) -> None:
+    """Refuse the first of ``xs`` whose `type` is not `int`: also a bool, and a float equal to an int."""
+    for x in xs:
+        if type(x) is not int:
+            raise InvariantViolation(f"{what} {x!r} is not an int")
+
+
 def _check_vertex(g: DependencyGraph, v: int) -> None:
+    _require_ints("vertex", v)
     if not 0 <= v < g.n:
         raise InvariantViolation(f"no vertex {v} in a graph on {g.n} vertices")
 
@@ -171,9 +181,7 @@ def _non_simplicial(
 
 def verify_peo(g: DependencyGraph, order: Sequence[int]) -> bool:
     """Check that each vertex's later neighbors form a clique."""
-    for v in order:  # `type` also refuses a bool, and a float equal to an int
-        if type(v) is not int:
-            raise InvariantViolation(f"order entry {v!r} is not an int")
+    _require_ints("order entry", *order)
     if sorted(order) != list(range(g.n)):
         raise InvariantViolation("order is not a permutation of the vertices")
     return _non_simplicial(g, order) is None
@@ -281,6 +289,7 @@ def min_cost_vertex_cover(g: DependencyGraph) -> tuple[int, ...]:
 
 def find_triangle(g: DependencyGraph, start: int = 0) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest triangle whose first vertex is at least ``start``, or None."""
+    _require_ints("triangle search start", start)
     if not 0 <= start <= g.n:
         raise InvariantViolation(f"triangle search start {start} outside [0, {g.n}]")
     for i in range(start, g.n):
@@ -305,11 +314,12 @@ def longest_path_caterpillar(
     """
     if vertices is None:
         vertices = range(g.n)
+    for v in vertices:
+        _check_vertex(g, v)
     vs = frozenset(vertices)
     if not vs:
         raise InvariantViolation("empty vertex set")
     root = min(vs)
-    _check_vertex(g, root), _check_vertex(g, max(vs))
     dist, _ = _bfs(g, root, vs)
     if len(dist) != len(vs):
         raise NotTree(f"vertex set {sorted(vs)} is not connected")
@@ -323,15 +333,9 @@ def longest_path_caterpillar(
     path = [end_b]
     while path[-1] != end_a:
         path.append(parent[path[-1]])
-    # path currently runs end_b -> end_a; orient deterministically.
-    first, last = path[0], path[-1]
-    if g.los is not None:
-        key = lambda v: (g.los[v], v)
-    else:
-        key = lambda v: v
-    if key(last) < key(first):
-        path.reverse()
-    return tuple(path)
+    # path runs end_b -> end_a; orient it by (lo, index), by index alone without endpoints
+    key = lambda v: (g.los[v] if g.los is not None else 0, v)
+    return tuple(reversed(path) if key(path[-1]) < key(path[0]) else path)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 from typing import Optional
 
 from .core import (
     Instance,
     dependent,
     is_trivial,
-    on_grid,
-    refinement_steps,
     scalar,
     singleton_witness_value,
     sweep_pairs,
@@ -256,24 +255,18 @@ def cpcp_brute_force_optimum(
     smallest minimizing vector.  Items without a script get the 1-step
     script that jumps to their value.
 
-    Searched depth first in lexicographic order on `Instance.grid` endpoints
-    and `Instance.cost_grid` prices, which cover every script entry and step.
+    Searched depth first in lexicographic order on the grid ends and unit
+    prices of `Instance.steps`, the table the refinement environments read.
     A branch is cut when its newest interval is dependent on an earlier one
     (no completion is feasible) or its partial cost reaches the best (costs
     are non-negative), so it finds what a full scan of every vector finds.
     """
-    n = inst.n
-    grid, scale, cost_scale = inst.grid, inst.grid.scale, inst.cost_grid[0]
-    steps: list[tuple[tuple[int, int], ...]] = []  # (lo, hi) of the interval, then of each script entry
-    prefix_cost: list[list[int]] = []  # in cost units
-    total = 1
-    for i in range(n):
-        script, prices = refinement_steps(inst, i)
-        total *= len(script) + 1
-        if total > CPCP_ENUMERATION_LIMIT:
-            raise TooLarge(f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors")
-        steps.append(((grid.los[i], grid.his[i]), *((on_grid(e.lo, scale), on_grid(e.hi, scale)) for e in script)))
-        prefix_cost.append([0, *accumulate(on_grid(p, cost_scale) for p in prices)])
+    n, grid, table = inst.n, inst.grid, inst.steps
+    if prod(len(steps) + 1 for steps in table) > CPCP_ENUMERATION_LIMIT:
+        raise TooLarge(f"prefix enumeration exceeds {CPCP_ENUMERATION_LIMIT} vectors")
+    # (lo, hi) of the interval, then of each script entry; the prices' prefix sums in cost units
+    spans = [((grid.los[i], grid.his[i]), *((lo, hi) for _, lo, hi, _, _ in steps)) for i, steps in enumerate(table)]
+    prefix_cost = [[0, *accumulate(units for *_, units in steps)] for steps in table]
 
     d = grid.delta
     best: Optional[int] = None
@@ -284,7 +277,7 @@ def cpcp_brute_force_optimum(
         if i == n:
             best, best_vec = cost, vec
             return
-        for k, (lo, hi) in enumerate(steps[i]):
+        for k, (lo, hi) in enumerate(spans[i]):
             c = cost + prefix_cost[i][k]
             if best is not None and c >= best:
                 return  # prefix costs never fall as k grows
@@ -293,4 +286,4 @@ def cpcp_brute_force_optimum(
 
     search(0, 0, (), ())
     assert best is not None  # full prefixes are feasible
-    return Fraction(best, cost_scale), best_vec
+    return Fraction(best, inst.cost_grid[0]), best_vec

@@ -58,8 +58,6 @@ from .core import (
     _checked_already,
     build_permutation,
     isqrt_bounds,
-    on_grid,
-    refinement_steps,
     scalar,
 )
 from .errors import (
@@ -238,6 +236,11 @@ class QueryEnvironment:
         """
         return self._graph
 
+    def _check_item(self, i: int) -> None:
+        """Refuse an ``i`` that is not an int in ``[0, n)``; `type` also refuses a bool."""
+        if type(i) is not int or not 0 <= i < len(self._queried):
+            raise InvariantViolation(f"query index {i!r} names no item (n = {len(self._queried)})")
+
     def _fork(self) -> "QueryEnvironment":
         """An independent copy: querying either one leaves the other unchanged."""
         twin = copy.copy(self)
@@ -277,6 +280,7 @@ class Environment(QueryEnvironment):
         return self._queried[i] > 0
 
     def query(self, i: int) -> Fraction:
+        self._check_item(i)
         if self._queried[i]:
             raise RepeatQuery(f"item {i} was already queried")
         v, at, charge = self.instance.values[i], self._grid.values[i], self.instance.costs[i]
@@ -289,24 +293,14 @@ class CpcpEnvironment(QueryEnvironment):
 
     Items without a script behave as in the exact model (a one-step script
     to the value point).  The t-th query on item ``i`` charges the t-th
-    time cost when given, the item's flat cost otherwise.
+    time cost when given, the item's flat cost otherwise.  The steps, with
+    their ends and prices on the grids, are the instance's `Instance.steps`,
+    built once and shared by every environment on it.
     """
 
     def __init__(self, instance: Instance):
         super().__init__(instance)
-        scale, cost_scale, values = self._grid.scale, self._scale, self._grid.values
-        scripts = instance.refinements or (None,) * instance.n
-        # Each step's reply (the entry, with the item's flat cost as the transcript shows it), its
-        # endpoints on the grid, and its price, also in cost units: both grids cover every entry.
-        # An unscripted item's one step to its checked value comes from the grids (no values: raise).
-        self._scripts = [
-            tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
-                   on_grid(e.lo, scale), on_grid(e.hi, scale), price, on_grid(price, cost_scale))
-                  for e, price in zip(*refinement_steps(instance, i))) if scripts[i] or values is None
-            else ((_checked_already(instance.values[i], instance.values[i], itv.cost), values[i], values[i],
-                   itv.cost, self._units[i]),)
-            for i, itv in enumerate(instance.intervals)
-        ]
+        self._scripts = instance.steps
 
     def times(self, i: int) -> int:
         """How many queries item ``i`` has received."""
@@ -317,18 +311,18 @@ class CpcpEnvironment(QueryEnvironment):
 
     def step_cost(self, i: int, t: int) -> Fraction:
         """Price of the (t+1)-th query on item ``i`` (t counts from 0)."""
+        self._check_item(i)
+        if type(t) is not int or t < 0:
+            raise InvariantViolation(f"step index {t!r} is not an int at or above 0")
         if t >= len(self._scripts[i]):
-            raise ScriptExhausted(
-                f"item {i} has only {len(self._scripts[i])} script steps"
-            )
+            raise ScriptExhausted(f"item {i} has only {len(self._scripts[i])} script steps")
         return self._scripts[i][t][3]
 
     def query(self, i: int) -> UncertainInterval:
+        self._check_item(i)
         t = self._queried[i]
         if t >= len(self._scripts[i]):
-            raise ScriptExhausted(
-                f"item {i}: script ended before the pair resolved"
-            )
+            raise ScriptExhausted(f"item {i}: script ended before the pair resolved")
         result, lo, hi, price, units = self._scripts[i][t]
         return self._record(i, result, lo, hi, price, units, result)
 

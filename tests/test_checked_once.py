@@ -4,14 +4,15 @@ checked versions, which live only here.
 `core._checked_already` builds an `UncertainInterval` without
 `__post_init__` for numbers that passed its checks before: `gen_random`'s
 draws, each query's revealed point, `collapse`, and the one-step scripts of
-`refinement_steps` and `CpcpEnvironment`.  Every such interval must equal
-the checked constructor's, field for field and type for type, at sizes up
-to n = 300.  `to_grid` reads each `Fraction` once through
-``as_integer_ratio()``; the ``.numerator``/``.denominator`` version it
-replaced is the oracle.  `CpcpEnvironment` builds an unscripted item's
-step from the instance grid; the `refinement_steps` table is the oracle.
+`Instance.steps`.  Every such interval must equal the checked constructor's,
+field for field and type for type, at sizes up to n = 300.  `to_grid` reads
+each `Fraction` once through ``as_integer_ratio()``; the
+``.numerator``/``.denominator`` version it replaced is the oracle.
+`Instance.steps` builds an unscripted item's step from the instance grid,
+once per instance; `ref_refinement_steps`, the rule it replaced, is the oracle.
 """
 
+import random
 from fractions import Fraction as F
 from math import lcm
 
@@ -22,15 +23,19 @@ from hypothesis import strategies as st
 from querysort import (
     CpcpEnvironment,
     Environment,
+    Instance,
     InvariantViolation,
     MissingRealization,
     UncertainInterval,
+    cpcp_brute_force_optimum,
+    gen_cpcp_adversary,
     gen_random,
     gen_random_scripted,
     instances,
     interval,
 )
-from querysort.core import Grid, on_grid, refinement_steps, to_grid
+from querysort import core
+from querysort.core import Grid, on_grid, to_grid
 from test_int_paths import FAMILIES, STRATEGIES, with_costs
 
 
@@ -130,34 +135,80 @@ def test_to_grid_matches_the_property_reads(delta, intervals, with_values, value
 # ---------------------------------------------------------------------------
 
 
+def ref_refinement_steps(inst, i):
+    """Item ``i``'s refinement script and the price of each step: no script means one step
+    to the value, made by the checked constructor; no time costs mean the flat cost."""
+    script = inst.refinements[i] if inst.refinements is not None else None
+    if script is None:
+        if inst.values is None:
+            raise MissingRealization(f"item {i} has neither a refinement script nor a value")
+        script = (UncertainInterval(inst.values[i], inst.values[i], inst.intervals[i].cost),)
+    prices = inst.time_costs[i] if inst.time_costs is not None else None
+    return script, prices or (inst.intervals[i].cost,) * len(script)
+
+
 def ref_scripts(inst):
-    """`CpcpEnvironment`'s table as built for every item through `refinement_steps`, with the
-    one-step script to the value made by the checked constructor."""
+    """`Instance.steps` as built for every item through `ref_refinement_steps`, with every
+    end and price put on the grids by `on_grid`."""
     scale, cost_scale = inst.grid.scale, inst.cost_grid[0]
-    table = []
     for i, itv in enumerate(inst.intervals):
-        script = inst.refinements[i] if inst.refinements and inst.refinements[i] else None
-        if script is None:
-            script = (UncertainInterval(inst.values[i], inst.values[i], itv.cost),)
-        prices = (inst.time_costs[i] if inst.time_costs else None) or (itv.cost,) * len(script)
-        assert refinement_steps(inst, i) == (script, prices)
-        table.append(tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
-                            on_grid(e.lo, scale), on_grid(e.hi, scale), price, on_grid(price, cost_scale))
-                           for e, price in zip(script, prices)))
-    return table
+        yield tuple((e if e.cost == itv.cost else UncertainInterval(e.lo, e.hi, itv.cost),
+                     on_grid(e.lo, scale), on_grid(e.hi, scale), price, on_grid(price, cost_scale))
+                    for e, price in zip(*ref_refinement_steps(inst, i)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(1, 300), st.booleans(), st.sampled_from(instances._COST_MODELS),
+def with_time_costs(inst, seed):
+    """``inst`` with a random price, zero included, on every step of every script."""
+    rng = random.Random(seed)
+    costs = tuple(None if script is None else tuple(F(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in script)
+                  for script in inst.refinements)
+    return Instance(inst.delta, inst.intervals, inst.values, inst.refinements, costs)
+
+
+#: Refinement-model instances at ``(seed, n, delta)``: every item unscripted, mixed, or stalling
+#: (the stalling family keeps its own threshold, 0).
+STEP_DRAWS = {
+    "random-uniform": lambda seed, n, delta: gen_random(seed, n, delta, "uniform"),
+    "random-rational": lambda seed, n, delta: gen_random(seed, n, delta, "rational-range"),
+    "scripted": lambda seed, n, delta: gen_random_scripted(seed, n, delta),
+    "scripted-timed": lambda seed, n, delta: with_time_costs(gen_random_scripted(seed, n, delta), seed),
+    "cpcp-adversary": lambda seed, n, delta: gen_cpcp_adversary(max(1, n // 2), seed % 5 + 1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 300), st.sampled_from(sorted(STEP_DRAWS)),
        st.sampled_from([F(0), F(1, 2), F(1)]))
-def test_one_step_scripts_match_refinement_steps(seed, n, scripted, cost_model, delta):
-    inst = gen_random_scripted(seed, n, delta) if scripted else gen_random(seed, n, delta, cost_model)
-    table = CpcpEnvironment(inst)._scripts
-    assert table == ref_scripts(inst)
+def test_one_step_scripts_match_refinement_steps(seed, n, draw, delta):
+    inst = STEP_DRAWS[draw](seed, n, delta)
+    table = inst.steps
+    assert table == CpcpEnvironment(inst)._scripts == tuple(ref_scripts(inst))
     for steps in table:
         for reply, lo, hi, price, units in steps:
             assert_checked(reply)
             assert type(lo) is type(hi) is type(units) is int and type(price) is F
+
+
+def test_one_table_per_instance(monkeypatch):
+    """Every environment on an instance, and its refinement optimum, read the one table
+    `Instance.steps` builds; only scripted steps go through `on_grid`, three calls each."""
+    calls = []
+    original = core.on_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "on_grid", counted)
+    inst = gen_cpcp_adversary(6, 4)
+    first, second = CpcpEnvironment(inst), CpcpEnvironment(inst)
+    assert first._scripts is second._scripts is inst.steps
+    assert cpcp_brute_force_optimum(inst) == (F(14), (1,) * 10 + (0, 4))
+    assert len(calls) == 3 * 2 * 4  # two stalling scripts of four steps
+    calls.clear()
+    inst = gen_random_scripted(5, 30, 0)
+    CpcpEnvironment(inst), CpcpEnvironment(inst)
+    assert len(calls) == 3 * sum(len(script) for script in inst.refinements if script) == 147
 
 
 def test_value_less_instance_still_raises_missing_realization():

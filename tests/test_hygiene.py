@@ -13,11 +13,10 @@ every pair question a strategy asks goes to the environment's live graph.
 Offline, only the 2^n oracle `brute_force_optimum` names one: every other
 exact optimum decides on the instance's grid ints.
 
-No Fraction endpoint in a decision: ``online.py`` reads ``.lo``/``.hi`` only
-in ``CpcpEnvironment.__init__``, which builds the intervals its queries
-return and puts them on the grid, and `peo_min_right` and
-`longest_path_caterpillar` read no ``intervals``; every ordering key and
-pick compares grid ints.
+No Fraction endpoint in a decision: ``online.py`` reads no ``.lo``/``.hi``
+(the refinement steps come on the grid from `Instance.steps`), and
+`peo_min_right` and `longest_path_caterpillar` read no ``intervals``; every
+ordering key and pick compares grid ints.
 
 No `Fraction` money in the per-query path: the ledger, the queries, the
 flushes and each play's step loop build no ``Fraction(...)`` and read no
@@ -27,6 +26,10 @@ rule's arguments are made exact there.
 Each number is checked once, and only once: `core._checked_already`, which
 builds an interval without its checks, is named only inside an allow-list of
 functions whose inputs already passed them (`UNCHECKED_CALLERS`).
+
+Each refinement table is built once: `core.on_grid` is called only in
+`Instance.steps` (`ON_GRID_CALLERS`), which the environments and the
+refinement optimum read.
 
 Each instance is swept once: `core.sweep_pairs` is called only from the
 functions in `SWEEP_CALLERS`, once in each.  The environment, the offline
@@ -213,8 +216,7 @@ def test_the_check_flags_endpoint_reads():
 
 
 def test_online_decides_on_grid_endpoints():
-    reads = attribute_reads((SRC / "online.py").read_text(), {"lo", "hi"})
-    assert {where for where, _, _ in reads} == {"CpcpEnvironment.__init__"}
+    assert attribute_reads((SRC / "online.py").read_text(), {"lo", "hi"}) == []
 
 
 def test_orderings_read_no_intervals():
@@ -288,19 +290,20 @@ def test_queries_and_plays_spend_cost_units():
 #: Each function that may build an interval without its checks, and why its fields passed them.
 UNCHECKED_CALLERS = {
     ("core.py", "UncertainInterval.collapse"),  # after its own `contains` check
-    ("core.py", "refinement_steps"),  # the instance's checked value, at its interval's cost
+    ("core.py", "Instance.steps"),  # the instance's checked value, at its interval's cost
     ("online.py", "Environment.query"),  # the same, for the revealed point
-    ("online.py", "CpcpEnvironment.__init__"),  # the same, for an unscripted item's one step
     ("instances.py", "gen_random"),  # lo <= hi half-grid indices, at a positive cost
 }
 
 
 def name_uses(source, name):
     """``(enclosing function, line, name)`` for every use of ``name`` but its
-    definition and imports: a call, or a name that could alias it."""
+    definition and plain imports: a call, a name that could alias it, or an
+    import that renames it (its uses then go by another name)."""
     return sites_by_function(ast.parse(source), lambda node: name if (
         isinstance(node, ast.Name) and node.id == name
-        or isinstance(node, ast.Attribute) and node.attr == name) else None)
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name and node.asname) else None)
 
 
 def test_the_check_flags_a_new_unchecked_caller():
@@ -315,9 +318,13 @@ def test_the_check_flags_a_new_unchecked_caller():
         "    return make(x, x, 1)\n"
         "def _checked_already(lo, hi, cost):\n"
         "    return lo\n"
+        "def point(v):\n"
+        "    from .core import _checked_already as unchecked\n"
+        "    return unchecked(v, v, 1)\n"
     )
     assert name_uses(source, "_checked_already") == [("Env.query", 5, "_checked_already"),
-                                                     ("gen", 7, "_checked_already")]
+                                                     ("gen", 7, "_checked_already"),
+                                                     ("point", 12, "_checked_already")]
 
 
 def test_unchecked_intervals_come_from_the_allow_list():
@@ -356,6 +363,31 @@ def test_an_instance_is_swept_once():
     found = sorted((path.name, where) for path in sorted(SRC.glob("*.py"))
                    for where, _, _ in name_uses(path.read_text(), "sweep_pairs"))
     assert found == SWEEP_CALLERS
+
+
+#: Each function that puts a number on a grid with `core.on_grid`, which checks that it fits.
+#: The refinement steps go on the grids once per instance, and every reader takes that table.
+ON_GRID_CALLERS = {("core.py", "Instance.steps")}
+
+
+def test_the_check_flags_a_new_grid_conversion():
+    source = (
+        "from .core import on_grid\n"
+        "from . import core\n"
+        "class CpcpEnvironment:\n"
+        "    def __init__(self, inst):\n"
+        "        self.lo = on_grid(inst.refinements[0][0].lo, inst.grid.scale)\n"
+        "def cpcp_brute_force_optimum(inst):\n"
+        "    return core.on_grid(inst.time_costs[0][0], inst.cost_grid[0])\n"
+    )
+    assert name_uses(source, "on_grid") == [("CpcpEnvironment.__init__", 5, "on_grid"),
+                                            ("cpcp_brute_force_optimum", 7, "on_grid")]
+
+
+def test_refinement_steps_go_on_the_grid_once():
+    found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where, _, _ in name_uses(path.read_text(), "on_grid")}
+    assert found == ON_GRID_CALLERS
 
 
 def reexport_mismatch(source):

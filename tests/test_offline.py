@@ -37,9 +37,10 @@ from querysort import (
     oblivious_query_set,
     optimum_query_set,
 )
-from querysort.core import Instance, dependent, refinement_steps
+from querysort.core import Instance, dependent
 from querysort.graph import DependencyGraph, build_graph
 from querysort.offline import BRUTE_FORCE_LIMIT, CPCP_ENUMERATION_LIMIT
+from test_checked_once import ref_refinement_steps
 from test_local_picks import sparse
 
 
@@ -293,7 +294,7 @@ def fraction_cpcp_optimum(inst):
     """The pruned depth-first search of `cpcp_brute_force_optimum`, on `Fraction`
     endpoints and prices: the same order, cuts and tie-break."""
     n = inst.n
-    rows = [refinement_steps(inst, i) for i in range(n)]
+    rows = [ref_refinement_steps(inst, i) for i in range(n)]
     steps = [(itv,) + script for itv, (script, _) in zip(inst.intervals, rows)]
     prefix_cost = [[F(0), *accumulate(prices)] for _, prices in rows]
     best, best_vec = None, ()

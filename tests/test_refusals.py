@@ -27,9 +27,11 @@ from querysort import (
     algorithm2,
     brute_force_optimum,
     cott_to_instance,
+    find_triangle,
     gen_cost_path,
     gen_laminar,
     gen_lemma4_pair,
+    gen_random,
     gen_random_scripted,
     gen_triangle_chain,
     interval,
@@ -40,7 +42,7 @@ from querysort import (
     valid_permutation,
     verify_peo,
 )
-from querysort.graph import DependencyGraph
+from querysort.graph import DependencyGraph, component_of
 
 ONE = (interval(0, 2),)
 PAIR = Instance(F(0), (interval(0, 4), interval(0, 6)), (F(3), F(1)))
@@ -49,6 +51,7 @@ PATH = DependencyGraph(3, [(0, 1), (1, 2)], (1,) * 3)
 COTT = CoTTFunctions((F(0), F(1), F(2)), (F(2), F(3), F(4)))
 #: A 4-cycle with no endpoints: the cover falls back to a maximum cardinality search.
 SQUARE = DependencyGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1,) * 4)
+FIVE = gen_random(1, 5, 0)
 
 #: ``(call, exception, its exact message)``.
 REFUSALS = [
@@ -83,12 +86,30 @@ REFUSALS = [
     (lambda: CoTTFunctions((F(0),), (F(1), F(2))), InvariantViolation, "threshold/tolerance lists differ in length"),
     (lambda: cott_to_instance(COTT, [1]), InvariantViolation, "1 costs for 3 CoTT vertices"),
     (lambda: cott_to_instance(COTT, [1, 2, 3, 4]), InvariantViolation, "4 costs for 3 CoTT vertices"),
+    (lambda: DependencyGraph(2, [(False, True)], (1, 1)), InvariantViolation, "edge entry False is not an int"),
+    (lambda: DependencyGraph(2, [(0.0, 1)], (1, 1)), InvariantViolation, "edge entry 0.0 is not an int"),
+    (lambda: DependencyGraph(2.0, [], (1, 1)), InvariantViolation, "vertex count 2.0 is not an int"),
+    (lambda: component_of(PATH, True), InvariantViolation, "vertex True is not an int"),
+    (lambda: component_of(PATH, 1.0), InvariantViolation, "vertex 1.0 is not an int"),
+    (lambda: find_triangle(PATH, 0.5), InvariantViolation, "triangle search start 0.5 is not an int"),
+    (lambda: longest_path_caterpillar(PATH, [0, 1.0, 2]), InvariantViolation, "vertex 1.0 is not an int"),
+    (lambda: longest_path_caterpillar(PATH, [0, 1, 1.0, 2]), InvariantViolation, "vertex 1.0 is not an int"),
     # offline
     (lambda: brute_force_optimum(PAIR.without_values()), MissingRealization, "brute force needs the hidden values"),
     # online
     (lambda: Sqrt3Prob(0, 1), InvariantViolation, "Sqrt3Prob needs positive parts"),
     (lambda: Sqrt3Prob(2, 1), InvariantViolation, "Sqrt3Prob must be < 1; use Fraction(1)"),
     (lambda: CpcpEnvironment(PAIR).step_cost(0, 1), ScriptExhausted, "item 0 has only 1 script steps"),
+    (lambda: CpcpEnvironment(PAIR).step_cost(0, -1), InvariantViolation, "step index -1 is not an int at or above 0"),
+    (lambda: CpcpEnvironment(PAIR).step_cost(0, True), InvariantViolation,
+     "step index True is not an int at or above 0"),
+    (lambda: CpcpEnvironment(PAIR).step_cost(-1, 0), InvariantViolation, "query index -1 names no item (n = 2)"),
+    (lambda: Environment(FIVE).query(-1), InvariantViolation, "query index -1 names no item (n = 5)"),
+    (lambda: Environment(FIVE).query(True), InvariantViolation, "query index True names no item (n = 5)"),
+    (lambda: Environment(FIVE).query(5), InvariantViolation, "query index 5 names no item (n = 5)"),
+    (lambda: Environment(FIVE).query(1.0), InvariantViolation, "query index 1.0 names no item (n = 5)"),
+    (lambda: CpcpEnvironment(FIVE).query(-2), InvariantViolation, "query index -2 names no item (n = 5)"),
+    (lambda: CpcpEnvironment(FIVE).query(False), InvariantViolation, "query index False names no item (n = 5)"),
     (lambda: RunReport((1,), F(1), Permutation((0,)), ()), InvariantViolation,
      "total cost 1 does not match transcript sum 0"),
     (lambda: algorithm2(Environment(gen_cost_path(4, F(1, 100))), HALF), InvariantViolation,
@@ -117,6 +138,11 @@ def test_the_good_calls_pass():
     assert verify_peo(EDGE, (0, 1)) and longest_path_caterpillar(EDGE, [0, 1]) == (0, 1)
     assert verify_peo(PATH, [0, 1, 2]) and min_cost_vertex_cover(PATH) == (1,)
     assert cott_to_instance(COTT, [1, 2, 3]).costs == (1, 2, 3)
-    assert CpcpEnvironment(PAIR).step_cost(0, 0) == 1
+    assert DependencyGraph(2, [(0, 1)], (1, 1)).edges == {(0, 1)} and component_of(PATH, 1) == [0, 1, 2]
+    assert find_triangle(PATH, 0) is None and longest_path_caterpillar(PATH, [0, 1, 2]) == (0, 1, 2)
+    assert CpcpEnvironment(PAIR).step_cost(0, 0) == CpcpEnvironment(PAIR).step_cost(1, 0) == 1
+    for env in (Environment(FIVE), CpcpEnvironment(FIVE)):
+        assert env.query(0) is not None and env.query(4) is not None
+        assert [i for i, _, _ in env.transcript] == [0, 4]
     assert RunReport((1,), F(1), Permutation((0,)), ((0, UncertainInterval(F(1), F(1)), F(1)),)).total_cost == 1
     assert Sqrt3Prob(1, 1).ratio == 1

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, Optional
 
-from .core import Instance, isqrt_bounds, valid_permutation
+from .core import Instance, isqrt_bounds, threshold, valid_permutation
 from .errors import InvariantViolation, ParseError, QuerysortError
 from .offline import (
     BRUTE_FORCE_LIMIT,
@@ -67,6 +68,11 @@ _CSV_HEADER = ("instance", "algorithm", "seed", "cost", "opt", "ratio", "bits")
 
 def _fmt(x: Fraction) -> str:
     return f"{x} (~{float(x):.10g})"
+
+
+def _fmt_range(lo: Fraction, hi: Fraction) -> str:
+    """An exact value as `_fmt` prints it, or an enclosure ``in [lo, hi]`` with both approximations."""
+    return _fmt(lo) if lo == hi else f"in [{lo}, {hi}] (~{float(lo):.10g}..{float(hi):.10g})"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -217,9 +223,7 @@ def _seeds(args) -> range:
 
 def _threshold_or_one(delta: Fraction) -> Fraction:
     """The threshold of a family drawn at a positive one: δ = 0 reads as 1, a negative δ is refused."""
-    if delta < 0:
-        raise InvariantViolation(f"negative threshold {delta}")
-    return delta or Fraction(1)
+    return threshold(delta) or Fraction(1)
 
 
 def _asteroid_rows(args, delta):
@@ -325,20 +329,11 @@ def cmd_solve(args) -> int:
         print(f"advice bits: {report.advice_bits}")
     if args.expected:
         lo, hi, _ = _expected_cost(inst, args, report)
-        if lo == hi:
-            print(f"expected cost : {_fmt(lo)}")
-        else:
-            print(f"expected cost : in [{lo}, {hi}] (~{float(lo):.10g}..{float(hi):.10g})")
+        print(f"expected cost : {_fmt_range(lo, hi)}")
         opt = _optimum_cost(inst, _STRATEGIES[args.algorithm])
         print(f"optimum cost  : {_fmt(opt)}")
         if opt > 0:
-            if lo == hi:
-                print(f"expected ratio: {_fmt(lo / opt)}")
-            else:
-                print(
-                    f"expected ratio: in [{lo / opt}, {hi / opt}]"
-                    f" (~{float(lo / opt):.10g}..{float(hi / opt):.10g})"
-                )
+            print(f"expected ratio: {_fmt_range(lo / opt, hi / opt)}")
     return 0
 
 
@@ -454,24 +449,16 @@ def cmd_ratio(args) -> int:
         out_rows.append((instance_id, args.algorithm, str(seed), str(hi), str(opt), ratio_str, bits))
     out_rows.sort(key=lambda r: (r[0], int(r[2])))
 
-    if args.out:
-        handle = open(args.out, "w", encoding="utf-8", newline="")
-    else:
-        handle = sys.stdout
-    try:
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_HEADER)
         writer.writerows(out_rows)
-    finally:
-        if args.out:
-            handle.close()
 
     mean = total / len(out_rows) if out_rows else Fraction(0)
     bound_note = f" bound={label}" if label else ""
     status = "OK" if not exceeded else "EXCEEDED"
-    max_ratio = f"{worst} (~{float(worst):.10g})" if worst is not None else "n/a"
-    summary = (f"# rows={len(out_rows)} max_ratio={max_ratio}"
-               f" mean_ratio={mean} (~{float(mean):.10g}){bound_note} status={status}")
+    max_ratio = _fmt(worst) if worst is not None else "n/a"
+    summary = f"# rows={len(out_rows)} max_ratio={max_ratio} mean_ratio={_fmt(mean)}{bound_note} status={status}"
     print(summary if not args.out else summary.lstrip("# "))
     if exceeded:
         for instance_id, ratio_str in exceeded:

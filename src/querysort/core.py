@@ -79,6 +79,19 @@ def scalar(x: ScalarLike) -> Fraction:
     raise InvariantViolation(f"cannot interpret {type(x).__name__} as a scalar")
 
 
+def threshold(delta: ScalarLike) -> Fraction:
+    """``delta`` as a `scalar`, refused when negative: every threshold is read through here."""
+    if (delta := scalar(delta)).numerator < 0:
+        raise InvariantViolation(f"negative threshold {delta}")
+    return delta
+
+
+def _check_item(i: int, n: int) -> None:
+    """Refuse an ``i`` that is not an int in ``[0, n)``; `type` also refuses a bool."""
+    if type(i) is not int or not 0 <= i < n:
+        raise InvariantViolation(f"query index {i!r} names no item (n = {n})")
+
+
 def _le(a: Fraction, b: Fraction) -> bool:
     """``a <= b`` by cross-multiplying, which a `Fraction`'s positive denominator
     allows, without `Fraction`'s own comparison and type checks."""
@@ -189,6 +202,7 @@ def dependent(a: UncertainInterval, b: UncertainInterval, delta: Fraction) -> bo
     and false when both intervals are trivial (width <= delta), but one
     trivial side is not enough: a point can be dependent on a wider interval.
     """
+    delta = threshold(delta)
     return a.hi - b.lo > delta and b.hi - a.lo > delta
 
 
@@ -253,7 +267,7 @@ def sweep_pairs(los: Sequence[int], his: Sequence[int], d: int) -> Iterator[tupl
 def require_independent(items: Sequence[UncertainInterval], delta: Fraction) -> None:
     """Raise `UnresolvedDependency` naming the smallest dependent pair, if any,
     swept on the integer grid of ``items`` and ``delta``."""
-    grid = to_grid(scalar(delta), items)
+    grid = to_grid(threshold(delta), items)
     pair = min(sweep_pairs(grid.los, grid.his, grid.delta), default=None)
     if pair is not None:
         i, j = pair
@@ -264,7 +278,7 @@ def require_independent(items: Sequence[UncertainInterval], delta: Fraction) -> 
 
 def is_trivial(a: UncertainInterval, delta: Fraction) -> bool:
     """Width at most ``delta``: the interval can be placed without querying."""
-    return a.width <= delta
+    return a.width <= threshold(delta)
 
 
 def singleton_witness_static(
@@ -276,6 +290,7 @@ def singleton_witness_static(
     than the threshold, so querying ``b`` alone cannot separate the pair:
     ``a`` is in every feasible query set.  Decidable from endpoints only.
     """
+    delta = threshold(delta)
     return a.lo < b.lo - delta and a.hi > b.hi + delta
 
 
@@ -288,6 +303,7 @@ def singleton_witness_value(
     straddles a revealed value by more than the threshold must itself be
     queried.  Equivalent to ``dependent(a, [v, v], delta)``.
     """
+    v, delta = scalar(v), threshold(delta)
     return a.lo < v - delta and a.hi > v + delta
 
 
@@ -323,10 +339,8 @@ class Instance:
     time_costs: Optional[tuple[Optional[tuple[Fraction, ...]], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", scalar(self.delta))
+        object.__setattr__(self, "delta", threshold(self.delta))
         object.__setattr__(self, "intervals", tuple(self.intervals))
-        if self.delta.numerator < 0:
-            raise InvariantViolation(f"negative threshold {self.delta}")
         for item in self.intervals:
             if not isinstance(item, UncertainInterval):
                 raise InvariantViolation(
@@ -490,6 +504,8 @@ class KnowledgeState:
     ``queried`` counts queries per item (the refinement model may query the
     same item several times).  ``known_values`` lists every value that is
     certain right now -- exactly the values of current point intervals.
+    Each current entry must be an `UncertainInterval`, each count an int
+    (not a bool) at or above 0, and ``spent`` a scalar at or above 0.
     """
 
     current: tuple[UncertainInterval, ...]
@@ -500,10 +516,18 @@ class KnowledgeState:
         object.__setattr__(self, "current", tuple(self.current))
         object.__setattr__(self, "queried", tuple(self.queried))
         object.__setattr__(self, "spent", scalar(self.spent))
+        for item in self.current:
+            if not isinstance(item, UncertainInterval):
+                raise InvariantViolation(f"current intervals must be UncertainInterval, got {type(item).__name__}")
         if len(self.current) != len(self.queried):
             raise InvariantViolation("queried counts do not match intervals")
+        for q in self.queried:
+            if type(q) is not int:
+                raise InvariantViolation(f"query count {q!r} is not an int")
         if any(q < 0 for q in self.queried):
             raise InvariantViolation("negative query count")
+        if self.spent.numerator < 0:
+            raise InvariantViolation(f"negative spend {self.spent}")
 
     @property
     def n(self) -> int:
@@ -588,7 +612,7 @@ def build_permutation(items: Sequence[UncertainInterval], delta: Fraction) -> Pe
     item: ``before(a, b)`` implies ``a.lo + a.hi < b.lo + b.hi``.
     """
     n = len(items)
-    delta = scalar(delta)
+    delta = threshold(delta)
     require_independent(items, delta)
 
     def before(a: UncertainInterval, b: UncertainInterval) -> bool:

@@ -29,6 +29,7 @@ from .core import (
     grid_ints,
     scalar,
     sweep_pairs,
+    threshold,
     to_grid,
 )
 from .errors import (
@@ -100,7 +101,7 @@ def build_graph(source: Union[Instance, KnowledgeState], delta=None) -> Dependen
         grid, pairs, intervals = source.grid, source.pairs, source.intervals
     elif isinstance(source, KnowledgeState) and delta is not None:
         intervals = source.current
-        grid = to_grid(scalar(delta), intervals)
+        grid = to_grid(threshold(delta), intervals)
         pairs = sweep_pairs(grid.los, grid.his, grid.delta)
     else:
         raise InvariantViolation("build_graph takes an Instance, or a KnowledgeState and a threshold")

@@ -176,6 +176,14 @@ def gen_random_scripted(seed: int, n: int, delta, max_steps: int = 4) -> Instanc
 # ---------------------------------------------------------------------------
 
 
+def _tiled(copies: int, step, block, *value_rows) -> tuple[list, ...]:
+    """``copies`` copies of ``block``, ``(lo, hi)`` pairs of unit-cost intervals, and of each
+    row of values: the intervals, then one value list per row, copy ``t`` shifted by ``t * step``."""
+    shifts = [t * step for t in range(copies)]
+    return ([interval(lo + s, hi + s) for s in shifts for lo, hi in block],
+            *([v + s for s in shifts for v in row] for row in value_rows))
+
+
 def gen_lemma4_pair(delta) -> tuple[Instance, Instance]:
     """One overlapping pair with both one-sided punishing realizations.
 
@@ -228,25 +236,16 @@ def gen_triangle_chain(k: int, punish: str = "lower") -> Instance:
         raise InvariantViolation("need at least one triangle")
     if punish not in ("lower", "upper"):
         raise InvariantViolation("punish must be 'lower' or 'upper'")
-    ivs: list[UncertainInterval] = []
-    values: list[Fraction] = []
-    for i in range(k):
-        base = 30 * i
-        ivs += [
-            interval(base, base + 10),
-            interval(base + 2, base + 12),
-            interval(base + 4, base + 21),
-        ]
-        # The middle value straddles the first interval, forcing it; the
-        # outer two values land outside every other interior.
-        values += [base + 1, base + 3, base + 13]
+    # The middle value straddles the first interval, forcing it; the
+    # outer two values land outside every other interior.
+    ivs, values = _tiled(k, 30, ((0, 10), (2, 12), (4, 21)), (1, 3, 13))
     base = 30 * k
     ivs += [interval(base, base + 10), interval(base + 2, base + 12)]
     if punish == "lower":
         values += [base + 5, base + 11]
     else:
         values += [base + 1, base + 5]
-    return Instance(Fraction(0), tuple(ivs), tuple(scalar(v) for v in values))
+    return Instance(Fraction(0), tuple(ivs), tuple(values))
 
 
 def gen_advice_triangles(m: int, delta) -> tuple[Instance, Instance, Instance]:
@@ -272,23 +271,13 @@ def gen_advice_triangles(m: int, delta) -> tuple[Instance, Instance, Instance]:
     l1, r1 = base[0]
     l2, r2 = base[1]
     l3, r3 = base[2]
-    ivs: list[UncertainInterval] = []
-    for t in range(m):
-        shift = 10 * d * t
-        ivs += [interval(lo + shift, hi + shift) for lo, hi in base]
-    patterns = {
-        1: (r1, r2, r3),
-        2: (l1, 4 * d, r3),
-        3: (l1, l2, l3),
-    }
-    out = []
-    for which in (1, 2, 3):
-        values = []
-        for t in range(m):
-            shift = 10 * d * t
-            values += [v + shift for v in patterns[which]]
-        out.append(Instance(d, tuple(ivs), tuple(values)))
-    return tuple(out)
+    patterns = (
+        (r1, r2, r3),
+        (l1, 4 * d, r3),
+        (l1, l2, l3),
+    )
+    ivs, *rows = _tiled(m, 10 * d, base, *patterns)
+    return tuple(Instance(d, tuple(ivs), tuple(values)) for values in rows)
 
 
 def gen_independent_pairs(m: int, delta=0) -> Instance:
@@ -302,12 +291,7 @@ def gen_independent_pairs(m: int, delta=0) -> Instance:
     d = scalar(delta)
     a, _ = gen_lemma4_pair(d)
     span = a.intervals[1].hi + max(d, 1) + 6
-    ivs: list[UncertainInterval] = []
-    values: list[Fraction] = []
-    for t in range(m):
-        shift = span * t
-        ivs += [interval(itv.lo + shift, itv.hi + shift) for itv in a.intervals]
-        values += [v + shift for v in a.values]
+    ivs, values = _tiled(m, span, [(itv.lo, itv.hi) for itv in a.intervals], a.values)
     return Instance(d, tuple(ivs), tuple(values))
 
 

@@ -28,9 +28,8 @@ from typing import Optional
 
 from .core import (
     Instance,
+    _check_item,
     dependent,
-    is_trivial,
-    scalar,
     singleton_witness_value,
     sweep_pairs,
 )
@@ -76,8 +75,7 @@ def feasible_query_set(inst: Instance, query_set) -> bool:
         raise MissingRealization("feasibility needs the hidden values")
     chosen = set()
     for i in query_set:
-        if type(i) is not int or not 0 <= i < inst.n:
-            raise InvariantViolation(f"query index {i!r} names no item (n = {inst.n})")
+        _check_item(i, inst.n)
         chosen.add(i)
     grid = inst.grid
     los = [grid.values[i] if i in chosen else lo for i, lo in enumerate(grid.los)]
@@ -226,22 +224,22 @@ def brute_force_optimum(
     return best, tuple(minimizers)
 
 
-def oblivious_query_set(g: DependencyGraph, delta) -> frozenset[int]:
-    """Every non-trivial interval with at least one dependency in ``g``.
+def oblivious_query_set(inst: Instance) -> frozenset[int]:
+    """Every non-trivial interval of ``inst`` with at least one dependency.
 
-    ``g`` is a dependency graph that holds its intervals (`build_graph`, or
-    an environment's graph) and ``delta`` its threshold.  This is the best a
-    strategy that never looks at answers can do: any non-trivial interval
-    with a dependency might be needed, and an adversary can make each one
-    needed.  Trivial intervals are skipped even when dependent: a revealed
-    point can never be dependent on a trivial interval (that would force its
-    width above twice the threshold), so querying the non-trivial side of
-    each edge always suffices.
+    The ends of `Instance.pairs` whose width on `Instance.grid` exceeds the
+    threshold: the set depends on the instance alone, as a strategy that
+    never looks at answers must.  This is the best such a strategy can do:
+    any non-trivial interval with a dependency might be needed, and an
+    adversary can make each one needed.  Trivial intervals are skipped even
+    when dependent: a revealed point can never be dependent on a trivial
+    interval (that would force its width above twice the threshold), so
+    querying the non-trivial side of each edge always suffices.
     """
-    if not isinstance(g, DependencyGraph) or g.intervals is None:
-        raise InvariantViolation("oblivious_query_set takes a dependency graph with intervals")
-    d = scalar(delta)
-    return frozenset(v for v in g.active_vertices() if not is_trivial(g.intervals[v], d))
+    if not isinstance(inst, Instance):
+        raise InvariantViolation(f"oblivious_query_set takes an Instance, got {type(inst).__name__}")
+    grid = inst.grid
+    return frozenset(v for pair in inst.pairs for v in pair if grid.his[v] - grid.los[v] > grid.delta)
 
 
 def cpcp_brute_force_optimum(

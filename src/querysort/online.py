@@ -55,6 +55,7 @@ from .core import (
     KnowledgeState,
     Permutation,
     UncertainInterval,
+    _check_item,
     _checked_already,
     build_permutation,
     isqrt_bounds,
@@ -236,11 +237,6 @@ class QueryEnvironment:
         """
         return self._graph
 
-    def _check_item(self, i: int) -> None:
-        """Refuse an ``i`` that is not an int in ``[0, n)``; `type` also refuses a bool."""
-        if type(i) is not int or not 0 <= i < len(self._queried):
-            raise InvariantViolation(f"query index {i!r} names no item (n = {len(self._queried)})")
-
     def _fork(self) -> "QueryEnvironment":
         """An independent copy: querying either one leaves the other unchanged."""
         twin = copy.copy(self)
@@ -277,10 +273,11 @@ class Environment(QueryEnvironment):
         super().__init__(instance)
 
     def queried(self, i: int) -> bool:
+        _check_item(i, len(self._queried))
         return self._queried[i] > 0
 
     def query(self, i: int) -> Fraction:
-        self._check_item(i)
+        _check_item(i, len(self._queried))
         if self._queried[i]:
             raise RepeatQuery(f"item {i} was already queried")
         v, at, charge = self.instance.values[i], self._grid.values[i], self.instance.costs[i]
@@ -304,14 +301,16 @@ class CpcpEnvironment(QueryEnvironment):
 
     def times(self, i: int) -> int:
         """How many queries item ``i`` has received."""
+        _check_item(i, len(self._queried))
         return self._queried[i]
 
     def exhausted(self, i: int) -> bool:
+        _check_item(i, len(self._queried))
         return self._queried[i] >= len(self._scripts[i])
 
     def step_cost(self, i: int, t: int) -> Fraction:
         """Price of the (t+1)-th query on item ``i`` (t counts from 0)."""
-        self._check_item(i)
+        _check_item(i, len(self._queried))
         if type(t) is not int or t < 0:
             raise InvariantViolation(f"step index {t!r} is not an int at or above 0")
         if t >= len(self._scripts[i]):
@@ -319,7 +318,7 @@ class CpcpEnvironment(QueryEnvironment):
         return self._scripts[i][t][3]
 
     def query(self, i: int) -> UncertainInterval:
-        self._check_item(i)
+        _check_item(i, len(self._queried))
         t = self._queried[i]
         if t >= len(self._scripts[i]):
             raise ScriptExhausted(f"item {i}: script ended before the pair resolved")
@@ -523,11 +522,14 @@ def run_oblivious(env: Environment) -> dict:
     """Query everything that could possibly matter, then order.
 
     The best answer-blind strategy: every non-trivial interval with at
-    least one dependency.
+    least one dependency, read from the instance's `Instance.pairs` and
+    `Instance.grid` (`oblivious_query_set`), so the set is fixed before any
+    answer.  Items the environment has already queried are skipped.
     """
     _exact_model(env)
-    for i in sorted(oblivious_query_set(env.graph(), env.delta)):
-        env.query(i)
+    for i in sorted(oblivious_query_set(env.instance)):
+        if not env.queried(i):
+            env.query(i)
     return {}
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -38,6 +39,7 @@ from querysort import (
     gen_random,
     gen_random_scripted,
     gen_triangle_chain,
+    optimum_query_set,
     serialize,
 )
 import querysort
@@ -179,6 +181,39 @@ def test_solve_alg2_rule(tmp_path, capsys, extra, expected):
     doc = write_doc(tmp_path, "lemma4a.json", gen_lemma4_pair(0)[0])
     assert main(["solve", "alg2", doc, "--expected"] + extra) == 0
     assert expected in capsys.readouterr().out
+
+
+def ref_expected_lines(lo, hi, opt):
+    """The lines `solve --expected` printed when each line wrote its own enclosure text."""
+    lines = [f"expected cost : {cli._fmt(lo)}" if lo == hi else
+             f"expected cost : in [{lo}, {hi}] (~{float(lo):.10g}..{float(hi):.10g})",
+             f"optimum cost  : {cli._fmt(opt)}"]
+    if opt > 0:
+        lines.append(f"expected ratio: {cli._fmt(lo / opt)}" if lo == hi else
+                     f"expected ratio: in [{lo / opt}, {hi / opt}]"
+                     f" (~{float(lo / opt):.10g}..{float(hi / opt):.10g})")
+    return lines
+
+
+#: SHA-256 of the lines from "expected cost" on, as printed before the enclosure text was shared.
+EXPECTED_LINES_SHA256 = {
+    ("half", "lemma4"): "feb8700b7f2fe263f8c18ae154f316324c6810f1182c9565b3af77976fb872d2",
+    ("half", "cost_path"): "1b9041fe95ebc02825b97659345a98f4371299d2253967c91226902c318b1ae1",
+    ("sqrt3", "lemma4"): "b3f959b11f1645dc3613f0d0f5fb06aec5bc8df4bf9c41ca1e6804920573dbef",
+    ("sqrt3", "cost_path"): "932003c2e330c0474eb5f35b7cac79bd4f5fb377565da035657bdb4e91aecd8c",
+}
+
+
+@pytest.mark.parametrize("rule, family", sorted(EXPECTED_LINES_SHA256))
+def test_solve_alg2_expected_lines_are_unchanged(tmp_path, capsys, rule, family):
+    inst = {"lemma4": gen_lemma4_pair(0)[0], "cost_path": gen_cost_path(4, F(1, 1000))}[family]
+    assert main(["solve", "alg2", write_doc(tmp_path, "doc.json", inst), "--expected", "--rule", rule]) == 0
+    out = capsys.readouterr().out
+    tail = out[out.index("expected cost : "):]
+    assert hashlib.sha256(tail.encode()).hexdigest() == EXPECTED_LINES_SHA256[rule, family]
+    exact = online.expected_cost_exact(online.algorithm2, inst, {"half": online.HALF, "sqrt3": online.SQRT3}[rule])
+    lo, hi = exact if isinstance(exact, tuple) else (exact, exact)
+    assert tail.splitlines() == ref_expected_lines(lo, hi, optimum_query_set(inst)[1])
 
 
 @pytest.mark.parametrize("p, message", [
@@ -379,15 +414,20 @@ def test_ratio_exceeded_reports_and_exits_3(capsys):
 
 
 def test_ratio_csv_file(tmp_path, capsys):
+    """``--out FILE`` writes exactly the CSV that stdout gets, and stdout keeps the
+    summary line without its ``# ``."""
+    argv = ["ratio", "simple", "random", "--trials", "5", "--n", "5"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
     out = tmp_path / "table.csv"
-    assert main(
-        ["ratio", "simple", "random", "--trials", "5", "--n", "5", "--out", str(out)]
-    ) == 0
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed[:printed.index("# rows=")].encode("utf-8")
     rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
     assert rows[0] == ["instance", "algorithm", "seed", "cost", "opt", "ratio", "bits"]
     assert len(rows) == 6
     assert [r[0] for r in rows[1:]] == sorted(r[0] for r in rows[1:])
-    assert "status=OK" in capsys.readouterr().out
+    assert capsys.readouterr().out == printed[printed.index("# rows=") + 2:]
+    assert "status=OK" in printed
 
 
 @pytest.mark.parametrize(

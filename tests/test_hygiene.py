@@ -8,10 +8,11 @@ No float enters the library: no module but ``cli.py``, which prints ``~``
 approximations next to exact results, holds a ``float(...)`` call or a
 float literal.
 
-No Fraction pair predicate inside a run: ``online.py`` names none of them, so
-every pair question a strategy asks goes to the environment's live graph.
-Offline, only the 2^n oracle `brute_force_optimum` names one: every other
-exact optimum decides on the instance's grid ints.
+No Fraction predicate inside a run: ``online.py`` names none of the pair
+predicates nor `is_trivial`, so every pair question a strategy asks goes to
+the environment's live graph.  Offline, only the 2^n oracle
+`brute_force_optimum` names one: every other exact optimum, and the
+answer-blind set, decides on the instance's grid ints.
 
 No Fraction endpoint in a decision: ``online.py`` reads no ``.lo``/``.hi``
 (the refinement steps come on the grid from `Instance.steps`), and
@@ -119,7 +120,7 @@ def test_no_floats(path):
     assert float_sites(path.read_text()) == []
 
 
-PAIR_PREDICATES = {"dependent", "dependent_pairs", "singleton_witness_static", "singleton_witness_value"}
+PAIR_PREDICATES = {"dependent", "dependent_pairs", "is_trivial", "singleton_witness_static", "singleton_witness_value"}
 
 
 def pair_predicate(node):
@@ -164,10 +165,12 @@ def test_the_check_flags_a_new_offline_pair_predicate():
         "    return dependent(1, 2, 0) and witness(1, 2, 0)\n"
         "def canonical_optimum(inst):\n"
         "    return core.dependent_pairs(inst.intervals, inst.delta)\n"
+        "def oblivious_query_set(g, delta):\n"
+        "    return {v for v in g.active_vertices() if not core.is_trivial(g.intervals[v], delta)}\n"
     )
     assert pair_predicate_uses(source) == [
         ("", 1, "singleton_witness_value"), ("brute_force_optimum", 4, "dependent"),
-        ("canonical_optimum", 6, "dependent_pairs"),
+        ("canonical_optimum", 6, "dependent_pairs"), ("oblivious_query_set", 8, "is_trivial"),
     ]
 
 

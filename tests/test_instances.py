@@ -215,6 +215,81 @@ def test_independent_pairs_structure():
         gen_independent_pairs(0)
 
 
+def ref_gen_triangle_chain(k, punish="lower"):
+    """`gen_triangle_chain` as it was written before the block tiling was shared."""
+    if k < 1:
+        raise InvariantViolation("need at least one triangle")
+    if punish not in ("lower", "upper"):
+        raise InvariantViolation("punish must be 'lower' or 'upper'")
+    ivs, values = [], []
+    for i in range(k):
+        base = 30 * i
+        ivs += [interval(base, base + 10), interval(base + 2, base + 12), interval(base + 4, base + 21)]
+        values += [base + 1, base + 3, base + 13]
+    base = 30 * k
+    ivs += [interval(base, base + 10), interval(base + 2, base + 12)]
+    values += [base + 5, base + 11] if punish == "lower" else [base + 1, base + 5]
+    return Instance(F(0), tuple(ivs), tuple(scalar(v) for v in values))
+
+
+def ref_gen_advice_triangles(m, delta):
+    """`gen_advice_triangles` as it was written before the block tiling was shared."""
+    if m < 1:
+        raise InvariantViolation("need at least one triangle")
+    d = scalar(delta)
+    if d <= 0:
+        raise InvariantViolation("this family needs a positive threshold")
+    base = ((F(0), 6 * d), (F(4, 5) * d, F(36, 5) * d), (2 * d, 8 * d))
+    (l1, r1), (l2, r2), (l3, r3) = base
+    ivs = []
+    for t in range(m):
+        shift = 10 * d * t
+        ivs += [interval(lo + shift, hi + shift) for lo, hi in base]
+    out = []
+    for pattern in ((r1, r2, r3), (l1, 4 * d, r3), (l1, l2, l3)):
+        values = []
+        for t in range(m):
+            shift = 10 * d * t
+            values += [v + shift for v in pattern]
+        out.append(Instance(d, tuple(ivs), tuple(values)))
+    return tuple(out)
+
+
+def ref_gen_independent_pairs(m, delta=0):
+    """`gen_independent_pairs` as it was written before the block tiling was shared."""
+    if m < 1:
+        raise InvariantViolation("need at least one pair")
+    d = scalar(delta)
+    a, _ = gen_lemma4_pair(d)
+    span = a.intervals[1].hi + max(d, 1) + 6
+    ivs, values = [], []
+    for t in range(m):
+        shift = span * t
+        ivs += [interval(itv.lo + shift, itv.hi + shift) for itv in a.intervals]
+        values += [v + shift for v in a.values]
+    return Instance(d, tuple(ivs), tuple(values))
+
+
+def outcome(make, *args):
+    """Each document ``make(*args)`` returns, or the refusal it raises."""
+    try:
+        made = make(*args)
+    except InvariantViolation as exc:
+        return ("refused", str(exc))
+    return [serialize(inst) for inst in (made if isinstance(made, tuple) else (made,))]
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_tiled_families_match_their_references(m):
+    """The three block-tiled families give the documents (or refusals) of their
+    hand-written references, for every threshold and both ``punish`` variants."""
+    for punish in ("lower", "upper"):
+        assert outcome(gen_triangle_chain, m, punish) == outcome(ref_gen_triangle_chain, m, punish)
+    for delta in (F(0), F(1, 2), F(1), F(3), F(7, 3)):
+        assert outcome(gen_advice_triangles, m, delta) == outcome(ref_gen_advice_triangles, m, delta)
+        assert outcome(gen_independent_pairs, m, delta) == outcome(ref_gen_independent_pairs, m, delta)
+
+
 def test_figure3_chain_structure():
     from querysort import components
 

@@ -204,21 +204,18 @@ def test_brute_force_guard():
 
 def test_oblivious_query_set():
     star = gen_nested_star(6)
-    assert oblivious_query_set(build_graph(star), star.delta) == frozenset(range(6))
+    assert oblivious_query_set(star) == frozenset(range(6))
     edgeless = Instance(F(0), (interval(0, 1), interval(5, 6)), (F(0), F(5)))
-    assert oblivious_query_set(build_graph(edgeless), edgeless.delta) == frozenset()
+    assert oblivious_query_set(edgeless) == frozenset()
     # trivial intervals are never queried obliviously, even when dependent
     for inst in (Instance(F(2), (interval(0, 1), interval(-5, 6)), (F(0), F(-5))),
                  Instance(F(1), (interval(4, 5), interval(0, 10)), (F(4), F(9)))):
-        assert oblivious_query_set(build_graph(inst), inst.delta) == frozenset({1})
-    # only a dependency graph that holds its intervals, with its threshold
+        assert oblivious_query_set(inst) == frozenset({1})
+    # only an instance: its pairs and grid carry the threshold
     with pytest.raises(InvariantViolation):
-        oblivious_query_set(star, star.delta)
-    bare = DependencyGraph(2, [(0, 1)], (F(1), F(1)))
+        oblivious_query_set(build_graph(star))
     with pytest.raises(InvariantViolation):
-        oblivious_query_set(bare, F(0))
-    with pytest.raises(InvariantViolation):
-        oblivious_query_set(build_graph(star), None)
+        oblivious_query_set(DependencyGraph(2, [(0, 1)], (F(1), F(1))))
 
 
 def test_cpcp_brute_force_hand_case():

@@ -26,7 +26,10 @@ from querysort import (
     UncertainInterval,
     algorithm2,
     brute_force_optimum,
+    build_graph,
+    build_permutation,
     cott_to_instance,
+    dependent,
     find_triangle,
     gen_cost_path,
     gen_laminar,
@@ -35,10 +38,14 @@ from querysort import (
     gen_random_scripted,
     gen_triangle_chain,
     interval,
+    is_trivial,
     isqrt_bounds,
     longest_path_caterpillar,
     min_cost_vertex_cover,
+    oblivious_query_set,
     peo_min_right,
+    singleton_witness_static,
+    singleton_witness_value,
     valid_permutation,
     verify_peo,
 )
@@ -52,6 +59,15 @@ COTT = CoTTFunctions((F(0), F(1), F(2)), (F(2), F(3), F(4)))
 #: A 4-cycle with no endpoints: the cover falls back to a maximum cardinality search.
 SQUARE = DependencyGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1,) * 4)
 FIVE = gen_random(1, 5, 0)
+APART = (interval(0, 1), interval(5, 6))
+STATE = KnowledgeState(APART, (0, 0), 0)
+FLOAT = "floats are not allowed as scalars (got 0.5); pass an int, Fraction, or string like '5/2'"
+
+
+def queried_at(env):
+    """``env`` after a query of item 4, which a wrapped index would read."""
+    env.query(4)
+    return env
 
 #: ``(call, exception, its exact message)``.
 REFUSALS = [
@@ -71,6 +87,23 @@ REFUSALS = [
      "item 0: script ends at 1 but the value is 2"),
     (lambda: KnowledgeState(ONE, (0, 0), 0), InvariantViolation, "queried counts do not match intervals"),
     (lambda: KnowledgeState(ONE, (-1,), 0), InvariantViolation, "negative query count"),
+    (lambda: KnowledgeState(((0, 2),), (0,), 0), InvariantViolation,
+     "current intervals must be UncertainInterval, got tuple"),
+    (lambda: KnowledgeState(ONE, (0,), -1), InvariantViolation, "negative spend -1"),
+    (lambda: KnowledgeState(ONE, (0.5,), 0), InvariantViolation, "query count 0.5 is not an int"),
+    (lambda: KnowledgeState(ONE, (True,), 0), InvariantViolation, "query count True is not an int"),
+    (lambda: Instance(F(-1), ONE), InvariantViolation, "negative threshold -1"),
+    (lambda: build_permutation(APART, -10), InvariantViolation, "negative threshold -10"),
+    (lambda: build_permutation(APART, 0.5), InvariantViolation, FLOAT),
+    (lambda: dependent(*APART, -10), InvariantViolation, "negative threshold -10"),
+    (lambda: dependent(*APART, 0.5), InvariantViolation, FLOAT),
+    (lambda: is_trivial(ONE[0], -1), InvariantViolation, "negative threshold -1"),
+    (lambda: is_trivial(ONE[0], 0.5), InvariantViolation, FLOAT),
+    (lambda: singleton_witness_static(*APART, -10), InvariantViolation, "negative threshold -10"),
+    (lambda: singleton_witness_static(*APART, 0.5), InvariantViolation, FLOAT),
+    (lambda: singleton_witness_value(ONE[0], 1, -1), InvariantViolation, "negative threshold -1"),
+    (lambda: singleton_witness_value(ONE[0], 1, 0.5), InvariantViolation, FLOAT),
+    (lambda: singleton_witness_value(ONE[0], 0.5, 0), InvariantViolation, FLOAT),
     (lambda: valid_permutation(PAIR, (F(1),), (0, 1)), InvariantViolation, "1 values for 2 items"),
     (lambda: Permutation((0.0, 1)), InvariantViolation, "order entry 0.0 is not an int"),
     (lambda: valid_permutation(PAIR, None, (True, 0)), InvariantViolation, "order entry True is not an int"),
@@ -81,6 +114,8 @@ REFUSALS = [
     (lambda: verify_peo(PATH, [0, 1.0, 2]), InvariantViolation, "order entry 1.0 is not an int"),
     (lambda: verify_peo(PATH, [0, 1, "a"]), InvariantViolation, "order entry 'a' is not an int"),
     (lambda: peo_min_right(EDGE), InvariantViolation, "peo_min_right needs the underlying intervals"),
+    (lambda: build_graph(STATE, -10), InvariantViolation, "negative threshold -10"),
+    (lambda: build_graph(STATE, 0.5), InvariantViolation, FLOAT),
     (lambda: min_cost_vertex_cover(SQUARE), NotChordal, "graph has no perfect elimination ordering"),
     (lambda: longest_path_caterpillar(EDGE, []), InvariantViolation, "empty vertex set"),
     (lambda: CoTTFunctions((F(0),), (F(1), F(2))), InvariantViolation, "threshold/tolerance lists differ in length"),
@@ -96,6 +131,7 @@ REFUSALS = [
     (lambda: longest_path_caterpillar(PATH, [0, 1, 1.0, 2]), InvariantViolation, "vertex 1.0 is not an int"),
     # offline
     (lambda: brute_force_optimum(PAIR.without_values()), MissingRealization, "brute force needs the hidden values"),
+    (lambda: oblivious_query_set(EDGE), InvariantViolation, "oblivious_query_set takes an Instance, got DependencyGraph"),
     # online
     (lambda: Sqrt3Prob(0, 1), InvariantViolation, "Sqrt3Prob needs positive parts"),
     (lambda: Sqrt3Prob(2, 1), InvariantViolation, "Sqrt3Prob must be < 1; use Fraction(1)"),
@@ -110,6 +146,13 @@ REFUSALS = [
     (lambda: Environment(FIVE).query(1.0), InvariantViolation, "query index 1.0 names no item (n = 5)"),
     (lambda: CpcpEnvironment(FIVE).query(-2), InvariantViolation, "query index -2 names no item (n = 5)"),
     (lambda: CpcpEnvironment(FIVE).query(False), InvariantViolation, "query index False names no item (n = 5)"),
+    (lambda: queried_at(Environment(FIVE)).queried(-1), InvariantViolation, "query index -1 names no item (n = 5)"),
+    (lambda: queried_at(Environment(FIVE)).queried(7), InvariantViolation, "query index 7 names no item (n = 5)"),
+    (lambda: queried_at(Environment(FIVE)).queried(True), InvariantViolation,
+     "query index True names no item (n = 5)"),
+    (lambda: queried_at(CpcpEnvironment(FIVE)).times(-1), InvariantViolation, "query index -1 names no item (n = 5)"),
+    (lambda: queried_at(CpcpEnvironment(FIVE)).exhausted(-1), InvariantViolation,
+     "query index -1 names no item (n = 5)"),
     (lambda: RunReport((1,), F(1), Permutation((0,)), ()), InvariantViolation,
      "total cost 1 does not match transcript sum 0"),
     (lambda: algorithm2(Environment(gen_cost_path(4, F(1, 100))), HALF), InvariantViolation,
@@ -144,5 +187,17 @@ def test_the_good_calls_pass():
     for env in (Environment(FIVE), CpcpEnvironment(FIVE)):
         assert env.query(0) is not None and env.query(4) is not None
         assert [i for i, _, _ in env.transcript] == [0, 4]
+    assert queried_at(Environment(FIVE)).queried(4) and not queried_at(Environment(FIVE)).queried(0)
+    cpcp = queried_at(CpcpEnvironment(FIVE))
+    assert (cpcp.times(4), cpcp.exhausted(4), cpcp.times(0), cpcp.exhausted(0)) == (1, True, 0, False)
+    assert KnowledgeState(ONE, (1,), F(1, 2)).spent == F(1, 2) and Instance(0, ONE).delta == 0
+    assert [p.order for p in (build_permutation(APART, 0), build_permutation(APART, F(1, 2)))] == [(0, 1)] * 2
+    overlap = KnowledgeState((interval(0, 4), interval(1, 5)), (0, 0), 0)
+    assert build_graph(STATE, 0).edges == set() and build_graph(overlap, "5/2").edges == {(0, 1)}
+    assert not dependent(*APART, 0) and dependent(*overlap.current, F(5, 2)) and not dependent(*overlap.current, "3")
+    assert is_trivial(ONE[0], 2) and not is_trivial(ONE[0], F(1, 2))
+    assert singleton_witness_static(interval(0, 6), interval(2, 3), 1) and not singleton_witness_static(*APART, 0)
+    assert singleton_witness_value(ONE[0], 1, F(1, 2)) and singleton_witness_value(ONE[0], "1", 0)
+    assert oblivious_query_set(PAIR) == frozenset({0, 1})
     assert RunReport((1,), F(1), Permutation((0,)), ((0, UncertainInterval(F(1), F(1)), F(1)),)).total_cost == 1
     assert Sqrt3Prob(1, 1).ratio == 1

@@ -492,8 +492,8 @@ def generic_shift(inst):
 def test_oracle_and_oblivious_read_the_graph_they_hold(monkeypatch):
     """Once the instance grid exists, `AdviceOracle` covers subgraphs of H
     without rebuilding a graph or putting intervals on a fresh grid,
-    `run_oblivious` reads the environment's graph, and `build_graph(inst)`
-    reads the instance's grid and pairs."""
+    `run_oblivious` reads `Instance.pairs` on the instance grid, and
+    `build_graph(inst)` reads the instance's grid and pairs."""
     inst = make_instance(0, SCALE_N, F(0), 4 * SCALE_N + 1)
     inst.grid
     calls = []

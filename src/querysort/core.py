@@ -92,6 +92,13 @@ def _check_item(i: int, n: int) -> None:
         raise InvariantViolation(f"query index {i!r} names no item (n = {n})")
 
 
+def _as_tuple(field: str, xs) -> tuple:
+    """``xs`` as a tuple, refused with a message naming ``field`` when it is not iterable."""
+    if not hasattr(xs, "__iter__"):
+        raise InvariantViolation(f"{field} must be a sequence, got {type(xs).__name__}")
+    return tuple(xs)
+
+
 def _le(a: Fraction, b: Fraction) -> bool:
     """``a <= b`` by cross-multiplying, which a `Fraction`'s positive denominator
     allows, without `Fraction`'s own comparison and type checks."""
@@ -340,7 +347,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", threshold(self.delta))
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+        object.__setattr__(self, "intervals", _as_tuple("intervals", self.intervals))
         for item in self.intervals:
             if not isinstance(item, UncertainInterval):
                 raise InvariantViolation(
@@ -348,7 +355,7 @@ class Instance:
                 )
         n = len(self.intervals)
         if self.values is not None:
-            values = tuple(v if type(v) is Fraction else scalar(v) for v in self.values)
+            values = tuple(v if type(v) is Fraction else scalar(v) for v in _as_tuple("values", self.values))
             object.__setattr__(self, "values", values)
             if len(values) != n:
                 raise InvariantViolation(
@@ -358,7 +365,7 @@ class Instance:
             object.__setattr__(
                 self, "refinements", tuple(
                     tuple(script) if script is not None else None
-                    for script in self.refinements
+                    for script in _as_tuple("refinements", self.refinements)
                 )
             )
             if len(self.refinements) != n:
@@ -377,7 +384,7 @@ class Instance:
         if self.time_costs is not None:
             costs = tuple(
                 tuple(scalar(c) for c in row) if row is not None else None
-                for row in self.time_costs
+                for row in _as_tuple("time_costs", self.time_costs)
             )
             object.__setattr__(self, "time_costs", costs)
             if len(costs) != n:
@@ -479,19 +486,6 @@ class Instance:
                 table.append(((_checked_already(v, v, itv.cost), at, at, itv.cost, units[i]),))
         return tuple(table)
 
-    def with_values(self, values: Iterable[ScalarLike]) -> "Instance":
-        """A copy of this instance with the given hidden realization."""
-        return Instance(
-            self.delta,
-            self.intervals,
-            tuple(scalar(v) for v in values),
-            self.refinements,
-            self.time_costs,
-        )
-
-    def without_values(self) -> "Instance":
-        return Instance(self.delta, self.intervals, None, None, None)
-
 
 # ---------------------------------------------------------------------------
 # Knowledge states
@@ -502,10 +496,9 @@ class KnowledgeState:
     """What an algorithm knows mid-run: current intervals, queries, spend.
 
     ``queried`` counts queries per item (the refinement model may query the
-    same item several times).  ``known_values`` lists every value that is
-    certain right now -- exactly the values of current point intervals.
-    Each current entry must be an `UncertainInterval`, each count an int
-    (not a bool) at or above 0, and ``spent`` a scalar at or above 0.
+    same item several times).  Each current entry must be an
+    `UncertainInterval`, each count an int (not a bool) at or above 0, and
+    ``spent`` a scalar at or above 0.
     """
 
     current: tuple[UncertainInterval, ...]
@@ -513,8 +506,8 @@ class KnowledgeState:
     spent: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "current", tuple(self.current))
-        object.__setattr__(self, "queried", tuple(self.queried))
+        object.__setattr__(self, "current", _as_tuple("current", self.current))
+        object.__setattr__(self, "queried", _as_tuple("queried", self.queried))
         object.__setattr__(self, "spent", scalar(self.spent))
         for item in self.current:
             if not isinstance(item, UncertainInterval):
@@ -533,11 +526,6 @@ class KnowledgeState:
     def n(self) -> int:
         return len(self.current)
 
-    @property
-    def known_values(self) -> dict[int, Fraction]:
-        """Index -> value for every item whose value is certain right now."""
-        return {i: itv.lo for i, itv in enumerate(self.current) if itv.is_point}
-
 
 # ---------------------------------------------------------------------------
 # Orderings
@@ -550,7 +538,7 @@ class Permutation:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "order", _as_tuple("order", self.order))
         for k in self.order:  # `type` also refuses a bool, and a float equal to an int
             if type(k) is not int:
                 raise InvariantViolation(f"order entry {k!r} is not an int")
@@ -584,7 +572,7 @@ def valid_permutation(
         raise MissingRealization(
             "cannot validate an ordering without values to compare"
         )
-    vals = tuple(scalar(v) for v in values)
+    vals = tuple(scalar(v) for v in _as_tuple("values", values))
     if len(vals) != inst.n:
         raise InvariantViolation(f"{len(vals)} values for {inst.n} items")
     order = Permutation(pi).order
@@ -611,8 +599,8 @@ def build_permutation(items: Sequence[UncertainInterval], delta: Fraction) -> Pe
     The forced relation is acyclic, so the schedule always takes every
     item: ``before(a, b)`` implies ``a.lo + a.hi < b.lo + b.hi``.
     """
-    n = len(items)
-    delta = threshold(delta)
+    items = _as_tuple("items", items)
+    n, delta = len(items), threshold(delta)
     require_independent(items, delta)
 
     def before(a: UncertainInterval, b: UncertainInterval) -> bool:

@@ -82,9 +82,6 @@ class DependencyGraph:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, nbrs in enumerate(self.adj) for j in nbrs if i < j)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

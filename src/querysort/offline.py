@@ -101,7 +101,7 @@ def optimum_query_set(inst: Instance) -> tuple[frozenset[int], Fraction]:
 def _unforced_graph(inst: Instance, forced: frozenset[int]) -> DependencyGraph:
     """The dependency graph on the unforced vertices, weighted in cost units; forced ones stay, isolated."""
     pairs = ((i, j) for i, j in inst.pairs if i not in forced and j not in forced)
-    return DependencyGraph(inst.n, pairs, inst.cost_grid[1], inst.intervals, inst.grid.los, inst.grid.his)
+    return DependencyGraph(inst.n, pairs, inst.cost_grid[1], None, inst.grid.los, inst.grid.his)
 
 
 def canonical_optimum(inst: Instance) -> tuple[Fraction, frozenset[int]]:

@@ -10,12 +10,13 @@ next entry of a nested script of closed intervals ending in the value point;
 the t-th query may have its own price.  An instance without scripts embeds
 into this model as one-step scripts.
 
-Each environment holds one dependency graph of its current intervals, built
-with the environment and narrowed in place by each query
-(`QueryEnvironment`); every strategy and witness flush reads it, and every
-pair test, witness test and pick compares endpoints on the instance's
-integer grid (`Instance.grid`).  Spend, residual weights and the coin-tree
-walk count cost units (`Instance.cost_grid`), as `Fraction` only on the way out.
+Each environment keeps its current intervals once, as ends on the instance's
+integer grid (`Instance.grid`), and one dependency graph of them, built with
+the environment and narrowed in place by each query (`QueryEnvironment`);
+every strategy and witness flush reads it, and every pair test, witness test
+and pick compares those ends.  Spend, residual weights and the coin-tree
+walk count cost units (`Instance.cost_grid`), as `Fraction` only on the way
+out, where `QueryEnvironment.state` also makes the `Fraction` intervals.
 
 Randomized strategies draw from an injected coin (`RandomCoin` for seeded
 runs).  The uniform-cost strategy flips a constant bias, a `Fraction` in
@@ -128,7 +129,6 @@ class RandomCoin:
     is heads when a 64-bit rational draw in [0, 1) is below the bias."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def flip(self, p: Probability) -> bool:
@@ -185,13 +185,13 @@ def SQRT3(neighbor_weight: Fraction, center_weight: Fraction) -> Probability:
 
 
 class QueryEnvironment:
-    """What both query models share: current intervals, query counts, spend,
-    transcript, and the dependency graph of the current intervals.
+    """What both query models share: query counts, spend, transcript, and the
+    dependency graph of the current intervals.
 
-    ``_lo`` and ``_hi`` hold the current endpoints on the instance's integer
-    grid, beside the `Fraction` intervals in ``_current``; they are the
-    graph's ``los`` and ``his``, and every pair test, witness test and
-    ordering key reads them.  The ledger ``_paid`` adds cost units (step
+    The current intervals are kept once, as their ends on the instance's
+    integer grid: ``_lo`` and ``_hi`` are the graph's ``los`` and ``his``, and
+    every pair test, witness test and ordering key reads them; `state` makes
+    the `Fraction` view from them.  The ledger ``_paid`` adds cost units (step
     ``1/_scale``); transcript entries keep the instance's cost `Fraction`s.
 
     The one graph is built with the environment (`Instance.pairs`) and then
@@ -205,7 +205,6 @@ class QueryEnvironment:
     def __init__(self, instance: Instance):
         self.instance = instance
         self._grid = instance.grid
-        self._current = list(instance.intervals)
         self._lo = list(self._grid.los)
         self._hi = list(self._grid.his)
         self._queried = [0] * instance.n
@@ -213,7 +212,7 @@ class QueryEnvironment:
         self._paid = 0
         self.transcript: list[tuple] = []
         self._flushed: tuple = (None, None)  # transcript lengths at the last value and static flushes
-        self._graph = DependencyGraph(instance.n, instance.pairs, self._units, self._current, self._lo, self._hi)
+        self._graph = DependencyGraph(instance.n, instance.pairs, self._units, None, self._lo, self._hi)
 
     @property
     def n(self) -> int:
@@ -224,15 +223,21 @@ class QueryEnvironment:
         return self.instance.delta
 
     def state(self) -> KnowledgeState:
-        return KnowledgeState(tuple(self._current), tuple(self._queried), Fraction(self._paid, self._scale))
+        """The current intervals as `Fraction`s, made from the grid ends: an unqueried item's is
+        its instance interval, a queried one's its ends over the scale at that interval's cost."""
+        s = self._grid.scale  # each end is a checked endpoint, value or script entry times s, and lo <= hi
+        current = [_checked_already(Fraction(lo, s), Fraction(hi, s), itv.cost) if q else itv
+                   for itv, q, lo, hi in zip(self.instance.intervals, self._queried, self._lo, self._hi)]
+        return KnowledgeState(current, tuple(self._queried), Fraction(self._paid, self._scale))
 
     def graph(self) -> DependencyGraph:
         """Dependency graph of the current intervals at the instance threshold.
 
         Built with the environment and live: every call returns the same
-        object, each query narrows it in place, and its ``intervals`` is this
-        environment's own list.  So a graph, ``adj`` set or ``intervals`` held
-        across a query shows the state after it; copy what must stay fixed
+        object, and each query narrows it in place.  Its ``los`` and ``his``
+        are this environment's grid ends, and it carries no ``intervals``
+        (`state` makes those).  So a graph, ``adj`` set or ``los`` held across
+        a query shows the state after it; copy what must stay fixed
         (``sorted(...)``) first.  Its ``weights`` are the items' cost units.
         """
         return self._graph
@@ -240,21 +245,19 @@ class QueryEnvironment:
     def _fork(self) -> "QueryEnvironment":
         """An independent copy: querying either one leaves the other unchanged."""
         twin = copy.copy(self)
-        twin._current = list(self._current)
         twin._lo = list(self._lo)
         twin._hi = list(self._hi)
         twin._queried = list(self._queried)
         twin.transcript = list(self.transcript)
-        twin._graph = DependencyGraph(self.n, (), self._units, twin._current, twin._lo, twin._hi)
+        twin._graph = DependencyGraph(self.n, (), self._units, None, twin._lo, twin._hi)
         twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
         return twin
 
-    def _record(self, i: int, now: UncertainInterval, lo: int, hi: int, charge: Fraction, units: int, answer):
-        """Narrow item ``i`` to ``now`` (``lo``, ``hi`` on the grid), charge ``charge``
-        (``units`` on the cost grid), return ``answer``."""
+    def _record(self, i: int, lo: int, hi: int, charge: Fraction, units: int, answer):
+        """Narrow item ``i`` to ``lo``, ``hi`` on the grid (the one copy of its interval),
+        charge ``charge`` (``units`` on the cost grid), return ``answer``."""
         d, los, his, adj = self._grid.delta, self._lo, self._hi, self._graph.adj
         self._queried[i] += 1
-        self._current[i] = now
         los[i], his[i] = lo, hi
         self._paid += units
         self.transcript.append((i, answer, charge))
@@ -280,9 +283,8 @@ class Environment(QueryEnvironment):
         _check_item(i, len(self._queried))
         if self._queried[i]:
             raise RepeatQuery(f"item {i} was already queried")
-        v, at, charge = self.instance.values[i], self._grid.values[i], self.instance.costs[i]
-        # `Instance` checked the value against its interval, and the cost is that interval's
-        return self._record(i, _checked_already(v, v, charge), at, at, charge, self._units[i], v)
+        at = self._grid.values[i]
+        return self._record(i, at, at, self.instance.costs[i], self._units[i], self.instance.values[i])
 
 
 class CpcpEnvironment(QueryEnvironment):
@@ -323,7 +325,7 @@ class CpcpEnvironment(QueryEnvironment):
         if t >= len(self._scripts[i]):
             raise ScriptExhausted(f"item {i}: script ended before the pair resolved")
         result, lo, hi, price, units = self._scripts[i][t]
-        return self._record(i, result, lo, hi, price, units, result)
+        return self._record(i, lo, hi, price, units, result)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +1046,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
 _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
 #: Node budget: one `expected_cost_exact` call walks at most this many real flips.
 _MAX_FLIPS_WALKED = 2 ** 16
+_NO_EDGES: frozenset[int] = frozenset()  # every vertex's neighbours outside a walked component's view
 
 
 def _algorithm2_key(state, comp: list[int]) -> tuple:
@@ -1151,7 +1154,7 @@ def expected_cost_exact(
         for comp, k in parts:
             if k not in memo:
                 inside = set(comp)
-                graph.adj = [nbrs if v in inside else set() for v, nbrs in enumerate(adj)]
+                graph.adj = [nbrs if v in inside else _NO_EDGES for v, nbrs in enumerate(adj)]
                 memo[k] = walk(env, start(env, rule, state, comp), env._paid)
                 graph.adj = adj
         lo = hi = (at - base, 1, 1)

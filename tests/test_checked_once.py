@@ -3,9 +3,12 @@ checked versions, which live only here.
 
 `core._checked_already` builds an `UncertainInterval` without
 `__post_init__` for numbers that passed its checks before: `gen_random`'s
-draws, each query's revealed point, `collapse`, and the one-step scripts of
-`Instance.steps`.  Every such interval must equal the checked constructor's,
-field for field and type for type, at sizes up to n = 300.  `to_grid` reads
+draws, the narrowed intervals of `QueryEnvironment.state`, `collapse`, and
+the one-step scripts of `Instance.steps`.  Every such interval must equal
+the checked constructor's, field for field and type for type, at sizes up
+to n = 300.  An environment keeps its current intervals only as grid ends;
+`ref_narrow`, which narrows `Fraction` intervals query by query as the
+environments once did beside those ends, is the oracle for ``state()``.  `to_grid` reads
 each `Fraction` once through ``as_integer_ratio()``; the
 ``.numerator``/``.denominator`` version it replaced is the oracle.
 `Instance.steps` builds an unscripted item's step from the instance grid,
@@ -212,6 +215,74 @@ def test_one_table_per_instance(monkeypatch):
 
 
 def test_value_less_instance_still_raises_missing_realization():
-    inst = gen_random(3, 8, F(1, 2)).without_values()
+    draw = gen_random(3, 8, F(1, 2))
+    inst = Instance(draw.delta, draw.intervals)
     with pytest.raises(MissingRealization, match="item 0 has neither a refinement script nor a value"):
         CpcpEnvironment(inst)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction view of an environment
+# ---------------------------------------------------------------------------
+
+
+def ref_narrow(env, current, i, answer):
+    """Item ``i`` of ``current`` narrowed by a query that answered ``answer``: to the value's
+    point at the item's cost in the exact model, to the script reply in the refinement model."""
+    cost = env.instance.intervals[i].cost
+    current[i] = answer if isinstance(env, CpcpEnvironment) else UncertainInterval(answer, answer, cost)
+
+
+def check_state(env, current, counts, queried=None):
+    """``env.state()`` against the reference: the same intervals, an unqueried item's the
+    instance's own object, and the same counts and spend.  Item ``queried``'s interval is
+    built checked; without one, every interval is, and they match repr for repr."""
+    state = env.state()
+    assert state.current == tuple(current)
+    assert all(q or itv is start for itv, start, q in zip(state.current, env.instance.intervals, counts))
+    for itv in state.current if queried is None else (state.current[queried],):
+        assert_checked(itv)
+    if queried is None:
+        assert repr(state.current) == repr(tuple(current))
+    assert state.queried == tuple(counts)
+    assert state.spent == sum((charge for _, _, charge in env.transcript), start=F(0))
+
+
+def query_with_forks(env, rng):
+    """Query random open items of ``env``, and of up to two forks taken mid-run, until none
+    is left, checking the queried environment's state after every query and every
+    environment's at the end.  Returns the number of queries."""
+    live = [(env, list(env.instance.intervals), [0] * env.n)]
+    ends, queries = [], 0
+    check_state(*live[0])
+    while live:
+        k = rng.randrange(len(live))
+        e, current, counts = live[k]
+        done = e.exhausted if isinstance(e, CpcpEnvironment) else e.queried
+        left = [i for i in range(e.n) if not done(i)]
+        if not left:
+            ends.append(live.pop(k))
+            continue
+        if len(live) + len(ends) < 3 and rng.random() < 2 / (len(left) + 1):
+            twin = e._fork()
+            check_state(twin, current, counts)
+            live.append((twin, list(current), list(counts)))
+        i = rng.choice(left)
+        answer = e.query(i)
+        counts[i] += 1
+        ref_narrow(e, current, i, answer)
+        check_state(e, current, counts, i)
+        queries += 1
+    for case in ends:
+        check_state(*case)
+    return queries
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 300), st.sampled_from(sorted(STEP_DRAWS)),
+       st.sampled_from([F(0), F(1, 2), F(1)]), st.sampled_from([Environment, CpcpEnvironment]))
+def test_state_matches_the_narrowed_fraction_intervals(seed, n, draw, delta, make):
+    """``state()`` after every query of a random run and of forks taken mid-run, in both
+    query models, on scripted and unscripted instances, with and without time costs."""
+    inst = STEP_DRAWS[draw](seed, n, delta)
+    assert query_with_forks(make(inst), random.Random(seed)) >= inst.n

@@ -21,6 +21,7 @@ from fractions import Fraction as F
 from querysort import (
     AdviceOracle,
     Environment,
+    Instance,
     QuerysortError,
     advice_half,
     advice_lg3,
@@ -287,8 +288,8 @@ def test_solve_model_errors(tmp_path, capsys):
     doc = write_doc(tmp_path, "wide.json", gen_lemma4_pair(2)[0])
     assert main(["solve", "stable_sort", doc]) == 4
     assert "model error" in capsys.readouterr().err
-    bare = write_doc(tmp_path, "novals.json", fig1_instance("a").without_values())
-    assert main(["solve", "simple", bare]) == 4
+    novals = write_doc(tmp_path, "novals.json", Instance(F(0), fig1_instance("a").intervals))
+    assert main(["solve", "simple", novals]) == 4
 
 
 def test_solve_bad_document(tmp_path, capsys):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from querysort import (
     Instance,
     InvariantViolation,
-    KnowledgeState,
     MissingRealization,
     Permutation,
     UncertainInterval,
@@ -337,7 +336,7 @@ def test_instance_grid():
     assert grid.delta == 70
     assert grid.los == (0, 30) and grid.his == (525, 840) and grid.values == (210, 420)
     assert inst.grid is grid
-    assert inst.without_values().grid.values is None
+    assert Instance(inst.delta, inst.intervals).grid.values is None
 
 
 def test_on_grid_never_rounds():
@@ -351,9 +350,7 @@ def test_instance_helpers():
     inst = Instance(F(1), (interval(0, 4), interval(2, 6)), (F(1), F(5)))
     assert inst.n == 2
     assert inst.costs == (F(1), F(1))
-    assert inst.without_values().values is None
-    re = inst.without_values().with_values((F(2), F(3)))
-    assert re.values == (F(2), F(3))
+    assert Instance(inst.delta, inst.intervals).values is None
 
 
 def shrink_delta(inst):
@@ -366,7 +363,7 @@ def shrink_delta(inst):
     out).  Values are dropped: a shrunken interval need not contain them.
     """
     if inst.delta == 0:
-        return inst.without_values() if inst.values is not None else inst
+        return Instance(inst.delta, inst.intervals) if inst.values is not None else inst
     half = inst.delta / 2
     shrunk = []
     for i, itv in enumerate(inst.intervals):
@@ -414,13 +411,6 @@ def test_shrink_delta_rejects_trivial_members():
         shrink_delta(inst)
 
 
-def test_knowledge_state_known_values():
-    state = KnowledgeState(
-        (UncertainInterval(F(3), F(3)), interval(0, 5)), (1, 0), F(1)
-    )
-    assert state.known_values == {0: F(3)}
-
-
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
@@ -443,7 +433,7 @@ def test_valid_permutation_hand_cases():
     assert valid_permutation(inst2, None, (0, 1))
     assert valid_permutation(inst2, (F(3), F(1)), (0, 1))
     with pytest.raises(MissingRealization):
-        valid_permutation(inst.without_values(), None, (0, 1))
+        valid_permutation(Instance(inst.delta, inst.intervals), None, (0, 1))
     with pytest.raises(InvariantViolation):
         valid_permutation(inst, None, (0, 0))
 

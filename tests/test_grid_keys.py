@@ -5,13 +5,16 @@ versions they replaced, which live only here.
 ``los``, and `algorithm1`, `advice_half`, `advice_lg3` and the stable sort
 pick by grid keys.  Each is checked against the earlier version, keyed on
 ``g.intervals`` or the environment's current intervals, on graphs and runs
-up to n = 250, half of them over mixed denominators (`wide_instances`).  The
-first-edge pointer of `simple_adaptive` and `algorithm3_cpcp` is checked
+up to n = 250, half of them over mixed denominators (`wide_instances`).
+An environment's `Fraction` intervals come from ``env.state().current``, as
+its graph carries only the grid ends.  The first-edge pointer of
+`simple_adaptive` and `algorithm3_cpcp` is checked
 against ``min(g.edges)`` at every step, up to n = 2 000, and
 `algorithm3_cpcp`'s heap of zero-price items against the scan of every
 active vertex it replaced, by whole transcripts up to n = 2 000.
 """
 
+import copy
 import inspect
 import random
 from fractions import Fraction as F
@@ -54,6 +57,13 @@ any_instance = st.one_of(instances(), wide_instances())
 # ---------------------------------------------------------------------------
 
 
+def with_intervals(g, iv):
+    """A copy of ``g`` whose ``intervals`` are ``iv``, for the references to key on."""
+    ref = copy.copy(g)
+    ref.intervals = tuple(iv)
+    return ref
+
+
 def ref_peo_min_right(g):
     order = tuple(sorted(range(g.n), key=lambda v: (g.intervals[v].hi, v)))
     assert verify_peo(g, order)
@@ -70,7 +80,7 @@ def ref_algorithm1_trial(env, p, state):
         if pairs:
             u, v = pairs[0]
             return p, online._query_pair(u, v), online._query_pair(v, u)
-        iv = g.intervals
+        iv = env.state().current
         x = min(g.active_vertices(), key=lambda w: (iv[w].hi, w))
         neighbors_x = sorted(g.adj[x])
         y = min(neighbors_x, key=lambda w: (iv[w].hi, w))
@@ -95,7 +105,8 @@ def ref_stable_sort(env):
             for k in (x, y):
                 if not env.queried(k):
                     env.query(k)
-        return env.graph().intervals[x].hi <= env.graph().intervals[y].lo
+        current = env.state().current
+        return current[x].hi <= current[y].lo
 
     def merge_sort(items):
         if len(items) <= 1:
@@ -132,12 +143,12 @@ def ref_advice_half(env, oracle):
                     env.query(u)
                 online._flush_value_witnesses(env)
                 continue
-            iv = g.intervals
+            iv = env.state().current
             i = min(group, key=lambda w: (iv[w].lo, w))
             k = min(group - {i}, key=lambda w: (-iv[w].hi, w))
             (j,) = group - {i, k}
         else:
-            i = min(v for v in g.active_vertices() if g.degree(v) == 1)
+            i = min(v for v in g.active_vertices() if len(g.adj[v]) == 1)
             (j,) = g.adj[i]
             if j in known_out:
                 for u in sorted(g.adj[j]):
@@ -164,7 +175,7 @@ def ref_advice_lg3(env, oracle):
         g = env.graph()
         if not any(g.adj):
             break
-        iv = g.intervals
+        iv = env.state().current
         x = min(g.active_vertices(), key=lambda w: (iv[w].hi, w))
         group = frozenset({x} | g.adj[x])
         remembered = sorted(group & known_out)
@@ -187,22 +198,25 @@ def ref_advice_lg3(env, oracle):
 
 def graphs_of(inst, rng):
     """`build_graph`'s graph, H (`_unforced_graph`), and an environment's graph
-    after a few queries, the first ones on active vertices."""
+    after a few queries, the first ones on active vertices, each with the
+    `Fraction` intervals it was built from."""
     env = Environment(inst)
     for _ in range(min(inst.n, rng.randint(1, 8))):
         active = [v for v in env.graph().active_vertices() if not env.queried(v)]
         left = active or [v for v in range(inst.n) if not env.queried(v)]
         env.query(rng.choice(left))
-    return build_graph(inst), offline._unforced_graph(inst, forced_query_set(inst)), env.graph()
+    return [(build_graph(inst), inst.intervals), (offline._unforced_graph(inst, forced_query_set(inst)), inst.intervals),
+            (env.graph(), env.state().current)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(any_instance, st.integers(0, 2 ** 32))
 def test_orderings_match_the_fraction_keyed_references(inst, seed):
-    for g in graphs_of(inst, random.Random(seed)):
-        assert peo_min_right(g) == ref_peo_min_right(g)
+    for g, iv in graphs_of(inst, random.Random(seed)):
+        ref = with_intervals(g, iv)
+        assert peo_min_right(g) == ref_peo_min_right(ref)
         for comp in components(g):
-            assert outcome(longest_path_caterpillar, g, comp) == outcome(ref_longest_path_caterpillar, g, comp)
+            assert outcome(longest_path_caterpillar, g, comp) == outcome(ref_longest_path_caterpillar, ref, comp)
 
 
 # ---------------------------------------------------------------------------

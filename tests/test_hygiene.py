@@ -45,8 +45,11 @@ Every error is raised: each `QuerysortError` subclass in ``errors.py`` has a
 
 The package ships only what is used: every name in ``__all__`` is read by
 the code of another module (a docstring does not count), imported by the
-acceptance tests, or named in a code span of ``README.md``.  Test-only
-helpers live in the tests that use them.
+acceptance tests, or named in a code span of ``README.md``.  So is every
+public method and property of a package class: its name is read as an
+attribute by the package's code outside its own body, by the acceptance
+tests, or named in a code span of ``README.md``.  Test-only helpers live in
+the tests that use them.
 """
 
 import ast
@@ -294,7 +297,7 @@ def test_queries_and_plays_spend_cost_units():
 UNCHECKED_CALLERS = {
     ("core.py", "UncertainInterval.collapse"),  # after its own `contains` check
     ("core.py", "Instance.steps"),  # the instance's checked value, at its interval's cost
-    ("online.py", "Environment.query"),  # the same, for the revealed point
+    ("online.py", "QueryEnvironment.state"),  # grid ends of checked numbers, at the item's checked cost
     ("instances.py", "gen_random"),  # lo <= hi half-grid indices, at a positive cost
 }
 
@@ -519,3 +522,59 @@ def test_the_check_flags_an_error_never_raised():
 
 def test_every_error_is_raised():
     assert never_raised((SRC / "errors.py").read_text(), [path.read_text() for path in MODULES]) == []
+
+
+def public_members(source):
+    """``Class.name`` for every public method and property of the top-level classes of ``source``."""
+    return {f"{top.name}.{node.name}" for top in ast.parse(source).body if isinstance(top, ast.ClassDef)
+            for node in top.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def attributes_read(source):
+    """Every attribute the code of ``source`` reads, outside a function of that same name."""
+    sites = sites_by_function(ast.parse(source), lambda node: node.attr if isinstance(node, ast.Attribute)
+                              and isinstance(node.ctx, ast.Load) else None)
+    return {attr for where, _, attr in sites if attr not in where.split(".")}
+
+
+def unused_members(sources, acceptance, readme):
+    """The public members of the classes of ``sources`` whose name no module of ``sources``
+    reads as an attribute, ``acceptance`` does not read, and ``readme`` does not name in code."""
+    used = set().union(*map(attributes_read, sources + [acceptance])) | code_span_names(readme)
+    return sorted(m for m in set().union(*map(public_members, sources)) if m.split(".")[1] not in used)
+
+
+def test_the_check_flags_an_unused_member():
+    sources = [
+        "class Env:\n"
+        "    def query(self, i):\n"
+        "        return self.query(i - 1) if i else 0\n"
+        "    @property\n"
+        "    def n(self):\n"
+        "        return 1\n"
+        "    def _fork(self):\n"
+        "        return self\n"
+        "    def times(self, i):\n"
+        "        return i\n"
+        "def run(env):\n"
+        "    env.seed = 3\n"
+        "    return env.n\n",
+        "class Graph:\n"
+        "    def degree(self, v):\n"
+        "        'Like has_edge.'\n"
+        "        return v\n"
+        "    def has_edge(self, u, v):\n"
+        "        return u\n"
+        "    def seed(self):\n"
+        "        return 0\n",
+    ]
+    acceptance = "def test(env):\n    assert env.times(0) == 0\n"
+    readme = "Each `g.has_edge(u, v)` is a pair; degree and query are words.\n"
+    assert unused_members(sources, acceptance, readme) == ["Env.query", "Graph.degree", "Graph.seed"]
+
+
+def test_every_public_member_is_used_or_documented():
+    sources = [path.read_text() for path in MODULES]
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    readme = (ROOT / "README.md").read_text()
+    assert unused_members(sources, acceptance, readme) == []

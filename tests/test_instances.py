@@ -457,7 +457,7 @@ def test_serialize_round_trips():
         gen_random_scripted(7, 4, F(0)),
         gen_cpcp_adversary(2, 4),
         asteroid_realization("fig5b", 3, F(2), F(1, 3)),  # no values
-        fig1_instance("a").without_values(),
+        Instance(F(0), fig1_instance("a").intervals),
     ]
     for inst in fixtures:
         text = serialize(inst)

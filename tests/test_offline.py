@@ -75,7 +75,7 @@ def test_feasible_query_set_basics():
     # and neither is queried, so no
     assert not feasible_query_set(inst, frozenset({1}))
     with pytest.raises(MissingRealization):
-        feasible_query_set(inst.without_values(), frozenset())
+        feasible_query_set(Instance(inst.delta, inst.intervals), frozenset())
 
 
 def test_feasible_query_set_refuses_an_index_that_names_no_item():
@@ -381,4 +381,4 @@ def test_missing_script_is_one_error_from_environment_and_optimum():
 
 def test_optimum_requires_values():
     with pytest.raises(MissingRealization):
-        optimum_query_set(fig1_instance("a").without_values())
+        optimum_query_set(Instance(F(0), fig1_instance("a").intervals))

@@ -176,7 +176,7 @@ def test_environment_queries_and_errors():
     with pytest.raises(RepeatQuery):
         env.query(0)
     with pytest.raises(MissingRealization):
-        Environment(inst.without_values())
+        Environment(Instance(inst.delta, inst.intervals))
 
 
 def test_cpcp_environment_scripts():
@@ -534,10 +534,13 @@ def test_fork_is_independent():
     assert env.state().queried == tuple(int(i in (0, 5)) for i in range(inst.n))
     assert twin.state().queried == tuple(int(i in (0, 3, 7)) for i in range(inst.n))
     assert env.state().spent == sum(inst.costs[i] for i in (0, 5))
-    for copy in (env, twin):
-        rebuilt = build_graph(Instance(inst.delta, copy.state().current, inst.values))
+    for copy, queried in ((env, (0, 5)), (twin, (0, 3, 7))):
+        current = copy.state().current
+        rebuilt = build_graph(Instance(inst.delta, current, inst.values))
         assert copy.graph().edges == rebuilt.edges
-        assert copy.graph().intervals is copy._current
+        assert copy.graph().los is copy._lo and copy.graph().his is copy._hi
+        assert [i for i in range(inst.n) if current[i] != inst.intervals[i]] == list(queried)
+    assert env.graph().los is not twin.graph().los
 
 
 def test_fork_before_any_graph_read():

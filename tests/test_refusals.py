@@ -85,6 +85,13 @@ REFUSALS = [
      "item 0 has a refinement script but the instance has no values"),
     (lambda: Instance(F(0), ONE, (F(2),), ((interval(1, 1),),)), InvariantViolation,
      "item 0: script ends at 1 but the value is 2"),
+    (lambda: Instance(F(0), 5), InvariantViolation, "intervals must be a sequence, got int"),
+    (lambda: Instance(F(0), ONE, 5), InvariantViolation, "values must be a sequence, got int"),
+    (lambda: Instance(F(0), ONE, (F(1),), 5), InvariantViolation, "refinements must be a sequence, got int"),
+    (lambda: Instance(F(0), ONE, (F(1),), ((interval(1, 1),),), 5), InvariantViolation,
+     "time_costs must be a sequence, got int"),
+    (lambda: KnowledgeState(5, (), 0), InvariantViolation, "current must be a sequence, got int"),
+    (lambda: KnowledgeState((), 5, 0), InvariantViolation, "queried must be a sequence, got int"),
     (lambda: KnowledgeState(ONE, (0, 0), 0), InvariantViolation, "queried counts do not match intervals"),
     (lambda: KnowledgeState(ONE, (-1,), 0), InvariantViolation, "negative query count"),
     (lambda: KnowledgeState(((0, 2),), (0,), 0), InvariantViolation,
@@ -93,6 +100,7 @@ REFUSALS = [
     (lambda: KnowledgeState(ONE, (0.5,), 0), InvariantViolation, "query count 0.5 is not an int"),
     (lambda: KnowledgeState(ONE, (True,), 0), InvariantViolation, "query count True is not an int"),
     (lambda: Instance(F(-1), ONE), InvariantViolation, "negative threshold -1"),
+    (lambda: build_permutation(5, 0), InvariantViolation, "items must be a sequence, got int"),
     (lambda: build_permutation(APART, -10), InvariantViolation, "negative threshold -10"),
     (lambda: build_permutation(APART, 0.5), InvariantViolation, FLOAT),
     (lambda: dependent(*APART, -10), InvariantViolation, "negative threshold -10"),
@@ -105,6 +113,8 @@ REFUSALS = [
     (lambda: singleton_witness_value(ONE[0], 1, 0.5), InvariantViolation, FLOAT),
     (lambda: singleton_witness_value(ONE[0], 0.5, 0), InvariantViolation, FLOAT),
     (lambda: valid_permutation(PAIR, (F(1),), (0, 1)), InvariantViolation, "1 values for 2 items"),
+    (lambda: valid_permutation(PAIR, 5, (0, 1)), InvariantViolation, "values must be a sequence, got int"),
+    (lambda: valid_permutation(PAIR, None, 5), InvariantViolation, "order must be a sequence, got int"),
     (lambda: Permutation((0.0, 1)), InvariantViolation, "order entry 0.0 is not an int"),
     (lambda: valid_permutation(PAIR, None, (True, 0)), InvariantViolation, "order entry True is not an int"),
     (lambda: valid_permutation(PAIR, None, (0, 1, 2)), InvariantViolation, "not a permutation of 0..1: (0, 1, 2)"),
@@ -130,7 +140,8 @@ REFUSALS = [
     (lambda: longest_path_caterpillar(PATH, [0, 1.0, 2]), InvariantViolation, "vertex 1.0 is not an int"),
     (lambda: longest_path_caterpillar(PATH, [0, 1, 1.0, 2]), InvariantViolation, "vertex 1.0 is not an int"),
     # offline
-    (lambda: brute_force_optimum(PAIR.without_values()), MissingRealization, "brute force needs the hidden values"),
+    (lambda: brute_force_optimum(Instance(PAIR.delta, PAIR.intervals)), MissingRealization,
+     "brute force needs the hidden values"),
     (lambda: oblivious_query_set(EDGE), InvariantViolation, "oblivious_query_set takes an Instance, got DependencyGraph"),
     # online
     (lambda: Sqrt3Prob(0, 1), InvariantViolation, "Sqrt3Prob needs positive parts"),
@@ -176,7 +187,9 @@ def test_refusal_messages(call, error, message):
 def test_the_good_calls_pass():
     """Each fault above is the only one: the same calls without it succeed."""
     assert Instance(F(0), ONE, (F(1),), ((interval(1, 1),),), ((F(1),),)).n == 1
-    assert KnowledgeState(ONE, (0,), 0).n == 1
+    assert Instance(F(0), ONE).n == 1 and Instance(F(0), ONE, (F(1),)).values == (1,)
+    assert KnowledgeState(ONE, (0,), 0).n == 1 and KnowledgeState((), (), 0).n == 0
+    assert valid_permutation(PAIR, (F(1), F(3)), (0, 1))
     assert valid_permutation(PAIR, None, (1, 0)) and Permutation((1, 0)).order == (1, 0)
     assert verify_peo(EDGE, (0, 1)) and longest_path_caterpillar(EDGE, [0, 1]) == (0, 1)
     assert verify_peo(PATH, [0, 1, 2]) and min_cost_vertex_cover(PATH) == (1,)

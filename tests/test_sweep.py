@@ -318,7 +318,8 @@ ENVIRONMENT_KINDS = [(Environment, False), (CpcpEnvironment, False), (CpcpEnviro
 
 def check_live_graph(inst, make, rng):
     """The graph read first after ``first_read`` queries is the one every later
-    read returns, and after every later query its edges are the pairwise ones."""
+    read returns, and after every later query its edges are the pairwise ones of
+    ``env.state().current``, whose ends on the grid are its ``los`` and ``his``."""
     env = make(inst)
     first_read = rng.randint(0, 6)
     held = ref = seen = None
@@ -331,7 +332,8 @@ def check_live_graph(inst, make, rng):
             current = env.state().current
             ref, seen = ref_edges_after(ref, seen, current, inst.delta), current
             assert held.edges == ref
-            assert tuple(held.intervals) == current
+            scale = inst.grid.scale
+            assert (list(held.los), list(held.his)) == ([c.lo * scale for c in current], [c.hi * scale for c in current])
         done = env.exhausted if make is CpcpEnvironment else env.queried
         left = [i for i in range(inst.n) if not done(i)]
         if not left:
@@ -423,12 +425,12 @@ def test_edge_reads_agree(seed):
     env.graph()
     for i in rng.sample(range(n), n // 3):
         env.query(i)
-    for g in (build_graph(inst), env.graph()):
+    for g, iv in ((build_graph(inst), inst.intervals), (env.graph(), env.state().current)):
         edges = g.edges
         for u in range(n):
             for v in range(n):
                 if u != v:
-                    expect = dependent(g.intervals[u], g.intervals[v], inst.delta)
+                    expect = dependent(iv[u], iv[v], inst.delta)
                     assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges) == expect
 
 

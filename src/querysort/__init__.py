@@ -6,6 +6,8 @@ Every number is an exact rational; every strategy ends by producing a
 provably correct order from what it queried.
 """
 
+from types import ModuleType as _Module
+
 from .core import (
     Instance,
     KnowledgeState,
@@ -108,92 +110,6 @@ from .instances import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdviceOracle",
-    "CoTTFunctions",
-    "CpcpEnvironment",
-    "DeltaNotZero",
-    "DependencyGraph",
-    "Environment",
-    "FIXED",
-    "HALF",
-    "Instance",
-    "InvariantViolation",
-    "KnowledgeState",
-    "MissingRealization",
-    "NotChordal",
-    "NotSimplicial",
-    "NotTree",
-    "ParseError",
-    "Permutation",
-    "QuerysortError",
-    "RandomCoin",
-    "RepeatQuery",
-    "RunReport",
-    "SQRT3",
-    "Scalar",
-    "ScriptExhausted",
-    "Sqrt3Prob",
-    "TooLarge",
-    "TooManyBranches",
-    "UncertainInterval",
-    "UnresolvedDependency",
-    "advice_half",
-    "advice_lg3",
-    "algorithm1",
-    "algorithm2",
-    "algorithm3_cpcp",
-    "asteroid_expected_edges",
-    "asteroid_realization",
-    "brute_force_optimum",
-    "build_graph",
-    "build_permutation",
-    "canonical_optimum",
-    "components",
-    "cott_graph",
-    "cott_to_instance",
-    "cpcp_brute_force_optimum",
-    "dependent",
-    "deserialize",
-    "expected_cost_exact",
-    "feasible_query_set",
-    "fig1_instance",
-    "find_triangle",
-    "forced_query_set",
-    "gen_advice_triangles",
-    "gen_cost_path",
-    "gen_cpcp_adversary",
-    "gen_figure3_chain",
-    "gen_independent_pairs",
-    "gen_laminar",
-    "gen_lemma4_pair",
-    "gen_lemma7_two_triangles",
-    "gen_nested_star",
-    "gen_random",
-    "gen_random_scripted",
-    "gen_triangle_chain",
-    "instance_to_cott",
-    "interval",
-    "is_chordal",
-    "is_trivial",
-    "isqrt_bounds",
-    "longest_path_caterpillar",
-    "max_weight_independent_set",
-    "mcs_peo",
-    "min_cost_vertex_cover",
-    "no_2component_after_preprocess",
-    "oblivious_query_set",
-    "optimum_query_set",
-    "peo_min_right",
-    "residual_component_sizes",
-    "run_oblivious",
-    "scalar",
-    "serialize",
-    "simple_adaptive",
-    "simple_adaptive_stable_sort",
-    "singleton_witness_static",
-    "singleton_witness_value",
-    "valid_permutation",
-    "vc_adaptive",
-    "verify_peo",
-]
+# The imports above are the one export list: every name they bind, less the submodules
+# that importing binds on the package.
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module))

@@ -66,13 +66,26 @@ from .instances import (
 _CSV_HEADER = ("instance", "algorithm", "seed", "cost", "opt", "ratio", "bits")
 
 
+def _str(x: Fraction) -> str:
+    """``str(x)`` past Python's cap on int-to-text digits (4 300 by default), which an exact SQRT3
+    enclosure can pass: the cap is lifted for this call only, so no text is parsed while it is off."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap, or this Python has none
+    if not cap:
+        return str(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _fmt(x: Fraction) -> str:
-    return f"{x} (~{float(x):.10g})"
+    return f"{_str(x)} (~{float(x):.10g})"
 
 
 def _fmt_range(lo: Fraction, hi: Fraction) -> str:
     """An exact value as `_fmt` prints it, or an enclosure ``in [lo, hi]`` with both approximations."""
-    return _fmt(lo) if lo == hi else f"in [{lo}, {hi}] (~{float(lo):.10g}..{float(hi):.10g})"
+    return _fmt(lo) if lo == hi else f"in [{_str(lo)}, {_str(hi)}] (~{float(lo):.10g}..{float(hi):.10g})"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -429,11 +442,11 @@ def cmd_ratio(args) -> int:
         _, hi, oracle = _expected_cost(inst, args)
         opt = _optimum_cost(inst, strategy) if oracle is None else oracle.optimum_cost
         if hi < opt:
-            raise InvariantViolation(f"{instance_id}: cost {hi} is below the optimum {opt}")
+            raise InvariantViolation(f"{instance_id}: cost {_str(hi)} is below the optimum {_str(opt)}")
         bits = "" if oracle is None else str(oracle.bits_used)
         if opt > 0:
             ratio = hi / opt
-            ratio_str = str(ratio)
+            ratio_str = _str(ratio)
         elif hi == 0:
             ratio = Fraction(1)
             ratio_str = "1"
@@ -446,7 +459,7 @@ def cmd_ratio(args) -> int:
         if ratio is not None:
             worst = ratio if worst is None else max(worst, ratio)
             total += ratio
-        out_rows.append((instance_id, args.algorithm, str(seed), str(hi), str(opt), ratio_str, bits))
+        out_rows.append((instance_id, args.algorithm, str(seed), _str(hi), _str(opt), ratio_str, bits))
     out_rows.sort(key=lambda r: (r[0], int(r[2])))
 
     with open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout) as handle:

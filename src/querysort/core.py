@@ -6,31 +6,14 @@ the interval to a point.  The goal is an ordering of the items in which every
 earlier value exceeds every later value by at most a threshold ``delta``;
 queries should cost as little as possible.
 
-All numbers are exact rationals (`fractions.Fraction`).  Floats are rejected
-at the boundary: binary floating point silently misrepresents values such as
-0.1, and the comparisons below (strict versus non-strict by exactly zero
-margin) are meaningful only under exact arithmetic.  Decisions run on an
-integer grid: each instance scales its threshold, endpoints, values and
-script entries by the lcm of their denominators once (`Instance.grid`), which
-keeps every comparison exact.  `sweep_pairs` compares those ints, and so do
-the dependency graph's orderings and the strategies' picks, through the
-graph's ``los`` and ``his``; the checks on new intervals and instances
-cross-multiply numerators.
-Costs have their own grid (`Instance.cost_grid`), whose units a run's spend,
-residual weights and coin-tree walk add; the cover decides on the lcm grid of
-its weights (`grid_ints`).
+All numbers are exact rationals (`fractions.Fraction`); floats are refused
+at the boundary.  Decisions compare ints on an instance's grids
+(`Instance.grid`, `Instance.cost_grid`), by the rules README's design notes
+give ("Exactness first", "One integer grid per instance").
 
-Vocabulary used throughout the package:
-
-* *dependent*: two intervals whose order cannot be fixed without more
-  information -- each one could still hold the larger value by more than
-  ``delta``.  Formally ``a.hi - b.lo > delta and b.hi - a.lo > delta``
-  (both strict).
-* *trivial*: an interval of width at most ``delta``.  Trivial intervals
-  never need to be queried; two of them are never dependent on each other.
-* *witness*: a one-sided proof that some single interval must be queried in
-  every feasible query set (see `singleton_witness_static` /
-  `singleton_witness_value`).
+The vocabulary used throughout the package is the predicates below:
+*dependent* (`dependent`), *trivial* (`is_trivial`) and *witness*
+(`singleton_witness_static`, `singleton_witness_value`).
 """
 
 from __future__ import annotations
@@ -334,9 +317,6 @@ class Instance:
     nested in its predecessor and the final entry is the point holding the
     value.  ``time_costs`` (optional, same shape) price each script step;
     without them every step of an interval costs its flat ``cost``.
-    The integer grids `grid` and `cost_grid`, the dependent ``pairs`` swept
-    on `grid`, and the refinement model's ``steps`` are computed on first
-    read and kept.
     """
 
     delta: Fraction

@@ -6,8 +6,7 @@ restricted by the threshold rule stays chordal, which is what makes an exact
 minimum-cost vertex cover tractable here.
 
 Every routine reads the adjacency sets of the graph it is handed, so a
-caller that holds a graph never rebuilds one.  Components and component
-lookup share one walk; the longest-path sweeps share one breadth-first search.
+caller that holds a graph never rebuilds one.
 
 Determinism matters throughout -- algorithms and tests rely on reproducible
 tie-breaking, so every routine that picks among equals picks the smallest
@@ -45,8 +44,7 @@ class DependencyGraph:
     here), stored only as one neighbour set per vertex.
 
     ``edges`` derives the pairs ``(i, j)``, ``i < j``, from ``adj`` on each
-    read.  A plain object: equality is identity.  An environment's graph is
-    narrowed in place by its queries (`QueryEnvironment.graph`).
+    read.  A plain object: equality is identity.
 
     ``los`` and ``his`` are the vertices' endpoints as ints on one grid; the
     orderings in this module and the strategies' picks compare them, never

@@ -5,11 +5,7 @@ seed); the named families reproduce the hard instances that pin each
 strategy's worst-case ratio, each shipped with the value assignment that
 actually achieves it.  Adversarial families that punish a coin-driven
 choice accept a ``punish`` argument selecting which deterministic variant
-the values are stacked against.
-
-The text format is a canonical JSON document with every number encoded as
-an exact-rational string; serialization is byte-stable, so equal instances
-produce identical documents.
+the values are stacked against.  `serialize` gives the document format.
 """
 
 from __future__ import annotations
@@ -595,7 +591,8 @@ def _per_item(doc: dict, key: str, what: str, n: int, parse: Callable[[int, obje
 
 
 def serialize(inst: Instance) -> str:
-    """Canonical UTF-8 document for an instance; byte-stable per content."""
+    """Canonical UTF-8 JSON document for an instance, every number an exact-rational string;
+    byte-stable per content, so equal instances give identical documents."""
     doc: dict = {
         "schema": _SCHEMA,
         "delta": str(inst.delta),

@@ -1,21 +1,14 @@
 """Offline (full-information) solvers and the exhaustive oracles tests lean on.
 
 The offline player sees the hidden values and must pick, in advance, a
-cheapest query set whose answers are guaranteed to leave no dependent pair.
-That problem decomposes cleanly: some intervals are forced into *every*
-feasible set (they strictly straddle some other item's value by more than
-the threshold), and what remains is a minimum-cost vertex cover on a chordal
-graph -- so the exact optimum is polynomial.
+cheapest query set whose answers are guaranteed to leave no dependent pair;
+`optimum_query_set` says why that is polynomial.
 
-`canonical_optimum` finds the one optimum the advice oracle answers about,
-the smallest minimizer by sorted index tuple, greedily over the indices
-with one constrained vertex cover per vertex that has an edge, each on an
-induced subgraph of the one graph it builds.  `brute_force_optimum`
-recomputes the optimum and every minimizer by plain 2^n enumeration; it
-exists to ground-truth everything else and is deliberately unclever.
-`cpcp_brute_force_optimum` is the refinement-model optimum, found by a
-pruned depth-first search over script-prefix vectors on grid ints; the tests
-keep the plain scan and the `Fraction` search as its references.
+`canonical_optimum`, the optimum the advice oracle answers about, and
+`cpcp_brute_force_optimum`, the refinement-model optimum, each say how they
+search.  `brute_force_optimum` recomputes the optimum and every minimizer by
+plain 2^n enumeration; it exists to ground-truth everything else and is
+deliberately unclever.
 """
 
 from __future__ import annotations

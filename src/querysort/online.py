@@ -1,42 +1,21 @@
 """Query environments, online strategies, and an exact expectation evaluator.
 
-Two query models are implemented.
+Two query models: in the exact model (`Environment`) a query reveals an
+item's value, and in the refinement model (`CpcpEnvironment`) it returns the
+next entry of the item's script.  Each environment keeps its state on the
+instance's grids, in one live dependency graph (`QueryEnvironment`); README's
+"Online strategies" gives the design.
 
-*Exact model* (`Environment`): querying an interval reveals its hidden value,
-charges its cost, and collapses it to a point.  Querying twice is an error.
+Randomized strategies draw from an injected coin (`RandomCoin`) at a bias
+that is `FIXED` or set by the rule `HALF` or `SQRT3`, whose irrational bias
+stays symbolic (`Sqrt3Prob`): no float enters a decision.  The two
+coin-driven strategies are written as trials, a ``_start`` that validates and
+warms up and a ``_trial`` that runs deterministic steps up to the next coin
+flip, so `expected_cost_exact` walks their coin tree once.
 
-*Refinement model* (`CpcpEnvironment`): each query on an item returns the
-next entry of a nested script of closed intervals ending in the value point;
-the t-th query may have its own price.  An instance without scripts embeds
-into this model as one-step scripts.
-
-Each environment keeps its current intervals once, as ends on the instance's
-integer grid (`Instance.grid`), and one dependency graph of them, built with
-the environment and narrowed in place by each query (`QueryEnvironment`);
-every strategy and witness flush reads it, and every pair test, witness test
-and pick compares those ends.  Spend, residual weights and the coin-tree
-walk count cost units (`Instance.cost_grid`), as `Fraction` only on the way
-out, where `QueryEnvironment.state` also makes the `Fraction` intervals.
-
-Randomized strategies draw from an injected coin (`RandomCoin` for seeded
-runs).  The uniform-cost strategy flips a constant bias, a `Fraction` in
-[0, 1] (`FIXED` checks one); the arbitrary-cost strategy derives each bias
-from a weight ratio by the rule `HALF` or `SQRT3`.  Probabilities are exact
-rationals, except `SQRT3`'s, which is kept symbolic (`Sqrt3Prob`) and
-decided by comparing squares -- no floating point anywhere.  The two
-coin-driven strategies are written as trials: a ``_start`` that validates
-and warms up, and a ``_trial`` that runs deterministic steps until the next
-coin flip.  `expected_cost_exact` walks their coin tree once, forking the
-environment at each real flip and then walking each dependent component
-once, and returns the exact expected spend (an interval enclosure when the
-square-root rule is involved).
-
-Every strategy returns a `RunReport` built by `_finish`, which orders the
-final intervals (or checks an ordering the strategy made) and fails loudly
+Every strategy returns a `RunReport` built by `_finish`, which fails loudly
 if any dependent pair survived -- the feasibility guarantee is enforced, not
-assumed.  A deterministic strategy is `_finish` around its *play*, the
-queries alone (`_played`); for the cost alone, `_spend` runs just the play
-and checks the live graph as `expected_cost_exact` does at each leaf.
+assumed.
 """
 
 from __future__ import annotations
@@ -91,8 +70,7 @@ class Sqrt3Prob:
     """The probability ``num / (den * sqrt(3))``, kept symbolic.
 
     Only constructed for genuinely random trials (value strictly between
-    0 and 1).  Decisions against a rational draw are made exactly by
-    squaring; numeric reporting goes through a rational enclosure.  Two
+    0 and 1); `accepts` decides by squaring, `enclosure` reports.  Two
     compare and hash equal when their values are equal (``num / den``).
     """
 
@@ -189,17 +167,13 @@ class QueryEnvironment:
     dependency graph of the current intervals.
 
     The current intervals are kept once, as their ends on the instance's
-    integer grid: ``_lo`` and ``_hi`` are the graph's ``los`` and ``his``, and
-    every pair test, witness test and ordering key reads them; `state` makes
-    the `Fraction` view from them.  The ledger ``_paid`` adds cost units (step
-    ``1/_scale``); transcript entries keep the instance's cost `Fraction`s.
-
-    The one graph is built with the environment (`Instance.pairs`) and then
-    narrowed in place: for a narrowed interval ``a' ⊆ a`` both ``a.hi - b.lo``
-    and ``b.hi - a.lo`` can only shrink, so a query only deletes edges at the
-    queried vertex, and re-testing its neighbours is O(degree) work.  So a
-    flush (``_flushed`` holds where the last of each kind ended) and a
-    strategy's pick start from the vertices queried since, not from a scan.
+    integer grid: ``_lo`` and ``_hi`` are the graph's ``los`` and ``his``;
+    `state` makes the `Fraction` view from them.  The ledger ``_paid`` adds
+    cost units (step ``1/_scale``); transcript entries keep the instance's cost
+    `Fraction`s.  The graph is built with the environment (`Instance.pairs`)
+    and narrowed in place by `_record`, which re-tests only the queried
+    vertex's neighbours: for a narrowed ``a' ⊆ a`` both ``a.hi - b.lo`` and
+    ``b.hi - a.lo`` can only shrink (README, "Online strategies").
     """
 
     def __init__(self, instance: Instance):
@@ -231,15 +205,11 @@ class QueryEnvironment:
         return KnowledgeState(current, tuple(self._queried), Fraction(self._paid, self._scale))
 
     def graph(self) -> DependencyGraph:
-        """Dependency graph of the current intervals at the instance threshold.
-
-        Built with the environment and live: every call returns the same
-        object, and each query narrows it in place.  Its ``los`` and ``his``
-        are this environment's grid ends, and it carries no ``intervals``
-        (`state` makes those).  So a graph, ``adj`` set or ``los`` held across
-        a query shows the state after it; copy what must stay fixed
-        (``sorted(...)``) first.  Its ``weights`` are the items' cost units.
-        """
+        """Dependency graph of the current intervals at the instance threshold, live: every
+        call returns the same object, which each query narrows in place.  Its ``los`` and
+        ``his`` are this environment's grid ends, its ``weights`` the items' cost units, and it
+        carries no ``intervals`` (`state` makes those).  A graph, ``adj`` set or ``los`` held
+        across a query shows the state after it: copy what must stay fixed (``sorted(...)``) first."""
         return self._graph
 
     def _fork(self) -> "QueryEnvironment":
@@ -292,9 +262,8 @@ class CpcpEnvironment(QueryEnvironment):
 
     Items without a script behave as in the exact model (a one-step script
     to the value point).  The t-th query on item ``i`` charges the t-th
-    time cost when given, the item's flat cost otherwise.  The steps, with
-    their ends and prices on the grids, are the instance's `Instance.steps`,
-    built once and shared by every environment on it.
+    time cost when given, the item's flat cost otherwise; the steps are the
+    instance's `Instance.steps`.
     """
 
     def __init__(self, instance: Instance):
@@ -478,9 +447,8 @@ def _flush_value_witnesses(env: QueryEnvironment) -> list[int]:
     immediately is always safe.  Known values are the current points, and
     ``singleton_witness_value(a, v, delta)`` is ``dependent(a, [v, v], delta)``,
     so a value witness is exactly a vertex of the environment's graph with a
-    point neighbour (two points are never dependent).  Each round picks the
-    smallest one, and newly revealed values may force further queries.
-    After this returns, every point is isolated in the dependency graph.
+    point neighbour (two points are never dependent).  After this returns,
+    every point is isolated in the dependency graph.
     """
     adj, lo, hi = env.graph().adj, env._lo, env._hi
 
@@ -493,15 +461,12 @@ def _flush_value_witnesses(env: QueryEnvironment) -> list[int]:
 
 
 def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
-    """Query every static or value witness, cascading.
+    """Query every static or value witness, cascading: `singleton_witness_static` on the
+    current intervals, which covers the value form too, since queried items are points.
 
-    A current interval that strictly contains another current interval
-    padded by the threshold must be queried no matter what; since queried
-    items are point intervals, the value form is subsumed by the static
-    form evaluated on the current state.  Such a containment is always a
-    dependency, so only graph neighbours need testing.  In the refinement
-    model an item may be queried several times in a row while its
-    refinements keep straddling.
+    Such a containment is always a dependency, so only graph neighbours need
+    testing.  In the refinement model an item may be queried several times in
+    a row while its refinements keep straddling.
     """
     adj, lo, hi, d = env.graph().adj, env._lo, env._hi, env._grid.delta
 
@@ -523,10 +488,8 @@ def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
 def run_oblivious(env: Environment) -> dict:
     """Query everything that could possibly matter, then order.
 
-    The best answer-blind strategy: every non-trivial interval with at
-    least one dependency, read from the instance's `Instance.pairs` and
-    `Instance.grid` (`oblivious_query_set`), so the set is fixed before any
-    answer.  Items the environment has already queried are skipped.
+    The best answer-blind strategy: `oblivious_query_set`, fixed before any
+    answer, less the items the environment has already queried.
     """
     _exact_model(env)
     for i in sorted(oblivious_query_set(env.instance)):
@@ -647,8 +610,7 @@ def algorithm1(env: Environment, rule: Optional[Fraction] = None, rng=None) -> R
     expected spend stays within 3/2 of the optimum; as a deterministic rule
     (p = 0 or 1) it stays within 5/3 on zero-threshold instances whose
     warmed-up graph has no single-edge component.  All ties break to the
-    smaller index.  Both picks come from lazy heaps, not from scans of the
-    whole graph (`_algorithm1_start`).
+    smaller index; the picks come from `_algorithm1_start`'s lazy heaps.
     """
     if rule is None:
         rule = Fraction(1, 2)
@@ -798,9 +760,8 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
       that path in a contiguous run: ``a``, when there is one, is such a
       neighbor, so every trial has something to query.
 
-    Value witnesses are flushed after every query step.  Zeros, triangles and
-    the smallest active vertex come from a heap and pointers, not from scans
-    of the whole graph (`_algorithm2_start`).
+    Value witnesses are flushed after every query step; the picks come from
+    `_algorithm2_start`'s heap and pointers.
     """
     state = _algorithm2_start(env, rule)
     return _run_trials(env, rule, state, _algorithm2_trial, rng)
@@ -927,12 +888,10 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
 class AdviceOracle:
     """Answers questions about one fixed optimum query set.
 
-    The reference set is the canonical minimizer (smallest by sorted index
-    tuple, as `brute_force_optimum` lists it first), found in polynomial
-    time by `canonical_optimum` and fixed for the oracle's lifetime, so all
-    answers are mutually consistent.  Question cost is information:
-    a question with k possible answers adds log2(k); `bits_used` reports
-    the exact ceiling of the running total via the product of sizes.
+    The reference set is `canonical_optimum`'s, fixed for the oracle's lifetime,
+    so all answers are mutually consistent.  Question cost is information: a
+    question with k possible answers adds log2(k); `bits_used` reports the exact
+    ceiling of the running total via the product of sizes.
     """
 
     def __init__(self, instance: Instance):
@@ -1094,22 +1053,14 @@ def expected_cost_exact(
 
     ``algorithm`` is `algorithm1` or `algorithm2` (or a `functools.wraps`
     wrapper of one), and ``rule`` what it takes: a bias, or `HALF` or
-    `SQRT3`; its start refuses anything else.  The coin tree is walked once,
-    ``False`` side first, forking the environment and the strategy state at
-    each real flip.  After a side has run and flushed its value witnesses,
-    each dependent component left is walked once, in place with the others'
-    edges set aside, unless its key (`_TRIALS`) was walked before.  This is
-    exact: a query deletes edges only at its own vertex, both flushes test
-    only neighbours, and every trial step chooses within one component, so
-    components run as they would alone, on independent coins.  Parts join by
-    mass: ``e = Σ_C e_C Π_{D≠C} m_D`` and ``m = Π_C m_C``, where ``e`` sums
-    path factor × spend over a part's leaves and ``m`` sums path factors.
-    Both are int triples over a shared denominator (`_mix`, `_join`), with
-    spends in cost units, divided by the scale once at the end.  The root is
-    not split: before `algorithm2`'s first flush, a value witness pending in
-    one component is flushed at another component's first step.  Each
-    component's walk starts its own picks (heaps and pointers) over its
-    vertices in O(|C|); residuals and frozen spines stay shared.
+    `SQRT3`; its start refuses anything else.  The walk, ``False`` side
+    first, is README's ("Online strategies").  Walking each dependent
+    component apart after a flip is exact: a query deletes edges only at its
+    own vertex, both flushes test only neighbours, and every trial step
+    chooses within one component, so components run as they would alone, on
+    independent coins.  The root is not split: before `algorithm2`'s first
+    flush, a value witness pending in one component is flushed at another
+    component's first step.
 
     Raises `TooManyBranches` past 2^16 real flips walked (a memo hit walks
     none), or past the interpreter's recursion limit (about 490 on one path).

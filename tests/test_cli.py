@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -277,6 +278,46 @@ def test_solve_expected_runs_deterministic_strategy_once(tmp_path, capsys, monke
     assert len(built) == 1
     cost = out.split("cost       : ")[1].split("\n")[0]
     assert f"expected cost : {cost}" in out
+
+
+#: SHA-256 of ``ratio alg2 cost_path --n 80 --rule sqrt3``'s output, whose ints stay under Python's
+#: 4 300-digit cap on int-to-text conversion, as printed before the cap was lifted for formatting.
+COST_PATH_80_SHA256 = "0dd78dfcd1c7de78627e2d9e249f20a3afcc7e8bdb6f43ab6fbabee32ca1b392"
+
+
+def digit_cap() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio", "alg2", "cost_path", "--n", "90", "--rule", "sqrt3"],
+    ["solve", "alg2", "DOC", "--rule", "sqrt3", "--expected"],
+])
+def test_sqrt3_enclosures_past_the_digit_cap_print(tmp_path, capsys, argv):
+    doc = write_doc(tmp_path, "path.json", gen_cost_path(100, F(1, 1000)))
+    cap = digit_cap()
+    assert main([doc if arg == "DOC" else arg for arg in argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and digit_cap() == cap
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+
+
+def test_sqrt3_enclosures_under_the_digit_cap_print_as_before(capsys):
+    assert main(["ratio", "alg2", "cost_path", "--n", "80", "--rule", "sqrt3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == COST_PATH_80_SHA256
+
+
+def test_numbers_past_the_digit_cap_in_user_text_are_still_refused(tmp_path, capsys):
+    digits = "1" * 5000
+    assert main(["ratio", "alg2", "random", "--delta", digits]) == 2
+    assert capsys.readouterr().err == f"usage error: --delta must be a rational like 3/2, got {digits!r}\n"
+    doc = json.loads(serialize(gen_lemma4_pair(2)[0]))
+    doc["intervals"][0]["cost"] = digits
+    path = tmp_path / "long_cost.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "simple", str(path)]) == 4
+    assert capsys.readouterr().err == f"model error: interval 0 cost is not a valid rational: {digits!r}\n"
 
 
 def test_solve_missing_file(capsys):

@@ -49,8 +49,7 @@ class TooLarge(QuerysortError):
 
 
 class TooManyBranches(QuerysortError):
-    """An exact expectation's coin tree is too big to walk: more real flips than the
-    walk's node budget, or a coin path nested past the interpreter's recursion limit."""
+    """An exact expectation's coin tree is too big to walk: more real flips than the walk's node budget."""
 
 
 class DeltaNotZero(QuerysortError):

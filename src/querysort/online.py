@@ -170,9 +170,9 @@ class QueryEnvironment:
     integer grid: ``_lo`` and ``_hi`` are the graph's ``los`` and ``his``;
     `state` makes the `Fraction` view from them.  The ledger ``_paid`` adds
     cost units (step ``1/_scale``); transcript entries keep the instance's cost
-    `Fraction`s.  The graph is built with the environment (`Instance.pairs`)
-    and narrowed in place by `_record`, which re-tests only the queried
-    vertex's neighbours: for a narrowed ``a' ⊆ a`` both ``a.hi - b.lo`` and
+    `Fraction`s.  The graph is built with the environment (`Instance.pairs`,
+    kept as ``_nbrs``) and narrowed in place by `_record`, which re-tests only the
+    queried vertex's neighbours: for a narrowed ``a' ⊆ a`` both ``a.hi - b.lo`` and
     ``b.hi - a.lo`` can only shrink (README, "Online strategies").
     """
 
@@ -187,6 +187,7 @@ class QueryEnvironment:
         self.transcript: list[tuple] = []
         self._flushed: tuple = (None, None)  # transcript lengths at the last value and static flushes
         self._graph = DependencyGraph(instance.n, instance.pairs, self._units, None, self._lo, self._hi)
+        self._nbrs = tuple(map(tuple, self._graph.adj))  # instance neighbours: edges are only deleted
 
     @property
     def n(self) -> int:
@@ -211,17 +212,6 @@ class QueryEnvironment:
         carries no ``intervals`` (`state` makes those).  A graph, ``adj`` set or ``los`` held
         across a query shows the state after it: copy what must stay fixed (``sorted(...)``) first."""
         return self._graph
-
-    def _fork(self) -> "QueryEnvironment":
-        """An independent copy: querying either one leaves the other unchanged."""
-        twin = copy.copy(self)
-        twin._lo = list(self._lo)
-        twin._hi = list(self._hi)
-        twin._queried = list(self._queried)
-        twin.transcript = list(self.transcript)
-        twin._graph = DependencyGraph(self.n, (), self._units, None, twin._lo, twin._hi)
-        twin._graph.adj = [set(nbrs) for nbrs in self._graph.adj]
-        return twin
 
     def _record(self, i: int, lo: int, hi: int, charge: Fraction, units: int, answer):
         """Narrow item ``i`` to ``lo``, ``hi`` on the grid (the one copy of its interval),
@@ -255,6 +245,21 @@ class Environment(QueryEnvironment):
             raise RepeatQuery(f"item {i} was already queried")
         at = self._grid.values[i]
         return self._record(i, at, at, self.instance.costs[i], self._units[i], self.instance.values[i])
+
+    def _rollback(self, mark: tuple) -> None:
+        """Undo every query since ``mark``, a ``(len(transcript), _paid, _flushed)``.  Newest first,
+        each item queried since (unqueried at the mark: no repeats) takes back its instance ends
+        and each edge that holds again; a pair is re-tested as its later end comes back, and
+        dependence only grows as an interval widens, so the graph is the mark's."""
+        length, self._paid, self._flushed = mark
+        d, los, his, adj = self._grid.delta, self._lo, self._hi, self._graph.adj
+        for i, _, _ in reversed(self.transcript[length:]):
+            self._queried[i] = 0
+            lo, hi = los[i], his[i] = self._grid.los[i], self._grid.his[i]
+            adj[i].update(back := [j for j in self._nbrs[i] if hi - los[j] > d and his[j] - lo > d])
+            for j in back:
+                adj[j].add(i)
+        del self.transcript[length:]
 
 
 class CpcpEnvironment(QueryEnvironment):
@@ -620,10 +625,9 @@ def algorithm1(env: Environment, rule: Optional[Fraction] = None, rng=None) -> R
 
 def _algorithm1_start(env: Environment, p: Fraction, state: Optional[tuple] = None, vertices=None) -> tuple:
     """Start a walk: at the root, check the environment, bias and costs and run
-    the warm-up.  The state is the neighbour sets at the warm-up's end, and
-    picks among ``vertices`` (ascending; all at the root): a heap of the smaller
-    ends of single-edge components, a heap of ``(hi, v)`` per active vertex,
-    and the transcript length the heaps are current to."""
+    the warm-up.  The state is the picks among ``vertices`` (ascending; all at
+    the root): a heap of the smaller ends of single-edge components, a heap of
+    ``(hi, v)`` per active vertex, and the transcript length the heaps are current to."""
     if state is None:
         _exact_model(env)
         if not isinstance(p, Fraction):
@@ -633,10 +637,10 @@ def _algorithm1_start(env: Environment, p: Fraction, state: Optional[tuple] = No
         if any(u != units[0] for u in units):
             raise InvariantViolation("this strategy requires uniform query costs")
         _preprocess_witnesses(env)
-        state, vertices = (tuple(map(tuple, env.graph().adj)),), range(env.n)
+        vertices = range(env.n)
     adj, his = env.graph().adj, env.graph().his
     pairs = [v for v in vertices if len(adj[v]) == 1 and v < (k := min(adj[v])) and len(adj[k]) == 1]
-    return state[0], pairs, sorted((his[v], v) for v in vertices if adj[v]), [len(env.transcript)]
+    return pairs, sorted((his[v], v) for v in vertices if adj[v]), [len(env.transcript)]
 
 
 def _first_ending(adj: list[set[int]], ends: list[tuple[int, int]]) -> Optional[int]:
@@ -649,11 +653,11 @@ def _first_ending(adj: list[set[int]], ends: list[tuple[int, int]]) -> Optional[
 
 def _algorithm1_trial(env: Environment, p: Fraction, state: tuple) -> Optional[tuple]:
     """Run `algorithm1`'s deterministic steps up to its next single-edge flip."""
-    nbrs, pairs, ends, seen = state
+    pairs, ends, seen = state
     g = env.graph()
     while True:
         # a query deletes edges only at its vertex: only former neighbours form new single edges
-        for j in {j for i, _, _ in env.transcript[seen[0]:] for j in nbrs[i]}:
+        for j in {j for i, _, _ in env.transcript[seen[0]:] for j in env._nbrs[i]}:
             if len(g.adj[j]) == 1 and len(g.adj[k := min(g.adj[j])]) == 1:
                 heappush(pairs, min(j, k))
         seen[0] = len(env.transcript)
@@ -939,7 +943,6 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
     g = env.graph()
-    nbrs = tuple(map(tuple, g.adj))  # edges are only deleted: these hold every former neighbour
     leaves, at, seen = [v for v in range(env.n) if len(g.adj[v]) == 1], 0, 0
     while True:
         triangle = find_triangle(g, at)
@@ -950,7 +953,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
             k = min(group - {i}, key=lambda w: (-g.his[w], w))
             (j,) = group - {i, k}
         else:
-            for v in {v for i, _, _ in env.transcript[seen:] for v in nbrs[i]}:
+            for v in {v for i, _, _ in env.transcript[seen:] for v in env._nbrs[i]}:
                 if len(g.adj[v]) == 1:
                     heappush(leaves, v)
             seen = len(env.transcript)
@@ -998,7 +1001,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Exact expectation by forking at each coin flip
+# Exact expectation by walking the coin tree on one environment
 # ---------------------------------------------------------------------------
 
 #: Width of the rational enclosures used for symbolic probabilities.
@@ -1023,11 +1026,6 @@ _TRIALS = {
     algorithm1: (_algorithm1_start, _algorithm1_trial, lambda state, comp: tuple(comp)),
     algorithm2: (_algorithm2_start, _algorithm2_trial, _algorithm2_key),
 }
-
-
-def _copy_state(state):
-    """Fork a strategy state: a tuple of containers of immutable values."""
-    return tuple(copy.copy(part) for part in state)
 
 
 def _lowest(e: int, m: int, d: int) -> tuple:
@@ -1062,23 +1060,20 @@ def expected_cost_exact(
     flush, a value witness pending in one component is flushed at another
     component's first step.
 
-    Raises `TooManyBranches` past 2^16 real flips walked (a memo hit walks
-    none), or past the interpreter's recursion limit (about 490 on one path).
-    Returns an exact rational when every probability is rational, and a
-    rational enclosure ``(lo, hi)`` (width far below 1e-9) when the
-    square-root rule is involved.
+    Raises `TooManyBranches` past 2^16 real flips walked (a memo hit walks none).
+    Returns an exact rational when every probability is rational, and a rational
+    enclosure ``(lo, hi)`` (width far below 1e-9) when the square-root rule is involved.
     """
     start, trial, key = _TRIALS.get(inspect.unwrap(algorithm), (None, None, None))
     if start is None:
-        raise InvariantViolation(
-            f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}"
-        )
+        raise InvariantViolation(f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}")
+    env = Environment(inst)  # the one environment of the whole walk
     memo: dict = {}  # component key -> its subtree
     walked = 0  # real flips walked in this call; a memo hit walks none
 
-    def walk(env: Environment, state, base: int) -> tuple:
-        """The subtree at ``env``: (lo, hi), each an (expected spend in cost units
-        since ``base``, mass, denominator) triple."""
+    def walk(state, base: int):
+        """The subtree at ``env``: (lo, hi), each an (expected spend in cost units since ``base``,
+        mass, denominator) triple; a flip's ``False`` side first, then, rolled back, its ``True`` side."""
         nonlocal walked
         if (step := _next_flip(env, rule, state, trial)) is None:
             leaf = (_edgeless_paid(env, "a coin-tree leaf") - base, 1, 1)
@@ -1088,16 +1083,17 @@ def expected_cost_exact(
         p, heads, tails = step
         p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
         (ln, ld), (hn, hd) = (p_lo.numerator, p_lo.denominator), (p_hi.numerator, p_hi.denominator)
-        twin, twin_state = env._fork(), _copy_state(state)
-        t_lo, t_hi = split(env, state, tails, base)
-        h_lo, h_hi = split(twin, twin_state, heads, base)
+        mark, twin_state = (len(env.transcript), env._paid, env._flushed), tuple(map(copy.copy, state))
+        t_lo, t_hi = yield from split(state, tails, base)
+        env._rollback(mark)
+        h_lo, h_hi = yield from split(twin_state, heads, base)
         lo = _mix((ln, ld), h_lo, (hd - hn, hd), t_lo)  # and hi, unless an end differs: computed once
         hi = lo if p_lo is p_hi and h_lo is h_hi and t_lo is t_hi else _mix((hn, hd), h_hi, (ld - ln, ld), t_hi)
         return lo, hi
 
-    def split(env: Environment, state, side, base: int) -> tuple:
-        """`walk`'s subtree after taking ``side``: each dependent component left is
-        walked once, in place, on a graph whose other edges are set aside."""
+    def split(state, side, base: int):
+        """`walk`'s subtree after taking ``side``: each dependent component left is walked once, in
+        place, with the other edges set aside; it yields each walk's ``(state, base)``, gets its subtree."""
         side(env)
         _flush_value_witnesses(env)
         graph, adj, at = env.graph(), env.graph().adj, env._paid
@@ -1106,7 +1102,7 @@ def expected_cost_exact(
             if k not in memo:
                 inside = set(comp)
                 graph.adj = [nbrs if v in inside else _NO_EDGES for v, nbrs in enumerate(adj)]
-                memo[k] = walk(env, start(env, rule, state, comp), env._paid)
+                memo[k] = yield start(env, rule, state, comp), env._paid
                 graph.adj = adj
         lo = hi = (at - base, 1, 1)
         for _, k in parts:
@@ -1115,10 +1111,14 @@ def expected_cost_exact(
             lo, hi = joined, joined if lo is hi and part_lo is part_hi else _join(hi, part_hi)
         return lo, hi
 
-    env = Environment(inst)
-    try:
-        (e_lo, _, d_lo), (e_hi, _, d_hi) = walk(env, start(env, rule), 0)
-    except RecursionError:  # each real flip on a path nests one `walk` and one `split`
-        raise TooManyBranches("the coin tree has a path too deep for the interpreter's recursion limit") from None
+    walks, sent = [walk(start(env, rule), 0)], None  # the open walks of the current path, innermost last
+    while walks:
+        try:
+            walks.append(walk(*walks[-1].send(sent)))
+            sent = None
+        except StopIteration as done:
+            walks.pop()
+            sent = done.value
+    (e_lo, _, d_lo), (e_hi, _, d_hi) = sent
     e_lo, e_hi = Fraction(e_lo, d_lo * env._scale), Fraction(e_hi, d_hi * env._scale)
     return e_lo if e_lo == e_hi else (e_lo, e_hi)

@@ -40,6 +40,7 @@ from querysort import (
 from querysort import core
 from querysort.core import Grid, on_grid, to_grid
 from test_int_paths import FAMILIES, STRATEGIES, with_costs
+from test_online import fork
 
 
 def assert_checked(itv):
@@ -264,7 +265,7 @@ def query_with_forks(env, rng):
             ends.append(live.pop(k))
             continue
         if len(live) + len(ends) < 3 and rng.random() < 2 / (len(left) + 1):
-            twin = e._fork()
+            twin = fork(e)
             check_state(twin, current, counts)
             live.append((twin, list(current), list(counts)))
         i = rng.choice(left)

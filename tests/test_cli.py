@@ -308,6 +308,16 @@ def test_sqrt3_enclosures_under_the_digit_cap_print_as_before(capsys):
     assert err == "" and hashlib.sha256(out.encode()).hexdigest() == COST_PATH_80_SHA256
 
 
+def test_a_coin_path_of_500_flips_prints_its_row(capsys):
+    """The spine of a cost path at n = 1 000 puts about 500 real flips on one coin path;
+    the walk takes it in a loop, so the row prints, at the 3/2 the tight path reaches."""
+    assert main(["ratio", "alg2", "cost_path", "--n", "1000", "--eps", "1/1000000000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "cost_path-n1000,alg2,0,750000499/500000000,500000499/500000000,750000499/500000499," in out
+    assert out.rstrip().endswith("bound=57/32 status=OK")
+
+
 def test_numbers_past_the_digit_cap_in_user_text_are_still_refused(tmp_path, capsys):
     digits = "1" * 5000
     assert main(["ratio", "alg2", "random", "--delta", digits]) == 2

@@ -66,7 +66,7 @@ from querysort import (
 )
 from querysort import core, instances, online
 from querysort.graph import DependencyGraph, mcs_peo, peo_min_right
-from test_online import stack_expected_cost
+from test_online import count_flips, stack_expected_cost
 from test_sweep import instances as crowded_instances
 from test_sweep import make_instance, wide_instances
 
@@ -377,23 +377,18 @@ def test_interval_is_a_frozen_value_with_slots():
 def test_both_ends_are_mixed_once_under_a_rational_rule(monkeypatch, algorithm, rule, per_flip):
     """Every real flip mixes its two sides once when both ends of each side are one
     pair (every rational rule), and twice only for a square-root enclosure."""
-    calls = {"mix": 0, "fork": 0}
-    mix, fork = online._mix, online.QueryEnvironment._fork
+    mixes, mix = [], online._mix
 
     def counting_mix(*args):
-        calls["mix"] += 1
+        mixes.append(1)
         return mix(*args)
 
-    def counting_fork(env):
-        calls["fork"] += 1
-        return fork(env)
-
     monkeypatch.setattr(online, "_mix", counting_mix)
-    monkeypatch.setattr(online.QueryEnvironment, "_fork", counting_fork)
+    flips = count_flips(monkeypatch)
     inst = gen_cost_path(8, F(1, 100)) if algorithm is algorithm2 else gen_independent_pairs(5)
     got = expected_cost_exact(algorithm, inst, rule)
-    assert calls["fork"] > 0
-    assert calls["mix"] == per_flip * calls["fork"]
+    assert len(flips) > 0
+    assert len(mixes) == per_flip * len(flips)
     assert isinstance(got, tuple) == (rule is SQRT3)
     assert got == stack_expected_cost(algorithm, inst, rule)
 

@@ -52,7 +52,7 @@ from querysort import (
 from querysort import graph, online
 from querysort.graph import DependencyGraph, component_of
 from test_grid_keys import at_zero, play, ref_advice_half, ref_advice_lg3, uniform
-from test_online import outcome, stack_expected_cost
+from test_online import fork, outcome, stack_expected_cost
 from test_sweep import instances, make_instance, wide_instances
 
 any_instance = st.one_of(instances(scripted=True), wide_instances(scripted=True))
@@ -206,7 +206,7 @@ def checking_flush(flushes):
     flush = online._flush
 
     def checked(env, witness, static):
-        want = ref_flush(env._fork(), static)
+        want = ref_flush(fork(env), static)
         got = flush(env, witness, static)
         assert got == want
         flushes.append(static)
@@ -227,7 +227,7 @@ def test_seeded_flush_queries_what_a_full_scan_queries(inst, refine, seed):
         for i in rng.sample(open_items, min(len(open_items), rng.randint(0, 3))):
             env.query(i)
         static = rng.random() < 0.5
-        want = ref_flush(env._fork(), static)
+        want = ref_flush(fork(env), static)
         assert (online._preprocess_witnesses if static else online._flush_value_witnesses)(env) == want
 
 

@@ -3,11 +3,16 @@
 `expected_cost_exact` has two references that live only here.
 `replay_expected_cost` restarts the public strategy at every node of the coin
 tree.  `stack_expected_cost` forks the whole environment at every real flip
-and keeps the ``True`` sides on a stack, splitting nothing: it visits every
-leaf once, so it serves the larger differential cases.
+(`fork`, a copy kept only here) and keeps the ``True`` sides on a stack,
+splitting nothing: it visits every leaf once, so it serves the larger
+differential cases.  The walk itself keeps one environment and rolls it back
+after each flip's ``False`` side; `check_rollbacks` checks a rolled-back
+environment against a fresh one.
 """
 
+import copy
 import functools
+import random
 import re
 from fractions import Fraction as F
 
@@ -56,8 +61,8 @@ from querysort import (
 )
 from querysort import offline, online
 from querysort.core import Instance, isqrt_bounds
-from querysort.graph import build_graph
-from querysort.online import _ENCLOSURE_PRECISION, QueryEnvironment, Sqrt3Prob
+from querysort.graph import DependencyGraph
+from querysort.online import _ENCLOSURE_PRECISION, Sqrt3Prob
 
 
 # ---------------------------------------------------------------------------
@@ -521,39 +526,92 @@ def test_expected_cost_deterministic_equals_run():
     assert e == rep.total_cost
 
 
-def test_fork_is_independent():
-    inst = gen_random(5, 12, F(1, 2))
-    env = Environment(inst)
-    env.query(0)
-    twin = env._fork()
-    for i in (3, 7):
-        twin.query(i)
-    env.query(5)
-    assert [entry[0] for entry in env.transcript] == [0, 5]
-    assert [entry[0] for entry in twin.transcript] == [0, 3, 7]
-    assert env.state().queried == tuple(int(i in (0, 5)) for i in range(inst.n))
-    assert twin.state().queried == tuple(int(i in (0, 3, 7)) for i in range(inst.n))
-    assert env.state().spent == sum(inst.costs[i] for i in (0, 5))
-    for copy, queried in ((env, (0, 5)), (twin, (0, 3, 7))):
-        current = copy.state().current
-        rebuilt = build_graph(Instance(inst.delta, current, inst.values))
-        assert copy.graph().edges == rebuilt.edges
-        assert copy.graph().los is copy._lo and copy.graph().his is copy._hi
-        assert [i for i in range(inst.n) if current[i] != inst.intervals[i]] == list(queried)
-    assert env.graph().los is not twin.graph().los
+def fork(env):
+    """An independent copy of ``env``: querying either one leaves the other unchanged."""
+    twin = copy.copy(env)
+    twin._lo, twin._hi, twin._queried = list(env._lo), list(env._hi), list(env._queried)
+    twin.transcript = list(env.transcript)
+    twin._graph = DependencyGraph(env.n, (), env._units, None, twin._lo, twin._hi)
+    twin._graph.adj = [set(nbrs) for nbrs in env._graph.adj]
+    return twin
 
 
-def test_fork_before_any_graph_read():
-    inst = gen_random(5, 12, F(1, 2))
-    start = build_graph(inst)
-    env = Environment(inst)
-    twin = env._fork()
-    for i in start.active_vertices()[:3]:
-        twin.query(i)
-    assert env.graph().edges == start.edges
-    assert twin.graph().edges != start.edges
-    rebuilt = build_graph(Instance(inst.delta, twin.state().current, inst.values))
-    assert twin.graph().edges == rebuilt.edges
+def copy_state(state):
+    """An independent copy of a strategy state: a tuple of containers of immutable values."""
+    return tuple(map(copy.copy, state))
+
+
+def count_flips(monkeypatch):
+    """A list that gains the bias of each real flip `online._next_flip` returns from now on."""
+    flips, next_flip = [], online._next_flip
+
+    def counting(*args):
+        step = next_flip(*args)
+        if step is not None:
+            flips.append(step[0])
+        return step
+
+    monkeypatch.setattr(online, "_next_flip", counting)
+    return flips
+
+
+def apply(env, op):
+    """One step of a rollback script: a flush of either kind, or a query of an item not yet queried."""
+    if op == "value":
+        online._flush_value_witnesses(env)
+    elif op == "static":
+        online._preprocess_witnesses(env)
+    elif not env.queried(op):
+        env.query(op)
+
+
+def view(env):
+    """Everything a rollback restores, in forms that compare by value."""
+    return (repr(env.state()), env.graph().edges, list(env.transcript), env._paid, env._flushed,
+            list(env._lo), list(env._hi), list(env._queried))
+
+
+def check_rollbacks(inst, seed):
+    """Mark a random script's run at the start and at up to three later steps, then roll
+    back to each mark, innermost first, taking a few new steps after each: the environment
+    then equals a fresh one that took only the steps before that mark.  Returns the number
+    of queries rolled back."""
+    rng = random.Random(seed)
+    ops = [rng.choice(("value", "static")) if rng.random() < 0.2 else rng.randrange(inst.n)
+           for _ in range(rng.randint(0, 2 * inst.n))]
+    cuts = {0, *rng.sample(range(len(ops) + 1), min(3, len(ops)))}
+    env, marks, undone = Environment(inst), [], 0
+    for k, op in enumerate([*ops, None]):
+        if k in cuts:
+            marks.append((k, (len(env.transcript), env._paid, env._flushed)))
+        if op is not None:
+            apply(env, op)
+    for k, mark in reversed(marks):
+        undone += len(env.transcript) - mark[0]
+        env._rollback(mark)
+        fresh = Environment(inst)
+        for op in ops[:k]:
+            apply(fresh, op)
+        assert view(env) == view(fresh), (seed, k)
+        for _ in range(rng.randint(0, 4)):  # the other side of a flip, undone by the next mark out
+            apply(env, rng.randrange(inst.n))
+    return undone
+
+
+def test_rollback_matches_a_fresh_environment():
+    """On `gen_random` draws at every threshold, crowded and generic, n from 2 to 30."""
+    undone = 0
+    for seed in range(90):
+        delta, model = (F(0), F(1, 2), F(1))[seed % 3], ("uniform-in-interval", "generic")[seed % 2]
+        undone += check_rollbacks(gen_random(seed, 2 + seed % 29, delta, value_model=model), seed)
+    assert undone > 1000
+
+
+def test_rollback_matches_a_fresh_environment_at_scale():
+    """On a crowded `gen_random` draw at n = 500 and the sparse draw at n = 2 000."""
+    from test_local_picks import sparse  # that module imports this one
+    for inst in (gen_random(1, 500, F(1, 2)), sparse(2000, F(1, 2))):
+        assert check_rollbacks(inst, 7) > inst.n // 4
 
 
 def test_expected_cost_refuses_other_strategies_and_rules():
@@ -645,7 +703,7 @@ def stack_expected_cost(algorithm, inst, rule):
                     raise TooManyBranches(f"more than 2^{MAX_ORACLE_DEPTH} coin branches")
                 p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
                 depth += 1
-                stack.append((env._fork(), online._copy_state(state), heads, depth, lo * p_lo, hi * p_hi))
+                stack.append((fork(env), copy_state(state), heads, depth, lo * p_lo, hi * p_hi))
                 lo, hi = lo * (1 - p_hi), hi * (1 - p_lo)
                 outcome = False
             (heads if outcome else tails)(env)
@@ -664,17 +722,24 @@ def outcome(fn, *args, **kwargs):
 
 
 class ForkCounter:
-    """Counts `QueryEnvironment._fork` calls while installed."""
+    """Counts, while installed, the forks `stack_expected_cost` takes and the real flips
+    `expected_cost_exact` walks: a walk that forked would take one fork at each."""
 
     def __init__(self, monkeypatch):
         self.forks = 0
-        fork = QueryEnvironment._fork
+        take_fork, next_flip = fork, online._next_flip
 
-        def counting(env):
+        def counting_fork(env):
             self.forks += 1
-            return fork(env)
+            return take_fork(env)
 
-        monkeypatch.setattr(QueryEnvironment, "_fork", counting)
+        def counting_flip(*args):
+            step = next_flip(*args)
+            self.forks += step is not None
+            return step
+
+        monkeypatch.setitem(globals(), "fork", counting_fork)
+        monkeypatch.setattr(online, "_next_flip", counting_flip)
 
 
 def never_called(algorithm):
@@ -763,9 +828,9 @@ def test_algorithm2_key_fixes_the_next_trial():
     start, trial, key = online._TRIALS[algorithm2]
     env = Environment(gen_cost_path(6, F(1, 100)))
     state = start(env, HALF)
-    lighter = online._copy_state(state)
+    lighter = copy_state(state)
     lighter[0][0] //= 2  # residuals are cost units
-    biases = [trial(env._fork(), HALF, online._copy_state(s))[0] for s in (state, lighter)]
+    biases = [trial(fork(env), HALF, copy_state(s))[0] for s in (state, lighter)]
     assert biases == [F(1, 2), F(1, 4)]
     assert key(state, list(range(6))) != key(lighter, list(range(6)))
 

@@ -51,7 +51,8 @@ from querysort import (
 )
 from querysort import cli, core, graph, offline, online
 from querysort.instances import _generic_position_ok
-from querysort.online import QueryEnvironment, _flush_value_witnesses, _preprocess_witnesses
+from querysort.online import _flush_value_witnesses, _preprocess_witnesses
+from test_online import count_flips
 
 MAX_N = 250
 
@@ -379,14 +380,13 @@ def test_one_graph_per_run(monkeypatch):
     assert built == [inst.n]
 
 
-def test_one_graph_per_fork(monkeypatch):
-    built = count_graphs(monkeypatch)
-    forks = []
-    fork = QueryEnvironment._fork
-    monkeypatch.setattr(QueryEnvironment, "_fork", lambda env: forks.append(1) or fork(env))
-    expected_cost_exact(algorithm2, gen_cost_path(40, F(1, 1000)), HALF)
-    assert len(forks) > 10
-    assert len(built) == 1 + len(forks)
+def test_one_graph_per_walk(monkeypatch):
+    """The coin walk keeps one environment, and so one graph, through all its real flips."""
+    built, flips = count_graphs(monkeypatch), count_flips(monkeypatch)
+    inst = gen_cost_path(40, F(1, 1000))
+    expected_cost_exact(algorithm2, inst, HALF)
+    assert len(flips) > 10
+    assert built == [inst.n]
 
 
 def count_grids(monkeypatch):
@@ -400,14 +400,11 @@ def count_grids(monkeypatch):
 
 
 def test_one_grid_per_instance(monkeypatch, capsys):
-    """A `ratio` row scales its instance once: its environment and every fork,
-    `forced_query_set`, `optimum_query_set` and `AdviceOracle` share the grid."""
-    built = count_grids(monkeypatch)
-    forks = []
-    fork = QueryEnvironment._fork
-    monkeypatch.setattr(QueryEnvironment, "_fork", lambda env: forks.append(1) or fork(env))
+    """A `ratio` row scales its instance once: its environment, through every real flip of
+    the coin walk, `forced_query_set`, `optimum_query_set` and `AdviceOracle` share the grid."""
+    built, flips = count_grids(monkeypatch), count_flips(monkeypatch)
     assert cli.main(["ratio", "alg2", "cost_path", "--n", "40"]) == 0
-    assert len(forks) > 10
+    assert len(flips) > 10
     assert len(built) == 1
     assert cli.main(["ratio", "advice_lg3", "random", "--n", "10", "--trials", "3", "--delta", "1"]) == 0
     assert len(built) == 1 + 3

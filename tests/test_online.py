@@ -61,7 +61,7 @@ from querysort import (
 )
 from querysort import offline, online
 from querysort.core import Instance, isqrt_bounds
-from querysort.graph import DependencyGraph
+from querysort.graph import DependencyGraph, build_graph
 from querysort.online import _ENCLOSURE_PRECISION, Sqrt3Prob
 
 
@@ -612,6 +612,48 @@ def test_rollback_matches_a_fresh_environment_at_scale():
     from test_local_picks import sparse  # that module imports this one
     for inst in (gen_random(1, 500, F(1, 2)), sparse(2000, F(1, 2))):
         assert check_rollbacks(inst, 7) > inst.n // 4
+
+
+def test_fork_is_independent():
+    """Two query histories from one point, taken in turn on one environment with a rollback
+    between them, stay apart: each side's transcript, spend and graph are its own."""
+    inst = gen_random(5, 12, F(1, 2))
+    env = Environment(inst)
+    env.query(0)
+    mark = (len(env.transcript), env._paid, env._flushed)
+    live = env.graph()
+
+    def check(queried):
+        assert [entry[0] for entry in env.transcript] == list(queried)
+        assert env.state().queried == tuple(int(i in queried) for i in range(inst.n))
+        assert env.state().spent == sum(inst.costs[i] for i in queried)
+        current = env.state().current
+        assert env.graph().edges == build_graph(Instance(inst.delta, current, inst.values)).edges
+        assert env.graph() is live and live.los is env._lo and live.his is env._hi
+        assert [i for i in range(inst.n) if current[i] != inst.intervals[i]] == list(queried)
+
+    for i in (3, 7):
+        env.query(i)
+    check((0, 3, 7))
+    env._rollback(mark)
+    check((0,))
+    env.query(5)
+    check((0, 5))
+
+
+def test_fork_before_any_graph_read():
+    """A mark taken before the graph is first read rolls the graph back to the instance's."""
+    inst = gen_random(5, 12, F(1, 2))
+    start = build_graph(inst)
+    env = Environment(inst)
+    mark = (len(env.transcript), env._paid, env._flushed)
+    for i in start.active_vertices()[:3]:
+        env.query(i)
+    assert env.graph().edges != start.edges
+    assert env.graph().edges == build_graph(Instance(inst.delta, env.state().current, inst.values)).edges
+    env._rollback(mark)
+    assert env.graph().edges == start.edges
+    assert env.transcript == [] and env.state().spent == 0
 
 
 def test_expected_cost_refuses_other_strategies_and_rules():

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -80,6 +80,14 @@ def _as_tuple(field: str, xs) -> tuple:
     if not hasattr(xs, "__iter__"):
         raise InvariantViolation(f"{field} must be a sequence, got {type(xs).__name__}")
     return tuple(xs)
+
+
+def _intervals(field: str, xs, noun: str = "") -> tuple:
+    """``xs`` as a tuple of `UncertainInterval`s; otherwise refused, naming ``noun or field``."""
+    for item in (xs := _as_tuple(field, xs)):
+        if not isinstance(item, UncertainInterval):
+            raise InvariantViolation(f"{noun or field} must be UncertainInterval, got {type(item).__name__}")
+    return xs
 
 
 def _le(a: Fraction, b: Fraction) -> bool:
@@ -327,12 +335,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", threshold(self.delta))
-        object.__setattr__(self, "intervals", _as_tuple("intervals", self.intervals))
-        for item in self.intervals:
-            if not isinstance(item, UncertainInterval):
-                raise InvariantViolation(
-                    f"intervals must be UncertainInterval, got {type(item).__name__}"
-                )
+        object.__setattr__(self, "intervals", _intervals("intervals", self.intervals))
         n = len(self.intervals)
         if self.values is not None:
             values = tuple(v if type(v) is Fraction else scalar(v) for v in _as_tuple("values", self.values))
@@ -486,12 +489,9 @@ class KnowledgeState:
     spent: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "current", _as_tuple("current", self.current))
+        object.__setattr__(self, "current", _intervals("current", self.current, "current intervals"))
         object.__setattr__(self, "queried", _as_tuple("queried", self.queried))
         object.__setattr__(self, "spent", scalar(self.spent))
-        for item in self.current:
-            if not isinstance(item, UncertainInterval):
-                raise InvariantViolation(f"current intervals must be UncertainInterval, got {type(item).__name__}")
         if len(self.current) != len(self.queried):
             raise InvariantViolation("queried counts do not match intervals")
         for q in self.queried:
@@ -570,35 +570,35 @@ def build_permutation(items: Sequence[UncertainInterval], delta: Fraction) -> Pe
 
     ``items`` is a sequence of intervals, such as a run's final current
     intervals.  Precondition: no two of them are dependent (raises
-    `UnresolvedDependency` otherwise).  Item ``i`` is forced before ``j``
-    when ``i`` certainly cannot exceed ``j`` by more than the threshold while
+    `UnresolvedDependency` otherwise).  Item ``a`` is forced before ``b``
+    when ``a`` certainly cannot exceed ``b`` by more than the threshold while
     the reverse is not certain; ties -- neither direction forced -- are
     broken by scheduling greedily among available items, smallest
     ``(lo, index)`` first, which keeps the output deterministic.
 
-    The forced relation is acyclic, so the schedule always takes every
-    item: ``before(a, b)`` implies ``a.lo + a.hi < b.lo + b.hi``.
+    Each unordered pair is decided once, by two tests: ``a.hi - b.lo <= delta``
+    says ``a`` may come first, ``b.hi - a.lo <= delta`` that ``b`` may.
+    Independence makes at least one hold, and exactly one forces its order.  The
+    forced relation is acyclic, since ``a`` forced before ``b`` implies
+    ``a.lo + a.hi < b.lo + b.hi``, so the schedule always takes every item.
     """
-    items = _as_tuple("items", items)
+    items = _intervals("items", items)
     n, delta = len(items), threshold(delta)
     require_independent(items, delta)
-
-    def before(a: UncertainInterval, b: UncertainInterval) -> bool:
-        # a certainly <= b + delta, and b possibly > a + delta.
-        return a.hi - b.lo <= delta and not (b.hi - a.lo <= delta)
-
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and before(items[i], items[j]):
+    for j, b in enumerate(items):
+        for i, a in enumerate(items[:j]):
+            a_may_lead, b_may_lead = a.hi - b.lo <= delta, b.hi - a.lo <= delta
+            if not b_may_lead:
                 succ[i].append(j)
                 indeg[j] += 1
+            elif not a_may_lead:
+                succ[j].append(i)
+                indeg[i] += 1
 
-    ready: list[tuple[Fraction, int]] = []
-    for i in range(n):
-        if indeg[i] == 0:
-            heappush(ready, (items[i].lo, i))
+    ready = [(a.lo, i) for i, a in enumerate(items) if not indeg[i]]
+    heapify(ready)
     out: list[int] = []
     while ready:
         _, i = heappop(ready)

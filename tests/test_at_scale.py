@@ -62,6 +62,14 @@ def test_algorithm2_under_half_is_within_its_bound_at_2000():
     assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
 
 
+def test_algorithm2_under_sqrt3_is_within_its_bound_at_2000():
+    """The upper end of the `SQRT3` enclosure within 1 + 4/(3√3) of the optimum."""
+    inst = sparse(2000, F(1, 2))
+    _, opt = optimum_query_set(inst)
+    lo, hi = expected_cost_exact(algorithm2, inst, SQRT3)
+    assert lo <= hi and below_sqrt3_bound(hi, opt)
+
+
 def test_algorithm2_is_within_its_bounds():
     """`algorithm2` at n = 400, threshold 1/2, rational costs: within 57/32 under
     `HALF`, and the upper end of the `SQRT3` enclosure within 1 + 4/(3√3)."""

@@ -234,10 +234,11 @@ def ref_narrow(env, current, i, answer):
     current[i] = answer if isinstance(env, CpcpEnvironment) else UncertainInterval(answer, answer, cost)
 
 
-def check_state(env, current, counts, queried=None):
+def check_state(env, current, counts, queried=None, spent=None):
     """``env.state()`` against the reference: the same intervals, an unqueried item's the
     instance's own object, and the same counts and spend.  Item ``queried``'s interval is
-    built checked; without one, every interval is, and they match repr for repr."""
+    built checked; without one, every interval is, and they match repr for repr.  The
+    spend is ``spent`` when given, else the sum of the transcript's charges."""
     state = env.state()
     assert state.current == tuple(current)
     assert all(q or itv is start for itv, start, q in zip(state.current, env.instance.intervals, counts))
@@ -246,19 +247,23 @@ def check_state(env, current, counts, queried=None):
     if queried is None:
         assert repr(state.current) == repr(tuple(current))
     assert state.queried == tuple(counts)
-    assert state.spent == sum((charge for _, _, charge in env.transcript), start=F(0))
+    if spent is None:
+        spent = sum((charge for _, _, charge in env.transcript), start=F(0))
+    assert state.spent == spent
 
 
 def query_with_forks(env, rng):
     """Query random open items of ``env``, and of up to two forks taken mid-run, until none
     is left, checking the queried environment's state after every query and every
-    environment's at the end.  Returns the number of queries."""
-    live = [(env, list(env.instance.intervals), [0] * env.n)]
+    environment's at the end.  Each environment keeps a running spend, which a fork
+    copies and each query adds its charge to; the checks at the end sum the whole
+    transcript.  Returns the number of queries."""
+    live = [(env, list(env.instance.intervals), [0] * env.n, F(0))]
     ends, queries = [], 0
-    check_state(*live[0])
+    check_state(*live[0][:3])
     while live:
         k = rng.randrange(len(live))
-        e, current, counts = live[k]
+        e, current, counts, spent = live[k]
         done = e.exhausted if isinstance(e, CpcpEnvironment) else e.queried
         left = [i for i in range(e.n) if not done(i)]
         if not left:
@@ -267,15 +272,17 @@ def query_with_forks(env, rng):
         if len(live) + len(ends) < 3 and rng.random() < 2 / (len(left) + 1):
             twin = fork(e)
             check_state(twin, current, counts)
-            live.append((twin, list(current), list(counts)))
+            live.append((twin, list(current), list(counts), spent))
         i = rng.choice(left)
         answer = e.query(i)
         counts[i] += 1
+        spent += e.transcript[-1][2]
+        live[k] = (e, current, counts, spent)
         ref_narrow(e, current, i, answer)
-        check_state(e, current, counts, i)
+        check_state(e, current, counts, i, spent)
         queries += 1
-    for case in ends:
-        check_state(*case)
+    for e, current, counts, _ in ends:
+        check_state(e, current, counts)
     return queries
 
 

@@ -13,12 +13,17 @@ n = 10:
   equal the program's.
 * `build_permutation` has no cycle guard: its forced relation orders items
   by ``lo + hi``, so it is acyclic and the schedule takes every item.
+* `build_permutation` decides each unordered pair once and has no branch for
+  a pair that neither test orders: `require_independent` rules it out.  Its
+  orders equal `ref_build_permutation`'s, the Kahn schedule over every
+  ordered pair that it replaced.
 * `gen_advice_triangles` checks no layout: its block is the threshold times
   a constant block whose inequalities hold.
 """
 
 import inspect
 from fractions import Fraction as F
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +34,9 @@ from querysort import (
     SQRT3,
     AdviceOracle,
     Environment,
+    Permutation,
     RandomCoin,
+    UnresolvedDependency,
     advice_half,
     algorithm2,
     build_permutation,
@@ -44,11 +51,14 @@ from querysort import (
     gen_triangle_chain,
     interval,
     optimum_query_set,
+    vc_adaptive,
 )
+from querysort import instances as draws
 from querysort import online
+from querysort.core import require_independent
 from test_grid_keys import at_zero, play, ref_advice_half
 from test_local_picks import ref_algorithm2_trial, sparse
-from test_sweep import instances, wide_instances
+from test_sweep import instances, make_instance, wide_instances
 
 # ---------------------------------------------------------------------------
 # advice_half: an item answered 'no' is inactive for good
@@ -167,6 +177,34 @@ def before(a, b, delta):
     return a.hi - b.lo <= delta and not (b.hi - a.lo <= delta)
 
 
+def ref_build_permutation(items, delta):
+    """`build_permutation` as a Kahn schedule over every ordered pair, each
+    tested with `before`; ready items leave smallest ``(lo, index)`` first."""
+    items = tuple(items)
+    n = len(items)
+    require_independent(items, delta)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and before(items[i], items[j], delta):
+                succ[i].append(j)
+                indeg[j] += 1
+    ready = []
+    for i in range(n):
+        if indeg[i] == 0:
+            heappush(ready, (items[i].lo, i))
+    out = []
+    while ready:
+        _, i = heappop(ready)
+        out.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heappush(ready, (items[j].lo, j))
+    return Permutation(tuple(out))
+
+
 def independent_family(inst):
     """The instance's intervals with its optimum revealed: no two are dependent."""
     chosen, _ = optimum_query_set(inst)
@@ -188,6 +226,49 @@ def test_forced_order_follows_midpoints(inst):
 def test_the_midpoint_check_sees_a_forced_pair():
     a, b = interval(0, 1), interval(3, 4)
     assert before(a, b, F(1)) and not before(b, a, F(1))
+
+
+def final_state(inst):
+    """The current intervals at the end of a `vc_adaptive` run on ``inst``."""
+    env = Environment(inst)
+    vc_adaptive(env)
+    return env.state().current
+
+
+def ordering_draws(delta):
+    """63 `gen_random` draws over every value and cost model, and 63 sparse draws
+    (starts over [0, 4n]), at ``delta``: n up to 31, and for the last seed n = 100 and
+    n = 300."""
+    for seed in range(63):
+        n, m = (100, 300) if seed == 62 else (1 + seed * 37 % 31,) * 2
+        yield gen_random(seed, n, delta, draws._COST_MODELS[seed % 2], draws._VALUE_MODELS[seed % 3])
+        yield make_instance(seed, m, delta, 4 * m + 1)
+
+
+@pytest.mark.parametrize("delta", [F(0), F(1, 2), F(1), F(3)], ids=str)
+def test_each_pair_decided_once_gives_the_kahn_order(delta):
+    """252 independent families per threshold, 1 008 in all: each draw with its
+    optimum revealed, and each draw's final `vc_adaptive` state."""
+    families = 0
+    for inst in ordering_draws(delta):
+        for items in (independent_family(inst), final_state(inst)):
+            assert build_permutation(items, delta) == ref_build_permutation(items, delta), (inst.n, delta)
+            families += 1
+    assert families == 252
+
+
+def test_a_dependent_family_is_refused_in_the_same_words():
+    """The draws' own intervals, where two or more of them are dependent."""
+    refused = 0
+    for inst in ordering_draws(F(1, 2)):
+        if inst.pairs:
+            with pytest.raises(UnresolvedDependency) as ours:
+                build_permutation(inst.intervals, inst.delta)
+            with pytest.raises(UnresolvedDependency) as ref:
+                ref_build_permutation(inst.intervals, inst.delta)
+            assert str(ours.value) == str(ref.value)
+            refused += 1
+    assert refused == 108
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,9 @@ REFUSALS = [
     (lambda: KnowledgeState(ONE, (True,), 0), InvariantViolation, "query count True is not an int"),
     (lambda: Instance(F(-1), ONE), InvariantViolation, "negative threshold -1"),
     (lambda: build_permutation(5, 0), InvariantViolation, "items must be a sequence, got int"),
+    (lambda: build_permutation([(0, 1)], 0), InvariantViolation, "items must be UncertainInterval, got tuple"),
+    (lambda: build_permutation([ONE[0], None], 0), InvariantViolation, "items must be UncertainInterval, got NoneType"),
+    (lambda: build_permutation("ab", 0), InvariantViolation, "items must be UncertainInterval, got str"),
     (lambda: build_permutation(APART, -10), InvariantViolation, "negative threshold -10"),
     (lambda: build_permutation(APART, 0.5), InvariantViolation, FLOAT),
     (lambda: dependent(*APART, -10), InvariantViolation, "negative threshold -10"),

@@ -288,10 +288,14 @@ def find_triangle(g: DependencyGraph, start: int = 0) -> Optional[tuple[int, int
     _require_ints("triangle search start", start)
     if not 0 <= start <= g.n:
         raise InvariantViolation(f"triangle search start {start} outside [0, {g.n}]")
-    for i in range(start, g.n):
-        for a, b in combinations(sorted(u for u in g.adj[i] if u > i), 2):
-            if g.has_edge(a, b):
-                return (i, a, b)
+    return next(filter(None, (_triangle_at(g, i) for i in range(start, g.n))), None)
+
+
+def _triangle_at(g: DependencyGraph, i: int) -> Optional[tuple[int, int, int]]:
+    """Lexicographically smallest triangle ``(i, a, b)`` with ``i < a < b``, or None."""
+    for a, b in combinations(sorted(u for u in g.adj[i] if u > i), 2):
+        if g.has_edge(a, b):
+            return (i, a, b)
     return None
 
 

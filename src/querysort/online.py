@@ -52,6 +52,8 @@ from .errors import (
 )
 from .graph import (
     DependencyGraph,
+    _reach,
+    _triangle_at,
     component_of,
     components,
     find_triangle,
@@ -387,9 +389,9 @@ def _first_edges(env: QueryEnvironment) -> Iterator[tuple[int, int]]:
         yield v, min(adj[v])  # v is the smallest vertex with an edge: its neighbours are larger
 
 
-def _edgeless_paid(env: QueryEnvironment, where: str) -> int:
-    """``env``'s spend in cost units; raises, naming ``where``, while its live graph has an edge."""
-    if any(env.graph().adj):
+def _edgeless_paid(env: QueryEnvironment, where: str, vertices) -> int:
+    """``env``'s spend in cost units; raises, naming ``where``, while one of ``vertices`` has an edge."""
+    if any(env.graph().adj[v] for v in vertices):
         raise InvariantViolation(f"{where} still has a dependent pair")
     return env._paid
 
@@ -397,7 +399,7 @@ def _edgeless_paid(env: QueryEnvironment, where: str) -> int:
 def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> Fraction:
     """The spend of a deterministic ``strategy``'s run on ``env``, left unordered."""
     inspect.unwrap(strategy)(env, *args)
-    return Fraction(_edgeless_paid(env, "the run's end"), env._scale)
+    return Fraction(_edgeless_paid(env, "the run's end", range(env.n)), env._scale)
 
 
 def _exact_model(env: QueryEnvironment) -> None:
@@ -416,16 +418,14 @@ def _flush(env: QueryEnvironment, witnessed: Callable[[int], bool], static: bool
     """Query the smallest witness, round after round, until none is left.
 
     Vertex ``i`` is a witness when ``witnessed(i)``, a loop testing grid
-    endpoints over its neighbours in the live graph's ``adj``; each kind's
-    loop is built when its flush is called, from ``adj`` as it is then
-    (`split` swaps in a component's view).  Narrowing an interval keeps every
-    containment and every point neighbour, so a vertex stops being a witness
-    only when it is queried, and becomes one only at or next to a queried
-    vertex.  So a flush tests the vertices queried since the last flush of its
-    kind and their neighbours (a run's first one scans every active vertex),
-    and each round re-tests just the queried vertex and its neighbours.  A
-    value witness is a static witness of a point: a static flush also ends
-    the value witnesses, but not the other way round.
+    endpoints over its neighbours in the live graph's ``adj``.  Narrowing an
+    interval keeps every containment and every point neighbour, so a vertex
+    stops being a witness only when it is queried, and becomes one only at or
+    next to a queried vertex.  So a flush tests the vertices queried since the
+    last flush of its kind and their neighbours (a run's first one scans every
+    active vertex), and each round re-tests just the queried vertex and its
+    neighbours.  A value witness is a static witness of a point: a static
+    flush also ends the value witnesses, but not the other way round.
     """
     adj = env.graph().adj
     mark = env._flushed[static]
@@ -765,7 +765,7 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
       neighbor, so every trial has something to query.
 
     Value witnesses are flushed after every query step; the picks come from
-    `_algorithm2_start`'s heap and pointers.
+    `_algorithm2_start`'s heap and positions.
     """
     state = _algorithm2_start(env, rule)
     return _run_trials(env, rule, state, _algorithm2_trial, rng)
@@ -773,25 +773,25 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
 
 def _algorithm2_start(env: Environment, rule, state: Optional[tuple] = None, vertices=None) -> tuple:
     """Start a walk: the residual weights and frozen spines (fresh at the root, after
-    checking the environment and the rule), and picks among ``vertices`` (ascending;
-    all at the root): a lazy heap of zero-residual vertices, and pointers at the smallest
-    active vertex and the smallest triangle's first vertex, which never decrease."""
+    checking the environment and the rule), the walk's ``vertices`` (ascending; all at
+    the root), a lazy heap of the zero-residual ones, and two positions in ``vertices``
+    that never decrease: the smallest active vertex and the smallest triangle's first vertex."""
     if state is None:
         _exact_model(env)
         if rule is not HALF and rule is not SQRT3:
             raise InvariantViolation("this strategy takes the half or sqrt3 rule")
         state, vertices = (list(env._units), {}), range(env.n)
-    return *state[:2], [v for v in vertices if state[0][v] == 0], [vertices[0] if vertices else 0] * 2
+    return *state[:2], vertices, [v for v in vertices if state[0][v] == 0], [0, 0]
 
 
 def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
     """Run `algorithm2`'s zero-weight and triangle steps up to its next path trial."""
-    residual, frozen_paths, zeros, at = state
+    residual, frozen_paths, vertices, zeros, at = state
     g = env.graph()
     while True:
-        while at[0] < g.n and not g.adj[at[0]]:
+        while at[0] < len(vertices) and not g.adj[vertices[at[0]]]:
             at[0] += 1
-        if at[0] == g.n:
+        if at[0] == len(vertices):
             return None
         while zeros and not g.adj[zeros[0]]:
             heappop(zeros)  # inactive for good; a residual, once zero, stays zero
@@ -799,9 +799,9 @@ def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
             env.query(zeros[0])
             _flush_value_witnesses(env)
             continue
-        triangle = find_triangle(g, at[1])
-        at[1] = triangle[0] if triangle else g.n
-        if triangle is None:
+        while at[1] < len(vertices) and (triangle := _triangle_at(g, vertices[at[1]])) is None:
+            at[1] += 1
+        if at[1] == len(vertices):
             break
         take = min(residual[v] for v in triangle)
         for v in triangle:
@@ -809,7 +809,7 @@ def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
             if residual[v] == 0:
                 heappush(zeros, v)
     # Forest phase: trial on the component of the smallest active vertex.
-    comp = component_of(g, at[0])
+    comp = component_of(g, vertices[at[0]])
     path = frozen_paths.get(comp[0])  # a component's vertices are frozen together or not at all
     if path is None:
         path = longest_path_caterpillar(g, comp)
@@ -1008,7 +1008,6 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
 _ENCLOSURE_PRECISION = Fraction(1, 10 ** 24)
 #: Node budget: one `expected_cost_exact` call walks at most this many real flips.
 _MAX_FLIPS_WALKED = 2 ** 16
-_NO_EDGES: frozenset[int] = frozenset()  # every vertex's neighbours outside a walked component's view
 
 
 def _algorithm2_key(state, comp: list[int]) -> tuple:
@@ -1071,12 +1070,12 @@ def expected_cost_exact(
     memo: dict = {}  # component key -> its subtree
     walked = 0  # real flips walked in this call; a memo hit walks none
 
-    def walk(state, base: int):
-        """The subtree at ``env``: (lo, hi), each an (expected spend in cost units since ``base``,
-        mass, denominator) triple; a flip's ``False`` side first, then, rolled back, its ``True`` side."""
+    def walk(state, base: int, comp):
+        """The subtree of component ``comp`` (ascending): (lo, hi), each an (expected spend in cost units
+        since ``base``, mass, denominator) triple; a flip's ``False`` side, then, rolled back, its ``True`` side."""
         nonlocal walked
         if (step := _next_flip(env, rule, state, trial)) is None:
-            leaf = (_edgeless_paid(env, "a coin-tree leaf") - base, 1, 1)
+            leaf = (_edgeless_paid(env, "a coin-tree leaf", comp) - base, 1, 1)
             return leaf, leaf
         if (walked := walked + 1) > _MAX_FLIPS_WALKED:
             raise TooManyBranches(f"the coin tree has more than {_MAX_FLIPS_WALKED} real flips to walk")
@@ -1084,26 +1083,23 @@ def expected_cost_exact(
         p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
         (ln, ld), (hn, hd) = (p_lo.numerator, p_lo.denominator), (p_hi.numerator, p_hi.denominator)
         mark, twin_state = (len(env.transcript), env._paid, env._flushed), tuple(map(copy.copy, state))
-        t_lo, t_hi = yield from split(state, tails, base)
+        t_lo, t_hi = yield from split(state, tails, base, comp)
         env._rollback(mark)
-        h_lo, h_hi = yield from split(twin_state, heads, base)
+        h_lo, h_hi = yield from split(twin_state, heads, base, comp)
         lo = _mix((ln, ld), h_lo, (hd - hn, hd), t_lo)  # and hi, unless an end differs: computed once
         hi = lo if p_lo is p_hi and h_lo is h_hi and t_lo is t_hi else _mix((hn, hd), h_hi, (ld - ln, ld), t_hi)
         return lo, hi
 
-    def split(state, side, base: int):
-        """`walk`'s subtree after taking ``side``: each dependent component left is walked once, in
-        place, with the other edges set aside; it yields each walk's ``(state, base)``, gets its subtree."""
+    def split(state, side, base: int, comp):
+        """`walk`'s subtree after taking ``side``: each dependent component left among ``comp`` is walked
+        once, on its own vertices; it yields each walk's ``(state, base, comp)``, gets its subtree."""
         side(env)
         _flush_value_witnesses(env)
-        graph, adj, at = env.graph(), env.graph().adj, env._paid
-        parts = [(comp, key(state, comp)) for comp in components(graph) if len(comp) > 1]
-        for comp, k in parts:
+        graph, seen, at = env.graph(), set(), env._paid
+        parts = [(c, key(state, c)) for c in (_reach(graph, v, seen) for v in comp if graph.adj[v] and v not in seen)]
+        for part, k in parts:
             if k not in memo:
-                inside = set(comp)
-                graph.adj = [nbrs if v in inside else _NO_EDGES for v, nbrs in enumerate(adj)]
-                memo[k] = yield start(env, rule, state, comp), env._paid
-                graph.adj = adj
+                memo[k] = yield start(env, rule, state, part), env._paid, part
         lo = hi = (at - base, 1, 1)
         for _, k in parts:
             part_lo, part_hi = memo[k]
@@ -1111,7 +1107,7 @@ def expected_cost_exact(
             lo, hi = joined, joined if lo is hi and part_lo is part_hi else _join(hi, part_hi)
         return lo, hi
 
-    walks, sent = [walk(start(env, rule), 0)], None  # the open walks of the current path, innermost last
+    walks, sent = [walk(start(env, rule), 0, range(env.n))], None  # the open walks of the current path, innermost last
     while walks:
         try:
             walks.append(walk(*walks[-1].send(sent)))

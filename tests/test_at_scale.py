@@ -1,14 +1,15 @@
 """The randomized guarantees, checked exactly on sparse draws far past the
 acceptance criteria's n ≤ 10.
 
-`expected_cost_exact` walks each dependent component once under a node budget
-(real flips walked, memo hits excluded), so a sparse draw at n = 2 000 takes a
-few hundred flips, not a coin path per leaf.  Each expectation is compared
-with `optimum_query_set`, the exact polynomial optimum.  The draws are
-`test_local_picks.sparse`: starts on the half-integer grid over [0, 4n],
-widths up to 12, so the mean degree stays near 1.5 at every n; and
-`gen_laminar` at n = 2 000, where the fair and the deterministic coins are
-both optimal.
+`expected_cost_exact` walks each dependent component once, on that
+component's own vertices, under a node budget (real flips walked, memo hits
+excluded), so a sparse draw at n = 10 000 takes a few thousand flips, not a
+coin path per leaf.  Each expectation is compared with `optimum_query_set`,
+the exact polynomial optimum.  The draws are `test_local_picks.sparse`:
+starts on the half-integer grid over [0, 4n], widths up to 12, so the mean
+degree stays near 1.5 at every n; `gen_laminar` at n = 2 000, where the fair
+and the deterministic coins are both optimal; and 400 copies of Lemma 7's
+two triangles, where the deterministic coins meet their bound.
 """
 
 import inspect
@@ -26,11 +27,13 @@ from querysort import (
     expected_cost_exact,
     gen_cost_path,
     gen_laminar,
+    gen_lemma7_two_triangles,
+    no_2component_after_preprocess,
     optimum_query_set,
 )
 from querysort import online
 from test_grid_keys import at_zero, uniform
-from test_local_picks import sparse
+from test_local_picks import side_by_side, sparse
 
 
 def below_sqrt3_bound(cost, opt):
@@ -39,7 +42,7 @@ def below_sqrt3_bound(cost, opt):
     return r <= 0 or 27 * r * r <= 16
 
 
-@pytest.mark.parametrize("n", [400, 2000])
+@pytest.mark.parametrize("n", [400, 2000, 10_000])
 def test_fair_coin_is_within_three_halves(n):
     """`algorithm1` with a fair coin, at threshold 0 and unit costs."""
     inst = uniform(at_zero(sparse(n, F(0))))
@@ -56,8 +59,25 @@ def test_laminar_runs_are_optimal(p):
         assert expected_cost_exact(algorithm1, inst, FIXED(p)) == optimum_query_set(inst)[1], s
 
 
+@pytest.mark.parametrize("p", [F(0), F(1)])
+def test_deterministic_coins_are_within_five_thirds(p):
+    """`algorithm1` as a deterministic rule at n = 2 000, on a zero-threshold family
+    whose warmed-up graph has no single-edge component: p = 1 meets 5/3 exactly."""
+    inst = side_by_side(gen_lemma7_two_triangles("lower"), 400)
+    assert inst.n == 2000 and no_2component_after_preprocess(inst)
+    _, opt = optimum_query_set(inst)
+    ratio = expected_cost_exact(algorithm1, inst, FIXED(p)) / opt
+    assert ratio <= F(5, 3) and (ratio == F(5, 3) or p == 0)
+
+
 def test_algorithm2_under_half_is_within_its_bound_at_2000():
     inst = sparse(2000, F(1, 2))
+    _, opt = optimum_query_set(inst)
+    assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
+
+
+def test_algorithm2_under_half_is_within_its_bound_at_10000():
+    inst = sparse(10_000, F(1, 2))
     _, opt = optimum_query_set(inst)
     assert expected_cost_exact(algorithm2, inst, HALF) <= F(57, 32) * opt
 

@@ -4,20 +4,24 @@ the whole-graph scans they replaced, which live only here.
 A flush tests only the vertices queried since the last flush of its kind and
 their neighbours (`online._flush`).  `algorithm2` keeps its zero-residual
 vertices in a heap, and its smallest active vertex and smallest triangle
-behind pointers; `algorithm1` keeps heaps of single-edge components and of
-first-ending vertices, and `advice_lg3` shares the second; `advice_half`
-resumes its triangle search and keeps its leaves in a heap.  `components` and
+behind positions in its walk's vertex list; `algorithm1` keeps heaps of
+single-edge components and of first-ending vertices, and `advice_lg3` shares
+the second; `advice_half` resumes its triangle search and keeps its leaves in
+a heap.  `components` and
 `component_of` walk a stack.  Each is checked against the scan it replaced
 at every step of whole runs up to n = 2 000 and on Hypothesis instances, and
 `expected_cost_exact`, whose component walks start their picks afresh,
-against the stack walk that never splits.  The last test counts the
-whole-graph scans of each play, so that a scan per step fails it.
+against the stack walk that never splits.  The last tests count the
+whole-graph scans of each play, so that a scan per step fails it, and the
+vertices each component walk visits, so that a walk that reaches past its
+own component fails it.
 """
 
 import inspect
 import random
 from fractions import Fraction as F
 from heapq import heappop, heappush
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +56,7 @@ from querysort import (
 from querysort import graph, online
 from querysort.graph import DependencyGraph, component_of
 from test_grid_keys import at_zero, play, ref_advice_half, ref_advice_lg3, uniform
-from test_online import fork, outcome, stack_expected_cost
+from test_online import count_flips, fork, outcome, stack_expected_cost
 from test_sweep import instances, make_instance, wide_instances
 
 any_instance = st.one_of(instances(scripted=True), wide_instances(scripted=True))
@@ -119,23 +123,24 @@ def ref_algorithm1_trial(env, p, state):
         online._flush_value_witnesses(env)
 
 
-def ref_algorithm2_trial(env, rule, state, slides=None):
+def ref_algorithm2_trial(env, rule, state, slides=None, vertices=None):
     """`online._algorithm2_trial` as it was: zeros, triangles and the smallest
-    active vertex scanned from vertex 0 at every step, and the trial window slid
-    down the spine past a ``b`` whose only neighbour is ``c`` (each slide is
-    added to ``slides`` when given)."""
+    active vertex scanned over all of ``vertices`` (ascending; every vertex when
+    None) at every step, and the trial window slid down the spine past a ``b``
+    whose only neighbour is ``c`` (each slide is added to ``slides`` when given)."""
     residual, frozen_paths = state
     while True:
         g = env.graph()
-        if not any(g.adj):
+        active = [v for v in (range(g.n) if vertices is None else vertices) if g.adj[v]]
+        if not active:
             return None
-        active = g.active_vertices()
         zeros = [v for v in active if residual[v] == 0]
         if zeros:
             env.query(zeros[0])
             online._flush_value_witnesses(env)
             continue
-        triangle = online.find_triangle(g)
+        triangle = next(((i, a, b) for i in active for a, b in combinations(sorted(g.adj[i]), 2)
+                         if i < a and g.has_edge(a, b)), None)
         if triangle is None:
             break
         take = min(residual[v] for v in triangle)
@@ -280,9 +285,9 @@ def test_seeded_flushes_in_whole_runs(monkeypatch, name, n, delta):
     (algorithm2, SQRT3, gen_cost_path(12, F(1, 1000))),
 ])
 def test_seeded_flushes_inside_the_component_view(monkeypatch, algorithm, rule, inst):
-    """`expected_cost_exact` flushes inside each component's view, where the other
-    components' edges are set aside: each flush still queries what a full scan
-    of that view would."""
+    """`expected_cost_exact` flushes inside each component's walk, where the other
+    components keep their edges: each flush still queries what a full scan of the
+    live graph would."""
     flushes = []
     want = stack_expected_cost(algorithm, inst, rule)
     monkeypatch.setattr(online, "_flush", checking_flush(flushes))
@@ -430,11 +435,12 @@ def test_expected_cost_matches_the_stack_walk_on_crowded_instances(n, delta, spa
 ])
 def test_each_component_walk_has_its_own_picks(algorithm, rule, inst):
     """After a flip, several components are left, each with its own trials.  Each
-    component's walk reads its picks (heaps and pointers) inside a view where the
-    other components have no edges; picks shared across those walks would drop or
-    skip the other components' vertices there.  (`algorithm2` has no active
-    zero-residual vertex left by then: its root queries them all before the first
-    flip, so the pointers are what sharing would break.)"""
+    component's walk reads its picks (heaps and positions) from its own vertex
+    list, while the other components keep their edges; picks shared across those
+    walks would drop or skip the other components' vertices there.
+    (`algorithm2` has no active zero-residual vertex left by then: its root
+    queries them all before the first flip, so the positions are what sharing
+    would break.)"""
     assert expected_cost_exact(algorithm, inst, rule) == stack_expected_cost(algorithm, inst, rule)
 
 
@@ -447,12 +453,14 @@ def test_each_component_walk_has_its_own_picks(algorithm, rule, inst):
 def test_plays_scan_the_whole_graph_a_constant_number_of_times(monkeypatch, name):
     """At n = 2 000, every play scans its environment's whole graph
     (`active_vertices`, which a run's first flush of each kind also reads, and
-    `components`) at most twice, and its `find_triangle` calls walk each vertex
-    about once in all, while the play makes hundreds of queries.  Scans of other
+    `components`) at most twice, and its triangle searches (`algorithm2`'s, and
+    `advice_half`'s `find_triangle`, through one per-vertex `_triangle_at`) visit
+    each vertex once in all, plus once more for each triangle found, where the
+    next search resumes; the play makes hundreds of queries.  Scans of other
     graphs, such as the subgraphs the advice oracle's optimum covers, are not
     counted."""
-    n, scans, walked = 2000, [], []
-    active_vertices, find_triangle = DependencyGraph.active_vertices, online.find_triangle
+    n, scans, found = 2000, [], []
+    active_vertices, triangle_at = DependencyGraph.active_vertices, graph._triangle_at
     inst = play_instance(name, n, F(1, 2) if name == "algorithm2" else F(0))
     env = (CpcpEnvironment if name == "algorithm3_cpcp" else Environment)(inst)
 
@@ -461,16 +469,99 @@ def test_plays_scan_the_whole_graph_a_constant_number_of_times(monkeypatch, name
             scans.append("active_vertices")
         return active_vertices(g)
 
-    def resumed(g, start=0):
-        found = find_triangle(g, start)
-        walked.append((found[0] if found else g.n) - start + 1)  # vertices the call looked at
-        return found
+    def visited(g, i):
+        found.append(triangle_at(g, i))
+        return found[-1]
 
     monkeypatch.setattr(DependencyGraph, "active_vertices", counted)
     monkeypatch.setattr(online, "components", lambda g: scans.append("components") or components(g))
-    monkeypatch.setattr(online, "find_triangle", resumed)
+    monkeypatch.setattr(graph, "_triangle_at", visited)  # `find_triangle`'s
+    monkeypatch.setattr(online, "_triangle_at", visited)  # `algorithm2`'s
     monkeypatch.setattr(online, "_finish", lambda env, *args, **kwargs: None)
     PLAYS[name](env, inst)
     assert len(env.transcript) >= 500
     assert len(scans) <= 2, scans
-    assert sum(walked) <= n + len(walked)
+    assert len(found) <= n + sum(t is not None for t in found)
+    assert (len(found) >= n) == (name in ("algorithm2", "advice_half"))  # each ends with a search to the last vertex
+
+
+class Reads(list):
+    """A graph's adjacency list that counts the reads of its entries from ``first`` on."""
+
+    def __init__(self, adj, first):
+        super().__init__(adj)
+        self.first, self.count = first, 0
+
+    def __getitem__(self, v):
+        self.count += v >= self.first
+        return super().__getitem__(v)
+
+    def __iter__(self):
+        self.count += max(0, len(self) - self.first)
+        return super().__iter__()
+
+
+def padded(inst, extra):
+    """``inst`` with ``extra`` isolated items to the far right, at the first item's cost:
+    unit-wide intervals, each past the last by more than the threshold."""
+    right, step = max(itv.hi for itv in inst.intervals) + inst.delta + 1, inst.delta + 2
+    los = [right + k * step for k in range(extra)]
+    return Instance(inst.delta, inst.intervals + tuple(UncertainInterval(lo, lo + 1, inst.costs[0]) for lo in los),
+                    inst.values + tuple(lo + F(1, 2) for lo in los))
+
+
+def walk_visits(monkeypatch, algorithm, inst, rule, n):
+    """`expected_cost_exact`'s result; the vertices its component search (`_reach`) and
+    triangle search (`_triangle_at`) visit after the root's start, from the first
+    component walk's start on, when neither whole-graph search may run; the reads of
+    the neighbour sets of the vertices from ``n`` on, in the whole call; and the
+    number of real flips walked."""
+    start, trial, key = online._TRIALS[algorithm]
+    reach, triangle_at, visits, walking, adj = online._reach, online._triangle_at, [0, 0], [], []
+
+    def started(env, rule, state=None, vertices=None):
+        if state is None:
+            adj.append(Reads(env.graph().adj, n))
+            env.graph().adj = adj[0]
+        else:
+            walking.append(vertices)
+        return start(env, rule, state, vertices)
+
+    def reached(g, v, seen):
+        found = reach(g, v, seen)
+        visits[0] += len(found) if walking else 0
+        return found
+
+    def visited(g, i):
+        visits[1] += bool(walking)
+        return triangle_at(g, i)
+
+    def whole(*args):
+        raise AssertionError("the walk searched the whole graph")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(online._TRIALS, algorithm, (started, trial, key))
+        patch.setattr(online, "_reach", reached)
+        patch.setattr(online, "_triangle_at", visited)
+        patch.setattr(online, "components", whole)
+        patch.setattr(online, "find_triangle", whole)
+        flips = count_flips(patch)
+        return expected_cost_exact(algorithm, inst, rule), visits, adj[0].count, len(flips)
+
+
+@pytest.mark.parametrize("algorithm, rule, inst", [
+    (algorithm2, HALF, gen_cost_path(40, F(1, 1000))),
+    (algorithm2, HALF, sparse(200, F(1, 2))),
+    (algorithm2, SQRT3, sparse(200, F(1, 2))),
+    (algorithm1, FIXED(F(1, 2)), uniform(at_zero(sparse(200, F(0))))),
+], ids=["cost_path-half", "sparse-half", "sparse-sqrt3", "sparse-algorithm1"])
+def test_component_walks_visit_only_their_component(monkeypatch, algorithm, rule, inst):
+    """Each component walk owns its vertex list, so 5 000 isolated items to the far
+    right change neither the expectation nor the vertices the walks' component and
+    triangle searches visit after the root's one O(n) start; and the whole call reads
+    those items' neighbour sets a few times, at the root, not once per flip."""
+    expected, visits, _, flips = walk_visits(monkeypatch, algorithm, inst, rule, inst.n)
+    assert visits[0] > 0 and (visits[1] > 0) == (algorithm is algorithm2)
+    got, got_visits, reads, got_flips = walk_visits(monkeypatch, algorithm, padded(inst, 5000), rule, inst.n)
+    assert (got, got_visits, got_flips) == (expected, visits, flips)
+    assert reads <= 5 * 5000 < flips * 5000, reads

@@ -140,7 +140,9 @@ ALGORITHM2_CASES = [
 @pytest.mark.parametrize("name, inst, rules", ALGORITHM2_CASES, ids=[c[0] for c in ALGORITHM2_CASES])
 def test_algorithm2_window_never_slides(monkeypatch, name, inst, rules):
     """Plays of three seeds (the transcript fixes the ordering, so none is ordered)
-    and the exact expectation, per rule, with and without the slide."""
+    and the exact expectation, per rule, with and without the slide.  The reference
+    scans the vertex list in the trial's state, all vertices at the root and one
+    component in each component's walk, where the other components keep their edges."""
     monkeypatch.setattr(online, "_finish", lambda env: tuple(env.transcript))
 
     def runs(rule):
@@ -149,7 +151,7 @@ def test_algorithm2_window_never_slides(monkeypatch, name, inst, rules):
     ours = {rule: (runs(rule), expected_cost_exact(algorithm2, inst, rule)) for rule in rules}
     slides = []
     with monkeypatch.context() as patch:
-        with_trial(patch, lambda env, rule, state: ref_algorithm2_trial(env, rule, state[:2], slides))
+        with_trial(patch, lambda env, rule, state: ref_algorithm2_trial(env, rule, state[:2], slides, state[2]))
         sliding = {rule: (runs(rule), expected_cost_exact(algorithm2, inst, rule)) for rule in rules}
     assert slides == []
     assert ours == sliding
@@ -158,7 +160,12 @@ def test_algorithm2_window_never_slides(monkeypatch, name, inst, rules):
 def test_the_sliding_reference_is_the_one_run(monkeypatch):
     """Self-test: with the reference patched in, every trial comes from it."""
     calls = []
-    with_trial(monkeypatch, lambda env, rule, state: calls.append(1) or ref_algorithm2_trial(env, rule, state[:2]))
+
+    def trial(env, rule, state):
+        calls.append(1)
+        return ref_algorithm2_trial(env, rule, state[:2], None, state[2])
+
+    with_trial(monkeypatch, trial)
     inst = gen_cost_path(8, F(1, 100))
     algorithm2(Environment(inst), HALF, RandomCoin(0))
     ran = len(calls)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, Optional
 
-from .core import Instance, isqrt_bounds, threshold, valid_permutation
+from .core import Instance, isqrt_bounds, rational_text, read_rational, threshold, valid_permutation
 from .errors import InvariantViolation, ParseError, QuerysortError
 from .offline import (
     BRUTE_FORCE_LIMIT,
@@ -66,33 +66,25 @@ from .instances import (
 _CSV_HEADER = ("instance", "algorithm", "seed", "cost", "opt", "ratio", "bits")
 
 
-def _str(x: Fraction) -> str:
-    """``str(x)`` past Python's cap on int-to-text digits (4 300 by default), which an exact SQRT3
-    enclosure can pass: the cap is lifted for this call only, so no text is parsed while it is off."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap, or this Python has none
-    if not cap:
-        return str(x)
-    sys.set_int_max_str_digits(0)
+def _approx(x: Fraction) -> str:
+    """``x`` as a float in ``.10g`` text, or ``inf`` or ``-inf`` past a float's range."""
     try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(cap)
+        return f"{float(x):.10g}"
+    except OverflowError:
+        return "inf" if x > 0 else "-inf"
 
 
 def _fmt(x: Fraction) -> str:
-    return f"{_str(x)} (~{float(x):.10g})"
+    return f"{rational_text(x)} (~{_approx(x)})"
 
 
 def _fmt_range(lo: Fraction, hi: Fraction) -> str:
     """An exact value as `_fmt` prints it, or an enclosure ``in [lo, hi]`` with both approximations."""
-    return _fmt(lo) if lo == hi else f"in [{_str(lo)}, {_str(hi)}] (~{float(lo):.10g}..{float(hi):.10g})"
+    return _fmt(lo) if lo == hi else f"in [{rational_text(lo)}, {rational_text(hi)}] (~{_approx(lo)}..{_approx(hi)})"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvariantViolation(f"{what} must be a rational like 3/2, got {text!r}") from None
+    return read_rational(text, f"{what} must be a rational like 3/2, got {text!r}")
 
 
 def _load_instance(path: str) -> Instance:
@@ -332,7 +324,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     run, *call_args = _STRATEGIES[args.algorithm].call(inst, args)
     report = run(*call_args)
-    print(f"instance   : {args.instance} (n={inst.n}, delta={inst.delta})")
+    print(f"instance   : {args.instance} (n={inst.n}, delta={rational_text(inst.delta)})")
     print(f"algorithm  : {args.algorithm} (seed={args.seed})")
     queried = ", ".join(str(i) for i in report.queried_indices) or "(none)"
     print(f"queried    : {queried}")
@@ -373,7 +365,7 @@ def cmd_opt(args) -> int:
         if bcost == cost:
             print("brute check      : MATCH")
         else:
-            print(f"brute check      : MISMATCH (brute={bcost})")
+            print(f"brute check      : MISMATCH (brute={rational_text(bcost)})")
             return 3
     return 0
 
@@ -442,11 +434,12 @@ def cmd_ratio(args) -> int:
         _, hi, oracle = _expected_cost(inst, args)
         opt = _optimum_cost(inst, strategy) if oracle is None else oracle.optimum_cost
         if hi < opt:
-            raise InvariantViolation(f"{instance_id}: cost {_str(hi)} is below the optimum {_str(opt)}")
+            raise InvariantViolation(
+                f"{instance_id}: cost {rational_text(hi)} is below the optimum {rational_text(opt)}")
         bits = "" if oracle is None else str(oracle.bits_used)
         if opt > 0:
             ratio = hi / opt
-            ratio_str = _str(ratio)
+            ratio_str = rational_text(ratio)
         elif hi == 0:
             ratio = Fraction(1)
             ratio_str = "1"
@@ -459,7 +452,8 @@ def cmd_ratio(args) -> int:
         if ratio is not None:
             worst = ratio if worst is None else max(worst, ratio)
             total += ratio
-        out_rows.append((instance_id, args.algorithm, str(seed), _str(hi), _str(opt), ratio_str, bits))
+        out_rows.append(
+            (instance_id, args.algorithm, str(seed), rational_text(hi), rational_text(opt), ratio_str, bits))
     out_rows.sort(key=lambda r: (r[0], int(r[2])))
 
     with open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout) as handle:

@@ -7,7 +7,8 @@ earlier value exceeds every later value by at most a threshold ``delta``;
 queries should cost as little as possible.
 
 All numbers are exact rationals (`fractions.Fraction`); floats are refused
-at the boundary.  Decisions compare ints on an instance's grids
+at the boundary, and only `read_rational` reads them from text and only
+`rational_text` writes them.  Decisions compare ints on an instance's grids
 (`Instance.grid`, `Instance.cost_grid`), by the rules README's design notes
 give ("Exactness first", "One integer grid per instance").
 
@@ -18,6 +19,7 @@ The vocabulary used throughout the package is the predicates below:
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,7 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InvariantViolation,
@@ -39,26 +41,60 @@ Scalar = Fraction
 ScalarLike = Union[int, str, Fraction]
 
 
+#: Python's default cap on the digits of an int turned into text: `read_rational` refuses a number
+#: whose numerator or denominator has more, so whatever it reads prints under the cap.
+_DIGIT_LIMIT = 4300
+_PAST_LIMIT = 10 ** _DIGIT_LIMIT
+
+
+def read_rational(text: str, refusal: str) -> Fraction:
+    """``text`` (``"7"``, ``"-3/4"``, ``"2.5"``, ``"1e-3"``; decimal forms are exact) as a
+    `Fraction`, or `InvariantViolation(refusal)` when it is none or its numerator or denominator
+    has more than 4 300 digits.  An exponent of at least the text's length plus the limit is
+    refused before its power is computed: only a zero mantissa could bring it back under."""
+    _, e, exp = text.upper().partition("E")
+    try:
+        if e and abs(int(exp)) >= len(text) + _DIGIT_LIMIT:
+            raise ValueError(exp)
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvariantViolation(refusal) from None
+    if not (-_PAST_LIMIT < x.numerator < _PAST_LIMIT and x.denominator < _PAST_LIMIT):
+        raise InvariantViolation(refusal)
+    return x
+
+
+def rational_text(x: Fraction) -> str:
+    """``str(x)`` past Python's cap on int-to-text digits, which an exact SQRT3 enclosure or a
+    number grown from a long input can pass: the cap is lifted for this call only, so no text is
+    read while it is off."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap, or this Python has none
+    if not cap:
+        return str(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def scalar(x: ScalarLike) -> Fraction:
     """Coerce ``x`` to an exact rational.
 
-    Accepts ints, `Fraction`s, and strings in the forms ``"7"``, ``"-3/4"``,
-    ``"2.5"`` (decimal strings are exact).  Floats and bools are rejected.
+    Accepts ints, `Fraction`s, and strings that `read_rational` reads.  Floats and bools are
+    rejected.
     """
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise InvariantViolation(
             f"floats are not allowed as scalars (got {x!r}); "
             "pass an int, Fraction, or string like '5/2'"
         )
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvariantViolation(f"not a rational number: {x!r}") from exc
+        return read_rational(x, f"not a rational number: {x!r}")
     raise InvariantViolation(f"cannot interpret {type(x).__name__} as a scalar")
 
 
@@ -336,59 +372,42 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "delta", threshold(self.delta))
         object.__setattr__(self, "intervals", _intervals("intervals", self.intervals))
-        n = len(self.intervals)
-        if self.values is not None:
-            values = tuple(v if type(v) is Fraction else scalar(v) for v in _as_tuple("values", self.values))
-            object.__setattr__(self, "values", values)
-            if len(values) != n:
-                raise InvariantViolation(
-                    f"{len(values)} values for {n} intervals"
-                )
-        if self.refinements is not None:
-            object.__setattr__(
-                self, "refinements", tuple(
-                    tuple(script) if script is not None else None
-                    for script in _as_tuple("refinements", self.refinements)
-                )
-            )
-            if len(self.refinements) != n:
-                raise InvariantViolation(
-                    f"{len(self.refinements)} refinement scripts for {n} intervals"
-                )
-            for i, script in enumerate(self.refinements):
-                if script is None:
-                    continue
+        self._row("values", "values", scalar)
+        scripts = self._row("refinements", "refinement scripts", lambda s: None if s is None else tuple(s))
+        for i, script in enumerate(scripts or ()):
+            if script is not None:
                 self._check_script(i, script)
         if self.values is not None:  # on the grid every row reads
             for i, (lo, v, hi) in enumerate(zip(self.grid.los, self.grid.values, self.grid.his)):
                 if not lo <= v <= hi:
                     raise InvariantViolation(
                         f"value {self.values[i]} of item {i} lies outside {self.intervals[i]}")
-        if self.time_costs is not None:
-            costs = tuple(
-                tuple(scalar(c) for c in row) if row is not None else None
-                for row in _as_tuple("time_costs", self.time_costs)
-            )
-            object.__setattr__(self, "time_costs", costs)
-            if len(costs) != n:
+        costs = self._row("time_costs", "time-cost rows", lambda r: None if r is None else tuple(map(scalar, r)))
+        for i, row in enumerate(costs or ()):
+            if row is None:
+                continue
+            if self.refinements is None or self.refinements[i] is None:
                 raise InvariantViolation(
-                    f"{len(costs)} time-cost rows for {n} intervals"
+                    f"item {i} has time costs but no refinement script"
                 )
-            for i, row in enumerate(costs):
-                if row is None:
-                    continue
-                if self.refinements is None or self.refinements[i] is None:
-                    raise InvariantViolation(
-                        f"item {i} has time costs but no refinement script"
-                    )
-                if len(row) != len(self.refinements[i]):
-                    raise InvariantViolation(
-                        f"item {i}: {len(row)} time costs for a "
-                        f"{len(self.refinements[i])}-step script"
-                    )
-                for c in row:
-                    if c.numerator < 0:
-                        raise InvariantViolation(f"negative time cost {c}")
+            if len(row) != len(self.refinements[i]):
+                raise InvariantViolation(
+                    f"item {i}: {len(row)} time costs for a "
+                    f"{len(self.refinements[i])}-step script"
+                )
+            for c in row:
+                if c.numerator < 0:
+                    raise InvariantViolation(f"negative time cost {c}")
+
+    def _row(self, field: str, noun: str, entry: Callable) -> Optional[tuple]:
+        """Field ``field`` with each entry normalised by ``entry``, set on this instance; None
+        when it is absent, and refused unless it has one entry per interval."""
+        if (row := getattr(self, field)) is None:
+            return None
+        object.__setattr__(self, field, row := tuple(map(entry, _as_tuple(field, row))))
+        if len(row) != self.n:
+            raise InvariantViolation(f"{len(row)} {noun} for {self.n} intervals")
+        return row
 
     def _check_script(self, i: int, script: RefinementScript) -> None:
         if not script:

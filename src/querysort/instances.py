@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Instance, UncertainInterval, _checked_already, interval, scalar
+from .core import Instance, UncertainInterval, _checked_already, interval, rational_text, read_rational, scalar
 from .errors import InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,8 @@ def gen_lemma4_pair(delta) -> tuple[Instance, Instance]:
 
 
 _TRIANGLE_GADGET = ((0, 10), (2, 12), (4, 21), (13, 23), (15, 25))
+#: The gadget's values that steer the "lower" coin variant into all five queries.
+_PUNISH_LOWER = (1, 7, Fraction(25, 2), 19, 24)
 
 
 def gen_lemma7_two_triangles(punish: str = "lower") -> Instance:
@@ -212,7 +214,7 @@ def gen_lemma7_two_triangles(punish: str = "lower") -> Instance:
     """
     ivs = tuple(interval(lo, hi) for lo, hi in _TRIANGLE_GADGET)
     if punish == "lower":
-        values = (1, 7, Fraction(25, 2), 19, 24)
+        values = _PUNISH_LOWER
     elif punish == "upper":
         values = (1, 7, Fraction(25, 2), 14, 16)
     else:
@@ -306,24 +308,9 @@ def gen_figure3_chain(k: int) -> Instance:
     """
     if k < 1:
         raise InvariantViolation("need at least one block")
-    ivs: list[UncertainInterval] = []
-    values: list[Fraction] = []
-
-    def connector(i: int) -> None:
-        base = 40 * i
-        ivs.append(interval(base - 16, base - 1))
-        ivs.append(interval(base - 14, base + 1))
-        values.append(scalar(base - 8))
-        values.append(scalar(base - 7))
-
-    gadget_values = (1, 7, Fraction(25, 2), 19, 24)
-    for i in range(k):
-        connector(i)
-        base = 40 * i
-        ivs.extend(interval(lo + base, hi + base) for lo, hi in _TRIANGLE_GADGET)
-        values.extend(scalar(v) + base for v in gadget_values)
-    connector(k)
-    return Instance(Fraction(0), tuple(ivs), tuple(values))
+    # k + 1 tiles of a connector pair and the gadget; the last tile keeps only its connectors
+    ivs, values = _tiled(k + 1, 40, ((-16, -1), (-14, 1), *_TRIANGLE_GADGET), (-8, -7, *_PUNISH_LOWER))
+    return Instance(Fraction(0), tuple(ivs[:-5]), tuple(values[:-5]))
 
 
 def gen_laminar(seed: int, n: int, depth: int = 3) -> Instance:
@@ -416,24 +403,10 @@ def gen_cpcp_adversary(n: int, M: int) -> Instance:
         raise InvariantViolation("need at least one pair")
     if M < 1:
         raise InvariantViolation("scripts need at least one step")
-    ivs = [interval(3 * j, 3 * j + 4) for j in range(2 * n)]
-    values: list[Fraction] = []
-    for i in range(n - 1):
-        values.append(6 * i + Fraction(13, 4))
-        values.append(6 * i + Fraction(15, 4))
-    values.append(scalar(6 * n) - Fraction(5, 2))
-    values.append(scalar(6 * n - 2))
-    refinements: list[Optional[tuple[UncertainInterval, ...]]] = [None] * (2 * n - 2)
-    for j in (2 * n - 2, 2 * n - 1):
-        itv = ivs[j]
-        stalls = tuple(itv for _ in range(M - 1))
-        refinements.append(stalls + (UncertainInterval(values[j], values[j], itv.cost),))
-    return Instance(
-        Fraction(0),
-        tuple(ivs),
-        tuple(values),
-        refinements=tuple(refinements),
-    )
+    ivs, values = _tiled(n, 6, ((0, 4), (3, 7)), (Fraction(13, 4), Fraction(15, 4)))
+    values[-2:] = 6 * n - Fraction(5, 2), Fraction(6 * n - 2)
+    stalled = tuple((itv,) * (M - 1) + (interval(v, v),) for itv, v in zip(ivs[-2:], values[-2:]))
+    return Instance(Fraction(0), tuple(ivs), tuple(values), refinements=(None,) * (2 * n - 2) + stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +530,7 @@ def _unique_keys(pairs: list) -> dict:
 def _parse_scalar(raw, where: str) -> Fraction:
     if not isinstance(raw, str):
         raise InvariantViolation(f"{where} must be a rational string, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise InvariantViolation(f"{where} is not a valid rational: {raw!r}") from None
+    return read_rational(raw, f"{where} is not a valid rational: {raw!r}")
 
 
 def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -595,41 +565,36 @@ def serialize(inst: Instance) -> str:
     byte-stable per content, so equal instances give identical documents."""
     doc: dict = {
         "schema": _SCHEMA,
-        "delta": str(inst.delta),
-        "intervals": [
-            {"lo": str(i.lo), "hi": str(i.hi), "cost": str(i.cost)}
-            for i in inst.intervals
-        ],
+        "delta": rational_text(inst.delta),
+        "intervals": [{"lo": rational_text(i.lo), "hi": rational_text(i.hi), "cost": rational_text(i.cost)}
+                      for i in inst.intervals],
     }
     if inst.values is not None:
-        doc["values"] = [str(v) for v in inst.values]
+        doc["values"] = [rational_text(v) for v in inst.values]
     if inst.refinements is not None:
         doc["refinements"] = [
-            None
-            if script is None
-            else [{"lo": str(e.lo), "hi": str(e.hi)} for e in script]
-            for script in inst.refinements
-        ]
+            None if script is None else [{"lo": rational_text(e.lo), "hi": rational_text(e.hi)} for e in script]
+            for script in inst.refinements]
     if inst.time_costs is not None:
-        doc["time_costs"] = [
-            None if row is None else [str(c) for c in row]
-            for row in inst.time_costs
-        ]
+        doc["time_costs"] = [None if row is None else [rational_text(c) for c in row] for row in inst.time_costs]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def deserialize(text: str) -> Instance:
     """Parse a canonical document, rejecting anything nonconforming.
 
-    Malformed JSON raises `ParseError` with line/column; structurally valid
-    JSON with bad content (bare numbers, unknown or repeated fields, violated
-    interval rules) raises `InvariantViolation`.
+    Malformed JSON raises `ParseError`, with line/column unless it nests too
+    deeply to read; structurally valid JSON with bad content (bare numbers,
+    unknown or repeated fields, violated interval rules) raises
+    `InvariantViolation`.
     """
     try:
         doc = json.loads(text, parse_int=_number_guard, parse_float=_number_guard,
                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise InvariantViolation("document root must be an object")
     _expect_keys(

@@ -318,16 +318,77 @@ def test_a_coin_path_of_500_flips_prints_its_row(capsys):
     assert out.rstrip().endswith("bound=57/32 status=OK")
 
 
-def test_numbers_past_the_digit_cap_in_user_text_are_still_refused(tmp_path, capsys):
-    digits = "1" * 5000
-    assert main(["ratio", "alg2", "random", "--delta", digits]) == 2
-    assert capsys.readouterr().err == f"usage error: --delta must be a rational like 3/2, got {digits!r}\n"
-    doc = json.loads(serialize(gen_lemma4_pair(2)[0]))
-    doc["intervals"][0]["cost"] = digits
-    path = tmp_path / "long_cost.json"
+#: User text whose numerator or denominator would pass 4 300 digits: a literal and exponent forms.
+PAST_THE_DIGIT_CAP = ["1" * 5000, "1e5000", "1e-5000", "9e4300"]
+
+
+def write_json(tmp_path, name, doc) -> str:
+    path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["solve", "simple", str(path)]) == 4
-    assert capsys.readouterr().err == f"model error: interval 0 cost is not a valid rational: {digits!r}\n"
+    return str(path)
+
+
+def lemma4_with(field, text) -> dict:
+    """Lemma 4's pair at δ = 2 as a document, with ``text`` as item 0's cost, as its
+    threshold or as its last value."""
+    doc = json.loads(serialize(gen_lemma4_pair(2)[0]))
+    if field == "cost":
+        doc["intervals"][0]["cost"] = text
+    elif field == "values":
+        doc["values"][-1] = text
+    else:
+        doc["delta"] = text
+    return doc
+
+
+def test_numbers_past_the_digit_cap_in_user_text_are_still_refused(tmp_path, capsys):
+    """Exponent forms past the cap are refused in the words of a 5 000-digit literal, in
+    flags and in documents; under it they are read.  A document grown past the cap from a
+    4 300-digit threshold is written in full, and reading it back refuses it."""
+    doc = write_doc(tmp_path, "a.json", gen_lemma4_pair(0)[0])
+    for digits in PAST_THE_DIGIT_CAP:
+        for argv, flag in ((["ratio", "alg2", "random", "--delta", digits], "--delta"),
+                           (["gen", "random", "--delta", digits], "--delta"),
+                           (["gen", "cost_path", "--eps", digits], "--eps"),
+                           (["solve", "alg1", doc, "--p", digits], "--p")):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", f"usage error: {flag} must be a rational like 3/2, got {digits!r}\n")
+        for field, where in (("cost", "interval 0 cost"), ("delta", "delta"), ("values", "value 1")):
+            assert main(["solve", "simple", write_json(tmp_path, "long.json", lemma4_with(field, digits))]) == 4
+            assert capsys.readouterr() == ("", f"model error: {where} is not a valid rational: {digits!r}\n")
+    for text, written in (("1e3", "1000"), ("2.5e-1", "1/4")):
+        assert main(["gen", "random", "--delta", text]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == written
+        assert main(["solve", "simple", write_json(tmp_path, "e.json", lemma4_with("cost", text))]) == 0
+        assert capsys.readouterr().err == ""
+    nines, path = "9" * 4300, str(tmp_path / "nines.json")
+    assert main(["gen", "lemma4", "--delta", nines, "--out", path]) == 0
+    assert capsys.readouterr().err == ""
+    hi = json.loads(Path(path).read_text(encoding="utf-8"))["intervals"][0]["hi"]
+    assert hi == nines + "0"
+    assert main(["solve", "simple", path]) == 4
+    assert capsys.readouterr() == ("", f"model error: interval 0 hi is not a valid rational: {hi!r}\n")
+
+
+def test_an_approximation_past_a_float_prints_as_infinity(tmp_path, capsys):
+    """Only the ``(~...)`` text changes past a float's range; the exact value prints in full."""
+    path = write_json(tmp_path, "huge.json", lemma4_with("cost", "1e400"))
+    for extra in ([], ["--expected"]):
+        assert main(["solve", "simple", path, *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and f"cost       : {10**400 + 1} (~inf)\n" in out
+    assert "expected cost : " in out and "expected ratio: " in out
+    assert [cli._approx(x) for x in (F(-(10**400)), F(10**400), F(1, 3), F(10**300))] == [
+        "-inf", "inf", f"{1 / 3:.10g}", f"{1e300:.10g}"]
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"schema": "1", "delta": "0", "intervals": ' + "[" * 100000],
+                         ids=["root", "intervals"])
+def test_a_document_nested_too_deeply_is_a_document_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["opt", str(path)]) == 4
+    assert capsys.readouterr() == ("", "document error: arrays or objects nested too deeply to read\n")
 
 
 def test_solve_missing_file(capsys):

@@ -68,7 +68,7 @@ import querysort
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SRC_LINE_BUDGET = 3851
+SRC_LINE_BUDGET = 3829
 
 
 def imported_names(tree):

@@ -270,6 +270,45 @@ def ref_gen_independent_pairs(m, delta=0):
     return Instance(d, tuple(ivs), tuple(values))
 
 
+def ref_gen_figure3_chain(k):
+    """`gen_figure3_chain` as it was written before the block tiling was shared."""
+    if k < 1:
+        raise InvariantViolation("need at least one block")
+    ivs, values = [], []
+
+    def connector(i):
+        base = 40 * i
+        ivs.extend([interval(base - 16, base - 1), interval(base - 14, base + 1)])
+        values.extend([scalar(base - 8), scalar(base - 7)])
+
+    gadget = ((0, 10), (2, 12), (4, 21), (13, 23), (15, 25))
+    for i in range(k):
+        connector(i)
+        base = 40 * i
+        ivs.extend(interval(lo + base, hi + base) for lo, hi in gadget)
+        values.extend(scalar(v) + base for v in (1, 7, F(25, 2), 19, 24))
+    connector(k)
+    return Instance(F(0), tuple(ivs), tuple(values))
+
+
+def ref_gen_cpcp_adversary(n, M):
+    """`gen_cpcp_adversary` as it was written before the block tiling was shared."""
+    if n < 1:
+        raise InvariantViolation("need at least one pair")
+    if M < 1:
+        raise InvariantViolation("scripts need at least one step")
+    ivs = [interval(3 * j, 3 * j + 4) for j in range(2 * n)]
+    values = []
+    for i in range(n - 1):
+        values += [6 * i + F(13, 4), 6 * i + F(15, 4)]
+    values += [scalar(6 * n) - F(5, 2), scalar(6 * n - 2)]
+    refinements = [None] * (2 * n - 2)
+    for j in (2 * n - 2, 2 * n - 1):
+        itv = ivs[j]
+        refinements.append(tuple(itv for _ in range(M - 1)) + (UncertainInterval(values[j], values[j], itv.cost),))
+    return Instance(F(0), tuple(ivs), tuple(values), refinements=tuple(refinements))
+
+
 def outcome(make, *args):
     """Each document ``make(*args)`` returns, or the refusal it raises."""
     try:
@@ -279,15 +318,19 @@ def outcome(make, *args):
     return [serialize(inst) for inst in (made if isinstance(made, tuple) else (made,))]
 
 
-@pytest.mark.parametrize("m", range(0, 7))
+@pytest.mark.parametrize("m", range(0, 9))
 def test_tiled_families_match_their_references(m):
-    """The three block-tiled families give the documents (or refusals) of their
-    hand-written references, for every threshold and both ``punish`` variants."""
+    """The five block-tiled families give the documents (or refusals) of their
+    hand-written references, for every threshold, both ``punish`` variants and
+    every stall length ``M`` of the refinement family up to 4."""
     for punish in ("lower", "upper"):
         assert outcome(gen_triangle_chain, m, punish) == outcome(ref_gen_triangle_chain, m, punish)
     for delta in (F(0), F(1, 2), F(1), F(3), F(7, 3)):
         assert outcome(gen_advice_triangles, m, delta) == outcome(ref_gen_advice_triangles, m, delta)
         assert outcome(gen_independent_pairs, m, delta) == outcome(ref_gen_independent_pairs, m, delta)
+    assert outcome(gen_figure3_chain, m) == outcome(ref_gen_figure3_chain, m)
+    for M in range(0, 5):
+        assert outcome(gen_cpcp_adversary, m, M) == outcome(ref_gen_cpcp_adversary, m, M)
 
 
 def test_figure3_chain_structure():

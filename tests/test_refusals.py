@@ -4,6 +4,7 @@ Every case calls one public entry with one fault.  The table keeps them in
 module order: ``core``, ``graph``, ``offline``, ``online``, ``instances``.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,7 @@ from querysort import (
     build_permutation,
     cott_to_instance,
     dependent,
+    deserialize,
     find_triangle,
     gen_cost_path,
     gen_laminar,
@@ -44,6 +46,8 @@ from querysort import (
     min_cost_vertex_cover,
     oblivious_query_set,
     peo_min_right,
+    scalar,
+    serialize,
     singleton_witness_static,
     singleton_witness_value,
     valid_permutation,
@@ -217,3 +221,40 @@ def test_the_good_calls_pass():
     assert oblivious_query_set(PAIR) == frozenset({0, 1})
     assert RunReport((1,), F(1), Permutation((0,)), ((0, UncertainInterval(F(1), F(1)), F(1)),)).total_cost == 1
     assert Sqrt3Prob(1, 1).ratio == 1
+
+
+#: Text whose numerator or denominator would pass 4 300 digits: a literal, then exponent forms,
+#: the last of whose powers would take seconds to compute.
+PAST_THE_DIGIT_LIMIT = ["1" * 5000, "1e5000", "1e-5000", "9e4300", "1e4300", "-2.5E+4300", "1e10000000"]
+
+
+def with_field(field, text):
+    """`PAIR`'s document with ``text`` as its threshold, as item 0's cost or as its last value."""
+    doc = json.loads(serialize(PAIR))
+    if field == "cost":
+        doc["intervals"][0]["cost"] = text
+    elif field == "values":
+        doc["values"][-1] = text
+    else:
+        doc["delta"] = text
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", PAST_THE_DIGIT_LIMIT, ids=lambda text: text[:12])
+def test_numbers_past_the_digit_limit_are_refused(text):
+    """Exponent forms past the limit are refused in the words of a too-long literal."""
+    with pytest.raises(InvariantViolation) as exc:
+        scalar(text)
+    assert str(exc.value) == f"not a rational number: {text!r}"
+    for field, where in (("delta", "delta"), ("cost", "interval 0 cost"), ("values", "value 1")):
+        with pytest.raises(InvariantViolation) as exc:
+            deserialize(with_field(field, text))
+        assert str(exc.value) == f"{where} is not a valid rational: {text!r}"
+
+
+def test_numbers_up_to_the_digit_limit_are_read():
+    assert scalar("1e3") == 1000 and scalar("2.5e-1") == F(1, 4) and scalar(" -7E+2 ") == -700
+    assert scalar("1e4299") == 10**4299 and scalar("1e-4299") == F(1, 10**4299)
+    assert scalar("9" * 4300) == 10**4300 - 1 and scalar("0.5e4300") == 5 * 10**4299
+    assert deserialize(with_field("cost", "2.5e-1")).costs[0] == F(1, 4)
+    assert deserialize(with_field("delta", "1e3")).delta == 1000

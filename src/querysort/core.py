@@ -64,16 +64,16 @@ def read_rational(text: str, refusal: str) -> Fraction:
     return x
 
 
-def rational_text(x: Fraction) -> str:
-    """``str(x)`` past Python's cap on int-to-text digits, which an exact SQRT3 enclosure or a
+def rational_text(x, form: Callable[[object], str] = str) -> str:
+    """``form(x)`` past Python's cap on int-to-text digits, which an exact SQRT3 enclosure or a
     number grown from a long input can pass: the cap is lifted for this call only, so no text is
-    read while it is off."""
+    read while it is off.  Every number a message or a printed result names goes through here."""
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap, or this Python has none
     if not cap:
-        return str(x)
+        return form(x)
     sys.set_int_max_str_digits(0)
     try:
-        return str(x)
+        return form(x)
     finally:
         sys.set_int_max_str_digits(cap)
 
@@ -101,14 +101,14 @@ def scalar(x: ScalarLike) -> Fraction:
 def threshold(delta: ScalarLike) -> Fraction:
     """``delta`` as a `scalar`, refused when negative: every threshold is read through here."""
     if (delta := scalar(delta)).numerator < 0:
-        raise InvariantViolation(f"negative threshold {delta}")
+        raise InvariantViolation(f"negative threshold {rational_text(delta)}")
     return delta
 
 
 def _check_item(i: int, n: int) -> None:
     """Refuse an ``i`` that is not an int in ``[0, n)``; `type` also refuses a bool."""
     if type(i) is not int or not 0 <= i < n:
-        raise InvariantViolation(f"query index {i!r} names no item (n = {n})")
+        raise InvariantViolation(f"query index {rational_text(i, repr)} names no item (n = {n})")
 
 
 def _as_tuple(field: str, xs) -> tuple:
@@ -143,7 +143,7 @@ def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
     must be a positive scalar: at zero or below the iteration never ends.
     """
     if (precision := scalar(precision)) <= 0:
-        raise InvariantViolation(f"square root precision must be positive, got {precision}")
+        raise InvariantViolation(f"square root precision must be positive, got {rational_text(precision)}")
     if m < 0:
         raise InvariantViolation("square root of a negative number requested")
     m = Fraction(m)
@@ -179,9 +179,9 @@ class UncertainInterval:
             object.__setattr__(self, "hi", hi)
             object.__setattr__(self, "cost", cost)
         if not _le(lo, hi):
-            raise InvariantViolation(f"empty interval: lo={lo} > hi={hi}")
+            raise InvariantViolation(f"empty interval: lo={rational_text(lo)} > hi={rational_text(hi)}")
         if cost.numerator < 0:
-            raise InvariantViolation(f"negative query cost {cost}")
+            raise InvariantViolation(f"negative query cost {rational_text(cost)}")
 
     @property
     def width(self) -> Fraction:
@@ -197,14 +197,12 @@ class UncertainInterval:
     def collapse(self, v: Fraction) -> "UncertainInterval":
         """The point interval left behind once the value ``v`` is revealed."""
         if not self.contains(v):
-            raise InvariantViolation(
-                f"value {v} lies outside [{self.lo}, {self.hi}]"
-            )
+            raise InvariantViolation(f"value {rational_text(v)} lies outside {self}")
         v = scalar(v)  # inside [lo, hi] and now a Fraction; the cost is this interval's checked one
         return _checked_already(v, v, self.cost)
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{rational_text(self.lo)}, {rational_text(self.hi)}]"
 
 
 # each slot's own setter: a frozen dataclass guards only `__setattr__`
@@ -245,7 +243,7 @@ def on_grid(x: Fraction, scale: int) -> int:
     multiple of ``x``'s denominator: rounding could flip a comparison."""
     steps, rest = divmod(scale, x.denominator)
     if rest:
-        raise InvariantViolation(f"{x} is not on the integer grid of step 1/{scale}")
+        raise InvariantViolation(f"{rational_text(x)} is not on the integer grid of step 1/{rational_text(scale)}")
     return x.numerator * steps
 
 
@@ -381,7 +379,7 @@ class Instance:
             for i, (lo, v, hi) in enumerate(zip(self.grid.los, self.grid.values, self.grid.his)):
                 if not lo <= v <= hi:
                     raise InvariantViolation(
-                        f"value {self.values[i]} of item {i} lies outside {self.intervals[i]}")
+                        f"value {rational_text(self.values[i])} of item {i} lies outside {self.intervals[i]}")
         costs = self._row("time_costs", "time-cost rows", lambda r: None if r is None else tuple(map(scalar, r)))
         for i, row in enumerate(costs or ()):
             if row is None:
@@ -397,7 +395,7 @@ class Instance:
                 )
             for c in row:
                 if c.numerator < 0:
-                    raise InvariantViolation(f"negative time cost {c}")
+                    raise InvariantViolation(f"negative time cost {rational_text(c)}")
 
     def _row(self, field: str, noun: str, entry: Callable) -> Optional[tuple]:
         """Field ``field`` with each entry normalised by ``entry``, set on this instance; None
@@ -434,8 +432,7 @@ class Instance:
             )
         if last.lo != self.values[i]:
             raise InvariantViolation(
-                f"item {i}: script ends at {last.lo} but the value is {self.values[i]}"
-            )
+                f"item {i}: script ends at {rational_text(last.lo)} but the value is {rational_text(self.values[i])}")
 
     @property
     def n(self) -> int:
@@ -515,11 +512,11 @@ class KnowledgeState:
             raise InvariantViolation("queried counts do not match intervals")
         for q in self.queried:
             if type(q) is not int:
-                raise InvariantViolation(f"query count {q!r} is not an int")
+                raise InvariantViolation(f"query count {rational_text(q, repr)} is not an int")
         if any(q < 0 for q in self.queried):
             raise InvariantViolation("negative query count")
         if self.spent.numerator < 0:
-            raise InvariantViolation(f"negative spend {self.spent}")
+            raise InvariantViolation(f"negative spend {rational_text(self.spent)}")
 
     @property
     def n(self) -> int:
@@ -540,11 +537,9 @@ class Permutation:
         object.__setattr__(self, "order", _as_tuple("order", self.order))
         for k in self.order:  # `type` also refuses a bool, and a float equal to an int
             if type(k) is not int:
-                raise InvariantViolation(f"order entry {k!r} is not an int")
+                raise InvariantViolation(f"order entry {rational_text(k, repr)} is not an int")
         if sorted(self.order) != list(range(len(self.order))):
-            raise InvariantViolation(
-                f"not a permutation of 0..{len(self.order) - 1}: {self.order}"
-            )
+            raise InvariantViolation(f"not a permutation of 0..{len(self.order) - 1}: {rational_text(self.order)}")
 
     def __iter__(self):
         return iter(self.order)
@@ -576,7 +571,7 @@ def valid_permutation(
         raise InvariantViolation(f"{len(vals)} values for {inst.n} items")
     order = Permutation(pi).order
     if len(order) != inst.n:
-        raise InvariantViolation(f"not a permutation of 0..{inst.n - 1}: {order}")
+        raise InvariantViolation(f"not a permutation of 0..{inst.n - 1}: {rational_text(order)}")
     ordered = [vals[k] for k in order]
     return all(
         peak <= v + inst.delta

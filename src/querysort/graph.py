@@ -26,6 +26,7 @@ from .core import (
     KnowledgeState,
     UncertainInterval,
     grid_ints,
+    rational_text,
     scalar,
     sweep_pairs,
     threshold,
@@ -64,14 +65,15 @@ class DependencyGraph:
         for (i, j) in edges:
             if not (type(i) is type(j) is int and 0 <= i < j < n):
                 _require_ints("edge entry", i, j)
-                raise InvariantViolation(f"bad edge ({i}, {j}) for n={n}")
+                raise InvariantViolation(f"bad edge ({rational_text(i)}, {rational_text(j)}) for n={n}")
             self.adj[i].add(j)
             self.adj[j].add(i)
         if len(weights) != n:
             raise InvariantViolation("weights do not match vertex count")
         for v, w in enumerate(weights):  # the rule a query cost follows; `type` also refuses a bool
             if type(w) not in (int, Fraction) or w.numerator < 0:
-                raise InvariantViolation(f"vertex {v}: weight must be a non-negative int or Fraction, got {w!r}")
+                raise InvariantViolation(
+                    f"vertex {v}: weight must be a non-negative int or Fraction, got {rational_text(w, repr)}")
         if intervals is not None and len(intervals) != n:
             raise InvariantViolation("intervals do not match vertex count")
         self.los, self.his = los, his
@@ -143,13 +145,13 @@ def _require_ints(what: str, *xs) -> None:
     """Refuse the first of ``xs`` whose `type` is not `int`: also a bool, and a float equal to an int."""
     for x in xs:
         if type(x) is not int:
-            raise InvariantViolation(f"{what} {x!r} is not an int")
+            raise InvariantViolation(f"{what} {rational_text(x, repr)} is not an int")
 
 
 def _check_vertex(g: DependencyGraph, v: int) -> None:
     _require_ints("vertex", v)
     if not 0 <= v < g.n:
-        raise InvariantViolation(f"no vertex {v} in a graph on {g.n} vertices")
+        raise InvariantViolation(f"no vertex {rational_text(v)} in a graph on {g.n} vertices")
 
 
 def component_of(g: DependencyGraph, v: int) -> list[int]:
@@ -287,7 +289,7 @@ def find_triangle(g: DependencyGraph, start: int = 0) -> Optional[tuple[int, int
     """Lexicographically smallest triangle whose first vertex is at least ``start``, or None."""
     _require_ints("triangle search start", start)
     if not 0 <= start <= g.n:
-        raise InvariantViolation(f"triangle search start {start} outside [0, {g.n}]")
+        raise InvariantViolation(f"triangle search start {rational_text(start)} outside [0, {g.n}]")
     return next(filter(None, (_triangle_at(g, i) for i in range(start, g.n))), None)
 
 

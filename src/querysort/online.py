@@ -20,7 +20,6 @@ assumed.
 
 from __future__ import annotations
 
-import copy
 import functools
 import inspect
 import random
@@ -39,6 +38,7 @@ from .core import (
     _checked_already,
     build_permutation,
     isqrt_bounds,
+    rational_text,
     scalar,
 )
 from .errors import (
@@ -130,14 +130,14 @@ def FIXED(p) -> Fraction:
     """The uniform-cost strategy's constant coin bias ``p``, checked to lie in [0, 1]."""
     p = scalar(p)
     if not 0 <= p <= 1:
-        raise InvariantViolation(f"probability {p} outside [0, 1]")
+        raise InvariantViolation(f"probability {rational_text(p)} outside [0, 1]")
     return p
 
 
 def _rule_weights(*weights) -> list[Fraction]:
     """A probability rule's weights as scalars, each refused when negative."""
     if min(weights := [scalar(w) for w in weights]) < 0:
-        raise InvariantViolation(f"rule weights must be non-negative, got {', '.join(map(str, weights))}")
+        raise InvariantViolation(f"rule weights must be non-negative, got {', '.join(map(rational_text, weights))}")
     return weights
 
 
@@ -333,7 +333,7 @@ class RunReport:
         charged = sum((entry[2] for entry in self.transcript), start=Fraction(0))
         if charged != self.total_cost:
             raise InvariantViolation(
-                f"total cost {self.total_cost} does not match transcript sum {charged}"
+                f"total cost {rational_text(self.total_cost)} does not match transcript sum {rational_text(charged)}"
             )
 
     @property
@@ -772,16 +772,18 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
 
 
 def _algorithm2_start(env: Environment, rule, state: Optional[tuple] = None, vertices=None) -> tuple:
-    """Start a walk: the residual weights and frozen spines (fresh at the root, after
-    checking the environment and the rule), the walk's ``vertices`` (ascending; all at
-    the root), a lazy heap of the zero-residual ones, and two positions in ``vertices``
-    that never decrease: the smallest active vertex and the smallest triangle's first vertex."""
+    """Start a walk: the residual weights, the frozen spines, the walk's ``vertices`` (ascending), a lazy heap
+    of the zero-residual ones, and two positions in ``vertices`` that never decrease: the smallest active vertex
+    and the smallest triangle's first vertex.  The root checks the environment and the rule and takes every
+    vertex and fresh residuals.  A walk below reads its parent's residuals, which no trial writes after the first
+    real flip (no triangle is left then), and spines if its component froze (whole, once), else starts with none."""
     if state is None:
         _exact_model(env)
         if rule is not HALF and rule is not SQRT3:
             raise InvariantViolation("this strategy takes the half or sqrt3 rule")
         state, vertices = (list(env._units), {}), range(env.n)
-    return *state[:2], vertices, [v for v in vertices if state[0][v] == 0], [0, 0]
+    frozen = state[1] if vertices and vertices[0] in state[1] else {}
+    return state[0], frozen, vertices, [v for v in vertices if state[0][v] == 0], [0, 0]
 
 
 def _algorithm2_trial(env: Environment, rule, state) -> Optional[tuple]:
@@ -1072,7 +1074,8 @@ def expected_cost_exact(
 
     def walk(state, base: int, comp):
         """The subtree of component ``comp`` (ascending): (lo, hi), each an (expected spend in cost units
-        since ``base``, mass, denominator) triple; a flip's ``False`` side, then, rolled back, its ``True`` side."""
+        since ``base``, mass, denominator) triple; a flip's ``False`` side, then, rolled back, its ``True`` side.
+        Nothing writes ``state`` after the flip, so both sides split from it as it was then."""
         nonlocal walked
         if (step := _next_flip(env, rule, state, trial)) is None:
             leaf = (_edgeless_paid(env, "a coin-tree leaf", comp) - base, 1, 1)
@@ -1082,17 +1085,17 @@ def expected_cost_exact(
         p, heads, tails = step
         p_lo, p_hi = p.enclosure(_ENCLOSURE_PRECISION) if isinstance(p, Sqrt3Prob) else (p, p)
         (ln, ld), (hn, hd) = (p_lo.numerator, p_lo.denominator), (p_hi.numerator, p_hi.denominator)
-        mark, twin_state = (len(env.transcript), env._paid, env._flushed), tuple(map(copy.copy, state))
+        mark = len(env.transcript), env._paid, env._flushed
         t_lo, t_hi = yield from split(state, tails, base, comp)
         env._rollback(mark)
-        h_lo, h_hi = yield from split(twin_state, heads, base, comp)
+        h_lo, h_hi = yield from split(state, heads, base, comp)
         lo = _mix((ln, ld), h_lo, (hd - hn, hd), t_lo)  # and hi, unless an end differs: computed once
         hi = lo if p_lo is p_hi and h_lo is h_hi and t_lo is t_hi else _mix((hn, hd), h_hi, (ld - ln, ld), t_hi)
         return lo, hi
 
     def split(state, side, base: int, comp):
-        """`walk`'s subtree after taking ``side``: each dependent component left among ``comp`` is walked
-        once, on its own vertices; it yields each walk's ``(state, base, comp)``, gets its subtree."""
+        """`walk`'s subtree after taking ``side``: each dependent component left among ``comp`` is walked once,
+        on its own vertices, from a state `start` reads off ``state``; yields each walk's start, gets its subtree."""
         side(env)
         _flush_value_witnesses(env)
         graph, seen, at = env.graph(), set(), env._paid

@@ -159,6 +159,40 @@ def test_online_asks_the_live_graph():
     assert pair_predicate_sites((SRC / "online.py").read_text()) == []
 
 
+def snapshot_sites(source):
+    """``(line, what)`` for every import of `copy`, named or from, and every call of a
+    ``copy`` or ``deepcopy``, by name or as an attribute."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            sites += [(node.lineno, "import copy") for alias in node.names if alias.name == "copy"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "copy":
+            sites.append((node.lineno, "from copy"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("copy", "deepcopy"):
+                sites.append((node.lineno, f"{name}()"))
+    return sorted(sites)
+
+
+def test_the_check_flags_a_state_snapshot():
+    source = (
+        "import copy, heapq\n"
+        "from copy import deepcopy as dc\n"
+        "def f(state, g):\n"
+        "    twin = tuple(map(copy.copy, state)) + (copy.deepcopy(g), g.adj[0].copy(), dc(g))\n"
+        "    return sorted(twin), heapq.heapify\n"
+    )
+    assert snapshot_sites(source) == [(1, "import copy"), (2, "from copy"), (4, "copy()"), (4, "deepcopy()")]
+
+
+def test_online_snapshots_no_strategy_state():
+    """The coin walk restores the environment by `Environment._rollback` alone, and each
+    component walk builds its own state, so nothing in ``online.py`` copies a state."""
+    assert snapshot_sites((SRC / "online.py").read_text()) == []
+
+
 def pair_predicate_uses(source):
     """``(enclosing function, line, name)`` for every use of a pair predicate: a name or
     attribute anywhere, or an import that renames one (its uses then go by another name)."""

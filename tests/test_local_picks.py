@@ -14,11 +14,13 @@ at every step of whole runs up to n = 2 000 and on Hypothesis instances, and
 against the stack walk that never splits.  The last tests count the
 whole-graph scans of each play, so that a scan per step fails it, and the
 vertices each component walk visits, so that a walk that reaches past its
-own component fails it.
+own component fails it, and the memory that isolated items add to a deep
+coin path, so that a copy of the state per flip fails it.
 """
 
 import inspect
 import random
+import tracemalloc
 from fractions import Fraction as F
 from heapq import heappop, heappush
 from itertools import combinations
@@ -565,3 +567,28 @@ def test_component_walks_visit_only_their_component(monkeypatch, algorithm, rule
     got, got_visits, reads, got_flips = walk_visits(monkeypatch, algorithm, padded(inst, 5000), rule, inst.n)
     assert (got, got_visits, got_flips) == (expected, visits, flips)
     assert reads <= 5 * 5000 < flips * 5000, reads
+
+
+def traced_peak(run):
+    """``run()``'s result and the `tracemalloc` peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_padding_adds_no_memory_per_flip():
+    """No flip copies the strategy state (a component walk reads its parent's residuals),
+    so 5 000 isolated items to the far right add a peak that does not grow with the depth
+    of the coin path (5 % allows for allocator rounding; a copy of the state per flip grew
+    it 3.5 -> 9.4 MB), and change no expectation."""
+    extra = []
+    for n in (100, 400):
+        inst = gen_cost_path(n, F(1, 10 ** 9))
+        wide = padded(inst, 5000)
+        want, alone = traced_peak(lambda: expected_cost_exact(algorithm2, inst, HALF))
+        got, with_padding = traced_peak(lambda: expected_cost_exact(algorithm2, wide, HALF))
+        assert got == want
+        extra.append(with_padding - alone)
+    assert 20 * extra[1] <= 21 * extra[0], extra

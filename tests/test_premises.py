@@ -11,12 +11,16 @@ n = 10:
   `ref_algorithm2_trial`, which slides the window past a ``b`` with no
   neighbour but ``c``, never slides, and its runs and exact expectations
   equal the program's.
+* `_algorithm2_start` copies no residuals for a component walk: no trial
+  writes them after the first real flip, since no triangle is left then and
+  queries only delete edges.  Every later flip sees the first flip's.
 * `build_permutation` has no cycle guard: its forced relation orders items
   by ``lo + hi``, so it is acyclic and the schedule takes every item.
 * `build_permutation` decides each unordered pair once and has no branch for
   a pair that neither test orders: `require_independent` rules it out.  Its
   orders equal `ref_build_permutation`'s, the Kahn schedule over every
-  ordered pair that it replaced.
+  ordered pair that it replaced.  That order is one rule, `ready_order`,
+  which an O(n log n) ordering can keep.
 * `gen_advice_triangles` checks no layout: its block is the threshold times
   a constant block whose inequalities hold.
 """
@@ -51,11 +55,12 @@ from querysort import (
     gen_triangle_chain,
     interval,
     optimum_query_set,
+    simple_adaptive,
     vc_adaptive,
 )
 from querysort import instances as draws
 from querysort import online
-from querysort.core import require_independent
+from querysort.core import require_independent, to_grid
 from test_grid_keys import at_zero, play, ref_advice_half
 from test_local_picks import ref_algorithm2_trial, sparse
 from test_sweep import instances, make_instance, wide_instances
@@ -174,6 +179,44 @@ def test_the_sliding_reference_is_the_one_run(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# algorithm2: no walk writes the residuals after the first real flip
+# ---------------------------------------------------------------------------
+
+
+#: Draws whose root subtracts triangles before its first real flip, and walks more flips after it.
+RESIDUAL_CASES = [
+    ("sparse-400", sparse(400, F(1, 2))),
+    ("sparse-200", sparse(200, F(1))),
+    ("sparse-100", sparse(100, F(2))),
+    ("random-40", gen_random(2, 40, F(1), cost_model="rational-range")),
+    ("random-20", gen_random(4, 20, F(1, 2), cost_model="rational-range")),
+]
+
+
+@pytest.mark.parametrize("inst", [c[1] for c in RESIDUAL_CASES], ids=[c[0] for c in RESIDUAL_CASES])
+def test_residuals_stop_changing_at_the_first_real_flip(monkeypatch, inst):
+    """Each component walk reads its parent's residuals, with no copy: at the first real
+    flip no triangle is left, and queries only delete edges, so no trial subtracts again.
+    Every later real flip and leaf, under either rule, sees the residuals of the first flip."""
+    next_flip = online._next_flip
+
+    def watched(env, rule, state, trial):
+        step = next_flip(env, rule, state, trial)
+        if first:
+            later.append(list(state[0]))
+        elif step is not None:
+            first.append(list(state[0]))
+        return step
+
+    monkeypatch.setattr(online, "_next_flip", watched)
+    for rule in (HALF, SQRT3):
+        first, later = [], []
+        expected_cost_exact(algorithm2, inst, rule)
+        assert first[0] != list(inst.cost_grid[1]) and later
+        assert all(now == first[0] for now in later)
+
+
+# ---------------------------------------------------------------------------
 # build_permutation: the forced relation is acyclic
 # ---------------------------------------------------------------------------
 
@@ -235,10 +278,10 @@ def test_the_midpoint_check_sees_a_forced_pair():
     assert before(a, b, F(1)) and not before(b, a, F(1))
 
 
-def final_state(inst):
-    """The current intervals at the end of a `vc_adaptive` run on ``inst``."""
+def final_state(inst, strategy=vc_adaptive):
+    """The current intervals at the end of a ``strategy`` run on ``inst``."""
     env = Environment(inst)
-    vc_adaptive(env)
+    strategy(env)
     return env.state().current
 
 
@@ -255,13 +298,71 @@ def ordering_draws(delta):
 @pytest.mark.parametrize("delta", [F(0), F(1, 2), F(1), F(3)], ids=str)
 def test_each_pair_decided_once_gives_the_kahn_order(delta):
     """252 independent families per threshold, 1 008 in all: each draw with its
-    optimum revealed, and each draw's final `vc_adaptive` state."""
+    optimum revealed, and each draw's final `vc_adaptive` state.  `ready_order`
+    gives the same order."""
     families = 0
     for inst in ordering_draws(delta):
         for items in (independent_family(inst), final_state(inst)):
-            assert build_permutation(items, delta) == ref_build_permutation(items, delta), (inst.n, delta)
+            ours = build_permutation(items, delta)
+            assert ours == ref_build_permutation(items, delta), (inst.n, delta)
+            assert ours.order == ready_order(items, delta), (inst.n, delta)
             families += 1
     assert families == 252
+
+
+def ready_order(items, delta):
+    """The Kahn order as one rule, in O(n log n) on grid ints: place the smallest ``(lo, index)``
+    among the unplaced items whose ``hi - δ`` is at or below every other unplaced item's ``lo``.
+
+    The unplaced items are a linked list in ``(lo, index)`` order, so its head has the smallest
+    ``lo`` left.  Any other item is ready once its ``hi - δ`` reaches the head's ``lo``, which
+    only grows, so ready items stay ready and a heap fed in ``hi - δ`` order holds them; the
+    head is ready against the second ``lo``, and it is the smallest ``(lo, index)`` of all."""
+    grid = to_grid(delta, items)
+    los, his, d, n = grid.los, grid.his, grid.delta, len(items)
+    by_lo = sorted(range(n), key=lambda i: (los[i], i))
+    nxt, prv = dict(zip(by_lo, by_lo[1:] + [None])), dict(zip(by_lo, [None] + by_lo[:-1]))
+    feed, fed, ready, placed, out = sorted((his[i] - d, i) for i in range(n)), 0, [], [False] * n, []
+    head = by_lo[0] if by_lo else None
+    while head is not None:
+        while fed < n and feed[fed][0] <= los[head]:
+            heappush(ready, (los[feed[fed][1]], feed[fed][1]))
+            fed += 1
+        if nxt[head] is None or his[head] - d <= los[nxt[head]]:
+            i = head
+        else:
+            while placed[ready[0][1]]:
+                heappop(ready)
+            _, i = heappop(ready)
+        placed[i] = True
+        out.append(i)
+        if prv[i] is None:
+            head = nxt[i]
+        else:
+            nxt[prv[i]] = nxt[i]
+        if nxt[i] is not None:
+            prv[nxt[i]] = prv[i]
+    return tuple(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(instances(), wide_instances()))
+def test_the_kahn_order_is_the_ready_rule(inst):
+    """`build_permutation`'s order on an independent family is `ready_order`'s, so a
+    faster ordering can keep its ties: on the draw with its optimum revealed and on the
+    final states of `vc_adaptive` and `simple_adaptive`, n up to 250."""
+    for items in (independent_family(inst), final_state(inst), final_state(inst, simple_adaptive)):
+        assert ready_order(items, inst.delta) == build_permutation(items, inst.delta).order
+
+
+def test_the_ready_rule_sees_the_head_and_the_heap():
+    """The head leaves first when it is ready against the second ``lo``.  Otherwise the
+    smallest ``(lo, index)`` on the heap leaves, and the head leaves as soon as it is
+    ready again, before a heap item that starts later."""
+    wide = [interval(0, 9), interval(2, 2), interval(1, 1)]
+    assert ready_order(wide, F(8)) == build_permutation(wide, F(8)).order == (0, 2, 1)
+    assert ready_order(wide, F(7)) == build_permutation(wide, F(7)).order == (2, 0, 1)
+    assert ready_order([], F(0)) == ()
 
 
 def test_a_dependent_family_is_refused_in_the_same_words():

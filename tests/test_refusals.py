@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from querysort import (
+    FIXED,
     HALF,
     CoTTFunctions,
     CpcpEnvironment,
@@ -53,6 +54,7 @@ from querysort import (
     valid_permutation,
     verify_peo,
 )
+from querysort.core import rational_text
 from querysort.graph import DependencyGraph, component_of
 
 ONE = (interval(0, 2),)
@@ -258,3 +260,31 @@ def test_numbers_up_to_the_digit_limit_are_read():
     assert scalar("9" * 4300) == 10**4300 - 1 and scalar("0.5e4300") == 5 * 10**4299
     assert deserialize(with_field("cost", "2.5e-1")).costs[0] == F(1, 4)
     assert deserialize(with_field("delta", "1e3")).delta == 1000
+
+
+#: A number of 5 001 digits, and its text as every refusal prints it.
+HUGE = 10 ** 5000
+HUGE_TEXT = rational_text(HUGE)
+#: Constructors and rules that refuse a number past Python's int-to-text cap, in the words
+#: they use for a small one.
+HUGE_REFUSALS = [
+    (lambda: interval(HUGE, 0), f"empty interval: lo={HUGE_TEXT} > hi=0"),
+    (lambda: Instance(F(0), ONE, (F(HUGE),)), f"value {HUGE_TEXT} of item 0 lies outside [0, 2]"),
+    (lambda: interval(0, 1, -HUGE), f"negative query cost -{HUGE_TEXT}"),
+    (lambda: FIXED(HUGE), f"probability {HUGE_TEXT} outside [0, 1]"),
+    (lambda: HALF(-HUGE, 1), f"rule weights must be non-negative, got -{HUGE_TEXT}, 1"),
+    (lambda: Instance(F(-HUGE), ONE), f"negative threshold -{HUGE_TEXT}"),
+    (lambda: KnowledgeState(ONE, (0,), -HUGE), f"negative spend -{HUGE_TEXT}"),
+    (lambda: DependencyGraph(1, (), (-HUGE,)),
+     f"vertex 0: weight must be a non-negative int or Fraction, got -{HUGE_TEXT}"),
+    (lambda: Environment(FIVE).query(HUGE), f"query index {HUGE_TEXT} names no item (n = 5)"),
+]
+
+
+@pytest.mark.parametrize("call, message", HUGE_REFUSALS, ids=[str(k) for k in range(len(HUGE_REFUSALS))])
+def test_refusals_name_numbers_past_the_digit_cap(call, message):
+    """Each number in a refusal is written by `rational_text`, so a 5 001-digit one is
+    refused as an `InvariantViolation`, not a `ValueError` from the cap."""
+    with pytest.raises(InvariantViolation) as exc:
+        call()
+    assert str(exc.value) == message

@@ -226,13 +226,8 @@ def _seeds(args) -> range:
     return range(args.seed, args.seed + args.trials)
 
 
-def _threshold_or_one(delta: Fraction) -> Fraction:
-    """The threshold of a family drawn at a positive one: δ = 0 reads as 1, a negative δ is refused."""
-    return threshold(delta) or Fraction(1)
-
-
 def _asteroid_rows(args, delta):
-    delta = _threshold_or_one(delta)
+    delta = delta or Fraction(1)  # drawn at a positive threshold: δ = 0 reads as 1
     eps = _parse_rational(args.eps, "--eps") if args.eps else delta / 3
     return [
         (f"asteroid-{v}", v, args.seed, asteroid_realization(v, max(args.k, 2), delta, eps))
@@ -240,7 +235,7 @@ def _asteroid_rows(args, delta):
     ]
 
 
-#: family -> rows(args, delta): one (row id, variant, seed, Instance) per row.
+#: family -> rows(args, delta): one (row id, variant, seed, Instance) per row, at the δ `_family_rows` reads.
 #: `ratio` runs every row; `gen` writes the row named by --variant, or the first.
 _FAMILIES = {
     "random": lambda args, delta: [
@@ -274,7 +269,7 @@ _FAMILIES = {
     ],
     "advice_triangles": lambda args, delta: [
         (f"advice_triangles-m{args.n}-p{v}", v, args.seed, inst)
-        for v, inst in zip("123", gen_advice_triangles(args.n, _threshold_or_one(delta)))
+        for v, inst in zip("123", gen_advice_triangles(args.n, delta or Fraction(1)))
     ],
     "asteroid": _asteroid_rows,  # interval layouts without values: `gen` only
 }
@@ -283,7 +278,7 @@ _FAMILIES = {
 def _family_rows(args) -> list[tuple[str, Optional[str], int, Instance]]:
     if args.trials < 1:
         raise InvariantViolation(f"--trials must be at least 1, got {args.trials}")
-    return _FAMILIES[args.family](args, _parse_rational(args.delta, "--delta"))
+    return _FAMILIES[args.family](args, threshold(_parse_rational(args.delta, "--delta")))
 
 
 # ---------------------------------------------------------------------------

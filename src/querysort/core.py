@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, Union
 
 from .errors import (
     InvariantViolation,
@@ -88,13 +88,13 @@ def scalar(x: ScalarLike) -> Fraction:
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise InvariantViolation(
-            f"floats are not allowed as scalars (got {x!r}); "
+            f"floats are not allowed as scalars (got {rational_text(x, repr)}); "
             "pass an int, Fraction, or string like '5/2'"
         )
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return read_rational(x, f"not a rational number: {x!r}")
+        return read_rational(x, f"not a rational number: {rational_text(x, repr)}")
     raise InvariantViolation(f"cannot interpret {type(x).__name__} as a scalar")
 
 
@@ -103,6 +103,13 @@ def threshold(delta: ScalarLike) -> Fraction:
     if (delta := scalar(delta)).numerator < 0:
         raise InvariantViolation(f"negative threshold {rational_text(delta)}")
     return delta
+
+
+def _require_ints(what: str, *xs) -> None:
+    """Refuse the first of ``xs`` whose `type` is not `int`: also a bool, and a float equal to an int."""
+    for x in xs:
+        if type(x) is not int:
+            raise InvariantViolation(f"{what} {rational_text(x, repr)} is not an int")
 
 
 def _check_item(i: int, n: int) -> None:
@@ -300,12 +307,13 @@ def require_independent(items: Sequence[UncertainInterval], delta: Fraction) -> 
     """Raise `UnresolvedDependency` naming the smallest dependent pair, if any,
     swept on the integer grid of ``items`` and ``delta``."""
     grid = to_grid(threshold(delta), items)
-    pair = min(sweep_pairs(grid.los, grid.his, grid.delta), default=None)
-    if pair is not None:
-        i, j = pair
-        raise UnresolvedDependency(
-            f"items {i} and {j} are still dependent: {items[i]} vs {items[j]}"
-        )
+    if (pair := min(sweep_pairs(grid.los, grid.his, grid.delta), default=None)) is not None:
+        _still_dependent(items, *pair)
+
+
+def _still_dependent(items: Sequence[UncertainInterval], i: int, j: int) -> NoReturn:
+    """Refuse intervals ``items`` whose items ``i`` and ``j`` are still dependent."""
+    raise UnresolvedDependency(f"items {i} and {j} are still dependent: {items[i]} vs {items[j]}")
 
 
 def is_trivial(a: UncertainInterval, delta: Fraction) -> bool:
@@ -510,9 +518,7 @@ class KnowledgeState:
         object.__setattr__(self, "spent", scalar(self.spent))
         if len(self.current) != len(self.queried):
             raise InvariantViolation("queried counts do not match intervals")
-        for q in self.queried:
-            if type(q) is not int:
-                raise InvariantViolation(f"query count {rational_text(q, repr)} is not an int")
+        _require_ints("query count", *self.queried)
         if any(q < 0 for q in self.queried):
             raise InvariantViolation("negative query count")
         if self.spent.numerator < 0:
@@ -535,9 +541,7 @@ class Permutation:
 
     def __post_init__(self):
         object.__setattr__(self, "order", _as_tuple("order", self.order))
-        for k in self.order:  # `type` also refuses a bool, and a float equal to an int
-            if type(k) is not int:
-                raise InvariantViolation(f"order entry {rational_text(k, repr)} is not an int")
+        _require_ints("order entry", *self.order)
         if sorted(self.order) != list(range(len(self.order))):
             raise InvariantViolation(f"not a permutation of 0..{len(self.order) - 1}: {rational_text(self.order)}")
 

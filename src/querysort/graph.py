@@ -25,6 +25,7 @@ from .core import (
     Instance,
     KnowledgeState,
     UncertainInterval,
+    _require_ints,
     grid_ints,
     rational_text,
     scalar,
@@ -139,13 +140,6 @@ def components(g: DependencyGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
     seen: set[int] = set()  # an isolated vertex needs no mark: no walk reaches it
     return [_reach(g, start, seen) if g.adj[start] else [start] for start in range(g.n) if start not in seen]
-
-
-def _require_ints(what: str, *xs) -> None:
-    """Refuse the first of ``xs`` whose `type` is not `int`: also a bool, and a float equal to an int."""
-    for x in xs:
-        if type(x) is not int:
-            raise InvariantViolation(f"{what} {rational_text(x, repr)} is not an int")
 
 
 def _check_vertex(g: DependencyGraph, v: int) -> None:

@@ -16,7 +16,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Instance, UncertainInterval, _checked_already, interval, rational_text, read_rational, scalar
+from .core import (Instance, UncertainInterval, _checked_already, _require_ints, interval, rational_text, read_rational,
+                   scalar, threshold)
 from .errors import InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------
@@ -30,6 +31,14 @@ _VALUE_MODELS = ("uniform-in-interval", "endpoint-biased", "generic")
 _ONE = Fraction(1)
 _HALVES = tuple(Fraction(k, 2) for k in range(106))
 _THIRTY_SECONDS = tuple(Fraction(m, 32) for m in range(16 * 105 + 1))
+
+
+def _at_least(name: str, k: int, least: int, refusal: str) -> None:
+    """Refuse a size ``k``, the parameter ``name``, that is not an int, or, in the words
+    ``refusal``, one below ``least``: every generator checks its sizes here first."""
+    _require_ints(name, k)
+    if k < least:
+        raise InvariantViolation(refusal)
 
 
 def _draw_intervals(rng: random.Random, n: int, cost_model: str) -> list[tuple[int, int, Fraction]]:
@@ -72,12 +81,11 @@ def gen_random(
     another interval's decision boundary).  The grid makes boundary ties
     genuinely likely under the first two models, which is the point.
     """
-    if n < 1:
-        raise InvariantViolation("need at least one interval")
+    _at_least("n", n, 1, "need at least one interval")
     for model, known in ((cost_model, _COST_MODELS), (value_model, _VALUE_MODELS)):
         if model not in known:
             raise InvariantViolation(f"unknown model {model!r}")
-    delta = scalar(delta)
+    delta = threshold(delta)
     rng = random.Random(seed)
     drawn = _draw_intervals(rng, n, cost_model)
     if value_model == "generic":
@@ -120,11 +128,9 @@ def gen_random_scripted(seed: int, n: int, delta, max_steps: int = 4) -> Instanc
     may stall (repeat the previous interval).  Some items carry per-step
     prices, the rest charge their flat cost every step.
     """
-    if n < 1:
-        raise InvariantViolation("need at least one interval")
-    if max_steps < 1:
-        raise InvariantViolation("scripts need at least one step")
-    delta = scalar(delta)
+    _at_least("n", n, 1, "need at least one interval")
+    _at_least("max_steps", max_steps, 1, "scripts need at least one step")
+    delta = threshold(delta)
     rng = random.Random(seed)
     ivs = []
     for _ in range(n):
@@ -188,9 +194,7 @@ def gen_lemma4_pair(delta) -> tuple[Instance, Instance]:
     realization B punishes the opposite order -- the structure that pins
     the deterministic ratio 2 and the fair-coin expectation 3/2.
     """
-    delta = scalar(delta)
-    if delta < 0:
-        raise InvariantViolation("threshold must be non-negative")
+    delta = threshold(delta)
     s = Fraction(1) if delta < 3 else delta
     ivs = (interval(0, 10 * s), interval(4 * s, 14 * s))
     a = Instance(delta, ivs, (7 * s, 12 * s))
@@ -230,8 +234,7 @@ def gen_triangle_chain(k: int, punish: str = "lower") -> Instance:
     variant selected by ``punish``.  Total: 3k+2 queries against an
     optimum of 2k+1.
     """
-    if k < 1:
-        raise InvariantViolation("need at least one triangle")
+    _at_least("k", k, 1, "need at least one triangle")
     if punish not in ("lower", "upper"):
         raise InvariantViolation("punish must be 'lower' or 'upper'")
     # The middle value straddles the first interval, forcing it; the
@@ -256,10 +259,8 @@ def gen_advice_triangles(m: int, delta) -> tuple[Instance, Instance, Instance]:
     member is worth a full log2(3) bits per triangle.  The block's layout
     scales with the threshold, so it holds at every positive one.
     """
-    if m < 1:
-        raise InvariantViolation("need at least one triangle")
-    d = scalar(delta)
-    if d <= 0:
+    _at_least("m", m, 1, "need at least one triangle")
+    if not (d := threshold(delta)):
         raise InvariantViolation("this family needs a positive threshold")
     base = (
         (Fraction(0), 6 * d),
@@ -284,9 +285,8 @@ def gen_independent_pairs(m: int, delta=0) -> Instance:
     The family on which one advice bit per pair is both sufficient and
     necessary.
     """
-    if m < 1:
-        raise InvariantViolation("need at least one pair")
-    d = scalar(delta)
+    _at_least("m", m, 1, "need at least one pair")
+    d = threshold(delta)
     a, _ = gen_lemma4_pair(d)
     span = a.intervals[1].hi + max(d, 1) + 6
     ivs, values = _tiled(m, span, [(itv.lo, itv.hi) for itv in a.intervals], a.values)
@@ -306,8 +306,7 @@ def gen_figure3_chain(k: int) -> Instance:
     connectors are in every solution, then the two-triangle gadget.  The
     optimum takes the 2(k+1) connectors plus 3 per gadget.
     """
-    if k < 1:
-        raise InvariantViolation("need at least one block")
+    _at_least("k", k, 1, "need at least one block")
     # k + 1 tiles of a connector pair and the gadget; the last tile keeps only its connectors
     ivs, values = _tiled(k + 1, 40, ((-16, -1), (-14, 1), *_TRIANGLE_GADGET), (-8, -7, *_PUNISH_LOWER))
     return Instance(Fraction(0), tuple(ivs[:-5]), tuple(values[:-5]))
@@ -320,10 +319,8 @@ def gen_laminar(seed: int, n: int, depth: int = 3) -> Instance:
     siblings, so the witness cascade alone resolves everything an optimal
     solution must resolve.
     """
-    if n < 1:
-        raise InvariantViolation("need at least one interval")
-    if depth < 0:
-        raise InvariantViolation("depth must be non-negative")
+    _at_least("n", n, 1, "need at least one interval")
+    _at_least("depth", depth, 0, "depth must be non-negative")
     rng = random.Random(seed)
     # Intervals as (lo, hi, denominator, depth left): integer numerators over a
     # denominator, which a child takes from its parent times the slot count.
@@ -356,8 +353,7 @@ def gen_nested_star(n: int) -> Instance:
     so the optimum is the single big query -- while any strategy that must
     commit its query set in advance pays for all n.
     """
-    if n < 2:
-        raise InvariantViolation("need at least two intervals")
+    _at_least("n", n, 2, "need at least two intervals")
     ivs = [UncertainInterval(Fraction(2 * i), Fraction(2 * i + 1), _ONE) for i in range(n - 1)]
     values = [Fraction(4 * i + 1, 2) for i in range(n - 1)]
     ivs.append(interval(-1, 2 * (n - 1)))
@@ -373,8 +369,9 @@ def gen_cost_path(n: int, eps) -> Instance:
     of them are in every solution.  A cover-then-patch strategy pays both
     unit-cost intervals; the optimum pays one.
     """
-    if n < 2 or n % 2 != 0:
-        raise InvariantViolation("the path needs an even number of intervals, at least two")
+    _at_least("n", n, 2, refusal := "the path needs an even number of intervals, at least two")
+    if n % 2:
+        raise InvariantViolation(refusal)
     e = scalar(eps)
     if not (0 < e and e < Fraction(1, 2 * n)):
         raise InvariantViolation("eps must sit strictly between 0 and 1/(2n)")
@@ -399,10 +396,8 @@ def gen_cpcp_adversary(n: int, M: int) -> Instance:
     higher-index one resolves the pair, but the lower one never does --
     an alternating strategy pays 2M on the pair, the optimum M.
     """
-    if n < 1:
-        raise InvariantViolation("need at least one pair")
-    if M < 1:
-        raise InvariantViolation("scripts need at least one step")
+    _at_least("n", n, 1, "need at least one pair")
+    _at_least("M", M, 1, "scripts need at least one step")
     ivs, values = _tiled(n, 6, ((0, 4), (3, 7)), (Fraction(13, 4), Fraction(15, 4)))
     values[-2:] = 6 * n - Fraction(5, 2), Fraction(6 * n - 2)
     stalled = tuple((itv,) * (M - 1) + (interval(v, v),) for itv, v in zip(ivs[-2:], values[-2:]))
@@ -439,8 +434,7 @@ def _check_asteroid(kind: str, k: int) -> None:
     """Refuse an asteroid ``kind`` other than fig5a and fig5b, or a spine shorter than two."""
     if kind not in ("fig5a", "fig5b"):
         raise InvariantViolation("kind must be 'fig5a' or 'fig5b'")
-    if k < 2:
-        raise InvariantViolation("need a spine of at least two")
+    _at_least("k", k, 2, "need a spine of at least two")
 
 
 def asteroid_realization(kind: str, k: int, delta, eps) -> Instance:
@@ -453,7 +447,7 @@ def asteroid_realization(kind: str, k: int, delta, eps) -> Instance:
     values: this family is about which graphs are realizable at all.
     """
     _check_asteroid(kind, k)
-    d = scalar(delta)
+    d = threshold(delta)
     e = scalar(eps)
     if not (0 < e < d):
         raise InvariantViolation("need 0 < eps < delta")

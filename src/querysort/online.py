@@ -36,6 +36,7 @@ from .core import (
     UncertainInterval,
     _check_item,
     _checked_already,
+    _still_dependent,
     build_permutation,
     isqrt_bounds,
     rational_text,
@@ -48,7 +49,6 @@ from .errors import (
     RepeatQuery,
     ScriptExhausted,
     TooManyBranches,
-    UnresolvedDependency,
 )
 from .graph import (
     DependencyGraph,
@@ -290,7 +290,7 @@ class CpcpEnvironment(QueryEnvironment):
         """Price of the (t+1)-th query on item ``i`` (t counts from 0)."""
         _check_item(i, len(self._queried))
         if type(t) is not int or t < 0:
-            raise InvariantViolation(f"step index {t!r} is not an int at or above 0")
+            raise InvariantViolation(f"step index {rational_text(t, repr)} is not an int at or above 0")
         if t >= len(self._scripts[i]):
             raise ScriptExhausted(f"item {i} has only {len(self._scripts[i])} script steps")
         return self._scripts[i][t][3]
@@ -349,11 +349,8 @@ def _finish(env: QueryEnvironment, permutation: Optional[Permutation] = None,
     state = env.state()
     if permutation is None:
         permutation = build_permutation(state.current, env.delta)
-    elif (pair := next(_first_edges(env), None)) is not None:
-        i, j = pair
-        raise UnresolvedDependency(
-            f"items {i} and {j} are still dependent: {state.current[i]} vs {state.current[j]}"
-        )
+    else:
+        _edgeless_paid(env, range(env.n))
     return RunReport(
         queried=state.queried,
         total_cost=state.spent,
@@ -389,17 +386,20 @@ def _first_edges(env: QueryEnvironment) -> Iterator[tuple[int, int]]:
         yield v, min(adj[v])  # v is the smallest vertex with an edge: its neighbours are larger
 
 
-def _edgeless_paid(env: QueryEnvironment, where: str, vertices) -> int:
-    """``env``'s spend in cost units; raises, naming ``where``, while one of ``vertices`` has an edge."""
-    if any(env.graph().adj[v] for v in vertices):
-        raise InvariantViolation(f"{where} still has a dependent pair")
+def _edgeless_paid(env: QueryEnvironment, vertices) -> int:
+    """``env``'s spend in cost units.  While one of ``vertices`` (ascending, and holding each
+    one's neighbours) has an edge, raises `UnresolvedDependency` in `build_permutation`'s words,
+    naming the smallest pair: the first vertex with an edge and its smallest neighbour."""
+    adj = env.graph().adj
+    if (i := next((v for v in vertices if adj[v]), None)) is not None:
+        _still_dependent(env.state().current, i, min(adj[i]))
     return env._paid
 
 
 def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> Fraction:
     """The spend of a deterministic ``strategy``'s run on ``env``, left unordered."""
     inspect.unwrap(strategy)(env, *args)
-    return Fraction(_edgeless_paid(env, "the run's end", range(env.n)), env._scale)
+    return Fraction(_edgeless_paid(env, range(env.n)), env._scale)
 
 
 def _exact_model(env: QueryEnvironment) -> None:
@@ -1065,9 +1065,11 @@ def expected_cost_exact(
     Returns an exact rational when every probability is rational, and a rational
     enclosure ``(lo, hi)`` (width far below 1e-9) when the square-root rule is involved.
     """
-    start, trial, key = _TRIALS.get(inspect.unwrap(algorithm), (None, None, None))
-    if start is None:
-        raise InvariantViolation(f"expected_cost_exact takes algorithm1 or algorithm2, not {algorithm!r}")
+    unwrapped = inspect.unwrap(algorithm)  # looked up by identity: ``algorithm`` may be unhashable
+    start, trial, key = next((t for alg, t in _TRIALS.items() if alg is unwrapped), (None, None, None))
+    if start is None:  # named by its qualified name or its type: a repr may vary by run or pass the digit cap
+        name = getattr(algorithm, "__qualname__", None) or type(algorithm).__name__
+        raise InvariantViolation(f"expected_cost_exact takes algorithm1 or algorithm2, not {name}")
     env = Environment(inst)  # the one environment of the whole walk
     memo: dict = {}  # component key -> its subtree
     walked = 0  # real flips walked in this call; a memo hit walks none
@@ -1078,7 +1080,7 @@ def expected_cost_exact(
         Nothing writes ``state`` after the flip, so both sides split from it as it was then."""
         nonlocal walked
         if (step := _next_flip(env, rule, state, trial)) is None:
-            leaf = (_edgeless_paid(env, "a coin-tree leaf", comp) - base, 1, 1)
+            leaf = (_edgeless_paid(env, comp) - base, 1, 1)
             return leaf, leaf
         if (walked := walked + 1) > _MAX_FLIPS_WALKED:
             raise TooManyBranches(f"the coin tree has more than {_MAX_FLIPS_WALKED} real flips to walk")

@@ -111,6 +111,15 @@ def test_gen_usage_errors(capsys):
     assert capsys.readouterr().err == "usage error: negative threshold -1\n"
 
 
+@pytest.mark.parametrize("family", tuple(cli._FAMILIES))
+def test_every_family_refuses_a_negative_threshold(capsys, family):
+    """`--delta` is read through one rule, also by the families that draw no threshold."""
+    commands = [["gen", family]] + [["ratio", "simple", family]] * (family != "asteroid")
+    for command in commands:
+        assert main(command + ["--delta", "-1"]) == 2, command
+        assert capsys.readouterr() == ("", "usage error: negative threshold -1\n"), command
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -709,12 +718,35 @@ def test_ratio_refuses_a_cost_below_the_optimum(capsys, monkeypatch):
     assert capsys.readouterr().err == "model error: lemma4-a: cost 2 is below the optimum 100\n"
 
 
+#: How a run left with lemma4's first pair unqueried is refused, wherever it is refused.
+LEFTOVER = "items 0 and 1 are still dependent: [0, 10] vs [4, 14]"
+
+
 def test_ratio_refuses_a_run_that_stops_with_a_dependent_pair(capsys, monkeypatch):
     from querysort import cli, online
 
     monkeypatch.setattr(cli, "simple_adaptive", online._played(lambda env: {}))
     assert main(["ratio", "simple", "lemma4"]) == 4
-    assert capsys.readouterr() == ("", "model error: the run's end still has a dependent pair\n")
+    assert capsys.readouterr() == ("", f"model error: {LEFTOVER}\n")
+
+
+def test_a_leftover_pair_is_refused_in_one_text_everywhere(tmp_path, capsys, monkeypatch):
+    """The final ordering (`solve`), a spend left unordered (`ratio`), a strategy's own
+    ordering and a coin-tree leaf refuse a dependent pair left at a run's end alike."""
+    from querysort import Permutation, UnresolvedDependency, algorithm1, expected_cost_exact
+
+    inst = gen_lemma4_pair(0)[0]
+    monkeypatch.setattr(cli, "simple_adaptive", online._played(lambda env: {}))
+    assert main(["solve", "simple", write_doc(tmp_path, "pair.json", inst)]) == 4
+    assert capsys.readouterr() == ("", f"model error: {LEFTOVER}\n")
+    assert main(["ratio", "simple", "lemma4"]) == 4
+    assert capsys.readouterr() == ("", f"model error: {LEFTOVER}\n")
+    with pytest.raises(UnresolvedDependency, match=f"^{re.escape(LEFTOVER)}$"):
+        online._finish(Environment(inst), Permutation((0, 1)))
+    start, _, key = online._TRIALS[algorithm1]
+    monkeypatch.setitem(online._TRIALS, algorithm1, (start, lambda env, rule, state: None, key))
+    with pytest.raises(UnresolvedDependency, match=f"^{re.escape(LEFTOVER)}$"):
+        expected_cost_exact(algorithm1, inst, F(1, 2))
 
 
 @pytest.mark.parametrize(

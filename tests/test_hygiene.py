@@ -28,6 +28,11 @@ Each number is checked once, and only once: `core._checked_already`, which
 builds an interval without its checks, is named only inside an allow-list of
 functions whose inputs already passed them (`UNCHECKED_CALLERS`).
 
+Every number a refusal names is written by `core.rational_text`: no f-string in
+``core.py``, ``graph.py``, ``online.py`` or ``offline.py`` has a ``!r`` field.  Such a
+field turns a number past Python's int-to-text cap into a `ValueError`; a field that
+wants ``repr`` takes ``rational_text(x, repr)``.
+
 Each refinement table is built once: `core.on_grid` is called only in
 `Instance.steps` (`ON_GRID_CALLERS`), which the environments and the
 refinement optimum read.
@@ -68,7 +73,7 @@ import querysort
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SRC_LINE_BUDGET = 3829
+SRC_LINE_BUDGET = 3818
 
 
 def imported_names(tree):
@@ -191,6 +196,27 @@ def test_online_snapshots_no_strategy_state():
     """The coin walk restores the environment by `Environment._rollback` alone, and each
     component walk builds its own state, so nothing in ``online.py`` copies a state."""
     assert snapshot_sites((SRC / "online.py").read_text()) == []
+
+
+def repr_fields(source):
+    """The line of every f-string field with a ``!r`` conversion."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"))
+
+
+def test_the_check_flags_a_repr_field():
+    source = (
+        "def f(x, t):\n"
+        "    if t:\n"
+        "        raise ValueError(f'step {t!r} of {x!s}: {rational_text(t, repr)} {x!a}')\n"
+        "    return '{x!r}', f'{x}', f'{x!r:>9}'\n"
+    )
+    assert repr_fields(source) == [3, 4]
+
+
+@pytest.mark.parametrize("name", ["core.py", "graph.py", "online.py", "offline.py"])
+def test_refusals_write_numbers_through_rational_text(name):
+    assert repr_fields((SRC / name).read_text()) == []
 
 
 def pair_predicate_uses(source):

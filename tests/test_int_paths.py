@@ -451,7 +451,7 @@ def test_every_ledger_is_the_transcript_sum(family, delta, n):
         env = (CpcpEnvironment if name == "algorithm3_cpcp" else Environment)(case)
         report = run(env, case)
         want = ref_spend(env.transcript)
-        edgeless = F(online._edgeless_paid(env, "the end", range(env.n)), env._scale)
+        edgeless = F(online._edgeless_paid(env, range(env.n)), env._scale)
         assert report.total_cost == env.state().spent == edgeless == want, name
         assert type(report.total_cost) is type(env.state().spent) is F
         assert env._paid == want * env._scale

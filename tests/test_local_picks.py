@@ -18,6 +18,7 @@ own component fails it, and the memory that isolated items add to a deep
 coin path, so that a copy of the state per flip fails it.
 """
 
+import gc
 import inspect
 import random
 import tracemalloc
@@ -571,6 +572,7 @@ def test_component_walks_visit_only_their_component(monkeypatch, algorithm, rule
 
 def traced_peak(run):
     """``run()``'s result and the `tracemalloc` peak, in bytes, while it ran."""
+    gc.collect()  # garbage left by earlier tests is freed before, not inside, the traced region
     tracemalloc.start()
     try:
         return run(), tracemalloc.get_traced_memory()[1]

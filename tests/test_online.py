@@ -750,7 +750,7 @@ def stack_expected_cost(algorithm, inst, rule):
                 outcome = False
             (heads if outcome else tails)(env)
             online._flush_value_witnesses(env)
-        spent = F(online._edgeless_paid(env, "a coin-tree leaf", range(env.n)), env._scale)
+        spent = F(online._edgeless_paid(env, range(env.n)), env._scale)
         e_lo += lo * spent
         e_hi += hi * spent
     return e_lo if e_lo == e_hi else (e_lo, e_hi)

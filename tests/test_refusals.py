@@ -27,16 +27,23 @@ from querysort import (
     Sqrt3Prob,
     UncertainInterval,
     algorithm2,
+    asteroid_realization,
     brute_force_optimum,
     build_graph,
     build_permutation,
     cott_to_instance,
     dependent,
     deserialize,
+    expected_cost_exact,
     find_triangle,
+    gen_advice_triangles,
     gen_cost_path,
+    gen_cpcp_adversary,
+    gen_figure3_chain,
+    gen_independent_pairs,
     gen_laminar,
     gen_lemma4_pair,
+    gen_nested_star,
     gen_random,
     gen_random_scripted,
     gen_triangle_chain,
@@ -49,6 +56,7 @@ from querysort import (
     peo_min_right,
     scalar,
     serialize,
+    simple_adaptive,
     singleton_witness_static,
     singleton_witness_value,
     valid_permutation,
@@ -177,9 +185,15 @@ REFUSALS = [
      "total cost 1 does not match transcript sum 0"),
     (lambda: algorithm2(Environment(gen_cost_path(4, F(1, 100))), HALF), InvariantViolation,
      "this run is randomized; pass rng=RandomCoin(seed)"),
+    (lambda: expected_cost_exact([], PAIR, HALF), InvariantViolation,
+     "expected_cost_exact takes algorithm1 or algorithm2, not list"),
+    (lambda: expected_cost_exact(10 ** 5000, PAIR, HALF), InvariantViolation,
+     "expected_cost_exact takes algorithm1 or algorithm2, not int"),
+    (lambda: expected_cost_exact(simple_adaptive, PAIR, HALF), InvariantViolation,
+     "expected_cost_exact takes algorithm1 or algorithm2, not simple_adaptive"),
     # instances
     (lambda: gen_random_scripted(0, 0, 0), InvariantViolation, "need at least one interval"),
-    (lambda: gen_lemma4_pair(-1), InvariantViolation, "threshold must be non-negative"),
+    (lambda: gen_lemma4_pair(-1), InvariantViolation, "negative threshold -1"),
     (lambda: gen_triangle_chain(1, "middle"), InvariantViolation, "punish must be 'lower' or 'upper'"),
     (lambda: gen_laminar(0, 0), InvariantViolation, "need at least one interval"),
 ]
@@ -278,6 +292,8 @@ HUGE_REFUSALS = [
     (lambda: DependencyGraph(1, (), (-HUGE,)),
      f"vertex 0: weight must be a non-negative int or Fraction, got -{HUGE_TEXT}"),
     (lambda: Environment(FIVE).query(HUGE), f"query index {HUGE_TEXT} names no item (n = 5)"),
+    (lambda: CpcpEnvironment(gen_cpcp_adversary(1, 2)).step_cost(0, -HUGE),
+     f"step index -{HUGE_TEXT} is not an int at or above 0"),
 ]
 
 
@@ -288,3 +304,33 @@ def test_refusals_name_numbers_past_the_digit_cap(call, message):
     with pytest.raises(InvariantViolation) as exc:
         call()
     assert str(exc.value) == message
+
+
+#: Every size parameter of a generator, by name, as a call that passes ``k`` to it alone.
+SIZES = [
+    ("n", lambda k: gen_random(0, k, 0)),
+    ("n", lambda k: gen_random_scripted(0, k, 0)),
+    ("max_steps", lambda k: gen_random_scripted(0, 2, 0, max_steps=k)),
+    ("k", lambda k: gen_triangle_chain(k)),
+    ("m", lambda k: gen_advice_triangles(k, 1)),
+    ("m", lambda k: gen_independent_pairs(k)),
+    ("k", lambda k: gen_figure3_chain(k)),
+    ("n", lambda k: gen_laminar(0, k)),
+    ("depth", lambda k: gen_laminar(0, 3, depth=k)),
+    ("n", lambda k: gen_nested_star(k)),
+    ("n", lambda k: gen_cost_path(k, F(1, 1000))),
+    ("n", lambda k: gen_cpcp_adversary(k, 2)),
+    ("M", lambda k: gen_cpcp_adversary(1, k)),
+    ("k", lambda k: asteroid_realization("fig5a", k, 1, F(1, 2))),
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True], ids=repr)
+@pytest.mark.parametrize("name, make", SIZES, ids=[f"{k}-{name}" for k, (name, _) in enumerate(SIZES)])
+def test_generator_sizes_must_be_ints(name, make, bad):
+    """Each size goes through one integer rule before any comparison: a float, a string and
+    a bool are refused by name, in the words of every other refused int."""
+    with pytest.raises(InvariantViolation) as exc:
+        make(bad)
+    assert str(exc.value) == f"{name} {bad!r} is not an int"
+    assert make(4)  # the fault is the only one: the same call with an int passes

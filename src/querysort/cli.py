@@ -230,7 +230,7 @@ def _asteroid_rows(args, delta):
     delta = delta or Fraction(1)  # drawn at a positive threshold: δ = 0 reads as 1
     eps = _parse_rational(args.eps, "--eps") if args.eps else delta / 3
     return [
-        (f"asteroid-{v}", v, args.seed, asteroid_realization(v, max(args.k, 2), delta, eps))
+        (f"asteroid-{v}", v, args.seed, asteroid_realization(v, args.k, delta, eps))
         for v in ("fig5a", "fig5b")
     ]
 
@@ -278,6 +278,8 @@ _FAMILIES = {
 def _family_rows(args) -> list[tuple[str, Optional[str], int, Instance]]:
     if args.trials < 1:
         raise InvariantViolation(f"--trials must be at least 1, got {args.trials}")
+    if args.k is None:  # no --k: asteroid's shortest spine, two, or one block for the other families
+        args.k = 2 if args.family == "asteroid" else 1
     return _FAMILIES[args.family](args, threshold(_parse_rational(args.delta, "--delta")))
 
 
@@ -421,10 +423,7 @@ def cmd_ratio(args) -> int:
     strategy = _STRATEGIES[args.algorithm]
     bound = strategy.bound
     _, label = bound(args, 0)  # the label does not depend on the instance size
-    out_rows = []
-    worst: Optional[Fraction] = None
-    total = Fraction(0)
-    exceeded = []
+    out_rows, ratios, exceeded = [], [], []
     for instance_id, _, seed, inst in rows:
         _, hi, oracle = _expected_cost(inst, args)
         opt = _optimum_cost(inst, strategy) if oracle is None else oracle.optimum_cost
@@ -432,23 +431,12 @@ def cmd_ratio(args) -> int:
             raise InvariantViolation(
                 f"{instance_id}: cost {rational_text(hi)} is below the optimum {rational_text(opt)}")
         bits = "" if oracle is None else str(oracle.bits_used)
-        if opt > 0:
-            ratio = hi / opt
-            ratio_str = rational_text(ratio)
-        elif hi == 0:
-            ratio = Fraction(1)
-            ratio_str = "1"
-        else:
-            ratio = None
-            ratio_str = "inf"
+        # every family prices every item above 0: a zero optimum leaves no dependent pair, so nothing is spent
+        ratios.append(ratio := hi / opt if opt else Fraction(1))
         per_instance_bound, _ = bound(args, inst.n)
-        if ratio is None or (per_instance_bound is not None and ratio > per_instance_bound):
-            exceeded.append((instance_id, ratio_str))
-        if ratio is not None:
-            worst = ratio if worst is None else max(worst, ratio)
-            total += ratio
-        out_rows.append(
-            (instance_id, args.algorithm, str(seed), rational_text(hi), rational_text(opt), ratio_str, bits))
+        if per_instance_bound is not None and ratio > per_instance_bound:
+            exceeded.append((instance_id, rational_text(ratio)))
+        out_rows.append((instance_id, args.algorithm, str(seed), *map(rational_text, (hi, opt, ratio)), bits))
     out_rows.sort(key=lambda r: (r[0], int(r[2])))
 
     with open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout) as handle:
@@ -456,11 +444,10 @@ def cmd_ratio(args) -> int:
         writer.writerow(_CSV_HEADER)
         writer.writerows(out_rows)
 
-    mean = total / len(out_rows) if out_rows else Fraction(0)
     bound_note = f" bound={label}" if label else ""
     status = "OK" if not exceeded else "EXCEEDED"
-    max_ratio = _fmt(worst) if worst is not None else "n/a"
-    summary = f"# rows={len(out_rows)} max_ratio={max_ratio} mean_ratio={_fmt(mean)}{bound_note} status={status}"
+    mean = sum(ratios) / len(ratios)  # `_family_rows` gives a row or more: `--trials` is at least 1
+    summary = f"# rows={len(ratios)} max_ratio={_fmt(max(ratios))} mean_ratio={_fmt(mean)}{bound_note} status={status}"
     print(summary if not args.out else summary.lstrip("# "))
     if exceeded:
         for instance_id, ratio_str in exceeded:
@@ -477,7 +464,7 @@ def cmd_ratio(args) -> int:
 def _add_common_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", default="0", help="comparison threshold (rational)")
     sub.add_argument("--n", type=int, default=6, help="size parameter")
-    sub.add_argument("--k", type=int, default=1, help="block/spine count")
+    sub.add_argument("--k", type=int, default=None, help="block/spine count (default 1; asteroid: 2)")
     sub.add_argument("--M", type=int, default=4, help="script length for the stalling family")
     sub.add_argument("--eps", default=None, help="gap parameter (rational)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

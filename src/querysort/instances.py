@@ -86,6 +86,7 @@ def gen_random(
         if model not in known:
             raise InvariantViolation(f"unknown model {model!r}")
     delta = threshold(delta)
+    _require_ints("seed", seed)
     rng = random.Random(seed)
     drawn = _draw_intervals(rng, n, cost_model)
     if value_model == "generic":
@@ -131,6 +132,7 @@ def gen_random_scripted(seed: int, n: int, delta, max_steps: int = 4) -> Instanc
     _at_least("n", n, 1, "need at least one interval")
     _at_least("max_steps", max_steps, 1, "scripts need at least one step")
     delta = threshold(delta)
+    _require_ints("seed", seed)
     rng = random.Random(seed)
     ivs = []
     for _ in range(n):
@@ -321,6 +323,7 @@ def gen_laminar(seed: int, n: int, depth: int = 3) -> Instance:
     """
     _at_least("n", n, 1, "need at least one interval")
     _at_least("depth", depth, 0, "depth must be non-negative")
+    _require_ints("seed", seed)
     rng = random.Random(seed)
     # Intervals as (lo, hi, denominator, depth left): integer numerators over a
     # denominator, which a child takes from its parent times the slot count.

@@ -36,6 +36,7 @@ from .core import (
     UncertainInterval,
     _check_item,
     _checked_already,
+    _require_ints,
     _still_dependent,
     build_permutation,
     isqrt_bounds,
@@ -109,6 +110,7 @@ class RandomCoin:
     is heads when a 64-bit rational draw in [0, 1) is below the bias."""
 
     def __init__(self, seed: int):
+        _require_ints("seed", seed)
         self._rng = random.Random(seed)
 
     def flip(self, p: Probability) -> bool:
@@ -977,7 +979,8 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     """Optimal-cost strategy spending about 0.53 bits per item (any threshold).
 
     The first-ending active interval and its neighbors always form a
-    clique, and a clique holds at most one interval outside any feasible
+    clique (each neighbor ends no earlier and starts over δ before its
+    end), and a clique holds at most one interval outside any feasible
     set.  Each round asks the oracle to name that member (or confirm there
     is none) and queries the rest of the clique.  Named members are
     remembered; a clique containing one costs no further advice.
@@ -988,8 +991,6 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     ends = sorted((g.his[v], v) for v in range(env.n) if g.adj[v])
     while (x := _first_ending(g.adj, ends)) is not None:
         group = frozenset({x} | g.adj[x])
-        if any(u < w and not g.has_edge(u, w) for u in group for w in group):
-            raise InvariantViolation(f"neighborhood of first-ending vertex {x} is not a clique")
         remembered = sorted(group & known_out)
         if remembered:
             y = remembered[0]

@@ -109,6 +109,9 @@ def test_gen_usage_errors(capsys):
         assert capsys.readouterr().err == "usage error: negative threshold -1\n"
     assert main(["ratio", "simple", "advice_triangles", "--delta", "-1"]) == 2
     assert capsys.readouterr().err == "usage error: negative threshold -1\n"
+    for k in ("1", "0", "-5"):  # an explicit spine below two is refused, not drawn at two
+        assert main(["gen", "asteroid", "--k", k]) == 2
+        assert capsys.readouterr() == ("", "usage error: need a spine of at least two\n")
 
 
 @pytest.mark.parametrize("family", tuple(cli._FAMILIES))
@@ -147,6 +150,9 @@ def test_every_family_refuses_a_negative_threshold(capsys, family):
         (["asteroid", "--k", "3", "--variant", "fig5a"], asteroid_realization("fig5a", 3, 1, F(1, 3))),
         (["asteroid", "--k", "3", "--variant", "fig5b"], asteroid_realization("fig5b", 3, 1, F(1, 3))),
         (["asteroid", "--delta", "3", "--eps", "1/2"], asteroid_realization("fig5a", 2, 3, F(1, 2))),
+        (["asteroid"], asteroid_realization("fig5a", 2, 1, F(1, 3))),  # without --k: asteroid's k = 2
+        (["figure3"], gen_figure3_chain(1)),  # and one block for the other families
+        (["triangle_chain"], gen_triangle_chain(1, "lower")),
     ],
 )
 def test_gen_matches_generator(capsys, argv, expected):
@@ -432,6 +438,16 @@ def test_opt_brute_match(tmp_path, capsys):
     assert "optimum query set: {0, 2}" in out
     assert "optimum cost     : 2" in out
     assert "brute check      : MATCH" in out
+
+
+def test_opt_brute_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    """A brute-force optimum that disagrees is printed, with exit 3.  The two agree on every
+    instance, so the oracle is stubbed."""
+    monkeypatch.setattr(cli, "brute_force_optimum", lambda inst: (F(7, 2), frozenset({0})))
+    doc = write_doc(tmp_path, "fig1a.json", fig1_instance("a"))
+    assert main(["opt", doc, "--brute"]) == 3
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == ["optimum cost     : 2 (~2)", "brute check      : MISMATCH (brute=7/2)"]
 
 
 def test_opt_brute_past_the_guard_is_skipped(tmp_path, capsys):

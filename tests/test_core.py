@@ -75,6 +75,10 @@ def test_isqrt_bounds_exact_square():
     assert hi - lo <= F(1, 1000)
 
 
+def test_isqrt_bounds_of_zero_is_exact():
+    assert isqrt_bounds(0, F(1, 10)) == (F(0), F(0))
+
+
 #: Each refused precision, run in a child process so that a regression to the endless
 #: iteration fails on the timeout instead of hanging the suite.  ``0.5`` follows a call at
 #: ``F(1, 2)``, whose cached answer it must not get; the last two go through `Sqrt3Prob`.

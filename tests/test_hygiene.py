@@ -33,6 +33,10 @@ Every number a refusal names is written by `core.rational_text`: no f-string in
 field turns a number past Python's int-to-text cap into a `ValueError`; a field that
 wants ``repr`` takes ``rational_text(x, repr)``.
 
+Every seed is an int: each ``random.Random(seed)`` call in the package takes a
+name that its own function passed to `core._require_ints` on an earlier line,
+so no seed draws differently from run to run or stands for another int.
+
 Each refinement table is built once: `core.on_grid` is called only in
 `Instance.steps` (`ON_GRID_CALLERS`), which the environments and the
 refinement optimum read.
@@ -73,7 +77,7 @@ import querysort
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SRC_LINE_BUDGET = 3818
+SRC_LINE_BUDGET = 3809
 
 
 def imported_names(tree):
@@ -217,6 +221,57 @@ def test_the_check_flags_a_repr_field():
 @pytest.mark.parametrize("name", ["core.py", "graph.py", "online.py", "offline.py"])
 def test_refusals_write_numbers_through_rational_text(name):
     assert repr_fields((SRC / name).read_text()) == []
+
+
+def seed_sites(node):
+    """``("Random", its first argument)`` for a ``Random(...)`` call, ``("checked", the names
+    after the first)`` for a `_require_ints` call, or None."""
+    if isinstance(node, ast.Call):
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if name == "Random":
+            return "Random", ast.unparse(node.args[0]) if node.args else ""
+        if name == "_require_ints":
+            return "checked", tuple(ast.unparse(arg) for arg in node.args[1:])
+    return None
+
+
+def unchecked_seeds(source):
+    """``(function, line, seed)`` for every ``Random(seed)`` call whose function has not passed
+    ``seed`` to `_require_ints` on an earlier line, and the number of ``Random`` calls."""
+    sites = sites_by_function(ast.parse(source), seed_sites)
+    draws = [(where, line, seed) for where, line, (kind, seed) in sites if kind == "Random"]
+    return [(where, line, seed) for where, line, seed in draws
+            if not any(w == where and at < line and kind == "checked" and seed in names
+                       for w, at, (kind, names) in sites)], len(draws)
+
+
+def test_the_check_flags_an_unchecked_seed():
+    source = (
+        "import random\n"
+        "from random import Random\n"
+        "def drawn(seed, n):\n"
+        "    _require_ints('seed', seed)\n"
+        "    return random.Random(seed)\n"
+        "def late(seed):\n"
+        "    rng = random.Random(seed)\n"
+        "    _require_ints('seed', seed)\n"
+        "def other(seed, n):\n"
+        "    core._require_ints('n', n)\n"
+        "    return Random(seed)\n"
+        "def fresh():\n"
+        "    return random.Random()\n"
+        "class Coin:\n"
+        "    def __init__(self, seed):\n"
+        "        self.rng = random.Random(seed)\n"
+    )
+    assert unchecked_seeds(source) == (
+        [("Coin.__init__", 16, "seed"), ("fresh", 13, ""), ("late", 7, "seed"), ("other", 11, "seed")], 5)
+
+
+def test_every_seed_is_checked_before_it_is_drawn():
+    found = [unchecked_seeds(path.read_text()) for path in MODULES]
+    assert [site for sites, _ in found for site in sites] == []
+    assert sum(draws for _, draws in found) == 4  # gen_random, gen_random_scripted, gen_laminar, RandomCoin
 
 
 def pair_predicate_uses(source):

@@ -23,25 +23,43 @@ n = 10:
   which an O(n log n) ordering can keep.
 * `gen_advice_triangles` checks no layout: its block is the threshold times
   a constant block whose inequalities hold.
+* `ratio` has no infinite ratio: every `ratio` family prices every item (and
+  every script step) above 0, so a zero optimum means no pair is dependent,
+  and then every strategy and every coin-tree leaf spends 0; the row's ratio
+  is 1.
+* `ratio` has no empty table: `_family_rows` refuses ``--trials`` below 1 and
+  every family gives at least one row, so the maximum and the mean are taken
+  over at least one ratio.
+* `advice_lg3` does not check that its group is a clique.  The first-ending
+  active interval ``x`` has neighbours ``u`` and ``w``; each ends no earlier
+  than ``x`` and starts before ``x.hi - δ``, so ``u.hi - w.lo > δ`` and
+  ``w.hi - u.lo > δ``: ``u`` and ``w`` are dependent.  Its play equals
+  `checked_advice_lg3`, which keeps the check.
 """
 
+import csv
 import inspect
 from fractions import Fraction as F
 from heapq import heappop, heappush
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysort import (
+    FIXED,
     HALF,
     SQRT3,
     AdviceOracle,
+    DeltaNotZero,
     Environment,
+    Instance,
     Permutation,
     RandomCoin,
     UnresolvedDependency,
     advice_half,
+    advice_lg3,
     algorithm2,
     build_permutation,
     expected_cost_exact,
@@ -58,8 +76,9 @@ from querysort import (
     simple_adaptive,
     vc_adaptive,
 )
+from querysort import cli, online
 from querysort import instances as draws
-from querysort import online
+from querysort.cli import main
 from querysort.core import require_independent, to_grid
 from test_grid_keys import at_zero, play, ref_advice_half
 from test_local_picks import ref_algorithm2_trial, sparse
@@ -400,3 +419,157 @@ def test_advice_triangle_layout():
             assert [(a.lo, a.hi) for a in ours.intervals] == [(scale * a.lo, scale * a.hi) for a in at_one.intervals]
             assert ours.values == tuple(scale * v for v in at_one.values)
 
+
+
+# ---------------------------------------------------------------------------
+# ratio: every row has a finite ratio, and every table a row
+# ---------------------------------------------------------------------------
+
+
+RATIO_FAMILIES = tuple(family for family in cli._FAMILIES if family != "asteroid")
+RATIO_SIZES = (1, 12, 120, 300)
+RATIO_DELTAS = ("0", "1/2", "1")
+
+
+def family_options(family, size, scripted_pairs=3):
+    """`ratio`'s size options for ``family`` at ``size``: that many items for random, laminar
+    and nested_star (two trials each for the first two), a path of about that many for
+    cost_path, ``size // 3`` blocks for figure3, triangle_chain and advice_triangles, and at
+    most ``scripted_pairs`` pairs for cpcp, whose optimum is a brute force."""
+    blocks = str(max(1, size // 3))
+    return {
+        "random": ["--n", str(size), "--trials", "2"],
+        "laminar": ["--n", str(size), "--trials", "2"],
+        "nested_star": ["--n", str(max(2, size))],
+        "cost_path": ["--n", str(2 * max(1, size // 2))],
+        "figure3": ["--k", blocks],
+        "triangle_chain": ["--k", blocks],
+        "advice_triangles": ["--n", blocks],
+        "cpcp": ["--n", str(min(size, scripted_pairs)), "--M", "3"],
+    }.get(family, [])
+
+
+@pytest.mark.parametrize("family", RATIO_FAMILIES)
+def test_every_ratio_family_prices_every_item_above_zero(family):
+    """Each family at each size and threshold, with one trial (cpcp up to 300 pairs): at least
+    one row, and in every row each item's cost and each script step's price is above 0."""
+    for size in RATIO_SIZES:
+        for delta in RATIO_DELTAS:
+            argv = ["ratio", "simple", family, "--delta", delta, *family_options(family, size, size), "--trials", "1"]
+            rows = cli._family_rows(cli._build_parser().parse_args(argv))
+            assert rows, argv
+            for *_, inst in rows:
+                assert min(inst.costs) > 0, argv
+                assert all(price > 0 for row in inst.time_costs or () if row for price in row), argv
+
+
+def test_a_zero_optimum_ratio_row_spends_nothing(capsys):
+    """Every strategy on every family, at each size and threshold, through `main`: each table
+    printed has a row, and a row whose optimum is 0 costs 0.  A command that prints no table
+    is refused in one line (such as `advice_half` off threshold zero)."""
+    zero_rows = 0
+    for strategy in cli._STRATEGIES:
+        for family in RATIO_FAMILIES:
+            for size in RATIO_SIZES:
+                for delta in RATIO_DELTAS:
+                    argv = ["ratio", strategy, family, "--delta", delta, *family_options(family, size)]
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                    if code not in (0, 3):
+                        assert out == "" and err.count("\n") == 1, argv
+                        continue
+                    rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+                    assert rows, argv
+                    for row in rows:
+                        assert F(row["opt"]) > 0 or F(row["cost"]) == 0, (argv, row)
+                        zero_rows += F(row["opt"]) == 0
+    assert zero_rows > 0  # the one-item random and laminar rows
+
+
+def revealed(inst):
+    """``inst`` with its optimum's items revealed as points: no two items are dependent."""
+    return Instance(inst.delta, tuple(independent_family(inst)), inst.values)
+
+
+@pytest.mark.parametrize("family", [f for f in RATIO_FAMILIES if f != "cpcp"])
+def test_no_strategy_spends_where_no_pair_is_dependent(family):
+    """The rows of each family with values, at 120 and 300 and each threshold, revealed: each
+    of the nine strategies spends 0, as `ratio` reads it, and `alg2` under both rules."""
+    for size in (120, 300):
+        for delta in RATIO_DELTAS:
+            argv = ["ratio", "simple", family, "--delta", delta, *family_options(family, size)]
+            for *_, inst in cli._family_rows(cli._build_parser().parse_args(argv)):
+                inst = revealed(inst)
+                assert inst.pairs == ()
+                for name in cli._STRATEGIES:
+                    for rule in {"alg2": ("half", "sqrt3")}.get(name, (None,)):  # alg1 flips at 1/2
+                        args = SimpleNamespace(algorithm=name, seed=0, rule=rule, bias=FIXED(F(1, 2)))
+                        try:
+                            spent = cli._expected_cost(inst, args)[:2]
+                        except DeltaNotZero:
+                            continue
+                        assert spent == (0, 0), (argv, name, rule)
+
+
+# ---------------------------------------------------------------------------
+# advice_lg3: the first-ending vertex and its neighbours are a clique
+# ---------------------------------------------------------------------------
+
+
+def first_ending(g, w):
+    return g.his[w], w
+
+
+def checked_advice_lg3(env, oracle, key=first_ending):
+    """`advice_lg3`'s play with the clique check it dropped: each round scans the active
+    vertices for the smallest ``key`` (the first-ending one), and asserts that it and its
+    neighbours are pairwise dependent."""
+    known_out, g = set(), env.graph()
+    while active := [v for v in range(env.n) if g.adj[v]]:
+        x = min(active, key=lambda w: key(g, w))
+        group = frozenset({x} | g.adj[x])
+        assert all(w in g.adj[u] for u in group for w in group if u != w), x
+        remembered = sorted(group & known_out)
+        if remembered:
+            y = remembered[0]
+        else:
+            y = oracle.ask_excluded(group, x)
+            if y != x:
+                known_out.add(y)
+        online._query_all(sorted(group - {y}))(env)
+        online._flush_value_witnesses(env)
+    return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
+
+
+def at(inst, delta):
+    return Instance(delta, inst.intervals, inst.values)
+
+
+def advice_lg3_cases(delta):
+    """Random (dense and sparse), laminar, advice-triangle and figure-3 families at ``delta``,
+    up to 300 items."""
+    for seed in range(3):
+        yield f"random-{seed}", gen_random(seed, 40 + 130 * seed, delta, value_model="generic")
+    yield "sparse-300", sparse(300, delta)
+    yield "laminar-250", at(gen_laminar(5, 250), delta)
+    for corner, inst in enumerate(gen_advice_triangles(80, 1)):
+        yield f"advice_triangles-80-p{corner + 1}", at(inst, delta)
+    yield "figure3-30", at(gen_figure3_chain(30), delta)
+
+
+@pytest.mark.parametrize("delta", [F(0), F(1, 2), F(1)], ids=str)
+def test_advice_lg3_groups_are_cliques(delta):
+    """The play equals `checked_advice_lg3`'s, whose check passes at every round."""
+    queried = 0
+    for name, inst in advice_lg3_cases(delta):
+        ours = play(inspect.unwrap(advice_lg3), Environment(inst), AdviceOracle(inst))
+        assert ours == play(checked_advice_lg3, Environment(inst), AdviceOracle(inst)), name
+        queried += len(ours[0])
+    assert queried >= 1000
+
+
+def test_the_clique_check_flags_a_path():
+    """Self-test: the middle of a three-item path has two neighbours that are independent."""
+    inst = Instance(F(0), (interval(0, 10), interval(9, 20), interval(19, 30)), (F(5), F(15), F(25)))
+    with pytest.raises(AssertionError):
+        checked_advice_lg3(Environment(inst), AdviceOracle(inst), lambda g, w: (-len(g.adj[w]), w))

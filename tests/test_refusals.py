@@ -22,6 +22,7 @@ from querysort import (
     NotChordal,
     Permutation,
     QuerysortError,
+    RandomCoin,
     RunReport,
     ScriptExhausted,
     Sqrt3Prob,
@@ -87,6 +88,9 @@ def queried_at(env):
 REFUSALS = [
     # core
     (lambda: isqrt_bounds(-1, F(1, 10)), InvariantViolation, "square root of a negative number requested"),
+    # at m = 0, where a missing precision check returns instead of iterating for ever
+    (lambda: isqrt_bounds(0, F(0)), InvariantViolation, "square root precision must be positive, got 0"),
+    (lambda: isqrt_bounds(0, F(-1, 3)), InvariantViolation, "square root precision must be positive, got -1/3"),
     (lambda: Instance(F(0), (interval(0, 1), (0, 1))), InvariantViolation,
      "intervals must be UncertainInterval, got tuple"),
     (lambda: Instance(F(0), ONE, (F(1),), (None, None)), InvariantViolation, "2 refinement scripts for 1 intervals"),
@@ -334,3 +338,28 @@ def test_generator_sizes_must_be_ints(name, make, bad):
         make(bad)
     assert str(exc.value) == f"{name} {bad!r} is not an int"
     assert make(4)  # the fault is the only one: the same call with an int passes
+
+
+def flips(seed):
+    coin = RandomCoin(seed)
+    return [coin.flip(F(1, 2)) for _ in range(16)]
+
+
+#: Every seeded entry point, as a call that passes ``seed`` to it alone.
+SEEDED = [
+    ("gen_random", lambda seed: gen_random(seed, 3, 0)),
+    ("gen_random_scripted", lambda seed: gen_random_scripted(seed, 3, 0)),
+    ("gen_laminar", lambda seed: gen_laminar(seed, 3)),
+    ("RandomCoin", flips),
+]
+
+
+@pytest.mark.parametrize("bad", [None, "3", 2.5, True, [1]], ids=repr)
+@pytest.mark.parametrize("make", [make for _, make in SEEDED], ids=[name for name, _ in SEEDED])
+def test_seeds_must_be_ints(make, bad):
+    """A seed goes through the integer rule before `random.Random` sees it: no seed draws
+    differently from call to call (``None``) or stands for another int (``"3"``, ``2.5``, ``True``)."""
+    with pytest.raises(InvariantViolation) as exc:
+        make(bad)
+    assert str(exc.value) == f"seed {bad!r} is not an int"
+    assert make(3) == make(3)  # the fault is the only one: the same call with an int passes, the same each time

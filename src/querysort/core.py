@@ -143,20 +143,20 @@ def _le(a: Fraction, b: Fraction) -> bool:
 def isqrt_bounds(m: int, precision: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(m) <= hi`` with ``hi - lo <= precision``.
 
-    Newton iteration from an integer seed; every iterate stays an upper
-    bound, and ``m / upper`` is a matching lower bound.  Used where an
+    ``m`` is an int at or above 0.  Newton iteration from ``m + 1``; every iterate
+    stays an upper bound, and ``m / upper`` is a matching lower bound.  Used where an
     irrational constant (``sqrt(3)``) must enter an otherwise exact
     computation as a certified interval.  Pure, so memoized.  The precision
     must be a positive scalar: at zero or below the iteration never ends.
     """
+    _require_ints("square root argument", m)
     if (precision := scalar(precision)) <= 0:
         raise InvariantViolation(f"square root precision must be positive, got {rational_text(precision)}")
     if m < 0:
         raise InvariantViolation("square root of a negative number requested")
-    m = Fraction(m)
     if m == 0:
         return Fraction(0), Fraction(0)
-    upper = Fraction(max(1, int(m) + 1))
+    upper = Fraction(m + 1)
     while True:
         lower = m / upper
         if upper - lower <= precision:
@@ -170,8 +170,8 @@ class UncertainInterval:
 
     ``lo == hi`` is allowed and models an already-known value ("point").
     Instances are immutable; refining an interval produces a new one.
-    `_checked_already` skips the checks, for the few internal rebuilds from
-    numbers that passed them before; every constructor from outside checks.
+    Every interval in the program is made here, so each one has passed
+    `__post_init__`'s checks.
     """
 
     lo: Fraction
@@ -201,27 +201,14 @@ class UncertainInterval:
     def contains(self, v: Fraction) -> bool:
         return self.lo <= v <= self.hi
 
-    def collapse(self, v: Fraction) -> "UncertainInterval":
-        """The point interval left behind once the value ``v`` is revealed."""
-        if not self.contains(v):
+    def collapse(self, v: ScalarLike) -> "UncertainInterval":
+        """The point interval left behind once the value ``v``, read by `scalar`, is revealed."""
+        if not self.contains(v := scalar(v)):
             raise InvariantViolation(f"value {rational_text(v)} lies outside {self}")
-        v = scalar(v)  # inside [lo, hi] and now a Fraction; the cost is this interval's checked one
-        return _checked_already(v, v, self.cost)
+        return UncertainInterval(v, v, self.cost)
 
     def __str__(self) -> str:
         return f"[{rational_text(self.lo)}, {rational_text(self.hi)}]"
-
-
-# each slot's own setter: a frozen dataclass guards only `__setattr__`
-_set_lo, _set_hi, _set_cost = (UncertainInterval.__dict__[name].__set__ for name in ("lo", "hi", "cost"))
-
-
-def _checked_already(lo: Fraction, hi: Fraction, cost: Fraction) -> UncertainInterval:
-    """``UncertainInterval(lo, hi, cost)`` without `__post_init__`, for a caller that knows the
-    three are `Fraction`s with ``lo <= hi`` and ``cost >= 0``: each call says how it knows."""
-    itv = object.__new__(UncertainInterval)
-    _set_lo(itv, lo), _set_hi(itv, hi), _set_cost(itv, cost)
-    return itv
 
 
 def interval(lo: ScalarLike, hi: ScalarLike, cost: ScalarLike = 1) -> UncertainInterval:
@@ -488,9 +475,9 @@ class Instance:
                                    for e, p in zip(scripts[i], times[i] or (itv.cost,) * len(scripts[i]))))
             elif self.values is None:
                 raise MissingRealization(f"item {i} has neither a refinement script nor a value")
-            else:  # the value this instance checked against its interval, at that interval's checked cost
-                v, at = self.values[i], grid.values[i]
-                table.append(((_checked_already(v, v, itv.cost), at, at, itv.cost, units[i]),))
+            else:
+                at = grid.values[i]
+                table.append(((itv.collapse(self.values[i]), at, at, itv.cost, units[i]),))
         return tuple(table)
 
 

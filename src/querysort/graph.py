@@ -25,6 +25,7 @@ from .core import (
     Instance,
     KnowledgeState,
     UncertainInterval,
+    _as_tuple,
     _require_ints,
     grid_ints,
     rational_text,
@@ -48,10 +49,10 @@ class DependencyGraph:
     ``edges`` derives the pairs ``(i, j)``, ``i < j``, from ``adj`` on each
     read.  A plain object: equality is identity.
 
-    ``los`` and ``his`` are the vertices' endpoints as ints on one grid; the
-    orderings in this module and the strategies' picks compare them, never
-    ``intervals``.  Callers pass the grid they hold.  Without one,
-    `peo_min_right` refuses the graph, the cover falls back to a maximum
+    ``los`` and ``his`` are the vertices' endpoints as ints on one grid; the orderings
+    in this module and the strategies' picks compare them, never ``intervals``.  Callers
+    pass the grid they hold, kept, not copied: an environment narrows its ends in place.
+    Without one, `peo_min_right` refuses the graph, the cover falls back to a maximum
     cardinality search, and `longest_path_caterpillar` orients by index.
     """
 
@@ -60,13 +61,15 @@ class DependencyGraph:
                  los: Optional[Sequence[int]] = None, his: Optional[Sequence[int]] = None):
         _require_ints("vertex count", n)
         self.n = n
-        self.weights = weights
+        self.weights = weights = _as_tuple("weights", weights)
         self.intervals = intervals
         self.adj: list[set[int]] = [set() for _ in range(n)]
-        for (i, j) in edges:
+        for edge in _as_tuple("edges", edges):
+            edge = edge if type(edge) is tuple else _as_tuple("edge", edge)
+            i, j = edge if len(edge) == 2 else (None, None)
             if not (type(i) is type(j) is int and 0 <= i < j < n):
-                _require_ints("edge entry", i, j)
-                raise InvariantViolation(f"bad edge ({rational_text(i)}, {rational_text(j)}) for n={n}")
+                _require_ints("edge entry", *edge)
+                raise InvariantViolation(f"bad edge {rational_text(edge, repr)} for n={n}")
             self.adj[i].add(j)
             self.adj[j].add(i)
         if len(weights) != n:
@@ -75,8 +78,9 @@ class DependencyGraph:
             if type(w) not in (int, Fraction) or w.numerator < 0:
                 raise InvariantViolation(
                     f"vertex {v}: weight must be a non-negative int or Fraction, got {rational_text(w, repr)}")
-        if intervals is not None and len(intervals) != n:
-            raise InvariantViolation("intervals do not match vertex count")
+        for field, rows in (("intervals", intervals), ("los", los), ("his", his)):
+            if rows is not None and len(_as_tuple(field, rows)) != n:
+                raise InvariantViolation(f"{field} do not match vertex count")
         self.los, self.his = los, his
 
     @property
@@ -350,8 +354,8 @@ class CoTTFunctions:
     b: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(scalar(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(scalar(x) for x in self.b))
+        object.__setattr__(self, "a", tuple(scalar(x) for x in _as_tuple("a", self.a)))
+        object.__setattr__(self, "b", tuple(scalar(x) for x in _as_tuple("b", self.b)))
         if len(self.a) != len(self.b):
             raise InvariantViolation("threshold/tolerance lists differ in length")
 

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import (Instance, UncertainInterval, _checked_already, _require_ints, interval, rational_text, read_rational,
+from .core import (Instance, UncertainInterval, _require_ints, interval, rational_text, read_rational,
                    scalar, threshold)
 from .errors import InvariantViolation, ParseError
 
@@ -93,8 +93,7 @@ def gen_random(
         # A zero-width interval pins its value, which can make generic
         # position unreachable; give every member room to move.
         drawn = [(lo, hi + (lo == hi), cost) for lo, hi, cost in drawn]
-    # drawn lo <= hi indices into `_HALVES`, at cost `_ONE` or a positive Fraction: nothing to check
-    ivs = [_checked_already(_HALVES[lo], _HALVES[hi], cost) for lo, hi, cost in drawn]
+    ivs = [UncertainInterval(_HALVES[lo], _HALVES[hi], cost) for lo, hi, cost in drawn]
 
     def draw_values(denominator: int) -> list[Fraction]:
         """Each value ``lo + (hi - lo) k / denominator`` for a drawn grid step ``k``."""

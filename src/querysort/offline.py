@@ -21,6 +21,7 @@ from typing import Optional
 
 from .core import (
     Instance,
+    _as_tuple,
     _check_item,
     dependent,
     singleton_witness_value,
@@ -67,7 +68,7 @@ def feasible_query_set(inst: Instance, query_set) -> bool:
     if inst.values is None:
         raise MissingRealization("feasibility needs the hidden values")
     chosen = set()
-    for i in query_set:
+    for i in _as_tuple("query_set", query_set):
         _check_item(i, inst.n)
         chosen.add(i)
     grid = inst.grid

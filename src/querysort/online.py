@@ -35,7 +35,6 @@ from .core import (
     Permutation,
     UncertainInterval,
     _check_item,
-    _checked_already,
     _require_ints,
     _still_dependent,
     build_permutation,
@@ -114,8 +113,9 @@ class RandomCoin:
         self._rng = random.Random(seed)
 
     def flip(self, p: Probability) -> bool:
+        """Heads at the bias ``p``: a `Sqrt3Prob`, or a rational that `FIXED` reads."""
         u = Fraction(self._rng.getrandbits(64), 2 ** 64)
-        return p.accepts(u) if isinstance(p, Sqrt3Prob) else u < p
+        return p.accepts(u) if isinstance(p, Sqrt3Prob) else u < FIXED(p)
 
 
 def _certain(p: Probability) -> Optional[bool]:
@@ -204,8 +204,8 @@ class QueryEnvironment:
     def state(self) -> KnowledgeState:
         """The current intervals as `Fraction`s, made from the grid ends: an unqueried item's is
         its instance interval, a queried one's its ends over the scale at that interval's cost."""
-        s = self._grid.scale  # each end is a checked endpoint, value or script entry times s, and lo <= hi
-        current = [_checked_already(Fraction(lo, s), Fraction(hi, s), itv.cost) if q else itv
+        s = self._grid.scale
+        current = [UncertainInterval(Fraction(lo, s), Fraction(hi, s), itv.cost) if q else itv
                    for itv, q, lo, hi in zip(self.instance.intervals, self._queried, self._lo, self._hi)]
         return KnowledgeState(current, tuple(self._queried), Fraction(self._paid, self._scale))
 
@@ -903,6 +903,7 @@ class AdviceOracle:
     """
 
     def __init__(self, instance: Instance):
+        self.instance = instance
         self.optimum_cost, self.optimum_set = canonical_optimum(instance)
         self.question_sizes: list[int] = []
 
@@ -927,6 +928,13 @@ class AdviceOracle:
         return max(prod(self.question_sizes) - 1, 0).bit_length()
 
 
+def _advised(env: QueryEnvironment, oracle) -> None:
+    """`_exact_model`, and refuse an ``oracle`` that is not an `AdviceOracle` of ``env``'s instance."""
+    _exact_model(env)
+    if not (isinstance(oracle, AdviceOracle) and oracle.instance == env.instance):
+        raise InvariantViolation("the advice must come from an AdviceOracle of this environment's instance")
+
+
 @_played
 def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     """Optimal-cost strategy using at most one bit per two items (threshold 0).
@@ -943,7 +951,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     so `find_triangle` resumes from the last one; leaves wait in a lazy
     heap, fed from the former neighbours of the vertices queried since.
     """
-    _exact_model(env)
+    _advised(env, oracle)
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
     g = env.graph()
@@ -985,7 +993,7 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     is none) and queries the rest of the clique.  Named members are
     remembered; a clique containing one costs no further advice.
     """
-    _exact_model(env)
+    _advised(env, oracle)
     known_out: set[int] = set()
     g = env.graph()
     ends = sorted((g.his[v], v) for v in range(env.n) if g.adj[v])

@@ -1,14 +1,17 @@
-"""Each number is checked once: what is built without re-checking against the
+"""What the program builds from numbers it has read before, against the
 checked versions, which live only here.
 
-`core._checked_already` builds an `UncertainInterval` without
-`__post_init__` for numbers that passed its checks before: `gen_random`'s
-draws, the narrowed intervals of `QueryEnvironment.state`, `collapse`, and
-the one-step scripts of `Instance.steps`.  Every such interval must equal
-the checked constructor's, field for field and type for type, at sizes up
-to n = 300.  An environment keeps its current intervals only as grid ends;
-`ref_narrow`, which narrows `Fraction` intervals query by query as the
-environments once did beside those ends, is the oracle for ``state()``.  `to_grid` reads
+`gen_random`'s draws, the narrowed intervals of `QueryEnvironment.state`,
+`collapse`, and the one-step scripts of `Instance.steps` each rebuild an
+`UncertainInterval` from numbers that passed its checks earlier.  Every
+such interval must equal the checked constructor's, field for field and
+type for type, at sizes up to n = 300: `UncertainInterval(...)` is the one
+way to make one (`test_hygiene.py` holds the source to that), and these
+tests pin what each rebuild makes.
+
+An environment keeps its current intervals only as grid ends; `ref_narrow`,
+which narrows `Fraction` intervals query by query as the environments once
+did beside those ends, is the oracle for ``state()``.  `to_grid` reads
 each `Fraction` once through ``as_integer_ratio()``; the
 ``.numerator``/``.denominator`` version it replaced is the oracle.
 `Instance.steps` builds an unscripted item's step from the instance grid,
@@ -51,7 +54,7 @@ def assert_checked(itv):
 
 
 # ---------------------------------------------------------------------------
-# Intervals built without checks
+# Intervals rebuilt from checked numbers
 # ---------------------------------------------------------------------------
 
 
@@ -67,7 +70,7 @@ def test_gen_random_draws_checked_intervals(seed, n, value_model, cost_model, de
 
 def test_collapse_builds_the_checked_point():
     a = interval(1, 4, "3/2")
-    for v in (1, F(5, 2), 4):
+    for v in (1, F(5, 2), 4, "5/2", "4"):
         point = a.collapse(v)
         assert_checked(point)
         assert point == UncertainInterval(F(v), F(v), F(3, 2))

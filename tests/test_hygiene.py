@@ -24,9 +24,10 @@ flushes and each play's step loop build no ``Fraction(...)`` and read no
 ``.cost`` or ``.step_cost``; they add cost units, and only a probability
 rule's arguments are made exact there.
 
-Each number is checked once, and only once: `core._checked_already`, which
-builds an interval without its checks, is named only inside an allow-list of
-functions whose inputs already passed them (`UNCHECKED_CALLERS`).
+Every object passes its constructor's checks: no module reads ``__new__``,
+which makes an object without ``__init__``, or ``__set__``, which writes a
+slot past a frozen dataclass's guard.  So the one way to make an
+`UncertainInterval` is ``UncertainInterval(...)``.
 
 Every number a refusal names is written by `core.rational_text`: no f-string in
 ``core.py``, ``graph.py``, ``online.py`` or ``offline.py`` has a ``!r`` field.  Such a
@@ -77,7 +78,7 @@ import querysort
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SRC_LINE_BUDGET = 3809
+SRC_LINE_BUDGET = 3808
 
 
 def imported_names(tree):
@@ -414,13 +415,34 @@ def test_queries_and_plays_spend_cost_units():
     assert [site for site in money_sites(source) if site[0] in PER_QUERY] == []
 
 
-#: Each function that may build an interval without its checks, and why its fields passed them.
-UNCHECKED_CALLERS = {
-    ("core.py", "UncertainInterval.collapse"),  # after its own `contains` check
-    ("core.py", "Instance.steps"),  # the instance's checked value, at its interval's cost
-    ("online.py", "QueryEnvironment.state"),  # grid ends of checked numbers, at the item's checked cost
-    ("instances.py", "gen_random"),  # lo <= hi half-grid indices, at a positive cost
-}
+#: The two ways round a constructor's checks: an object made without ``__init__``, and a
+#: field written through its slot descriptor, which a frozen dataclass does not guard.
+ROUND_THE_CHECKS = {"__new__", "__set__"}
+
+
+def test_the_check_flags_a_way_round_the_constructor():
+    source = (
+        "@dataclass(frozen=True, slots=True)\n"
+        "class UncertainInterval:\n"
+        "    def collapse(self, v):\n"
+        "        object.__setattr__(self, 'lo', v)\n"
+        "        return UncertainInterval(v, v, self.cost)\n"
+        "_set_lo, _set_hi, _set_cost = (UncertainInterval.__dict__[name].__set__ for name in ('lo', 'hi', 'cost'))\n"
+        "def _checked_already(lo, hi, cost):\n"
+        "    itv = object.__new__(UncertainInterval)\n"
+        "    _set_lo(itv, lo), _set_hi(itv, hi), _set_cost(itv, cost)\n"
+        "    return itv\n"
+        "def gen(lo):\n"
+        "    setter = UncertainInterval.lo.__set__\n"
+        "    return setter(UncertainInterval.__new__(UncertainInterval), lo)\n"
+    )
+    assert attribute_reads(source, ROUND_THE_CHECKS) == [
+        ("", 6, "__set__"), ("_checked_already", 8, "__new__"), ("gen", 12, "__set__"), ("gen", 13, "__new__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_interval_passes_its_constructor(path):
+    assert attribute_reads(path.read_text(), ROUND_THE_CHECKS) == []
 
 
 def name_uses(source, name):
@@ -431,33 +453,6 @@ def name_uses(source, name):
         isinstance(node, ast.Name) and node.id == name
         or isinstance(node, ast.Attribute) and node.attr == name
         or isinstance(node, ast.alias) and node.name == name and node.asname) else None)
-
-
-def test_the_check_flags_a_new_unchecked_caller():
-    source = (
-        "from .core import _checked_already\n"
-        "from . import core\n"
-        "class Env:\n"
-        "    def query(self, v):\n"
-        "        return _checked_already(v, v, 1)\n"
-        "def gen(x):\n"
-        "    make = core._checked_already\n"
-        "    return make(x, x, 1)\n"
-        "def _checked_already(lo, hi, cost):\n"
-        "    return lo\n"
-        "def point(v):\n"
-        "    from .core import _checked_already as unchecked\n"
-        "    return unchecked(v, v, 1)\n"
-    )
-    assert name_uses(source, "_checked_already") == [("Env.query", 5, "_checked_already"),
-                                                     ("gen", 7, "_checked_already"),
-                                                     ("point", 12, "_checked_already")]
-
-
-def test_unchecked_intervals_come_from_the_allow_list():
-    found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
-             for where, _, _ in name_uses(path.read_text(), "_checked_already")}
-    assert found == UNCHECKED_CALLERS
 
 
 #: Each sweep for dependent pairs, one line per call, and what it sweeps.  An instance's own

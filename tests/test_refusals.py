@@ -12,6 +12,7 @@ import pytest
 from querysort import (
     FIXED,
     HALF,
+    AdviceOracle,
     CoTTFunctions,
     CpcpEnvironment,
     Environment,
@@ -27,6 +28,8 @@ from querysort import (
     ScriptExhausted,
     Sqrt3Prob,
     UncertainInterval,
+    advice_half,
+    advice_lg3,
     algorithm2,
     asteroid_realization,
     brute_force_optimum,
@@ -36,6 +39,7 @@ from querysort import (
     dependent,
     deserialize,
     expected_cost_exact,
+    feasible_query_set,
     find_triangle,
     gen_advice_triangles,
     gen_cost_path,
@@ -91,6 +95,12 @@ REFUSALS = [
     # at m = 0, where a missing precision check returns instead of iterating for ever
     (lambda: isqrt_bounds(0, F(0)), InvariantViolation, "square root precision must be positive, got 0"),
     (lambda: isqrt_bounds(0, F(-1, 3)), InvariantViolation, "square root precision must be positive, got -1/3"),
+    (lambda: isqrt_bounds(2.5, F(1, 10)), InvariantViolation, "square root argument 2.5 is not an int"),
+    (lambda: isqrt_bounds("3", F(1, 10)), InvariantViolation, "square root argument '3' is not an int"),
+    (lambda: isqrt_bounds(True, F(1, 10)), InvariantViolation, "square root argument True is not an int"),
+    (lambda: ONE[0].collapse("x"), InvariantViolation, "not a rational number: 'x'"),
+    (lambda: ONE[0].collapse(0.5), InvariantViolation, FLOAT),
+    (lambda: ONE[0].collapse("5/2"), InvariantViolation, "value 5/2 lies outside [0, 2]"),
     (lambda: Instance(F(0), (interval(0, 1), (0, 1))), InvariantViolation,
      "intervals must be UncertainInterval, got tuple"),
     (lambda: Instance(F(0), ONE, (F(1),), (None, None)), InvariantViolation, "2 refinement scripts for 1 intervals"),
@@ -155,6 +165,18 @@ REFUSALS = [
     (lambda: DependencyGraph(2, [(False, True)], (1, 1)), InvariantViolation, "edge entry False is not an int"),
     (lambda: DependencyGraph(2, [(0.0, 1)], (1, 1)), InvariantViolation, "edge entry 0.0 is not an int"),
     (lambda: DependencyGraph(2.0, [], (1, 1)), InvariantViolation, "vertex count 2.0 is not an int"),
+    (lambda: DependencyGraph(2, [(0,)], [1, 1]), InvariantViolation, "bad edge (0,) for n=2"),
+    (lambda: DependencyGraph(2, [(0, 1, 1)], [1, 1]), InvariantViolation, "bad edge (0, 1, 1) for n=2"),
+    (lambda: DependencyGraph(2, [(0.5,)], [1, 1]), InvariantViolation, "edge entry 0.5 is not an int"),
+    (lambda: DependencyGraph(2, [0], [1, 1]), InvariantViolation, "edge must be a sequence, got int"),
+    (lambda: DependencyGraph(2, None, [1, 1]), InvariantViolation, "edges must be a sequence, got NoneType"),
+    (lambda: DependencyGraph(2, [], None), InvariantViolation, "weights must be a sequence, got NoneType"),
+    (lambda: DependencyGraph(2, [], (1, 1), None, (0,), (1, 2)), InvariantViolation, "los do not match vertex count"),
+    (lambda: DependencyGraph(2, [], (1, 1), None, (0, 1), (1, 2, 3)), InvariantViolation,
+     "his do not match vertex count"),
+    (lambda: DependencyGraph(2, [], (1, 1), None, 5, (1, 2)), InvariantViolation, "los must be a sequence, got int"),
+    (lambda: CoTTFunctions(1, 2), InvariantViolation, "a must be a sequence, got int"),
+    (lambda: CoTTFunctions((F(0),), None), InvariantViolation, "b must be a sequence, got NoneType"),
     (lambda: component_of(PATH, True), InvariantViolation, "vertex True is not an int"),
     (lambda: component_of(PATH, 1.0), InvariantViolation, "vertex 1.0 is not an int"),
     (lambda: find_triangle(PATH, 0.5), InvariantViolation, "triangle search start 0.5 is not an int"),
@@ -164,6 +186,7 @@ REFUSALS = [
     (lambda: brute_force_optimum(Instance(PAIR.delta, PAIR.intervals)), MissingRealization,
      "brute force needs the hidden values"),
     (lambda: oblivious_query_set(EDGE), InvariantViolation, "oblivious_query_set takes an Instance, got DependencyGraph"),
+    (lambda: feasible_query_set(PAIR, None), InvariantViolation, "query_set must be a sequence, got NoneType"),
     # online
     (lambda: Sqrt3Prob(0, 1), InvariantViolation, "Sqrt3Prob needs positive parts"),
     (lambda: Sqrt3Prob(2, 1), InvariantViolation, "Sqrt3Prob must be < 1; use Fraction(1)"),
@@ -222,6 +245,9 @@ def test_the_good_calls_pass():
     assert verify_peo(PATH, [0, 1, 2]) and min_cost_vertex_cover(PATH) == (1,)
     assert cott_to_instance(COTT, [1, 2, 3]).costs == (1, 2, 3)
     assert DependencyGraph(2, [(0, 1)], (1, 1)).edges == {(0, 1)} and component_of(PATH, 1) == [0, 1, 2]
+    assert DependencyGraph(2, iter([[0, 1]]), [1, 1], None, [0, 1], [2, 3]).edges == {(0, 1)}
+    assert CoTTFunctions([0, 1], iter([2, 3])).b == (2, 3) and feasible_query_set(PAIR, [0, 1])
+    assert ONE[0].collapse("1/2") == UncertainInterval(F(1, 2), F(1, 2)) and isqrt_bounds(3, F(1, 10))[0] < 2
     assert find_triangle(PATH, 0) is None and longest_path_caterpillar(PATH, [0, 1, 2]) == (0, 1, 2)
     assert CpcpEnvironment(PAIR).step_cost(0, 0) == CpcpEnvironment(PAIR).step_cost(1, 0) == 1
     for env in (Environment(FIVE), CpcpEnvironment(FIVE)):
@@ -363,3 +389,39 @@ def test_seeds_must_be_ints(make, bad):
         make(bad)
     assert str(exc.value) == f"seed {bad!r} is not an int"
     assert make(3) == make(3)  # the fault is the only one: the same call with an int passes, the same each time
+
+
+#: A fair coin's first 20 flips at seed 7, heads as ``1``.
+SEVEN_AT_A_HALF = "01101001111010000101"
+
+
+def test_a_coin_reads_its_bias_through_fixed():
+    """`RandomCoin.flip` decides on a rational bias that `FIXED` reads, or on a `Sqrt3Prob`:
+    never on a float, a bool, or a number outside [0, 1]."""
+    coin = RandomCoin(7)
+    assert "".join("1" if coin.flip(F(1, 2)) else "0" for _ in range(20)) == SEVEN_AT_A_HALF
+    coin = RandomCoin(7)
+    assert "".join("1" if coin.flip("1/2") else "0" for _ in range(20)) == SEVEN_AT_A_HALF
+    for bad, message in [(0.5, FLOAT), (True, "floats are not allowed as scalars (got True); pass an int, "
+                                               "Fraction, or string like '5/2'"),
+                         ("x", "not a rational number: 'x'"), (F(3, 2), "probability 3/2 outside [0, 1]"),
+                         (2, "probability 2 outside [0, 1]")]:
+        with pytest.raises(InvariantViolation) as exc:
+            RandomCoin(7).flip(bad)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("strategy", [advice_half, advice_lg3], ids=lambda s: s.__name__)
+@pytest.mark.parametrize("oracle", [AdviceOracle(gen_random(4, 8, 0)), None, "yes"],
+                         ids=["another instance", "None", "not an AdviceOracle"])
+def test_advice_comes_from_the_instance_played(strategy, oracle):
+    """An advice strategy refuses an oracle that does not answer about its own instance:
+    another instance's oracle would spend past the optimum without a word."""
+    inst = gen_random(3, 8, 0)
+    with pytest.raises(InvariantViolation) as exc:
+        strategy(Environment(inst), oracle)
+    assert str(exc.value) == "the advice must come from an AdviceOracle of this environment's instance"
+    equal = gen_random(3, 8, 0)  # an equal instance's oracle answers the same questions
+    assert equal == inst and equal is not inst
+    report = strategy(Environment(inst), AdviceOracle(equal))
+    assert report.total_cost == AdviceOracle(inst).optimum_cost == 5

@@ -34,8 +34,6 @@ from .online import (
     CpcpEnvironment,
     Environment,
     RandomCoin,
-    RunReport,
-    _spend,
     advice_half,
     advice_lg3,
     algorithm1,
@@ -96,10 +94,10 @@ def _load_instance(path: str) -> Instance:
     return deserialize(text)
 
 
-def _optimum_cost(inst: Instance, strategy: "_Strategy") -> Fraction:
+def _optimum_cost(inst: Instance, environment: type) -> Fraction:
     """The optimum in the model the strategy runs in: the script optimum only for a
     refinement-model strategy on a scripted instance, the exact-model one otherwise."""
-    if strategy.refinement and inst.refinements is not None:
+    if environment is CpcpEnvironment and inst.refinements is not None:
         cost, _ = cpcp_brute_force_optimum(inst)
         return cost
     _, cost = optimum_query_set(inst)
@@ -113,14 +111,6 @@ def _optimum_cost(inst: Instance, strategy: "_Strategy") -> Fraction:
 # when they run, never through stored function objects, so that a tracer
 # which swaps those globals sees every call.
 # ---------------------------------------------------------------------------
-
-
-def _alg1_rule(args) -> Fraction | Callable:
-    return {"half": HALF, "sqrt3": SQRT3}.get(args.rule) or args.bias
-
-
-def _alg2_rule(args) -> Callable:
-    return SQRT3 if args.rule == "sqrt3" else HALF
 
 
 #: proven ratio bounds with their printed labels
@@ -139,87 +129,64 @@ _SQRT3_BOUND = (
 
 
 class _Strategy(NamedTuple):
-    """One strategy: ``call(inst, args)`` gives the strategy function and the arguments
-    of one run on ``inst``, its environment first; ``expected(inst, args)`` the
-    exact expected cost of a coin-driven strategy (None for deterministic ones);
+    """One strategy: ``call(inst, args)`` gives the strategy function, the class of its
+    environment, and what a run of it on ``inst`` takes beyond that environment, which is
+    `expected_cost_exact`'s ``rule`` (a bias or weight rule, an `AdviceOracle`, or None);
     ``bound(args, n)`` the proven ratio limit on an n-interval instance with its printed
-    label, either of which may be None; and ``refinement``, whether it runs in the
-    refinement model (`CpcpEnvironment`) rather than the exact one."""
+    label, either of which may be None; and ``coin``, whether a run also flips a `RandomCoin`."""
 
     call: Callable[[Instance, argparse.Namespace], tuple]
-    expected: Optional[Callable[[Instance, argparse.Namespace], object]]
     bound: Callable[[argparse.Namespace, int], tuple[Optional[Fraction], Optional[str]]]
-    refinement: bool = False
+    coin: bool = False
 
 
 _STRATEGIES = {
     "oblivious": _Strategy(
-        lambda inst, args: (run_oblivious, Environment(inst)),
-        None,
+        lambda inst, args: (run_oblivious, Environment, None),
         lambda args, n: (Fraction(n), None),
     ),
     "simple": _Strategy(
-        lambda inst, args: (simple_adaptive, Environment(inst)),
-        None,
+        lambda inst, args: (simple_adaptive, Environment, None),
         lambda args, n: _TWO,
     ),
     "stable_sort": _Strategy(
-        lambda inst, args: (simple_adaptive_stable_sort, Environment(inst)),
-        None,
+        lambda inst, args: (simple_adaptive_stable_sort, Environment, None),
         lambda args, n: (None, None),
     ),
     "vc": _Strategy(
-        lambda inst, args: (vc_adaptive, Environment(inst)),
-        None,
+        lambda inst, args: (vc_adaptive, Environment, None),
         lambda args, n: _TWO,
     ),
     "alg1": _Strategy(
-        lambda inst, args: (algorithm1, Environment(inst), _alg1_rule(args), RandomCoin(args.seed)),
-        lambda inst, args: expected_cost_exact(algorithm1, inst, _alg1_rule(args)),
+        lambda inst, args: (algorithm1, Environment, {"half": HALF, "sqrt3": SQRT3}.get(args.rule) or args.bias),
         lambda args, n: _ALG1_BOUNDS.get(args.bias, (None, None)),
+        coin=True,
     ),
     "alg2": _Strategy(
-        lambda inst, args: (algorithm2, Environment(inst), _alg2_rule(args), RandomCoin(args.seed)),
-        lambda inst, args: expected_cost_exact(algorithm2, inst, _alg2_rule(args)),
+        lambda inst, args: (algorithm2, Environment, SQRT3 if args.rule == "sqrt3" else HALF),
         lambda args, n: _SQRT3_BOUND if args.rule == "sqrt3" else _ALG2_BOUND,
+        coin=True,
     ),
     "alg3": _Strategy(
-        lambda inst, args: (algorithm3_cpcp, CpcpEnvironment(inst)),
-        None,
+        lambda inst, args: (algorithm3_cpcp, CpcpEnvironment, None),
         lambda args, n: _TWO,
-        refinement=True,
     ),
     "advice_half": _Strategy(
-        lambda inst, args: (advice_half, Environment(inst), AdviceOracle(inst)),
-        None,
+        lambda inst, args: (advice_half, Environment, AdviceOracle(inst)),
         lambda args, n: _ONE,
     ),
     "advice_lg3": _Strategy(
-        lambda inst, args: (advice_lg3, Environment(inst), AdviceOracle(inst)),
-        None,
+        lambda inst, args: (advice_lg3, Environment, AdviceOracle(inst)),
         lambda args, n: _ONE,
     ),
 }
 
 
-def _expected_cost(inst: Instance, args, report: Optional[RunReport] = None):
-    """Exact expectation for coin-driven strategies, one run's cost otherwise.
-
-    Returns (low, high, oracle): cost bounds, equal for everything except
-    the irrational-bias rule, whose expectation is enclosed; and the run's
-    `AdviceOracle`, if any.  A deterministic cost is ``report``'s when given,
-    so a strategy already run is not run again, and else the spend of a run
-    left unordered (`_spend`).
-    """
-    strategy = _STRATEGIES[args.algorithm]
-    if strategy.expected is not None:
-        out = strategy.expected(inst, args)
-        return (out if isinstance(out, tuple) else (out, out)) + (None,)
-    if report is not None:
-        return report.total_cost, report.total_cost, None
-    run, env, *rest = strategy.call(inst, args)
-    cost = _spend(run, env, *rest)
-    return cost, cost, (rest[0] if rest else None)  # only advice strategies take one: the oracle
+def _expected_cost(run: Callable, inst: Instance, rule) -> tuple[Fraction, Fraction]:
+    """``run``'s exact expected cost on ``inst`` as (low, high): equal for everything
+    except the irrational-bias rule, whose expectation is enclosed."""
+    out = expected_cost_exact(run, inst, rule)
+    return out if isinstance(out, tuple) else (out, out)
 
 
 def _seeds(args) -> range:
@@ -319,8 +286,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    run, *call_args = _STRATEGIES[args.algorithm].call(inst, args)
-    report = run(*call_args)
+    strategy = _STRATEGIES[args.algorithm]
+    run, environment, rule = strategy.call(inst, args)
+    given = (rule, RandomCoin(args.seed)) if strategy.coin else () if rule is None else (rule,)
+    report = run(environment(inst), *given)
     print(f"instance   : {args.instance} (n={inst.n}, delta={rational_text(inst.delta)})")
     print(f"algorithm  : {args.algorithm} (seed={args.seed})")
     queried = ", ".join(str(i) for i in report.queried_indices) or "(none)"
@@ -330,9 +299,10 @@ def cmd_solve(args) -> int:
     if report.advice_bits is not None:
         print(f"advice bits: {report.advice_bits}")
     if args.expected:
-        lo, hi, _ = _expected_cost(inst, args, report)
+        # a run with no coin is its own expectation, so it is not run again
+        lo, hi = _expected_cost(run, inst, rule) if strategy.coin else (report.total_cost, report.total_cost)
         print(f"expected cost : {_fmt_range(lo, hi)}")
-        opt = _optimum_cost(inst, _STRATEGIES[args.algorithm])
+        opt = _optimum_cost(inst, environment)
         print(f"optimum cost  : {_fmt(opt)}")
         if opt > 0:
             print(f"expected ratio: {_fmt_range(lo / opt, hi / opt)}")
@@ -425,8 +395,10 @@ def cmd_ratio(args) -> int:
     _, label = bound(args, 0)  # the label does not depend on the instance size
     out_rows, ratios, exceeded = [], [], []
     for instance_id, _, seed, inst in rows:
-        _, hi, oracle = _expected_cost(inst, args)
-        opt = _optimum_cost(inst, strategy) if oracle is None else oracle.optimum_cost
+        run, environment, rule = strategy.call(inst, args)
+        _, hi = _expected_cost(run, inst, rule)
+        oracle = rule if isinstance(rule, AdviceOracle) else None  # its optimum is computed once per row
+        opt = _optimum_cost(inst, environment) if oracle is None else oracle.optimum_cost
         if hi < opt:
             raise InvariantViolation(
                 f"{instance_id}: cost {rational_text(hi)} is below the optimum {rational_text(opt)}")

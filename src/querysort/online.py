@@ -8,19 +8,18 @@ instance's grids, in one live dependency graph (`QueryEnvironment`); README's
 
 Randomized strategies draw from an injected coin (`RandomCoin`) at a bias
 that is `FIXED` or set by the rule `HALF` or `SQRT3`, whose irrational bias
-stays symbolic (`Sqrt3Prob`): no float enters a decision.  The two
-coin-driven strategies are written as trials, a ``_start`` that validates and
-warms up and a ``_trial`` that runs deterministic steps up to the next coin
-flip, so `expected_cost_exact` walks their coin tree once.
+stays symbolic (`Sqrt3Prob`): no float enters a decision.  Every strategy is
+one `_TRIALS` entry: a ``start`` that validates and plays up to its first
+coin flip, and a ``trial`` that plays on up to the next one (a strategy with
+no coin plays whole in its start, and its trial never flips).  `_run` plays
+a run of any of them and `expected_cost_exact` walks any coin tree once.
 
-Every strategy returns a `RunReport` built by `_finish`, which fails loudly
-if any dependent pair survived -- the feasibility guarantee is enforced, not
-assumed.
+Every run ends in `_finish`, which fails loudly if any dependent pair
+survived -- the feasibility guarantee is enforced, not assumed.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 import random
 from dataclasses import dataclass, field
@@ -234,6 +233,8 @@ class QueryEnvironment:
 class Environment(QueryEnvironment):
     """Exact-model query oracle: one query per item reveals its value."""
 
+    _described = "an Environment (each query reveals a value)"
+
     def __init__(self, instance: Instance):
         if instance.values is None:
             raise MissingRealization("an environment needs the hidden values")
@@ -274,6 +275,8 @@ class CpcpEnvironment(QueryEnvironment):
     time cost when given, the item's flat cost otherwise; the steps are the
     instance's `Instance.steps`.
     """
+
+    _described = "a CpcpEnvironment (scripts or embedded values)"
 
     def __init__(self, instance: Instance):
         super().__init__(instance)
@@ -362,19 +365,6 @@ def _finish(env: QueryEnvironment, permutation: Optional[Permutation] = None,
     )
 
 
-def _played(play: Callable[..., dict]) -> Callable[..., RunReport]:
-    """``play`` as a strategy: the play queries until no dependent pair is left
-    and returns the report's extras, then `_finish` builds the report.  The
-    play stays reachable through `inspect.unwrap` for `_spend`, also past a
-    tracer's `functools.wraps` wrapper."""
-    @functools.wraps(play)
-    def strategy(env, *args, **kwargs):
-        return _finish(env, **play(env, *args, **kwargs))
-
-    strategy.__signature__ = inspect.signature(play).replace(return_annotation="RunReport")
-    return strategy
-
-
 def _first_edges(env: QueryEnvironment) -> Iterator[tuple[int, int]]:
     """The smallest edge of ``env``'s live graph, read again at each step, until
     none is left.  It starts at the smallest vertex with an edge, which never
@@ -398,17 +388,48 @@ def _edgeless_paid(env: QueryEnvironment, vertices) -> int:
     return env._paid
 
 
-def _spend(strategy: Callable[..., RunReport], env: QueryEnvironment, *args) -> Fraction:
-    """The spend of a deterministic ``strategy``'s run on ``env``, left unordered."""
-    inspect.unwrap(strategy)(env, *args)
-    return Fraction(_edgeless_paid(env, range(env.n)), env._scale)
+def _no_flip(env: QueryEnvironment, rule, state) -> None:
+    """The trial of a strategy with no coin: its start played it whole."""
 
 
-def _exact_model(env: QueryEnvironment) -> None:
-    """Refuse an environment that is not an `Environment`: the exact-model strategies' picks,
-    guarantees and optimum hold only where each query reveals a value."""
-    if not isinstance(env, Environment):
-        raise InvariantViolation("this strategy runs on an Environment (each query reveals a value)")
+def _next_flip(env: QueryEnvironment, rule, state, trial) -> Optional[tuple]:
+    """Play ``trial``, taking each certain coin step (p ≤ 0 or ≥ 1) and flushing value
+    witnesses after it, up to the next real flip: its step, or None at the run's end."""
+    while (step := trial(env, rule, state)) is not None:
+        p, heads, tails = step
+        if (outcome := _certain(p)) is None:
+            return step
+        (heads if outcome else tails)(env)
+        _flush_value_witnesses(env)
+    return None
+
+
+def _run(strategy: Callable[..., RunReport], env: QueryEnvironment, rule=None, rng=None) -> RunReport:
+    """One run of ``strategy``'s `_TRIALS` entry on ``env``: its start, then each real flip
+    on the side ``rng`` picks (a certain step consumes no randomness), then `_finish` with
+    the report's extras, which the start of a strategy with no coin returns."""
+    start, trial, key = _entry(strategy, rule)
+    if not isinstance(env, model := _model(start)):
+        raise InvariantViolation(f"this strategy runs on {model._described}")
+    state = start(env, rule)
+    while (step := _next_flip(env, rule, state, trial)) is not None:
+        if rng is None:
+            raise InvariantViolation("this run is randomized; pass rng=RandomCoin(seed)")
+        p, heads, tails = step
+        (heads if rng.flip(p) else tails)(env)
+        _flush_value_witnesses(env)
+    return _finish(env, **(state if key is None else {}))
+
+
+def _named(obj) -> str:
+    """``obj`` in a refusal: its qualified name or its type (a repr may vary by run or pass the digit cap)."""
+    return getattr(obj, "__qualname__", None) or type(obj).__name__
+
+
+def _model(start) -> type:
+    """The environment class the strategy with ``start`` plays on: the exact-model strategies'
+    picks, guarantees and optimum hold only where each query reveals a value."""
+    return CpcpEnvironment if start is _algorithm3_cpcp else Environment
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +512,23 @@ def _preprocess_witnesses(env: QueryEnvironment) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@_played
-def run_oblivious(env: Environment) -> dict:
+def run_oblivious(env: Environment) -> RunReport:
     """Query everything that could possibly matter, then order.
 
     The best answer-blind strategy: `oblivious_query_set`, fixed before any
     answer, less the items the environment has already queried.
     """
-    _exact_model(env)
+    return _run(run_oblivious, env)
+
+
+def _run_oblivious(env: Environment, rule) -> dict:
     for i in sorted(oblivious_query_set(env.instance)):
         if not env.queried(i):
             env.query(i)
     return {}
 
 
-@_played
-def simple_adaptive(env: Environment) -> dict:
+def simple_adaptive(env: Environment) -> RunReport:
     """Repeatedly query both sides of the first dependent pair.
 
     Pairs are scanned in index order.  Each step's batch (the pair members
@@ -515,7 +537,10 @@ def simple_adaptive(env: Environment) -> dict:
     disjoint -- which is exactly why this strategy never pays more than
     twice the optimum under uniform costs.
     """
-    _exact_model(env)
+    return _run(simple_adaptive, env)
+
+
+def _simple_adaptive(env: Environment, rule) -> dict:
     witness_sets: list[frozenset[int]] = []
     for i, j in _first_edges(env):
         batch = [k for k in (i, j) if not env.queried(k)]
@@ -525,17 +550,20 @@ def simple_adaptive(env: Environment) -> dict:
     return dict(witness_sets=tuple(witness_sets))
 
 
-@_played
-def simple_adaptive_stable_sort(env: Environment) -> dict:
+def simple_adaptive_stable_sort(env: Environment) -> RunReport:
     """Merge sort whose comparator queries a dependent pair before comparing.
 
     Zero-threshold only.  After resolving (at most one query per side), the
     pair admits at least one safe order; when both orders are safe the
     earlier input position goes first, so equal values keep their original
     order -- a stable sort.  Comparison count is the usual merge-sort
-    O(n log n).
+    O(n log n).  The sort's merges are its queries, so its start returns
+    the order it made as an extra, and `_finish` only checks it.
     """
-    _exact_model(env)
+    return _run(simple_adaptive_stable_sort, env)
+
+
+def _simple_adaptive_stable_sort(env: Environment, rule) -> dict:
     if env.delta != 0:
         raise DeltaNotZero("the sorting comparator needs threshold zero")
     comparisons = 0
@@ -573,15 +601,17 @@ def simple_adaptive_stable_sort(env: Environment) -> dict:
     return dict(permutation=Permutation(order), comparisons=comparisons)
 
 
-@_played
-def vc_adaptive(env: Environment) -> dict:
+def vc_adaptive(env: Environment) -> RunReport:
     """Query a minimum-cost vertex cover, then whatever is still dependent.
 
     Two passes always suffice: querying can only remove dependencies, and
     after the cover is revealed every remaining dependency pins a
     still-unqueried interval that must be queried in every solution.
     """
-    _exact_model(env)
+    return _run(vc_adaptive, env)
+
+
+def _vc_adaptive(env: Environment, rule) -> dict:
     for v in min_cost_vertex_cover(env.graph()):
         env.query(v)
     for v in env.graph().active_vertices():
@@ -619,19 +649,15 @@ def algorithm1(env: Environment, rule: Optional[Fraction] = None, rng=None) -> R
     warmed-up graph has no single-edge component.  All ties break to the
     smaller index; the picks come from `_algorithm1_start`'s lazy heaps.
     """
-    if rule is None:
-        rule = Fraction(1, 2)
-    state = _algorithm1_start(env, rule)
-    return _run_trials(env, rule, state, _algorithm1_trial, rng)
+    return _run(algorithm1, env, Fraction(1, 2) if rule is None else rule, rng)
 
 
 def _algorithm1_start(env: Environment, p: Fraction, state: Optional[tuple] = None, vertices=None) -> tuple:
-    """Start a walk: at the root, check the environment, bias and costs and run
+    """Start a walk: at the root, check the bias and costs and run
     the warm-up.  The state is the picks among ``vertices`` (ascending; all at
     the root): a heap of the smaller ends of single-edge components, a heap of
     ``(hi, v)`` per active vertex, and the transcript length the heaps are current to."""
     if state is None:
-        _exact_model(env)
         if not isinstance(p, Fraction):
             raise InvariantViolation("this strategy takes a fixed coin bias")
         FIXED(p)  # refuses a bias outside [0, 1]
@@ -658,8 +684,7 @@ def _algorithm1_trial(env: Environment, p: Fraction, state: tuple) -> Optional[t
     pairs, ends, seen = state
     g = env.graph()
     while True:
-        # a query deletes edges only at its vertex: only former neighbours form new single edges
-        for j in {j for i, _, _ in env.transcript[seen[0]:] for j in env._nbrs[i]}:
+        for j in _touched(env, seen[0]):  # only these can form new single edges
             if len(g.adj[j]) == 1 and len(g.adj[k := min(g.adj[j])]) == 1:
                 heappush(pairs, min(j, k))
         seen[0] = len(env.transcript)
@@ -685,6 +710,12 @@ def _algorithm1_trial(env: Environment, p: Fraction, state: tuple) -> Optional[t
         _flush_value_witnesses(env)
 
 
+def _touched(env: QueryEnvironment, mark: int) -> set[int]:
+    """The former neighbours of the vertices queried since transcript length ``mark``: a query
+    deletes edges only at its vertex, so only these can have lost an edge since."""
+    return {j for i, _, _ in env.transcript[mark:] for j in env._nbrs[i]}
+
+
 def _query_pair(first: int, second: int) -> Callable[[QueryEnvironment], None]:
     """Query ``first``, then ``second`` only if the revealed value forces it."""
     def action(env: QueryEnvironment) -> None:
@@ -693,30 +724,6 @@ def _query_pair(first: int, second: int) -> Callable[[QueryEnvironment], None]:
             env.query(second)
 
     return action
-
-
-def _next_flip(env: QueryEnvironment, rule, state, trial) -> Optional[tuple]:
-    """Play ``trial``, taking each certain coin step (p ≤ 0 or ≥ 1) and flushing value
-    witnesses after it, up to the next real flip: its step, or None at the run's end."""
-    while (step := trial(env, rule, state)) is not None:
-        p, heads, tails = step
-        if (outcome := _certain(p)) is None:
-            return step
-        (heads if outcome else tails)(env)
-        _flush_value_witnesses(env)
-    return None
-
-
-def _run_trials(env: QueryEnvironment, rule, state, trial, rng) -> RunReport:
-    """Play ``trial`` to the end, taking the side of each real flip ``rng`` picks;
-    a certain step consumes no randomness."""
-    while (step := _next_flip(env, rule, state, trial)) is not None:
-        if rng is None:
-            raise InvariantViolation("this run is randomized; pass rng=RandomCoin(seed)")
-        p, heads, tails = step
-        (heads if rng.flip(p) else tails)(env)
-        _flush_value_witnesses(env)
-    return _finish(env)
 
 
 def no_2component_after_preprocess(inst: Instance) -> bool:
@@ -769,18 +776,16 @@ def algorithm2(env: Environment, rule: Callable[..., Probability], rng=None) -> 
     Value witnesses are flushed after every query step; the picks come from
     `_algorithm2_start`'s heap and positions.
     """
-    state = _algorithm2_start(env, rule)
-    return _run_trials(env, rule, state, _algorithm2_trial, rng)
+    return _run(algorithm2, env, rule, rng)
 
 
 def _algorithm2_start(env: Environment, rule, state: Optional[tuple] = None, vertices=None) -> tuple:
     """Start a walk: the residual weights, the frozen spines, the walk's ``vertices`` (ascending), a lazy heap
     of the zero-residual ones, and two positions in ``vertices`` that never decrease: the smallest active vertex
-    and the smallest triangle's first vertex.  The root checks the environment and the rule and takes every
+    and the smallest triangle's first vertex.  The root checks the rule and takes every
     vertex and fresh residuals.  A walk below reads its parent's residuals, which no trial writes after the first
     real flip (no triangle is left then), and spines if its component froze (whole, once), else starts with none."""
     if state is None:
-        _exact_model(env)
         if rule is not HALF and rule is not SQRT3:
             raise InvariantViolation("this strategy takes the half or sqrt3 rule")
         state, vertices = (list(env._units), {}), range(env.n)
@@ -841,8 +846,7 @@ def _query_all(items: list[int]) -> Callable[[QueryEnvironment], None]:
 # ---------------------------------------------------------------------------
 
 
-@_played
-def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
+def algorithm3_cpcp(env: CpcpEnvironment) -> RunReport:
     """Local-ratio strategy for queries that return refined intervals.
 
     Works on the time-expanded cost vector, in cost units: each potential
@@ -858,10 +862,10 @@ def algorithm3_cpcp(env: CpcpEnvironment) -> dict:
     subtraction or a query, which push their items again; a popped item gone
     inactive (for good: edges are only deleted) or priced is dropped.
     """
-    if not isinstance(env, CpcpEnvironment):
-        raise InvariantViolation(
-            "this strategy runs on a CpcpEnvironment (scripts or embedded values)"
-        )
+    return _run(algorithm3_cpcp, env)
+
+
+def _algorithm3_cpcp(env: CpcpEnvironment, rule) -> dict:
     residual: dict[tuple[int, int], int] = {}  # in cost units; an active item has a step left (see below)
 
     def current_cost(i: int) -> int:
@@ -929,14 +933,12 @@ class AdviceOracle:
 
 
 def _advised(env: QueryEnvironment, oracle) -> None:
-    """`_exact_model`, and refuse an ``oracle`` that is not an `AdviceOracle` of ``env``'s instance."""
-    _exact_model(env)
+    """Refuse an ``oracle`` that is not an `AdviceOracle` of ``env``'s instance."""
     if not (isinstance(oracle, AdviceOracle) and oracle.instance == env.instance):
         raise InvariantViolation("the advice must come from an AdviceOracle of this environment's instance")
 
 
-@_played
-def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
+def advice_half(env: Environment, oracle: AdviceOracle) -> RunReport:
     """Optimal-cost strategy using at most one bit per two items (threshold 0).
 
     In a triangle, the asked-about interval is the 'middle' one (neither
@@ -951,6 +953,10 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     so `find_triangle` resumes from the last one; leaves wait in a lazy
     heap, fed from the former neighbours of the vertices queried since.
     """
+    return _run(advice_half, env, oracle)
+
+
+def _advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     _advised(env, oracle)
     if env.delta != 0:
         raise DeltaNotZero("the one-bit strategy is defined at threshold zero")
@@ -965,7 +971,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
             k = min(group - {i}, key=lambda w: (-g.his[w], w))
             (j,) = group - {i, k}
         else:
-            for v in {v for i, _, _ in env.transcript[seen:] for v in env._nbrs[i]}:
+            for v in _touched(env, seen):
                 if len(g.adj[v]) == 1:
                     heappush(leaves, v)
             seen = len(env.transcript)
@@ -982,8 +988,7 @@ def advice_half(env: Environment, oracle: AdviceOracle) -> dict:
     return dict(advice_bits=oracle.bits_used, advice_question_sizes=tuple(oracle.question_sizes))
 
 
-@_played
-def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
+def advice_lg3(env: Environment, oracle: AdviceOracle) -> RunReport:
     """Optimal-cost strategy spending about 0.53 bits per item (any threshold).
 
     The first-ending active interval and its neighbors always form a
@@ -993,6 +998,10 @@ def advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     is none) and queries the rest of the clique.  Named members are
     remembered; a clique containing one costs no further advice.
     """
+    return _run(advice_lg3, env, oracle)
+
+
+def _advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     _advised(env, oracle)
     known_out: set[int] = set()
     g = env.graph()
@@ -1030,12 +1039,32 @@ def _algorithm2_key(state, comp: list[int]) -> tuple:
     return tuple(comp), tuple(residual[v] for v in comp), spine
 
 
-#: The coin-driven strategies, each as its (start, trial, key) triple.  Just after a
-#: flush, a dependent component's key fixes the rest of its walk.
+#: Every strategy, as its (start, trial, key) triple.  Just after a flush, a dependent
+#: component's key fixes the rest of its walk; a strategy with no coin has none.
 _TRIALS = {
+    run_oblivious: (_run_oblivious, _no_flip, None),
+    simple_adaptive: (_simple_adaptive, _no_flip, None),
+    simple_adaptive_stable_sort: (_simple_adaptive_stable_sort, _no_flip, None),
+    vc_adaptive: (_vc_adaptive, _no_flip, None),
     algorithm1: (_algorithm1_start, _algorithm1_trial, lambda state, comp: tuple(comp)),
     algorithm2: (_algorithm2_start, _algorithm2_trial, _algorithm2_key),
+    algorithm3_cpcp: (_algorithm3_cpcp, _no_flip, None),
+    advice_half: (_advice_half, _no_flip, None),
+    advice_lg3: (_advice_lg3, _no_flip, None),
 }
+
+
+def _entry(strategy, rule) -> tuple:
+    """``strategy``'s `_TRIALS` entry, looked up by identity (``strategy`` may be unhashable),
+    also past a `functools.wraps` wrapper such as a tracer's.  Anything else is refused, and
+    so is a ``rule`` given to a strategy whose public function takes its environment alone."""
+    unwrapped = inspect.unwrap(strategy)
+    entry = next((t for s, t in _TRIALS.items() if s is unwrapped), None)
+    if entry is None:
+        raise InvariantViolation(f"{_named(strategy)} is not a querysort strategy")
+    if rule is not None and unwrapped.__code__.co_argcount == 1:
+        raise InvariantViolation(f"{unwrapped.__name__} takes no rule, got {_named(rule)}")
+    return entry
 
 
 def _lowest(e: int, m: int, d: int) -> tuple:
@@ -1059,9 +1088,11 @@ def expected_cost_exact(
 ) -> Union[Fraction, tuple[Fraction, Fraction]]:
     """Exact expected total cost over every branch of the strategy's coin.
 
-    ``algorithm`` is `algorithm1` or `algorithm2` (or a `functools.wraps`
-    wrapper of one), and ``rule`` what it takes: a bias, or `HALF` or
-    `SQRT3`; its start refuses anything else.  The walk, ``False`` side
+    ``algorithm`` is any strategy (or a `functools.wraps` wrapper of one), and
+    ``rule`` what it takes beyond its environment: a bias, `HALF` or `SQRT3` for
+    `algorithm1` and `algorithm2`, an `AdviceOracle` for the advice strategies,
+    None for the rest; anything else is refused.  A strategy with no coin is
+    one leaf, the spend of its run left unordered.  The walk, ``False`` side
     first, is README's ("Online strategies").  Walking each dependent
     component apart after a flip is exact: a query deletes edges only at its
     own vertex, both flushes test only neighbours, and every trial step
@@ -1074,12 +1105,8 @@ def expected_cost_exact(
     Returns an exact rational when every probability is rational, and a rational
     enclosure ``(lo, hi)`` (width far below 1e-9) when the square-root rule is involved.
     """
-    unwrapped = inspect.unwrap(algorithm)  # looked up by identity: ``algorithm`` may be unhashable
-    start, trial, key = next((t for alg, t in _TRIALS.items() if alg is unwrapped), (None, None, None))
-    if start is None:  # named by its qualified name or its type: a repr may vary by run or pass the digit cap
-        name = getattr(algorithm, "__qualname__", None) or type(algorithm).__name__
-        raise InvariantViolation(f"expected_cost_exact takes algorithm1 or algorithm2, not {name}")
-    env = Environment(inst)  # the one environment of the whole walk
+    start, trial, key = _entry(algorithm, rule)
+    env = _model(start)(inst)  # the one environment of the whole walk
     memo: dict = {}  # component key -> its subtree
     walked = 0  # real flips walked in this call; a memo hit walks none
 

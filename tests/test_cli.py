@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -738,10 +739,14 @@ def test_ratio_refuses_a_cost_below_the_optimum(capsys, monkeypatch):
 LEFTOVER = "items 0 and 1 are still dependent: [0, 10] vs [4, 14]"
 
 
-def test_ratio_refuses_a_run_that_stops_with_a_dependent_pair(capsys, monkeypatch):
-    from querysort import cli, online
+def stopping_at_once(monkeypatch):
+    """Make `simple_adaptive`'s `_TRIALS` entry, which `solve` and `ratio` both run, a start
+    that queries nothing."""
+    monkeypatch.setitem(online._TRIALS, online.simple_adaptive, (lambda env, rule: {}, online._no_flip, None))
 
-    monkeypatch.setattr(cli, "simple_adaptive", online._played(lambda env: {}))
+
+def test_ratio_refuses_a_run_that_stops_with_a_dependent_pair(capsys, monkeypatch):
+    stopping_at_once(monkeypatch)
     assert main(["ratio", "simple", "lemma4"]) == 4
     assert capsys.readouterr() == ("", f"model error: {LEFTOVER}\n")
 
@@ -752,7 +757,7 @@ def test_a_leftover_pair_is_refused_in_one_text_everywhere(tmp_path, capsys, mon
     from querysort import Permutation, UnresolvedDependency, algorithm1, expected_cost_exact
 
     inst = gen_lemma4_pair(0)[0]
-    monkeypatch.setattr(cli, "simple_adaptive", online._played(lambda env: {}))
+    stopping_at_once(monkeypatch)
     assert main(["solve", "simple", write_doc(tmp_path, "pair.json", inst)]) == 4
     assert capsys.readouterr() == ("", f"model error: {LEFTOVER}\n")
     assert main(["ratio", "simple", "lemma4"]) == 4
@@ -792,6 +797,60 @@ def test_ratio_orders_no_run_and_solve_orders_one(tmp_path, capsys, monkeypatch,
     assert main(["solve", algorithm, doc, "--expected"]) == 0
     capsys.readouterr()
     assert orderings == ["_finish"] + (["build_permutation"] if algorithm != "stable_sort" else [])
+
+
+#: Every strategy `querysort` exports, and the one `ratio` row family each is checked on below.
+PUBLIC_STRATEGIES = {
+    "oblivious": ("run_oblivious", "nested_star"),
+    "simple": ("simple_adaptive", "random"),
+    "stable_sort": ("simple_adaptive_stable_sort", "random"),
+    "vc": ("vc_adaptive", "laminar"),
+    "alg1": ("algorithm1", "lemma4"),
+    "alg2": ("algorithm2", "cost_path"),
+    "alg3": ("algorithm3_cpcp", "cpcp"),
+    "advice_half": ("advice_half", "random"),
+    "advice_lg3": ("advice_lg3", "advice_triangles"),
+}
+
+
+def wrap_everywhere(monkeypatch, names):
+    """Do what a tracer that times ``names`` does: in every ``querysort`` module, swap
+    each name's function for a `functools.wraps` wrapper.  Returns the names called."""
+    called = set()
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "querysort"]
+    for name in names:
+        original = getattr(online, name)
+
+        @functools.wraps(original)
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    return called
+
+
+def test_wrapped_strategies_print_what_the_plain_ones_print(tmp_path, capsys, monkeypatch):
+    """One `ratio` row and one `solve --expected` per strategy print the same bytes with every
+    strategy and `expected_cost_exact` wrapped, so no lookup goes through a swapped global."""
+    docs = [write_doc(tmp_path, f"{k}.json", inst)
+            for k, inst in enumerate((gen_random(1, 8, F(0)), gen_random_scripted(1, 8, F(0))))]
+    argvs = [argv for algorithm, (_, family) in PUBLIC_STRATEGIES.items()
+             for argv in (["ratio", algorithm, family, "--trials", "1"],
+                          ["solve", algorithm, docs[algorithm == "alg3"], "--expected"])]
+
+    def outputs():
+        return [(argv, main(argv), *capsys.readouterr()) for argv in argvs]
+
+    plain = outputs()
+    assert all(code == 0 for _, code, _, _ in plain), plain
+    names = [name for name, _ in PUBLIC_STRATEGIES.values()] + ["expected_cost_exact"]
+    called = wrap_everywhere(monkeypatch, names)
+    assert outputs() == plain
+    assert called == set(names)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ active vertex it replaced, by whole transcripts up to n = 2 000.
 """
 
 import copy
-import inspect
 import random
 from fractions import Fraction as F
 
@@ -239,8 +238,9 @@ def test_algorithm1_matches_the_fraction_keyed_reference(inst, p, seed):
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(online, "_finish", lambda env: tuple(env.transcript))  # no final ordering
+        start, _, key = online._TRIALS[algorithm1]
         for trial in (online._algorithm1_trial, ref_algorithm1_trial):
-            mp.setattr(online, "_algorithm1_trial", trial)
+            mp.setitem(online._TRIALS, algorithm1, (start, trial, key))
             runs.append(algorithm1(Environment(inst), p, RandomCoin(seed)))
     assert runs[0] == runs[1]
 
@@ -279,9 +279,10 @@ def with_zero_prices(inst, seed):
     return Instance(inst.delta, inst.intervals, inst.values, inst.refinements, rows)
 
 
-def play(strategy, env, *args):
-    """A strategy's play alone (no final ordering): its transcript and extras."""
-    extras = strategy(env, *args)
+def play(start, env, *args):
+    """A play alone (no final ordering), such as a `_TRIALS` start of a strategy with no
+    coin: its transcript and extras."""
+    extras = start(env, *args)
     return tuple(env.transcript), extras
 
 
@@ -290,9 +291,9 @@ def play(strategy, env, *args):
 def test_advice_and_stable_sort_match_the_fraction_keyed_references(inst):
     zero = at_zero(inst)
     for strategy, ref, case in ((advice_half, ref_advice_half, zero), (advice_lg3, ref_advice_lg3, inst)):
-        ours = play(inspect.unwrap(strategy), Environment(case), AdviceOracle(case))
+        ours = play(online._TRIALS[strategy][0], Environment(case), AdviceOracle(case))
         assert ours == play(ref, Environment(case), AdviceOracle(case))
-    ours = play(inspect.unwrap(simple_adaptive_stable_sort), Environment(zero))
+    ours = play(online._TRIALS[simple_adaptive_stable_sort][0], Environment(zero), None)
     assert ours == play(ref_stable_sort, Environment(zero))
 
 
@@ -318,7 +319,7 @@ def test_first_edge_is_the_smallest_edge(monkeypatch, strategy, make_env, n, del
     monkeypatch.setattr(online, "_first_edges", checked)
     inst = make_instance(n, n, delta, 4 * n + 1, scripted=make_env is CpcpEnvironment)
     env = make_env(inst)
-    online._spend(strategy, env)
+    online._TRIALS[strategy][0](env, None)  # the whole play, left unordered
     assert len(steps) >= n // 20  # the runs take many steps
     assert not any(env.graph().adj)
 
@@ -356,7 +357,7 @@ def cpcp_play(inst):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(online, "_first_edges", bounded)
-        return outcome(play, inspect.unwrap(algorithm3_cpcp), CpcpEnvironment(inst))
+        return outcome(play, online._TRIALS[algorithm3_cpcp][0], CpcpEnvironment(inst), None)
 
 
 @pytest.mark.parametrize("n, delta", [(60, F(1)), (500, F(1, 2)), (2000, F(0))])

@@ -78,7 +78,7 @@ import querysort
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SRC_LINE_BUDGET = 3808
+SRC_LINE_BUDGET = 3807
 
 
 def imported_names(tree):
@@ -201,6 +201,36 @@ def test_online_snapshots_no_strategy_state():
     """The coin walk restores the environment by `Environment._rollback` alone, and each
     component walk builds its own state, so nothing in ``online.py`` copies a state."""
     assert snapshot_sites((SRC / "online.py").read_text()) == []
+
+
+def table_keys(source, table="_TRIALS"):
+    """The key names of the dict literal bound to ``table``, in source order and with
+    repeats: at run time a repeated key would silently keep only its last entry."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [table]:
+            return [key.id for key in node.value.keys]
+    return []
+
+
+def test_the_check_flags_a_repeated_entry():
+    source = (
+        "_TRIALS = {\n"
+        "    run_oblivious: (_run_oblivious, _no_flip, None),\n"
+        "    algorithm1: (_algorithm1_start, _algorithm1_trial, key),\n"
+        "    run_oblivious: (_other, _no_flip, None),\n"
+        "}\n"
+        "OTHER = {vc_adaptive: None}\n"
+    )
+    assert table_keys(source) == ["run_oblivious", "algorithm1", "run_oblivious"]
+
+
+def test_every_exported_strategy_has_one_trials_entry():
+    """The strategies `querysort` exports are its functions that return a `RunReport`: each
+    is one entry of `online._TRIALS`, the table every run and every walk looks up."""
+    strategies = [name for name in querysort.__all__
+                  if getattr(getattr(querysort, name), "__annotations__", {}).get("return") == "RunReport"]
+    assert len(strategies) == 9
+    assert sorted(table_keys((SRC / "online.py").read_text())) == sorted(strategies)
 
 
 def repr_fields(source):
@@ -357,7 +387,7 @@ def test_orderings_read_no_intervals():
 PER_QUERY = {
     "QueryEnvironment._record", "Environment.query", "Environment._rollback", "CpcpEnvironment.query", "_flush",
     "_flush_value_witnesses.witnessed", "_preprocess_witnesses.witnessed",
-    "_algorithm1_trial", "_algorithm2_trial", "algorithm3_cpcp", "algorithm3_cpcp.current_cost",
+    "_algorithm1_trial", "_algorithm2_trial", "_algorithm3_cpcp", "_algorithm3_cpcp.current_cost",
 }
 
 

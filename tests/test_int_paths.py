@@ -476,12 +476,18 @@ def test_algorithm2_on_unit_residuals_plays_as_on_fractions(inst, seed):
     mixed denominators, query the same items and end with the same residuals."""
     inst = with_costs(inst, mixed_weights(random.Random(seed), inst.n))
     scale = inst.cost_grid[0]
+    start, trial, key = online._TRIALS[algorithm2]
     for rule in (HALF, SQRT3):
-        env, ref = Environment(inst), Environment(inst)
-        state = online._algorithm2_start(env, rule)
-        ref_state = online._algorithm2_start(ref, rule, (list(inst.costs), {}), range(inst.n))
-        report = online._run_trials(env, rule, state, online._algorithm2_trial, RandomCoin(seed))
-        want = online._run_trials(ref, rule, ref_state, online._algorithm2_trial, RandomCoin(seed))
+        states, reports = [], []
+        for residuals, vertices in ((None, None), ((list(inst.costs), {}), range(inst.n))):  # units, then `Fraction`s
+            def started(env, rule):
+                states.append(start(env, rule, residuals, vertices))
+                return states[-1]
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setitem(online._TRIALS, algorithm2, (started, trial, key))
+                reports.append(algorithm2(Environment(inst), rule, RandomCoin(seed)))
+        (report, want), (state, ref_state) = reports, states
         assert report.transcript == want.transcript and report.total_cost == want.total_cost
         assert state[0] == [r * scale for r in ref_state[0]]
 

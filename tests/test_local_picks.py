@@ -19,7 +19,6 @@ coin path, so that a copy of the state per flip fails it.
 """
 
 import gc
-import inspect
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -239,17 +238,18 @@ def test_seeded_flush_queries_what_a_full_scan_queries(inst, refine, seed):
         assert (online._preprocess_witnesses if static else online._flush_value_witnesses)(env) == want
 
 
-#: Each play, without a final ordering, as ``play(env, inst)``; the coin-driven ones on `RandomCoin(0)`.
+#: Each play, without a final ordering, as ``play(env, inst)``: a `_TRIALS` start for a strategy
+#: with no coin, and the coin-driven ones on `RandomCoin(0)`.
 PLAYS = {
-    "simple_adaptive": lambda env, inst: inspect.unwrap(simple_adaptive)(env),
-    "simple_adaptive_stable_sort": lambda env, inst: inspect.unwrap(simple_adaptive_stable_sort)(env),
-    "vc_adaptive": lambda env, inst: inspect.unwrap(vc_adaptive)(env),
-    "run_oblivious": lambda env, inst: inspect.unwrap(run_oblivious)(env),
+    "simple_adaptive": lambda env, inst: online._TRIALS[simple_adaptive][0](env, None),
+    "simple_adaptive_stable_sort": lambda env, inst: online._TRIALS[simple_adaptive_stable_sort][0](env, None),
+    "vc_adaptive": lambda env, inst: online._TRIALS[vc_adaptive][0](env, None),
+    "run_oblivious": lambda env, inst: online._TRIALS[run_oblivious][0](env, None),
     "algorithm1": lambda env, inst: algorithm1(env, F(1, 2), RandomCoin(0)),
     "algorithm2": lambda env, inst: algorithm2(env, HALF, RandomCoin(0)),
-    "algorithm3_cpcp": lambda env, inst: inspect.unwrap(algorithm3_cpcp)(env),
-    "advice_lg3": lambda env, inst: inspect.unwrap(advice_lg3)(env, AdviceOracle(inst)),
-    "advice_half": lambda env, inst: inspect.unwrap(advice_half)(env, AdviceOracle(inst)),
+    "algorithm3_cpcp": lambda env, inst: online._TRIALS[algorithm3_cpcp][0](env, None),
+    "advice_lg3": lambda env, inst: online._TRIALS[advice_lg3][0](env, AdviceOracle(inst)),
+    "advice_half": lambda env, inst: online._TRIALS[advice_half][0](env, AdviceOracle(inst)),
 }
 
 
@@ -350,7 +350,7 @@ def test_picks_match_the_scans_on_crowded_instances(inst, seed):
 @pytest.mark.parametrize("n, delta", SIZES)
 def test_advice_lg3_first_ending_pick_at_scale(n, delta):
     inst = sparse(n, delta)
-    ours = play(inspect.unwrap(advice_lg3), Environment(inst), AdviceOracle(inst))
+    ours = play(online._TRIALS[advice_lg3][0], Environment(inst), AdviceOracle(inst))
     assert ours == play(ref_advice_lg3, Environment(inst), AdviceOracle(inst))
     assert len(ours[0]) >= n // 4
 
@@ -376,7 +376,7 @@ def test_advice_half_picks_match_the_scans_at_every_step(monkeypatch, n):
     monkeypatch.setattr(online, "find_triangle", checked)
     monkeypatch.setattr(online, "_flush_value_witnesses", recorded)
     env, ref = Environment(inst), Environment(inst)
-    ours = inspect.unwrap(advice_half)(env, AdviceOracle(inst))
+    ours = online._TRIALS[advice_half][0](env, AdviceOracle(inst))
     assert ours == ref_advice_half(ref, AdviceOracle(inst))
     assert env.transcript == ref.transcript
     assert ends[id(env)] == ends[id(ref)] and len(ends[id(env)]) >= n // 10

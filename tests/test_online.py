@@ -335,19 +335,13 @@ EXACT_MODEL = {
 
 @pytest.mark.parametrize("name", sorted(EXACT_MODEL))
 def test_exact_model_strategies_refuse_a_refinement_environment(name):
-    """Before any query, also through `online._spend`, which runs a play without its wrapper."""
+    """Before any query: the driver checks the environment before the strategy starts."""
     inst = gen_random_scripted(3, 8, F(0))
     message = r"^this strategy runs on an Environment \(each query reveals a value\)$"
     env = CpcpEnvironment(inst)
     with pytest.raises(InvariantViolation, match=message):
         EXACT_MODEL[name](env, inst)
     assert env.transcript == []
-    if name not in ("algorithm1", "algorithm2"):  # the coin-driven ones have no play to unwrap
-        env = CpcpEnvironment(inst)
-        extra = (AdviceOracle(inst),) if name.startswith("advice") else ()
-        with pytest.raises(InvariantViolation, match=message):
-            online._spend(getattr(online, name), env, *extra)
-        assert env.transcript == []
 
 
 def test_algorithm1_expected_lemma4():
@@ -658,10 +652,12 @@ def test_fork_before_any_graph_read():
 
 def test_expected_cost_refuses_other_strategies_and_rules():
     inst = gen_lemma4_pair(F(0))[0]
-    for other in (simple_adaptive, run_oblivious, lambda env, rule, rng: algorithm1(env, rule, rng=rng)):
-        with pytest.raises(InvariantViolation):
-            expected_cost_exact(other, inst, FIXED(F(1, 2)))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"\.<lambda> is not a querysort strategy$"):
+        expected_cost_exact(lambda env, rule, rng: algorithm1(env, rule, rng=rng), inst, FIXED(F(1, 2)))
+    for ruleless in (simple_adaptive, run_oblivious):
+        with pytest.raises(InvariantViolation, match=f"^{ruleless.__name__} takes no rule, got Fraction$"):
+            expected_cost_exact(ruleless, inst, FIXED(F(1, 2)))
+    with pytest.raises(InvariantViolation, match="^this strategy takes a fixed coin bias$"):
         expected_cost_exact(algorithm1, inst, None)
 
 

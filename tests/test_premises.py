@@ -38,7 +38,6 @@ n = 10:
 """
 
 import csv
-import inspect
 from fractions import Fraction as F
 from heapq import heappop, heappush
 from types import SimpleNamespace
@@ -124,7 +123,7 @@ def zero_threshold_cases():
 def test_advice_half_needs_no_memory(name, inst):
     env = Environment(inst)
     oracle = WatchedOracle(inst, env)
-    transcript, extras = play(inspect.unwrap(advice_half), env, oracle)
+    transcript, extras = play(online._TRIALS[advice_half][0], env, oracle)
     assert [u for u in oracle.refused if env.graph().adj[u]] == []
     assert (transcript, extras) == play(ref_advice_half, Environment(inst), AdviceOracle(inst))
     assert env.graph().edges == frozenset()
@@ -504,8 +503,9 @@ def test_no_strategy_spends_where_no_pair_is_dependent(family):
                 for name in cli._STRATEGIES:
                     for rule in {"alg2": ("half", "sqrt3")}.get(name, (None,)):  # alg1 flips at 1/2
                         args = SimpleNamespace(algorithm=name, seed=0, rule=rule, bias=FIXED(F(1, 2)))
+                        run, _, rule = cli._STRATEGIES[name].call(inst, args)
                         try:
-                            spent = cli._expected_cost(inst, args)[:2]
+                            spent = cli._expected_cost(run, inst, rule)
                         except DeltaNotZero:
                             continue
                         assert spent == (0, 0), (argv, name, rule)
@@ -562,7 +562,7 @@ def test_advice_lg3_groups_are_cliques(delta):
     """The play equals `checked_advice_lg3`'s, whose check passes at every round."""
     queried = 0
     for name, inst in advice_lg3_cases(delta):
-        ours = play(inspect.unwrap(advice_lg3), Environment(inst), AdviceOracle(inst))
+        ours = play(online._TRIALS[advice_lg3][0], Environment(inst), AdviceOracle(inst))
         assert ours == play(checked_advice_lg3, Environment(inst), AdviceOracle(inst)), name
         queried += len(ours[0])
     assert queried >= 1000

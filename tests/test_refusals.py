@@ -31,6 +31,7 @@ from querysort import (
     advice_half,
     advice_lg3,
     algorithm2,
+    algorithm3_cpcp,
     asteroid_realization,
     brute_force_optimum,
     build_graph,
@@ -212,12 +213,12 @@ REFUSALS = [
      "total cost 1 does not match transcript sum 0"),
     (lambda: algorithm2(Environment(gen_cost_path(4, F(1, 100))), HALF), InvariantViolation,
      "this run is randomized; pass rng=RandomCoin(seed)"),
-    (lambda: expected_cost_exact([], PAIR, HALF), InvariantViolation,
-     "expected_cost_exact takes algorithm1 or algorithm2, not list"),
-    (lambda: expected_cost_exact(10 ** 5000, PAIR, HALF), InvariantViolation,
-     "expected_cost_exact takes algorithm1 or algorithm2, not int"),
+    (lambda: expected_cost_exact([], PAIR, HALF), InvariantViolation, "list is not a querysort strategy"),
+    (lambda: expected_cost_exact(10 ** 5000, PAIR, HALF), InvariantViolation, "int is not a querysort strategy"),
     (lambda: expected_cost_exact(simple_adaptive, PAIR, HALF), InvariantViolation,
-     "expected_cost_exact takes algorithm1 or algorithm2, not simple_adaptive"),
+     "simple_adaptive takes no rule, got HALF"),
+    (lambda: algorithm3_cpcp(Environment(PAIR)), InvariantViolation,
+     "this strategy runs on a CpcpEnvironment (scripts or embedded values)"),
     # instances
     (lambda: gen_random_scripted(0, 0, 0), InvariantViolation, "need at least one interval"),
     (lambda: gen_lemma4_pair(-1), InvariantViolation, "negative threshold -1"),

@@ -461,17 +461,19 @@ def test_proven_ratios_at_scale(seed, delta):
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_spend_is_the_ordered_runs_cost(strategy, make_env, zero_threshold, seed):
-    """`online._spend` runs the play alone: it spends what the public strategy
-    reports, query for query, and leaves no dependent pair, on crowded and
-    sparse scripted instances up to n = 200."""
+    """A strategy with no coin is one leaf of `expected_cost_exact`: that spends what
+    the public strategy reports, and its `_TRIALS` start alone queries what the run
+    queries and leaves no dependent pair, on crowded and sparse scripted instances
+    up to n = 200."""
     n = (7, 40, 120, SCALE_N)[seed]
     delta = F(0) if zero_threshold else (F(0), F(1, 2), F(1))[seed % 3]
     inst = make_instance(seed, n, delta, (8, 4 * n + 1)[seed % 2], scripted=True)
-    extra = (lambda: (AdviceOracle(inst),)) if strategy in (advice_half, advice_lg3) else tuple
+    advised = strategy in (advice_half, advice_lg3)
+    rule = lambda: AdviceOracle(inst) if advised else None  # what the strategy takes beyond its environment
     env = make_env(inst)
-    spent = online._spend(strategy, env, *extra())
-    report = strategy(make_env(inst), *extra())
-    assert spent == report.total_cost
+    online._TRIALS[strategy][0](env, rule())
+    report = strategy(make_env(inst), rule()) if advised else strategy(make_env(inst))
+    assert expected_cost_exact(strategy, inst, rule()) == report.total_cost
     assert tuple(env.transcript) == report.transcript
     core.require_independent(env.state().current, delta)
 

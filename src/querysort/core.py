@@ -505,15 +505,20 @@ class KnowledgeState:
         object.__setattr__(self, "spent", scalar(self.spent))
         if len(self.current) != len(self.queried):
             raise InvariantViolation("queried counts do not match intervals")
-        _require_ints("query count", *self.queried)
-        if any(q < 0 for q in self.queried):
-            raise InvariantViolation("negative query count")
-        if self.spent.numerator < 0:
-            raise InvariantViolation(f"negative spend {rational_text(self.spent)}")
+        _require_ledger(self.queried, self.spent)
 
     @property
     def n(self) -> int:
         return len(self.current)
+
+
+def _require_ledger(queried: tuple, spent: Fraction) -> None:
+    """Refuse a query count that is not an int at or above 0, or a ``spent`` below 0."""
+    _require_ints("query count", *queried)
+    if any(q < 0 for q in queried):
+        raise InvariantViolation("negative query count")
+    if spent.numerator < 0:
+        raise InvariantViolation(f"negative spend {rational_text(spent)}")
 
 
 # ---------------------------------------------------------------------------

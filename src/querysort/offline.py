@@ -192,19 +192,7 @@ def brute_force_optimum(
     for mask in range(1 << n):
         if best is not None and cost[mask] > best:
             continue
-        feasible = True
-        for bi, bj, ok_i, ok_j in edge_rules:
-            has_i = mask & bi
-            has_j = mask & bj
-            if has_i and has_j:
-                continue
-            if has_i and ok_i:
-                continue
-            if has_j and ok_j:
-                continue
-            feasible = False
-            break
-        if not feasible:
+        if not all(mask & bi and (ok_i or mask & bj) or mask & bj and ok_j for bi, bj, ok_i, ok_j in edge_rules):
             continue
         c = cost[mask]
         members = frozenset(i for i in range(n) if mask & (1 << i))

@@ -33,10 +33,13 @@ from .core import (
     KnowledgeState,
     Permutation,
     UncertainInterval,
+    _as_tuple,
     _check_item,
     _require_ints,
+    _require_ledger,
     _still_dependent,
     build_permutation,
+    grid_ints,
     isqrt_bounds,
     rational_text,
     scalar,
@@ -323,6 +326,10 @@ class RunReport:
     lists the answer-space size of every question actually asked.
     ``witness_sets`` (pair-scanning strategy only) are the per-step query
     batches, each of which provably intersects every feasible query set.
+    ``queried`` is kept as a tuple and ``total_cost`` as its `scalar`, refused
+    as `KnowledgeState` refuses them, and the total unless it equals the
+    transcript's charges, each read by `scalar` and summed as ints on their
+    lcm denominator (`grid_ints`).
     """
 
     queried: tuple[int, ...]
@@ -335,8 +342,11 @@ class RunReport:
     comparisons: Optional[int] = None
 
     def __post_init__(self):
-        charged = sum((entry[2] for entry in self.transcript), start=Fraction(0))
-        if charged != self.total_cost:
+        object.__setattr__(self, "queried", _as_tuple("queried", self.queried))
+        object.__setattr__(self, "total_cost", scalar(self.total_cost))
+        _require_ledger(self.queried, self.total_cost)
+        scale, units = grid_ints([scalar(c) for _, _, c in _as_tuple("transcript", self.transcript)])
+        if (charged := Fraction(sum(units), scale)) != self.total_cost:
             raise InvariantViolation(
                 f"total cost {rational_text(self.total_cost)} does not match transcript sum {rational_text(charged)}"
             )
@@ -350,15 +360,16 @@ def _finish(env: QueryEnvironment, permutation: Optional[Permutation] = None,
             **extra) -> RunReport:
     """The run's report, ordering its final intervals; a strategy that made its
     own ``permutation`` passes it, and no dependent pair may be left either way
-    (for an own ordering, the live graph must be edgeless)."""
-    state = env.state()
+    (for an own ordering, the live graph must be edgeless).  Only the ordering
+    reads `state`'s `Fraction` intervals: the counts and the spend come from the
+    environment's ints, which `_record` and `_rollback` keep at or above 0."""
     if permutation is None:
-        permutation = build_permutation(state.current, env.delta)
+        permutation = build_permutation(env.state().current, env.delta)
     else:
         _edgeless_paid(env, range(env.n))
     return RunReport(
-        queried=state.queried,
-        total_cost=state.spent,
+        queried=tuple(env._queried),
+        total_cost=Fraction(env._paid, env._scale),
         permutation=permutation,
         transcript=tuple(env.transcript),
         **extra,
@@ -696,12 +707,8 @@ def _algorithm1_trial(env: Environment, p: Fraction, state: tuple) -> Optional[t
         if (x := _first_ending(g.adj, ends)) is None:
             return None
         first_ending = lambda w: (g.his[w], w)
-        neighbors_x = sorted(g.adj[x])
-        y = min(neighbors_x, key=first_ending)
-        if len(neighbors_x) >= 2:
-            z = min((w for w in neighbors_x if w != y), key=first_ending)
-        else:
-            z = min((w for w in g.adj[y] if w != x), key=first_ending)
+        y = min(g.adj[x], key=first_ending)
+        z = min((w for w in (g.adj[x] if len(g.adj[x]) >= 2 else g.adj[y]) if w not in (x, y)), key=first_ending)
         env.query(y)
         # the live graph keeps x-y exactly when x straddles y's revealed value
         if g.has_edge(x, y) or g.has_edge(x, z):
@@ -1008,9 +1015,8 @@ def _advice_lg3(env: Environment, oracle: AdviceOracle) -> dict:
     ends = sorted((g.his[v], v) for v in range(env.n) if g.adj[v])
     while (x := _first_ending(g.adj, ends)) is not None:
         group = frozenset({x} | g.adj[x])
-        remembered = sorted(group & known_out)
-        if remembered:
-            y = remembered[0]
+        if remembered := group & known_out:
+            y = min(remembered)
         else:
             y = oracle.ask_excluded(group, x)
             if y != x:

@@ -78,7 +78,7 @@ import querysort
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "querysort"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SRC_LINE_BUDGET = 3807
+SRC_LINE_BUDGET = 3806
 
 
 def imported_names(tree):

@@ -81,6 +81,7 @@ SQUARE = DependencyGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1,) * 4)
 FIVE = gen_random(1, 5, 0)
 APART = (interval(0, 1), interval(5, 6))
 STATE = KnowledgeState(APART, (0, 0), 0)
+POINT = UncertainInterval(F(1), F(1))
 FLOAT = "floats are not allowed as scalars (got 0.5); pass an int, Fraction, or string like '5/2'"
 
 
@@ -211,6 +212,21 @@ REFUSALS = [
      "query index -1 names no item (n = 5)"),
     (lambda: RunReport((1,), F(1), Permutation((0,)), ()), InvariantViolation,
      "total cost 1 does not match transcript sum 0"),
+    (lambda: RunReport((1,), F(1), Permutation((0,)), ((0, POINT, 1.0),)), InvariantViolation,
+     FLOAT.replace("0.5", "1.0")),
+    (lambda: RunReport((1,), F(1), Permutation((0,)), ((0, POINT, True),)), InvariantViolation,
+     FLOAT.replace("0.5", "True")),
+    (lambda: RunReport((1,), F(1), Permutation((0,)), ((0, POINT, "x"),)), InvariantViolation,
+     "not a rational number: 'x'"),
+    (lambda: RunReport((1,), 0.5, Permutation((0,)), ((0, POINT, F(1, 2)),)), InvariantViolation, FLOAT),
+    (lambda: RunReport((-1,), F(0), Permutation((0,)), ()), InvariantViolation, "negative query count"),
+    (lambda: RunReport((1.5,), F(0), Permutation((0,)), ()), InvariantViolation, "query count 1.5 is not an int"),
+    (lambda: RunReport((True,), F(0), Permutation((0,)), ()), InvariantViolation, "query count True is not an int"),
+    (lambda: RunReport((1,), F(-1), Permutation((0,)), ((0, POINT, F(-1)),)), InvariantViolation,
+     "negative spend -1"),
+    (lambda: RunReport(5, F(0), Permutation((0,)), ()), InvariantViolation, "queried must be a sequence, got int"),
+    (lambda: RunReport((0,), F(0), Permutation((0,)), 5), InvariantViolation,
+     "transcript must be a sequence, got int"),
     (lambda: algorithm2(Environment(gen_cost_path(4, F(1, 100))), HALF), InvariantViolation,
      "this run is randomized; pass rng=RandomCoin(seed)"),
     (lambda: expected_cost_exact([], PAIR, HALF), InvariantViolation, "list is not a querysort strategy"),
@@ -266,7 +282,10 @@ def test_the_good_calls_pass():
     assert singleton_witness_static(interval(0, 6), interval(2, 3), 1) and not singleton_witness_static(*APART, 0)
     assert singleton_witness_value(ONE[0], 1, F(1, 2)) and singleton_witness_value(ONE[0], "1", 0)
     assert oblivious_query_set(PAIR) == frozenset({0, 1})
-    assert RunReport((1,), F(1), Permutation((0,)), ((0, UncertainInterval(F(1), F(1)), F(1)),)).total_cost == 1
+    assert RunReport((1,), F(1), Permutation((0,)), ((0, POINT, F(1)),)).total_cost == 1
+    assert RunReport((0,), F(0), Permutation((0,)), ()).total_cost == 0
+    by_hand = RunReport([2], "3/2", Permutation((0,)), [(0, POINT, F(1, 2)), (0, POINT, 1)])
+    assert (by_hand.queried, by_hand.total_cost) == ((2,), F(3, 2)) and type(by_hand.total_cost) is F
     assert Sqrt3Prob(1, 1).ratio == 1
 
 
